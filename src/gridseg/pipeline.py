@@ -17,12 +17,22 @@ import numpy as np
 
 from .cell_geometry import (
     GeometryParams,
-    classify_line_cell,
-    classify_planar_cell,
-    ransac_plane,
+    PhiloxStreams,
+    PlaneModel,
+    eigen_kinds,
+    line_tentative,
+    plane_tentative,
+    ransac_cells,
+    segment_covariance,
+    sorted_eigen,
 )
+
+# Not called here any more; the benchmark's layer tracer (perfbench/layertrace.py)
+# still hooks the name gridseg.pipeline.ransac_plane, and its tests expect every
+# hook target to resolve.
+from .cell_geometry import ransac_plane  # noqa: F401
 from .cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed, strip_synthetic
-from .errors import ConfigError, FitFailureError
+from .errors import ConfigError
 from .region_expansion import (
     ExpansionLog,
     ExpansionParams,
@@ -90,6 +100,9 @@ class PhaseStats:
     cells_routed_ground: int = 0
     points_ground: int = 0
     points_non_ground: int = 0
+    # False when the seed cell under the robot was not tentative ground; the
+    # phase then routes all its points to non-ground
+    seed_ok: bool = True
     runtime_ms: float = 0.0
 
     def as_dict(self) -> dict:
@@ -99,6 +112,7 @@ class PhaseStats:
 @dataclass
 class SegmentationStats:
     n_points: int = 0
+    n_nonfinite: int = 0  # input rows with a NaN or infinite coordinate, left non-ground
     n_synthetic: int = 0
     phase1: PhaseStats = field(default_factory=PhaseStats)
     phase2: PhaseStats = field(default_factory=PhaseStats)
@@ -107,6 +121,7 @@ class SegmentationStats:
     def as_dict(self) -> dict:
         return {
             "n_points": self.n_points,
+            "n_nonfinite": self.n_nonfinite,
             "n_synthetic": self.n_synthetic,
             "phase1": self.phase1.as_dict(),
             "phase2": self.phase2.as_dict(),
@@ -148,31 +163,6 @@ def _cell_keys(global_seed: int, phase: int, indices: np.ndarray) -> np.ndarray:
     return h
 
 
-def _batched_covariance(cells, points):
-    """Population covariance of every cell in one vectorized pass.
-
-    Runs the same two-pass formula as ``covariance`` (center, then average
-    outer products) with all sums taken in canonical within-cell order, so
-    the result is independent of input point order.
-    """
-    counts = np.array([len(c) for c in cells])
-    order = np.concatenate([c.canon_ids for c in cells])
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    pts = points[order]
-    means = np.add.reduceat(pts, starts, axis=0) / counts[:, None]
-    centered = pts - np.repeat(means, counts, axis=0)
-    prods = centered[:, [0, 0, 0, 1, 1, 2]] * centered[:, [0, 1, 2, 1, 2, 2]]
-    m6 = np.add.reduceat(prods, starts, axis=0) / counts[:, None]
-    C = np.empty((len(cells), 3, 3))
-    C[:, 0, 0] = m6[:, 0]
-    C[:, 0, 1] = C[:, 1, 0] = m6[:, 1]
-    C[:, 0, 2] = C[:, 2, 0] = m6[:, 2]
-    C[:, 1, 1] = m6[:, 3]
-    C[:, 1, 2] = C[:, 2, 1] = m6[:, 4]
-    C[:, 2, 2] = m6[:, 5]
-    return C
-
-
 def classify_cells(
     grid: VoxelGrid,
     points: np.ndarray,
@@ -183,78 +173,77 @@ def classify_cells(
 ) -> None:
     """Eigen-classify every cell and gate it into a tentative ground state.
 
-    Covariances and eigen decompositions are batched across cells; planar
-    cells get a seeded RANSAC plane (the per-cell seed derives from the
-    global seed, phase, and cell index, so runs are reproducible and
-    independent of scheduling).  Cells too small for a covariance rank test
-    are non-planar, hence non-ground candidates.
+    Covariances, eigen decompositions and RANSAC plane fits are batched
+    across cells, with every per-cell sum taken in canonical within-cell
+    order, so the result is independent of input point order.  Each planar
+    cell's RANSAC generator is seeded from the global seed, phase, and cell
+    index, so runs are reproducible and independent of which other cells
+    exist.  Cells too small for a covariance rank test are non-planar, hence
+    non-ground candidates; so are planar cells whose fit fails.
     """
     cells = [grid.cells[idx] for idx in sorted(grid.cells)]
     if not cells:
         return
     counts = np.array([len(c) for c in cells])
-    C = _batched_covariance(cells, points)
-    keys = _cell_keys(global_seed, phase, np.array([c.index for c in cells], dtype=np.int64))
+    order = np.concatenate([c.canon_ids for c in cells])
+    pts = points[order]
 
     eligible = counts >= geometry.min_points_for_eigen
     lam = np.zeros((len(cells), 3))
     vec = np.zeros((len(cells), 3, 3))
     if eligible.any():
-        w, v = np.linalg.eigh(C[eligible])
-        lam[eligible] = np.maximum(w[:, ::-1], 0.0)
-        vec[eligible] = v[:, :, ::-1]
-    total = lam.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(total > 0, lam[:, 0] / np.where(total > 0, total, 1.0), np.nan)
-        flatness = np.where(total > 0, lam[:, 2] / np.where(total > 0, total, 1.0), np.nan)
-    is_line = (
-        eligible
-        & (total > 0)
-        & (ratio >= geometry.line_ratio_min)
-        & (lam[:, 1] <= geometry.line_cross_ratio_max * lam[:, 2])
+        lam[eligible], vec[eligible] = sorted_eigen(segment_covariance(pts, counts)[eligible])
+    kinds = eigen_kinds(lam, geometry)
+    line = kinds == CellKind.LINE
+    is_planar = kinds == CellKind.PLANAR
+    planar = np.flatnonzero(is_planar)
+    in_planar = np.repeat(is_planar, counts)
+    index = np.array([cells[k].index for k in planar], dtype=np.int64).reshape(-1, 3)
+    keys = _cell_keys(global_seed, phase, index)
+    fit = ransac_cells(
+        pts[in_planar],
+        counts[planar],
+        PhiloxStreams(keys),
+        geometry.inlier_threshold,
+        geometry.ransac_iterations,
     )
-    is_planar = (
-        eligible & (total > 0) & ~is_line & (flatness <= geometry.planar_flatness_max)
-    )
+    kinds[planar[~fit.fitted]] = CellKind.NON_PLANAR
 
-    for k, cell in enumerate(cells):
-        if is_line[k]:
-            cell.kind = CellKind.LINE
-            cell.ground_state = classify_line_cell(vec[k, :, 0], geometry.slope_threshold_deg)
-        elif is_planar[k]:
-            try:
-                plane, in_loc, out_loc = ransac_plane(
-                    points[cell.canon_ids],
-                    geometry.inlier_threshold,
-                    geometry.ransac_iterations,
-                    seed=np.random.Generator(np.random.Philox(key=int(keys[k]))),
-                )
-            except FitFailureError:
-                cell.kind = CellKind.NON_PLANAR
-                cell.ground_state = GroundState.NON_GROUND
-                continue
-            cell.kind = CellKind.PLANAR
-            cell.plane = plane
-            cell.inlier_ids = cell.canon_ids[in_loc]
-            cell.outlier_ids = cell.canon_ids[out_loc]
-            cell.ground_state = classify_planar_cell(plane, geometry.slope_threshold_deg)
-        else:
-            cell.kind = CellKind.NON_PLANAR
-            cell.ground_state = GroundState.NON_GROUND
+    tentative = np.zeros(len(cells), dtype=bool)
+    tentative[line] = line_tentative(vec[line, :, 0], geometry.slope_threshold_deg)
+    tentative[planar] = fit.fitted & plane_tentative(fit.slopes, geometry.slope_threshold_deg)
+    obstacle = line & ~tentative
+    states = np.select(
+        [tentative, obstacle], [GroundState.TENTATIVE, GroundState.OBSTACLE], GroundState.NON_GROUND
+    )
+    for cell, kind, state in zip(cells, kinds, states):
+        cell.kind = kind
+        cell.ground_state = state
+
+    planar_ids = order[in_planar]
+    ends = np.cumsum(counts[planar]).tolist()
+    for k, start, end, normal, offset, slope, ok in zip(
+        planar.tolist(),
+        [0] + ends[:-1],
+        ends,
+        fit.normals,
+        fit.offsets.tolist(),
+        fit.slopes.tolist(),
+        fit.fitted.tolist(),
+    ):
+        if ok:
+            ids, inl = planar_ids[start:end], fit.inliers[start:end]
+            cells[k].plane = PlaneModel(normal=normal, offset=offset, slope_deg=slope)
+            cells[k].inlier_ids = ids[inl]
+            cells[k].outlier_ids = ids[~inl]
 
     if stats is not None:
-        stats.n_cells = len(grid.cells)
-        for cell in grid.cells.values():
-            if cell.kind is CellKind.LINE:
-                stats.cells_line += 1
-            elif cell.kind is CellKind.PLANAR:
-                stats.cells_planar += 1
-            elif cell.kind is CellKind.NON_PLANAR:
-                stats.cells_non_planar += 1
-            if cell.ground_state is GroundState.TENTATIVE:
-                stats.cells_tentative += 1
-            elif cell.ground_state is GroundState.OBSTACLE:
-                stats.cells_obstacle += 1
+        stats.n_cells = len(cells)
+        stats.cells_line = int(line.sum())
+        stats.cells_planar = int(fit.fitted.sum())
+        stats.cells_non_planar = len(cells) - stats.cells_line - stats.cells_planar
+        stats.cells_tentative = int(tentative.sum())
+        stats.cells_obstacle = int(obstacle.sum())
 
 
 def run_phase(
@@ -283,14 +272,19 @@ def run_phase(
     grid = build_grid(pts, cfg.cellsize)
     classify_cells(grid, pts, cfg.geometry, phase, global_seed, stats)
 
-    tentative = [c for _, c in sorted(grid.cells.items()) if c.ground_state is GroundState.TENTATIVE]
-    index = build_centroid_index(tentative)
     seed = select_seed(grid, seed_info)
-    expansion = replace(cfg.expansion, phase=phase)
-    if log is None:
-        log = ExpansionLog()
-    ground_local, _ = expand(grid, pts, index, seed, cfg.geometry, expansion, log=log)
-    stats.cells_expanded = len(log.routes)
+    stats.seed_ok = grid.cells[seed].ground_state is GroundState.TENTATIVE
+    ground_local = np.empty(0, dtype=np.int64)
+    if stats.seed_ok:
+        tentative = [
+            c for _, c in sorted(grid.cells.items()) if c.ground_state is GroundState.TENTATIVE
+        ]
+        index = build_centroid_index(tentative)
+        expansion = replace(cfg.expansion, phase=phase)
+        if log is None:
+            log = ExpansionLog()
+        ground_local, _ = expand(grid, pts, index, seed, cfg.geometry, expansion, log=log)
+        stats.cells_expanded = len(log.routes)
 
     ground_cell_local: list[np.ndarray] = []
     for _, cell in sorted(grid.cells.items()):
@@ -320,15 +314,24 @@ def segment(
     """Segment a cloud into ground / non-ground points.
 
     Deterministic for a fixed configuration (including the global seed), and
-    equivariant under permutations of the input point order.
+    equivariant under permutations of the input point order.  Rows with a
+    non-finite coordinate are left out, as ``read_kitti_bin`` does, and
+    get False in the mask.
     """
     if cfg is None:
         cfg = make_default_config()
     t0 = time.perf_counter()
     n = len(cloud)
     stats = SegmentationStats(n_points=n)
+    mask = np.zeros(n, dtype=bool)
     if n == 0:
-        return SegmentationResult(mask=np.zeros(0, dtype=bool), stats=stats)
+        return SegmentationResult(mask=mask, stats=stats)
+    finite = np.isfinite(cloud.points).all(axis=1)
+    stats.n_nonfinite = int(n - finite.sum())
+    if stats.n_nonfinite == n:
+        return SegmentationResult(mask=mask, stats=stats)
+    if stats.n_nonfinite:
+        cloud = PointCloud(points=cloud.points[finite])
 
     seeded, seed_info = inject_synthetic_seed(
         cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
@@ -336,7 +339,7 @@ def segment(
     stats.n_synthetic = seed_info.count
     pts = seeded.points
     all_ids = np.arange(len(pts), dtype=np.int64)
-    synth_ids = np.arange(n, len(pts), dtype=np.int64)
+    synth_ids = np.arange(len(cloud), len(pts), dtype=np.int64)
 
     r1 = run_phase(all_ids, pts, cfg.phase1, 1, cfg.global_seed, seed_info, log=log1)
     stats.phase1 = r1.stats
@@ -350,6 +353,6 @@ def segment(
 
     mask_full = np.zeros(len(pts), dtype=bool)
     mask_full[r2.ground_ids] = True
-    mask = strip_synthetic(mask_full, seed_info)
+    mask[finite] = strip_synthetic(mask_full, seed_info)
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return SegmentationResult(mask=mask, stats=stats)

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from gridseg.cell_geometry import (
     GeometryParams,
+    PhiloxStreams,
     PlaneModel,
     Sparsity,
     bbox_sparsity,
@@ -16,8 +17,10 @@ from gridseg.cell_geometry import (
     covariance,
     eigen_classify,
     make_plane,
+    ransac_cells,
     ransac_plane,
 )
+from gridseg.cell_geometry import _CHUNK_POINTS, _three_smallest
 from gridseg.errors import ContractViolationError, FitFailureError
 from gridseg.voxel_grid import CellKind, GroundState
 
@@ -220,6 +223,154 @@ class TestRansacPlane:
         p1, _, _ = ransac_plane(pts, 0.125, 50, seed=4)
         p2, _, _ = ransac_plane(pts @ R.T, 0.125, 50, seed=4)
         assert abs(p1.slope_deg - p2.slope_deg) <= 1e-6
+
+
+def _oracle_ransac_plane(points, inlier_threshold, iterations, seed):
+    """The one-cell RANSAC loop that ``ransac_cells`` batches (reference).
+
+    Returns (unit normal with z >= 0, offset, inlier indices, outlier
+    indices); raises FitFailureError like ``ransac_plane``.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = len(pts)
+    if n < 3:
+        raise FitFailureError(f"plane fit needs at least 3 points, got {n}")
+    center = pts.mean(axis=0)
+    q = pts - center
+    rng = np.random.default_rng(seed)
+    best_count = -1
+    best_mask = None
+    normal = None
+    offset_c = 0.0
+    done = 0
+    while done < iterations:
+        m = min(8, iterations - done)
+        done += m
+        ranks = np.argpartition(rng.random((m, n)), 2, axis=1)[:, :3]
+        a, b, c = q[ranks[:, 0]], q[ranks[:, 1]], q[ranks[:, 2]]
+        d1 = b - a
+        d2 = c - a
+        normals = np.empty_like(d1)
+        normals[:, 0] = d1[:, 1] * d2[:, 2] - d1[:, 2] * d2[:, 1]
+        normals[:, 1] = d1[:, 2] * d2[:, 0] - d1[:, 0] * d2[:, 2]
+        normals[:, 2] = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+        valid = norms > 1e-12
+        if not np.any(valid):
+            continue
+        normals[valid] /= norms[valid, None]
+        offsets = -np.einsum("ij,ij->i", normals, a)
+        dists = np.abs(q @ normals.T + offsets)
+        counts = (dists <= inlier_threshold).sum(axis=0)
+        counts[~valid] = -1
+        hits = np.flatnonzero(counts >= 0.99 * n)
+        cut = int(hits[0]) + 1 if len(hits) else m
+        winner = int(np.argmax(counts[:cut]))
+        if int(counts[winner]) > best_count:
+            best_count = int(counts[winner])
+            best_mask = dists[:, winner] <= inlier_threshold
+            normal = normals[winner]
+            offset_c = float(offsets[winner])
+        if len(hits):
+            break
+    if best_count < 0:
+        raise FitFailureError("all sampled triples were collinear")
+    inl = q[best_mask]
+    if len(inl) >= 3:
+        d = inl - inl.mean(axis=0)
+        _, v = np.linalg.eigh((d.T @ d) / len(inl))
+        refit_n = v[:, 0]
+        refit_off = -float(refit_n @ inl.mean(axis=0))
+        refit_mask = np.abs(q @ refit_n + refit_off) <= inlier_threshold
+        if int(refit_mask.sum()) >= best_count:
+            normal, offset_c, best_mask = refit_n, refit_off, refit_mask
+    offset = offset_c - float(np.dot(normal, center))
+    norm = float(np.linalg.norm(normal))
+    normal, offset = normal / norm, offset / norm
+    if normal[2] < 0:
+        normal, offset = -normal, -offset
+    return normal, offset, np.flatnonzero(best_mask), np.flatnonzero(~best_mask)
+
+
+def _random_cell(rng, n, outlier_share):
+    """n points near a random plane through a 1.5 m cell, some of them scattered."""
+    xy = rng.uniform(0.0, 1.5, size=(n, 2))
+    tilt = rng.uniform(-0.6, 0.6, 2)
+    z = xy @ tilt + rng.normal(0.0, 0.02, n)
+    out = rng.random(n) < outlier_share
+    z[out] += rng.uniform(0.2, 1.5, out.sum())
+    return np.column_stack([xy, z]) + rng.uniform(-50, 50, 3)
+
+
+class TestRansacCells:
+    def _cells(self):
+        rng = np.random.default_rng(2024)
+        sizes = rng.integers(3, 400, 160)
+        shares = rng.choice([0.0, 0.005, 0.05, 0.3, 0.6], 160)
+        cells = [_random_cell(rng, int(n), share) for n, share in zip(sizes, shares)]
+        line = np.column_stack([np.linspace(0, 1, 12), 2 * np.linspace(0, 1, 12), np.zeros(12)])
+        cells[5:5] = [line, line[:3]]
+        # beyond the run budget, and 5% outliers keep every candidate below 99%
+        cells[80:80] = [_random_cell(rng, _CHUNK_POINTS + 700, 0.05)]
+        return cells
+
+    def test_matches_per_cell_oracle(self):
+        cells = self._cells()
+        counts = np.array([len(c) for c in cells])
+        assert counts.sum() > 2 * _CHUNK_POINTS
+        keys = np.random.default_rng(7).integers(0, 2**63, len(cells))
+        fit = ransac_cells(np.vstack(cells), counts, PhiloxStreams(keys), 0.125, 50)
+        starts = np.cumsum(counts) - counts
+        full_runs = failures = 0
+        for i, (pts, key) in enumerate(zip(cells, keys)):
+            seg = fit.inliers[starts[i] : starts[i] + counts[i]]
+            try:
+                normal, offset, inl, out = _oracle_ransac_plane(
+                    pts, 0.125, 50, np.random.Generator(np.random.Philox(key=int(key)))
+                )
+            except FitFailureError:
+                failures += 1
+                assert not fit.fitted[i] and not seg.any()
+                continue
+            assert fit.fitted[i]
+            np.testing.assert_array_equal(np.flatnonzero(seg), inl)
+            np.testing.assert_array_equal(np.flatnonzero(~seg), out)
+            np.testing.assert_allclose(fit.normals[i], normal, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(fit.offsets[i], offset, rtol=0, atol=1e-9)
+            full_runs += len(inl) < 0.99 * len(pts)
+        assert failures == 2  # the two collinear cells
+        assert full_runs > 20
+
+    def test_three_smallest_takes_the_lower_position_on_ties(self):
+        keys = np.array([0.5, 0.1, 0.1, 0.3, 0.2, 0.2, 0.2, 0.0, 0.9, 0.4, 0.7])
+        got = _three_smallest(keys, np.array([4, 4, 3]), np.array([0, 4, 8]))
+        assert got.tolist() == [[1, 2, 3], [3, 0, 1], [1, 2, 0]]
+
+    def test_philox_streams_read_any_position(self):
+        keys = [3, 2**64 - 5]
+        streams = PhiloxStreams(keys)
+        for cell, key in enumerate(keys):
+            ref = np.random.Generator(np.random.Philox(key=key)).random(40)
+            for start, size in [(0, 8), (6, 10), (13, 27), (0, 40)]:
+                np.testing.assert_array_equal(
+                    streams.uniforms(cell, start, size), ref[start : start + size]
+                )
+
+    def test_one_cell_wrapper_matches_oracle(self, rng):
+        pts = _random_cell(rng, 90, 0.3)
+        plane, inliers, outliers = ransac_plane(pts, 0.1, 30, seed=5)
+        normal, offset, inl, out = _oracle_ransac_plane(pts, 0.1, 30, 5)
+        np.testing.assert_array_equal(inliers, inl)
+        np.testing.assert_array_equal(outliers, out)
+        np.testing.assert_allclose(plane.normal, normal, rtol=0, atol=1e-9)
+        assert plane.offset == pytest.approx(offset, abs=1e-9)
+
+    def test_too_few_points_per_cell_are_not_fitted(self):
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 0, 0]], dtype=float)
+        fit = ransac_cells(pts, [2, 3], PhiloxStreams([0, 1]), 0.1, 10)
+        assert fit.fitted.tolist() == [False, True]
+        assert fit.inliers.tolist() == [False, False, True, True, True]
+        assert np.isnan(fit.slopes[0]) and fit.slopes[1] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestClassifyPlanarCell:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -178,10 +180,11 @@ class TestSegment:
         grid = build_grid(pts, cfg.phase1.cellsize)
         geo = cfg.phase1.geometry
         classify_cells(grid, pts, geo, 1, cfg.global_seed)
-        from gridseg.pipeline import _batched_covariance
+        from gridseg.cell_geometry import segment_covariance
 
         cells = [grid.cells[idx] for idx in sorted(grid.cells)]
-        C_batch = _batched_covariance(cells, pts)
+        order = np.concatenate([c.canon_ids for c in cells])
+        C_batch = segment_covariance(pts[order], np.array([len(c) for c in cells]))
         for k, cell in enumerate(cells):
             pts_c = pts[cell.canon_ids]
             C_ref = covariance(pts_c)
@@ -206,3 +209,54 @@ class TestSegment:
         assert s.runtime_ms > 0
         d = s.as_dict()
         assert d["phase1"]["n_cells"] == s.phase1.n_cells
+
+    # sha256 of segment() masks on two seeded scenes, as computed before
+    # RANSAC was batched across cells; any change of output shows here
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                gs.SceneSpec(
+                    extent=24.0,
+                    n_ground=8000,
+                    boxes=(
+                        gs.BoxSpec(5.0, 2.0, 1.5, 1.0, 1.2),
+                        gs.BoxSpec(-4.0, -5.0, 2.0, 2.0, 0.8),
+                    ),
+                    seed=21,
+                ),
+                "8e8e93a536a511309b122be639cbe1cb58271bd46371dc9e2b5d278af94fc665",
+            ),
+            (
+                gs.SceneSpec(extent=24.0, n_ground=8000, slope_deg=12.0, seed=22),
+                "e4438241e6e9558e6cf862195f7e74c068b91f3f4068933c9b2b7a0d426ad106",
+            ),
+        ],
+        ids=["boxes", "slope-12"],
+    )
+    def test_masks_match_pinned_digests(self, spec, digest):
+        mask = segment(gs.scene_cloud(gs.make_scene(spec))).mask
+        assert hashlib.sha256(mask.tobytes()).hexdigest() == digest
+
+    def test_nonfinite_rows_are_non_ground_not_an_error(self):
+        cloud = gs.scene_cloud(gs.make_scene(gs.SceneSpec(extent=20.0, seed=3)))
+        bad = [5, 50, 500, 900, 1500]
+        pts = cloud.points.copy()
+        pts[bad] = np.nan
+        pts[900, 1] = np.inf
+        result = segment(PointCloud(points=pts))
+        assert result.stats.n_nonfinite == len(bad)
+        assert len(result.mask) == len(pts) and not result.mask[bad].any()
+        keep = np.ones(len(pts), dtype=bool)
+        keep[bad] = False
+        clean = segment(PointCloud(points=pts[keep]))
+        np.testing.assert_array_equal(result.mask[keep], clean.mask)
+
+    def test_seed_cell_not_tentative_gives_non_ground_not_an_error(self):
+        # ground 0.48 m below the configured mount height shares the seed
+        # cell with the synthetic lattice, which is then not planar
+        cloud = gs.scene_cloud(gs.make_scene(gs.SceneSpec(ground_z=-2.2)))
+        result = segment(cloud)
+        assert result.stats.phase1.seed_ok is False
+        assert len(result.mask) == len(cloud) and not result.mask.any()
+        assert result.stats.phase1.points_non_ground == result.stats.phase1.n_points
