@@ -7,8 +7,8 @@ subsets get a bounding-box sparsity class used later to flag ambiguous cells.
 
 Classification, line gating and plane fitting run on all cells of a phase at
 once; the one-cell functions (``covariance``, ``eigen_classify``,
-``classify_line_cell``, ``ransac_plane``, ``make_plane``) wrap the batched
-ones, so each rule is written once.
+``classify_line_cell``, ``ransac_plane``, ``make_plane``, ``bbox_sparsity``)
+wrap the batched ones, so each rule is written once.
 """
 
 from __future__ import annotations
@@ -502,19 +502,28 @@ def classify_planar_cell(plane: PlaneModel, slope_threshold_deg: float) -> Groun
     return GroundState.NON_GROUND
 
 
-def bbox_sparsity(points: np.ndarray, params: GeometryParams) -> Sparsity:
-    """Bin bounding-box volume per point into Low / Medium / High.
+def segment_sparsity(points: np.ndarray, counts: np.ndarray, params: GeometryParams) -> np.ndarray:
+    """Bin bounding-box volume per point into Low / Medium / High, per segment.
 
-    Extents are floored at 0.01 m so degenerate (flat or single-point) sets
-    keep a nonzero volume.
+    ``points`` holds the segments back to back, ``counts[i]`` (at least one)
+    points for segment i.  Extents are floored at 0.01 m so degenerate (flat
+    or single-point) sets keep a nonzero volume.
     """
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    highs = np.maximum.reduceat(points, starts, axis=0)
+    lows = np.minimum.reduceat(points, starts, axis=0)
+    score = np.prod(np.maximum(highs - lows, 0.01), axis=1) / counts
+    return np.select(
+        [score <= params.sparsity_low_max, score <= params.sparsity_medium_max],
+        [Sparsity.LOW, Sparsity.MEDIUM],
+        Sparsity.HIGH,
+    )
+
+
+def bbox_sparsity(points: np.ndarray, params: GeometryParams) -> Sparsity:
+    """Sparsity class of one point set (see ``segment_sparsity``)."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         raise ContractViolationError("sparsity of an empty point set")
-    extents = np.maximum(pts.max(axis=0) - pts.min(axis=0), 0.01)
-    score = float(np.prod(extents)) / len(pts)
-    if score <= params.sparsity_low_max:
-        return Sparsity.LOW
-    if score <= params.sparsity_medium_max:
-        return Sparsity.MEDIUM
-    return Sparsity.HIGH
+    return Sparsity(segment_sparsity(pts, np.array([len(pts)]), params)[0])

@@ -34,6 +34,7 @@ from .cell_geometry import ransac_plane  # noqa: F401
 from .cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed, strip_synthetic
 from .errors import ConfigError
 from .region_expansion import (
+    REASONS,
     ExpansionLog,
     ExpansionParams,
     build_centroid_index,
@@ -103,6 +104,9 @@ class PhaseStats:
     # False when the seed cell under the robot was not tentative ground; the
     # phase then routes all its points to non-ground
     seed_ok: bool = True
+    # cells per refinement reason (region_expansion.REASONS); they add up
+    # to cells_expanded
+    routes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REASONS, 0))
     runtime_ms: float = 0.0
 
     def as_dict(self) -> dict:
@@ -275,34 +279,34 @@ def run_phase(
     seed = select_seed(grid, seed_info)
     stats.seed_ok = grid.cells[seed].ground_state is GroundState.TENTATIVE
     ground_local = np.empty(0, dtype=np.int64)
+    # grid.cells holds cells in ascending index order, as the index needs
+    tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
     if stats.seed_ok:
-        tentative = [
-            c for _, c in sorted(grid.cells.items()) if c.ground_state is GroundState.TENTATIVE
-        ]
         index = build_centroid_index(tentative)
         expansion = replace(cfg.expansion, phase=phase)
-        if log is None:
-            log = ExpansionLog()
-        ground_local, _ = expand(grid, pts, index, seed, cfg.geometry, expansion, log=log)
-        stats.cells_expanded = len(log.routes)
+        ground_local, _ = expand(
+            grid, pts, index, seed, cfg.geometry, expansion, log=log, route_counts=stats.routes
+        )
+        stats.cells_expanded = sum(stats.routes.values())
+    ground_cells = [c.point_ids for c in tentative if c.ground_state is GroundState.GROUND]
+    stats.cells_routed_ground = len(ground_cells)
+    cell_local = np.concatenate(ground_cells) if ground_cells else np.empty(0, dtype=np.int64)
 
-    ground_cell_local: list[np.ndarray] = []
-    for _, cell in sorted(grid.cells.items()):
-        if cell.ground_state is GroundState.GROUND:
-            stats.cells_routed_ground += 1
-            ground_cell_local.append(cell.point_ids)
+    # id sets as boolean masks over the global ids: sorted and disjoint by construction
+    ground = _id_mask(ids[ground_local], len(all_points))
+    rest = _id_mask(ids, len(all_points)) & ~ground
+    fwd = _id_mask(ids[cell_local], len(all_points))
 
-    ground_ids = np.sort(ids[ground_local])
-    nonground_ids = np.setdiff1d(ids, ground_ids, assume_unique=False)
-    if ground_cell_local:
-        fwd = np.sort(ids[np.concatenate(ground_cell_local)])
-    else:
-        fwd = np.empty(0, dtype=np.int64)
-
-    stats.points_ground = len(ground_ids)
-    stats.points_non_ground = len(nonground_ids)
+    stats.points_ground = int(ground.sum())
+    stats.points_non_ground = int(rest.sum())
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return PhaseResult(ground_ids, nonground_ids, fwd, stats)
+    return PhaseResult(np.flatnonzero(ground), np.flatnonzero(rest), np.flatnonzero(fwd), stats)
+
+
+def _id_mask(ids: np.ndarray, n: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
 def segment(
@@ -339,7 +343,6 @@ def segment(
     stats.n_synthetic = seed_info.count
     pts = seeded.points
     all_ids = np.arange(len(pts), dtype=np.int64)
-    synth_ids = np.arange(len(cloud), len(pts), dtype=np.int64)
 
     r1 = run_phase(all_ids, pts, cfg.phase1, 1, cfg.global_seed, seed_info, log=log1)
     stats.phase1 = r1.stats
@@ -347,7 +350,9 @@ def segment(
     # Phase II sees every point of a Phase-I ground cell (inliers and
     # outliers) so over-segmentation can be corrected; the synthetic lattice
     # is always carried along so the fine grid keeps its seed cell.
-    p2_ids = np.union1d(r1.ground_cell_point_ids, synth_ids)
+    p2 = _id_mask(r1.ground_cell_point_ids, len(pts))
+    p2[len(cloud) :] = True
+    p2_ids = np.flatnonzero(p2)
     r2 = run_phase(p2_ids, pts, cfg.phase2, 2, cfg.global_seed, seed_info, log=log2)
     stats.phase2 = r2.stats
 

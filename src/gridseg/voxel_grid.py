@@ -96,7 +96,8 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
 
     The grid content is independent of input point order: cells are keyed by
     geometric indices, per-cell id lists are normalized, and centroid sums run
-    in canonical coordinate order.
+    in canonical coordinate order.  ``grid.cells`` holds the cells in
+    ascending index order.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     grid = VoxelGrid(cellsize=cellsize, n_points=len(pts))

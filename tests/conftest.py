@@ -25,6 +25,10 @@ class BruteForceIndex:
         hits = np.flatnonzero(d2 <= radius * radius)
         return sorted(self.cell_ids[k] for k in hits)
 
+    def pairs(self, radius):
+        d2 = ((self.centroids[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
+        return np.nonzero(np.triu(d2 <= radius * radius, k=1))
+
 
 @pytest.fixture
 def brute_index_cls():

@@ -180,12 +180,12 @@ def test_criterion_06_expansion_oracle():
 
     class BruteIndex:
         def __init__(self, cells):
-            self.ids = [c.index for c in cells]
+            self.cell_ids = [c.index for c in cells]
             self.centroids = np.vstack([c.centroid for c in cells])
 
-        def query(self, center, radius):
-            d2 = ((self.centroids - center) ** 2).sum(axis=1)
-            return sorted(self.ids[k] for k in np.flatnonzero(d2 <= radius * radius))
+        def pairs(self, radius):
+            d2 = ((self.centroids[:, None] - self.centroids[None]) ** 2).sum(axis=2)
+            return np.nonzero(np.triu(d2 <= radius * radius, k=1))
 
     results = []
     for phase, cellsize in ((1, cfg.phase1.cellsize), (2, cfg.phase2.cellsize)):

@@ -19,6 +19,7 @@ from gridseg.cell_geometry import (
     make_plane,
     ransac_cells,
     ransac_plane,
+    segment_sparsity,
 )
 from gridseg.cell_geometry import _CHUNK_POINTS, _three_smallest
 from gridseg.errors import ContractViolationError, FitFailureError
@@ -421,3 +422,20 @@ class TestBboxSparsity:
 
     def test_order(self):
         assert Sparsity.LOW < Sparsity.MEDIUM < Sparsity.HIGH
+
+    def test_segments_match_per_set_scores(self, rng):
+        # per-set oracle: the score formula written out for one point set
+        counts = rng.integers(1, 40, size=300)
+        pts = rng.normal(size=(counts.sum(), 3)) * np.repeat(
+            rng.uniform(0.001, 1.5, size=(300, 3)), counts, axis=0
+        )
+        got = segment_sparsity(pts, counts, PARAMS)
+        for k, part in enumerate(np.split(pts, np.cumsum(counts)[:-1])):
+            score = float(np.prod(np.maximum(part.max(0) - part.min(0), 0.01))) / len(part)
+            want = (
+                Sparsity.LOW if score <= PARAMS.sparsity_low_max
+                else Sparsity.MEDIUM if score <= PARAMS.sparsity_medium_max
+                else Sparsity.HIGH
+            )
+            assert got[k] == want == bbox_sparsity(part, PARAMS)
+        assert set(got.tolist()) == {0, 1, 2}

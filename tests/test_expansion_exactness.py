@@ -1,0 +1,356 @@
+"""The graph-based ``expand`` against the queue-based expansion it replaced.
+
+``_reference_expand`` and ``_reference_refine`` are the former ``expand`` and
+``refine_cell`` bodies: a deque/set breadth-first search that queries each
+dequeued cell's neighbors and refines it on the spot against the live cell
+states.  (The former ``expand`` took neighbor lists from a batched query when
+the index offered one and fell back to ``index.query``; only the fallback is
+kept, as both return the same sorted lists.)  The new expansion must agree
+with it exactly: the same id arrays, admission edges, routes, and final cell
+states.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import gridseg as gs
+from gridseg import pipeline
+from gridseg.cell_geometry import GeometryParams, bbox_sparsity, make_plane
+from gridseg.cloud_io import inject_synthetic_seed
+from gridseg.errors import ContractViolationError
+from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
+from gridseg.region_expansion import (
+    REASONS,
+    ExpansionLog,
+    ExpansionParams,
+    _cell_height,
+    build_centroid_index,
+    expand,
+    select_seed,
+)
+from gridseg.voxel_grid import CellSize, GroundState, build_grid, cell_index, occupied_below
+
+GEO = GeometryParams()
+CFG = make_default_config()
+
+
+def _reference_refine(cell, grid, points, neighbor_ground_cells, geometry, expansion):
+    if cell.plane is None or cell.inlier_ids is None or cell.outlier_ids is None:
+        return False, "no plane fit"
+    if len(cell.inlier_ids) == 0:
+        return False, "no ground inliers"
+    if len(cell.outlier_ids) == 0:
+        return True, "no outliers"
+    s_in = bbox_sparsity(points[cell.inlier_ids], geometry)
+    s_out = bbox_sparsity(points[cell.outlier_ids], geometry)
+    if s_in != s_out:
+        return True, "sparsity unambiguous"
+    z_i = float(points[cell.inlier_ids, 2].mean())
+    heights = [_cell_height(c, points) for c in neighbor_ground_cells]
+    if not heights:
+        return False, "ambiguous with no ground neighbors"
+    if z_i - min(heights) > expansion.ambiguity_elevation_threshold:
+        return False, "ambiguous and elevated above lowest neighbor"
+    below = occupied_below(grid, cell.index)
+    if below is not None and below.ground_state in (GroundState.NON_GROUND, GroundState.OBSTACLE):
+        return False, "ambiguous with non-ground cell below"
+    return True, "ambiguous checks passed"
+
+
+def _reference_expand(grid, points, index, seed, geometry, expansion, log=None):
+    seed_cell = grid.cells.get(seed)
+    if seed_cell is None or seed_cell.ground_state is not GroundState.TENTATIVE:
+        raise ContractViolationError(f"seed cell {seed} is not tentative ground")
+
+    seed_cell.ground_state = GroundState.GROUND
+    queue = deque([seed])
+    in_queue = {seed}
+    expanded = set()
+    ground_parts = []
+    nonground_parts = []
+
+    while queue:
+        i = queue.popleft()
+        in_queue.discard(i)
+        expanded.add(i)
+        ci = grid.cells[i]
+
+        neighbors = index.query(ci.centroid, expansion.search_radius)
+        for j in neighbors:
+            if j == i or j in expanded or j in in_queue:
+                continue
+            cj = grid.cells[j]
+            if cj.ground_state is not GroundState.TENTATIVE:
+                continue
+            dz = abs(float(ci.centroid[2]) - float(cj.centroid[2]))
+            if expansion.phase == 2 and dz > expansion.height_gate:
+                continue
+            cj.ground_state = GroundState.GROUND
+            queue.append(j)
+            in_queue.add(j)
+            if log is not None:
+                log.edges.append((i, j, dz))
+
+        neighbor_ground = [
+            grid.cells[j]
+            for j in neighbors
+            if j != i and grid.cells[j].ground_state is GroundState.GROUND
+        ]
+        is_ground, reason = _reference_refine(
+            ci, grid, points, neighbor_ground, geometry, expansion
+        )
+        if is_ground:
+            ground_parts.append(ci.inlier_ids)
+            nonground_parts.append(ci.outlier_ids)
+        else:
+            ci.ground_state = GroundState.NON_GROUND
+            nonground_parts.append(ci.point_ids)
+        if log is not None:
+            log.routes.append((i, "ground" if is_ground else "non_ground", reason))
+
+    def _collect(parts):
+        parts = [p for p in parts if p is not None and len(p)]
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.sort(np.concatenate(parts)).astype(np.int64)
+
+    return _collect(ground_parts), _collect(nonground_parts)
+
+
+def _expand_both(make_grid, points, seed, expansion):
+    """Run both expansions on fresh grids; assert they agree; return the log."""
+    outcomes = []
+    for run in (_reference_expand, expand):
+        grid = make_grid()
+        tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
+        index = build_centroid_index(tentative)
+        log = ExpansionLog()
+        ground, nonground = run(grid, points, index, seed, GEO, expansion, log=log)
+        states = [(idx, c.ground_state) for idx, c in grid.cells.items()]
+        outcomes.append((ground, nonground, log, states))
+    (g0, n0, log0, s0), (g1, n1, log1, s1) = outcomes
+    np.testing.assert_array_equal(g0, g1)
+    np.testing.assert_array_equal(n0, n1)
+    assert g1.dtype == n1.dtype == np.int64
+    assert log0.edges == log1.edges
+    assert log0.routes == log1.routes
+    assert s0 == s1
+    return log1
+
+
+def _classified(points, cellsize, phase):
+    def make_grid():
+        grid = build_grid(points, cellsize)
+        classify_cells(grid, points, GEO, phase, CFG.global_seed)
+        return grid
+
+    return make_grid
+
+
+def _compare_scene(spec):
+    """Both phases of a scene, the second on Phase I's ground-cell points."""
+    seeded, info = inject_synthetic_seed(
+        gs.scene_cloud(gs.make_scene(spec)), CFG.robot_radius, CFG.dist_to_ground, CFG.seed_spacing
+    )
+    pts = seeded.points
+    phase1 = _classified(pts, CFG.phase1.cellsize, 1)
+    grid = phase1()
+    seed = select_seed(grid, info)
+    if grid.cells[seed].ground_state is not GroundState.TENTATIVE:
+        for run in (_reference_expand, expand):
+            with pytest.raises(ContractViolationError):
+                run(phase1(), pts, build_centroid_index([]), seed, GEO, CFG.phase1.expansion)
+        return []
+    logs = [_expand_both(phase1, pts, seed, ExpansionParams(phase=1))]
+
+    r1 = run_phase(np.arange(len(pts)), pts, CFG.phase1, 1, CFG.global_seed, info)
+    p2_ids = np.union1d(r1.ground_cell_point_ids, np.arange(len(pts) - info.count, len(pts)))
+    p2 = pts[p2_ids]
+    phase2 = _classified(p2, CFG.phase2.cellsize, 2)
+    grid = phase2()
+    seed = select_seed(grid, info)
+    if grid.cells[seed].ground_state is GroundState.TENTATIVE:
+        logs.append(_expand_both(phase2, p2, seed, ExpansionParams(phase=2)))
+    return logs
+
+
+SCENES = {
+    "boxes": gs.SceneSpec(
+        extent=24.0,
+        n_ground=8000,
+        boxes=(gs.BoxSpec(5.0, 2.0, 1.5, 1.0, 1.2), gs.BoxSpec(-4.0, -5.0, 2.0, 2.0, 0.8)),
+        seed=21,
+    ),
+    "slope-12": gs.SceneSpec(extent=24.0, n_ground=8000, slope_deg=12.0, seed=22),
+}
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_expand_matches_reference_on_both_phases(name):
+    logs = _compare_scene(SCENES[name])
+    assert len(logs) == 2
+    assert all(log.routes for log in logs)
+
+
+def _reference_segment(monkeypatch, cloud):
+    def reference(grid, points, index, seed, geometry, expansion, log=None, route_counts=None):
+        log = ExpansionLog() if log is None else log
+        out = _reference_expand(grid, points, index, seed, geometry, expansion, log=log)
+        for _, _, reason in log.routes:
+            route_counts[reason] += 1
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "expand", reference)
+        logs = ExpansionLog(), ExpansionLog()
+        return segment(cloud, log1=logs[0], log2=logs[1]), logs
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_segment_matches_reference_masks_logs_and_stats(monkeypatch, name):
+    cloud = gs.scene_cloud(gs.make_scene(SCENES[name]))
+    ref, ref_logs = _reference_segment(monkeypatch, cloud)
+    logs = ExpansionLog(), ExpansionLog()
+    new = segment(cloud, log1=logs[0], log2=logs[1])
+    np.testing.assert_array_equal(new.mask, ref.mask)
+    for a, b in zip(logs, ref_logs):
+        assert a.edges == b.edges and a.routes == b.routes
+    for phase in ("phase1", "phase2"):
+        got, want = getattr(new.stats, phase).as_dict(), getattr(ref.stats, phase).as_dict()
+        got.pop("runtime_ms"), want.pop("runtime_ms")
+        assert got == want
+
+
+# Hand-built cells on a 1 m grid, one 10 x 10 point patch at a fixed height
+# per cell.  "ground" cells hold a plane with no outliers, "ambiguous" cells
+# split their points into two equally dense halves, "no_plane" cells hold
+# no fit and route non-ground.  The first cell is the seed.
+def _patch(x0, z):
+    g = np.linspace(0.1, 0.9, 10)
+    xx, yy = np.meshgrid(g, g)
+    return np.column_stack([xx.ravel() + x0, yy.ravel(), np.full(100, z)])
+
+
+def _hand_built(layout):
+    points = np.vstack([_patch(x0, z) for x0, z, _ in layout])
+
+    def make_grid():
+        grid = build_grid(points, CellSize(1.0, 1.0, 1.0))
+        for cell in grid.cells.values():
+            cell.ground_state = GroundState.TENTATIVE
+            cell.plane = cell.inlier_ids = cell.outlier_ids = None
+        for x0, z, kind in layout:
+            cell = grid.cells[cell_index((x0 + 0.5, 0.5, z), grid.cellsize)]
+            ids = cell.point_ids
+            if kind != "no_plane":
+                cell.plane = make_plane([0, 0, 1.0], -z)
+                split = len(ids) if kind == "ground" else 50
+                cell.inlier_ids, cell.outlier_ids = ids[:split], ids[split:]
+        return grid
+
+    seed = cell_index((layout[0][0] + 0.5, 0.5, layout[0][1]), CellSize(1.0, 1.0, 1.0))
+    return points, make_grid, seed
+
+
+def _ambiguous_route(log, layout):
+    x0, z = next((x0, z) for x0, z, kind in layout if kind == "ambiguous")
+    idx = cell_index((x0 + 0.5, 0.5, z), CellSize(1.0, 1.0, 1.0))
+    return next(reason for cell, _, reason in log.routes if cell == idx)
+
+
+# the ambiguous cell at x = 2 sits on a no-plane cell of the same column,
+# 0.25 m lower, and 1.03 m from the seed
+COLUMN = [(1, 1.05, "ground"), (2, 0.8, "no_plane"), (2, 1.05, "ambiguous")]
+
+
+@pytest.mark.parametrize(
+    "radius, reason",
+    [
+        # the seed admits both; the lower cell is dequeued and rejected first
+        (5.0, "ambiguous with non-ground cell below"),
+        # only the ambiguous cell is within reach of the seed: it admits the
+        # cell below, which is still queued (GROUND) when it is refined
+        (1.01, "ambiguous checks passed"),
+    ],
+)
+def test_ambiguous_cell_over_a_cell_rejected_earlier(radius, reason):
+    points, make_grid, seed = _hand_built(COLUMN)
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=radius, phase=1))
+    assert _ambiguous_route(log, COLUMN) == reason
+
+
+@pytest.mark.parametrize(
+    "layout, radius, reason",
+    [
+        # the low no-plane neighbor is dequeued and rejected before the
+        # ambiguous cell, so only the seed's height counts
+        (
+            [(0, 0.5, "ground"), (1, 0.1, "no_plane"), (2, 0.6, "ambiguous")],
+            5.0,
+            "ambiguous checks passed",
+        ),
+        # the ambiguous cell admits the low neighbor itself, which is then
+        # GROUND (queued) when it is refined
+        (
+            [(0, 0.5, "ground"), (1, 0.6, "ambiguous"), (2, 0.1, "no_plane")],
+            1.2,
+            "ambiguous and elevated above lowest neighbor",
+        ),
+    ],
+)
+def test_ambiguous_cell_after_its_lowest_neighbor_was_rejected(layout, radius, reason):
+    points, make_grid, seed = _hand_built(layout)
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=radius, phase=1))
+    assert _ambiguous_route(log, layout) == reason
+
+
+def test_neighbor_admitted_only_later_does_not_count():
+    # phase 2: the low cell at x = 3 is a radius neighbor of the ambiguous
+    # cell but outside its height gate; the cell at x = 2 admits it only
+    # after the ambiguous cell has been refined
+    layout = [(0, 0.5, "ground"), (1, 0.6, "ambiguous"), (2, 0.35, "ground"), (3, 0.15, "ground")]
+    points, make_grid, seed = _hand_built(layout)
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0, phase=2))
+    assert _ambiguous_route(log, layout) == "ambiguous checks passed"
+    assert len(log.routes) == 4
+
+
+boxes = st.lists(
+    st.builds(
+        gs.BoxSpec,
+        cx=st.floats(-6.0, 6.0),
+        cy=st.floats(-6.0, 6.0),
+        sx=st.floats(0.5, 3.0),
+        sy=st.floats(0.5, 3.0),
+        sz=st.floats(0.3, 2.5),
+        base=st.sampled_from([0.0, 0.0, 0.5, 1.5]),
+    ),
+    max_size=4,
+).map(tuple)
+
+
+@given(
+    extent=st.floats(6.0, 20.0),
+    n_ground=st.integers(200, 3000),
+    slope=st.floats(0.0, 25.0),
+    noise=st.floats(0.0, 0.1),
+    boxes=boxes,
+    seed=st.integers(0, 2**16),
+)
+def test_expand_matches_reference_on_random_scenes(extent, n_ground, slope, noise, boxes, seed):
+    spec = gs.SceneSpec(
+        extent=extent, n_ground=n_ground, slope_deg=slope, noise_sigma=noise, boxes=boxes, seed=seed
+    )
+    _compare_scene(spec)
+
+
+def test_route_counts_add_up_to_cells_expanded():
+    stats = segment(gs.scene_cloud(gs.make_scene(SCENES["boxes"]))).stats
+    for phase in (stats.phase1, stats.phase2):
+        assert list(phase.routes) == list(REASONS)
+        assert sum(phase.routes.values()) == phase.cells_expanded > 0
+    assert stats.as_dict()["phase1"]["routes"] == stats.phase1.routes

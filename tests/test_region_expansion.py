@@ -14,6 +14,7 @@ from gridseg.region_expansion import (
     refine_cell,
     select_seed,
 )
+from gridseg.region_expansion import _neighbor_graph
 from gridseg.voxel_grid import (
     CellSize,
     GridCell,
@@ -64,6 +65,35 @@ class TestCentroidIndex:
             center = rng.uniform(-55, 55, size=3)
             radius = rng.uniform(0.1, 20.0)
             assert kd.query(center, radius) == brute.query(center, radius)
+
+    def test_pairs_match_brute_force(self, rng, brute_index_cls):
+        centroids = rng.uniform(-20, 20, size=(400, 3))
+        ids = [(i, 0, 0) for i in range(400)]
+        kd = CentroidIndex(ids, centroids)
+        brute = brute_index_cls(ids, centroids)
+        for radius in (1.5, 3.0, 8.0):
+            i, j = kd.pairs(radius)
+            assert (i < j).all()
+            got = sorted(zip(i.tolist(), j.tolist()))
+            assert got == sorted(zip(*(a.tolist() for a in brute.pairs(radius))))
+            assert len(got) > 0
+
+    def test_neighbor_graph_is_symmetric_with_sorted_rows(self, rng):
+        n = 2000
+        centroids = rng.uniform(0, 40 * n ** (1 / 3), size=(n, 3))
+        index = CentroidIndex([(k, 0, 0) for k in range(n)], centroids)
+        graph = _neighbor_graph(index, 6.0)
+        rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+        i, j = index.pairs(6.0)
+        want = np.unique(np.concatenate([np.stack([i, j]), np.stack([j, i])], axis=1), axis=1)
+        assert len(rows) > 0
+        # np.unique sorts row-major, so this also checks the order within rows
+        np.testing.assert_array_equal(np.stack([rows, graph.indices]), want)
+
+    def test_empty_and_single_cell_have_no_pairs(self):
+        assert [len(a) for a in build_centroid_index([]).pairs(5.0)] == [0, 0]
+        one = CentroidIndex([(0, 0, 0)], np.zeros((1, 3)))
+        assert [len(a) for a in one.pairs(5.0)] == [0, 0]
 
 
 class TestSelectSeed:
@@ -267,6 +297,25 @@ class TestExpand:
         index = build_centroid_index([])
         with pytest.raises(ContractViolationError):
             expand(grid, pts, index, seed, GEO, ExpansionParams(phase=1))
+
+    def test_index_out_of_cell_order_rejected(self, rng):
+        pts, info = _flat_cloud_with_seed(rng, extent=6.0, n=600)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
+        tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
+        index = build_centroid_index(tentative[::-1])
+        with pytest.raises(ContractViolationError, match="ascending"):
+            expand(grid, pts, index, select_seed(grid, info), GEO, ExpansionParams(phase=1))
+
+    def test_index_with_non_tentative_cell_rejected(self, rng):
+        pts, info = _flat_cloud_with_seed(rng, extent=6.0, n=600)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
+        seed = select_seed(grid, info)
+        other = next(k for k, c in grid.cells.items() if k != seed)
+        grid.cells[other].ground_state = GroundState.OBSTACLE
+        index = build_centroid_index(grid.cells.values())
+        with pytest.raises(ContractViolationError, match="must be tentative"):
+            expand(grid, pts, index, seed, GEO, ExpansionParams(phase=1))
+        assert grid.cells[other].ground_state is GroundState.OBSTACLE
 
     def test_flat_plane_fully_expanded_matches_flood_fill(self, rng, brute_index_cls):
         pts, info = _flat_cloud_with_seed(rng, extent=16.0, n=4000)
