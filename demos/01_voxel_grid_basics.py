@@ -16,13 +16,17 @@ pts = np.column_stack([rng.uniform(-6, 6, (4000, 2)), rng.uniform(-2, 0, 4000)])
 grid = build_grid(pts, cs)
 print(f"\n{len(pts)} points -> {len(grid.cells)} occupied cells")
 
-# Every point is in exactly one cell.
-total = sum(len(c) for c in grid.cells.values())
-print("sum of per-cell counts:", total)
+# Every point is in exactly one cell: the cells hold runs of one point order.
+print("sum of per-cell counts:", grid.counts.sum())
 
-# Cells know their centroid; columns answer "what is beneath this cell?"
-idx, cell = next(iter(sorted(grid.cells.items())))
-print("\nfirst cell:", idx, "centroid:", np.round(cell.centroid, 3))
-top = max(grid.cells, key=lambda t: t[2])
-below = occupied_below(grid, top)
-print("nearest occupied cell below", top, "->", None if below is None else below.index)
+# Cells are rows of sorted arrays; the row below a cell answers
+# "what is beneath this cell?"
+print("\nfirst cell:", tuple(grid.cells[0].tolist()), "centroid:", np.round(grid.centroids[0], 3))
+top = int(np.argmax(grid.cells[:, 2]))
+below = occupied_below(grid)[top]
+print(
+    "nearest occupied cell below",
+    tuple(grid.cells[top].tolist()),
+    "->",
+    None if below < 0 else tuple(grid.cells[below].tolist()),
+)

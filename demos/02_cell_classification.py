@@ -30,15 +30,15 @@ blob_pts = 0.4 * rng.normal(size=(200, 3))
 for name, pts in (("scan line", line_pts), ("road patch", plane_pts), ("bush", blob_pts)):
     summary, kind = eigen_classify(covariance(pts), params)
     lams = np.round(summary.eigenvalues, 4)
-    print(f"{name:10s} eigenvalues={lams} ratio={summary.ratio:.3f} -> {kind.value}")
+    print(f"{name:10s} eigenvalues={lams} ratio={summary.ratio:.3f} -> {kind.name.lower()}")
 
 # Line cells are gated by the angle of their direction to the vertical:
 # a horizontal line is a ground candidate, a pole is an obstacle.
-print("\nhorizontal line ->", classify_line_cell(np.array([1.0, 0, 0]), 30.0).value)
-print("vertical pole   ->", classify_line_cell(np.array([0.0, 0, 1.0]), 30.0).value)
+print("\nhorizontal line ->", classify_line_cell(np.array([1.0, 0, 0]), 30.0).name.lower())
+print("vertical pole   ->", classify_line_cell(np.array([0.0, 0, 1.0]), 30.0).name.lower())
 
 # Planar cells are gated by the slope of their fitted plane (inclusive bound).
 for normal in ([0, 0, 1.0], [1.0, 0, 1.0], [1.0, 0, 0.2]):
     plane = make_plane(np.array(normal, dtype=float), 0.0)
     state = classify_planar_cell(plane, 30.0)
-    print(f"plane slope {plane.slope_deg:5.1f} deg -> {state.value}")
+    print(f"plane slope {plane.slope_deg:5.1f} deg -> {state.name.lower()}")

@@ -33,10 +33,10 @@ print(f"injected {info.count} synthetic seed points at z = -{info.depth}")
 grid = build_grid(pts, CellSize(1.5, 1.0, 1.5))
 geometry = GeometryParams()
 classify_cells(grid, pts, geometry, phase=1, global_seed=0)
-tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
+tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
 print(f"{len(grid.cells)} cells, {len(tentative)} tentative ground")
 
-index = build_centroid_index(tentative)
+index = build_centroid_index(grid, tentative)
 seed = select_seed(grid, info)
 print("seed cell (directly under the robot):", seed)
 

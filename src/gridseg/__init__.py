@@ -80,7 +80,6 @@ from .voxel_grid import (
     CellIndex,
     CellKind,
     CellSize,
-    GridCell,
     GroundState,
     VoxelGrid,
     build_grid,

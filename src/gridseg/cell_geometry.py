@@ -104,7 +104,6 @@ class GeometryParams:
     slope_threshold_deg: float = 30.0
     inlier_threshold: float = 0.125
     ransac_iterations: int = 50
-    ransac_seed: int = 0
     min_points_for_eigen: int = 3
     sparsity_low_max: float = 0.01
     sparsity_medium_max: float = 0.1
@@ -165,7 +164,7 @@ def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigen_kinds(w: np.ndarray, params: GeometryParams) -> np.ndarray:
-    """Line / Planar / Non-Planar ``CellKind`` per row of sorted eigenvalues.
+    """Line / Planar / Non-Planar ``CellKind`` code per row of sorted eigenvalues.
 
     Line demands one dominant axis and no meaningful second one: the
     eigenvalue ratio must reach ``line_ratio_min`` and the residual
@@ -200,7 +199,7 @@ def eigen_classify(C: np.ndarray, params: GeometryParams):
     total = float(w[0].sum())
     ratio = float(w[0, 0] / total) if total > 0.0 else float("nan")
     summary = EigenSummary(eigenvalues=w[0], eigenvectors=v[0], ratio=ratio)
-    return summary, eigen_kinds(w, params)[0]
+    return summary, CellKind(eigen_kinds(w, params)[0])
 
 
 def line_tentative(e1: np.ndarray, slope_threshold_deg: float) -> np.ndarray:
@@ -225,8 +224,8 @@ def classify_line_cell(e1: np.ndarray, slope_threshold_deg: float) -> GroundStat
     return GroundState.OBSTACLE
 
 
-# RANSAC candidates are drawn and scored per cell in blocks of this many, so
-# the 99% early exit saves work on clean cells.
+# RANSAC candidates are drawn and scored per cell in blocks of this many after
+# a first round of one, so the 99% early exit saves work on clean cells.
 _BLOCK = 8
 # Cells are fitted in runs of consecutive cells holding about this many
 # points, which bounds the per-block scoring arrays (_BLOCK values per point)
@@ -304,7 +303,8 @@ def ransac_cells(
     which the cell reads in order.
 
     Each round draws, from each unfinished cell's stream, one uniform key
-    per point for each of up to 8 candidates (as one (m, n) block), takes
+    per point for each of its candidates (as one (m, n) block: one
+    candidate in the first round, up to 8 in later ones), takes
     the points of the 3 smallest keys as a candidate triple and scores the
     candidate planes by the count of points within ``inlier_threshold``.  A cell finishes after
     the first candidate reaching 99% inliers or after ``iterations``
@@ -391,7 +391,7 @@ def _fit_run(pts, counts, first, streams, threshold, iterations):
     active = np.flatnonzero(counts >= 3)
     done = 0
     while done < iterations and len(active):
-        m = min(_BLOCK, iterations - done)
+        m = min(_BLOCK if done else 1, iterations - done)
         n = counts[active]
         # row r = (cell active[r // m], candidate r % m); its keys are the
         # cell's next n uniforms, i.e. one row of the cell's (m, n) draw

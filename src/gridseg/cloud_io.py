@@ -138,10 +138,17 @@ def read_mask(path: str | Path) -> np.ndarray:
     return raw != 0
 
 
+_XYZ_CHUNK = 1 << 16  # rows per formatted write in write_xyz
+
+
 def write_xyz(path: str | Path, cloud: PointCloud, mask: np.ndarray) -> None:
     """Write an ASCII ``x y z label`` file for inspection in point-cloud viewers."""
     if len(cloud) != len(mask):
         raise ContractViolationError("cloud and mask lengths differ")
+    ground = np.asarray(mask, dtype=bool)
     with open(path, "w") as fh:
-        for (x, y, z), g in zip(cloud.points, mask):
-            fh.write(f"{x:.6f} {y:.6f} {z:.6f} {int(g)}\n")
+        # one formatted write per chunk of rows keeps memory bounded
+        for start in range(0, len(ground), _XYZ_CHUNK):
+            stop = start + _XYZ_CHUNK
+            rows = np.column_stack([cloud.points[start:stop], ground[start:stop]])
+            fh.write("%.6f %.6f %.6f %d\n" * len(rows) % tuple(rows.ravel().tolist()))

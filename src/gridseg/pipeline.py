@@ -18,7 +18,6 @@ import numpy as np
 from .cell_geometry import (
     GeometryParams,
     PhiloxStreams,
-    PlaneModel,
     eigen_kinds,
     line_tentative,
     plane_tentative,
@@ -185,16 +184,15 @@ def classify_cells(
     exist.  Cells too small for a covariance rank test are non-planar, hence
     non-ground candidates; so are planar cells whose fit fails.
     """
-    cells = [grid.cells[idx] for idx in sorted(grid.cells)]
-    if not cells:
+    k = len(grid.cells)
+    if k == 0:
         return
-    counts = np.array([len(c) for c in cells])
-    order = np.concatenate([c.canon_ids for c in cells])
-    pts = points[order]
+    counts = grid.counts
+    pts = points[grid.order]
 
     eligible = counts >= geometry.min_points_for_eigen
-    lam = np.zeros((len(cells), 3))
-    vec = np.zeros((len(cells), 3, 3))
+    lam = np.zeros((k, 3))
+    vec = np.zeros((k, 3, 3))
     if eligible.any():
         lam[eligible], vec[eligible] = sorted_eigen(segment_covariance(pts, counts)[eligible])
     kinds = eigen_kinds(lam, geometry)
@@ -202,50 +200,37 @@ def classify_cells(
     is_planar = kinds == CellKind.PLANAR
     planar = np.flatnonzero(is_planar)
     in_planar = np.repeat(is_planar, counts)
-    index = np.array([cells[k].index for k in planar], dtype=np.int64).reshape(-1, 3)
-    keys = _cell_keys(global_seed, phase, index)
     fit = ransac_cells(
         pts[in_planar],
         counts[planar],
-        PhiloxStreams(keys),
+        PhiloxStreams(_cell_keys(global_seed, phase, grid.cells[planar])),
         geometry.inlier_threshold,
         geometry.ransac_iterations,
     )
     kinds[planar[~fit.fitted]] = CellKind.NON_PLANAR
 
-    tentative = np.zeros(len(cells), dtype=bool)
+    tentative = np.zeros(k, dtype=bool)
     tentative[line] = line_tentative(vec[line, :, 0], geometry.slope_threshold_deg)
     tentative[planar] = fit.fitted & plane_tentative(fit.slopes, geometry.slope_threshold_deg)
     obstacle = line & ~tentative
-    states = np.select(
+    grid.kind[:] = kinds
+    grid.state[:] = np.select(
         [tentative, obstacle], [GroundState.TENTATIVE, GroundState.OBSTACLE], GroundState.NON_GROUND
     )
-    for cell, kind, state in zip(cells, kinds, states):
-        cell.kind = kind
-        cell.ground_state = state
-
-    planar_ids = order[in_planar]
-    ends = np.cumsum(counts[planar]).tolist()
-    for k, start, end, normal, offset, slope, ok in zip(
-        planar.tolist(),
-        [0] + ends[:-1],
-        ends,
-        fit.normals,
-        fit.offsets.tolist(),
-        fit.slopes.tolist(),
-        fit.fitted.tolist(),
-    ):
-        if ok:
-            ids, inl = planar_ids[start:end], fit.inliers[start:end]
-            cells[k].plane = PlaneModel(normal=normal, offset=offset, slope_deg=slope)
-            cells[k].inlier_ids = ids[inl]
-            cells[k].outlier_ids = ids[~inl]
+    grid.normals[:] = np.nan
+    grid.plane_offsets[:] = np.nan
+    grid.slopes[:] = np.nan
+    grid.normals[planar] = fit.normals
+    grid.plane_offsets[planar] = fit.offsets
+    grid.slopes[planar] = fit.slopes
+    grid.inliers[:] = False
+    grid.inliers[in_planar] = fit.inliers
 
     if stats is not None:
-        stats.n_cells = len(cells)
+        stats.n_cells = k
         stats.cells_line = int(line.sum())
         stats.cells_planar = int(fit.fitted.sum())
-        stats.cells_non_planar = len(cells) - stats.cells_line - stats.cells_planar
+        stats.cells_non_planar = k - stats.cells_line - stats.cells_planar
         stats.cells_tentative = int(tentative.sum())
         stats.cells_obstacle = int(obstacle.sum())
 
@@ -277,20 +262,18 @@ def run_phase(
     classify_cells(grid, pts, cfg.geometry, phase, global_seed, stats)
 
     seed = select_seed(grid, seed_info)
-    stats.seed_ok = grid.cells[seed].ground_state is GroundState.TENTATIVE
+    stats.seed_ok = bool(grid.state[grid.find(seed)] == GroundState.TENTATIVE)
     ground_local = np.empty(0, dtype=np.int64)
-    # grid.cells holds cells in ascending index order, as the index needs
-    tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
     if stats.seed_ok:
-        index = build_centroid_index(tentative)
+        index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
         expansion = replace(cfg.expansion, phase=phase)
         ground_local, _ = expand(
             grid, pts, index, seed, cfg.geometry, expansion, log=log, route_counts=stats.routes
         )
         stats.cells_expanded = sum(stats.routes.values())
-    ground_cells = [c.point_ids for c in tentative if c.ground_state is GroundState.GROUND]
-    stats.cells_routed_ground = len(ground_cells)
-    cell_local = np.concatenate(ground_cells) if ground_cells else np.empty(0, dtype=np.int64)
+    routed_ground = grid.state == GroundState.GROUND
+    stats.cells_routed_ground = int(routed_ground.sum())
+    cell_local = grid.order[np.repeat(routed_ground, grid.counts)]
 
     # id sets as boolean masks over the global ids: sorted and disjoint by construction
     ground = _id_mask(ids[ground_local], len(all_points))

@@ -21,18 +21,15 @@ centroid height difference to stay within the height gate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from .cell_geometry import GeometryParams, Sparsity, bbox_sparsity, segment_sparsity
 from .cloud_io import SyntheticSeedInfo
 from .errors import ConfigError, ContractViolationError
-from .voxel_grid import CellIndex, GridCell, GroundState, VoxelGrid, cell_index, occupied_below
+from .voxel_grid import CellIndex, GroundState, VoxelGrid, cell_index, occupied_below
 
 # Refinement outcomes in rule order; a cell's route reason is one of these.
 REASONS = (
@@ -70,19 +67,20 @@ class ExpansionParams:
 class CentroidIndex:
     """Exact fixed-radius neighbor queries over cell centroids.
 
-    A cell is numbered by its position in ``cell_ids``; expansion expects
-    the ids in ascending order.
+    A centroid is numbered by its position in ``cell_ids``.  Expansion
+    expects the ids to be grid rows in ascending order; ``query`` takes
+    any ids.
     """
 
-    def __init__(self, cell_ids: list[CellIndex], centroids: np.ndarray):
-        self.cell_ids = list(cell_ids)
+    def __init__(self, cell_ids, centroids: np.ndarray):
+        self.cell_ids = cell_ids
         self.centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
         self._tree = cKDTree(self.centroids) if len(self.cell_ids) else None
 
     def __len__(self) -> int:
         return len(self.cell_ids)
 
-    def query(self, center, radius: float) -> list[CellIndex]:
+    def query(self, center, radius: float) -> list:
         """Cell ids within Euclidean distance radius (inclusive), sorted."""
         if self._tree is None:
             return []
@@ -113,15 +111,11 @@ class ExpansionLog:
         return "\n".join(lines)
 
 
-def build_centroid_index(cells) -> CentroidIndex:
-    """Index the centroids of the given (tentative ground) cells.
-
-    The cells must come in ascending index order, the order of ``grid.cells``.
-    """
-    cells = list(cells)
-    if not cells:
-        return CentroidIndex([], np.empty((0, 3)))
-    return CentroidIndex([c.index for c in cells], np.array([c.centroid for c in cells]))
+def build_centroid_index(grid: VoxelGrid, cells: np.ndarray) -> CentroidIndex:
+    """Index the centroids of the given grid rows (the tentative ground
+    cells, ascending, for expansion)."""
+    cells = np.asarray(cells, dtype=np.int64)
+    return CentroidIndex(cells, grid.centroids[cells])
 
 
 def select_seed(grid: VoxelGrid, seed_info: SyntheticSeedInfo | None) -> CellIndex:
@@ -129,21 +123,18 @@ def select_seed(grid: VoxelGrid, seed_info: SyntheticSeedInfo | None) -> CellInd
     if seed_info is None or seed_info.count < 1:
         raise ConfigError("seed selection requires injected synthetic points")
     idx = cell_index((0.0, 0.0, -seed_info.depth), grid.cellsize)
-    if idx not in grid.cells:
+    if grid.find(idx) < 0:
         raise ConfigError(f"seed cell {idx} is not occupied; was injection skipped?")
     return idx
 
 
-def _has_partition(cell: GridCell) -> bool:
-    """Whether a cell holds a plane fit with its inlier/outlier split."""
-    return cell.plane is not None and cell.inlier_ids is not None and cell.outlier_ids is not None
-
-
-def _cell_height(cell: GridCell, points: np.ndarray) -> float:
-    """Height of a cell: mean z of its ground inliers, else centroid z."""
-    if cell.inlier_ids is not None and len(cell.inlier_ids) > 0:
-        return float(points[cell.inlier_ids, 2].mean())
-    return float(cell.centroid[2])
+def _cell_height(grid: VoxelGrid, points: np.ndarray, c: int) -> float:
+    """Height of cell c: mean z of its ground inliers, else centroid z."""
+    span = grid.span(c)
+    inliers = grid.order[span][grid.inliers[span]]
+    if len(inliers):
+        return float(points[inliers, 2].mean())
+    return float(grid.centroids[c, 2])
 
 
 def refine_reasons(
@@ -179,31 +170,34 @@ def refine_reasons(
 
 
 def refine_cell(
-    cell: GridCell,
+    cell: int,
     grid: VoxelGrid,
     points: np.ndarray,
-    neighbor_ground_cells: list[GridCell],
+    neighbor_ground_cells: list[int],
     geometry: GeometryParams,
     expansion: ExpansionParams,
 ) -> tuple[bool, str]:
-    """Decide whether a dequeued cell's inliers are routed to ground.
+    """Decide whether the inliers of grid row ``cell`` are routed to ground.
 
+    ``neighbor_ground_cells`` are the grid rows of its ground neighbors.
     Returns (is_ground, reason); see ``refine_reasons``.  The cell below
-    counts as non-ground by its current ``ground_state``.
+    counts as non-ground by its current state.
     """
-    fitted = _has_partition(cell)
-    n_in = len(cell.inlier_ids) if fitted else 0
-    n_out = len(cell.outlier_ids) if fitted else 0
+    fitted = bool(grid.fitted[cell])
+    span = grid.span(cell)
+    ids, inl = grid.order[span], grid.inliers[span]
+    n_in = int(inl.sum()) if fitted else 0
+    n_out = len(ids) - n_in if fitted else 0
     s_in = s_out = Sparsity.LOW
     rise = math.nan
     if n_in and n_out:
-        s_in = bbox_sparsity(points[cell.inlier_ids], geometry)
-        s_out = bbox_sparsity(points[cell.outlier_ids], geometry)
-        heights = [_cell_height(c, points) for c in neighbor_ground_cells]
+        s_in = bbox_sparsity(points[ids[inl]], geometry)
+        s_out = bbox_sparsity(points[ids[~inl]], geometry)
+        heights = [_cell_height(grid, points, k) for k in neighbor_ground_cells]
         if heights:
-            rise = _cell_height(cell, points) - min(heights)
-    below = occupied_below(grid, cell.index)
-    below_non_ground = below is not None and below.ground_state in _NON_GROUND_STATES
+            rise = _cell_height(grid, points, cell) - min(heights)
+    below = occupied_below(grid)[cell]
+    below_non_ground = below >= 0 and grid.state[below] in _NON_GROUND_STATES
     reason = int(
         refine_reasons(
             np.array(fitted), n_in, n_out, s_in, s_out, rise, below_non_ground, expansion
@@ -212,31 +206,53 @@ def refine_cell(
     return bool(_ROUTES_GROUND[reason]), REASONS[reason]
 
 
-def _below_non_ground(grid, cell_ids, rank, ground, cell, t) -> bool:
-    """Whether the occupied cell below ``cell`` is non-ground at dequeue step t."""
-    below = occupied_below(grid, cell.index)
-    if below is None:
-        return False
-    if below.ground_state in _NON_GROUND_STATES:
-        return True
-    k = bisect_left(cell_ids, below.index)
-    return k < len(cell_ids) and cell_ids[k] == below.index and rank[k] < t and not ground[rank[k]]
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs ``starts[r]:starts[r] + lengths[r]``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _neighbor_graph(index: CentroidIndex, radius: float) -> csr_matrix:
-    """Symmetric graph of every two centroids within radius, indices sorted per row."""
+def _neighbor_graph(index: CentroidIndex, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric graph of every two centroids within radius, as CSR
+    (indptr, indices) with each row's indices ascending."""
     n = len(index.cell_ids)
     i, j = index.pairs(radius)
-    # edges come in sorted row-major, so scipy need not sort each row
-    key = np.sort(np.concatenate([i * n + j, j * n + i]))
-    return csr_matrix((np.ones(len(key)), np.divmod(key, n)), shape=(n, n))
+    rows, cols = np.divmod(np.sort(np.concatenate([i * n + j, j * n + i])), n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols
 
 
-def _mask(parts: list[np.ndarray], n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    if parts:
-        mask[np.concatenate(parts)] = True
-    return mask
+def _breadth_first(indptr: np.ndarray, indices: np.ndarray, source: int):
+    """Breadth-first order from ``source`` over a CSR graph, and each
+    reached node's predecessor (-1 elsewhere).
+
+    The order is that of a FIFO queue to which each dequeued node appends
+    its unvisited neighbors in row order.  It is built one level at a time:
+    the next level is the current level's rows, concatenated in queue
+    order, with visited nodes dropped and each node kept at its first
+    occurrence, whose row's node is its predecessor.
+    """
+    n = len(indptr) - 1
+    pred = np.full(n, -1)
+    seen = np.zeros(n, dtype=bool)
+    seen[source] = True
+    first = np.empty(n, dtype=np.int64)
+    levels = [np.array([source])]
+    while True:
+        level = levels[-1]
+        lengths = indptr[level + 1] - indptr[level]
+        nb = indices[_ranges(indptr[level], lengths)]
+        new = np.flatnonzero(~seen[nb])
+        first[nb[new]] = len(nb)
+        np.minimum.at(first, nb[new], new)
+        at = new[first[nb[new]] == new]  # first occurrences, in queue order
+        if not len(at):
+            return np.concatenate(levels), pred
+        nb = nb[at]
+        seen[nb] = True
+        pred[nb] = level[np.searchsorted(np.cumsum(lengths), at, side="right")]
+        levels.append(nb)
 
 
 def expand(
@@ -251,47 +267,50 @@ def expand(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first ground expansion from the seed cell.
 
-    The index must hold the tentative cells in ascending index order; the
-    neighbor graph is built from one pair query over it.  A breadth-first
-    search over that graph in CSR form with sorted column indices admits
-    each cell's neighbors in ascending cell-index order (reproducible
-    runs).  Admitted cells are GROUND until they are dequeued and refined.
-    Every refinement step but the ambiguous-cell checks is independent of
-    that order and runs on all dequeued cells at once; ambiguous cells are
-    refined one at a time in dequeue order, seeing each neighbor as ground
-    when it was admitted by then and is either still queued or was routed
-    ground.  Final states land on the grid's cells: GROUND or NON_GROUND
-    for dequeued cells, unreached ones stay TENTATIVE.
+    The index must hold the grid rows of tentative cells in ascending order;
+    the neighbor graph is built from one pair query over it.  A
+    breadth-first search over that graph with each row's neighbors
+    ascending admits each cell's neighbors in ascending cell-index order
+    (reproducible runs).  Admitted cells are GROUND until they are dequeued
+    and refined.  Every refinement step but the ambiguous-cell checks is
+    independent of that order and runs on all dequeued cells at once;
+    ambiguous cells are refined one at a time in dequeue order, seeing each
+    neighbor as ground when it was admitted by then and is either still
+    queued or was routed ground.  Final states land in ``grid.state``:
+    GROUND or NON_GROUND for dequeued cells, unreached ones stay TENTATIVE.
 
     Returns sorted id arrays (ground, non-ground) covering exactly the cells
     that were dequeued; points of unreached cells belong to neither.  A
     given ``log`` receives the admission edges and routes in dequeue order,
     a given ``route_counts`` the number of cells per reason in ``REASONS``.
     """
-    seed_cell = grid.cells.get(seed)
-    if seed_cell is None or seed_cell.ground_state is not GroundState.TENTATIVE:
+    seed_row = grid.find(seed)
+    if seed_row < 0 or grid.state[seed_row] != GroundState.TENTATIVE:
         raise ContractViolationError(f"seed cell {seed} is not tentative ground")
-    ids = index.cell_ids
-    if any(a >= b for a, b in zip(ids, ids[1:])):
-        raise ContractViolationError("centroid index cells must be in ascending index order")
-    tentative = GroundState.TENTATIVE
-    if any(k not in grid.cells or grid.cells[k].ground_state is not tentative for k in ids):
-        raise ContractViolationError("centroid index cells must be tentative ground cells")
+    ids = np.asarray(index.cell_ids, dtype=np.int64)
     n = len(ids)
-    s = bisect_left(ids, seed)
-    if s == n or ids[s] != seed:
+    if np.any(ids[1:] <= ids[:-1]):
+        raise ContractViolationError("centroid index cells must be in ascending index order")
+    if n and (
+        ids[0] < 0
+        or ids[-1] >= len(grid.cells)
+        or np.any(grid.state[ids] != GroundState.TENTATIVE)
+    ):
+        raise ContractViolationError("centroid index cells must be tentative ground cells")
+    s = int(np.searchsorted(ids, seed_row))
+    if s == n or ids[s] != seed_row:
         raise ContractViolationError(f"seed cell {seed} is not in the centroid index")
 
     z = index.centroids[:, 2]
-    graph = _neighbor_graph(index, expansion.search_radius)
-    admit = graph
+    indptr, indices = _neighbor_graph(index, expansion.search_radius)
+    admit_ptr, admit = indptr, indices
     if expansion.phase == 2:
         # drop the edges over the height gate; the remaining indices stay sorted
-        admit = graph.copy()
-        rows = np.repeat(np.arange(n), np.diff(graph.indptr))
-        admit.data = (np.abs(z[rows] - z[graph.indices]) <= expansion.height_gate) * 1.0
-        admit.eliminate_zeros()
-    order, pred = breadth_first_order(admit, s, directed=True, return_predecessors=True)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        keep = np.abs(z[rows] - z[indices]) <= expansion.height_gate
+        admit = indices[keep]
+        admit_ptr = np.append(0, np.cumsum(keep))[indptr]
+    order, pred = _breadth_first(admit_ptr, admit, s)
 
     # rank = dequeue position; unreached cells get m, past every position
     m = len(order)
@@ -300,20 +319,20 @@ def expand(
     admitted_at = np.full(n, m)  # dequeue position of the cell that admitted it
     admitted_at[order[1:]] = rank[pred[order[1:]]]
     admitted_at[s] = -1
-    cells = [grid.cells[ids[k]] for k in order.tolist()]
+    cells = ids[order]  # grid rows in dequeue order
 
-    fits = [_has_partition(c) for c in cells]
-    fitted = np.array(fits, dtype=bool)
-    n_in = np.fromiter((len(c.inlier_ids) if f else 0 for c, f in zip(cells, fits)), np.int64, m)
-    n_out = np.fromiter((len(c.outlier_ids) if f else 0 for c, f in zip(cells, fits)), np.int64, m)
+    counts = grid.counts[cells]
+    fitted = grid.fitted[cells]
+    at = _ranges(grid.offsets[cells], counts)  # their points, cell by cell
+    inl = grid.inliers[at]
+    n_in = np.where(fitted, np.add.reduceat(inl, np.cumsum(counts) - counts, dtype=np.int64), 0)
+    n_out = np.where(fitted, counts - n_in, 0)
     s_in, s_out = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    both = np.flatnonzero((n_in > 0) & (n_out > 0))
-    if len(both):
-        split = [cells[k] for k in both.tolist()]
-        inl = np.concatenate([c.inlier_ids for c in split])
-        out = np.concatenate([c.outlier_ids for c in split])
-        s_in[both] = segment_sparsity(points[inl], n_in[both], geometry)
-        s_out[both] = segment_sparsity(points[out], n_out[both], geometry)
+    both = (n_in > 0) & (n_out > 0)
+    if both.any():
+        split = np.repeat(both, counts)
+        s_in[both] = segment_sparsity(points[grid.order[at[split & inl]]], n_in[both], geometry)
+        s_out[both] = segment_sparsity(points[grid.order[at[split & ~inl]]], n_out[both], geometry)
     reasons = refine_reasons(
         fitted, n_in, n_out, s_in, s_out, np.full(m, np.nan), np.zeros(m, bool), expansion
     )
@@ -323,44 +342,63 @@ def expand(
     # at step t when it was admitted by then and is either still queued or
     # was routed ground; the cell below is non-ground when classified so or
     # when it was dequeued earlier and routed non-ground
+    ambiguous = np.flatnonzero(reasons >= _AMBIGUOUS)
+    if len(ambiguous):
+        below = occupied_below(grid)[cells[ambiguous]]
+        below_fixed = (below >= 0) & np.isin(grid.state[below], _NON_GROUND_STATES)
+        row_rank = np.full(len(grid.cells) + 1, m)  # row -1 (no cell below) is unreached
+        row_rank[cells] = np.arange(m)
+        below_rank = row_rank[below]
     heights: dict[int, float] = {}
-    for t in np.flatnonzero(reasons >= _AMBIGUOUS).tolist():
-        nb = graph.indices[graph.indptr[order[t]] : graph.indptr[order[t] + 1]]
+    for a, t in enumerate(ambiguous.tolist()):
+        nb = indices[indptr[order[t]] : indptr[order[t] + 1]]
         r = rank[nb]
         seen = r[(admitted_at[nb] <= t) & ((r > t) | ground[r])].tolist()
         for k in seen:
             if k not in heights:
-                heights[k] = _cell_height(cells[k], points)
-        rise = _cell_height(cells[t], points) - min(heights[k] for k in seen) if seen else math.nan
-        below = _below_non_ground(grid, ids, rank, ground, cells[t], t)
+                heights[k] = _cell_height(grid, points, cells[k])
+        rise = math.nan
+        if seen:
+            rise = _cell_height(grid, points, cells[t]) - min(heights[k] for k in seen)
+        b = below_rank[a]
+        below_non_ground = below_fixed[a] or (b < t and not ground[b])
         reasons[t] = refine_reasons(
-            fitted[t], n_in[t], n_out[t], s_in[t], s_out[t], rise, below, expansion
+            fitted[t], n_in[t], n_out[t], s_in[t], s_out[t], rise, below_non_ground, expansion
         )
         ground[t] = _ROUTES_GROUND[reasons[t]]
     ground = ground[:m]
 
-    routed = ground.tolist()
-    states = (GroundState.NON_GROUND, GroundState.GROUND)
-    for cell, is_ground in zip(cells, routed):
-        cell.ground_state = states[is_ground]
+    grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
     if log is not None:
         child, parent = order[1:], pred[order[1:]]
         log.edges.extend(
             zip(
-                [ids[k] for k in parent.tolist()],
-                [ids[k] for k in child.tolist()],
+                _cell_indices(grid, ids[parent]),
+                _cell_indices(grid, ids[child]),
                 np.abs(z[parent] - z[child]).tolist(),
             )
         )
+        routes = ("non_ground", "ground")
         log.routes.extend(
-            (ids[k], "ground" if g else "non_ground", REASONS[r])
-            for k, g, r in zip(order.tolist(), routed, reasons.tolist())
+            zip(
+                _cell_indices(grid, cells),
+                [routes[g] for g in ground.tolist()],
+                [REASONS[r] for r in reasons.tolist()],
+            )
         )
     if route_counts is not None:
         route_counts.update(zip(REASONS, np.bincount(reasons, minlength=len(REASONS)).tolist()))
 
-    ground_mask = _mask([c.inlier_ids for c, g in zip(cells, routed) if g], len(points))
-    nonground_mask = _mask(
-        [c.outlier_ids if g else c.point_ids for c, g in zip(cells, routed)], len(points)
-    )
-    return np.flatnonzero(ground_mask), np.flatnonzero(nonground_mask)
+    to_ground = np.repeat(ground, counts) & inl
+    ground_ids = _sorted_ids(grid.order[at[to_ground]], len(points))
+    return ground_ids, _sorted_ids(grid.order[at[~to_ground]], len(points))
+
+
+def _cell_indices(grid: VoxelGrid, rows: np.ndarray) -> list[CellIndex]:
+    return list(zip(*grid.cells[rows].T.tolist()))
+
+
+def _sorted_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return np.flatnonzero(mask)

@@ -1,17 +1,18 @@
-"""Sparse voxel grid over a point cloud.
+"""Sparse voxel grid over a point cloud, held as flat arrays.
 
 Points are binned by true floor division of their coordinates by the cell
 size (floor toward -inf, so negative coordinates land in the right cell).
-Only occupied cells are materialized.  A per-(ix, iy) column index supports
-vertical-stack queries.
+Only occupied cells exist.  The grid is a compressed sparse row layout: the
+occupied cell indices in ascending order, and per cell a run of one
+canonical point order.  Per-cell classification state sits in arrays beside
+them, one row per cell.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
@@ -20,19 +21,19 @@ from .errors import ContractViolationError
 CellIndex = tuple[int, int, int]
 
 
-class CellKind(Enum):
-    UNCLASSIFIED = "unclassified"
-    LINE = "line"
-    PLANAR = "planar"
-    NON_PLANAR = "non_planar"
+class CellKind(IntEnum):
+    UNCLASSIFIED = 0
+    LINE = 1
+    PLANAR = 2
+    NON_PLANAR = 3
 
 
-class GroundState(Enum):
-    NONE = "none"
-    TENTATIVE = "tentative"
-    OBSTACLE = "obstacle"
-    GROUND = "ground"
-    NON_GROUND = "non_ground"
+class GroundState(IntEnum):
+    NONE = 0
+    TENTATIVE = 1
+    OBSTACLE = 2
+    GROUND = 3
+    NON_GROUND = 4
 
 
 @dataclass(frozen=True)
@@ -49,36 +50,52 @@ class CellSize:
         return np.array([self.sx, self.sy, self.sz])
 
 
-@dataclass(slots=True)
-class GridCell:
-    """One occupied cell: member point ids plus classification state.
+@dataclass(eq=False)
+class VoxelGrid:
+    """Occupied cells of a point cloud and their classification state.
 
-    ``point_ids`` is sorted by id; ``canon_ids`` lists the same ids in
-    coordinate-lexicographic order, which keeps every downstream reduction
-    (centroid, covariance, plane fit) byte-stable under permutations of the
-    input cloud.
+    Cell ``c`` is row ``c`` of every per-cell array.  Its index is
+    ``cells[c]`` (rows ascending), and it holds the point ids
+    ``order[offsets[c]:offsets[c + 1]]``.  Within a cell the ids are in
+    coordinate-lexicographic (x, y, z) order, which keeps every reduction
+    over a cell (centroid, covariance, plane fit) byte-stable under
+    permutations of the input cloud.
+
+    A cell without a plane fit has NaN in ``normals``, ``plane_offsets``
+    and ``slopes``.  ``inliers`` runs parallel to ``order`` and flags the
+    points within the inlier threshold of their cell's plane.
     """
 
-    index: CellIndex
-    point_ids: np.ndarray
-    canon_ids: np.ndarray
-    centroid: np.ndarray
-    kind: CellKind = CellKind.UNCLASSIFIED
-    ground_state: GroundState = GroundState.NONE
-    plane: object | None = None
-    inlier_ids: np.ndarray | None = None
-    outlier_ids: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.point_ids)
-
-
-@dataclass
-class VoxelGrid:
     cellsize: CellSize
-    cells: dict[CellIndex, GridCell] = field(default_factory=dict)
-    columns: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    n_points: int = 0
+    cells: np.ndarray
+    offsets: np.ndarray
+    order: np.ndarray
+    centroids: np.ndarray
+    kind: np.ndarray
+    state: np.ndarray
+    normals: np.ndarray
+    plane_offsets: np.ndarray
+    slopes: np.ndarray
+    inliers: np.ndarray
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Points per cell."""
+        return np.diff(self.offsets)
+
+    @property
+    def fitted(self) -> np.ndarray:
+        """Whether each cell holds a plane fit, hence an inlier/outlier split."""
+        return ~np.isnan(self.slopes)
+
+    def find(self, index: CellIndex) -> int:
+        """Row of the cell with this index, -1 when it is not occupied."""
+        hit = np.flatnonzero((self.cells == np.asarray(index)).all(axis=1))
+        return int(hit[0]) if len(hit) else -1
+
+    def span(self, c: int) -> slice:
+        """Positions of cell ``c``'s points in ``order`` and ``inliers``."""
+        return slice(self.offsets[c], self.offsets[c + 1])
 
 
 def cell_index(point, cellsize: CellSize) -> CellIndex:
@@ -95,51 +112,42 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
     """Partition points into cells; every point lands in exactly one cell.
 
     The grid content is independent of input point order: cells are keyed by
-    geometric indices, per-cell id lists are normalized, and centroid sums run
-    in canonical coordinate order.  ``grid.cells`` holds the cells in
-    ascending index order.
+    geometric indices and each cell's points, hence its centroid sum, run in
+    canonical coordinate order.  Cells start unclassified.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    grid = VoxelGrid(cellsize=cellsize, n_points=len(pts))
-    if len(pts) == 0:
-        return grid
-
     keys = np.floor(pts / cellsize.as_array()).astype(np.int64)
-    # two global sorts sharing the same cell grouping: one breaks ties by
-    # coordinates (canonical within-cell order), one by point id
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], keys[:, 2], keys[:, 1], keys[:, 0]))
-    order_by_id = np.lexsort((np.arange(len(pts)), keys[:, 2], keys[:, 1], keys[:, 0]))
     skeys = keys[order]
-    spts = pts[order]
-    boundary = np.flatnonzero(np.any(skeys[1:] != skeys[:-1], axis=1)) + 1
-    starts = np.concatenate([[0], boundary])
-    ends = np.concatenate([boundary, [len(pts)]])
-    sums = np.add.reduceat(spts, starts, axis=0)
-    key_list = skeys[starts].tolist()
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = np.any(skeys[1:] != skeys[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    offsets = np.append(starts, len(pts))
+    k = len(starts)
+    centroids = np.zeros((k, 3))
+    if k:
+        centroids = np.add.reduceat(pts[order], starts, axis=0) / np.diff(offsets)[:, None]
+    return VoxelGrid(
+        cellsize=cellsize,
+        cells=skeys[starts],
+        offsets=offsets,
+        order=order,
+        centroids=centroids,
+        kind=np.full(k, CellKind.UNCLASSIFIED, dtype=np.int8),
+        state=np.full(k, GroundState.NONE, dtype=np.int8),
+        normals=np.full((k, 3), np.nan),
+        plane_offsets=np.full(k, np.nan),
+        slopes=np.full(k, np.nan),
+        inliers=np.zeros(len(pts), dtype=bool),
+    )
 
-    for idx, a, b, total in zip(key_list, starts.tolist(), ends.tolist(), sums):
-        idx = tuple(idx)
-        grid.cells[idx] = GridCell(
-            index=idx,
-            point_ids=order_by_id[a:b],
-            canon_ids=order[a:b],
-            centroid=total / (b - a),
-        )
 
-    cols: dict[tuple[int, int], list[int]] = {}
-    for ix, iy, iz in grid.cells:
-        cols.setdefault((ix, iy), []).append(iz)
-    grid.columns = {k: np.array(sorted(v)) for k, v in cols.items()}
-    return grid
-
-
-def occupied_below(grid: VoxelGrid, index: CellIndex) -> GridCell | None:
-    """Occupied cell with the largest iz' < iz in the same (ix, iy) column."""
-    ix, iy, iz = index
-    col = grid.columns.get((ix, iy))
-    if col is None:
-        return None
-    pos = bisect_left(col, iz)
-    if pos == 0:
-        return None
-    return grid.cells[(ix, iy, int(col[pos - 1]))]
+def occupied_below(grid: VoxelGrid) -> np.ndarray:
+    """Per cell, the row of the occupied cell with the largest iz' < iz in
+    its (ix, iy) column, or -1.  Cells are sorted, so that is the previous
+    row when it shares the column."""
+    below = np.arange(-1, len(grid.cells) - 1)
+    same = np.zeros(len(grid.cells), dtype=bool)
+    same[1:] = (grid.cells[1:, :2] == grid.cells[:-1, :2]).all(axis=1)
+    below[~same] = -1
+    return below

@@ -77,9 +77,9 @@ def test_criterion_01_grid_partition():
         grid = build_grid(pts, cs)
         total = 0
         keys = np.floor(pts / cs.as_array()).astype(np.int64)
-        for idx, cell in grid.cells.items():
-            total += len(cell.point_ids)
-            assert np.all(keys[cell.point_ids] == np.array(idx))
+        for c, idx in enumerate(grid.cells):
+            total += len(grid.order[grid.span(c)])
+            assert np.all(keys[grid.order[grid.span(c)]] == idx)
         assert total == n
 
 
@@ -179,9 +179,9 @@ def test_criterion_06_expansion_oracle():
     pts = seeded.points
 
     class BruteIndex:
-        def __init__(self, cells):
-            self.cell_ids = [c.index for c in cells]
-            self.centroids = np.vstack([c.centroid for c in cells])
+        def __init__(self, grid, cells):
+            self.cell_ids = cells
+            self.centroids = grid.centroids[cells]
 
         def pairs(self, radius):
             d2 = ((self.centroids[:, None] - self.centroids[None]) ** 2).sum(axis=2)
@@ -192,11 +192,8 @@ def test_criterion_06_expansion_oracle():
         per_index = []
         for brute in (False, True):
             grid = _classified_scene(pts, cellsize, phase)
-            tentative = sorted(
-                (c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE),
-                key=lambda c: c.index,
-            )
-            index = BruteIndex(tentative) if brute else build_centroid_index(tentative)
+            tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
+            index = (BruteIndex if brute else build_centroid_index)(grid, tentative)
             log = ExpansionLog()
             params = ExpansionParams(phase=phase)
             ground, _ = expand(

@@ -226,11 +226,13 @@ class TestRansacPlane:
         assert abs(p1.slope_deg - p2.slope_deg) <= 1e-6
 
 
-def _oracle_ransac_plane(points, inlier_threshold, iterations, seed):
+def _oracle_ransac_plane(points, inlier_threshold, iterations, seed, stops=None):
     """The one-cell RANSAC loop that ``ransac_cells`` batches (reference).
 
     Returns (unit normal with z >= 0, offset, inlier indices, outlier
-    indices); raises FitFailureError like ``ransac_plane``.
+    indices); raises FitFailureError like ``ransac_plane``.  A given
+    ``stops`` list receives the number of the candidate that reached 99%
+    inliers (counting from 1), or None when none did.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -244,6 +246,7 @@ def _oracle_ransac_plane(points, inlier_threshold, iterations, seed):
     normal = None
     offset_c = 0.0
     done = 0
+    stop = None
     while done < iterations:
         m = min(8, iterations - done)
         done += m
@@ -273,7 +276,10 @@ def _oracle_ransac_plane(points, inlier_threshold, iterations, seed):
             normal = normals[winner]
             offset_c = float(offsets[winner])
         if len(hits):
+            stop = done - m + cut
             break
+    if stops is not None:
+        stops.append(stop)
     if best_count < 0:
         raise FitFailureError("all sampled triples were collinear")
     inl = q[best_mask]
@@ -323,11 +329,12 @@ class TestRansacCells:
         fit = ransac_cells(np.vstack(cells), counts, PhiloxStreams(keys), 0.125, 50)
         starts = np.cumsum(counts) - counts
         full_runs = failures = 0
+        stops = []
         for i, (pts, key) in enumerate(zip(cells, keys)):
             seg = fit.inliers[starts[i] : starts[i] + counts[i]]
             try:
                 normal, offset, inl, out = _oracle_ransac_plane(
-                    pts, 0.125, 50, np.random.Generator(np.random.Philox(key=int(key)))
+                    pts, 0.125, 50, np.random.Generator(np.random.Philox(key=int(key))), stops
                 )
             except FitFailureError:
                 failures += 1
@@ -341,6 +348,11 @@ class TestRansacCells:
             full_runs += len(inl) < 0.99 * len(pts)
         assert failures == 2  # the two collinear cells
         assert full_runs > 20
+        # the kernel's first round holds one candidate and later ones 8: cells
+        # stop in the first round, in the second, and never
+        assert 1 in stops
+        assert any(s is not None and 2 <= s <= 9 for s in stops)
+        assert None in stops
 
     def test_three_smallest_takes_the_lower_position_on_ties(self):
         keys = np.array([0.5, 0.1, 0.1, 0.3, 0.2, 0.2, 0.2, 0.0, 0.9, 0.4, 0.7])

@@ -180,3 +180,21 @@ class TestMaskIO:
         assert len(lines) == 2
         assert lines[0].split()[-1] == "1"
         assert lines[1].split()[-1] == "0"
+
+    def test_write_xyz_bytes_equal_the_per_point_format(self, tmp_path):
+        # longer than one write chunk, so the chunk boundary is covered
+        rng = np.random.default_rng(4)
+        pts = np.vstack(
+            [
+                rng.normal(0, 50, size=(cloud_io._XYZ_CHUNK + 200, 3)),
+                [-0.0, 0.0, -1e-9],
+                [1e17, -3.25e12, 123456.7890125],
+                [-0.0000005, 0.0000005, -2.5],
+            ]
+        )
+        mask = rng.random(len(pts)) < 0.5
+        p = tmp_path / "cloud.xyz"
+        cloud_io.write_xyz(p, cloud_io.PointCloud(points=pts), mask)
+        want = "".join(f"{x:.6f} {y:.6f} {z:.6f} {int(g)}\n" for (x, y, z), g in zip(pts, mask))
+        assert p.read_bytes() == want.encode()
+        assert b"-0.000000" in p.read_bytes()

@@ -7,10 +7,12 @@ states.  (The former ``expand`` took neighbor lists from a batched query when
 the index offered one and fell back to ``index.query``; only the fallback is
 kept, as both return the same sorted lists.)  The new expansion must agree
 with it exactly: the same id arrays, admission edges, routes, and final cell
-states.
+states.  They run on per-cell records that ``_records`` builds from a grid's
+arrays, as the cell objects of the former grid held them.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,20 +27,68 @@ from gridseg.errors import ContractViolationError
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
 from gridseg.region_expansion import (
     REASONS,
+    CentroidIndex,
     ExpansionLog,
     ExpansionParams,
-    _cell_height,
     build_centroid_index,
     expand,
     select_seed,
 )
-from gridseg.voxel_grid import CellSize, GroundState, build_grid, cell_index, occupied_below
+from gridseg.voxel_grid import CellSize, GroundState, build_grid, cell_index
 
 GEO = GeometryParams()
 CFG = make_default_config()
 
 
-def _reference_refine(cell, grid, points, neighbor_ground_cells, geometry, expansion):
+@dataclass
+class _Cell:
+    index: tuple
+    point_ids: np.ndarray
+    centroid: np.ndarray
+    ground_state: GroundState
+    plane: object
+    inlier_ids: np.ndarray | None
+    outlier_ids: np.ndarray | None
+
+
+def _records(grid):
+    """One record per cell, keyed by cell index: its ids (sorted), centroid
+    and state, and for a cell with a plane fit its inliers and outliers in
+    canonical order."""
+    cells = {}
+    for c, idx in enumerate(grid.cells.tolist()):
+        span = grid.span(c)
+        ids, inl = grid.order[span], grid.inliers[span]
+        fitted = bool(grid.fitted[c])
+        cells[tuple(idx)] = _Cell(
+            index=tuple(idx),
+            point_ids=np.sort(ids),
+            centroid=grid.centroids[c],
+            ground_state=GroundState(grid.state[c]),
+            plane=grid.slopes[c] if fitted else None,
+            inlier_ids=ids[inl] if fitted else None,
+            outlier_ids=ids[~inl] if fitted else None,
+        )
+    return cells
+
+
+def _record_index(cells, keys):
+    keys = list(keys)
+    return CentroidIndex(keys, [cells[k].centroid for k in keys])
+
+
+def _cell_height(cell, points):
+    if cell.inlier_ids is not None and len(cell.inlier_ids) > 0:
+        return float(points[cell.inlier_ids, 2].mean())
+    return float(cell.centroid[2])
+
+
+def _occupied_below(cells, index):
+    column = [k for k in cells if k[:2] == index[:2] and k[2] < index[2]]
+    return cells[max(column)] if column else None
+
+
+def _reference_refine(cell, cells, points, neighbor_ground_cells, geometry, expansion):
     if cell.plane is None or cell.inlier_ids is None or cell.outlier_ids is None:
         return False, "no plane fit"
     if len(cell.inlier_ids) == 0:
@@ -55,14 +105,14 @@ def _reference_refine(cell, grid, points, neighbor_ground_cells, geometry, expan
         return False, "ambiguous with no ground neighbors"
     if z_i - min(heights) > expansion.ambiguity_elevation_threshold:
         return False, "ambiguous and elevated above lowest neighbor"
-    below = occupied_below(grid, cell.index)
+    below = _occupied_below(cells, cell.index)
     if below is not None and below.ground_state in (GroundState.NON_GROUND, GroundState.OBSTACLE):
         return False, "ambiguous with non-ground cell below"
     return True, "ambiguous checks passed"
 
 
-def _reference_expand(grid, points, index, seed, geometry, expansion, log=None):
-    seed_cell = grid.cells.get(seed)
+def _reference_expand(cells, points, index, seed, geometry, expansion, log=None):
+    seed_cell = cells.get(seed)
     if seed_cell is None or seed_cell.ground_state is not GroundState.TENTATIVE:
         raise ContractViolationError(f"seed cell {seed} is not tentative ground")
 
@@ -77,13 +127,13 @@ def _reference_expand(grid, points, index, seed, geometry, expansion, log=None):
         i = queue.popleft()
         in_queue.discard(i)
         expanded.add(i)
-        ci = grid.cells[i]
+        ci = cells[i]
 
         neighbors = index.query(ci.centroid, expansion.search_radius)
         for j in neighbors:
             if j == i or j in expanded or j in in_queue:
                 continue
-            cj = grid.cells[j]
+            cj = cells[j]
             if cj.ground_state is not GroundState.TENTATIVE:
                 continue
             dz = abs(float(ci.centroid[2]) - float(cj.centroid[2]))
@@ -96,12 +146,10 @@ def _reference_expand(grid, points, index, seed, geometry, expansion, log=None):
                 log.edges.append((i, j, dz))
 
         neighbor_ground = [
-            grid.cells[j]
-            for j in neighbors
-            if j != i and grid.cells[j].ground_state is GroundState.GROUND
+            cells[j] for j in neighbors if j != i and cells[j].ground_state is GroundState.GROUND
         ]
         is_ground, reason = _reference_refine(
-            ci, grid, points, neighbor_ground, geometry, expansion
+            ci, cells, points, neighbor_ground, geometry, expansion
         )
         if is_ground:
             ground_parts.append(ci.inlier_ids)
@@ -124,13 +172,19 @@ def _reference_expand(grid, points, index, seed, geometry, expansion, log=None):
 def _expand_both(make_grid, points, seed, expansion):
     """Run both expansions on fresh grids; assert they agree; return the log."""
     outcomes = []
-    for run in (_reference_expand, expand):
+    for reference in (True, False):
         grid = make_grid()
-        tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
-        index = build_centroid_index(tentative)
+        tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
         log = ExpansionLog()
-        ground, nonground = run(grid, points, index, seed, GEO, expansion, log=log)
-        states = [(idx, c.ground_state) for idx, c in grid.cells.items()]
+        if reference:
+            cells = _records(grid)
+            index = _record_index(cells, map(tuple, grid.cells[tentative].tolist()))
+            ground, nonground = _reference_expand(cells, points, index, seed, GEO, expansion, log)
+            states = [(idx, c.ground_state) for idx, c in cells.items()]
+        else:
+            index = build_centroid_index(grid, tentative)
+            ground, nonground = expand(grid, points, index, seed, GEO, expansion, log=log)
+            states = [(tuple(k), GroundState(v)) for k, v in zip(grid.cells.tolist(), grid.state)]
         outcomes.append((ground, nonground, log, states))
     (g0, n0, log0, s0), (g1, n1, log1, s1) = outcomes
     np.testing.assert_array_equal(g0, g1)
@@ -160,10 +214,11 @@ def _compare_scene(spec):
     phase1 = _classified(pts, CFG.phase1.cellsize, 1)
     grid = phase1()
     seed = select_seed(grid, info)
-    if grid.cells[seed].ground_state is not GroundState.TENTATIVE:
-        for run in (_reference_expand, expand):
-            with pytest.raises(ContractViolationError):
-                run(phase1(), pts, build_centroid_index([]), seed, GEO, CFG.phase1.expansion)
+    if grid.state[grid.find(seed)] != GroundState.TENTATIVE:
+        with pytest.raises(ContractViolationError):
+            _reference_expand(_records(grid), pts, None, seed, GEO, CFG.phase1.expansion)
+        with pytest.raises(ContractViolationError):
+            expand(grid, pts, build_centroid_index(grid, []), seed, GEO, CFG.phase1.expansion)
         return []
     logs = [_expand_both(phase1, pts, seed, ExpansionParams(phase=1))]
 
@@ -173,7 +228,7 @@ def _compare_scene(spec):
     phase2 = _classified(p2, CFG.phase2.cellsize, 2)
     grid = phase2()
     seed = select_seed(grid, info)
-    if grid.cells[seed].ground_state is GroundState.TENTATIVE:
+    if grid.state[grid.find(seed)] == GroundState.TENTATIVE:
         logs.append(_expand_both(phase2, p2, seed, ExpansionParams(phase=2)))
     return logs
 
@@ -199,7 +254,12 @@ def test_expand_matches_reference_on_both_phases(name):
 def _reference_segment(monkeypatch, cloud):
     def reference(grid, points, index, seed, geometry, expansion, log=None, route_counts=None):
         log = ExpansionLog() if log is None else log
-        out = _reference_expand(grid, points, index, seed, geometry, expansion, log=log)
+        cells = _records(grid)
+        keys = list(map(tuple, grid.cells[index.cell_ids].tolist()))
+        out = _reference_expand(
+            cells, points, _record_index(cells, keys), seed, geometry, expansion, log=log
+        )
+        grid.state[:] = [c.ground_state for c in cells.values()]
         for _, _, reason in log.routes:
             route_counts[reason] += 1
         return out
@@ -240,16 +300,18 @@ def _hand_built(layout):
 
     def make_grid():
         grid = build_grid(points, CellSize(1.0, 1.0, 1.0))
-        for cell in grid.cells.values():
-            cell.ground_state = GroundState.TENTATIVE
-            cell.plane = cell.inlier_ids = cell.outlier_ids = None
+        grid.state[:] = GroundState.TENTATIVE
         for x0, z, kind in layout:
-            cell = grid.cells[cell_index((x0 + 0.5, 0.5, z), grid.cellsize)]
-            ids = cell.point_ids
+            c = grid.find(cell_index((x0 + 0.5, 0.5, z), grid.cellsize))
+            span = grid.span(c)
+            ids = np.sort(grid.order[span])
             if kind != "no_plane":
-                cell.plane = make_plane([0, 0, 1.0], -z)
+                plane = make_plane([0, 0, 1.0], -z)
+                grid.normals[c], grid.plane_offsets[c], grid.slopes[c] = (
+                    plane.normal, plane.offset, plane.slope_deg
+                )
                 split = len(ids) if kind == "ground" else 50
-                cell.inlier_ids, cell.outlier_ids = ids[:split], ids[split:]
+                grid.inliers[span] = np.isin(grid.order[span], ids[:split])
         return grid
 
     seed = cell_index((layout[0][0] + 0.5, 0.5, layout[0][1]), CellSize(1.0, 1.0, 1.0))

@@ -8,7 +8,7 @@ from gridseg.cloud_io import PointCloud, inject_synthetic_seed
 from gridseg.config import apply_settings
 from gridseg.errors import ConfigError
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
-from gridseg.voxel_grid import GroundState, build_grid
+from gridseg.voxel_grid import CellKind, GroundState, build_grid
 
 
 class TestDefaultConfig:
@@ -153,9 +153,7 @@ class TestSegment:
             grid = build_grid(seeded.points, cfg.phase1.cellsize)
             geo = gs.GeometryParams(slope_threshold_deg=threshold)
             classify_cells(grid, seeded.points, geo, 1, cfg.global_seed)
-            counts.append(
-                sum(1 for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE)
-            )
+            counts.append(int((grid.state == GroundState.TENTATIVE).sum()))
         assert counts == sorted(counts)
 
     def test_batched_classification_matches_per_cell_ops(self, rng):
@@ -182,20 +180,19 @@ class TestSegment:
         classify_cells(grid, pts, geo, 1, cfg.global_seed)
         from gridseg.cell_geometry import segment_covariance
 
-        cells = [grid.cells[idx] for idx in sorted(grid.cells)]
-        order = np.concatenate([c.canon_ids for c in cells])
-        C_batch = segment_covariance(pts[order], np.array([len(c) for c in cells]))
-        for k, cell in enumerate(cells):
-            pts_c = pts[cell.canon_ids]
+        C_batch = segment_covariance(pts[grid.order], grid.counts)
+        for k in range(len(grid.cells)):
+            pts_c = pts[grid.order[grid.span(k)]]
             C_ref = covariance(pts_c)
             np.testing.assert_allclose(C_batch[k], C_ref, rtol=1e-9, atol=1e-12)
             if len(pts_c) >= geo.min_points_for_eigen:
                 _, kind_ref = eigen_classify(C_ref, geo)
-                assert cell.kind is kind_ref or cell.kind.value == "non_planar"
+                kind = CellKind(grid.kind[k])
+                assert kind is kind_ref or kind is CellKind.NON_PLANAR
                 # a planar-classified cell may only demote on RANSAC failure,
                 # which cannot happen on cells this size
-                if kind_ref.value != "non_planar":
-                    assert cell.kind is kind_ref
+                if kind_ref is not CellKind.NON_PLANAR:
+                    assert kind is kind_ref
 
     def test_stats_populated(self, rng):
         cloud = _flat_cloud(rng, n=2000)

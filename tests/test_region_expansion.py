@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,13 +19,13 @@ from gridseg.region_expansion import (
     refine_cell,
     select_seed,
 )
-from gridseg.region_expansion import _neighbor_graph
+from gridseg.region_expansion import _breadth_first, _neighbor_graph
 from gridseg.voxel_grid import (
     CellSize,
-    GridCell,
     GroundState,
     build_grid,
     cell_index,
+    occupied_below,
 )
 
 GEO = GeometryParams()
@@ -30,6 +35,10 @@ def _classified_grid(points, cellsize, phase=1, seed=0):
     grid = build_grid(points, cellsize)
     classify_cells(grid, points, GEO, phase, seed)
     return grid
+
+
+def _tentative_index(grid):
+    return build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
 
 
 def _flat_cloud_with_seed(rng, extent=16.0, n=4000):
@@ -42,19 +51,14 @@ def _flat_cloud_with_seed(rng, extent=16.0, n=4000):
 
 class TestCentroidIndex:
     def test_empty_index(self):
-        index = build_centroid_index([])
+        index = build_centroid_index(build_grid(np.zeros((0, 3)), CellSize(1, 1, 1)), [])
         assert index.query([0, 0, 0], 10.0) == []
 
     def test_radius_zero_includes_exact_match(self):
-        cell = GridCell(
-            index=(1, 2, 3),
-            point_ids=np.array([0]),
-            canon_ids=np.array([0]),
-            centroid=np.array([1.0, 2.0, 3.0]),
-            ground_state=GroundState.TENTATIVE,
-        )
-        index = build_centroid_index([cell])
-        assert index.query([1.0, 2.0, 3.0], 0.0) == [(1, 2, 3)]
+        grid = build_grid(np.array([[1.0, 2.0, 3.0], [9.0, 9.0, 9.0]]), CellSize(1, 1, 1))
+        index = build_centroid_index(grid, [0])
+        assert index.query([1.0, 2.0, 3.0], 0.0) == [0]
+        assert tuple(grid.cells[0].tolist()) == (1, 2, 3)
 
     def test_matches_brute_force_scan(self, rng, brute_index_cls):
         centroids = rng.uniform(-50, 50, size=(1000, 3))
@@ -82,18 +86,52 @@ class TestCentroidIndex:
         n = 2000
         centroids = rng.uniform(0, 40 * n ** (1 / 3), size=(n, 3))
         index = CentroidIndex([(k, 0, 0) for k in range(n)], centroids)
-        graph = _neighbor_graph(index, 6.0)
-        rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+        indptr, indices = _neighbor_graph(index, 6.0)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
         i, j = index.pairs(6.0)
         want = np.unique(np.concatenate([np.stack([i, j]), np.stack([j, i])], axis=1), axis=1)
         assert len(rows) > 0
         # np.unique sorts row-major, so this also checks the order within rows
-        np.testing.assert_array_equal(np.stack([rows, graph.indices]), want)
+        np.testing.assert_array_equal(np.stack([rows, indices]), want)
 
     def test_empty_and_single_cell_have_no_pairs(self):
-        assert [len(a) for a in build_centroid_index([]).pairs(5.0)] == [0, 0]
+        empty = CentroidIndex(np.empty(0, np.int64), np.empty((0, 3)))
+        assert [len(a) for a in empty.pairs(5.0)] == [0, 0]
         one = CentroidIndex([(0, 0, 0)], np.zeros((1, 3)))
         assert [len(a) for a in one.pairs(5.0)] == [0, 0]
+
+
+class TestBreadthFirst:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scipy_breadth_first_order(self, seed):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import breadth_first_order
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        # directed, with self loops and, at low degree, unreached nodes
+        adjacency = rng.random((n, n)) < rng.uniform(0.2, 6.0) / n
+        if seed % 2:
+            adjacency |= adjacency.T
+        graph = csr_matrix(adjacency.astype(float))
+        source = int(rng.integers(n))
+        want_order, want_pred = breadth_first_order(
+            graph, source, directed=True, return_predecessors=True
+        )
+        order, pred = _breadth_first(graph.indptr, graph.indices, source)
+        np.testing.assert_array_equal(order, want_order)
+        np.testing.assert_array_equal(pred, np.where(want_pred < 0, -1, want_pred))
+
+    def test_import_leaves_csgraph_out(self):
+        import gridseg
+
+        env = dict(os.environ, PYTHONPATH=str(Path(gridseg.__file__).parents[1]))
+        code = "import sys, gridseg; print('scipy.sparse.csgraph' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "False"
 
 
 class TestSelectSeed:
@@ -117,18 +155,14 @@ class TestSelectSeed:
             select_seed(grid, empty)
 
 
-def _make_cell(points, idx, all_points, plane=None, inlier_ids=None, outlier_ids=None):
-    ids = np.asarray(points, dtype=np.int64)
-    return GridCell(
-        index=idx,
-        point_ids=np.sort(ids),
-        canon_ids=ids,
-        centroid=all_points[ids].mean(axis=0),
-        ground_state=GroundState.TENTATIVE,
-        plane=plane,
-        inlier_ids=None if inlier_ids is None else np.asarray(inlier_ids),
-        outlier_ids=None if outlier_ids is None else np.asarray(outlier_ids),
-    )
+def _fit_cell(grid, idx, plane, inlier_ids):
+    """Give cell ``idx`` a plane fit whose inliers are the given point ids."""
+    c = grid.find(idx)
+    grid.normals[c], grid.plane_offsets[c] = plane.normal, plane.offset
+    grid.slopes[c] = plane.slope_deg
+    span = grid.span(c)
+    grid.inliers[span] = np.isin(grid.order[span], list(inlier_ids))
+    return c
 
 
 class TestRefineCell:
@@ -138,97 +172,59 @@ class TestRefineCell:
         self.exp = ExpansionParams(phase=1)
         # dense flat patch (ids 0..99) + sparse elevated blob (ids 100..104)
         rng = np.random.default_rng(7)
-        dense = np.column_stack(
+        self.dense = np.column_stack(
             [rng.uniform(0, 1, (100, 2)), rng.normal(0, 0.005, 100)]
         )
         sparse = np.array(
             [[0, 0, 2.0], [2, 0, 2.1], [0, 2, 2.2], [2, 2, 2.3], [1, 1, 2.4]]
         )
-        self.points = np.vstack([dense, sparse])
+        self.points = np.vstack([self.dense, sparse])
         self.plane = make_plane([0, 0, 1.0], 0.0)
         self.grid = build_grid(self.points, CellSize(10, 10, 10))
 
+    def _refine(self, inlier_ids=None, neighbors=()):
+        c = self.grid.find((0, 0, 0))
+        if inlier_ids is not None:
+            _fit_cell(self.grid, (0, 0, 0), self.plane, inlier_ids)
+        return refine_cell(c, self.grid, self.points, neighbors, GEO, self.exp)
+
     def test_unambiguous_routes_ground(self):
-        cell = _make_cell(
-            range(105),
-            (0, 0, 0),
-            self.points,
-            plane=self.plane,
-            inlier_ids=range(100),
-            outlier_ids=range(100, 105),
-        )
-        ok, reason = refine_cell(cell, self.grid, self.points, [], GEO, self.exp)
+        ok, reason = self._refine(inlier_ids=range(100))
         assert ok and reason == "sparsity unambiguous"
 
     def test_empty_outliers_routes_ground(self):
-        cell = _make_cell(
-            range(100),
-            (0, 0, 0),
-            self.points,
-            plane=self.plane,
-            inlier_ids=range(100),
-            outlier_ids=[],
-        )
-        ok, _ = refine_cell(cell, self.grid, self.points, [], GEO, self.exp)
+        ok, _ = self._refine(inlier_ids=range(105))
         assert ok
 
     def test_missing_plane_routes_non_ground(self):
-        cell = _make_cell(range(100), (0, 0, 0), self.points)
-        ok, reason = refine_cell(cell, self.grid, self.points, [], GEO, self.exp)
+        ok, reason = self._refine()
         assert not ok and reason == "no plane fit"
 
     def test_empty_inliers_routes_non_ground(self):
-        cell = _make_cell(
-            range(100),
-            (0, 0, 0),
-            self.points,
-            plane=self.plane,
-            inlier_ids=[],
-            outlier_ids=range(100),
-        )
-        ok, reason = refine_cell(cell, self.grid, self.points, [], GEO, self.exp)
+        ok, reason = self._refine(inlier_ids=[])
         assert not ok and reason == "no ground inliers"
 
-    def _ambiguous_cell(self):
-        # split the dense patch in two: both halves score LOW sparsity
-        return _make_cell(
-            range(100),
-            (0, 0, 0),
-            self.points,
-            plane=self.plane,
-            inlier_ids=range(50),
-            outlier_ids=range(50, 100),
-        )
+    def _ambiguous(self, neighbor):
+        # split the dense patch in two: both halves score LOW sparsity; the
+        # neighbor is one point in a cell of another column
+        self.points = np.vstack([self.dense, [neighbor]])
+        self.grid = build_grid(self.points, CellSize(10, 10, 10))
+        nb = self.grid.find(cell_index(neighbor, self.grid.cellsize))
+        return self._refine(inlier_ids=range(50), neighbors=[nb])
 
     def test_ambiguous_without_neighbors_rejects(self):
-        cell = self._ambiguous_cell()
-        ok, reason = refine_cell(cell, self.grid, self.points, [], GEO, self.exp)
+        self.points = self.dense
+        self.grid = build_grid(self.points, CellSize(10, 10, 10))
+        ok, reason = self._refine(inlier_ids=range(50))
         assert not ok and "no ground neighbors" in reason
 
     def test_ambiguous_elevated_above_lowest_neighbor_rejects(self):
         # 0.3 m threshold: inlier height ~0 vs lowest neighbor at -1.7 -> 1.7 > 0.3
-        cell = self._ambiguous_cell()
-        nb_pts = np.array([[5.0, 5.0, -1.7]])
-        nb = GridCell(
-            index=(9, 9, -1),
-            point_ids=np.array([0]),
-            canon_ids=np.array([0]),
-            centroid=nb_pts[0],
-            ground_state=GroundState.GROUND,
-        )
-        ok, reason = refine_cell(cell, self.grid, self.points, [nb], GEO, self.exp)
+        ok, reason = self._ambiguous([95.0, 95.0, -1.7])
         assert not ok and "elevated" in reason
 
     def test_ambiguous_with_consistent_neighbor_passes(self):
-        cell = self._ambiguous_cell()
-        nb = GridCell(
-            index=(9, 9, 0),
-            point_ids=np.array([0]),
-            canon_ids=np.array([0]),
-            centroid=np.array([5.0, 5.0, 0.1]),
-            ground_state=GroundState.GROUND,
-        )
-        ok, _ = refine_cell(cell, self.grid, self.points, [nb], GEO, self.exp)
+        ok, _ = self._ambiguous([95.0, 95.0, 0.1])
         assert ok
 
     def test_ambiguous_with_non_ground_below_rejects(self):
@@ -237,22 +233,14 @@ class TestRefineCell:
             [
                 self.points[:100] + [0, 0, 10.0],  # queried cell at iz=1
                 self.points[100:105] - [0, 0, 0.0],  # blob at iz=0
+                [[55.0, 5.0, 10.05]],  # a ground neighbor in another column
             ]
         )
         grid = build_grid(pts, CellSize(10, 10, 10))
-        grid.cells[(0, 0, 0)].ground_state = GroundState.NON_GROUND
-        cell = grid.cells[(0, 0, 1)]
-        cell.plane = self.plane
-        cell.inlier_ids = np.arange(50)
-        cell.outlier_ids = np.arange(50, 100)
-        cell.ground_state = GroundState.TENTATIVE
-        nb = GridCell(
-            index=(5, 5, 1),
-            point_ids=np.array([0]),
-            canon_ids=np.array([0]),
-            centroid=np.array([55.0, 5.0, 10.05]),
-            ground_state=GroundState.GROUND,
-        )
+        grid.state[grid.find((0, 0, 0))] = GroundState.NON_GROUND
+        cell = _fit_cell(grid, (0, 0, 1), self.plane, range(50))
+        grid.state[cell] = GroundState.TENTATIVE
+        nb = grid.find((5, 0, 1))
         ok, reason = refine_cell(cell, grid, pts, [nb], GEO, ExpansionParams(phase=1))
         assert not ok and "below" in reason
 
@@ -261,8 +249,7 @@ class TestExpand:
     def test_single_tentative_cell(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=1.0, n=60)
         grid = _classified_grid(pts, CellSize(10.0, 10.0, 10.0))
-        tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
-        index = build_centroid_index(tentative)
+        index = _tentative_index(grid)
         seed = select_seed(grid, info)
         ground, nonground = expand(
             grid, pts, index, seed, GEO, ExpansionParams(phase=1)
@@ -279,11 +266,11 @@ class TestExpand:
         far = near + [6.0, 0.0, 0.0]
         pts = np.vstack([near, far])
         grid = _classified_grid(pts, CellSize(2.0, 2.0, 2.0))
-        tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
+        tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
         assert len(tentative) == 2
-        gap = np.linalg.norm(tentative[0].centroid - tentative[1].centroid)
+        gap = np.linalg.norm(grid.centroids[tentative[0]] - grid.centroids[tentative[1]])
         assert gap > 5.0
-        index = build_centroid_index(tentative)
+        index = build_centroid_index(grid, tentative)
         seed = cell_index((1.0, 1.0, 0.0), grid.cellsize)
         ground, _ = expand(grid, pts, index, seed, GEO, ExpansionParams(search_radius=5.0, phase=1))
         far_ids = set(range(200, 400))
@@ -293,16 +280,16 @@ class TestExpand:
         pts, info = _flat_cloud_with_seed(rng, extent=2.0, n=100)
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         seed = select_seed(grid, info)
-        grid.cells[seed].ground_state = GroundState.NON_GROUND
-        index = build_centroid_index([])
+        grid.state[grid.find(seed)] = GroundState.NON_GROUND
+        index = build_centroid_index(grid, [])
         with pytest.raises(ContractViolationError):
             expand(grid, pts, index, seed, GEO, ExpansionParams(phase=1))
 
     def test_index_out_of_cell_order_rejected(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=6.0, n=600)
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
-        tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
-        index = build_centroid_index(tentative[::-1])
+        tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
+        index = build_centroid_index(grid, tentative[::-1])
         with pytest.raises(ContractViolationError, match="ascending"):
             expand(grid, pts, index, select_seed(grid, info), GEO, ExpansionParams(phase=1))
 
@@ -310,29 +297,26 @@ class TestExpand:
         pts, info = _flat_cloud_with_seed(rng, extent=6.0, n=600)
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         seed = select_seed(grid, info)
-        other = next(k for k, c in grid.cells.items() if k != seed)
-        grid.cells[other].ground_state = GroundState.OBSTACLE
-        index = build_centroid_index(grid.cells.values())
+        other = 0 if grid.find(seed) != 0 else 1
+        grid.state[other] = GroundState.OBSTACLE
+        index = build_centroid_index(grid, np.arange(len(grid.cells)))
         with pytest.raises(ContractViolationError, match="must be tentative"):
             expand(grid, pts, index, seed, GEO, ExpansionParams(phase=1))
-        assert grid.cells[other].ground_state is GroundState.OBSTACLE
+        assert grid.state[other] == GroundState.OBSTACLE
 
     def test_flat_plane_fully_expanded_matches_flood_fill(self, rng, brute_index_cls):
         pts, info = _flat_cloud_with_seed(rng, extent=16.0, n=4000)
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
-        tentative = sorted(
-            (c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE),
-            key=lambda c: c.index,
-        )
-        index = build_centroid_index(tentative)
+        tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
+        index = build_centroid_index(grid, tentative)
         seed = select_seed(grid, info)
         log = ExpansionLog()
         params = ExpansionParams(search_radius=5.0, phase=1)
         ground, _ = expand(grid, pts, index, seed, GEO, params, log=log)
 
         # connectivity oracle: flood fill over the brute-force r-neighborhood graph
-        centroids = np.vstack([c.centroid for c in tentative])
-        ids = [c.index for c in tentative]
+        centroids = grid.centroids[tentative]
+        ids = [tuple(idx) for idx in grid.cells[tentative].tolist()]
         pos = {cid: k for k, cid in enumerate(ids)}
         reach = {seed}
         frontier = [seed]
@@ -356,14 +340,11 @@ class TestExpand:
         results = []
         for index_cls in (None, brute_index_cls):
             grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
-            tentative = sorted(
-                (c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE),
-                key=lambda c: c.index,
-            )
+            tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
             if index_cls is None:
-                index = build_centroid_index(tentative)
+                index = build_centroid_index(grid, tentative)
             else:
-                index = index_cls([c.index for c in tentative], [c.centroid for c in tentative])
+                index = index_cls(tentative, grid.centroids[tentative])
             seed = select_seed(grid, info)
             ground, _ = expand(grid, pts, index, seed, GEO, ExpansionParams(phase=2))
             results.append(ground)
@@ -372,8 +353,7 @@ class TestExpand:
     def test_phase2_height_gate_logged_edges(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=12.0, n=3000)
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
-        tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
-        index = build_centroid_index(tentative)
+        index = _tentative_index(grid)
         seed = select_seed(grid, info)
         log = ExpansionLog()
         params = ExpansionParams(phase=2)
@@ -387,8 +367,7 @@ class TestExpand:
     def test_no_cell_processed_twice(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=10.0, n=2000)
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
-        tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
-        index = build_centroid_index(tentative)
+        index = _tentative_index(grid)
         log = ExpansionLog()
         expand(grid, pts, index, select_seed(grid, info), GEO, ExpansionParams(phase=1), log=log)
         routed = [idx for idx, _, _ in log.routes]
@@ -399,7 +378,6 @@ class TestExpand:
         # no ambiguous cell routed ground may sit above a non-ground cell;
         # recheck with a brute-force column scan over the final states
         import gridseg as gs
-        from gridseg.voxel_grid import occupied_below
 
         scene = gs.make_scene(
             gs.SceneSpec(
@@ -412,8 +390,7 @@ class TestExpand:
         seeded, info = inject_synthetic_seed(gs.scene_cloud(scene), 2.7, 1.723, 0.3)
         pts = seeded.points
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
-        tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
-        index = build_centroid_index(tentative)
+        index = _tentative_index(grid)
         log = ExpansionLog()
         expand(grid, pts, index, select_seed(grid, info), GEO, ExpansionParams(phase=1), log=log)
 
@@ -421,23 +398,23 @@ class TestExpand:
             idx for idx, route, reason in log.routes
             if route == "ground" and reason == "ambiguous checks passed"
         }
+        cells = grid.cells.tolist()
         for idx in ambiguous_ground:
             candidates = [
-                other for other in grid.cells if other[:2] == idx[:2] and other[2] < idx[2]
+                other for other in cells if other[:2] == list(idx[:2]) and other[2] < idx[2]
             ]
             if candidates:
-                nearest = grid.cells[max(candidates, key=lambda t: t[2])]
-                assert nearest.ground_state not in (
+                nearest = cells.index(max(candidates, key=lambda t: t[2]))
+                assert grid.state[nearest] not in (
                     GroundState.NON_GROUND,
                     GroundState.OBSTACLE,
                 )
-                assert occupied_below(grid, idx).index == nearest.index
+                assert occupied_below(grid)[grid.find(idx)] == nearest
 
     def test_outputs_disjoint_partition(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=10.0, n=2000)
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
-        tentative = [c for c in grid.cells.values() if c.ground_state is GroundState.TENTATIVE]
-        index = build_centroid_index(tentative)
+        index = _tentative_index(grid)
         ground, nonground = expand(
             grid, pts, index, select_seed(grid, info), GEO, ExpansionParams(phase=1)
         )
@@ -445,6 +422,6 @@ class TestExpand:
         assert g.isdisjoint(n)
         unreached = set(range(len(pts))) - g - n
         # unreached points all belong to cells that were never dequeued
-        for idx, cell in grid.cells.items():
-            cell_ids = set(cell.point_ids.tolist())
+        for c in range(len(grid.cells)):
+            cell_ids = set(grid.order[grid.span(c)].tolist())
             assert cell_ids <= g | n or cell_ids <= unreached | n

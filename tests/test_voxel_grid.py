@@ -4,6 +4,7 @@ import pytest
 from gridseg.voxel_grid import (
     CellKind,
     CellSize,
+    GroundState,
     build_grid,
     cell_index,
     occupied_below,
@@ -30,44 +31,71 @@ class TestBuildGrid:
     def test_empty_cloud(self):
         grid = build_grid(np.zeros((0, 3)), CellSize(1, 1, 1))
         assert len(grid.cells) == 0
+        assert grid.offsets.tolist() == [0]
+        assert len(occupied_below(grid)) == 0
 
     def test_two_points_one_cell(self):
         pts = np.array([[0.1, 0.1, 0.1], [0.3, 0.3, 0.3]])
         grid = build_grid(pts, CellSize(1, 1, 1))
         assert len(grid.cells) == 1
-        cell = grid.cells[(0, 0, 0)]
-        assert sorted(cell.point_ids.tolist()) == [0, 1]
-        np.testing.assert_allclose(cell.centroid, [0.2, 0.2, 0.2])
-        assert cell.kind is CellKind.UNCLASSIFIED
+        assert grid.find((0, 0, 0)) == 0
+        assert sorted(grid.order[grid.span(0)].tolist()) == [0, 1]
+        np.testing.assert_allclose(grid.centroids[0], [0.2, 0.2, 0.2])
+        assert grid.kind[0] == CellKind.UNCLASSIFIED
+        assert grid.state[0] == GroundState.NONE
+        assert not grid.fitted[0] and not grid.inliers.any()
 
     def test_partition_and_containment(self, rng):
         cs = CellSize(1.5, 1.0, 0.2)
         pts = rng.uniform(-30, 30, size=(5000, 3))
         grid = build_grid(pts, cs)
-        seen = np.concatenate([c.point_ids for c in grid.cells.values()])
-        assert len(seen) == 5000
-        assert len(np.unique(seen)) == 5000
-        for idx, cell in grid.cells.items():
-            for pid in cell.point_ids[:5]:
-                assert cell_index(pts[pid], cs) == idx
+        assert len(grid.order) == 5000
+        assert len(np.unique(grid.order)) == 5000
+        assert (grid.counts > 0).all() and grid.offsets[-1] == 5000
+        for c, idx in enumerate(grid.cells.tolist()):
+            for pid in grid.order[grid.span(c)][:5]:
+                assert cell_index(pts[pid], cs) == tuple(idx)
             lo = np.array(idx) * cs.as_array()
             hi = lo + cs.as_array()
-            assert np.all(cell.centroid >= lo - 1e-12)
-            assert np.all(cell.centroid <= hi + 1e-12)
+            assert np.all(grid.centroids[c] >= lo - 1e-12)
+            assert np.all(grid.centroids[c] <= hi + 1e-12)
+
+    def test_cells_are_the_distinct_floor_keys_in_order(self, rng):
+        cs = CellSize(1.5, 1.0, 0.2)
+        pts = rng.uniform(-10, 10, size=(3000, 3))
+        grid = build_grid(pts, cs)
+        keys = np.unique(np.floor(pts / cs.as_array()).astype(np.int64), axis=0)
+        assert len(grid.cells) == len(keys)
+        np.testing.assert_array_equal(grid.cells, keys)
+        assert grid.find((99, 99, 99)) == -1
+
+    def test_order_sorts_by_cell_then_xyz_then_position(self, rng):
+        # rounded coordinates and repeated rows give ties on x, on (x, y)
+        # and on every coordinate
+        cs = CellSize(1.5, 1.0, 0.2)
+        pts = np.round(rng.uniform(-5, 5, size=(4000, 3)), 1)
+        pts[rng.integers(0, 4000, 500)] = pts[rng.integers(0, 4000, 500)]
+        pts[::7, 0] = -0.0
+        grid = build_grid(pts, cs)
+        keys = np.floor(pts / cs.as_array()).astype(np.int64)
+        rows = [(*keys[i], *pts[i], i) for i in grid.order.tolist()]
+        assert rows == sorted(rows)
+        assert sorted(grid.order.tolist()) == list(range(len(pts)))
 
     def test_content_is_order_independent(self, rng):
-        pts = rng.uniform(-10, 10, size=(800, 3))
+        # the grid arrays are equivariant under a permutation of the points
+        pts = np.round(rng.uniform(-10, 10, size=(800, 3)), 1)
+        pts[:50] = pts[50:100]  # duplicate points
         perm = rng.permutation(len(pts))
         g1 = build_grid(pts, CellSize(1, 1, 1))
         g2 = build_grid(pts[perm], CellSize(1, 1, 1))
-        assert set(g1.cells) == set(g2.cells)
-        inv = np.empty(len(pts), dtype=int)
-        inv[perm] = np.arange(len(pts))
-        for idx in g1.cells:
-            ids1 = set(g1.cells[idx].point_ids.tolist())
-            ids2 = {int(perm[i]) for i in g2.cells[idx].point_ids}
-            assert ids1 == ids2
-            np.testing.assert_array_equal(g1.cells[idx].centroid, g2.cells[idx].centroid)
+        np.testing.assert_array_equal(g1.cells, g2.cells)
+        np.testing.assert_array_equal(g1.offsets, g2.offsets)
+        np.testing.assert_array_equal(g1.centroids, g2.centroids)
+        # the same points in the same canonical order
+        np.testing.assert_array_equal(pts[g1.order], pts[perm][g2.order])
+        for c in range(len(g1.cells)):
+            assert set(g1.order[g1.span(c)].tolist()) == set(perm[g2.order[g2.span(c)]].tolist())
 
 
 class TestOccupiedBelow:
@@ -81,31 +109,27 @@ class TestOccupiedBelow:
         )
         return build_grid(pts, CellSize(1, 1, 1))
 
+    def _below(self, grid, index):
+        below = occupied_below(grid)[grid.find(index)]
+        return None if below < 0 else tuple(grid.cells[below].tolist())
+
     def test_finds_nearest_occupied(self):
-        grid = self._grid()
-        below = occupied_below(grid, (0, 0, 3))
-        assert below is not None and below.index == (0, 0, 0)
+        assert self._below(self._grid(), (0, 0, 3)) == (0, 0, 0)
 
     def test_nothing_below_bottom(self):
-        grid = self._grid()
-        assert occupied_below(grid, (0, 0, 0)) is None
+        assert self._below(self._grid(), (0, 0, 0)) is None
 
     def test_single_cell_column(self):
-        grid = self._grid()
-        assert occupied_below(grid, (5, 0, 2)) is None
+        assert self._below(self._grid(), (5, 0, 2)) is None
 
     def test_matches_brute_force(self, rng):
         pts = rng.uniform(-8, 8, size=(600, 3))
         grid = build_grid(pts, CellSize(1, 1, 1))
-        for idx in grid.cells:
-            got = occupied_below(grid, idx)
-            same_col = [
-                other
-                for other in grid.cells
-                if other[:2] == idx[:2] and other[2] < idx[2]
-            ]
+        cells = grid.cells.tolist()
+        below = occupied_below(grid)
+        for c, idx in enumerate(cells):
+            same_col = [other for other in cells if other[:2] == idx[:2] and other[2] < idx[2]]
             if not same_col:
-                assert got is None
+                assert below[c] == -1
             else:
-                assert got is not None
-                assert got.index == max(same_col, key=lambda t: t[2])
+                assert cells[below[c]] == max(same_col, key=lambda t: t[2])
