@@ -233,41 +233,48 @@ _BLOCK = 8
 _CHUNK_POINTS = 1 << 14
 
 
-class PhiloxStreams:
-    """Per-cell uniform streams: cell i draws what
-    ``np.random.Generator(np.random.Philox(key=keys[i]))`` would.
+# Each cell's RANSAC draws come from the SplitMix64 stream (Steele, Lea &
+# Flood, OOPSLA 2014) seeded with the cell's 64-bit key: draw p (0-based) is
+# _mix64(key + (p + 1) * _GAMMA), a pure function of (key, p), so a round of
+# draws for every cell is one array expression.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_KEY_MASK = 0xFFFFFFFFFFFFFFFF
 
-    Philox is counter based, so any position of any cell's stream is one
-    state assignment of a shared bit generator away (about 1 us, against
-    about 15 us to build a generator per cell).
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, elementwise over a uint64 array (in place)."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX[0]
+    z ^= z >> np.uint64(27)
+    z *= _MIX[1]
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def splitmix_uniforms(keys: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Draw ``positions[i]`` of the SplitMix64 stream seeded with ``keys[i]``,
+    as a double in [0, 1) from its top 53 bits (1-D arrays, broadcast)."""
+    z = np.asarray(positions, dtype=np.uint64) + np.uint64(1)
+    z *= _GAMMA
+    z += np.asarray(keys, dtype=np.uint64)
+    return (_mix64(z) >> np.uint64(11)) * 2.0**-53
+
+
+def cell_keys(global_seed: int, phase: int, indices: np.ndarray) -> np.ndarray:
+    """64-bit RANSAC stream keys from (global seed, phase, cell index), one
+    per row of ``indices``.
+
+    Each input is folded into the key with ``_mix64``: the key depends only
+    on these values, never on scheduling or on which other cells exist, so
+    per-cell fits are reproducible across runs, subsets, and point orders.
     """
-
-    def __init__(self, keys: np.ndarray):
-        self._keys = np.asarray(keys, dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=0))
-        self._state = self._gen.bit_generator.state
-
-    def uniforms(self, cell: int, start: int, size: int) -> np.ndarray:
-        """Draws ``start`` to ``start + size`` of the cell's stream."""
-        # draw p comes from Philox block p // 4 + 1; a reset generator sits
-        # before block 1 with an empty buffer
-        self._state["state"]["key"][0] = self._keys[cell]
-        self._state["state"]["counter"][0] = start // 4
-        bits = self._gen.bit_generator
-        bits.state = self._state
-        if start % 4:
-            bits.random_raw(start % 4)
-        return self._gen.random(size)
-
-
-class _OneStream:
-    """The stream of ``np.random.default_rng(seed)`` for a single cell, read in order."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def uniforms(self, cell: int, start: int, size: int) -> np.ndarray:
-        return self._rng.random(size)
+    h = np.full(len(indices), _GAMMA)
+    columns = [np.uint64(global_seed & _KEY_MASK), np.uint64(phase)]
+    columns += [indices[:, k].astype(np.int64).view(np.uint64) for k in range(3)]
+    for value in columns:
+        h = _mix64(h ^ value)
+    return h
 
 
 @dataclass(frozen=True)
@@ -291,16 +298,15 @@ class CellPlanes:
 def ransac_cells(
     points: np.ndarray,
     counts: np.ndarray,
-    streams,
+    keys: np.ndarray,
     inlier_threshold: float,
     iterations: int,
 ) -> CellPlanes:
     """Seeded RANSAC plane fit of every cell, cell by cell as ``ransac_plane``.
 
     ``points`` holds the cells back to back, ``counts[i]`` points for cell
-    i.  ``streams.uniforms(i, start, size)`` (a ``PhiloxStreams``) returns
-    draws ``start`` to ``start + size`` of cell i's own uniform stream,
-    which the cell reads in order.
+    i.  Cell i reads its own uniform stream in order: the SplitMix64 stream
+    seeded with ``keys[i]`` (see ``splitmix_uniforms``).
 
     Each round draws, from each unfinished cell's stream, one uniform key
     per point for each of its candidates (as one (m, n) block: one
@@ -314,15 +320,18 @@ def ransac_cells(
     its inliers (smallest eigenvector of their covariance), and the refit
     is kept only when it does not lose inliers, so a cell's final count
     never falls below any sampled candidate's.  Deterministic for fixed
-    (points, counts, streams, iterations, threshold).
+    (points, counts, keys, iterations, threshold).
     """
     if inlier_threshold <= 0 or iterations <= 0:
         raise ContractViolationError("inlier_threshold and iterations must be positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     counts = np.asarray(counts, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.uint64)
     ends = np.cumsum(counts)
     if len(counts) and (counts.min() < 1 or ends[-1] != len(pts)):
         raise ContractViolationError("cell counts must be positive and cover the points")
+    if len(keys) != len(counts):
+        raise ContractViolationError("one stream key per cell")
     k = len(counts)
     normals = np.full((k, 3), np.nan)
     offsets = np.full(k, np.nan)
@@ -334,7 +343,7 @@ def ransac_cells(
         last = max(first + 1, int(np.searchsorted(ends, lo + _CHUNK_POINTS, side="right")))
         cells, hi = slice(first, last), ends[last - 1]
         normals[cells], offsets[cells], fitted[cells], inliers[lo:hi] = _fit_run(
-            pts[lo:hi], counts[cells], first, streams, inlier_threshold, iterations
+            pts[lo:hi], counts[cells], keys[cells], inlier_threshold, iterations
         )
         first = last
     slopes = np.full(k, np.nan)
@@ -376,9 +385,8 @@ def _three_smallest(keys: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -
     return out
 
 
-def _fit_run(pts, counts, first, streams, threshold, iterations):
-    """``ransac_cells`` on the run of cells from cell ``first`` on; planes
-    not yet normalized."""
+def _fit_run(pts, counts, keys, threshold, iterations):
+    """``ransac_cells`` on one run of cells; planes not yet normalized."""
     k = len(counts)
     cell = np.repeat(np.arange(k), counts)
     starts = np.cumsum(counts) - counts
@@ -393,19 +401,17 @@ def _fit_run(pts, counts, first, streams, threshold, iterations):
     while done < iterations and len(active):
         m = min(_BLOCK if done else 1, iterations - done)
         n = counts[active]
-        # row r = (cell active[r // m], candidate r % m); its keys are the
-        # cell's next n uniforms, i.e. one row of the cell's (m, n) draw
-        keys = np.concatenate(
-            [
-                streams.uniforms(first + i, done * c, m * c)
-                for i, c in zip(active.tolist(), n.tolist())
-            ]
-        )
-        done += m
         lengths = np.repeat(n, m)
         row_start = np.cumsum(lengths) - lengths
         row_base = np.repeat(starts[active], m)
-        trip = _three_smallest(keys, lengths, row_start) + row_base[:, None]
+        # row r = (cell active[r // m], candidate r % m); its draws are the
+        # cell's next n uniforms, i.e. one row of the cell's (m, n) block at
+        # stream positions done * n on
+        block = m * n
+        shift = np.repeat(row_start[::m] - done * n, block)
+        draws = splitmix_uniforms(np.repeat(keys[active], block), np.arange(len(shift)) - shift)
+        done += m
+        trip = _three_smallest(draws, lengths, row_start) + row_base[:, None]
         a, b, c = q[trip[:, 0]], q[trip[:, 1]], q[trip[:, 2]]
         d1 = b - a
         d2 = c - a
@@ -419,7 +425,7 @@ def _fit_run(pts, counts, first, streams, threshold, iterations):
         offsets = -np.einsum("ij,ij->i", normals, a)
 
         row = np.repeat(np.arange(len(lengths)), lengths)
-        at = np.arange(len(keys)) - np.repeat(row_start - row_base, lengths)
+        at = np.arange(len(draws)) - np.repeat(row_start - row_base, lengths)
         near = _plane_distance(q[at], normals[row], offsets[row]) <= threshold
         score = np.add.reduceat(near, row_start, dtype=np.int64).reshape(-1, m)
         score[~valid.reshape(-1, m)] = -1
@@ -469,9 +475,10 @@ def ransac_plane(
     points: np.ndarray,
     inlier_threshold: float,
     iterations: int,
-    seed,
+    seed: int,
 ) -> tuple[PlaneModel, np.ndarray, np.ndarray]:
-    """Seeded RANSAC plane fit of one point set (see ``ransac_cells``).
+    """Seeded RANSAC plane fit of one point set (see ``ransac_cells``); the
+    cell's stream key is ``seed`` modulo 2^64.
 
     Returns the plane and the inlier / outlier indices; raises
     ``FitFailureError`` for fewer than 3 points or when every sampled
@@ -481,7 +488,8 @@ def ransac_plane(
     n = len(pts)
     if n < 3:
         raise FitFailureError(f"plane fit needs at least 3 points, got {n}")
-    fit = ransac_cells(pts, np.array([n]), _OneStream(seed), inlier_threshold, iterations)
+    key = np.array([seed & _KEY_MASK], dtype=np.uint64)
+    fit = ransac_cells(pts, np.array([n]), key, inlier_threshold, iterations)
     if not fit.fitted[0]:
         raise FitFailureError("all sampled triples were collinear")
     plane = PlaneModel(

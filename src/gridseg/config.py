@@ -16,33 +16,42 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .pipeline import PipelineConfig, make_default_config
-from .voxel_grid import CellSize
 
 ENV_CONFIG_PATH = "GRIDSEG_CONFIG"
 
-# key order matches the published parameter block, spec-added keys after
-KEY_ORDER = [
-    "distToGround",
-    "robotRadius",
-    "cellSizeX",
-    "cellSizeY",
-    "cellSizeZ",
-    "slopeThresholdDegrees",
-    "groundInlierThreshold",
-    "centroidSearchRadius",
-    "lineRatioMin",
-    "lineCrossRatioMax",
-    "planarFlatnessMax",
-    "ransacIterations",
-    "ambiguityElevationThreshold",
-    "sparsityLowMax",
-    "sparsityMediumMax",
-    "expansionHeightGate",
-    "globalSeed",
-    "seedSpacing",
-]
+# key -> (section, field): a field of PipelineConfig itself (section "") or
+# of both phases' ``cellsize``, ``geometry`` or ``expansion``; key order
+# matches the published parameter block, spec-added keys after.  cellSizeZ
+# is the one key with a value per phase.
+KEYS = {
+    "distToGround": ("", "dist_to_ground"),
+    "robotRadius": ("", "robot_radius"),
+    "cellSizeX": ("cellsize", "sx"),
+    "cellSizeY": ("cellsize", "sy"),
+    "cellSizeZ": ("cellsize", "sz"),
+    "slopeThresholdDegrees": ("geometry", "slope_threshold_deg"),
+    "groundInlierThreshold": ("geometry", "inlier_threshold"),
+    "centroidSearchRadius": ("expansion", "search_radius"),
+    "lineRatioMin": ("geometry", "line_ratio_min"),
+    "lineCrossRatioMax": ("geometry", "line_cross_ratio_max"),
+    "planarFlatnessMax": ("geometry", "planar_flatness_max"),
+    "ransacIterations": ("geometry", "ransac_iterations"),
+    "ambiguityElevationThreshold": ("expansion", "ambiguity_elevation_threshold"),
+    "sparsityLowMax": ("geometry", "sparsity_low_max"),
+    "sparsityMediumMax": ("geometry", "sparsity_medium_max"),
+    "expansionHeightGate": ("expansion", "height_gate"),
+    "globalSeed": ("", "global_seed"),
+    "seedSpacing": ("", "seed_spacing"),
+}
 
-_INT_KEYS = {"ransacIterations", "globalSeed"}
+
+def _read(cfg: PipelineConfig, key: str, phase: str = "phase1"):
+    section, name = KEYS[key]
+    return getattr(getattr(getattr(cfg, phase), section) if section else cfg, name)
+
+
+# keys whose default is an int parse and print as ints, all others as floats
+_INT_KEYS = {key for key in KEYS if isinstance(_read(make_default_config(), key), int)}
 
 
 def _strip_annotations(value: str) -> str:
@@ -60,22 +69,18 @@ def _strip_annotations(value: str) -> str:
 
 def parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key not in KEY_ORDER:
+    if key not in KEYS:
         raise ConfigError(f"unknown configuration key: {key}")
+    parts = [raw]
     if key == "cellSizeZ":
         parts = [p.strip() for p in _strip_annotations(raw).split(",") if p.strip()]
         if len(parts) != 2:
             raise ConfigError("cellSizeZ needs two values: Phase I and Phase II heights")
-        try:
-            return (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for cellSizeZ: {raw}") from exc
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        values = tuple(int(p) if key in _INT_KEYS else float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw}") from exc
+    return values if key == "cellSizeZ" else values[0]
 
 
 def parse_config_text(text: str) -> dict:
@@ -108,61 +113,20 @@ def parse_overrides(pairs: list[str]) -> dict:
 
 def apply_settings(cfg: PipelineConfig, settings: dict) -> PipelineConfig:
     """Return a new config with the given flat settings applied to both phases."""
-    geo1, geo2 = cfg.phase1.geometry, cfg.phase2.geometry
-    exp1, exp2 = cfg.phase1.expansion, cfg.phase2.expansion
-    cs1, cs2 = cfg.phase1.cellsize, cfg.phase2.cellsize
-    top = {}
-
-    geo_map = {
-        "slopeThresholdDegrees": "slope_threshold_deg",
-        "groundInlierThreshold": "inlier_threshold",
-        "lineRatioMin": "line_ratio_min",
-        "lineCrossRatioMax": "line_cross_ratio_max",
-        "planarFlatnessMax": "planar_flatness_max",
-        "ransacIterations": "ransac_iterations",
-        "sparsityLowMax": "sparsity_low_max",
-        "sparsityMediumMax": "sparsity_medium_max",
-    }
-    exp_map = {
-        "centroidSearchRadius": "search_radius",
-        "expansionHeightGate": "height_gate",
-        "ambiguityElevationThreshold": "ambiguity_elevation_threshold",
-    }
-    top_map = {
-        "distToGround": "dist_to_ground",
-        "robotRadius": "robot_radius",
-        "globalSeed": "global_seed",
-        "seedSpacing": "seed_spacing",
-    }
-
     for key, value in settings.items():
-        if key in geo_map:
-            geo1 = replace(geo1, **{geo_map[key]: value})
-            geo2 = replace(geo2, **{geo_map[key]: value})
-        elif key in exp_map:
-            exp1 = replace(exp1, **{exp_map[key]: value})
-            exp2 = replace(exp2, **{exp_map[key]: value})
-        elif key in top_map:
-            top[top_map[key]] = value
-        elif key == "cellSizeX":
-            cs1 = CellSize(value, cs1.sy, cs1.sz)
-            cs2 = CellSize(value, cs2.sy, cs2.sz)
-        elif key == "cellSizeY":
-            cs1 = CellSize(cs1.sx, value, cs1.sz)
-            cs2 = CellSize(cs2.sx, value, cs2.sz)
-        elif key == "cellSizeZ":
-            z1, z2 = value
-            cs1 = CellSize(cs1.sx, cs1.sy, z1)
-            cs2 = CellSize(cs2.sx, cs2.sy, z2)
-        else:
+        if key not in KEYS:
             raise ConfigError(f"unknown configuration key: {key}")
-
-    return replace(
-        cfg,
-        phase1=replace(cfg.phase1, cellsize=cs1, geometry=geo1, expansion=exp1),
-        phase2=replace(cfg.phase2, cellsize=cs2, geometry=geo2, expansion=exp2),
-        **top,
-    )
+        section, name = KEYS[key]
+        if not section:
+            cfg = replace(cfg, **{name: value})
+            continue
+        per_phase = value if key == "cellSizeZ" else (value, value)
+        phases = {}
+        for phase, v in zip(("phase1", "phase2"), per_phase):
+            pc = getattr(cfg, phase)
+            phases[phase] = replace(pc, **{section: replace(getattr(pc, section), **{name: v})})
+        cfg = replace(cfg, **phases)
+    return cfg
 
 
 def resolve_config(config_path: str | None, overrides: list[str] | None) -> PipelineConfig:
@@ -178,26 +142,11 @@ def resolve_config(config_path: str | None, overrides: list[str] | None) -> Pipe
 
 def dump_config(cfg: PipelineConfig) -> str:
     """Render the effective configuration in the flat key format."""
-    geo = cfg.phase1.geometry
-    exp = cfg.phase1.expansion
-    values = {
-        "distToGround": f"{cfg.dist_to_ground:g}",
-        "robotRadius": f"{cfg.robot_radius:g}",
-        "cellSizeX": f"{cfg.phase1.cellsize.sx:g}",
-        "cellSizeY": f"{cfg.phase1.cellsize.sy:g}",
-        "cellSizeZ": f"{cfg.phase1.cellsize.sz:g} (Phase I), {cfg.phase2.cellsize.sz:g} (Phase II)",
-        "slopeThresholdDegrees": f"{geo.slope_threshold_deg:g}",
-        "groundInlierThreshold": f"{geo.inlier_threshold:g}",
-        "centroidSearchRadius": f"{exp.search_radius:g}",
-        "lineRatioMin": f"{geo.line_ratio_min:g}",
-        "lineCrossRatioMax": f"{geo.line_cross_ratio_max:g}",
-        "planarFlatnessMax": f"{geo.planar_flatness_max:g}",
-        "ransacIterations": f"{geo.ransac_iterations:d}",
-        "ambiguityElevationThreshold": f"{exp.ambiguity_elevation_threshold:g}",
-        "sparsityLowMax": f"{geo.sparsity_low_max:g}",
-        "sparsityMediumMax": f"{geo.sparsity_medium_max:g}",
-        "expansionHeightGate": f"{exp.height_gate:g}",
-        "globalSeed": f"{cfg.global_seed:d}",
-        "seedSpacing": f"{cfg.seed_spacing:g}",
-    }
-    return "\n".join(f"{key}: {values[key]}" for key in KEY_ORDER) + "\n"
+    lines = []
+    for key in KEYS:
+        spec = "d" if key in _INT_KEYS else "g"
+        value = format(_read(cfg, key), spec)
+        if key == "cellSizeZ":
+            value = f"{value} (Phase I), {_read(cfg, key, 'phase2'):g} (Phase II)"
+        lines.append(f"{key}: {value}\n")
+    return "".join(lines)

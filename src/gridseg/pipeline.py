@@ -17,7 +17,7 @@ import numpy as np
 
 from .cell_geometry import (
     GeometryParams,
-    PhiloxStreams,
+    cell_keys,
     eigen_kinds,
     line_tentative,
     plane_tentative,
@@ -38,11 +38,10 @@ from .region_expansion import (
     ExpansionParams,
     build_centroid_index,
     expand,
+    id_mask,
     select_seed,
 )
 from .voxel_grid import CellKind, CellSize, GroundState, VoxelGrid, build_grid
-
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -148,24 +147,6 @@ class PhaseResult:
     stats: PhaseStats
 
 
-def _cell_keys(global_seed: int, phase: int, indices: np.ndarray) -> np.ndarray:
-    """64-bit RANSAC keys from (global seed, phase, cell index), vectorized.
-
-    A splitmix64-style avalanche over the packed inputs: the key depends only
-    on these values, never on scheduling or on which other cells exist, so
-    per-cell fits are reproducible across runs, subsets, and point orders.
-    """
-    mults = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-    h = np.full(len(indices), 0x9E3779B97F4A7C15, dtype=np.uint64)
-    seeds = np.array([global_seed & _SEED_MASK, phase], dtype=np.uint64)
-    columns = [seeds[0], seeds[1]] + [indices[:, k].astype(np.int64).view(np.uint64) for k in range(3)]
-    for value in columns:
-        h = (h ^ value) * mults[0]
-        h = (h ^ (h >> np.uint64(27))) * mults[1]
-        h ^= h >> np.uint64(31)
-    return h
-
-
 def classify_cells(
     grid: VoxelGrid,
     points: np.ndarray,
@@ -179,7 +160,7 @@ def classify_cells(
     Covariances, eigen decompositions and RANSAC plane fits are batched
     across cells, with every per-cell sum taken in canonical within-cell
     order, so the result is independent of input point order.  Each planar
-    cell's RANSAC generator is seeded from the global seed, phase, and cell
+    cell's RANSAC stream is keyed by the global seed, phase, and cell
     index, so runs are reproducible and independent of which other cells
     exist.  Cells too small for a covariance rank test are non-planar, hence
     non-ground candidates; so are planar cells whose fit fails.
@@ -203,7 +184,7 @@ def classify_cells(
     fit = ransac_cells(
         pts[in_planar],
         counts[planar],
-        PhiloxStreams(_cell_keys(global_seed, phase, grid.cells[planar])),
+        cell_keys(global_seed, phase, grid.cells[planar]),
         geometry.inlier_threshold,
         geometry.ransac_iterations,
     )
@@ -276,20 +257,14 @@ def run_phase(
     cell_local = grid.order[np.repeat(routed_ground, grid.counts)]
 
     # id sets as boolean masks over the global ids: sorted and disjoint by construction
-    ground = _id_mask(ids[ground_local], len(all_points))
-    rest = _id_mask(ids, len(all_points)) & ~ground
-    fwd = _id_mask(ids[cell_local], len(all_points))
+    ground = id_mask(ids[ground_local], len(all_points))
+    rest = id_mask(ids, len(all_points)) & ~ground
+    fwd = id_mask(ids[cell_local], len(all_points))
 
     stats.points_ground = int(ground.sum())
     stats.points_non_ground = int(rest.sum())
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return PhaseResult(np.flatnonzero(ground), np.flatnonzero(rest), np.flatnonzero(fwd), stats)
-
-
-def _id_mask(ids: np.ndarray, n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
-    return mask
 
 
 def segment(
@@ -333,7 +308,7 @@ def segment(
     # Phase II sees every point of a Phase-I ground cell (inliers and
     # outliers) so over-segmentation can be corrected; the synthetic lattice
     # is always carried along so the fine grid keeps its seed cell.
-    p2 = _id_mask(r1.ground_cell_point_ids, len(pts))
+    p2 = id_mask(r1.ground_cell_point_ids, len(pts))
     p2[len(cloud) :] = True
     p2_ids = np.flatnonzero(p2)
     r2 = run_phase(p2_ids, pts, cfg.phase2, 2, cfg.global_seed, seed_info, log=log2)

@@ -390,15 +390,17 @@ def expand(
         route_counts.update(zip(REASONS, np.bincount(reasons, minlength=len(REASONS)).tolist()))
 
     to_ground = np.repeat(ground, counts) & inl
-    ground_ids = _sorted_ids(grid.order[at[to_ground]], len(points))
-    return ground_ids, _sorted_ids(grid.order[at[~to_ground]], len(points))
+    ground_ids = np.flatnonzero(id_mask(grid.order[at[to_ground]], len(points)))
+    return ground_ids, np.flatnonzero(id_mask(grid.order[at[~to_ground]], len(points)))
 
 
 def _cell_indices(grid: VoxelGrid, rows: np.ndarray) -> list[CellIndex]:
     return list(zip(*grid.cells[rows].T.tolist()))
 
 
-def _sorted_ids(ids: np.ndarray, n: int) -> np.ndarray:
+def id_mask(ids: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask over ``n`` ids, True at ``ids``; its ``flatnonzero`` is
+    ``ids`` sorted and deduplicated."""
     mask = np.zeros(n, dtype=bool)
     mask[ids] = True
-    return np.flatnonzero(mask)
+    return mask

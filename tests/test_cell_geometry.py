@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from gridseg.cell_geometry import (
     GeometryParams,
-    PhiloxStreams,
     PlaneModel,
     Sparsity,
     bbox_sparsity,
@@ -20,6 +19,7 @@ from gridseg.cell_geometry import (
     ransac_cells,
     ransac_plane,
     segment_sparsity,
+    splitmix_uniforms,
 )
 from gridseg.cell_geometry import _CHUNK_POINTS, _three_smallest
 from gridseg.errors import ContractViolationError, FitFailureError
@@ -226,8 +226,9 @@ class TestRansacPlane:
         assert abs(p1.slope_deg - p2.slope_deg) <= 1e-6
 
 
-def _oracle_ransac_plane(points, inlier_threshold, iterations, seed, stops=None):
-    """The one-cell RANSAC loop that ``ransac_cells`` batches (reference).
+def _oracle_ransac_plane(points, inlier_threshold, iterations, key, stops=None):
+    """The one-cell RANSAC loop that ``ransac_cells`` batches (reference),
+    reading the SplitMix64 stream seeded with ``key`` in order.
 
     Returns (unit normal with z >= 0, offset, inlier indices, outlier
     indices); raises FitFailureError like ``ransac_plane``.  A given
@@ -240,7 +241,7 @@ def _oracle_ransac_plane(points, inlier_threshold, iterations, seed, stops=None)
         raise FitFailureError(f"plane fit needs at least 3 points, got {n}")
     center = pts.mean(axis=0)
     q = pts - center
-    rng = np.random.default_rng(seed)
+    drawn = 0
     best_count = -1
     best_mask = None
     normal = None
@@ -250,7 +251,9 @@ def _oracle_ransac_plane(points, inlier_threshold, iterations, seed, stops=None)
     while done < iterations:
         m = min(8, iterations - done)
         done += m
-        ranks = np.argpartition(rng.random((m, n)), 2, axis=1)[:, :3]
+        draws = splitmix_uniforms(np.full(m * n, key, np.uint64), np.arange(drawn, drawn + m * n))
+        drawn += m * n
+        ranks = np.argpartition(draws.reshape(m, n), 2, axis=1)[:, :3]
         a, b, c = q[ranks[:, 0]], q[ranks[:, 1]], q[ranks[:, 2]]
         d1 = b - a
         d2 = c - a
@@ -309,6 +312,40 @@ def _random_cell(rng, n, outlier_share):
     return np.column_stack([xy, z]) + rng.uniform(-50, 50, 3)
 
 
+def _splitmix64_reference(key, count):
+    """The first ``count`` outputs of the SplitMix64 stream seeded with
+    ``key``, in Python ints (Steele, Lea & Flood, OOPSLA 2014)."""
+    mask = 2**64 - 1
+    state, out = key & mask, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestSplitmixUniforms:
+    def test_reference_is_splitmix64(self):
+        assert _splitmix64_reference(0, 1) == [0xE220A8397B1DCDAF]
+
+    @pytest.mark.parametrize("key", [0, 3, 2**63 + 12345, 2**64 - 5, 2**64 - 1000])
+    def test_matches_reference_at_any_position(self, key):
+        ref = [(z >> 11) * 2.0**-53 for z in _splitmix64_reference(key, 64)]
+        for start, size in [(0, 0), (0, 1), (0, 64), (1, 1), (5, 0), (13, 27), (63, 1)]:
+            got = splitmix_uniforms(np.full(size, key, np.uint64), np.arange(start, start + size))
+            assert got.dtype == np.float64
+            assert got.tolist() == ref[start : start + size]
+
+    def test_mixed_keys_and_positions_in_one_call(self):
+        keys = [7, 2**64 - 5, 7, 0, 2**64 - 5]
+        positions = [40, 0, 3, 17, 39]
+        refs = {key: _splitmix64_reference(key, 41) for key in set(keys)}
+        got = splitmix_uniforms(np.array(keys, np.uint64), np.array(positions))
+        assert got.tolist() == [(refs[k][p] >> 11) * 2.0**-53 for k, p in zip(keys, positions)]
+        assert ((got >= 0.0) & (got < 1.0)).all()
+
+
 class TestRansacCells:
     def _cells(self):
         rng = np.random.default_rng(2024)
@@ -326,16 +363,14 @@ class TestRansacCells:
         counts = np.array([len(c) for c in cells])
         assert counts.sum() > 2 * _CHUNK_POINTS
         keys = np.random.default_rng(7).integers(0, 2**63, len(cells))
-        fit = ransac_cells(np.vstack(cells), counts, PhiloxStreams(keys), 0.125, 50)
+        fit = ransac_cells(np.vstack(cells), counts, keys, 0.125, 50)
         starts = np.cumsum(counts) - counts
         full_runs = failures = 0
         stops = []
         for i, (pts, key) in enumerate(zip(cells, keys)):
             seg = fit.inliers[starts[i] : starts[i] + counts[i]]
             try:
-                normal, offset, inl, out = _oracle_ransac_plane(
-                    pts, 0.125, 50, np.random.Generator(np.random.Philox(key=int(key))), stops
-                )
+                normal, offset, inl, out = _oracle_ransac_plane(pts, 0.125, 50, int(key), stops)
             except FitFailureError:
                 failures += 1
                 assert not fit.fitted[i] and not seg.any()
@@ -359,15 +394,21 @@ class TestRansacCells:
         got = _three_smallest(keys, np.array([4, 4, 3]), np.array([0, 4, 8]))
         assert got.tolist() == [[1, 2, 3], [3, 0, 1], [1, 2, 0]]
 
-    def test_philox_streams_read_any_position(self):
-        keys = [3, 2**64 - 5]
-        streams = PhiloxStreams(keys)
-        for cell, key in enumerate(keys):
-            ref = np.random.Generator(np.random.Philox(key=key)).random(40)
-            for start, size in [(0, 8), (6, 10), (13, 27), (0, 40)]:
-                np.testing.assert_array_equal(
-                    streams.uniforms(cell, start, size), ref[start : start + size]
-                )
+    def test_batch_matches_each_cell_fitted_alone(self):
+        cells = self._cells()
+        counts = np.array([len(c) for c in cells])
+        keys = np.random.default_rng(8).integers(0, 2**63, len(cells)).astype(np.uint64)
+        keys[:4] = [0, 1, 2**64 - 1, 2**64 - 700]
+        fit = ransac_cells(np.vstack(cells), counts, keys, 0.125, 50)
+        starts = np.cumsum(counts) - counts
+        for i, (pts, key) in enumerate(zip(cells, keys)):
+            alone = ransac_cells(pts, [len(pts)], [key], 0.125, 50)
+            assert fit.fitted[i] == alone.fitted[0]
+            np.testing.assert_array_equal(
+                fit.inliers[starts[i] : starts[i] + counts[i]], alone.inliers
+            )
+            np.testing.assert_array_equal(fit.normals[i], alone.normals[0])
+            np.testing.assert_array_equal(fit.offsets[i], alone.offsets[0])
 
     def test_one_cell_wrapper_matches_oracle(self, rng):
         pts = _random_cell(rng, 90, 0.3)
@@ -380,7 +421,7 @@ class TestRansacCells:
 
     def test_too_few_points_per_cell_are_not_fitted(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 0, 0]], dtype=float)
-        fit = ransac_cells(pts, [2, 3], PhiloxStreams([0, 1]), 0.1, 10)
+        fit = ransac_cells(pts, [2, 3], [0, 1], 0.1, 10)
         assert fit.fitted.tolist() == [False, True]
         assert fit.inliers.tolist() == [False, False, True, True, True]
         assert np.isnan(fit.slopes[0]) and fit.slopes[1] == pytest.approx(0.0, abs=1e-9)

@@ -42,6 +42,19 @@ class TestSegmentCommand:
         assert (out / "000000.mask").exists()
         assert (out / "000001.mask").exists()
 
+    def test_jobs_2_reports_a_malformed_scan_as_jobs_1_does(self, tmp_path, capsys):
+        seq = _make_sequence(tmp_path, n_scans=2, n_ground=1200)
+        (seq / "velodyne" / "000002.bin").write_bytes(b"\x00" * 10)  # not multiple of 16
+        lines = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            assert main(["segment", str(seq / "velodyne"), "--out", str(out), "--jobs", jobs]) == 2
+            err = capsys.readouterr().err.splitlines()
+            lines[jobs] = [line for line in err if "MalformedFileError" in line]
+            assert (out / "000000.mask").exists() and (out / "000001.mask").exists()
+        assert len(lines["1"]) == 1 and lines["1"][0].startswith("000002.bin: ")
+        assert lines["2"] == lines["1"]
+
     def test_missing_input(self, tmp_path):
         assert main(["segment", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "o")]) == 1
 

@@ -4,10 +4,12 @@ from gridseg.config import (
     ENV_CONFIG_PATH,
     apply_settings,
     dump_config,
+    load_config_file,
     parse_config_text,
     parse_overrides,
     resolve_config,
 )
+from gridseg.cli import main
 from gridseg.errors import ConfigError
 from gridseg.pipeline import make_default_config
 
@@ -82,3 +84,68 @@ def test_key_value_equals_form():
     assert parse_overrides(["globalSeed=7"]) == {"globalSeed": 7}
     with pytest.raises(ConfigError):
         parse_overrides(["globalSeed"])
+
+
+DEFAULT_DUMP = """\
+distToGround: 1.723
+robotRadius: 2.7
+cellSizeX: 1.5
+cellSizeY: 1
+cellSizeZ: 1.5 (Phase I), 0.2 (Phase II)
+slopeThresholdDegrees: 30
+groundInlierThreshold: 0.125
+centroidSearchRadius: 5
+lineRatioMin: 0.9
+lineCrossRatioMax: 8
+planarFlatnessMax: 0.05
+ransacIterations: 50
+ambiguityElevationThreshold: 0.3
+sparsityLowMax: 0.01
+sparsityMediumMax: 0.1
+expansionHeightGate: 0.25
+globalSeed: 0
+seedSpacing: 0.3
+"""
+
+# one non-default value per key: (file text, dumped text)
+NON_DEFAULTS = {
+    "distToGround": ("1.9", "1.9"),
+    "robotRadius": ("3.25", "3.25"),
+    "cellSizeX": ("1.25", "1.25"),
+    "cellSizeY": ("0.75", "0.75"),
+    "cellSizeZ": ("2.0 (Phase I), 0.3 (Phase II)", "2 (Phase I), 0.3 (Phase II)"),
+    "slopeThresholdDegrees": ("22.5", "22.5"),
+    "groundInlierThreshold": ("0.1", "0.1"),
+    "centroidSearchRadius": ("4.5", "4.5"),
+    "lineRatioMin": ("0.95", "0.95"),
+    "lineCrossRatioMax": ("6", "6"),
+    "planarFlatnessMax": ("0.04", "0.04"),
+    "ransacIterations": ("60", "60"),
+    "ambiguityElevationThreshold": ("0.35", "0.35"),
+    "sparsityLowMax": ("5e-3", "0.005"),
+    "sparsityMediumMax": ("0.2", "0.2"),
+    "expansionHeightGate": ("0.3", "0.3"),
+    "globalSeed": ("-42", "-42"),
+    "seedSpacing": ("0.25", "0.25"),
+}
+
+
+def test_default_config_dump_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    assert main(["config-dump"]) == 0
+    assert capsys.readouterr().out == DEFAULT_DUMP
+    assert dump_config(make_default_config()) == DEFAULT_DUMP
+
+
+@pytest.mark.parametrize("key", list(NON_DEFAULTS))
+def test_each_key_round_trips_through_a_file(tmp_path, key):
+    raw, dumped = NON_DEFAULTS[key]
+    path = tmp_path / "one.cfg"
+    path.write_text(f"{key}: {raw}\n")
+    cfg = apply_settings(make_default_config(), load_config_file(path))
+    text = dump_config(cfg)
+    expected = DEFAULT_DUMP.splitlines()
+    at = [line.split(":")[0] for line in expected].index(key)
+    expected[at] = f"{key}: {dumped}"
+    assert text == "\n".join(expected) + "\n"
+    assert apply_settings(make_default_config(), parse_config_text(text)) == cfg

@@ -232,6 +232,25 @@ class TestEvaluateSequence:
         assert report.n_scans == 1
         assert len(report.skipped) == 1
 
+    def test_jobs_2_matches_jobs_1(self, tmp_path):
+        # one good scan with boxes, one without a label, one with a
+        # mismatched label count and one malformed scan
+        scans, labels = self._sequence(tmp_path, n_scans=4, n_ground=1500)
+        box = gs.make_scene(
+            gs.SceneSpec(extent=16.0, n_ground=1500, boxes=(gs.BoxSpec(4, 3, 2, 2, 1.5),), seed=8)
+        )
+        gs.write_scene(scans.parent, box, "000004")
+        (labels / "000001.label").unlink()
+        (labels / "000002.label").write_bytes(b"\x00" * 8)
+        (scans / "000003.bin").write_bytes(b"\x00" * 10)
+        one = evaluate_sequence(scans, labels, thresholds=(5.0, 10.0, 15.0), jobs=1)
+        two = evaluate_sequence(scans, labels, thresholds=(5.0, 10.0, 15.0), jobs=2)
+        assert one.n_scans == two.n_scans == 2
+        assert len(one.skipped) == 3
+        assert two.skipped == one.skipped
+        assert two.rows == one.rows
+        assert (two.mean, two.std, two.undefined) == (one.mean, one.std, one.undefined)
+
     def test_aggregate_mean_std(self, tmp_path):
         scans, labels = self._sequence(tmp_path, n_scans=1)
         report = evaluate_sequence(scans, labels, thresholds=(5.0, 10.0, 15.0))

@@ -226,7 +226,7 @@ class TestSegment:
             ),
             (
                 gs.SceneSpec(extent=24.0, n_ground=8000, slope_deg=12.0, seed=22),
-                "e4438241e6e9558e6cf862195f7e74c068b91f3f4068933c9b2b7a0d426ad106",
+                "ff53666e1dc2eb69a89ef766ce18ee8e6b7be28fa2d784fa48e52bb5562b20b2",
             ),
         ],
         ids=["boxes", "slope-12"],
