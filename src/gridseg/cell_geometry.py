@@ -1,9 +1,11 @@
 """Per-cell geometric characterization.
 
 Each occupied cell is classified from the eigen structure of its point
-covariance (line / planar / non-planar), planar cells get a RANSAC plane fit
-whose slope against the horizontal gates them as tentative ground, and point
+covariance (line / planar / non-planar), planar cells get a plane fit whose
+slope against the horizontal gates them as tentative ground, and point
 subsets get a bounding-box sparsity class used later to flag ambiguous cells.
+The plane fit is RANSAC whose first candidate is the cell's eigenplane (its
+least-squares plane), which alone finishes nearly every planar cell.
 
 Classification, line gating and plane fitting run on all cells of a phase at
 once; the one-cell functions (``covariance``, ``eigen_classify``,
@@ -224,8 +226,8 @@ def classify_line_cell(e1: np.ndarray, slope_threshold_deg: float) -> GroundStat
     return GroundState.OBSTACLE
 
 
-# RANSAC candidates are drawn and scored per cell in blocks of this many after
-# a first round of one, so the 99% early exit saves work on clean cells.
+# Sampled RANSAC candidates are drawn and scored per cell in blocks of this
+# many, so the 99% early exit saves work without a round per candidate.
 _BLOCK = 8
 # Cells are fitted in runs of consecutive cells holding about this many
 # points, which bounds the per-block scoring arrays (_BLOCK values per point)
@@ -283,85 +285,126 @@ class CellPlanes:
 
     Row i of ``normals``, ``offsets`` and ``slopes`` is cell i's plane,
     normalized and oriented as by ``make_plane``; NaN where ``fitted[i]`` is
-    False (fewer than 3 points, or every sampled triple collinear).
-    ``inliers`` flags, per point in input order, whether it lies within the
-    inlier threshold of its cell's plane.
+    False (fewer than 3 points, or no candidate plane: a degenerate
+    eigenplane and every sampled triple collinear).  ``sampled[i]`` is True
+    when cell i drew sampled candidates, i.e. its eigenplane held under 99%
+    of its points.  ``inliers`` flags, per point in input order, whether it
+    lies within the inlier threshold of its cell's plane.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
     slopes: np.ndarray
     fitted: np.ndarray
+    sampled: np.ndarray
     inliers: np.ndarray
+
+
+def eigenplane_normals(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
+    """Per cell, the normal of its eigenplane: the eigenvector of the
+    smallest eigenvalue (sorted as by ``sorted_eigen``).  Zero where the
+    middle eigenvalue vanishes, i.e. the points lie on a line or a point
+    and no plane is determined, just as a collinear triple gives none."""
+    spans = eigenvalues[:, 1] > _DEGENERATE_CROSS
+    return np.where(spans[:, None], eigenvectors[:, :, 2], 0.0)
 
 
 def ransac_cells(
     points: np.ndarray,
     counts: np.ndarray,
     keys: np.ndarray,
+    centroids: np.ndarray,
+    eigen_normals: np.ndarray,
     inlier_threshold: float,
     iterations: int,
 ) -> CellPlanes:
     """Seeded RANSAC plane fit of every cell, cell by cell as ``ransac_plane``.
 
     ``points`` holds the cells back to back, ``counts[i]`` points for cell
-    i.  Cell i reads its own uniform stream in order: the SplitMix64 stream
-    seeded with ``keys[i]`` (see ``splitmix_uniforms``).
+    i, whose mean point is ``centroids[i]`` and whose eigenplane normal
+    (see ``eigenplane_normals``) is ``eigen_normals[i]``.
 
-    Each round draws, from each unfinished cell's stream, one uniform key
-    per point for each of its candidates (as one (m, n) block: one
-    candidate in the first round, up to 8 in later ones), takes
-    the points of the 3 smallest keys as a candidate triple and scores the
-    candidate planes by the count of points within ``inlier_threshold``.  A cell finishes after
-    the first candidate reaching 99% inliers or after ``iterations``
-    candidates; the best candidate seen up to then (the first of equal
-    counts) wins.  Collinear triples score nothing, and a cell with no
-    other candidate is not fitted.  The winner is refit by least squares on
-    its inliers (smallest eigenvector of their covariance), and the refit
-    is kept only when it does not lose inliers, so a cell's final count
-    never falls below any sampled candidate's.  Deterministic for fixed
-    (points, counts, keys, iterations, threshold).
+    Candidate 0 of a cell is its eigenplane, the plane through the centroid
+    normal to the smallest covariance eigenvector: the least-squares plane
+    of all its points.  Sampled candidates follow, as many as
+    ``iterations``, with cell i reading its own uniform stream in order:
+    the SplitMix64 stream seeded with ``keys[i]`` (see
+    ``splitmix_uniforms``).  Sampled candidate j takes one uniform key per
+    point from stream positions j * n on and the points of the 3 smallest
+    keys as its triple; blocks of up to 8 candidates are drawn and scored
+    at once.
+
+    A candidate scores the count of points within ``inlier_threshold``.
+    A cell finishes at the first candidate reaching 99% inliers, or after
+    the last; the best candidate seen up to then (the first of equal
+    counts, so the eigenplane wins ties) wins.  A degenerate eigenplane (zero
+    normal) and collinear triples score nothing, and a cell with no other
+    candidate is not fitted.  The winner is refit by least squares on its
+    inliers (smallest eigenvector of their covariance), and the refit is
+    kept only when it does not lose inliers, so a cell's final count never
+    falls below any examined candidate's.  A cell whose eigenplane holds
+    every point is final at once: its refit would be the eigenplane itself.
+    Deterministic for fixed inputs.
     """
     if inlier_threshold <= 0 or iterations <= 0:
         raise ContractViolationError("inlier_threshold and iterations must be positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     counts = np.asarray(counts, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.uint64)
+    centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
+    eigen_normals = np.asarray(eigen_normals, dtype=np.float64).reshape(-1, 3)
     ends = np.cumsum(counts)
     if len(counts) and (counts.min() < 1 or ends[-1] != len(pts)):
         raise ContractViolationError("cell counts must be positive and cover the points")
-    if len(keys) != len(counts):
-        raise ContractViolationError("one stream key per cell")
+    if not len(keys) == len(centroids) == len(eigen_normals) == len(counts):
+        raise ContractViolationError("one stream key, centroid and eigenplane normal per cell")
     k = len(counts)
-    normals = np.full((k, 3), np.nan)
-    offsets = np.full(k, np.nan)
-    fitted = np.zeros(k, dtype=bool)
-    inliers = np.zeros(len(pts), dtype=bool)
+    q = pts - np.repeat(centroids, counts, axis=0)
+    inliers = _plane_distance(q, np.repeat(eigen_normals, counts, axis=0), 0.0) <= inlier_threshold
+    score0 = np.add.reduceat(inliers, ends - counts, dtype=np.int64)
+    score0[(counts < 3) | ~eigen_normals.any(axis=1)] = -1
+    whole = score0 == counts
+    sampled = (counts >= 3) & (score0 < 0.99 * counts)
+    normals = np.where(whole[:, None], eigen_normals, np.nan)
+    offsets = np.where(whole, 0.0, np.nan)
+    inliers &= np.repeat(whole, counts)
+
+    # every other cell of 3 or more points: sampled candidates and a refit
+    is_rest = (counts >= 3) & ~whole
+    rest = np.flatnonzero(is_rest)
+    in_rest = np.repeat(is_rest, counts)
+    q_rest, counts_rest = q[in_rest], counts[rest]
+    ends_rest = np.cumsum(counts_rest)
+    fit_in = np.zeros(len(q_rest), dtype=bool)
     first = 0
-    while first < k:
-        lo = ends[first] - counts[first]
-        last = max(first + 1, int(np.searchsorted(ends, lo + _CHUNK_POINTS, side="right")))
-        cells, hi = slice(first, last), ends[last - 1]
-        normals[cells], offsets[cells], fitted[cells], inliers[lo:hi] = _fit_run(
-            pts[lo:hi], counts[cells], keys[cells], inlier_threshold, iterations
+    while first < len(rest):
+        lo = ends_rest[first] - counts_rest[first]
+        last = max(first + 1, int(np.searchsorted(ends_rest, lo + _CHUNK_POINTS, side="right")))
+        run, hi = rest[first:last], ends_rest[last - 1]
+        normals[run], offsets[run], fit_in[lo:hi] = _fit_run(
+            q_rest[lo:hi],
+            counts[run],
+            keys[run],
+            score0[run],
+            eigen_normals[run],
+            inlier_threshold,
+            iterations,
         )
         first = last
+    inliers[in_rest] = fit_in
+
+    fitted = ~np.isnan(offsets)
     slopes = np.full(k, np.nan)
     if fitted.any():
+        # shift offsets out of the centred frame: n.(p - centroid) + o = 0
+        offsets[fitted] -= np.einsum("ij,ij->i", normals[fitted], centroids[fitted])
         normals[fitted], offsets[fitted], slopes[fitted] = make_planes(
             normals[fitted], offsets[fitted]
         )
-    return CellPlanes(normals, offsets, slopes, fitted, inliers)
+    return CellPlanes(normals, offsets, slopes, fitted, sampled, inliers)
 
 
-def _segment_sum(values: np.ndarray, segment: np.ndarray, k: int) -> np.ndarray:
-    """Per-segment column sums, accumulated in row order as ``ndarray.sum(axis=0)``."""
-    return np.column_stack(
-        [np.bincount(segment, weights=values[:, j], minlength=k) for j in range(3)]
-    )
-
-
-def _plane_distance(q: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _plane_distance(q: np.ndarray, normals: np.ndarray, offsets) -> np.ndarray:
     return np.abs(np.einsum("ij,ij->i", q, normals) + offsets)
 
 
@@ -385,21 +428,27 @@ def _three_smallest(keys: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -
     return out
 
 
-def _fit_run(pts, counts, keys, threshold, iterations):
-    """``ransac_cells`` on one run of cells; planes not yet normalized."""
+def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
+    """``ransac_cells`` after candidate 0, on one run of cells of 3 or more
+    points whose eigenplane did not hold every point: sampled candidates
+    where it held under 99%, then the refit.
+
+    ``q`` holds the cells' points centred on their centroids and ``score0``
+    the eigenplane's inlier counts (-1 when degenerate).  Returns per cell
+    the plane in the centred frame (normal, offset; NaN when not fitted)
+    and per point the inlier flags.
+    """
     k = len(counts)
     cell = np.repeat(np.arange(k), counts)
     starts = np.cumsum(counts) - counts
-    center = _segment_sum(pts, cell, k) / counts[:, None]
-    q = pts - center[cell]
 
-    best_count = np.full(k, -1)
-    best_n = np.zeros((k, 3))
+    best_count = score0.copy()
+    best_n = eigen_normals.copy()
     best_off = np.zeros(k)
-    active = np.flatnonzero(counts >= 3)
+    active = np.flatnonzero(score0 < 0.99 * counts)
     done = 0
     while done < iterations and len(active):
-        m = min(_BLOCK if done else 1, iterations - done)
+        m = min(_BLOCK, iterations - done)
         n = counts[active]
         lengths = np.repeat(n, m)
         row_start = np.cumsum(lengths) - lengths
@@ -453,8 +502,8 @@ def _fit_run(pts, counts, keys, threshold, iterations):
     if refit.any():
         counts_in = counts_in[refit]
         q_in = q[inliers & refit[cell]]
-        refit_cell = np.repeat(np.arange(len(counts_in)), counts_in)
-        mean = _segment_sum(q_in, refit_cell, len(counts_in)) / counts_in[:, None]
+        starts_in = np.cumsum(counts_in) - counts_in
+        mean = np.add.reduceat(q_in, starts_in, axis=0) / counts_in[:, None]
         _, v = np.linalg.eigh(segment_covariance(q_in, counts_in))
         refit_n = np.zeros((k, 3))
         refit_off = np.zeros(k)
@@ -465,10 +514,9 @@ def _fit_run(pts, counts, keys, threshold, iterations):
         best_n[keep] = refit_n[keep]
         best_off[keep] = refit_off[keep]
         inliers = np.where(keep[cell], refit_in, inliers)
-
-    # shift offsets back out of the centered frame: n.(p - center) + o = 0
-    offsets = best_off - np.einsum("ij,ij->i", best_n, center)
-    return best_n, offsets, fitted, inliers
+    best_n[~fitted] = np.nan
+    best_off[~fitted] = np.nan
+    return best_n, best_off, inliers
 
 
 def ransac_plane(
@@ -478,20 +526,24 @@ def ransac_plane(
     seed: int,
 ) -> tuple[PlaneModel, np.ndarray, np.ndarray]:
     """Seeded RANSAC plane fit of one point set (see ``ransac_cells``); the
-    cell's stream key is ``seed`` modulo 2^64.
+    cell's stream key is ``seed`` modulo 2^64, and its centroid and
+    eigenplane come from its covariance as in the pipeline.
 
     Returns the plane and the inlier / outlier indices; raises
-    ``FitFailureError`` for fewer than 3 points or when every sampled
-    triple was collinear.
+    ``FitFailureError`` for fewer than 3 points or when no candidate plane
+    exists (the points are collinear or every sampled triple was).
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
     if n < 3:
         raise FitFailureError(f"plane fit needs at least 3 points, got {n}")
+    counts = np.array([n])
     key = np.array([seed & _KEY_MASK], dtype=np.uint64)
-    fit = ransac_cells(pts, np.array([n]), key, inlier_threshold, iterations)
+    centroid = np.add.reduceat(pts, [0], axis=0) / n
+    normal = eigenplane_normals(*sorted_eigen(segment_covariance(pts, counts)))
+    fit = ransac_cells(pts, counts, key, centroid, normal, inlier_threshold, iterations)
     if not fit.fitted[0]:
-        raise FitFailureError("all sampled triples were collinear")
+        raise FitFailureError("no candidate plane: the points or every sampled triple collinear")
     plane = PlaneModel(
         normal=fit.normals[0], offset=float(fit.offsets[0]), slope_deg=float(fit.slopes[0])
     )

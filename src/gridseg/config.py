@@ -112,32 +112,46 @@ def parse_overrides(pairs: list[str]) -> dict:
 
 
 def apply_settings(cfg: PipelineConfig, settings: dict) -> PipelineConfig:
-    """Return a new config with the given flat settings applied to both phases."""
+    """Return a new config with the given flat settings applied to both phases.
+
+    All settings are applied before any section is rebuilt, and each
+    section is built once, so its checks see the final values whatever the
+    order of the keys.
+    """
+    top = {}
+    sections = {"phase1": {}, "phase2": {}}
     for key, value in settings.items():
         if key not in KEYS:
             raise ConfigError(f"unknown configuration key: {key}")
         section, name = KEYS[key]
         if not section:
-            cfg = replace(cfg, **{name: value})
+            top[name] = value
             continue
         per_phase = value if key == "cellSizeZ" else (value, value)
-        phases = {}
-        for phase, v in zip(("phase1", "phase2"), per_phase):
-            pc = getattr(cfg, phase)
-            phases[phase] = replace(pc, **{section: replace(getattr(pc, section), **{name: v})})
-        cfg = replace(cfg, **phases)
-    return cfg
+        for phase, v in zip(sections, per_phase):
+            sections[phase].setdefault(section, {})[name] = v
+    phases = {}
+    for phase, changes in sections.items():
+        pc = getattr(cfg, phase)
+        phases[phase] = replace(
+            pc, **{section: replace(getattr(pc, section), **f) for section, f in changes.items()}
+        )
+    return replace(cfg, **top, **phases)
 
 
 def resolve_config(config_path: str | None, overrides: list[str] | None) -> PipelineConfig:
-    """Defaults <- config file (flag or env var) <- key=value overrides."""
-    cfg = make_default_config()
+    """Defaults <- config file (flag or env var) <- key=value overrides.
+
+    The file's settings and the overrides are merged first and applied
+    together, so the config is checked once, as a whole.
+    """
+    settings = {}
     path = config_path or os.environ.get(ENV_CONFIG_PATH)
     if path:
-        cfg = apply_settings(cfg, load_config_file(path))
+        settings.update(load_config_file(path))
     if overrides:
-        cfg = apply_settings(cfg, parse_overrides(overrides))
-    return cfg
+        settings.update(parse_overrides(overrides))
+    return apply_settings(make_default_config(), settings)
 
 
 def dump_config(cfg: PipelineConfig) -> str:

@@ -19,6 +19,7 @@ from .cell_geometry import (
     GeometryParams,
     cell_keys,
     eigen_kinds,
+    eigenplane_normals,
     line_tentative,
     plane_tentative,
     ransac_cells,
@@ -105,6 +106,12 @@ class PhaseStats:
     # cells per refinement reason (region_expansion.REASONS); they add up
     # to cells_expanded
     routes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REASONS, 0))
+    # eigen-planar cells by how their plane fit ended: finished by the
+    # eigenplane (candidate 0), by sampled RANSAC candidates, or without a
+    # plane (the cell is then non-planar); they add up to the eigen-planar cells
+    plane_fits: dict[str, int] = field(
+        default_factory=lambda: {"eigenplane": 0, "ransac": 0, "failed": 0}
+    )
     runtime_ms: float = 0.0
 
     def as_dict(self) -> dict:
@@ -159,11 +166,14 @@ def classify_cells(
 
     Covariances, eigen decompositions and RANSAC plane fits are batched
     across cells, with every per-cell sum taken in canonical within-cell
-    order, so the result is independent of input point order.  Each planar
-    cell's RANSAC stream is keyed by the global seed, phase, and cell
-    index, so runs are reproducible and independent of which other cells
-    exist.  Cells too small for a covariance rank test are non-planar, hence
-    non-ground candidates; so are planar cells whose fit fails.
+    order, so the result is independent of input point order.  A planar
+    cell's first plane candidate is its eigenplane (through
+    ``grid.centroids``, normal to the smallest eigenvector); its sampled
+    candidates come from a RANSAC stream keyed by the global seed, phase,
+    and cell index, so runs are reproducible and independent of which other
+    cells exist.  Cells too small for a covariance rank test are
+    non-planar, hence non-ground candidates; so are planar cells whose fit
+    fails.
     """
     k = len(grid.cells)
     if k == 0:
@@ -185,6 +195,8 @@ def classify_cells(
         pts[in_planar],
         counts[planar],
         cell_keys(global_seed, phase, grid.cells[planar]),
+        grid.centroids[planar],
+        eigenplane_normals(lam[planar], vec[planar]),
         geometry.inlier_threshold,
         geometry.ransac_iterations,
     )
@@ -214,6 +226,11 @@ def classify_cells(
         stats.cells_non_planar = k - stats.cells_line - stats.cells_planar
         stats.cells_tentative = int(tentative.sum())
         stats.cells_obstacle = int(obstacle.sum())
+        stats.plane_fits = {
+            "eigenplane": int((fit.fitted & ~fit.sampled).sum()),
+            "ransac": int((fit.fitted & fit.sampled).sum()),
+            "failed": int((~fit.fitted).sum()),
+        }
 
 
 def run_phase(

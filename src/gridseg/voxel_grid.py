@@ -57,9 +57,11 @@ class VoxelGrid:
     Cell ``c`` is row ``c`` of every per-cell array.  Its index is
     ``cells[c]`` (rows ascending), and it holds the point ids
     ``order[offsets[c]:offsets[c + 1]]``.  Within a cell the ids are in
-    coordinate-lexicographic (x, y, z) order, which keeps every reduction
-    over a cell (centroid, covariance, plane fit) byte-stable under
-    permutations of the input cloud.
+    coordinate-lexicographic (x, y, z) order, exact duplicates by input
+    position, which keeps every reduction over a cell (centroid,
+    covariance, plane fit) byte-stable under permutations of the input
+    cloud.  ``centroids`` holds each cell's mean point, summed in that
+    order; plane fits are centred on it.
 
     A cell without a plane fit has NaN in ``normals``, ``plane_offsets``
     and ``slopes``.  ``inliers`` runs parallel to ``order`` and flags the
@@ -108,19 +110,60 @@ def cell_index(point, cellsize: CellSize) -> CellIndex:
     )
 
 
+# The packed sort key cell code * n + x rank must stay below this; a cloud
+# whose cell-index ranges do not fit is sorted by the six-column lexsort.
+_KEY_LIMIT = 1 << 62
+
+
+def _canonical_order(pts: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point ids sorted by (cell index, x, y, z, input position), and per
+    sorted position whether it starts a new cell.
+
+    The cell index packs into one code, lexicographic in (ix, iy, iz), and
+    the code times n plus the point's rank in an x argsort is a unique
+    int64 key; one argsort of it orders points by (cell, x).  Points tied
+    on (cell, x) sit in runs, which are then sorted by (y, z, input
+    position).
+    """
+    n = len(pts)
+    first = np.ones(n, dtype=bool)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), first
+    ix, iy, iz = keys.T
+    low = [int(c.min()) for c in (ix, iy, iz)]
+    span = [int(c.max()) - lo + 1 for c, lo in zip((ix, iy, iz), low)]
+    if math.prod(span) * n >= _KEY_LIMIT:
+        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], iz, iy, ix))
+        skeys = keys[order]
+        first[1:] = np.any(skeys[1:] != skeys[:-1], axis=1)
+        return order, first
+    code = ((ix - low[0]) * span[1] + (iy - low[1])) * span[2] + (iz - low[2])
+    x_rank = np.empty(n, dtype=np.int64)
+    x_rank[np.argsort(pts[:, 0])] = np.arange(n)
+    order = np.argsort(code * n + x_rank)
+    scode = code[order]
+    first[1:] = scode[1:] != scode[:-1]
+    sx = pts[order, 0]
+    tie = ~first[1:] & (sx[1:] == sx[:-1])
+    if tie.any():
+        run = np.cumsum(np.concatenate(([True], ~tie)))
+        at = np.flatnonzero(np.concatenate((tie, [False])) | np.concatenate(([False], tie)))
+        ids = order[at]
+        order[at] = ids[np.lexsort((ids, pts[ids, 2], pts[ids, 1], run[at]))]
+    return order, first
+
+
 def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
     """Partition points into cells; every point lands in exactly one cell.
 
     The grid content is independent of input point order: cells are keyed by
     geometric indices and each cell's points, hence its centroid sum, run in
-    canonical coordinate order.  Cells start unclassified.
+    canonical (x, y, z, input position) order, built by one packed-key
+    argsort (see ``_canonical_order``).  Cells start unclassified.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     keys = np.floor(pts / cellsize.as_array()).astype(np.int64)
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], keys[:, 2], keys[:, 1], keys[:, 0]))
-    skeys = keys[order]
-    first = np.ones(len(pts), dtype=bool)
-    first[1:] = np.any(skeys[1:] != skeys[:-1], axis=1)
+    order, first = _canonical_order(pts, keys)
     starts = np.flatnonzero(first)
     offsets = np.append(starts, len(pts))
     k = len(starts)
@@ -129,7 +172,7 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
         centroids = np.add.reduceat(pts[order], starts, axis=0) / np.diff(offsets)[:, None]
     return VoxelGrid(
         cellsize=cellsize,
-        cells=skeys[starts],
+        cells=keys[order[starts]],
         offsets=offsets,
         order=order,
         centroids=centroids,

@@ -15,10 +15,13 @@ from gridseg.cell_geometry import (
     classify_planar_cell,
     covariance,
     eigen_classify,
+    eigenplane_normals,
     make_plane,
     ransac_cells,
     ransac_plane,
+    segment_covariance,
     segment_sparsity,
+    sorted_eigen,
     splitmix_uniforms,
 )
 from gridseg.cell_geometry import _CHUNK_POINTS, _three_smallest
@@ -174,29 +177,34 @@ class TestRansacPlane:
         np.testing.assert_array_equal(a[0].normal, b[0].normal)
 
     def test_final_count_not_below_any_candidate(self, rng):
-        # mirror the documented sampling scheme (argpartition of random keys,
-        # early exit at 99% inliers) to recover the examined candidates
+        # mirror the documented candidate scheme (the eigenplane first, then
+        # triples of the 3 smallest stream uniforms, early exit at 99%
+        # inliers) to recover the examined candidates
         pts = rng.normal(size=(60, 3)) * [1, 1, 0.2]
         pts[::3, 2] += rng.normal(0, 0.5, len(pts[::3]))
         threshold, iterations, seed = 0.1, 30, 17
+        n = len(pts)
         plane, inliers, _ = ransac_plane(pts, threshold, iterations, seed=seed)
 
-        center = pts.mean(axis=0)
-        q = pts - center
-        sample_rng = np.random.default_rng(seed)
-        ranks = np.argpartition(sample_rng.random((iterations, len(pts))), 2, axis=1)[:, :3]
-        best = 0
-        for trip in ranks:
-            a, b, c = q[trip]
-            n = np.cross(b - a, c - a)
-            if np.linalg.norm(n) < 1e-12:
+        q = pts - pts.mean(axis=0)
+        candidates = [np.linalg.eigh(q.T @ q / n)[1][:, 0]]
+        offsets = [0.0]
+        for j in range(iterations):
+            u = splitmix_uniforms(np.full(n, seed, np.uint64), np.arange(j * n, (j + 1) * n))
+            a, b, c = q[np.argsort(u, kind="stable")[:3]]
+            normal = np.cross(b - a, c - a)
+            if np.linalg.norm(normal) < 1e-12:
                 continue
-            n = n / np.linalg.norm(n)
-            off = -n @ a
-            count = int((np.abs(q @ n + off) <= threshold).sum())
+            candidates.append(normal / np.linalg.norm(normal))
+            offsets.append(-candidates[-1] @ a)
+        best = examined = 0
+        for normal, off in zip(candidates, offsets):
+            count = int((np.abs(q @ normal + off) <= threshold).sum())
             best = max(best, count)
-            if count >= 0.99 * len(pts):
+            examined += 1
+            if count >= 0.99 * n:
                 break
+        assert examined > 1  # the eigenplane alone does not finish this cell
         assert len(inliers) >= best
 
     def test_too_few_points(self):
@@ -227,13 +235,15 @@ class TestRansacPlane:
 
 
 def _oracle_ransac_plane(points, inlier_threshold, iterations, key, stops=None):
-    """The one-cell RANSAC loop that ``ransac_cells`` batches (reference),
-    reading the SplitMix64 stream seeded with ``key`` in order.
+    """The one-cell RANSAC loop that ``ransac_cells`` batches (reference):
+    the eigenplane as candidate 0, then triples from the SplitMix64 stream
+    seeded with ``key``, read in order.
 
     Returns (unit normal with z >= 0, offset, inlier indices, outlier
     indices); raises FitFailureError like ``ransac_plane``.  A given
     ``stops`` list receives the number of the candidate that reached 99%
-    inliers (counting from 1), or None when none did.
+    inliers (0 for the eigenplane, j for the j-th sampled one), or None
+    when none did.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -241,14 +251,21 @@ def _oracle_ransac_plane(points, inlier_threshold, iterations, key, stops=None):
         raise FitFailureError(f"plane fit needs at least 3 points, got {n}")
     center = pts.mean(axis=0)
     q = pts - center
-    drawn = 0
+    w, v = np.linalg.eigh(q.T @ q / n)
     best_count = -1
     best_mask = None
     normal = None
     offset_c = 0.0
-    done = 0
     stop = None
-    while done < iterations:
+    if w[1] > 1e-12:  # the points span a plane: the eigenplane is candidate 0
+        normal = v[:, 0]
+        best_mask = np.abs(q @ normal) <= inlier_threshold
+        best_count = int(best_mask.sum())
+        if best_count >= 0.99 * n:
+            stop = 0
+    drawn = 0
+    done = 0
+    while stop is None and done < iterations:
         m = min(8, iterations - done)
         done += m
         draws = splitmix_uniforms(np.full(m * n, key, np.uint64), np.arange(drawn, drawn + m * n))
@@ -280,13 +297,12 @@ def _oracle_ransac_plane(points, inlier_threshold, iterations, key, stops=None):
             offset_c = float(offsets[winner])
         if len(hits):
             stop = done - m + cut
-            break
     if stops is not None:
         stops.append(stop)
     if best_count < 0:
         raise FitFailureError("all sampled triples were collinear")
     inl = q[best_mask]
-    if len(inl) >= 3:
+    if len(inl) >= 3 and best_count < n:
         d = inl - inl.mean(axis=0)
         _, v = np.linalg.eigh((d.T @ d) / len(inl))
         refit_n = v[:, 0]
@@ -302,6 +318,16 @@ def _oracle_ransac_plane(points, inlier_threshold, iterations, key, stops=None):
     return normal, offset, np.flatnonzero(best_mask), np.flatnonzero(~best_mask)
 
 
+def _fit_cells(cells, keys, inlier_threshold, iterations):
+    """``ransac_cells`` on a list of point sets, with each set's centroid and
+    eigenplane normal computed as the pipeline computes them."""
+    counts = np.array([len(c) for c in cells])
+    pts = np.vstack(cells)
+    centroids = np.add.reduceat(pts, np.cumsum(counts) - counts, axis=0) / counts[:, None]
+    normals = eigenplane_normals(*sorted_eigen(segment_covariance(pts, counts)))
+    return ransac_cells(pts, counts, keys, centroids, normals, inlier_threshold, iterations)
+
+
 def _random_cell(rng, n, outlier_share):
     """n points near a random plane through a 1.5 m cell, some of them scattered."""
     xy = rng.uniform(0.0, 1.5, size=(n, 2))
@@ -310,6 +336,16 @@ def _random_cell(rng, n, outlier_share):
     out = rng.random(n) < outlier_share
     z[out] += rng.uniform(0.2, 1.5, out.sum())
     return np.column_stack([xy, z]) + rng.uniform(-50, 50, 3)
+
+
+def _far_outlier_cell(rng, n):
+    """n points near a random plane with noise 0.04 m, under 1% of them 8 m
+    above it: the eigenplane tilts away from the rest, while sampled triples
+    reach 99% inliers after a few to a few dozen draws."""
+    cell = _random_cell(rng, n, 0.0)
+    cell[:, 2] += rng.normal(0.0, 0.04, n)
+    cell[: n // 150 + 1, 2] += 8.0
+    return cell
 
 
 def _splitmix64_reference(key, count):
@@ -356,6 +392,7 @@ class TestRansacCells:
         cells[5:5] = [line, line[:3]]
         # beyond the run budget, and 5% outliers keep every candidate below 99%
         cells[80:80] = [_random_cell(rng, _CHUNK_POINTS + 700, 0.05)]
+        cells += [_far_outlier_cell(rng, int(n)) for n in rng.integers(150, 400, 16)]
         return cells
 
     def test_matches_per_cell_oracle(self):
@@ -363,7 +400,7 @@ class TestRansacCells:
         counts = np.array([len(c) for c in cells])
         assert counts.sum() > 2 * _CHUNK_POINTS
         keys = np.random.default_rng(7).integers(0, 2**63, len(cells))
-        fit = ransac_cells(np.vstack(cells), counts, keys, 0.125, 50)
+        fit = _fit_cells(cells, keys, 0.125, 50)
         starts = np.cumsum(counts) - counts
         full_runs = failures = 0
         stops = []
@@ -375,6 +412,8 @@ class TestRansacCells:
                 failures += 1
                 assert not fit.fitted[i] and not seg.any()
                 continue
+            finally:
+                assert fit.sampled[i] == (stops[-1] != 0)
             assert fit.fitted[i]
             np.testing.assert_array_equal(np.flatnonzero(seg), inl)
             np.testing.assert_array_equal(np.flatnonzero(~seg), out)
@@ -383,10 +422,11 @@ class TestRansacCells:
             full_runs += len(inl) < 0.99 * len(pts)
         assert failures == 2  # the two collinear cells
         assert full_runs > 20
-        # the kernel's first round holds one candidate and later ones 8: cells
-        # stop in the first round, in the second, and never
-        assert 1 in stops
-        assert any(s is not None and 2 <= s <= 9 for s in stops)
+        # the kernel scores sampled candidates in blocks of 8: cells stop at
+        # the eigenplane, in the first block, in a later one, and never
+        assert 0 in stops
+        assert any(s is not None and 1 <= s <= 8 for s in stops)
+        assert any(s is not None and s > 8 for s in stops)
         assert None in stops
 
     def test_three_smallest_takes_the_lower_position_on_ties(self):
@@ -399,10 +439,10 @@ class TestRansacCells:
         counts = np.array([len(c) for c in cells])
         keys = np.random.default_rng(8).integers(0, 2**63, len(cells)).astype(np.uint64)
         keys[:4] = [0, 1, 2**64 - 1, 2**64 - 700]
-        fit = ransac_cells(np.vstack(cells), counts, keys, 0.125, 50)
+        fit = _fit_cells(cells, keys, 0.125, 50)
         starts = np.cumsum(counts) - counts
         for i, (pts, key) in enumerate(zip(cells, keys)):
-            alone = ransac_cells(pts, [len(pts)], [key], 0.125, 50)
+            alone = _fit_cells([pts], [key], 0.125, 50)
             assert fit.fitted[i] == alone.fitted[0]
             np.testing.assert_array_equal(
                 fit.inliers[starts[i] : starts[i] + counts[i]], alone.inliers
@@ -421,7 +461,7 @@ class TestRansacCells:
 
     def test_too_few_points_per_cell_are_not_fitted(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 0, 0]], dtype=float)
-        fit = ransac_cells(pts, [2, 3], [0, 1], 0.1, 10)
+        fit = _fit_cells([pts[:2], pts[2:]], [0, 1], 0.1, 10)
         assert fit.fitted.tolist() == [False, True]
         assert fit.inliers.tolist() == [False, False, True, True, True]
         assert np.isnan(fit.slopes[0]) and fit.slopes[1] == pytest.approx(0.0, abs=1e-9)

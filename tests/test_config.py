@@ -149,3 +149,47 @@ def test_each_key_round_trips_through_a_file(tmp_path, key):
     expected[at] = f"{key}: {dumped}"
     assert text == "\n".join(expected) + "\n"
     assert apply_settings(make_default_config(), parse_config_text(text)) == cfg
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ["sparsityLowMax=0.5", "sparsityMediumMax=0.6"],
+        ["sparsityMediumMax=0.6", "sparsityLowMax=0.5"],
+    ],
+)
+def test_settings_are_checked_together_not_key_by_key(pairs, capsys, monkeypatch):
+    # each order passes through a state that is invalid on its own
+    # (low 0.5 > default medium 0.1, or medium 0.6 with default low)
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    cfg = resolve_config(None, pairs)
+    assert cfg.phase1.geometry.sparsity_low_max == 0.5
+    assert cfg.phase2.geometry.sparsity_medium_max == 0.6
+    assert cfg == resolve_config(None, pairs[::-1])
+    assert main(["config-dump"] + [arg for p in pairs for arg in ("--set", p)]) == 0
+    out = capsys.readouterr().out
+    assert "sparsityLowMax: 0.5\n" in out and "sparsityMediumMax: 0.6\n" in out
+
+
+def test_file_and_override_are_checked_together(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    path = tmp_path / "a.cfg"
+    path.write_text("sparsityLowMax: 0.5\n")
+    cfg = resolve_config(str(path), ["sparsityMediumMax=0.6"])
+    assert cfg.phase1.geometry.sparsity_low_max == 0.5
+    assert cfg.phase1.geometry.sparsity_medium_max == 0.6
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ["sparsityLowMax=0.5", "sparsityMediumMax=0.4"],
+        ["sparsityMediumMax=0.4", "sparsityLowMax=0.5"],
+    ],
+)
+def test_invalid_pair_still_exits_1(pairs, capsys, monkeypatch):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    with pytest.raises(ConfigError):
+        resolve_config(None, pairs)
+    assert main(["config-dump"] + [arg for p in pairs for arg in ("--set", p)]) == 1
+    assert "sparsity_medium_max must be >= sparsity_low_max" in capsys.readouterr().err

@@ -206,9 +206,19 @@ class TestSegment:
         assert s.runtime_ms > 0
         d = s.as_dict()
         assert d["phase1"]["n_cells"] == s.phase1.n_cells
+        for phase in (s.phase1, s.phase2):
+            fits = phase.plane_fits
+            assert set(fits) == {"eigenplane", "ransac", "failed"}
+            # every eigen-planar cell ends in exactly one way; the fitted ones
+            # stay planar and the failed ones turn non-planar
+            assert fits["eigenplane"] + fits["ransac"] == phase.cells_planar
+            assert 0 <= fits["failed"] <= phase.cells_non_planar
+            assert fits["eigenplane"] > 0
+        assert d["phase2"]["plane_fits"] == s.phase2.plane_fits
 
-    # sha256 of segment() masks on two seeded scenes, as computed before
-    # RANSAC was batched across cells; any change of output shows here
+    # sha256 of segment() masks on two seeded scenes; any change of output
+    # shows here.  slope-12 was re-pinned when each planar cell's eigenplane
+    # became its RANSAC candidate 0
     @pytest.mark.parametrize(
         "spec, digest",
         [
@@ -226,7 +236,7 @@ class TestSegment:
             ),
             (
                 gs.SceneSpec(extent=24.0, n_ground=8000, slope_deg=12.0, seed=22),
-                "ff53666e1dc2eb69a89ef766ce18ee8e6b7be28fa2d784fa48e52bb5562b20b2",
+                "e4438241e6e9558e6cf862195f7e74c068b91f3f4068933c9b2b7a0d426ad106",
             ),
         ],
         ids=["boxes", "slope-12"],

@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridseg.voxel_grid import (
+    _KEY_LIMIT,
     CellKind,
     CellSize,
     GroundState,
@@ -96,6 +102,82 @@ class TestBuildGrid:
         np.testing.assert_array_equal(pts[g1.order], pts[perm][g2.order])
         for c in range(len(g1.cells)):
             assert set(g1.order[g1.span(c)].tolist()) == set(perm[g2.order[g2.span(c)]].tolist())
+
+
+def _reference_grid(pts, cs):
+    """The canonical order as a six-key lexsort (cell index, x, y, z; input
+    position breaks full ties), and the cells and offsets it implies."""
+    keys = np.floor(pts / cs.as_array()).astype(np.int64)
+    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], keys[:, 2], keys[:, 1], keys[:, 0]))
+    cells, counts = np.unique(keys, axis=0, return_counts=True)
+    return order, cells.reshape(-1, 3), np.concatenate(([0], np.cumsum(counts)))
+
+
+def _packs(pts, cs):
+    """Whether build_grid sorts this cloud by the packed key, not the fallback."""
+    keys = np.floor(pts / cs.as_array()).astype(np.int64)
+    if len(pts) == 0:
+        return True
+    span = [int(h) - int(lo) + 1 for h, lo in zip(keys.max(axis=0), keys.min(axis=0))]
+    return math.prod(span) * len(pts) < _KEY_LIMIT
+
+
+@st.composite
+def _tied_clouds(draw):
+    """Quantised clouds, negative coordinates included, with many points
+    tied on (cell, x) and exact duplicate rows; 0 to 400 points."""
+    n = draw(st.integers(0, 400))
+    step = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5]))
+    reach = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.integers(-reach, reach + 1, size=(n, 3)) * step
+    if n:
+        pts[rng.integers(0, n, n // 4)] = pts[rng.integers(0, n, n // 4)]
+        pts[rng.random(n) < 0.1, 0] = -0.0
+    return pts
+
+
+_CELLSIZES = st.sampled_from(
+    [CellSize(1.5, 1.0, 1.5), CellSize(1.5, 1.0, 0.2), CellSize(0.3, 0.7, 0.1)]
+)
+
+
+class TestCanonicalOrder:
+    """build_grid's packed-key sort against the six-key lexsort reference."""
+
+    def _check(self, pts, cs):
+        grid = build_grid(pts, cs)
+        order, cells, offsets = _reference_grid(pts, cs)
+        np.testing.assert_array_equal(grid.order, order)
+        np.testing.assert_array_equal(grid.cells, cells)
+        np.testing.assert_array_equal(grid.offsets, offsets)
+
+    @given(_tied_clouds(), _CELLSIZES)
+    def test_quantised_clouds_with_ties_and_duplicates(self, pts, cs):
+        assert _packs(pts, cs)
+        self._check(pts, cs)
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(0, 40), st.just(3)),
+            elements=st.sampled_from([-2.5, -1.5, -1.0, -0.3, -0.0, 0.0, 0.3, 1.0, 1.49, 7.0]),
+        ),
+        _CELLSIZES,
+    )
+    def test_few_distinct_values(self, pts, cs):
+        self._check(pts, cs)
+
+    @pytest.mark.parametrize("pts", [np.zeros((0, 3)), np.array([[-3.2, 0.4, -0.1]])])
+    def test_empty_and_single_point(self, pts):
+        self._check(pts, CellSize(1.5, 1.0, 0.2))
+
+    @given(_tied_clouds(), _CELLSIZES)
+    def test_key_range_beyond_the_packed_key_takes_the_lexsort(self, pts, cs):
+        # two far corners stretch every cell-index range past what packs
+        pts = np.vstack([pts, [[-4e6, -4e6, -4e6], [4e6, 4e6, 4e6]], pts[:5]])
+        assert not _packs(pts, cs)
+        self._check(pts, cs)
 
 
 class TestOccupiedBelow:
