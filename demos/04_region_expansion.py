@@ -32,7 +32,7 @@ print(f"injected {info.count} synthetic seed points at z = -{info.depth}")
 
 grid = build_grid(pts, CellSize(1.5, 1.0, 1.5))
 geometry = GeometryParams()
-classify_cells(grid, pts, geometry, phase=1, global_seed=0)
+classify_cells(grid, geometry, phase=1, global_seed=0)
 tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
 print(f"{len(grid.cells)} cells, {len(tentative)} tentative ground")
 

@@ -7,6 +7,10 @@ subsets get a bounding-box sparsity class used later to flag ambiguous cells.
 The plane fit is RANSAC whose first candidate is the cell's eigenplane (its
 least-squares plane), which alone finishes nearly every planar cell.
 
+Covariances are summed one product column at a time over the points
+centred on the cell means, and eigen decompositions use a closed-form 3x3
+solver (``sorted_eigen``) instead of LAPACK: both are elementwise over
+cells, so a cell's result never depends on which other cells share the call.
 Classification, line gating and plane fitting run on all cells of a phase at
 once; the one-cell functions (``covariance``, ``eigen_classify``,
 ``classify_line_cell``, ``ransac_plane``, ``make_plane``, ``bbox_sparsity``)
@@ -24,6 +28,12 @@ from .errors import ConfigError, ContractViolationError, FitFailureError
 from .voxel_grid import CellKind, GroundState
 
 _DEGENERATE_CROSS = 1e-12
+# An eigenvalue share up to this is round-off: a cell's covariance sums carry
+# relative errors of about n * 2^-53, and a backward-stable eigen solver adds
+# a few 2^-53 of the trace, so this covers cells of up to a few thousand points.
+_ROUNDOFF = 2.0**-40
+# the six distinct entries of a symmetric 3x3 matrix, row by row
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class Sparsity(IntEnum):
@@ -130,21 +140,27 @@ class GeometryParams:
             raise ConfigError("sparsity_medium_max must be >= sparsity_low_max")
 
 
-def segment_covariance(points: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def segment_covariance(
+    points: np.ndarray, counts: np.ndarray, means: np.ndarray | None = None
+) -> np.ndarray:
     """Population covariance (divisor N) of consecutive point segments.
 
     ``points`` holds the segments back to back, ``counts[i]`` points for
     segment i; the result is one 3x3 matrix per segment.  Two passes
-    (center, then average outer products), with every sum taken in the
-    given point order.
+    (center on the segment means, then average the six distinct products),
+    with every sum taken in the given point order.  ``means`` may pass in
+    the segment means when the caller already summed them that way (as
+    ``VoxelGrid.centroids``); the result is the same to the bit.
     """
     counts = np.asarray(counts)
     starts = np.cumsum(counts) - counts
-    means = np.add.reduceat(points, starts, axis=0) / counts[:, None]
-    centered = points - np.repeat(means, counts, axis=0)
-    prods = centered[:, [0, 0, 0, 1, 1, 2]] * centered[:, [0, 1, 2, 1, 2, 2]]
-    m6 = np.add.reduceat(prods, starts, axis=0) / counts[:, None]
-    return m6[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
+    if means is None:
+        means = np.add.reduceat(points, starts, axis=0) / counts[:, None]
+    x, y, z = (points[:, j] - np.repeat(means[:, j], counts) for j in range(3))
+    C = np.empty((len(counts), 3, 3))
+    for (i, j), (a, b) in zip(_UPPER, ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))):
+        C[:, i, j] = C[:, j, i] = np.add.reduceat(a * b, starts) / counts
+    return C
 
 
 def covariance(points: np.ndarray) -> np.ndarray:
@@ -155,14 +171,112 @@ def covariance(points: np.ndarray) -> np.ndarray:
     return segment_covariance(pts, np.array([len(pts)]))[0]
 
 
-def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen decomposition of a stack of symmetric 3x3 matrices.
+def _cross(r, s):
+    return (r[1] * s[2] - r[2] * s[1], r[2] * s[0] - r[0] * s[2], r[0] * s[1] - r[1] * s[0])
 
-    Eigenvalues come out descending and clamped at zero against round-off;
-    eigenvectors are unit columns in the same order.
+
+def _bilinear(b, x, y):
+    """x^T B y per row, for B given by its six distinct entries ``b``."""
+    b00, b01, b02, b11, b12, b22 = b
+    return (
+        x[0] * (b00 * y[0] + b01 * y[1] + b02 * y[2])
+        + x[1] * (b01 * y[0] + b11 * y[1] + b12 * y[2])
+        + x[2] * (b02 * y[0] + b12 * y[1] + b22 * y[2])
+    )
+
+
+def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen decomposition of a (k, 3, 3) stack of symmetric matrices, in
+    closed form.
+
+    Eigenvalues come out descending, (k, 3), clamped at zero against
+    round-off; eigenvectors are unit columns in the same order, (k, 3, 3).
+
+    Each matrix A is shifted and scaled to B = (A - q I) / p, with q the
+    mean eigenvalue and p chosen so B's eigenvalues b1 >= b2 >= b3 sum to
+    0 with squares summing to 6, hence b1 - b3 >= 3.  The trigonometric
+    (Cardano) formulas b1 = 2 cos(phi), b3 = 2 cos(phi + 2 pi / 3) with
+    phi = acos(det(B) / 2) / 3 hold working precision only at the
+    better-separated end of the spectrum: near a double eigenvalue, acos
+    loses half the digits of the pair (Kopp, Int. J. Mod. Phys. C 19,
+    2008).  So only that end's eigenpair comes from it: its vector is the
+    largest cross product of two rows of B - b I, whose other eigenvalues
+    are at least 1.5 away from zero, so that cross product never
+    degenerates and no matrix needs an iterative fallback; its value is
+    the Rayleigh quotient.  The other
+    two eigenpairs diagonalise the 2x2 block of B on the orthogonal
+    complement of that vector (basis of Duff et al., JCGT 6(1), 2017).  A
+    compare-and-swap at the seam keeps the order descending under
+    round-off.  Matrices with p below the smallest normal double are
+    treated as scalar (B = 0).
+
+    Every step is elementwise arithmetic on one row, so a matrix gets the
+    same bits batched or alone.
     """
-    w, v = np.linalg.eigh(C)
-    return np.maximum(w[..., ::-1], 0.0), v[..., ::-1]
+    C = np.asarray(C, dtype=np.float64).reshape(-1, 3, 3)
+    a = [C[:, i, j] for i, j in _UPPER]
+    q = (a[0] + a[3] + a[5]) / 3.0
+    for i in (0, 3, 5):
+        a[i] = a[i] - q
+    off_diagonal = a[1] ** 2 + a[2] ** 2 + a[4] ** 2
+    p = np.sqrt((a[0] ** 2 + a[3] ** 2 + a[5] ** 2 + 2.0 * off_diagonal) / 6.0)
+    tiny = np.finfo(np.float64).tiny
+    inv = np.where(p >= tiny, 1.0 / np.maximum(p, tiny), 0.0)
+    b = [x * inv for x in a]
+    b00, b01, b02, b11, b12, b22 = b
+    det = b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+    det += b02 * (b01 * b12 - b11 * b02)
+    phi = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
+    beta1 = 2.0 * np.cos(phi)
+    beta3 = 2.0 * np.cos(phi + 2.0 * np.pi / 3.0)
+    beta2 = -(beta1 + beta3)
+    top = beta1 - beta2 >= beta2 - beta3
+    beta = np.where(top, beta1, beta3)
+
+    # the end eigenvector: the longest cross product of two rows of B - beta I
+    r0, r1, r2 = (b00 - beta, b01, b02), (b01, b11 - beta, b12), (b02, b12, b22 - beta)
+    cross = np.array([_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)])
+    norm2 = cross[:, 0] ** 2 + cross[:, 1] ** 2 + cross[:, 2] ** 2
+    pick = norm2.argmax(axis=0)
+    at = np.arange(len(q))
+    v = cross[pick, :, at].T / np.sqrt(norm2[pick, at])
+
+    # an orthonormal basis (u, w) of its complement, and B's 2x2 block there
+    sign = np.copysign(1.0, v[2])
+    h = -1.0 / (sign + v[2])
+    m = v[0] * v[1] * h
+    u = np.array([1.0 + sign * v[0] * v[0] * h, sign * m, -sign * v[0]])
+    w = np.array([m, sign + v[1] * v[1] * h, -v[1]])
+    g_uu, g_ww, g_uw = _bilinear(b, u, u), _bilinear(b, w, w), _bilinear(b, u, w)
+    half_diff = 0.5 * (g_uu - g_ww)
+    mean = 0.5 * (g_uu + g_ww)
+    radius = np.hypot(half_diff, g_uw)
+    # (e0, e1): the block's leading eigenvector, summed without cancellation
+    right = half_diff >= 0.0
+    e0 = np.where(right, half_diff + radius, g_uw)
+    e1 = np.where(right, g_uw, radius - half_diff)
+    length = np.hypot(e0, e1)
+    flat = length == 0.0  # the block is scalar: any basis diagonalises it
+    length[flat] = 1.0
+    e0, e1 = e0 / length, e1 / length
+    e0[flat] = 1.0
+
+    values = np.array([_bilinear(b, v, v), mean + radius, mean - radius])
+    vectors = np.array([v, e0 * u + e1 * w, e0 * w - e1 * u])
+    # top: (end, block high, block low), else (block high, block low, end)
+    swap = np.where(top, values[1] > values[0], values[0] > values[2])
+    perm = np.array(
+        [
+            np.where(top & ~swap, 0, 1),
+            np.where(swap, 0, np.where(top, 1, 2)),
+            np.where(top | swap, 2, 0),
+        ]
+    )
+    lam = np.maximum(q + p * np.take_along_axis(values, perm, axis=0), 0.0)
+    vec = np.take_along_axis(vectors, perm[:, None, :], axis=0)
+    # contiguous, so a column view such as vec[:, :, 2] has the same strides
+    # for one matrix as for many, and einsum over it sums in the same order
+    return np.ascontiguousarray(lam.T), np.ascontiguousarray(vec.transpose(2, 1, 0))
 
 
 def eigen_kinds(w: np.ndarray, params: GeometryParams) -> np.ndarray:
@@ -174,8 +288,11 @@ def eigen_kinds(w: np.ndarray, params: GeometryParams) -> np.ndarray:
     ``line_cross_ratio_max`` times lambda3).  The second condition keeps
     thin-but-flat strips out of the Line class: a sloped surface sliced by
     short grid cells produces strips whose dominant-axis share is line-like
-    even though they have a clear surface normal.  Otherwise the cell is
-    Planar when the smallest share stays at or below
+    even though they have a clear surface normal.  A lambda2 share at
+    rounding level (``_ROUNDOFF``) passes the second condition: on exactly
+    collinear points lambda2 and lambda3 are round-off of the covariance
+    sums and of the eigen solver, so their ratio means nothing.  Otherwise
+    the cell is Planar when the smallest share stays at or below
     ``planar_flatness_max``, else Non-Planar.  A zero row (single point, or
     coincident points) is Non-Planar.
     """
@@ -186,7 +303,7 @@ def eigen_kinds(w: np.ndarray, params: GeometryParams) -> np.ndarray:
     line = (
         spread
         & (share[:, 0] >= params.line_ratio_min)
-        & (w[:, 1] <= params.line_cross_ratio_max * w[:, 2])
+        & ((w[:, 1] <= params.line_cross_ratio_max * w[:, 2]) | (share[:, 1] <= _ROUNDOFF))
     )
     planar = spread & ~line & (share[:, 2] <= params.planar_flatness_max)
     return np.select([line, planar], [CellKind.LINE, CellKind.PLANAR], CellKind.NON_PLANAR)
@@ -504,11 +621,11 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         q_in = q[inliers & refit[cell]]
         starts_in = np.cumsum(counts_in) - counts_in
         mean = np.add.reduceat(q_in, starts_in, axis=0) / counts_in[:, None]
-        _, v = np.linalg.eigh(segment_covariance(q_in, counts_in))
+        smallest = sorted_eigen(segment_covariance(q_in, counts_in, mean))[1][:, :, 2]
         refit_n = np.zeros((k, 3))
         refit_off = np.zeros(k)
-        refit_n[refit] = v[:, :, 0]
-        refit_off[refit] = -np.einsum("ij,ij->i", v[:, :, 0], mean)
+        refit_n[refit] = smallest
+        refit_off[refit] = -np.einsum("ij,ij->i", smallest, mean)
         refit_in = _plane_distance(q, refit_n[cell], refit_off[cell]) <= threshold
         keep = refit & (np.bincount(cell, weights=refit_in, minlength=k) >= best_count)
         best_n[keep] = refit_n[keep]
@@ -540,7 +657,7 @@ def ransac_plane(
     counts = np.array([n])
     key = np.array([seed & _KEY_MASK], dtype=np.uint64)
     centroid = np.add.reduceat(pts, [0], axis=0) / n
-    normal = eigenplane_normals(*sorted_eigen(segment_covariance(pts, counts)))
+    normal = eigenplane_normals(*sorted_eigen(segment_covariance(pts, counts, centroid)))
     fit = ransac_cells(pts, counts, key, centroid, normal, inlier_threshold, iterations)
     if not fit.fitted[0]:
         raise FitFailureError("no candidate plane: the points or every sampled triple collinear")

@@ -87,6 +87,9 @@ def make_default_config() -> PipelineConfig:
     )
 
 
+STAGES = ("grid", "eigen", "plane_fit", "index", "expand")
+
+
 @dataclass
 class PhaseStats:
     n_points: int = 0
@@ -112,6 +115,10 @@ class PhaseStats:
     plane_fits: dict[str, int] = field(
         default_factory=lambda: {"eigenplane": 0, "ransac": 0, "failed": 0}
     )
+    # wall milliseconds per stage of the phase: grid build, eigen
+    # classification, plane fits (with the tentative gating), centroid
+    # index, expansion; they add up to at most runtime_ms
+    stages_ms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     runtime_ms: float = 0.0
 
     def as_dict(self) -> dict:
@@ -156,7 +163,6 @@ class PhaseResult:
 
 def classify_cells(
     grid: VoxelGrid,
-    points: np.ndarray,
     geometry: GeometryParams,
     phase: int,
     global_seed: int,
@@ -173,20 +179,27 @@ def classify_cells(
     and cell index, so runs are reproducible and independent of which other
     cells exist.  Cells too small for a covariance rank test are
     non-planar, hence non-ground candidates; so are planar cells whose fit
-    fails.
+    fails.  With ``stats``, the time of the eigen step (covariance, eigen
+    decomposition, kinds) and of the plane-fit step lands in its
+    ``stages_ms``.
     """
     k = len(grid.cells)
     if k == 0:
         return
+    t0 = time.perf_counter()
     counts = grid.counts
-    pts = points[grid.order]
+    pts = grid.points
 
     eligible = counts >= geometry.min_points_for_eigen
     lam = np.zeros((k, 3))
     vec = np.zeros((k, 3, 3))
     if eligible.any():
-        lam[eligible], vec[eligible] = sorted_eigen(segment_covariance(pts, counts)[eligible])
+        # every cell's covariance costs less than gathering the points of
+        # the eligible ones, which hold nearly all points
+        C = segment_covariance(pts, counts, grid.centroids)
+        lam[eligible], vec[eligible] = sorted_eigen(C[eligible])
     kinds = eigen_kinds(lam, geometry)
+    t1 = time.perf_counter()
     line = kinds == CellKind.LINE
     is_planar = kinds == CellKind.PLANAR
     planar = np.flatnonzero(is_planar)
@@ -220,6 +233,8 @@ def classify_cells(
     grid.inliers[in_planar] = fit.inliers
 
     if stats is not None:
+        stats.stages_ms["eigen"] = (t1 - t0) * 1000.0
+        stats.stages_ms["plane_fit"] = (time.perf_counter() - t1) * 1000.0
         stats.n_cells = k
         stats.cells_line = int(line.sum())
         stats.cells_planar = int(fit.fitted.sum())
@@ -256,18 +271,24 @@ def run_phase(
         )
 
     pts = all_points[ids]
+    t = time.perf_counter()
     grid = build_grid(pts, cfg.cellsize)
-    classify_cells(grid, pts, cfg.geometry, phase, global_seed, stats)
+    stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
+    classify_cells(grid, cfg.geometry, phase, global_seed, stats)
 
     seed = select_seed(grid, seed_info)
     stats.seed_ok = bool(grid.state[grid.find(seed)] == GroundState.TENTATIVE)
     ground_local = np.empty(0, dtype=np.int64)
     if stats.seed_ok:
+        t = time.perf_counter()
         index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
+        t1 = time.perf_counter()
         expansion = replace(cfg.expansion, phase=phase)
         ground_local, _ = expand(
             grid, pts, index, seed, cfg.geometry, expansion, log=log, route_counts=stats.routes
         )
+        stats.stages_ms["index"] = (t1 - t) * 1000.0
+        stats.stages_ms["expand"] = (time.perf_counter() - t1) * 1000.0
         stats.cells_expanded = sum(stats.routes.values())
     routed_ground = grid.state == GroundState.GROUND
     stats.cells_routed_ground = int(routed_ground.sum())

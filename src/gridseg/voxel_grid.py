@@ -60,8 +60,9 @@ class VoxelGrid:
     coordinate-lexicographic (x, y, z) order, exact duplicates by input
     position, which keeps every reduction over a cell (centroid,
     covariance, plane fit) byte-stable under permutations of the input
-    cloud.  ``centroids`` holds each cell's mean point, summed in that
-    order; plane fits are centred on it.
+    cloud.  ``points`` holds the coordinates in that order (row i is point
+    ``order[i]``).  ``centroids`` holds each cell's mean point, summed in
+    that order; covariances and plane fits are centred on it.
 
     A cell without a plane fit has NaN in ``normals``, ``plane_offsets``
     and ``slopes``.  ``inliers`` runs parallel to ``order`` and flags the
@@ -72,6 +73,7 @@ class VoxelGrid:
     cells: np.ndarray
     offsets: np.ndarray
     order: np.ndarray
+    points: np.ndarray
     centroids: np.ndarray
     kind: np.ndarray
     state: np.ndarray
@@ -167,14 +169,16 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
     starts = np.flatnonzero(first)
     offsets = np.append(starts, len(pts))
     k = len(starts)
+    ordered = pts[order]
     centroids = np.zeros((k, 3))
     if k:
-        centroids = np.add.reduceat(pts[order], starts, axis=0) / np.diff(offsets)[:, None]
+        centroids = np.add.reduceat(ordered, starts, axis=0) / np.diff(offsets)[:, None]
     return VoxelGrid(
         cellsize=cellsize,
         cells=keys[order[starts]],
         offsets=offsets,
         order=order,
+        points=ordered,
         centroids=centroids,
         kind=np.full(k, CellKind.UNCLASSIFIED, dtype=np.int8),
         state=np.full(k, GroundState.NONE, dtype=np.int8),

@@ -157,7 +157,7 @@ def test_criterion_05_spatial_index():
 
 def _classified_scene(points, cellsize, phase):
     grid = build_grid(points, cellsize)
-    classify_cells(grid, points, GeometryParams(), phase, 0)
+    classify_cells(grid, GeometryParams(), phase, 0)
     return grid
 
 

@@ -15,6 +15,7 @@ from gridseg.cell_geometry import (
     classify_planar_cell,
     covariance,
     eigen_classify,
+    eigen_kinds,
     eigenplane_normals,
     make_plane,
     ransac_cells,
@@ -64,6 +65,97 @@ class TestCovariance:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolationError):
             covariance(np.zeros((0, 3)))
+
+
+def _two_pass_covariance(points, counts):
+    # the (n, 6) gather formula the column-wise kernel replaced, kept as the
+    # oracle: the same products summed in the same order
+    starts = np.cumsum(counts) - counts
+    means = np.add.reduceat(points, starts, axis=0) / counts[:, None]
+    centered = points - np.repeat(means, counts, axis=0)
+    prods = centered[:, [0, 0, 0, 1, 1, 2]] * centered[:, [0, 1, 2, 1, 2, 2]]
+    m6 = np.add.reduceat(prods, starts, axis=0) / counts[:, None]
+    return m6[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
+
+
+def _cells_like_a_scan(rng, counts):
+    """Back-to-back segments of points with per-segment offsets up to 100 m
+    and extents from a few mm to a few m."""
+    offsets = np.repeat(rng.uniform(-100.0, 100.0, (len(counts), 3)), counts, axis=0)
+    extents = np.repeat(10.0 ** rng.uniform(-2.5, 0.5, (len(counts), 3)), counts, axis=0)
+    return offsets + extents * rng.random((int(np.sum(counts)), 3))
+
+
+class TestSegmentCovariance:
+    def test_bitwise_equal_to_two_pass_formula(self, rng):
+        counts = np.concatenate([np.arange(1, 601), rng.integers(1, 601, 200)])
+        pts = _cells_like_a_scan(rng, counts)
+        got = segment_covariance(pts, counts)
+        assert np.array_equal(got, _two_pass_covariance(pts, counts))
+
+    @given(st.lists(st.integers(1, 600), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_two_pass_formula_any_lengths(self, counts, seed):
+        counts = np.array(counts)
+        pts = _cells_like_a_scan(np.random.default_rng(seed), counts)
+        assert np.array_equal(segment_covariance(pts, counts), _two_pass_covariance(pts, counts))
+
+    def test_grid_centroids_as_means_give_the_same_bits(self, rng):
+        from gridseg.voxel_grid import CellSize, build_grid
+
+        pts = rng.uniform(-20.0, 20.0, (20000, 3)) * [1.0, 1.0, 0.1]
+        grid = build_grid(pts, CellSize(1.5, 1.0, 0.2))
+        assert np.array_equal(grid.points, pts[grid.order])
+        want = _two_pass_covariance(grid.points, grid.counts)
+        assert np.array_equal(segment_covariance(grid.points, grid.counts, grid.centroids), want)
+        assert np.array_equal(segment_covariance(grid.points, grid.counts), want)
+
+
+def _rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def _hard_matrices(rng, scale):
+    """Covariances that strain a closed-form 3x3 eigen solver, for points at
+    ``scale`` metres (matrices at scale**2)."""
+    out = []
+    t = np.linspace(0.0, 4.0, 120)
+    for _ in range(3):  # near-collinear points with 1e-4 noise (acceptance criterion 3)
+        line = np.outer(t, rng.normal(size=3)) + rng.normal(0.0, 1e-4, (120, 3))
+        out.append(covariance(scale * line))
+    for _ in range(3):  # near-isotropic discs: a near-double top eigenvalue
+        r, a = np.sqrt(rng.random(200)), rng.uniform(0.0, 2 * np.pi, 200)
+        disc = np.column_stack([r * np.cos(a), r * np.sin(a), rng.normal(0.0, 1e-3, 200)])
+        out.append(covariance(scale * disc @ _rotation(rng).T))
+    out.append(covariance(scale * rng.normal(size=(400, 3))))  # near-isotropic blob
+    s2 = scale * scale
+    for spectrum in ([1.0, 0.0, 0.0], [1.0, 0.3, 0.0], [1.0, 1.0, 0.0], [1.0, 0.2, 0.2]):
+        rot = _rotation(rng)  # rank 1, rank 2, near-repeated after rounding
+        out.append(s2 * (rot * spectrum) @ rot.T)
+    for spectrum in ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 0.5], [0.5, 2.0, 0.5]):
+        out.append(s2 * np.diag(spectrum))  # zero and exactly repeated eigenvalues
+    return np.array(out)
+
+
+class TestSortedEigen:
+    @given(st.integers(0, 2**32 - 1), st.floats(-6.0, 4.0))
+    def test_agrees_with_lapack_to_round_off(self, seed, exponent):
+        C = _hard_matrices(np.random.default_rng(seed), 10.0**exponent)
+        w, v = sorted_eigen(C)
+        eps = np.finfo(np.float64).eps
+        norm = np.sqrt((C * C).sum(axis=(1, 2)))[:, None]
+        assert (np.diff(w, axis=1) <= 0).all() and (w >= 0).all()
+        gram = np.einsum("kij,kil->kjl", v, v)
+        assert np.abs(gram - np.eye(3)).max() <= 8 * eps
+        residual = np.linalg.norm(np.einsum("kij,kjl->kil", C, v) - v * w[:, None, :], axis=1)
+        assert (residual <= 16 * eps * norm).all()
+        lapack = np.maximum(np.linalg.eigvalsh(C)[:, ::-1], 0.0)
+        assert (np.abs(w - lapack) <= 16 * eps * norm).all()
+        # criterion 3: the lambda2 / lambda3 split of near-collinear points survives
+        assert (eigen_kinds(w[:3], PARAMS) == CellKind.LINE).all()
+        for i in range(len(C)):
+            alone_w, alone_v = sorted_eigen(C[i : i + 1])
+            assert np.array_equal(alone_w[0], w[i]) and np.array_equal(alone_v[0], v[i])
 
 
 class TestEigenClassify:

@@ -152,7 +152,7 @@ class TestSegment:
         for threshold in (0.5, 10.0, 20.0, 30.0, 45.0, 60.0, 75.0, 90.0):
             grid = build_grid(seeded.points, cfg.phase1.cellsize)
             geo = gs.GeometryParams(slope_threshold_deg=threshold)
-            classify_cells(grid, seeded.points, geo, 1, cfg.global_seed)
+            classify_cells(grid, geo, 1, cfg.global_seed)
             counts.append(int((grid.state == GroundState.TENTATIVE).sum()))
         assert counts == sorted(counts)
 
@@ -177,7 +177,7 @@ class TestSegment:
         pts = seeded.points
         grid = build_grid(pts, cfg.phase1.cellsize)
         geo = cfg.phase1.geometry
-        classify_cells(grid, pts, geo, 1, cfg.global_seed)
+        classify_cells(grid, geo, 1, cfg.global_seed)
         from gridseg.cell_geometry import segment_covariance
 
         C_batch = segment_covariance(pts[grid.order], grid.counts)
@@ -215,6 +215,58 @@ class TestSegment:
             assert 0 <= fits["failed"] <= phase.cells_non_planar
             assert fits["eigenplane"] > 0
         assert d["phase2"]["plane_fits"] == s.phase2.plane_fits
+
+    def test_stage_timings_add_up_to_at_most_the_phase_time(self, rng):
+        stats = segment(_flat_cloud(rng, n=2000)).stats
+        for phase in (stats.phase1, stats.phase2):
+            stages = phase.as_dict()["stages_ms"]
+            assert set(stages) == {"grid", "eigen", "plane_fit", "index", "expand"}
+            assert all(ms >= 0.0 for ms in stages.values())
+            assert stages["eigen"] > 0.0 and stages["expand"] > 0.0
+            assert sum(stages.values()) <= phase.runtime_ms
+
+    def test_degenerate_cells_classify_as_with_lapack(self):
+        # exact duplicates, exactly collinear points (axis-aligned and
+        # oblique) and single points, each in a Phase-I cell of its own
+        # beside flat ground; warnings are errors in this suite, so any
+        # division by zero in the eigen solver fails here
+        rng = np.random.default_rng(4)
+        size = make_default_config().phase1.cellsize.as_array()
+        ground = _flat_cloud(rng, n=3000).points
+        corners = [np.array([ix, iy, 2.0]) * size for ix in range(8, 18) for iy in range(-6, 6)]
+        cells = []
+        for corner in corners[:10]:  # duplicates: 3-6 copies of one point, or of two
+            pick = rng.uniform(0.1, 0.9, (rng.integers(1, 3), 3)) * size
+            cells.append(corner + pick[rng.integers(0, len(pick), rng.integers(3, 7))])
+        for corner in corners[10:90]:  # exactly collinear, 3-40 points
+            a, b = rng.uniform(0.05, 0.95, (2, 3)) * size
+            if len(cells) < 13:
+                b[1:] = a[1:]  # along x
+            t = rng.random(rng.integers(3, 41))
+            cells.append(corner + a + t[:, None] * (b - a))
+        for corner in corners[90:100]:  # single points
+            cells.append(corner + rng.uniform(0.1, 0.9, (1, 3)) * size)
+        pts = np.vstack([ground, *cells])
+
+        cfg = make_default_config()
+        grid = build_grid(pts, cfg.phase1.cellsize)
+        geo = cfg.phase1.geometry
+        classify_cells(grid, geo, 1, cfg.global_seed)
+        from gridseg.cell_geometry import eigen_kinds, segment_covariance
+
+        lapack = np.maximum(
+            np.linalg.eigvalsh(segment_covariance(grid.points, grid.counts))[:, ::-1], 0.0
+        )
+        want = eigen_kinds(lapack, geo)
+        want[grid.counts < geo.min_points_for_eigen] = CellKind.NON_PLANAR
+        want[(want == CellKind.PLANAR) & ~grid.fitted] = CellKind.NON_PLANAR
+        np.testing.assert_array_equal(grid.kind, want)
+        rows = [grid.find(tuple(np.floor(c[0] / size).astype(int))) for c in cells]
+        kinds = grid.kind[rows]
+        assert (kinds[:10] != CellKind.PLANAR).all()
+        assert (kinds[10:90] == CellKind.LINE).all()
+        assert (kinds[90:] == CellKind.NON_PLANAR).all()
+        assert len(segment(PointCloud(points=pts)).mask) == len(pts)
 
     # sha256 of segment() masks on two seeded scenes; any change of output
     # shows here.  slope-12 was re-pinned when each planar cell's eigenplane

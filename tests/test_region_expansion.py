@@ -33,7 +33,7 @@ GEO = GeometryParams()
 
 def _classified_grid(points, cellsize, phase=1, seed=0):
     grid = build_grid(points, cellsize)
-    classify_cells(grid, points, GEO, phase, seed)
+    classify_cells(grid, GEO, phase, seed)
     return grid
 
 
