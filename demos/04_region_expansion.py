@@ -42,7 +42,7 @@ print("seed cell (directly under the robot):", seed)
 
 log = ExpansionLog()
 ground, nonground = expand(
-    grid, pts, index, seed, geometry, ExpansionParams(search_radius=5.0, phase=1), log=log
+    grid, index, seed, geometry, ExpansionParams(search_radius=5.0, phase=1), log=log
 )
 print(f"expansion took {len(log.edges)} admission edges, {len(log.routes)} cell routings")
 print(f"ground points: {len(ground)}, non-ground: {len(nonground)} of {len(pts)}")

@@ -94,7 +94,7 @@ def make_planes(normals: np.ndarray, offsets: np.ndarray):
     n = n / norm[:, None]
     offsets = np.asarray(offsets, dtype=np.float64) / norm
     down = n[:, 2] < 0
-    n[down] = -n[down]
+    n = np.where(down[:, None], -n, n)
     offsets = np.where(down, -offsets, offsets)
     slopes = np.degrees(np.arccos(np.clip(n[:, 2], -1.0, 1.0)))
     return n, offsets, slopes
@@ -490,7 +490,7 @@ def ransac_cells(
     is_rest = (counts >= 3) & ~whole
     rest = np.flatnonzero(is_rest)
     in_rest = np.repeat(is_rest, counts)
-    q_rest, counts_rest = q[in_rest], counts[rest]
+    q_rest, counts_rest = np.compress(in_rest, q, axis=0), counts[rest]
     ends_rest = np.cumsum(counts_rest)
     fit_in = np.zeros(len(q_rest), dtype=bool)
     first = 0
@@ -503,7 +503,7 @@ def ransac_cells(
             counts[run],
             keys[run],
             score0[run],
-            eigen_normals[run],
+            np.take(eigen_normals, run, axis=0),
             inlier_threshold,
             iterations,
         )
@@ -514,9 +514,11 @@ def ransac_cells(
     slopes = np.full(k, np.nan)
     if fitted.any():
         # shift offsets out of the centred frame: n.(p - centroid) + o = 0
-        offsets[fitted] -= np.einsum("ij,ij->i", normals[fitted], centroids[fitted])
+        normals_fit = np.compress(fitted, normals, axis=0)
+        centroids_fit = np.compress(fitted, centroids, axis=0)
+        offsets[fitted] -= np.einsum("ij,ij->i", normals_fit, centroids_fit)
         normals[fitted], offsets[fitted], slopes[fitted] = make_planes(
-            normals[fitted], offsets[fitted]
+            normals_fit, offsets[fitted]
         )
     return CellPlanes(normals, offsets, slopes, fitted, sampled, inliers)
 
@@ -578,7 +580,7 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         draws = splitmix_uniforms(np.repeat(keys[active], block), np.arange(len(shift)) - shift)
         done += m
         trip = _three_smallest(draws, lengths, row_start) + row_base[:, None]
-        a, b, c = q[trip[:, 0]], q[trip[:, 1]], q[trip[:, 2]]
+        a, b, c = (np.take(q, trip[:, t], axis=0) for t in range(3))
         d1 = b - a
         d2 = c - a
         normals = np.empty_like(d1)
@@ -587,12 +589,13 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         normals[:, 2] = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
         valid = norms > _DEGENERATE_CROSS
-        normals[valid] /= norms[valid, None]
+        np.divide(normals, norms[:, None], out=normals, where=valid[:, None])
         offsets = -np.einsum("ij,ij->i", normals, a)
 
         row = np.repeat(np.arange(len(lengths)), lengths)
         at = np.arange(len(draws)) - np.repeat(row_start - row_base, lengths)
-        near = _plane_distance(q[at], normals[row], offsets[row]) <= threshold
+        dist = _plane_distance(np.take(q, at, axis=0), np.take(normals, row, axis=0), offsets[row])
+        near = dist <= threshold
         score = np.add.reduceat(near, row_start, dtype=np.int64).reshape(-1, m)
         score[~valid.reshape(-1, m)] = -1
 
@@ -608,17 +611,18 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         cells = active[better]
         rows = np.flatnonzero(better) * m + win[better]
         best_count[cells] = win_score[better]
-        best_n[cells] = normals[rows]
+        best_n[cells] = np.take(normals, rows, axis=0)
         best_off[cells] = offsets[rows]
         active = active[~stop]
 
     fitted = best_count >= 0
-    inliers = fitted[cell] & (_plane_distance(q, best_n[cell], best_off[cell]) <= threshold)
+    near = _plane_distance(q, np.take(best_n, cell, axis=0), best_off[cell]) <= threshold
+    inliers = fitted[cell] & near
     counts_in = np.add.reduceat(inliers, starts, dtype=np.int64)
     refit = counts_in >= 3
     if refit.any():
         counts_in = counts_in[refit]
-        q_in = q[inliers & refit[cell]]
+        q_in = np.compress(inliers & refit[cell], q, axis=0)
         starts_in = np.cumsum(counts_in) - counts_in
         mean = np.add.reduceat(q_in, starts_in, axis=0) / counts_in[:, None]
         smallest = sorted_eigen(segment_covariance(q_in, counts_in, mean))[1][:, :, 2]
@@ -626,9 +630,9 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         refit_off = np.zeros(k)
         refit_n[refit] = smallest
         refit_off[refit] = -np.einsum("ij,ij->i", smallest, mean)
-        refit_in = _plane_distance(q, refit_n[cell], refit_off[cell]) <= threshold
+        refit_in = _plane_distance(q, np.take(refit_n, cell, axis=0), refit_off[cell]) <= threshold
         keep = refit & (np.bincount(cell, weights=refit_in, minlength=k) >= best_count)
-        best_n[keep] = refit_n[keep]
+        np.copyto(best_n, refit_n, where=keep[:, None])
         best_off[keep] = refit_off[keep]
         inliers = np.where(keep[cell], refit_in, inliers)
     best_n[~fitted] = np.nan

@@ -197,7 +197,7 @@ def classify_cells(
         # every cell's covariance costs less than gathering the points of
         # the eligible ones, which hold nearly all points
         C = segment_covariance(pts, counts, grid.centroids)
-        lam[eligible], vec[eligible] = sorted_eigen(C[eligible])
+        lam[eligible], vec[eligible] = sorted_eigen(np.compress(eligible, C, axis=0))
     kinds = eigen_kinds(lam, geometry)
     t1 = time.perf_counter()
     line = kinds == CellKind.LINE
@@ -205,18 +205,20 @@ def classify_cells(
     planar = np.flatnonzero(is_planar)
     in_planar = np.repeat(is_planar, counts)
     fit = ransac_cells(
-        pts[in_planar],
+        np.compress(in_planar, pts, axis=0),
         counts[planar],
-        cell_keys(global_seed, phase, grid.cells[planar]),
-        grid.centroids[planar],
-        eigenplane_normals(lam[planar], vec[planar]),
+        cell_keys(global_seed, phase, np.take(grid.cells, planar, axis=0)),
+        np.take(grid.centroids, planar, axis=0),
+        eigenplane_normals(np.take(lam, planar, axis=0), np.take(vec, planar, axis=0)),
         geometry.inlier_threshold,
         geometry.ransac_iterations,
     )
     kinds[planar[~fit.fitted]] = CellKind.NON_PLANAR
 
     tentative = np.zeros(k, dtype=bool)
-    tentative[line] = line_tentative(vec[line, :, 0], geometry.slope_threshold_deg)
+    tentative[line] = line_tentative(
+        np.compress(line, vec[:, :, 0], axis=0), geometry.slope_threshold_deg
+    )
     tentative[planar] = fit.fitted & plane_tentative(fit.slopes, geometry.slope_threshold_deg)
     obstacle = line & ~tentative
     grid.kind[:] = kinds
@@ -270,7 +272,7 @@ def run_phase(
             np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), stats
         )
 
-    pts = all_points[ids]
+    pts = np.take(all_points, ids, axis=0)
     t = time.perf_counter()
     grid = build_grid(pts, cfg.cellsize)
     stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
@@ -285,7 +287,7 @@ def run_phase(
         t1 = time.perf_counter()
         expansion = replace(cfg.expansion, phase=phase)
         ground_local, _ = expand(
-            grid, pts, index, seed, cfg.geometry, expansion, log=log, route_counts=stats.routes
+            grid, index, seed, cfg.geometry, expansion, log=log, route_counts=stats.routes
         )
         stats.stages_ms["index"] = (t1 - t) * 1000.0
         stats.stages_ms["expand"] = (time.perf_counter() - t1) * 1000.0
@@ -331,7 +333,7 @@ def segment(
     if stats.n_nonfinite == n:
         return SegmentationResult(mask=mask, stats=stats)
     if stats.n_nonfinite:
-        cloud = PointCloud(points=cloud.points[finite])
+        cloud = PointCloud(points=np.compress(finite, cloud.points, axis=0))
 
     seeded, seed_info = inject_synthetic_seed(
         cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing

@@ -115,7 +115,7 @@ def build_centroid_index(grid: VoxelGrid, cells: np.ndarray) -> CentroidIndex:
     """Index the centroids of the given grid rows (the tentative ground
     cells, ascending, for expansion)."""
     cells = np.asarray(cells, dtype=np.int64)
-    return CentroidIndex(cells, grid.centroids[cells])
+    return CentroidIndex(cells, np.take(grid.centroids, cells, axis=0))
 
 
 def select_seed(grid: VoxelGrid, seed_info: SyntheticSeedInfo | None) -> CellIndex:
@@ -128,13 +128,26 @@ def select_seed(grid: VoxelGrid, seed_info: SyntheticSeedInfo | None) -> CellInd
     return idx
 
 
-def _cell_height(grid: VoxelGrid, points: np.ndarray, c: int) -> float:
-    """Height of cell c: mean z of its ground inliers, else centroid z."""
-    span = grid.span(c)
-    inliers = grid.order[span][grid.inliers[span]]
-    if len(inliers):
-        return float(points[inliers, 2].mean())
-    return float(grid.centroids[c, 2])
+def cell_heights(grid: VoxelGrid, rows: np.ndarray) -> np.ndarray:
+    """Height of each grid row in ``rows``: the mean z of its ground
+    inliers, else (no inliers, or no plane fit) its centroid z.
+
+    Each mean is summed as ``ndarray.mean`` sums the row's inlier z in
+    canonical order, so it is the same to the bit: all rows are one
+    ``reduceat`` over their inlier z with a 0 ahead of each row, and a
+    ``reduceat`` segment adds the pairwise sum of the rest of its values to
+    its first one, as ``mean`` adds the pairwise sum of its values to 0.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    heights = grid.centroids[rows, 2]
+    counts = grid.counts[rows]
+    at = _ranges(grid.offsets[rows], counts)
+    inl = np.take(grid.inliers, at)
+    n_in = np.add.reduceat(inl, np.cumsum(counts) - counts, dtype=np.int64)
+    z = np.compress(inl, np.take(grid.points[:, 2], at))
+    lead = np.cumsum(n_in) - n_in  # where each row's inliers start in z
+    sums = np.add.reduceat(np.insert(z, lead, 0.0), lead + np.arange(len(rows)))
+    return np.divide(sums, n_in, out=heights, where=n_in > 0)
 
 
 def refine_reasons(
@@ -172,7 +185,6 @@ def refine_reasons(
 def refine_cell(
     cell: int,
     grid: VoxelGrid,
-    points: np.ndarray,
     neighbor_ground_cells: list[int],
     geometry: GeometryParams,
     expansion: ExpansionParams,
@@ -185,17 +197,17 @@ def refine_cell(
     """
     fitted = bool(grid.fitted[cell])
     span = grid.span(cell)
-    ids, inl = grid.order[span], grid.inliers[span]
+    pts, inl = grid.points[span], grid.inliers[span]
     n_in = int(inl.sum()) if fitted else 0
-    n_out = len(ids) - n_in if fitted else 0
+    n_out = len(pts) - n_in if fitted else 0
     s_in = s_out = Sparsity.LOW
     rise = math.nan
     if n_in and n_out:
-        s_in = bbox_sparsity(points[ids[inl]], geometry)
-        s_out = bbox_sparsity(points[ids[~inl]], geometry)
-        heights = [_cell_height(grid, points, k) for k in neighbor_ground_cells]
-        if heights:
-            rise = _cell_height(grid, points, cell) - min(heights)
+        s_in = bbox_sparsity(pts[inl], geometry)
+        s_out = bbox_sparsity(pts[~inl], geometry)
+        if len(neighbor_ground_cells):
+            heights = cell_heights(grid, np.array([cell, *neighbor_ground_cells]))
+            rise = heights[0] - heights[1:].min()
     below = occupied_below(grid)[cell]
     below_non_ground = below >= 0 and grid.state[below] in _NON_GROUND_STATES
     reason = int(
@@ -257,7 +269,6 @@ def _breadth_first(indptr: np.ndarray, indices: np.ndarray, source: int):
 
 def expand(
     grid: VoxelGrid,
-    points: np.ndarray,
     index: CentroidIndex,
     seed: CellIndex,
     geometry: GeometryParams,
@@ -279,10 +290,11 @@ def expand(
     queued or was routed ground.  Final states land in ``grid.state``:
     GROUND or NON_GROUND for dequeued cells, unreached ones stay TENTATIVE.
 
-    Returns sorted id arrays (ground, non-ground) covering exactly the cells
-    that were dequeued; points of unreached cells belong to neither.  A
-    given ``log`` receives the admission edges and routes in dequeue order,
-    a given ``route_counts`` the number of cells per reason in ``REASONS``.
+    Returns sorted id arrays (ground, non-ground) of positions in the cloud
+    the grid was built from, covering exactly the cells that were dequeued;
+    points of unreached cells belong to neither.  A given ``log`` receives
+    the admission edges and routes in dequeue order, a given
+    ``route_counts`` the number of cells per reason in ``REASONS``.
     """
     seed_row = grid.find(seed)
     if seed_row < 0 or grid.state[seed_row] != GroundState.TENTATIVE:
@@ -321,21 +333,23 @@ def expand(
     admitted_at[s] = -1
     cells = ids[order]  # grid rows in dequeue order
 
-    counts = grid.counts[cells]
-    fitted = grid.fitted[cells]
-    at = _ranges(grid.offsets[cells], counts)  # their points, cell by cell
-    inl = grid.inliers[at]
-    n_in = np.where(fitted, np.add.reduceat(inl, np.cumsum(counts) - counts, dtype=np.int64), 0)
+    # refinement inputs per grid row, read in the grid's canonical point order
+    k, counts, inliers = len(grid.cells), grid.counts, grid.inliers
+    reached = np.zeros(k, dtype=bool)
+    reached[cells] = True
+    fitted = grid.fitted
+    n_in = np.where(fitted, np.add.reduceat(inliers, grid.offsets[:-1], dtype=np.int64), 0)
     n_out = np.where(fitted, counts - n_in, 0)
-    s_in, s_out = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    both = (n_in > 0) & (n_out > 0)
-    if both.any():
-        split = np.repeat(both, counts)
-        s_in[both] = segment_sparsity(points[grid.order[at[split & inl]]], n_in[both], geometry)
-        s_out[both] = segment_sparsity(points[grid.order[at[split & ~inl]]], n_out[both], geometry)
-    reasons = refine_reasons(
-        fitted, n_in, n_out, s_in, s_out, np.full(m, np.nan), np.zeros(m, bool), expansion
-    )
+    s_in, s_out = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    split = reached & (n_in > 0) & (n_out > 0)
+    if split.any():
+        in_split = np.repeat(split, counts)
+        pts_in = np.compress(in_split & inliers, grid.points, axis=0)
+        pts_out = np.compress(in_split & ~inliers, grid.points, axis=0)
+        s_in[split] = segment_sparsity(pts_in, n_in[split], geometry)
+        s_out[split] = segment_sparsity(pts_out, n_out[split], geometry)
+    inputs = [x[cells] for x in (fitted, n_in, n_out, s_in, s_out)]  # in dequeue order
+    reasons = refine_reasons(*inputs, np.full(m, np.nan), np.zeros(m, bool), expansion)
     ground = np.append(_ROUTES_GROUND[reasons], False)  # one slot for unreached cells
 
     # ambiguous cells, one at a time in dequeue order: a neighbor is ground
@@ -346,25 +360,23 @@ def expand(
     if len(ambiguous):
         below = occupied_below(grid)[cells[ambiguous]]
         below_fixed = (below >= 0) & np.isin(grid.state[below], _NON_GROUND_STATES)
-        row_rank = np.full(len(grid.cells) + 1, m)  # row -1 (no cell below) is unreached
+        row_rank = np.full(k + 1, m)  # row -1 (no cell below) is unreached
         row_rank[cells] = np.arange(m)
         below_rank = row_rank[below]
-    heights: dict[int, float] = {}
+        # heights, by index position, of the ambiguous cells and their neighbors
+        amb = order[ambiguous]
+        need = np.union1d(amb, indices[_ranges(indptr[amb], indptr[amb + 1] - indptr[amb])])
+        height = np.zeros(n)
+        height[need] = cell_heights(grid, ids[need])
     for a, t in enumerate(ambiguous.tolist()):
-        nb = indices[indptr[order[t]] : indptr[order[t] + 1]]
+        i = order[t]
+        nb = indices[indptr[i] : indptr[i + 1]]
         r = rank[nb]
-        seen = r[(admitted_at[nb] <= t) & ((r > t) | ground[r])].tolist()
-        for k in seen:
-            if k not in heights:
-                heights[k] = _cell_height(grid, points, cells[k])
-        rise = math.nan
-        if seen:
-            rise = _cell_height(grid, points, cells[t]) - min(heights[k] for k in seen)
+        seen = nb[(admitted_at[nb] <= t) & ((r > t) | ground[r])]
+        rise = height[i] - height[seen].min() if len(seen) else math.nan
         b = below_rank[a]
         below_non_ground = below_fixed[a] or (b < t and not ground[b])
-        reasons[t] = refine_reasons(
-            fitted[t], n_in[t], n_out[t], s_in[t], s_out[t], rise, below_non_ground, expansion
-        )
+        reasons[t] = refine_reasons(*(x[t] for x in inputs), rise, below_non_ground, expansion)
         ground[t] = _ROUTES_GROUND[reasons[t]]
     ground = ground[:m]
 
@@ -389,13 +401,17 @@ def expand(
     if route_counts is not None:
         route_counts.update(zip(REASONS, np.bincount(reasons, minlength=len(REASONS)).tolist()))
 
-    to_ground = np.repeat(ground, counts) & inl
-    ground_ids = np.flatnonzero(id_mask(grid.order[at[to_ground]], len(points)))
-    return ground_ids, np.flatnonzero(id_mask(grid.order[at[~to_ground]], len(points)))
+    to_ground = np.zeros(k, dtype=bool)
+    to_ground[cells] = ground
+    to_ground = np.repeat(to_ground, counts) & inliers
+    rest = np.repeat(reached, counts) & ~to_ground
+    n_ids = len(grid.order)
+    ground_ids = np.flatnonzero(id_mask(np.compress(to_ground, grid.order), n_ids))
+    return ground_ids, np.flatnonzero(id_mask(np.compress(rest, grid.order), n_ids))
 
 
 def _cell_indices(grid: VoxelGrid, rows: np.ndarray) -> list[CellIndex]:
-    return list(zip(*grid.cells[rows].T.tolist()))
+    return list(zip(*np.take(grid.cells, rows, axis=0).T.tolist()))
 
 
 def id_mask(ids: np.ndarray, n: int) -> np.ndarray:

@@ -136,7 +136,7 @@ def _canonical_order(pts: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.
     span = [int(c.max()) - lo + 1 for c, lo in zip((ix, iy, iz), low)]
     if math.prod(span) * n >= _KEY_LIMIT:
         order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], iz, iy, ix))
-        skeys = keys[order]
+        skeys = np.take(keys, order, axis=0)
         first[1:] = np.any(skeys[1:] != skeys[:-1], axis=1)
         return order, first
     code = ((ix - low[0]) * span[1] + (iy - low[1])) * span[2] + (iz - low[2])
@@ -145,7 +145,7 @@ def _canonical_order(pts: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.
     order = np.argsort(code * n + x_rank)
     scode = code[order]
     first[1:] = scode[1:] != scode[:-1]
-    sx = pts[order, 0]
+    sx = np.take(pts[:, 0], order)
     tie = ~first[1:] & (sx[1:] == sx[:-1])
     if tie.any():
         run = np.cumsum(np.concatenate(([True], ~tie)))
@@ -169,13 +169,13 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
     starts = np.flatnonzero(first)
     offsets = np.append(starts, len(pts))
     k = len(starts)
-    ordered = pts[order]
+    ordered = np.take(pts, order, axis=0)
     centroids = np.zeros((k, 3))
     if k:
         centroids = np.add.reduceat(ordered, starts, axis=0) / np.diff(offsets)[:, None]
     return VoxelGrid(
         cellsize=cellsize,
-        cells=keys[order[starts]],
+        cells=np.take(keys, order[starts], axis=0),
         offsets=offsets,
         order=order,
         points=ordered,

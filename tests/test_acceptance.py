@@ -197,7 +197,7 @@ def test_criterion_06_expansion_oracle():
             log = ExpansionLog()
             params = ExpansionParams(phase=phase)
             ground, _ = expand(
-                grid, pts, index, select_seed(grid, info), GeometryParams(), params, log=log
+                grid, index, select_seed(grid, info), GeometryParams(), params, log=log
             )
             per_index.append(ground)
             if phase == 2:

@@ -11,6 +11,7 @@ states.  They run on per-cell records that ``_records`` builds from a grid's
 arrays, as the cell objects of the former grid held them.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -183,7 +184,7 @@ def _expand_both(make_grid, points, seed, expansion):
             states = [(idx, c.ground_state) for idx, c in cells.items()]
         else:
             index = build_centroid_index(grid, tentative)
-            ground, nonground = expand(grid, points, index, seed, GEO, expansion, log=log)
+            ground, nonground = expand(grid, index, seed, GEO, expansion, log=log)
             states = [(tuple(k), GroundState(v)) for k, v in zip(grid.cells.tolist(), grid.state)]
         outcomes.append((ground, nonground, log, states))
     (g0, n0, log0, s0), (g1, n1, log1, s1) = outcomes
@@ -218,7 +219,7 @@ def _compare_scene(spec):
         with pytest.raises(ContractViolationError):
             _reference_expand(_records(grid), pts, None, seed, GEO, CFG.phase1.expansion)
         with pytest.raises(ContractViolationError):
-            expand(grid, pts, build_centroid_index(grid, []), seed, GEO, CFG.phase1.expansion)
+            expand(grid, build_centroid_index(grid, []), seed, GEO, CFG.phase1.expansion)
         return []
     logs = [_expand_both(phase1, pts, seed, ExpansionParams(phase=1))]
 
@@ -233,6 +234,21 @@ def _compare_scene(spec):
     return logs
 
 
+def _boxed_spec(extent, n_ground, n_boxes, seed):
+    """A scene with boxes placed as the benchmark's uniform scans place
+    them: random footprints kept 6 m clear of the sensor."""
+    rng = np.random.default_rng(seed)
+    half = extent / 2 - 3.0
+    boxes = []
+    while len(boxes) < n_boxes:
+        cx, cy = rng.uniform(-half, half, 2)
+        if math.hypot(cx, cy) < 6.0:
+            continue
+        sx, sy = rng.uniform(1.0, 2.5, 2)
+        boxes.append(gs.BoxSpec(cx, cy, sx, sy, rng.uniform(0.8, 2.0)))
+    return gs.SceneSpec(extent=extent, n_ground=n_ground, boxes=tuple(boxes), seed=seed)
+
+
 SCENES = {
     "boxes": gs.SceneSpec(
         extent=24.0,
@@ -241,7 +257,11 @@ SCENES = {
         seed=21,
     ),
     "slope-12": gs.SceneSpec(extent=24.0, n_ground=8000, slope_deg=12.0, seed=22),
+    "boxes-12": _boxed_spec(extent=30.0, n_ground=20000, n_boxes=12, seed=3),
 }
+# fewest Phase-I cells a scene must refine as ambiguous, one at a time in
+# dequeue order, so that it keeps covering that loop
+AMBIGUOUS_FLOOR = {"boxes-12": 20}
 
 
 @pytest.mark.parametrize("name", SCENES)
@@ -249,11 +269,15 @@ def test_expand_matches_reference_on_both_phases(name):
     logs = _compare_scene(SCENES[name])
     assert len(logs) == 2
     assert all(log.routes for log in logs)
+    ambiguous = [r for _, _, r in logs[0].routes if r.startswith("ambiguous")]
+    assert len(ambiguous) >= AMBIGUOUS_FLOOR.get(name, 0)
 
 
 def _reference_segment(monkeypatch, cloud):
-    def reference(grid, points, index, seed, geometry, expansion, log=None, route_counts=None):
+    def reference(grid, index, seed, geometry, expansion, log=None, route_counts=None):
         log = ExpansionLog() if log is None else log
+        points = np.empty_like(grid.points)
+        points[grid.order] = grid.points  # the cloud the grid was built from
         cells = _records(grid)
         keys = list(map(tuple, grid.cells[index.cell_ids].tolist()))
         out = _reference_expand(

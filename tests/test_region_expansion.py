@@ -15,6 +15,7 @@ from gridseg.region_expansion import (
     ExpansionLog,
     ExpansionParams,
     build_centroid_index,
+    cell_heights,
     expand,
     refine_cell,
     select_seed,
@@ -165,6 +166,54 @@ def _fit_cell(grid, idx, plane, inlier_ids):
     return c
 
 
+class TestCellHeights:
+    """A cell's height is the mean z of its inliers, summed as ``mean`` sums."""
+
+    @staticmethod
+    def _grid(rng, inlier_counts):
+        # cell c spans x in [c, c + 1) and holds inlier_counts[c] inliers
+        # among twice as many points, at z far enough apart to round
+        n = 2 * np.asarray(inlier_counts)
+        points = np.column_stack(
+            [
+                np.repeat(np.arange(len(n)), n) + rng.uniform(0, 1, n.sum()),
+                rng.uniform(0, 1, n.sum()),
+                rng.normal(-1.7, 0.3, n.sum()),
+            ]
+        )
+        grid = build_grid(points, CellSize(1.0, 1.0, 10.0))
+        grid.slopes[:] = 0.0
+        for c, k in enumerate(inlier_counts):
+            span = grid.span(c)
+            grid.inliers[span] = rng.permutation(2 * k) < k
+        return points, grid
+
+    def _check_means(self, rng, inlier_counts):
+        points, grid = self._grid(rng, inlier_counts)
+        rows = np.arange(len(inlier_counts))[::-1]
+        want = [
+            points[grid.order[grid.span(c)][grid.inliers[grid.span(c)]], 2].mean() for c in rows
+        ]
+        assert cell_heights(grid, rows).tolist() == want
+
+    def test_fitted_cell_without_inliers_takes_centroid_z(self, rng):
+        _, grid = self._grid(rng, [4, 5, 6])
+        grid.inliers[grid.span(1)] = False
+        heights = cell_heights(grid, [0, 1, 2])
+        assert heights[1] == grid.centroids[1, 2]
+        assert heights[0] != grid.centroids[0, 2] and heights[2] != grid.centroids[2, 2]
+        assert len(cell_heights(grid, [])) == 0
+
+    def test_up_to_eight_inliers_equal_mean(self, rng):
+        for _ in range(20):
+            self._check_means(rng, list(range(1, 9)))
+
+    def test_more_inliers_equal_mean(self, rng):
+        # numpy's pairwise summation changes its grouping at 8 and 128
+        # values; the heights keep to it to the bit
+        self._check_means(rng, [9, 15, 16, 17, 100, 128, 129, 257, 1000, 5000])
+
+
 class TestRefineCell:
     """Branch coverage for the five-step refinement on hand-built cells."""
 
@@ -186,7 +235,7 @@ class TestRefineCell:
         c = self.grid.find((0, 0, 0))
         if inlier_ids is not None:
             _fit_cell(self.grid, (0, 0, 0), self.plane, inlier_ids)
-        return refine_cell(c, self.grid, self.points, neighbors, GEO, self.exp)
+        return refine_cell(c, self.grid, neighbors, GEO, self.exp)
 
     def test_unambiguous_routes_ground(self):
         ok, reason = self._refine(inlier_ids=range(100))
@@ -241,7 +290,7 @@ class TestRefineCell:
         cell = _fit_cell(grid, (0, 0, 1), self.plane, range(50))
         grid.state[cell] = GroundState.TENTATIVE
         nb = grid.find((5, 0, 1))
-        ok, reason = refine_cell(cell, grid, pts, [nb], GEO, ExpansionParams(phase=1))
+        ok, reason = refine_cell(cell, grid, [nb], GEO, ExpansionParams(phase=1))
         assert not ok and "below" in reason
 
 
@@ -252,7 +301,7 @@ class TestExpand:
         index = _tentative_index(grid)
         seed = select_seed(grid, info)
         ground, nonground = expand(
-            grid, pts, index, seed, GEO, ExpansionParams(phase=1)
+            grid, index, seed, GEO, ExpansionParams(phase=1)
         )
         assert len(ground) + len(nonground) == len(pts)
         assert len(nonground) == 0
@@ -272,7 +321,7 @@ class TestExpand:
         assert gap > 5.0
         index = build_centroid_index(grid, tentative)
         seed = cell_index((1.0, 1.0, 0.0), grid.cellsize)
-        ground, _ = expand(grid, pts, index, seed, GEO, ExpansionParams(search_radius=5.0, phase=1))
+        ground, _ = expand(grid, index, seed, GEO, ExpansionParams(search_radius=5.0, phase=1))
         far_ids = set(range(200, 400))
         assert far_ids.isdisjoint(ground.tolist())
 
@@ -283,7 +332,7 @@ class TestExpand:
         grid.state[grid.find(seed)] = GroundState.NON_GROUND
         index = build_centroid_index(grid, [])
         with pytest.raises(ContractViolationError):
-            expand(grid, pts, index, seed, GEO, ExpansionParams(phase=1))
+            expand(grid, index, seed, GEO, ExpansionParams(phase=1))
 
     def test_index_out_of_cell_order_rejected(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=6.0, n=600)
@@ -291,7 +340,7 @@ class TestExpand:
         tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
         index = build_centroid_index(grid, tentative[::-1])
         with pytest.raises(ContractViolationError, match="ascending"):
-            expand(grid, pts, index, select_seed(grid, info), GEO, ExpansionParams(phase=1))
+            expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(phase=1))
 
     def test_index_with_non_tentative_cell_rejected(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=6.0, n=600)
@@ -301,7 +350,7 @@ class TestExpand:
         grid.state[other] = GroundState.OBSTACLE
         index = build_centroid_index(grid, np.arange(len(grid.cells)))
         with pytest.raises(ContractViolationError, match="must be tentative"):
-            expand(grid, pts, index, seed, GEO, ExpansionParams(phase=1))
+            expand(grid, index, seed, GEO, ExpansionParams(phase=1))
         assert grid.state[other] == GroundState.OBSTACLE
 
     def test_flat_plane_fully_expanded_matches_flood_fill(self, rng, brute_index_cls):
@@ -312,7 +361,7 @@ class TestExpand:
         seed = select_seed(grid, info)
         log = ExpansionLog()
         params = ExpansionParams(search_radius=5.0, phase=1)
-        ground, _ = expand(grid, pts, index, seed, GEO, params, log=log)
+        ground, _ = expand(grid, index, seed, GEO, params, log=log)
 
         # connectivity oracle: flood fill over the brute-force r-neighborhood graph
         centroids = grid.centroids[tentative]
@@ -346,7 +395,7 @@ class TestExpand:
             else:
                 index = index_cls(tentative, grid.centroids[tentative])
             seed = select_seed(grid, info)
-            ground, _ = expand(grid, pts, index, seed, GEO, ExpansionParams(phase=2))
+            ground, _ = expand(grid, index, seed, GEO, ExpansionParams(phase=2))
             results.append(ground)
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -357,7 +406,7 @@ class TestExpand:
         seed = select_seed(grid, info)
         log = ExpansionLog()
         params = ExpansionParams(phase=2)
-        expand(grid, pts, index, seed, GEO, params, log=log)
+        expand(grid, index, seed, GEO, params, log=log)
         assert log.edges, "expansion should traverse at least one edge"
         for _, _, dz in log.edges:
             assert dz <= params.height_gate
@@ -369,7 +418,7 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         index = _tentative_index(grid)
         log = ExpansionLog()
-        expand(grid, pts, index, select_seed(grid, info), GEO, ExpansionParams(phase=1), log=log)
+        expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(phase=1), log=log)
         routed = [idx for idx, _, _ in log.routes]
         assert len(routed) == len(set(routed))
         assert len(routed) <= len(grid.cells)
@@ -392,7 +441,7 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         index = _tentative_index(grid)
         log = ExpansionLog()
-        expand(grid, pts, index, select_seed(grid, info), GEO, ExpansionParams(phase=1), log=log)
+        expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(phase=1), log=log)
 
         ambiguous_ground = {
             idx for idx, route, reason in log.routes
@@ -416,7 +465,7 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         index = _tentative_index(grid)
         ground, nonground = expand(
-            grid, pts, index, select_seed(grid, info), GEO, ExpansionParams(phase=1)
+            grid, index, select_seed(grid, info), GEO, ExpansionParams(phase=1)
         )
         g, n = set(ground.tolist()), set(nonground.tolist())
         assert g.isdisjoint(n)
