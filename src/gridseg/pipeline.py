@@ -6,6 +6,14 @@ early; Phase II re-grids the points of cells Phase I routed to ground
 classification and expansion with the additional per-neighbor height gate.
 The final ground set is Phase II's output, mapped back to the original point
 order with the synthetic seed points stripped.
+
+Phase II inherits what Phase I already computed.  A Phase-I ground cell
+whose points all fall in one fine slab, shared with no other Phase-I cell
+of its column, and whose plane fit finished on the eigenplane, is the
+Phase-II cell of that slab: the same points in the same canonical order,
+so the same centroid, kind, plane and inliers to the bit.  Phase II takes
+those cells over and grids and classifies only the other points; the two
+parts merge into one canonical grid, equal to a grid built from scratch.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from .region_expansion import (
     id_mask,
     select_seed,
 )
-from .voxel_grid import CellKind, CellSize, GroundState, VoxelGrid, build_grid
+from .voxel_grid import CellKind, CellSize, GroundState, VoxelGrid, build_grid, merge_grids
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,9 @@ STAGES = ("grid", "eigen", "plane_fit", "index", "expand")
 class PhaseStats:
     n_points: int = 0
     n_cells: int = 0
+    # cells taken over unchanged from the previous phase's grid (always 0
+    # in Phase I); they are counted in n_cells and the counts below
+    cells_inherited: int = 0
     cells_line: int = 0
     cells_planar: int = 0
     cells_non_planar: int = 0
@@ -115,8 +126,9 @@ class PhaseStats:
     plane_fits: dict[str, int] = field(
         default_factory=lambda: {"eigenplane": 0, "ransac": 0, "failed": 0}
     )
-    # wall milliseconds per stage of the phase: grid build, eigen
-    # classification, plane fits (with the tentative gating), centroid
+    # wall milliseconds per stage of the phase: grid build (with the
+    # inherited cells and the merge), eigen classification and plane fits
+    # (with the tentative gating) of the cells not inherited, centroid
     # index, expansion; they add up to at most runtime_ms
     stages_ms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     runtime_ms: float = 0.0
@@ -159,6 +171,12 @@ class PhaseResult:
     nonground_ids: np.ndarray
     ground_cell_point_ids: np.ndarray
     stats: PhaseStats
+    # the phase's grid after expansion, its point ids as positions in
+    # ``ids`` and its geometry, for the next phase to inherit cells from;
+    # the next phase drops ``grid`` once merged
+    grid: VoxelGrid | None = None
+    ids: np.ndarray | None = None
+    geometry: GeometryParams | None = None
 
 
 def classify_cells(
@@ -179,13 +197,12 @@ def classify_cells(
     and cell index, so runs are reproducible and independent of which other
     cells exist.  Cells too small for a covariance rank test are
     non-planar, hence non-ground candidates; so are planar cells whose fit
-    fails.  With ``stats``, the time of the eigen step (covariance, eigen
-    decomposition, kinds) and of the plane-fit step lands in its
+    fails.  ``grid.sampled`` records which plane fits drew sampled
+    candidates.  With ``stats``, the time of the eigen step (covariance,
+    eigen decomposition, kinds) and of the plane-fit step lands in its
     ``stages_ms``.
     """
     k = len(grid.cells)
-    if k == 0:
-        return
     t0 = time.perf_counter()
     counts = grid.counts
     pts = grid.points
@@ -231,23 +248,85 @@ def classify_cells(
     grid.normals[planar] = fit.normals
     grid.plane_offsets[planar] = fit.offsets
     grid.slopes[planar] = fit.slopes
+    grid.sampled[:] = False
+    grid.sampled[planar] = fit.sampled
     grid.inliers[:] = False
     grid.inliers[in_planar] = fit.inliers
 
     if stats is not None:
         stats.stages_ms["eigen"] = (t1 - t0) * 1000.0
         stats.stages_ms["plane_fit"] = (time.perf_counter() - t1) * 1000.0
-        stats.n_cells = k
-        stats.cells_line = int(line.sum())
-        stats.cells_planar = int(fit.fitted.sum())
-        stats.cells_non_planar = k - stats.cells_line - stats.cells_planar
-        stats.cells_tentative = int(tentative.sum())
-        stats.cells_obstacle = int(obstacle.sum())
-        stats.plane_fits = {
-            "eigenplane": int((fit.fitted & ~fit.sampled).sum()),
-            "ransac": int((fit.fitted & fit.sampled).sum()),
-            "failed": int((~fit.fitted).sum()),
-        }
+
+
+def _count_cells(grid: VoxelGrid, stats: PhaseStats) -> None:
+    """Cell counts of a classified grid, before expansion."""
+    fitted = grid.fitted
+    stats.n_cells = len(grid.cells)
+    stats.cells_line = int(np.count_nonzero(grid.kind == CellKind.LINE))
+    stats.cells_planar = int(fitted.sum())
+    stats.cells_non_planar = stats.n_cells - stats.cells_line - stats.cells_planar
+    stats.cells_tentative = int(np.count_nonzero(grid.state == GroundState.TENTATIVE))
+    stats.cells_obstacle = int(np.count_nonzero(grid.state == GroundState.OBSTACLE))
+    # an eigen-planar cell holds 3 or more points, so a failed fit drew samples
+    stats.plane_fits = {
+        "eigenplane": int((fitted & ~grid.sampled).sum()),
+        "ransac": int((fitted & grid.sampled).sum()),
+        "failed": int((grid.sampled & ~fitted).sum()),
+    }
+
+
+def _inheritable(
+    parent: PhaseResult | None, cfg: PhaseConfig, ids: np.ndarray, n_all: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of the previous phase's grid that this phase's grid holds unchanged.
+
+    A parent cell qualifies when the parent routed it ground (it was a
+    fitted, tentative cell), all its points are in ``ids``, they fall in
+    one slab of this phase's cell height that no other parent cell of the
+    column reaches with a point in ``ids``, and its plane fit finished on
+    the eigenplane (sampled candidates are keyed by phase).  Its points
+    then form exactly one cell here, in the same canonical order, since
+    both id arrays ascend.  Only grids of the same footprint and geometry
+    qualify.  Returns the parent rows, their cell indices in this phase,
+    and parallel to the parent's ``order`` each point's position in ``ids``
+    (-1 when absent).
+    """
+    none = np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64), np.empty(0, np.int64)
+    grid = None if parent is None else parent.grid
+    if (
+        grid is None
+        or parent.geometry != cfg.geometry
+        or (grid.cellsize.sx, grid.cellsize.sy) != (cfg.cellsize.sx, cfg.cellsize.sy)
+        or not (grid.state == GroundState.GROUND).any()
+    ):
+        return none
+    local = np.full(n_all, -1, dtype=np.int64)
+    local[ids] = np.arange(len(ids))
+    pos = np.take(local, np.take(parent.ids, grid.order))
+    here = pos >= 0
+    # the slab of every parent point, as build_grid bins it; per cell the
+    # lowest and highest slab of its points in this phase
+    slab = np.floor(grid.points[:, 2] / cfg.cellsize.sz)
+    starts = grid.offsets[:-1]
+    lo = np.minimum.reduceat(np.where(here, slab, np.inf), starts)
+    hi = np.maximum.reduceat(np.where(here, slab, -np.inf), starts)
+    # up a column both cell and slab ascend with z, so a cell can share a
+    # slab only with the nearest cells below and above that have points here
+    held = np.flatnonzero(lo <= hi)
+    column = np.take(grid.cells[:, :2], held, axis=0)
+    touch = (column[1:] == column[:-1]).all(axis=1) & (hi[held[:-1]] >= lo[held[1:]])
+    shared = np.zeros(len(grid.cells), dtype=bool)
+    shared[held[:-1][touch]] = shared[held[1:][touch]] = True
+    rows = np.flatnonzero(
+        (grid.state == GroundState.GROUND)
+        & ~grid.sampled
+        & (lo == hi)
+        & ~shared
+        & (np.add.reduceat(here, starts, dtype=np.int64) == grid.counts)
+    )
+    cells = np.take(grid.cells, rows, axis=0)
+    cells[:, 2] = np.take(lo, rows)
+    return rows, cells, pos
 
 
 def run_phase(
@@ -258,11 +337,21 @@ def run_phase(
     global_seed: int,
     seed_info: SyntheticSeedInfo,
     log: ExpansionLog | None = None,
+    parent: PhaseResult | None = None,
 ) -> PhaseResult:
     """Run grid build, classification, and expansion on a subset of points.
 
     ``ids`` index into ``all_points``; the returned id sets are global,
     disjoint, and together cover the subset.
+
+    ``parent`` is the previous phase's result; both phases take ascending
+    ids, as ``segment`` passes them.  The phase then takes over the parent
+    cells it would rebuild unchanged (``_inheritable``), with their state
+    reset to tentative.  It grids and classifies only its other points,
+    in ascending id order so exact duplicates tie as in a fresh grid, and
+    merges both parts into one canonical grid (``merge_grids``).  That
+    grid equals ``build_grid`` plus ``classify_cells`` on all the phase's
+    points, to the bit.  The parent's grid is dropped once merged.
     """
     t0 = time.perf_counter()
     stats = PhaseStats(n_points=len(ids))
@@ -272,11 +361,28 @@ def run_phase(
             np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), stats
         )
 
-    pts = np.take(all_points, ids, axis=0)
     t = time.perf_counter()
-    grid = build_grid(pts, cfg.cellsize)
-    stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
+    rows, cells, pos = _inheritable(parent, cfg, ids, len(all_points))
+    fresh_ids = ids
+    if len(rows):
+        inherited = np.repeat(id_mask(rows, len(parent.grid.cells)), parent.grid.counts)
+        taken = id_mask(np.compress(inherited, pos), len(ids))
+        others = np.flatnonzero(~taken)  # positions in ids of the points not inherited
+        fresh_ids = np.take(ids, others)
+    grid = build_grid(np.take(all_points, fresh_ids, axis=0), cfg.cellsize)
+    grid_ms = (time.perf_counter() - t) * 1000.0
     classify_cells(grid, cfg.geometry, phase, global_seed, stats)
+    t = time.perf_counter()
+    if len(rows):
+        fresh = (grid, np.arange(len(grid.cells)), grid.cells, np.take(others, grid.order))
+        grid = merge_grids(cfg.cellsize, [(parent.grid, rows, cells, pos), fresh])
+        # inherited cells were routed ground, fresh ones are not yet
+        grid.state[grid.state == GroundState.GROUND] = GroundState.TENTATIVE
+    if parent is not None:
+        parent.grid = None
+    stats.stages_ms["grid"] = grid_ms + (time.perf_counter() - t) * 1000.0
+    stats.cells_inherited = len(rows)
+    _count_cells(grid, stats)
 
     seed = select_seed(grid, seed_info)
     stats.seed_ok = bool(grid.state[grid.find(seed)] == GroundState.TENTATIVE)
@@ -304,7 +410,15 @@ def run_phase(
     stats.points_ground = int(ground.sum())
     stats.points_non_ground = int(rest.sum())
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return PhaseResult(np.flatnonzero(ground), np.flatnonzero(rest), np.flatnonzero(fwd), stats)
+    return PhaseResult(
+        np.flatnonzero(ground),
+        np.flatnonzero(rest),
+        np.flatnonzero(fwd),
+        stats,
+        grid,
+        ids,
+        cfg.geometry,
+    )
 
 
 def segment(
@@ -351,7 +465,7 @@ def segment(
     p2 = id_mask(r1.ground_cell_point_ids, len(pts))
     p2[len(cloud) :] = True
     p2_ids = np.flatnonzero(p2)
-    r2 = run_phase(p2_ids, pts, cfg.phase2, 2, cfg.global_seed, seed_info, log=log2)
+    r2 = run_phase(p2_ids, pts, cfg.phase2, 2, cfg.global_seed, seed_info, log=log2, parent=r1)
     stats.phase2 = r2.stats
 
     mask_full = np.zeros(len(pts), dtype=bool)

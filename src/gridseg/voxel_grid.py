@@ -65,8 +65,10 @@ class VoxelGrid:
     that order; covariances and plane fits are centred on it.
 
     A cell without a plane fit has NaN in ``normals``, ``plane_offsets``
-    and ``slopes``.  ``inliers`` runs parallel to ``order`` and flags the
-    points within the inlier threshold of their cell's plane.
+    and ``slopes``.  ``sampled`` flags the cells whose plane fit drew
+    sampled RANSAC candidates, i.e. did not finish on the eigenplane (a
+    failed fit always did).  ``inliers`` runs parallel to ``order`` and
+    flags the points within the inlier threshold of their cell's plane.
     """
 
     cellsize: CellSize
@@ -80,6 +82,7 @@ class VoxelGrid:
     normals: np.ndarray
     plane_offsets: np.ndarray
     slopes: np.ndarray
+    sampled: np.ndarray
     inliers: np.ndarray
 
     @property
@@ -185,7 +188,51 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
         normals=np.full((k, 3), np.nan),
         plane_offsets=np.full(k, np.nan),
         slopes=np.full(k, np.nan),
+        sampled=np.zeros(k, dtype=bool),
         inliers=np.zeros(len(pts), dtype=bool),
+    )
+
+
+def merge_grids(cellsize: CellSize, parts) -> VoxelGrid:
+    """One grid from the cells of several classified grids.
+
+    Each part is ``(grid, rows, cells, ids)``: the rows of ``grid`` to take,
+    their cell indices in the merged grid, and parallel to ``grid.order``
+    each point's id in the merged grid.  The cell indices must be distinct
+    across parts.  The merged cells are sorted by index; each keeps its
+    points in their order, its centroid, kind, state, plane, ``sampled``
+    flag and inlier flags.  Every per-point array comes by one ``np.take``
+    from the parts' arrays back to back.
+    """
+    cells = np.concatenate([c for _, _, c, _ in parts])
+    perm = np.lexsort(cells.T[::-1])
+    base = np.cumsum([0] + [len(g.order) for g, _, _, _ in parts])
+    counts = np.take(np.concatenate([g.counts[r] for g, r, _, _ in parts]), perm)
+    starts = np.concatenate([b + g.offsets[r] for b, (g, r, _, _) in zip(base, parts)])
+    offsets = np.append(0, np.cumsum(counts))
+    at = np.arange(offsets[-1]) + np.repeat(np.take(starts, perm) - offsets[:-1], counts)
+
+    def per_cell(name):
+        rows = np.concatenate([np.take(getattr(g, name), r, axis=0) for g, r, _, _ in parts])
+        return np.take(rows, perm, axis=0)
+
+    def per_point(arrays):
+        return np.take(np.concatenate(arrays), at, axis=0)
+
+    return VoxelGrid(
+        cellsize=cellsize,
+        cells=np.take(cells, perm, axis=0),
+        offsets=offsets,
+        order=per_point([ids for _, _, _, ids in parts]),
+        points=per_point([g.points for g, _, _, _ in parts]),
+        centroids=per_cell("centroids"),
+        kind=per_cell("kind"),
+        state=per_cell("state"),
+        normals=per_cell("normals"),
+        plane_offsets=per_cell("plane_offsets"),
+        slopes=per_cell("slopes"),
+        sampled=per_cell("sampled"),
+        inliers=per_point([g.inliers for g, _, _, _ in parts]),
     )
 
 

@@ -1,0 +1,154 @@
+"""Phase II's inherited grid against a Phase-II grid built from scratch.
+
+Phase II takes over every Phase-I cell it would rebuild unchanged and grids
+and classifies only the other points (``pipeline._inheritable``,
+``voxel_grid.merge_grids``).  The grid that ``segment`` hands to Phase II's
+expansion must equal ``build_grid`` plus ``classify_cells`` on the Phase-II
+points, array for array and byte for byte.  The count of inherited cells is
+checked against an oracle that sorts every Phase-I ground cell by the fine
+cells its points land in.
+"""
+
+import copy
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from test_expansion_exactness import SCENES
+
+import gridseg as gs
+from gridseg import pipeline
+from gridseg.cell_geometry import GeometryParams
+from gridseg.cloud_io import inject_synthetic_seed
+from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
+from gridseg.voxel_grid import CellSize, GroundState, build_grid
+
+CFG = make_default_config()
+ARRAYS = (
+    "cells",
+    "offsets",
+    "order",
+    "points",
+    "centroids",
+    "kind",
+    "state",
+    "normals",
+    "plane_offsets",
+    "slopes",
+    "sampled",
+    "inliers",
+)
+SCENES = {
+    **SCENES,
+    # ground at -1.52 m: its 0.2 m slab [-1.6, -1.4) straddles the 1.5 m
+    # cell boundary at -1.5 m, so column neighbours share slabs
+    "straddle": gs.SceneSpec(extent=30, n_ground=20000, ground_z=-1.52, noise_sigma=0.01, seed=3),
+    # noisy ground: some single-slab Phase-I ground cells drew RANSAC samples
+    "noisy": gs.SceneSpec(extent=24.0, n_ground=8000, noise_sigma=0.05, seed=11),
+}
+# the exclusion each scene must exercise at least once
+EXCLUDES = {"straddle": "shared", "noisy": "sampled"}
+
+
+def _segment_phase2_grid(monkeypatch, cloud, cfg):
+    """The Phase-II grid as ``segment`` hands it to expansion, and the stats."""
+    seen = {}
+    expand = pipeline.expand
+
+    def spy(grid, index, seed, geometry, expansion, **kwargs):
+        seen[expansion.phase] = copy.deepcopy(grid)
+        return expand(grid, index, seed, geometry, expansion, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "expand", spy)
+        stats = segment(cloud, cfg).stats
+    assert 2 in seen, "Phase II did not expand"
+    return seen[2], stats
+
+
+def _phase1(cloud, cfg):
+    """The seeded cloud's points and seed info, Phase I's result, and the
+    Phase-II point ids, as ``segment`` makes them."""
+    seeded, info = inject_synthetic_seed(
+        cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
+    )
+    pts = seeded.points
+    r1 = run_phase(np.arange(len(pts)), pts, cfg.phase1, 1, cfg.global_seed, info)
+    p2_ids = np.union1d(r1.ground_cell_point_ids, np.arange(len(pts) - info.count, len(pts)))
+    return pts, info, r1, p2_ids
+
+
+def _fresh(cloud, cfg):
+    """Phase I's expanded grid, the Phase-II point ids, and a Phase-II grid
+    built and classified from scratch on those points."""
+    pts, _, r1, p2_ids = _phase1(cloud, cfg)
+    grid = build_grid(pts[p2_ids], cfg.phase2.cellsize)
+    classify_cells(grid, cfg.phase2.geometry, 2, cfg.global_seed)
+    return r1.grid, p2_ids, grid
+
+
+def _assert_same_grid(got, want):
+    assert got.cellsize == want.cellsize
+    for name in ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _oracle(grid1, p2_ids, grid2):
+    """Phase-I ground cells by where their points land in the fresh grid:
+    in several fine cells, in one shared with other points, in one of their
+    own but after a sampled plane fit, or in one of their own (inheritable)."""
+    local = np.full(grid1.order.max() + 1, -1)
+    local[p2_ids] = np.arange(len(p2_ids))
+    row = np.empty(len(p2_ids), dtype=np.int64)
+    row[grid2.order] = np.repeat(np.arange(len(grid2.cells)), grid2.counts)
+    out = dict.fromkeys(("several", "shared", "sampled", "inherit"), 0)
+    for c in np.flatnonzero(grid1.state == GroundState.GROUND):
+        fine = np.unique(row[local[grid1.order[grid1.span(c)]]])
+        if len(fine) > 1:
+            out["several"] += 1
+        elif grid2.counts[fine[0]] != grid1.counts[c]:
+            out["shared"] += 1
+        elif grid1.sampled[c]:
+            out["sampled"] += 1
+        else:
+            out["inherit"] += 1
+    return out
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_phase2_grid_equals_fresh_grid(monkeypatch, name):
+    cloud = gs.scene_cloud(gs.make_scene(SCENES[name]))
+    got, stats = _segment_phase2_grid(monkeypatch, cloud, CFG)
+    grid1, p2_ids, want = _fresh(cloud, CFG)
+    _assert_same_grid(got, want)
+    kinds = _oracle(grid1, p2_ids, want)
+    assert stats.phase2.cells_inherited == kinds["inherit"] > 0
+    assert stats.phase1.cells_inherited == 0
+    if name in EXCLUDES:
+        assert kinds[EXCLUDES[name]] >= 1
+
+
+@pytest.mark.parametrize(
+    "phase2",
+    [
+        replace(CFG.phase2, cellsize=CellSize(1.0, 1.0, 0.2)),
+        replace(CFG.phase2, geometry=GeometryParams(inlier_threshold=0.1)),
+    ],
+    ids=["footprint", "geometry"],
+)
+def test_phases_that_differ_inherit_nothing(monkeypatch, phase2):
+    cfg = replace(CFG, phase2=phase2)
+    cloud = gs.scene_cloud(gs.make_scene(SCENES["boxes"]))
+    got, stats = _segment_phase2_grid(monkeypatch, cloud, cfg)
+    assert stats.phase2.cells_inherited == 0
+    _assert_same_grid(got, _fresh(cloud, cfg)[2])
+
+
+def test_phase2_drops_the_parent_grid():
+    pts, info, r1, p2_ids = _phase1(gs.scene_cloud(gs.make_scene(SCENES["boxes"])), CFG)
+    assert r1.grid is not None
+    r2 = run_phase(p2_ids, pts, CFG.phase2, 2, CFG.global_seed, info, parent=r1)
+    assert r1.grid is None
+    assert r2.stats.cells_inherited > 0

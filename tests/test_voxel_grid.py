@@ -13,6 +13,7 @@ from gridseg.voxel_grid import (
     GroundState,
     build_grid,
     cell_index,
+    merge_grids,
     occupied_below,
 )
 from gridseg.errors import ContractViolationError
@@ -215,3 +216,55 @@ class TestOccupiedBelow:
                 assert below[c] == -1
             else:
                 assert cells[below[c]] == max(same_col, key=lambda t: t[2])
+
+
+class TestMergeGrids:
+    FIELDS = (
+        "cells",
+        "offsets",
+        "order",
+        "points",
+        "centroids",
+        "kind",
+        "state",
+        "normals",
+        "plane_offsets",
+        "slopes",
+        "sampled",
+        "inliers",
+    )
+
+    def _classified(self, rng):
+        from gridseg.cell_geometry import GeometryParams
+        from gridseg.pipeline import classify_cells
+
+        pts = rng.uniform(-5, 5, (3000, 3)) * np.array([1.0, 1.0, 0.1])
+        grid = build_grid(pts, CellSize(1.5, 1.0, 0.2))
+        classify_cells(grid, GeometryParams(), 1, 0)
+        return grid
+
+    def test_split_grid_merges_back(self, rng):
+        grid = self._classified(rng)
+        assert grid.fitted.any() and grid.inliers.any()
+        first = rng.random(len(grid.cells)) < 0.5
+        parts = [
+            (grid, rows, grid.cells[rows], grid.order)
+            for rows in (np.flatnonzero(~first), np.flatnonzero(first))
+        ]
+        merged = merge_grids(grid.cellsize, parts)
+        for name in self.FIELDS:
+            a, b = getattr(merged, name), getattr(grid, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_cells_are_rekeyed_and_ids_mapped(self, rng):
+        grid = self._classified(rng)
+        rows = np.array([3, 0])
+        cells = grid.cells[rows] + np.array([0, 0, 100])
+        merged = merge_grids(CellSize(1.5, 1.0, 0.1), [(grid, rows, cells, grid.order + 7)])
+        np.testing.assert_array_equal(merged.cells, cells[::-1])
+        np.testing.assert_array_equal(merged.counts, grid.counts[[0, 3]])
+        for c, row in enumerate((0, 3)):
+            got, want = merged.span(c), grid.span(row)
+            np.testing.assert_array_equal(merged.order[got], grid.order[want] + 7)
+            np.testing.assert_array_equal(merged.points[got], grid.points[want])
+            assert merged.kind[c] == grid.kind[row]
