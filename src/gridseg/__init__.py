@@ -10,19 +10,7 @@ precision/recall/F1 harness scores results against SemanticKITTI-style
 labels.
 """
 
-from .cell_geometry import (
-    EigenSummary,
-    GeometryParams,
-    PlaneModel,
-    Sparsity,
-    bbox_sparsity,
-    classify_line_cell,
-    classify_planar_cell,
-    covariance,
-    eigen_classify,
-    make_plane,
-    ransac_plane,
-)
+from .cell_geometry import GeometryParams, PlaneModel, Sparsity, ransac_plane
 from .cloud_io import (
     PointCloud,
     SyntheticSeedInfo,

@@ -11,10 +11,10 @@ Covariances are summed one product column at a time over the points
 centred on the cell means, and eigen decompositions use a closed-form 3x3
 solver (``sorted_eigen``) instead of LAPACK: both are elementwise over
 cells, so a cell's result never depends on which other cells share the call.
-Classification, line gating and plane fitting run on all cells of a phase at
-once; the one-cell functions (``covariance``, ``eigen_classify``,
-``classify_line_cell``, ``ransac_plane``, ``make_plane``, ``bbox_sparsity``)
-wrap the batched ones, so each rule is written once.
+Classification, line gating, plane fitting and sparsity run on all cells of a
+phase at once, so each rule is written once.  The one remaining one-cell
+wrapper, ``ransac_plane``, stays for the acceptance suite's RANSAC criterion
+and for the benchmark's layer tracer, which hooks it by name.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError, FitFailureError
-from .voxel_grid import CellKind, GroundState
+from .voxel_grid import CellKind
 
+# Cells with fewer points are Non-Planar: two points would pass as a Line,
+# and a plane fit needs three.
+MIN_POINTS_FOR_EIGEN = 3
 _DEGENERATE_CROSS = 1e-12
 # An eigenvalue share up to this is round-off: a cell's covariance sums carry
 # relative errors of about n * 2^-53, and a backward-stable eigen solver adds
@@ -40,32 +43,6 @@ class Sparsity(IntEnum):
     LOW = 0
     MEDIUM = 1
     HIGH = 2
-
-
-@dataclass(frozen=True)
-class EigenSummary:
-    """Sorted eigen decomposition of a cell covariance.
-
-    ``eigenvalues`` are descending and clamped at zero; ``eigenvectors``
-    holds unit vectors as columns, matching the eigenvalue order.  ``ratio``
-    is the dominant-eigenvalue share, NaN for a degenerate zero matrix.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    ratio: float
-
-    @property
-    def e1(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
-
-    @property
-    def e2(self) -> np.ndarray:
-        return self.eigenvectors[:, 1]
-
-    @property
-    def e3(self) -> np.ndarray:
-        return self.eigenvectors[:, 2]
 
 
 @dataclass(frozen=True)
@@ -100,12 +77,6 @@ def make_planes(normals: np.ndarray, offsets: np.ndarray):
     return n, offsets, slopes
 
 
-def make_plane(normal: np.ndarray, offset: float) -> PlaneModel:
-    """Normalize, orient (z >= 0), and annotate a plane with its slope."""
-    n, offsets, slopes = make_planes(normal, [offset])
-    return PlaneModel(normal=n[0], offset=float(offsets[0]), slope_deg=float(slopes[0]))
-
-
 @dataclass(frozen=True)
 class GeometryParams:
     """Thresholds for per-cell classification and plane fitting."""
@@ -116,7 +87,6 @@ class GeometryParams:
     slope_threshold_deg: float = 30.0
     inlier_threshold: float = 0.125
     ransac_iterations: int = 50
-    min_points_for_eigen: int = 3
     sparsity_low_max: float = 0.01
     sparsity_medium_max: float = 0.1
 
@@ -130,7 +100,6 @@ class GeometryParams:
             "slope_threshold_deg",
             "inlier_threshold",
             "ransac_iterations",
-            "min_points_for_eigen",
             "sparsity_low_max",
             "sparsity_medium_max",
         ):
@@ -161,14 +130,6 @@ def segment_covariance(
     for (i, j), (a, b) in zip(_UPPER, ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))):
         C[:, i, j] = C[:, j, i] = np.add.reduceat(a * b, starts) / counts
     return C
-
-
-def covariance(points: np.ndarray) -> np.ndarray:
-    """Population covariance (divisor N) of 3D coordinates."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) == 0:
-        raise ContractViolationError("covariance of an empty point set")
-    return segment_covariance(pts, np.array([len(pts)]))[0]
 
 
 def _cross(r, s):
@@ -309,18 +270,6 @@ def eigen_kinds(w: np.ndarray, params: GeometryParams) -> np.ndarray:
     return np.select([line, planar], [CellKind.LINE, CellKind.PLANAR], CellKind.NON_PLANAR)
 
 
-def eigen_classify(C: np.ndarray, params: GeometryParams):
-    """Classify one cell covariance as Line / Planar / Non-Planar (see ``eigen_kinds``)."""
-    C = np.asarray(C, dtype=np.float64)
-    if C.shape != (3, 3) or float(np.abs(C - C.T).max()) > 1e-8:
-        raise ContractViolationError("covariance must be a symmetric 3x3 matrix")
-    w, v = sorted_eigen(C[None])
-    total = float(w[0].sum())
-    ratio = float(w[0, 0] / total) if total > 0.0 else float("nan")
-    summary = EigenSummary(eigenvalues=w[0], eigenvectors=v[0], ratio=ratio)
-    return summary, CellKind(eigen_kinds(w, params)[0])
-
-
 def line_tentative(e1: np.ndarray, slope_threshold_deg: float) -> np.ndarray:
     """Whether each line direction (one per row) is a ground candidate.
 
@@ -332,15 +281,6 @@ def line_tentative(e1: np.ndarray, slope_threshold_deg: float) -> np.ndarray:
     up = np.abs(v[:, 2]) / np.linalg.norm(v, axis=1)
     angle = np.degrees(np.arccos(np.minimum(up, 1.0)))
     return angle >= 90.0 - slope_threshold_deg
-
-
-def classify_line_cell(e1: np.ndarray, slope_threshold_deg: float) -> GroundState:
-    """Gate one line cell by its direction (see ``line_tentative``)."""
-    if float(np.linalg.norm(e1)) < _DEGENERATE_CROSS:
-        raise ContractViolationError("zero line direction")
-    if line_tentative(e1, slope_threshold_deg)[0]:
-        return GroundState.TENTATIVE
-    return GroundState.OBSTACLE
 
 
 # Sampled RANSAC candidates are drawn and scored per cell in blocks of this
@@ -401,7 +341,7 @@ class CellPlanes:
     """RANSAC plane fits of consecutive point segments (cells).
 
     Row i of ``normals``, ``offsets`` and ``slopes`` is cell i's plane,
-    normalized and oriented as by ``make_plane``; NaN where ``fitted[i]`` is
+    normalized and oriented as by ``make_planes``; NaN where ``fitted[i]`` is
     False (fewer than 3 points, or no candidate plane: a degenerate
     eigenplane and every sampled triple collinear).  ``sampled[i]`` is True
     when cell i drew sampled candidates, i.e. its eigenplane held under 99%
@@ -676,13 +616,6 @@ def plane_tentative(slopes: np.ndarray, slope_threshold_deg: float) -> np.ndarra
     return np.asarray(slopes) <= slope_threshold_deg
 
 
-def classify_planar_cell(plane: PlaneModel, slope_threshold_deg: float) -> GroundState:
-    """Gate one planar cell by its plane's slope (see ``plane_tentative``)."""
-    if plane_tentative(plane.slope_deg, slope_threshold_deg):
-        return GroundState.TENTATIVE
-    return GroundState.NON_GROUND
-
-
 def segment_sparsity(points: np.ndarray, counts: np.ndarray, params: GeometryParams) -> np.ndarray:
     """Bin bounding-box volume per point into Low / Medium / High, per segment.
 
@@ -700,11 +633,3 @@ def segment_sparsity(points: np.ndarray, counts: np.ndarray, params: GeometryPar
         [Sparsity.LOW, Sparsity.MEDIUM],
         Sparsity.HIGH,
     )
-
-
-def bbox_sparsity(points: np.ndarray, params: GeometryParams) -> Sparsity:
-    """Sparsity class of one point set (see ``segment_sparsity``)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) == 0:
-        raise ContractViolationError("sparsity of an empty point set")
-    return Sparsity(segment_sparsity(pts, np.array([len(pts)]), params)[0])

@@ -21,6 +21,7 @@ from .evaluation import (
     GroundTruthPolicy,
     emit_report,
     evaluate_sequence,
+    fan_out,
     format_summary,
 )
 from .pipeline import segment
@@ -42,7 +43,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _segment_one(scan_path: str, cfg, out_dir: str, fmt: str):
-    """Worker for one scan; returns (name, stats dict) or raises."""
+    """Worker for one scan; returns its stats dict or raises (see ``fan_out``)."""
     scan = Path(scan_path)
     cloud = cloud_io.read_kitti_bin(scan)
     t0 = time.perf_counter()
@@ -57,7 +58,7 @@ def _segment_one(scan_path: str, cfg, out_dir: str, fmt: str):
     stats["dropped_nonfinite"] = cloud.dropped_nonfinite
     stats["ground_points"] = int(result.mask.sum())
     stats["wall_ms"] = runtime_ms
-    return scan.name, stats
+    return stats
 
 
 def cmd_segment(args) -> int:
@@ -84,29 +85,13 @@ def cmd_segment(args) -> int:
 
     all_stats: dict[str, dict] = {}
     failures = []
-    if args.jobs > 1 and len(scans) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                s.name: pool.submit(_segment_one, str(s), cfg, str(out_dir), args.format)
-                for s in scans
-            }
-            for name in sorted(futures):
-                try:
-                    _, stats = futures[name].result()
-                    all_stats[name] = stats
-                except Exception as exc:
-                    failures.append(name)
-                    print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-    else:
-        for s in scans:
-            try:
-                name, stats = _segment_one(str(s), cfg, str(out_dir), args.format)
-                all_stats[name] = stats
-            except Exception as exc:
-                failures.append(s.name)
-                print(f"{s.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    tasks = [(str(s), cfg, str(out_dir), args.format) for s in scans]
+    for scan, outcome in zip(scans, fan_out(_segment_one, tasks, args.jobs)):
+        if isinstance(outcome, str):
+            failures.append(scan.name)
+            print(f"{scan.name}: {outcome}", file=sys.stderr)
+        else:
+            all_stats[scan.name] = outcome
 
     (out_dir / "stats.json").write_text(json.dumps(all_stats, indent=2, sort_keys=True))
     if not all_stats:

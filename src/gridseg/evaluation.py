@@ -174,7 +174,9 @@ def evaluate_sequence(
 
     Scans without a matching label (or with malformed/odd-length labels) are
     skipped and reported.  Confusion counts are summed across scans per
-    threshold before metrics are computed.
+    threshold before metrics are computed.  With ``jobs`` > 1 the scans run
+    in spawned processes (see ``fan_out``), so a script calling this does so
+    under ``if __name__ == "__main__"``.
     """
     cfg = cfg or make_default_config()
     policy = policy or GroundTruthPolicy()
@@ -194,29 +196,14 @@ def evaluate_sequence(
             continue
         tasks.append((scan_path, label_path))
 
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                scan_path.name: pool.submit(
-                    _evaluate_one, str(scan_path), str(label_path), cfg, policy, tuple(thresholds)
-                )
-                for scan_path, label_path in tasks
-            }
-            results = {name: fut.result() for name, fut in futures.items()}
-    else:
-        results = {
-            scan_path.name: _evaluate_one(
-                str(scan_path), str(label_path), cfg, policy, tuple(thresholds)
-            )
-            for scan_path, label_path in tasks
-        }
-
-    for name in sorted(results):
-        outcome = results[name]
+    outcomes = fan_out(
+        _evaluate_one,
+        [(str(scan), str(label), cfg, policy, tuple(thresholds)) for scan, label in tasks],
+        jobs,
+    )
+    for (scan_path, _), outcome in zip(tasks, outcomes):
         if isinstance(outcome, str):
-            report.skipped.append(f"{name}: {outcome}")
+            report.skipped.append(f"{scan_path.name}: {outcome}")
             continue
         counts_by_d, runtime_ms = outcome
         for d, c in counts_by_d.items():
@@ -232,26 +219,50 @@ def evaluate_sequence(
     return report
 
 
-def _evaluate_one(scan_path: str, label_path: str, cfg, policy, thresholds):
-    """Worker: segment one scan and return per-threshold counts, or an error string."""
+def fan_out(worker, tasks: list[tuple], jobs: int) -> list:
+    """``worker(*task)`` for every task, in input order, on up to ``jobs``
+    processes (serially for one job or one task).
+
+    An exception becomes that task's outcome as the error string
+    ``"Type: message"``: one raised by ``worker`` (caught where it runs) and
+    one raised by the pool (a crashed worker process) alike.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        return [_outcome(worker, *task) for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # spawned, not forked: forking a process that runs threads is unsafe
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        futures = [pool.submit(_outcome, worker, *task) for task in tasks]
+        return [_outcome(future.result) for future in futures]
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or its exception as the error string ``"Type: message"``."""
     try:
-        cloud = read_kitti_bin(scan_path)
-        truth = read_semantic_labels(label_path)
-        if cloud.valid_mask is not None:
-            if len(truth) != len(cloud.valid_mask):
-                return "label count does not match scan record count"
-            truth = truth[cloud.valid_mask]
-        elif len(truth) != len(cloud):
-            return "label count does not match scan record count"
-        t0 = time.perf_counter()
-        result = segment(cloud, cfg)
-        runtime_ms = (time.perf_counter() - t0) * 1000.0
-        counts = {
-            d: confusion_counts(result.mask, truth, policy, d, cloud) for d in thresholds
-        }
-        return counts, runtime_ms
-    except Exception as exc:  # per-file failure must not sink the sequence
+        return call(*args)
+    except Exception as exc:  # one failed task must not sink the others
         return f"{type(exc).__name__}: {exc}"
+
+
+def _evaluate_one(scan_path: str, label_path: str, cfg, policy, thresholds):
+    """Worker: segment one scan and return per-threshold counts, or an error
+    string (raises on other failures; see ``fan_out``)."""
+    cloud = read_kitti_bin(scan_path)
+    truth = read_semantic_labels(label_path)
+    if cloud.valid_mask is not None:
+        if len(truth) != len(cloud.valid_mask):
+            return "label count does not match scan record count"
+        truth = truth[cloud.valid_mask]
+    elif len(truth) != len(cloud):
+        return "label count does not match scan record count"
+    t0 = time.perf_counter()
+    result = segment(cloud, cfg)
+    runtime_ms = (time.perf_counter() - t0) * 1000.0
+    counts = {d: confusion_counts(result.mask, truth, policy, d, cloud) for d in thresholds}
+    return counts, runtime_ms
 
 
 def format_summary(report: SequenceReport) -> str:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cell_geometry import (
+    MIN_POINTS_FOR_EIGEN,
     GeometryParams,
     cell_keys,
     eigen_kinds,
@@ -207,7 +208,7 @@ def classify_cells(
     counts = grid.counts
     pts = grid.points
 
-    eligible = counts >= geometry.min_points_for_eigen
+    eligible = counts >= MIN_POINTS_FOR_EIGEN
     lam = np.zeros((k, 3))
     vec = np.zeros((k, 3, 3))
     if eligible.any():

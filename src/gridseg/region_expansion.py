@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cell_geometry import GeometryParams, Sparsity, bbox_sparsity, segment_sparsity
+from .cell_geometry import GeometryParams, Sparsity, segment_sparsity
 from .cloud_io import SyntheticSeedInfo
 from .errors import ConfigError, ContractViolationError
 from .voxel_grid import CellIndex, GroundState, VoxelGrid, cell_index, occupied_below
@@ -203,8 +203,8 @@ def refine_cell(
     s_in = s_out = Sparsity.LOW
     rise = math.nan
     if n_in and n_out:
-        s_in = bbox_sparsity(pts[inl], geometry)
-        s_out = bbox_sparsity(pts[~inl], geometry)
+        split = np.concatenate([pts[inl], pts[~inl]])
+        s_in, s_out = segment_sparsity(split, [n_in, n_out], geometry)
         if len(neighbor_ground_cells):
             heights = cell_heights(grid, np.array([cell, *neighbor_ground_cells]))
             rise = heights[0] - heights[1:].min()

@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 import gridseg as gs
-from gridseg.cell_geometry import GeometryParams, covariance, eigen_classify, ransac_plane
+from gridseg.cell_geometry import (
+    GeometryParams,
+    eigen_kinds,
+    ransac_plane,
+    segment_covariance,
+    sorted_eigen,
+)
 from gridseg.cloud_io import PointCloud, inject_synthetic_seed
 from gridseg.config import apply_settings
 from gridseg.evaluation import (
@@ -93,27 +99,35 @@ def test_criterion_02_floor_semantics():
 @criterion(3, "covariance and eigen classification invariants")
 def test_criterion_03_covariance_eigen():
     params = GeometryParams()
+
+    def one_cell(pts):  # a point set as one segment
+        return segment_covariance(pts, [len(pts)])
+
+    def kind_of(pts):
+        return CellKind(eigen_kinds(sorted_eigen(one_cell(pts))[0], params)[0])
+
     for _ in range(20):
         pts = RNG.normal(size=(60, 3)) * RNG.uniform(0.05, 3.0, size=3)
-        C = covariance(pts)
-        shifted = covariance(pts + RNG.uniform(-200, 200, size=3))
+        C = one_cell(pts)[0]
+        shifted = one_cell(pts + RNG.uniform(-200, 200, size=3))[0]
         assert np.abs(C - shifted).max() <= 1e-9
-        summary, _ = eigen_classify(C, params)
-        assert 1.0 / 3.0 - 1e-9 <= summary.ratio <= 1.0 + 1e-9
-        assert summary.eigenvalues.sum() == pytest.approx(np.trace(C), rel=1e-9)
+        eigenvalues = sorted_eigen(C)[0][0]
+        ratio = eigenvalues[0] / eigenvalues.sum()
+        assert 1.0 / 3.0 - 1e-9 <= ratio <= 1.0 + 1e-9
+        assert eigenvalues.sum() == pytest.approx(np.trace(C), rel=1e-9)
 
     t = np.linspace(0, 4, 120)
     collinear = np.column_stack([t, 2 * t, -t]) + RNG.normal(0, 1e-4, (120, 3))
-    _, kind = eigen_classify(covariance(collinear), params)
+    kind = kind_of(collinear)
     assert kind is CellKind.LINE
 
     u, v = np.meshgrid(np.linspace(0, 1.5, 12), np.linspace(0, 1.0, 10))
     coplanar = np.column_stack([u.ravel(), v.ravel(), 0.3 * u.ravel() - 0.2 * v.ravel()])
-    _, kind = eigen_classify(covariance(coplanar), params)
+    kind = kind_of(coplanar)
     assert kind is CellKind.PLANAR
 
     isotropic = RNG.normal(size=(300, 3))
-    _, kind = eigen_classify(covariance(isotropic), params)
+    kind = kind_of(isotropic)
     assert kind is CellKind.NON_PLANAR
 
 

@@ -8,16 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from gridseg.cell_geometry import (
     GeometryParams,
-    PlaneModel,
     Sparsity,
-    bbox_sparsity,
-    classify_line_cell,
-    classify_planar_cell,
-    covariance,
-    eigen_classify,
     eigen_kinds,
     eigenplane_normals,
-    make_plane,
+    line_tentative,
+    make_planes,
+    plane_tentative,
     ransac_cells,
     ransac_plane,
     segment_covariance,
@@ -26,8 +22,8 @@ from gridseg.cell_geometry import (
     splitmix_uniforms,
 )
 from gridseg.cell_geometry import _CHUNK_POINTS, _three_smallest
-from gridseg.errors import ContractViolationError, FitFailureError
-from gridseg.voxel_grid import CellKind, GroundState
+from gridseg.errors import FitFailureError
+from gridseg.voxel_grid import CellKind
 
 PARAMS = GeometryParams()
 
@@ -42,29 +38,31 @@ def _loop_covariance(pts):
     return C / len(pts)
 
 
+def _covariance_of(points):
+    """``segment_covariance`` of one point set, as one segment."""
+    pts = np.asarray(points, dtype=np.float64)
+    return segment_covariance(pts, [len(pts)])[0]
+
+
 class TestCovariance:
     def test_single_point_is_zero(self):
-        np.testing.assert_array_equal(covariance([[1.0, 2.0, 3.0]]), np.zeros((3, 3)))
+        np.testing.assert_array_equal(_covariance_of([[1.0, 2.0, 3.0]]), np.zeros((3, 3)))
 
     def test_collinear_triple(self):
-        C = covariance([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+        C = _covariance_of([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
         expected = np.zeros((3, 3))
         expected[0, 0] = 2.0 / 3.0
         np.testing.assert_allclose(C, expected, atol=1e-15)
 
     def test_matches_loop_oracle(self, rng):
         pts = rng.normal(size=(100, 3)) * [3.0, 1.0, 0.2]
-        C = covariance(pts)
+        C = _covariance_of(pts)
         np.testing.assert_allclose(C, _loop_covariance(pts), rtol=1e-9, atol=1e-12)
 
     def test_translation_invariance(self, rng):
         pts = rng.normal(size=(200, 3))
         shifted = pts + np.array([120.0, -45.0, 7.0])
-        np.testing.assert_allclose(covariance(pts), covariance(shifted), atol=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractViolationError):
-            covariance(np.zeros((0, 3)))
+        np.testing.assert_allclose(_covariance_of(pts), _covariance_of(shifted), atol=1e-9)
 
 
 def _two_pass_covariance(points, counts):
@@ -122,12 +120,12 @@ def _hard_matrices(rng, scale):
     t = np.linspace(0.0, 4.0, 120)
     for _ in range(3):  # near-collinear points with 1e-4 noise (acceptance criterion 3)
         line = np.outer(t, rng.normal(size=3)) + rng.normal(0.0, 1e-4, (120, 3))
-        out.append(covariance(scale * line))
+        out.append(_covariance_of(scale * line))
     for _ in range(3):  # near-isotropic discs: a near-double top eigenvalue
         r, a = np.sqrt(rng.random(200)), rng.uniform(0.0, 2 * np.pi, 200)
         disc = np.column_stack([r * np.cos(a), r * np.sin(a), rng.normal(0.0, 1e-3, 200)])
-        out.append(covariance(scale * disc @ _rotation(rng).T))
-    out.append(covariance(scale * rng.normal(size=(400, 3))))  # near-isotropic blob
+        out.append(_covariance_of(scale * disc @ _rotation(rng).T))
+    out.append(_covariance_of(scale * rng.normal(size=(400, 3))))  # near-isotropic blob
     s2 = scale * scale
     for spectrum in ([1.0, 0.0, 0.0], [1.0, 0.3, 0.0], [1.0, 1.0, 0.0], [1.0, 0.2, 0.2]):
         rot = _rotation(rng)  # rank 1, rank 2, near-repeated after rounding
@@ -158,40 +156,42 @@ class TestSortedEigen:
             assert np.array_equal(alone_w[0], w[i]) and np.array_equal(alone_v[0], v[i])
 
 
+def _eigen_of(C):
+    """``sorted_eigen`` and ``eigen_kinds`` of one covariance: its eigenvalues,
+    eigenvectors and kind."""
+    w, v = sorted_eigen(C)
+    return w[0], v[0], CellKind(eigen_kinds(w, PARAMS)[0])
+
+
 class TestEigenClassify:
     def test_perfect_line(self):
-        _, kind = eigen_classify(np.diag([1.0, 0.0, 0.0]), PARAMS)
+        _, _, kind = _eigen_of(np.diag([1.0, 0.0, 0.0]))
         assert kind is CellKind.LINE
 
     def test_perfect_plane(self):
-        summary, kind = eigen_classify(np.diag([1.0, 1.0, 0.0]), PARAMS)
+        w, _, kind = _eigen_of(np.diag([1.0, 1.0, 0.0]))
         assert kind is CellKind.PLANAR
-        assert summary.ratio == pytest.approx(0.5)
+        assert w[0] / w.sum() == pytest.approx(0.5)
 
     def test_isotropic(self):
-        summary, kind = eigen_classify(np.eye(3), PARAMS)
+        w, _, kind = _eigen_of(np.eye(3))
         assert kind is CellKind.NON_PLANAR
-        assert summary.ratio == pytest.approx(1.0 / 3.0)
+        assert w[0] / w.sum() == pytest.approx(1.0 / 3.0)
 
     def test_zero_matrix_degenerate(self):
-        _, kind = eigen_classify(np.zeros((3, 3)), PARAMS)
+        _, _, kind = _eigen_of(np.zeros((3, 3)))
         assert kind is CellKind.NON_PLANAR
 
     def test_thin_flat_strip_is_planar_not_line(self):
         # dominant axis plus a clear second axis: surface, not a line
-        _, kind = eigen_classify(np.diag([1.0, 0.08, 0.0004]), PARAMS)
+        _, _, kind = _eigen_of(np.diag([1.0, 0.08, 0.0004]))
         assert kind is CellKind.PLANAR
-
-    def test_nonsymmetric_rejected(self):
-        C = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ContractViolationError):
-            eigen_classify(C, PARAMS)
 
     def test_eigenvalue_sum_equals_trace(self, rng):
         pts = rng.normal(size=(50, 3)) * [2.0, 0.7, 0.1]
-        C = covariance(pts)
-        summary, _ = eigen_classify(C, PARAMS)
-        assert summary.eigenvalues.sum() == pytest.approx(np.trace(C), rel=1e-9)
+        C = _covariance_of(pts)
+        w, _, _ = _eigen_of(C)
+        assert w.sum() == pytest.approx(np.trace(C), rel=1e-9)
 
     @given(
         arrays(
@@ -201,33 +201,28 @@ class TestEigenClassify:
         )
     )
     def test_ratio_bounds(self, pts):
-        C = covariance(pts)
-        summary, _ = eigen_classify(C, PARAMS)
-        if summary.eigenvalues.sum() > 0:
-            assert 1.0 / 3.0 - 1e-9 <= summary.ratio <= 1.0 + 1e-9
+        C = _covariance_of(pts)
+        w, _, _ = _eigen_of(C)
+        if w.sum() > 0:
+            assert 1.0 / 3.0 - 1e-9 <= w[0] / w.sum() <= 1.0 + 1e-9
 
     def test_orthonormal_eigenvectors(self, rng):
-        C = covariance(rng.normal(size=(40, 3)))
-        summary, _ = eigen_classify(C, PARAMS)
-        np.testing.assert_allclose(
-            summary.eigenvectors.T @ summary.eigenvectors, np.eye(3), atol=1e-6
-        )
+        C = _covariance_of(rng.normal(size=(40, 3)))
+        _, v, _ = _eigen_of(C)
+        np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-6)
 
 
 class TestClassifyLineCell:
+    # ``line_tentative`` True is GroundState.TENTATIVE, False is OBSTACLE
     def test_horizontal_scan_line(self):
-        assert classify_line_cell(np.array([1.0, 0, 0]), 30.0) is GroundState.TENTATIVE
+        assert line_tentative(np.array([1.0, 0, 0]), 30.0)[0]
 
     def test_vertical_pole(self):
-        assert classify_line_cell(np.array([0, 0, 1.0]), 30.0) is GroundState.OBSTACLE
+        assert not line_tentative(np.array([0, 0, 1.0]), 30.0)[0]
 
     def test_45_degree_line_exceeds_30(self):
         e1 = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-        assert classify_line_cell(e1, 30.0) is GroundState.OBSTACLE
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ContractViolationError):
-            classify_line_cell(np.zeros(3), 30.0)
+        assert not line_tentative(e1, 30.0)[0]
 
 
 class TestRansacPlane:
@@ -560,50 +555,52 @@ class TestRansacCells:
 
 
 class TestClassifyPlanarCell:
+    # ``plane_tentative`` True is GroundState.TENTATIVE, False is NON_GROUND
     def test_flat(self):
-        plane = make_plane([0, 0, 1.0], 0.0)
-        assert classify_planar_cell(plane, 30.0) is GroundState.TENTATIVE
+        _, _, slopes = make_planes([0, 0, 1.0], [0.0])
+        assert plane_tentative(slopes, 30.0)[0]
 
     def test_45_degrees(self):
-        plane = make_plane([1.0, 0, 1.0], 0.0)
-        assert plane.slope_deg == pytest.approx(45.0)
-        assert classify_planar_cell(plane, 30.0) is GroundState.NON_GROUND
+        _, _, slopes = make_planes([1.0, 0, 1.0], [0.0])
+        assert slopes[0] == pytest.approx(45.0)
+        assert not plane_tentative(slopes, 30.0)[0]
 
     def test_boundary_inclusive(self):
-        plane = PlaneModel(normal=np.array([0.5, 0.0, math.sqrt(3) / 2]), offset=0.0, slope_deg=30.0)
-        assert classify_planar_cell(plane, 30.0) is GroundState.TENTATIVE
+        assert plane_tentative(30.0, 30.0)
 
     def test_matches_brute_force_comparison(self, rng):
         for _ in range(1000):
             v = rng.normal(size=3)
             while np.linalg.norm(v) < 1e-9:
                 v = rng.normal(size=3)
-            plane = make_plane(v, 0.0)
+            _, _, slopes = make_planes(v, [0.0])
             threshold = rng.uniform(0, 90)
-            expected = plane.slope_deg <= threshold
-            got = classify_planar_cell(plane, threshold) is GroundState.TENTATIVE
+            expected = slopes[0] <= threshold
+            got = plane_tentative(slopes, threshold)[0]
             assert got == expected
+
+
+def _sparsity_of(points):
+    """``segment_sparsity`` of one point set, as one segment."""
+    pts = np.asarray(points, dtype=np.float64)
+    return Sparsity(segment_sparsity(pts, [len(pts)], PARAMS)[0])
 
 
 class TestBboxSparsity:
     def test_dense_box_low(self, rng):
         pts = rng.uniform(0, 1, size=(1000, 3)) * [1.0, 1.0, 0.1]
         # score 1e-4 with extents (1, 1, 0.1)
-        assert bbox_sparsity(pts, PARAMS) is Sparsity.LOW
+        assert _sparsity_of(pts) is Sparsity.LOW
 
     def test_sparse_box_high(self):
         pts = np.array(
             [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2], [2, 2, 2]], dtype=float
         )
         # volume 8 over 5 points: score 1.6
-        assert bbox_sparsity(pts, PARAMS) is Sparsity.HIGH
+        assert _sparsity_of(pts) is Sparsity.HIGH
 
     def test_single_point_floored_extent(self):
-        assert bbox_sparsity([[5.0, 5.0, 5.0]], PARAMS) is Sparsity.LOW
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractViolationError):
-            bbox_sparsity(np.zeros((0, 3)), PARAMS)
+        assert _sparsity_of([[5.0, 5.0, 5.0]]) is Sparsity.LOW
 
     def test_order(self):
         assert Sparsity.LOW < Sparsity.MEDIUM < Sparsity.HIGH
@@ -622,5 +619,5 @@ class TestBboxSparsity:
                 else Sparsity.MEDIUM if score <= PARAMS.sparsity_medium_max
                 else Sparsity.HIGH
             )
-            assert got[k] == want == bbox_sparsity(part, PARAMS)
+            assert got[k] == want == _sparsity_of(part)
         assert set(got.tolist()) == {0, 1, 2}

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gridseg.evaluation import (
     evaluate_scan,
     evaluate_sequence,
     f1,
+    fan_out,
     format_summary,
     harmonic_f1,
     precision,
@@ -288,3 +291,18 @@ class TestEmitReport:
         report = self._report(tmp_path)
         line = format_summary(report)
         assert line.startswith("Pr ") and "/ Rc " in line and "/ F1 " in line
+
+
+def _exit_worker(code):
+    os._exit(code)
+
+
+class TestFanOut:
+    def test_an_exception_is_an_error_string_serially_and_in_parallel(self):
+        want = [1, "ValueError: invalid literal for int() with base 10: 'x'"]
+        for jobs in (1, 2):
+            assert fan_out(int, [("1",), ("x",)], jobs) == want
+
+    def test_a_crashed_worker_process_is_an_error_string(self):
+        outcomes = fan_out(_exit_worker, [(3,), (4,)], 2)
+        assert all(o.startswith("BrokenProcessPool: ") for o in outcomes)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import gridseg as gs
 from gridseg import pipeline
-from gridseg.cell_geometry import GeometryParams, bbox_sparsity, make_plane
+from gridseg.cell_geometry import GeometryParams, make_planes, segment_sparsity
 from gridseg.cloud_io import inject_synthetic_seed
 from gridseg.errors import ContractViolationError
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
@@ -96,8 +96,8 @@ def _reference_refine(cell, cells, points, neighbor_ground_cells, geometry, expa
         return False, "no ground inliers"
     if len(cell.outlier_ids) == 0:
         return True, "no outliers"
-    s_in = bbox_sparsity(points[cell.inlier_ids], geometry)
-    s_out = bbox_sparsity(points[cell.outlier_ids], geometry)
+    s_in = segment_sparsity(points[cell.inlier_ids], [len(cell.inlier_ids)], geometry)[0]
+    s_out = segment_sparsity(points[cell.outlier_ids], [len(cell.outlier_ids)], geometry)[0]
     if s_in != s_out:
         return True, "sparsity unambiguous"
     z_i = float(points[cell.inlier_ids, 2].mean())
@@ -331,9 +331,9 @@ def _hand_built(layout):
             span = grid.span(c)
             ids = np.sort(grid.order[span])
             if kind != "no_plane":
-                plane = make_plane([0, 0, 1.0], -z)
+                normals, offsets, slopes = make_planes([0, 0, 1.0], [-z])
                 grid.normals[c], grid.plane_offsets[c], grid.slopes[c] = (
-                    plane.normal, plane.offset, plane.slope_deg
+                    normals[0], offsets[0], slopes[0]
                 )
                 split = len(ids) if kind == "ground" else 50
                 grid.inliers[span] = np.isin(grid.order[span], ids[:split])

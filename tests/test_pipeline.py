@@ -157,9 +157,14 @@ class TestSegment:
         assert counts == sorted(counts)
 
     def test_batched_classification_matches_per_cell_ops(self, rng):
-        # the vectorized classify path must agree with the standalone
-        # covariance / eigen_classify operations cell by cell
-        from gridseg.cell_geometry import covariance, eigen_classify
+        # the vectorized classify path must agree with the covariance and
+        # eigen classification of each cell taken alone
+        from gridseg.cell_geometry import (
+            MIN_POINTS_FOR_EIGEN,
+            eigen_kinds,
+            segment_covariance,
+            sorted_eigen,
+        )
 
         scene = gs.make_scene(
             gs.SceneSpec(
@@ -178,15 +183,14 @@ class TestSegment:
         grid = build_grid(pts, cfg.phase1.cellsize)
         geo = cfg.phase1.geometry
         classify_cells(grid, geo, 1, cfg.global_seed)
-        from gridseg.cell_geometry import segment_covariance
 
         C_batch = segment_covariance(pts[grid.order], grid.counts)
         for k in range(len(grid.cells)):
             pts_c = pts[grid.order[grid.span(k)]]
-            C_ref = covariance(pts_c)
-            np.testing.assert_allclose(C_batch[k], C_ref, rtol=1e-9, atol=1e-12)
-            if len(pts_c) >= geo.min_points_for_eigen:
-                _, kind_ref = eigen_classify(C_ref, geo)
+            C_ref = segment_covariance(pts_c, [len(pts_c)])
+            np.testing.assert_allclose(C_batch[k], C_ref[0], rtol=1e-9, atol=1e-12)
+            if len(pts_c) >= MIN_POINTS_FOR_EIGEN:
+                kind_ref = CellKind(eigen_kinds(sorted_eigen(C_ref)[0], geo)[0])
                 kind = CellKind(grid.kind[k])
                 assert kind is kind_ref or kind is CellKind.NON_PLANAR
                 # a planar-classified cell may only demote on RANSAC failure,
@@ -252,13 +256,13 @@ class TestSegment:
         grid = build_grid(pts, cfg.phase1.cellsize)
         geo = cfg.phase1.geometry
         classify_cells(grid, geo, 1, cfg.global_seed)
-        from gridseg.cell_geometry import eigen_kinds, segment_covariance
+        from gridseg.cell_geometry import MIN_POINTS_FOR_EIGEN, eigen_kinds, segment_covariance
 
         lapack = np.maximum(
             np.linalg.eigvalsh(segment_covariance(grid.points, grid.counts))[:, ::-1], 0.0
         )
         want = eigen_kinds(lapack, geo)
-        want[grid.counts < geo.min_points_for_eigen] = CellKind.NON_PLANAR
+        want[grid.counts < MIN_POINTS_FOR_EIGEN] = CellKind.NON_PLANAR
         want[(want == CellKind.PLANAR) & ~grid.fitted] = CellKind.NON_PLANAR
         np.testing.assert_array_equal(grid.kind, want)
         rows = [grid.find(tuple(np.floor(c[0] / size).astype(int))) for c in cells]

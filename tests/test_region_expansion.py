@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridseg.cell_geometry import GeometryParams, make_plane
+from gridseg.cell_geometry import GeometryParams, PlaneModel
 from gridseg.cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed
 from gridseg.errors import ConfigError, ContractViolationError
 from gridseg.pipeline import classify_cells
@@ -228,7 +228,7 @@ class TestRefineCell:
             [[0, 0, 2.0], [2, 0, 2.1], [0, 2, 2.2], [2, 2, 2.3], [1, 1, 2.4]]
         )
         self.points = np.vstack([self.dense, sparse])
-        self.plane = make_plane([0, 0, 1.0], 0.0)
+        self.plane = PlaneModel(normal=np.array([0, 0, 1.0]), offset=0.0, slope_deg=0.0)
         self.grid = build_grid(self.points, CellSize(10, 10, 10))
 
     def _refine(self, inlier_ids=None, neighbors=()):
