@@ -1,8 +1,6 @@
 # The dual-phase pipeline end to end on a synthetic scene with obstacles:
 # coarse tall-cell pass, fine short-cell refinement, per-point mask out.
 
-import numpy as np
-
 from gridseg import BoxSpec, SceneSpec, make_default_config, make_scene, scene_cloud, segment
 from gridseg.synth import GROUND_LABEL
 

@@ -5,7 +5,11 @@ covariance (line / planar / non-planar), planar cells get a plane fit whose
 slope against the horizontal gates them as tentative ground, and point
 subsets get a bounding-box sparsity class used later to flag ambiguous cells.
 The plane fit is RANSAC whose first candidate is the cell's eigenplane (its
-least-squares plane), which alone finishes nearly every planar cell.
+least-squares plane), which alone finishes nearly every planar cell.  The
+other cells draw sampled candidates until one holds 99% of their points or
+their count reaches the standard bound log(1 - p) / log(1 - w^3) at their
+best inlier share w so far, with p = ``CONFIDENCE`` (0.99); the configured
+iteration count only caps them.
 
 Covariances are summed one product column at a time over the points
 centred on the cell means, and eigen decompositions use a closed-form 3x3
@@ -283,8 +287,14 @@ def line_tentative(e1: np.ndarray, slope_threshold_deg: float) -> np.ndarray:
     return angle >= 90.0 - slope_threshold_deg
 
 
-# Sampled RANSAC candidates are drawn and scored per cell in blocks of this
-# many, so the 99% early exit saves work without a round per candidate.
+# A cell stops drawing sampled RANSAC candidates once an all-inlier triple
+# has been drawn with this probability at its best inlier share so far
+# (``ransac_bound``; Fischler & Bolles, CACM 1981; Hartley & Zisserman 2004,
+# section 4.7.1); ``ransac_iterations`` caps the count.
+CONFIDENCE = 0.99
+# Sampled candidates are drawn and scored per cell in blocks of up to this
+# many, each reaching at most the cell's bound at its best count so far, so
+# the early stops save work without a round per candidate.
 _BLOCK = 8
 # Cells are fitted in runs of consecutive cells holding about this many
 # points, which bounds the per-block scoring arrays (_BLOCK values per point)
@@ -345,8 +355,10 @@ class CellPlanes:
     False (fewer than 3 points, or no candidate plane: a degenerate
     eigenplane and every sampled triple collinear).  ``sampled[i]`` is True
     when cell i drew sampled candidates, i.e. its eigenplane held under 99%
-    of its points.  ``inliers`` flags, per point in input order, whether it
-    lies within the inlier threshold of its cell's plane.
+    of its points, and ``candidates[i]`` counts the sampled candidates it
+    scored up to its stop (0 when it drew none).  ``inliers`` flags, per
+    point in input order, whether it lies within the inlier threshold of its
+    cell's plane.
     """
 
     normals: np.ndarray
@@ -354,6 +366,7 @@ class CellPlanes:
     slopes: np.ndarray
     fitted: np.ndarray
     sampled: np.ndarray
+    candidates: np.ndarray
     inliers: np.ndarray
 
 
@@ -383,20 +396,25 @@ def ransac_cells(
 
     Candidate 0 of a cell is its eigenplane, the plane through the centroid
     normal to the smallest covariance eigenvector: the least-squares plane
-    of all its points.  Sampled candidates follow, as many as
-    ``iterations``, with cell i reading its own uniform stream in order:
-    the SplitMix64 stream seeded with ``keys[i]`` (see
-    ``splitmix_uniforms``).  Sampled candidate j takes one uniform key per
-    point from stream positions j * n on and the points of the 3 smallest
-    keys as its triple; blocks of up to 8 candidates are drawn and scored
-    at once.
+    of all its points.  Sampled candidates follow, with cell i reading its
+    own uniform stream in order: the SplitMix64 stream seeded with
+    ``keys[i]`` (see ``splitmix_uniforms``).  Sampled candidate j = 0, 1,
+    ... takes one uniform key per point from stream positions j * n on and
+    the points of the 3 smallest keys as its triple; blocks of up to 8
+    candidates are drawn and scored at once.
 
-    A candidate scores the count of points within ``inlier_threshold``.
-    A cell finishes at the first candidate reaching 99% inliers, or after
-    the last; the best candidate seen up to then (the first of equal
-    counts, so the eigenplane wins ties) wins.  A degenerate eigenplane (zero
-    normal) and collinear triples score nothing, and a cell with no other
-    candidate is not fitted.  The winner is refit by least squares on its
+    A candidate scores the count of points within ``inlier_threshold``; a
+    degenerate eigenplane (zero normal) and collinear triples score nothing.
+    A cell finishes at the first candidate reaching 99% inliers.  Otherwise
+    it stops as soon as the number of its sampled candidates reaches
+    ``ransac_bound``: ceil(log(1 - p) / log(1 - w^3)), with w the best count
+    so far (the eigenplane included, nothing counting as 0) over n and p =
+    ``CONFIDENCE``, i.e. once an all-inlier triple has been drawn with
+    probability p at that share.  ``iterations`` caps the sampled
+    candidates, and ``candidates`` counts them per cell up to its stop.  The
+    best candidate seen up to the stop (the first of equal counts, so the
+    eigenplane wins ties) wins; a cell with no candidate plane at all is
+    not fitted.  The winner is refit by least squares on its
     inliers (smallest eigenvector of their covariance), and the refit is
     kept only when it does not lose inliers, so a cell's final count never
     falls below any examined candidate's.  A cell whose eigenplane holds
@@ -433,12 +451,13 @@ def ransac_cells(
     q_rest, counts_rest = np.compress(in_rest, q, axis=0), counts[rest]
     ends_rest = np.cumsum(counts_rest)
     fit_in = np.zeros(len(q_rest), dtype=bool)
+    candidates = np.zeros(k, dtype=np.int64)
     first = 0
     while first < len(rest):
         lo = ends_rest[first] - counts_rest[first]
         last = max(first + 1, int(np.searchsorted(ends_rest, lo + _CHUNK_POINTS, side="right")))
         run, hi = rest[first:last], ends_rest[last - 1]
-        normals[run], offsets[run], fit_in[lo:hi] = _fit_run(
+        normals[run], offsets[run], candidates[run], fit_in[lo:hi] = _fit_run(
             q_rest[lo:hi],
             counts[run],
             keys[run],
@@ -460,7 +479,7 @@ def ransac_cells(
         normals[fitted], offsets[fitted], slopes[fitted] = make_planes(
             normals_fit, offsets[fitted]
         )
-    return CellPlanes(normals, offsets, slopes, fitted, sampled, inliers)
+    return CellPlanes(normals, offsets, slopes, fitted, sampled, candidates, inliers)
 
 
 def _plane_distance(q: np.ndarray, normals: np.ndarray, offsets) -> np.ndarray:
@@ -487,6 +506,15 @@ def _three_smallest(keys: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -
     return out
 
 
+def ransac_bound(best: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Sampled candidates a cell needs at a best inlier count ``best`` of
+    its ``n`` points: ceil(log(1 - p) / log(1 - w^3)) with w = best / n (a
+    negative count reads as 0) and p = ``CONFIDENCE``; infinite at w = 0."""
+    w = np.maximum(best, 0) / n
+    with np.errstate(divide="ignore"):
+        return np.ceil(np.log1p(-CONFIDENCE) / np.log1p(-(w * w * w)))
+
+
 def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
     """``ransac_cells`` after candidate 0, on one run of cells of 3 or more
     points whose eigenplane did not hold every point: sampled candidates
@@ -495,7 +523,8 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
     ``q`` holds the cells' points centred on their centroids and ``score0``
     the eigenplane's inlier counts (-1 when degenerate).  Returns per cell
     the plane in the centred frame (normal, offset; NaN when not fitted)
-    and per point the inlier flags.
+    and the number of sampled candidates up to its stop, and per point the
+    inlier flags.
     """
     k = len(counts)
     cell = np.repeat(np.arange(k), counts)
@@ -504,21 +533,25 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
     best_count = score0.copy()
     best_n = eigen_normals.copy()
     best_off = np.zeros(k)
+    drawn = np.zeros(k, dtype=np.int64)
     active = np.flatnonzero(score0 < 0.99 * counts)
-    done = 0
-    while done < iterations and len(active):
-        m = min(_BLOCK, iterations - done)
+    while len(active):
         n = counts[active]
-        lengths = np.repeat(n, m)
+        done = drawn[active]
+        # a cell's block runs up to its bound at the best count so far (the
+        # bound only falls as that count grows), at most _BLOCK candidates
+        need = ransac_bound(best_count[active], n) - done
+        size = np.minimum(np.clip(need, 1, _BLOCK), iterations - done).astype(np.int64)
+        first_row = np.cumsum(size) - size
+        lengths = np.repeat(n, size)
         row_start = np.cumsum(lengths) - lengths
-        row_base = np.repeat(starts[active], m)
-        # row r = (cell active[r // m], candidate r % m); its draws are the
-        # cell's next n uniforms, i.e. one row of the cell's (m, n) block at
-        # stream positions done * n on
-        block = m * n
-        shift = np.repeat(row_start[::m] - done * n, block)
+        row_base = np.repeat(starts[active], size)
+        # a cell's rows are its next sampled candidates, in order; each row's
+        # draws are the cell's next n uniforms, i.e. one row of the cell's
+        # (size, n) block at stream positions done * n on
+        block = size * n
+        shift = np.repeat(row_start[first_row] - done * n, block)
         draws = splitmix_uniforms(np.repeat(keys[active], block), np.arange(len(shift)) - shift)
-        done += m
         trip = _three_smallest(draws, lengths, row_start) + row_base[:, None]
         a, b, c = (np.take(q, trip[:, t], axis=0) for t in range(3))
         d1 = b - a
@@ -536,24 +569,35 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         at = np.arange(len(draws)) - np.repeat(row_start - row_base, lengths)
         dist = _plane_distance(np.take(q, at, axis=0), np.take(normals, row, axis=0), offsets[row])
         near = dist <= threshold
-        score = np.add.reduceat(near, row_start, dtype=np.int64).reshape(-1, m)
-        score[~valid.reshape(-1, m)] = -1
+        row_score = np.add.reduceat(near, row_start, dtype=np.int64)
+        row_score[~valid] = -1
 
-        # a cell stops at its first candidate reaching 99% inliers; the best
-        # candidate up to that one (inclusive) is its winner of the round
-        hit = score >= 0.99 * n[:, None]
-        stop = hit.any(axis=1)
-        cut = np.where(stop, hit.argmax(axis=1) + 1, m)
-        score[np.arange(m) >= cut[:, None]] = -2
+        # one row of candidates per cell, -2 past the cell's block, with j
+        # its count of sampled candidates through each; a cell stops at the
+        # first candidate that reaches 99% inliers or whose j reaches the
+        # bound at the best count up to it, and the best candidate up to
+        # that one (inclusive) is its winner of the round
+        col = np.arange(size.max())
+        in_block = col < size[:, None]
+        score = np.full(in_block.shape, -2, dtype=np.int64)
+        score[in_block] = row_score
+        j = done[:, None] + col + 1
+        best_so_far = np.maximum(np.maximum.accumulate(score, axis=1), best_count[active][:, None])
+        halt = (score >= 0.99 * n[:, None]) | (j >= ransac_bound(best_so_far, n[:, None]))
+        halt &= in_block
+        stop = halt.any(axis=1)
+        cut = np.where(stop, halt.argmax(axis=1) + 1, size)
+        score[col >= cut[:, None]] = -2
         win = score.argmax(axis=1)
         win_score = score[np.arange(len(active)), win]
         better = win_score > best_count[active]
         cells = active[better]
-        rows = np.flatnonzero(better) * m + win[better]
+        rows = first_row[better] + win[better]
         best_count[cells] = win_score[better]
         best_n[cells] = np.take(normals, rows, axis=0)
         best_off[cells] = offsets[rows]
-        active = active[~stop]
+        drawn[active] = done + cut
+        active = active[~stop & (done + cut < iterations)]
 
     fitted = best_count >= 0
     near = _plane_distance(q, np.take(best_n, cell, axis=0), best_off[cell]) <= threshold
@@ -577,7 +621,7 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         inliers = np.where(keep[cell], refit_in, inliers)
     best_n[~fitted] = np.nan
     best_off[~fitted] = np.nan
-    return best_n, best_off, inliers
+    return best_n, best_off, drawn, inliers
 
 
 def ransac_plane(

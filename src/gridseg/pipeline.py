@@ -127,6 +127,9 @@ class PhaseStats:
     plane_fits: dict[str, int] = field(
         default_factory=lambda: {"eigenplane": 0, "ransac": 0, "failed": 0}
     )
+    # sampled RANSAC candidates scored in the phase, summed over the cells
+    # it fitted, each up to its stop (see ``ransac_cells``)
+    ransac_candidates: int = 0
     # wall milliseconds per stage of the phase: grid build (with the
     # inherited cells and the merge), eigen classification and plane fits
     # (with the tentative gating) of the cells not inherited, centroid
@@ -201,7 +204,8 @@ def classify_cells(
     fails.  ``grid.sampled`` records which plane fits drew sampled
     candidates.  With ``stats``, the time of the eigen step (covariance,
     eigen decomposition, kinds) and of the plane-fit step lands in its
-    ``stages_ms``.
+    ``stages_ms``, and the count of sampled candidates scored in its
+    ``ransac_candidates``.
     """
     k = len(grid.cells)
     t0 = time.perf_counter()
@@ -255,6 +259,7 @@ def classify_cells(
     grid.inliers[in_planar] = fit.inliers
 
     if stats is not None:
+        stats.ransac_candidates = int(fit.candidates.sum())
         stats.stages_ms["eigen"] = (t1 - t0) * 1000.0
         stats.stages_ms["plane_fit"] = (time.perf_counter() - t1) * 1000.0
 

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gridseg import cell_geometry
 from gridseg.cell_geometry import (
+    CONFIDENCE,
     GeometryParams,
     Sparsity,
     eigen_kinds,
@@ -265,8 +267,9 @@ class TestRansacPlane:
 
     def test_final_count_not_below_any_candidate(self, rng):
         # mirror the documented candidate scheme (the eigenplane first, then
-        # triples of the 3 smallest stream uniforms, early exit at 99%
-        # inliers) to recover the examined candidates
+        # triples of the 3 smallest stream uniforms, a stop at 99% inliers
+        # or at the bound at the best count so far) to recover the examined
+        # candidates
         pts = rng.normal(size=(60, 3)) * [1, 1, 0.2]
         pts[::3, 2] += rng.normal(0, 0.5, len(pts[::3]))
         threshold, iterations, seed = 0.1, 30, 17
@@ -274,24 +277,19 @@ class TestRansacPlane:
         plane, inliers, _ = ransac_plane(pts, threshold, iterations, seed=seed)
 
         q = pts - pts.mean(axis=0)
-        candidates = [np.linalg.eigh(q.T @ q / n)[1][:, 0]]
-        offsets = [0.0]
-        for j in range(iterations):
+        normal = np.linalg.eigh(q.T @ q / n)[1][:, 0]
+        best = int((np.abs(q @ normal) <= threshold).sum())
+        j = 0  # sampled candidates examined
+        while j < iterations and best < 0.99 * n and j < _oracle_bound(best, n):
             u = splitmix_uniforms(np.full(n, seed, np.uint64), np.arange(j * n, (j + 1) * n))
+            j += 1
             a, b, c = q[np.argsort(u, kind="stable")[:3]]
             normal = np.cross(b - a, c - a)
             if np.linalg.norm(normal) < 1e-12:
                 continue
-            candidates.append(normal / np.linalg.norm(normal))
-            offsets.append(-candidates[-1] @ a)
-        best = examined = 0
-        for normal, off in zip(candidates, offsets):
-            count = int((np.abs(q @ normal + off) <= threshold).sum())
-            best = max(best, count)
-            examined += 1
-            if count >= 0.99 * n:
-                break
-        assert examined > 1  # the eigenplane alone does not finish this cell
+            normal /= np.linalg.norm(normal)
+            best = max(best, int((np.abs(q @ normal - normal @ a) <= threshold).sum()))
+        assert j > 0  # the eigenplane alone does not finish this cell
         assert len(inliers) >= best
 
     def test_too_few_points(self):
@@ -321,16 +319,26 @@ class TestRansacPlane:
         assert abs(p1.slope_deg - p2.slope_deg) <= 1e-6
 
 
+def _oracle_bound(best, n):
+    """``ransac_bound`` written out for one cell, on float64 arrays as there:
+    sampled candidates needed at a best inlier count ``best`` of ``n``."""
+    w = np.array([max(best, 0)], dtype=np.float64) / np.array([n])
+    with np.errstate(divide="ignore"):
+        return np.ceil(np.log1p(-CONFIDENCE) / np.log1p(-(w * w * w)))[0]
+
+
 def _oracle_ransac_plane(points, inlier_threshold, iterations, key, stops=None):
     """The one-cell RANSAC loop that ``ransac_cells`` batches (reference):
-    the eigenplane as candidate 0, then triples from the SplitMix64 stream
-    seeded with ``key``, read in order.
+    the eigenplane as candidate 0, then one triple per sampled candidate
+    from the SplitMix64 stream seeded with ``key``, read in order, scored
+    one at a time.
 
     Returns (unit normal with z >= 0, offset, inlier indices, outlier
     indices); raises FitFailureError like ``ransac_plane``.  A given
-    ``stops`` list receives the number of the candidate that reached 99%
-    inliers (0 for the eigenplane, j for the j-th sampled one), or None
-    when none did.
+    ``stops`` list receives how the cell stopped and after how many sampled
+    candidates: ("eigenplane", 0), ("hit", j) when candidate j reached 99%
+    inliers, ("bound", j) when j reached the bound at the best count so far,
+    or ("cap", iterations).
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -343,47 +351,39 @@ def _oracle_ransac_plane(points, inlier_threshold, iterations, key, stops=None):
     best_mask = None
     normal = None
     offset_c = 0.0
-    stop = None
+    stop = ("cap", iterations)
     if w[1] > 1e-12:  # the points span a plane: the eigenplane is candidate 0
         normal = v[:, 0]
         best_mask = np.abs(q @ normal) <= inlier_threshold
         best_count = int(best_mask.sum())
-        if best_count >= 0.99 * n:
-            stop = 0
-    drawn = 0
-    done = 0
-    while stop is None and done < iterations:
-        m = min(8, iterations - done)
-        done += m
-        draws = splitmix_uniforms(np.full(m * n, key, np.uint64), np.arange(drawn, drawn + m * n))
-        drawn += m * n
-        ranks = np.argpartition(draws.reshape(m, n), 2, axis=1)[:, :3]
-        a, b, c = q[ranks[:, 0]], q[ranks[:, 1]], q[ranks[:, 2]]
-        d1 = b - a
-        d2 = c - a
-        normals = np.empty_like(d1)
-        normals[:, 0] = d1[:, 1] * d2[:, 2] - d1[:, 2] * d2[:, 1]
-        normals[:, 1] = d1[:, 2] * d2[:, 0] - d1[:, 0] * d2[:, 2]
-        normals[:, 2] = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
-        valid = norms > 1e-12
-        if not np.any(valid):
-            continue
-        normals[valid] /= norms[valid, None]
-        offsets = -np.einsum("ij,ij->i", normals, a)
-        dists = np.abs(q @ normals.T + offsets)
-        counts = (dists <= inlier_threshold).sum(axis=0)
-        counts[~valid] = -1
-        hits = np.flatnonzero(counts >= 0.99 * n)
-        cut = int(hits[0]) + 1 if len(hits) else m
-        winner = int(np.argmax(counts[:cut]))
-        if int(counts[winner]) > best_count:
-            best_count = int(counts[winner])
-            best_mask = dists[:, winner] <= inlier_threshold
-            normal = normals[winner]
-            offset_c = float(offsets[winner])
-        if len(hits):
-            stop = done - m + cut
+    if best_count >= 0.99 * n:
+        stop = ("eigenplane", 0)
+    else:
+        for j in range(1, iterations + 1):
+            draws = splitmix_uniforms(np.full(n, key, np.uint64), np.arange((j - 1) * n, j * n))
+            # the triple as (1, 3) rows, so the arithmetic matches the kernel's bits
+            a, b, c = (q[[t]] for t in np.argpartition(draws, 2)[:3])
+            d1 = b - a
+            d2 = c - a
+            cand = np.empty_like(d1)
+            cand[:, 0] = d1[:, 1] * d2[:, 2] - d1[:, 2] * d2[:, 1]
+            cand[:, 1] = d1[:, 2] * d2[:, 0] - d1[:, 0] * d2[:, 2]
+            cand[:, 2] = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+            norm = np.sqrt(np.einsum("ij,ij->i", cand, cand))
+            count = -1
+            if norm[0] > 1e-12:
+                cand /= norm[:, None]
+                off = -float(np.einsum("ij,ij->i", cand, a)[0])
+                mask = np.abs(q @ cand[0] + off) <= inlier_threshold
+                count = int(mask.sum())
+                if count > best_count:
+                    best_count, best_mask, normal, offset_c = count, mask, cand[0], off
+            if count >= 0.99 * n:
+                stop = ("hit", j)
+                break
+            if j >= _oracle_bound(best_count, n):
+                stop = ("bound", j)
+                break
     if stops is not None:
         stops.append(stop)
     if best_count < 0:
@@ -500,7 +500,9 @@ class TestRansacCells:
                 assert not fit.fitted[i] and not seg.any()
                 continue
             finally:
-                assert fit.sampled[i] == (stops[-1] != 0)
+                kind, j = stops[-1]
+                assert fit.sampled[i] == (kind != "eigenplane")
+                assert fit.candidates[i] == j
             assert fit.fitted[i]
             np.testing.assert_array_equal(np.flatnonzero(seg), inl)
             np.testing.assert_array_equal(np.flatnonzero(~seg), out)
@@ -509,12 +511,57 @@ class TestRansacCells:
             full_runs += len(inl) < 0.99 * len(pts)
         assert failures == 2  # the two collinear cells
         assert full_runs > 20
-        # the kernel scores sampled candidates in blocks of 8: cells stop at
-        # the eigenplane, in the first block, in a later one, and never
-        assert 0 in stops
-        assert any(s is not None and 1 <= s <= 8 for s in stops)
-        assert any(s is not None and s > 8 for s in stops)
-        assert None in stops
+        # cells stop at the eigenplane, on a 99% hit, at the bound (the
+        # kernel scores up to 8 candidates a round: in the first round and
+        # in later ones) and at the cap (cells with 60% outliers, whose
+        # bound lies past 50 candidates)
+        assert {kind for kind, _ in stops} == {"eigenplane", "hit", "bound", "cap"}
+        assert any(kind == "bound" and j <= 8 for kind, j in stops)
+        assert any(kind == "bound" and j > 8 for kind, j in stops)
+
+    @pytest.mark.parametrize("k", [96, 90, 80, 60, 50])
+    def test_a_cell_of_known_share_stops_at_the_bound(self, k):
+        # k of 100 points on z = 0 over 20 x 20 m, the rest in pairs 3 m
+        # above and below one spot each: the eigenplane is z = 0 and holds
+        # exactly k, and no plane holds more, so w = k / 100 throughout
+        rng = np.random.default_rng(k)
+        flat = np.column_stack([rng.uniform(-10, 10, (k, 2)), np.zeros(k)])
+        spots = rng.uniform(-10, 10, ((100 - k) // 2, 2))
+        pairs = [np.column_stack([spots, np.full(len(spots), z)]) for z in (3.0, -3.0)]
+        cell = np.vstack([flat, *pairs])
+        want = math.ceil(math.log(1 - CONFIDENCE) / math.log(1 - (k / 100) ** 3))
+        fit = _fit_cells([cell], [k], 0.125, 50)
+        assert fit.sampled[0] and fit.candidates[0] == want
+        assert fit.inliers.sum() == k
+        stops = []
+        _oracle_ransac_plane(cell, 0.125, 50, k, stops)
+        assert stops == [("bound", want)]
+
+    @pytest.mark.parametrize("iterations", [1, 3, 8, 13, 50])
+    def test_no_cell_draws_past_the_cap(self, monkeypatch, iterations):
+        # every stream position a cell reads belongs to one of its first
+        # ``iterations`` sampled candidates, whatever the round sizes
+        seen = []
+
+        def recording(keys, positions):
+            seen.append((np.array(keys, dtype=np.uint64), np.array(positions)))
+            return splitmix_uniforms(keys, positions)
+
+        monkeypatch.setattr(cell_geometry, "splitmix_uniforms", recording)
+        cells = self._cells()
+        keys = np.arange(len(cells), dtype=np.uint64) + np.uint64(2**40)
+        fit = _fit_cells(cells, keys, 0.125, iterations)
+        counts = np.array([len(c) for c in cells])
+        last = np.full(len(cells), -1)
+        for drawn_keys, positions in seen:
+            np.maximum.at(last, (drawn_keys - np.uint64(2**40)).astype(np.int64), positions)
+        assert (last < iterations * counts).all()
+        assert (fit.candidates <= iterations).all()
+        assert (fit.candidates[fit.sampled] >= 1).all()
+        assert (fit.candidates[~fit.sampled] == 0).all()
+        assert (fit.candidates == iterations).any()
+        # a drawing cell read its candidates in whole blocks of n uniforms
+        assert (last[fit.sampled] + 1 >= fit.candidates[fit.sampled] * counts[fit.sampled]).all()
 
     def test_three_smallest_takes_the_lower_position_on_ties(self):
         keys = np.array([0.5, 0.1, 0.1, 0.3, 0.2, 0.2, 0.2, 0.0, 0.9, 0.4, 0.7])

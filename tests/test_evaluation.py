@@ -176,7 +176,7 @@ class TestEvaluateSequence:
 
     def test_perfect_mask_all_metrics_one_std_zero(self, rng):
         # feeding the truth back as the prediction: 1.0 everywhere, std 0
-        from gridseg.evaluation import SequenceReport, _aggregate, _row
+        from gridseg.evaluation import SequenceReport, _aggregate
 
         pts = rng.uniform(-40, 40, size=(600, 3))
         cloud = _cloud(pts)

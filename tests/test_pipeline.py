@@ -218,7 +218,21 @@ class TestSegment:
             assert fits["eigenplane"] + fits["ransac"] == phase.cells_planar
             assert 0 <= fits["failed"] <= phase.cells_non_planar
             assert fits["eigenplane"] > 0
+            # each cell that drew sampled candidates scored 1 to 50 of them
+            drew = fits["ransac"] + fits["failed"]
+            assert drew <= phase.ransac_candidates <= 50 * drew
         assert d["phase2"]["plane_fits"] == s.phase2.plane_fits
+        assert d["phase1"]["ransac_candidates"] == s.phase1.ransac_candidates
+
+    def test_ransac_candidates_stop_well_before_the_cap_on_noisy_ground(self):
+        # noise of 0.06 m leaves a third of the Phase-I eigenplanes under 99%
+        # inliers; their cells still hold most points near one plane, so the
+        # adaptive bound stops them after a few candidates, far below 50
+        scene = gs.make_scene(gs.SceneSpec(n_ground=20000, noise_sigma=0.06, seed=5))
+        stats = segment(PointCloud(points=scene.points)).stats.phase1
+        drew = stats.plane_fits["ransac"] + stats.plane_fits["failed"]
+        assert drew > 100
+        assert 2 * drew <= stats.ransac_candidates <= 5 * drew
 
     def test_stage_timings_add_up_to_at_most_the_phase_time(self, rng):
         stats = segment(_flat_cloud(rng, n=2000)).stats
