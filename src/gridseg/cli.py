@@ -145,23 +145,30 @@ def cmd_synth(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"bad --box: {exc}", file=sys.stderr)
         return 1
+    if args.num_scans < 1:
+        print(f"--num-scans must be at least 1, got {args.num_scans}", file=sys.stderr)
+        return 1
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    specs = []
-    for k in range(args.num_scans):
-        spec = synth.SceneSpec(
-            extent=args.extent,
-            n_ground=args.points,
-            slope_deg=args.slope_deg,
-            noise_sigma=args.noise_sigma,
-            boxes=boxes,
-            box_density=args.box_density,
-            seed=args.seed + k,
-        )
-        scene = synth.make_scene(spec)
-        synth.write_scene(out_dir, scene, f"{k:06d}")
-        specs.append(spec)
+    try:
+        specs = [
+            synth.SceneSpec(
+                extent=args.extent,
+                n_ground=args.points,
+                slope_deg=args.slope_deg,
+                noise_sigma=args.noise_sigma,
+                boxes=boxes,
+                box_density=args.box_density,
+                seed=args.seed + k,
+            )
+            for k in range(args.num_scans)
+        ]
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for k, spec in enumerate(specs):
+            synth.write_scene(out_dir, synth.make_scene(spec), f"{k:06d}")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     synth.write_manifest(out_dir, specs)
     return 0
 

@@ -1,7 +1,8 @@
 """Ground region expansion over tentative-ground cell centroids.
 
 Tentative-ground cells are linked when their centroids lie within the search
-radius (one KD-tree pair query), and a breadth-first search over that graph
+radius (one KD-tree pair query, whose pairs one sort of packed row-column
+keys turns into a CSR graph), and a breadth-first search over that graph
 expands the ground region from the seed cell under the robot.  Radius links
 (rather than grid adjacency) let the region bridge scan-line gaps at fine
 grid resolutions.  Each dequeued cell then runs a five-step refinement that
@@ -15,7 +16,10 @@ routes its points to the ground or non-ground output:
 5. otherwise route inliers to ground, outliers to non-ground.
 
 In the fine phase (phase 2) neighbor admission additionally requires the
-centroid height difference to stay within the height gate.
+centroid height difference to stay within the height gate.  The gate drops
+pairs before the sort, so the search reads a graph of admissible links
+only; step 4 sees every radius neighbor, over the gate too, from a second
+graph of all pairs that is built only when the phase has ambiguous cells.
 """
 
 from __future__ import annotations
@@ -75,7 +79,13 @@ class CentroidIndex:
     def __init__(self, cell_ids, centroids: np.ndarray):
         self.cell_ids = cell_ids
         self.centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
-        self._tree = cKDTree(self.centroids) if len(self.cell_ids) else None
+        # unbalanced and uncompacted, the tree builds in half the time and
+        # answers the pair query sooner; its answers are the same
+        self._tree = (
+            cKDTree(self.centroids, balanced_tree=False, compact_nodes=False)
+            if len(self.cell_ids)
+            else None
+        )
 
     def __len__(self) -> int:
         return len(self.cell_ids)
@@ -224,15 +234,22 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _neighbor_graph(index: CentroidIndex, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric graph of every two centroids within radius, as CSR
-    (indptr, indices) with each row's indices ascending."""
-    n = len(index.cell_ids)
-    i, j = index.pairs(radius)
-    rows, cols = np.divmod(np.sort(np.concatenate([i * n + j, j * n + i])), n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols
+def _neighbor_graph(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric graph over ``n`` nodes with an edge per pair ``(i[k], j[k])``,
+    as CSR (indptr, indices) with each row's indices ascending.
+
+    Both entries of each pair, keyed ``row * n + column``, are put in row
+    order by one sort, of int32 keys while ``n * n`` fits in them.  A
+    binary search for each row's first key gives ``indptr``, and each
+    key less its row's ``row * n`` is its column.
+    """
+    dtype = np.int32 if n * n < 2**31 else np.int64
+    i, j = i.astype(dtype, copy=False), j.astype(dtype, copy=False)
+    keys = np.concatenate([i * n + j, j * n + i])
+    keys.sort()
+    starts = np.arange(n + 1, dtype=dtype) * n  # the key of (row, 0), and n * n
+    indptr = np.searchsorted(keys, starts)
+    return indptr, keys - np.repeat(starts[:-1], np.diff(indptr))
 
 
 def _breadth_first(indptr: np.ndarray, indices: np.ndarray, source: int):
@@ -279,15 +296,18 @@ def expand(
     """Breadth-first ground expansion from the seed cell.
 
     The index must hold the grid rows of tentative cells in ascending order;
-    the neighbor graph is built from one pair query over it.  A
-    breadth-first search over that graph with each row's neighbors
-    ascending admits each cell's neighbors in ascending cell-index order
-    (reproducible runs).  Admitted cells are GROUND until they are dequeued
+    the neighbor graph is built from one pair query over it, in phase 2
+    from only the pairs within the height gate, which is applied to the
+    pairs before they are sorted into rows.  A breadth-first search over
+    that graph with each row's neighbors ascending admits each cell's
+    neighbors in ascending cell-index order (reproducible runs).  Admitted cells are GROUND until they are dequeued
     and refined.  Every refinement step but the ambiguous-cell checks is
     independent of that order and runs on all dequeued cells at once;
     ambiguous cells are refined one at a time in dequeue order, seeing each
     neighbor as ground when it was admitted by then and is either still
-    queued or was routed ground.  Final states land in ``grid.state``:
+    queued or was routed ground.  They read every radius neighbor, so in
+    phase 2 the rows of all pairs are built too, but only when some
+    reached cell is ambiguous.  Final states land in ``grid.state``:
     GROUND or NON_GROUND for dequeued cells, unreached ones stay TENTATIVE.
 
     Returns sorted id arrays (ground, non-ground) of positions in the cloud
@@ -314,15 +334,14 @@ def expand(
         raise ContractViolationError(f"seed cell {seed} is not in the centroid index")
 
     z = index.centroids[:, 2]
-    indptr, indices = _neighbor_graph(index, expansion.search_radius)
-    admit_ptr, admit = indptr, indices
+    i, j = index.pairs(expansion.search_radius)
     if expansion.phase == 2:
-        # drop the edges over the height gate; the remaining indices stay sorted
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        keep = np.abs(z[rows] - z[indices]) <= expansion.height_gate
-        admit = indices[keep]
-        admit_ptr = np.append(0, np.cumsum(keep))[indptr]
-    order, pred = _breadth_first(admit_ptr, admit, s)
+        # the height gate drops pairs before they are sorted into rows
+        keep = np.abs(z[i] - z[j]) <= expansion.height_gate
+        admit_graph = _neighbor_graph(n, np.compress(keep, i), np.compress(keep, j))
+    else:
+        admit_graph = _neighbor_graph(n, i, j)
+    order, pred = _breadth_first(*admit_graph, s)
 
     # rank = dequeue position; unreached cells get m, past every position
     m = len(order)
@@ -358,6 +377,8 @@ def expand(
     # when it was dequeued earlier and routed non-ground
     ambiguous = np.flatnonzero(reasons >= _AMBIGUOUS)
     if len(ambiguous):
+        # ambiguous cells see all their radius neighbors, over the gate too
+        indptr, indices = _neighbor_graph(n, i, j) if expansion.phase == 2 else admit_graph
         below = occupied_below(grid)[cells[ambiguous]]
         below_fixed = (below >= 0) & np.isin(grid.state[below], _NON_GROUND_STATES)
         row_rank = np.full(k + 1, m)  # row -1 (no cell below) is unreached

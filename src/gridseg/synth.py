@@ -48,6 +48,16 @@ class SceneSpec:
     box_density: float = 40.0  # surface points per square meter
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 < self.extent < math.inf:
+            raise ConfigError(f"extent must be positive and finite, got {self.extent}")
+        if self.n_ground < 0:
+            raise ConfigError(f"n_ground must be >= 0, got {self.n_ground}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
+        if not 0 <= self.box_density < math.inf:
+            raise ConfigError(f"box_density must be >= 0 and finite, got {self.box_density}")
+
 
 @dataclass
 class Scene:

@@ -219,6 +219,30 @@ class TestSynthCommand:
     def test_bad_box_spec(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--box", "1,2"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--extent", "-3"], "extent must be positive"),
+            (["--noise-sigma", "-1"], "noise_sigma must be >= 0"),
+            (["--points", "-5"], "n_ground must be >= 0"),
+            (["--box-density", "-2"], "box_density must be >= 0"),
+            (["--num-scans", "-1"], "--num-scans must be at least 1"),
+            (["--num-scans", "0"], "--num-scans must be at least 1"),
+        ],
+    )
+    def test_bad_scene_settings_fail_before_writing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "scene"
+        assert main(["synth", "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err.strip()
+        assert message in err and "\n" not in err
+        assert not out.exists()
+
+    def test_boxes_covering_the_extent_fail_with_one_line(self, tmp_path, capsys):
+        flags = ["--extent", "10", "--points", "100", "--box", "0,0,100,100,1"]
+        assert main(["synth", "--out", str(tmp_path / "scene"), *flags]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "config error: box footprints cover too much of the scene extent"
+
 
 class TestConfigDumpCommand:
     def test_defaults(self, capsys):

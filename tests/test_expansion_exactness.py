@@ -406,6 +406,18 @@ def test_neighbor_admitted_only_later_does_not_count():
     assert len(log.routes) == 4
 
 
+
+def test_lowest_neighbor_over_the_gate_counts_once_admitted_elsewhere():
+    # phase 2: the low cell at x = 2 is 0.4 m below the seed and the
+    # ambiguous cell, over the height gate of both, but the cell at x = 1
+    # admits it before the ambiguous cell is refined; it is then the
+    # ambiguous cell's lowest ground neighbor, found only in the ungated rows
+    layout = [(0, 0.5, "ground"), (1, 0.3, "ground"), (2, 0.1, "ground"), (3, 0.5, "ambiguous")]
+    points, make_grid, seed = _hand_built(layout)
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0, phase=2))
+    assert _ambiguous_route(log, layout) == "ambiguous and elevated above lowest neighbor"
+    assert [(i[0], j[0]) for i, j, _ in log.edges] == [(0, 1), (0, 3), (1, 2)]
+
 boxes = st.lists(
     st.builds(
         gs.BoxSpec,

@@ -87,7 +87,7 @@ class TestCentroidIndex:
         n = 2000
         centroids = rng.uniform(0, 40 * n ** (1 / 3), size=(n, 3))
         index = CentroidIndex([(k, 0, 0) for k in range(n)], centroids)
-        indptr, indices = _neighbor_graph(index, 6.0)
+        indptr, indices = _neighbor_graph(n, *index.pairs(6.0))
         rows = np.repeat(np.arange(n), np.diff(indptr))
         i, j = index.pairs(6.0)
         want = np.unique(np.concatenate([np.stack([i, j]), np.stack([j, i])], axis=1), axis=1)
@@ -100,6 +100,104 @@ class TestCentroidIndex:
         assert [len(a) for a in empty.pairs(5.0)] == [0, 0]
         one = CentroidIndex([(0, 0, 0)], np.zeros((1, 3)))
         assert [len(a) for a in one.pairs(5.0)] == [0, 0]
+
+
+def _csr_of_pairs(n, i, j):
+    """CSR of both directions of each pair, built with a lexsort (test oracle)."""
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
+    return indptr, cols[order]
+
+
+def _brute_graph(brute_index_cls, centroids, radius):
+    """Every two centroids within radius (inclusive), from all distances."""
+    i, j = brute_index_cls(range(len(centroids)), centroids).pairs(radius)
+    return _csr_of_pairs(len(centroids), i, j)
+
+
+def _sweep_graph(centroids, radius):
+    """Every two centroids within radius (inclusive), by comparing each
+    centroid, in x order, with the next ones until all their x gaps exceed
+    the radius: no pair further apart in that order can be in reach."""
+    order = np.argsort(centroids[:, 0], kind="stable")
+    c = centroids[order]
+    i, j = [], []
+    for shift in range(1, len(c)):
+        if (c[shift:, 0] - c[:-shift, 0]).min() > radius:
+            break
+        hit = np.flatnonzero(((c[shift:] - c[:-shift]) ** 2).sum(axis=1) <= radius * radius)
+        i.append(order[hit])
+        j.append(order[hit + shift])
+    return _csr_of_pairs(len(c), np.concatenate(i), np.concatenate(j))
+
+
+def _graph(centroids, radius):
+    n = len(centroids)
+    return _neighbor_graph(n, *CentroidIndex(np.arange(n), centroids).pairs(radius))
+
+
+def _assert_same_graph(got, want):
+    assert got[0].dtype == np.int64
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+class TestNeighborGraph:
+    @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0, 5.0])
+    def test_exact_radius_ties_match_brute_force(self, rng, brute_index_cls, radius):
+        # integer lattice: squared distances are exact, and 1, 2, 3 and 5
+        # (3-4-5) are each reached exactly by some pairs
+        lattice = np.stack(np.meshgrid(*[np.arange(7.0)] * 2, np.arange(3.0)), -1)
+        centroids = rng.permutation(lattice.reshape(-1, 3))
+        got = _graph(centroids, radius)
+        want = _brute_graph(brute_index_cls, centroids, radius)
+        d2 = ((centroids[:, None] - centroids[None]) ** 2).sum(axis=2)
+        assert (d2 == radius * radius).any()
+        _assert_same_graph(got, want)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_one_cell_graphs(self, n):
+        got = _graph(np.zeros((n, 3)), 5.0)
+        _assert_same_graph(got, (np.zeros(n + 1, np.int64), np.empty(0, np.int64)))
+
+    def test_int32_keys_match_brute_force(self, rng, brute_index_cls):
+        centroids = rng.uniform(0, 30, size=(1500, 3))
+        got = _graph(centroids, 3.0)
+        assert got[1].dtype == np.int32  # n * n < 2**31: the narrow keys ran
+        _assert_same_graph(got, _brute_graph(brute_index_cls, centroids, 3.0))
+
+    def test_int64_keys_match_brute_force(self, rng):
+        # 46.5k centroids, n * n >= 2**31, sparse along a 23 km strip
+        n = 46_500
+        centroids = rng.uniform(0, 1, size=(n, 3)) * [n / 2, 2.0, 2.0]
+        got = _graph(centroids, 1.0)
+        assert got[1].dtype == np.int64  # the keys did not fit in int32
+        want = _sweep_graph(centroids, 1.0)
+        assert len(want[1]) > n
+        _assert_same_graph(got, want)
+
+    @pytest.mark.parametrize("n", [46_340, 46_341])  # n * n just under and over 2**31
+    def test_key_width_boundary(self, n):
+        # pairs that touch the largest keys of the graph
+        i = np.array([0, n - 3, n - 2, 1])
+        j = np.array([n - 1, n - 1, n - 1, n - 2])
+        _assert_same_graph(_neighbor_graph(n, i, j), _csr_of_pairs(n, i, j))
+
+    def test_height_gate_on_pairs_drops_only_over_gate_entries(self, rng):
+        n, gate = 1200, 0.25
+        centroids = rng.uniform(0, 25, size=(n, 3)) * [1, 1, 0.1]
+        z = centroids[:, 2]
+        i, j = CentroidIndex(np.arange(n), centroids).pairs(5.0)
+        keep = np.abs(z[i] - z[j]) <= gate
+        indptr, indices = _neighbor_graph(n, i, j)
+        gated = _neighbor_graph(n, i[keep], j[keep])
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        over = np.abs(z[rows] - z[indices]) > gate
+        assert 0 < over.sum() < len(over)
+        kept_rows = rows[~over]
+        want = (np.append(0, np.cumsum(np.bincount(kept_rows, minlength=n))), indices[~over])
+        _assert_same_graph(gated, want)
 
 
 class TestBreadthFirst:

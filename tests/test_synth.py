@@ -1,8 +1,12 @@
 import json
 
+import math
+
 import numpy as np
+import pytest
 
 import gridseg as gs
+from gridseg.errors import ConfigError
 from gridseg.synth import GROUND_LABEL, OBSTACLE_LABEL
 
 
@@ -76,3 +80,26 @@ def test_manifest(tmp_path):
     payload = json.loads(path.read_text())
     assert payload[0]["extent"] == 8.0
     assert payload[0]["seed"] == 9
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("extent", 0.0),
+        ("extent", -3.0),
+        ("extent", math.inf),
+        ("extent", math.nan),
+        ("n_ground", -1),
+        ("noise_sigma", -0.01),
+        ("noise_sigma", math.nan),
+        ("box_density", -1.0),
+    ],
+)
+def test_scene_spec_rejects_bad_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        gs.SceneSpec(**{field: value})
+
+
+def test_scene_spec_accepts_empty_and_noiseless_scenes():
+    scene = gs.make_scene(gs.SceneSpec(n_ground=0, noise_sigma=0.0, box_density=0.0))
+    assert scene.points.shape == (0, 3)
