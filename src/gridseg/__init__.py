@@ -43,7 +43,6 @@ from .evaluation import (
     harmonic_f1,
     precision,
     recall,
-    report_from_json,
 )
 from .pipeline import (
     PhaseConfig,

@@ -55,7 +55,6 @@ def _segment_one(scan_path: str, cfg, out_dir: str, fmt: str):
         cloud_io.write_xyz(out / (scan.stem + ".xyz"), cloud, result.mask)
     stats = result.stats.as_dict()
     stats["scan"] = scan.name
-    stats["dropped_nonfinite"] = cloud.dropped_nonfinite
     stats["ground_points"] = int(result.mask.sum())
     stats["wall_ms"] = runtime_ms
     return stats

@@ -23,17 +23,10 @@ LABEL_RECORD_BYTES = 4
 
 @dataclass
 class PointCloud:
-    """Sensor-frame points with optional per-point reflectance.
-
-    ``valid_mask`` maps back to the original file records when non-finite
-    rows were dropped at parse time (None when nothing was dropped), so
-    per-record label files can be realigned to the kept points.
-    """
+    """Sensor-frame points with optional per-point reflectance."""
 
     points: np.ndarray  # (N, 3) float64
     intensity: np.ndarray | None = None  # (N,) float64
-    dropped_nonfinite: int = 0
-    valid_mask: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -50,10 +43,12 @@ class SyntheticSeedInfo:
 
 
 def read_kitti_bin(path: str | Path) -> PointCloud:
-    """Parse a KITTI ``.bin`` scan.
+    """Parse a KITTI ``.bin`` scan, one point per record, in file order.
 
-    Non-finite records are dropped (LiDAR returns can be invalid) and the
-    dropped count is surfaced on the returned cloud.
+    Every record is kept, non-finite ones too (LiDAR returns can be
+    invalid), so points, label files and masks stay aligned record for
+    record; ``segment`` leaves rows with a non-finite coordinate
+    non-ground and counts them.
     """
     data = Path(path).read_bytes()
     if len(data) % POINT_RECORD_BYTES != 0:
@@ -61,15 +56,7 @@ def read_kitti_bin(path: str | Path) -> PointCloud:
             f"{path}: {len(data)} bytes is not a multiple of {POINT_RECORD_BYTES}"
         )
     records = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    finite = np.isfinite(records).all(axis=1)
-    dropped = int(len(records) - finite.sum())
-    kept = records[finite]
-    return PointCloud(
-        points=np.ascontiguousarray(kept[:, :3]),
-        intensity=kept[:, 3].copy(),
-        dropped_nonfinite=dropped,
-        valid_mask=finite if dropped else None,
-    )
+    return PointCloud(points=np.ascontiguousarray(records[:, :3]), intensity=records[:, 3].copy())
 
 
 def read_semantic_labels(path: str | Path) -> np.ndarray:
@@ -109,13 +96,7 @@ def inject_synthetic_seed(
     intensity = cloud.intensity
     if intensity is not None:
         intensity = np.concatenate([intensity, np.zeros(len(lattice))])
-    out = PointCloud(
-        points=points,
-        intensity=intensity,
-        dropped_nonfinite=cloud.dropped_nonfinite,
-        valid_mask=cloud.valid_mask,
-    )
-    return out, info
+    return PointCloud(points=points, intensity=intensity), info
 
 
 def strip_synthetic(mask: np.ndarray, info: SyntheticSeedInfo) -> np.ndarray:

@@ -252,11 +252,7 @@ def _evaluate_one(scan_path: str, label_path: str, cfg, policy, thresholds):
     string (raises on other failures; see ``fan_out``)."""
     cloud = read_kitti_bin(scan_path)
     truth = read_semantic_labels(label_path)
-    if cloud.valid_mask is not None:
-        if len(truth) != len(cloud.valid_mask):
-            return "label count does not match scan record count"
-        truth = truth[cloud.valid_mask]
-    elif len(truth) != len(cloud):
+    if len(truth) != len(cloud):
         return "label count does not match scan record count"
     t0 = time.perf_counter()
     result = segment(cloud, cfg)
@@ -329,26 +325,3 @@ def emit_report(report: SequenceReport, fmt: str = "csv") -> str:
         return json.dumps(payload, indent=2)
     raise ContractViolationError(f"unknown report format: {fmt}")
 
-
-def report_from_json(text: str) -> SequenceReport:
-    payload = json.loads(text)
-    rows = [
-        MetricRow(
-            distance_m=r["distance_m"],
-            counts=ConfusionCounts(r["ntp"], r["nfp"], r["nfn"], r["ntn"]),
-            precision=r["precision"],
-            recall=r["recall"],
-            f1=r["f1"],
-        )
-        for r in payload["rows"]
-    ]
-    return SequenceReport(
-        rows=rows,
-        mean=payload["mean"],
-        std=payload["std"],
-        undefined=payload["undefined"],
-        runtime_mean_ms=payload["runtime_mean_ms"],
-        runtime_std_ms=payload["runtime_std_ms"],
-        n_scans=payload["n_scans"],
-        skipped=payload["skipped"],
-    )

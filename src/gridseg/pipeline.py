@@ -172,7 +172,6 @@ class SegmentationResult:
 @dataclass
 class PhaseResult:
     ground_ids: np.ndarray
-    nonground_ids: np.ndarray
     ground_cell_point_ids: np.ndarray
     stats: PhaseStats
     # the phase's grid after expansion, its point ids as positions in
@@ -247,11 +246,7 @@ def classify_cells(
     grid.state[:] = np.select(
         [tentative, obstacle], [GroundState.TENTATIVE, GroundState.OBSTACLE], GroundState.NON_GROUND
     )
-    grid.normals[:] = np.nan
-    grid.plane_offsets[:] = np.nan
     grid.slopes[:] = np.nan
-    grid.normals[planar] = fit.normals
-    grid.plane_offsets[planar] = fit.offsets
     grid.slopes[planar] = fit.slopes
     grid.sampled[:] = False
     grid.sampled[planar] = fit.sampled
@@ -347,8 +342,11 @@ def run_phase(
 ) -> PhaseResult:
     """Run grid build, classification, and expansion on a subset of points.
 
-    ``ids`` index into ``all_points``; the returned id sets are global,
-    disjoint, and together cover the subset.
+    ``ids`` index into ``all_points`` and hold no id twice.  The result's
+    id arrays are global and sorted: ``ground_ids``, the points expansion
+    routed to ground, and ``ground_cell_point_ids``, every point of the
+    cells it routed ground (inliers and outliers), for the next phase.
+    Every other point of the subset is non-ground.
 
     ``parent`` is the previous phase's result; both phases take ascending
     ids, as ``segment`` passes them.  The phase then takes over the parent
@@ -363,9 +361,7 @@ def run_phase(
     stats = PhaseStats(n_points=len(ids))
     ids = np.asarray(ids, dtype=np.int64)
     if len(ids) == 0:
-        return PhaseResult(
-            np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), stats
-        )
+        return PhaseResult(np.empty(0, np.int64), np.empty(0, np.int64), stats)
 
     t = time.perf_counter()
     rows, cells, pos = _inheritable(parent, cfg, ids, len(all_points))
@@ -398,7 +394,7 @@ def run_phase(
         index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
         t1 = time.perf_counter()
         expansion = replace(cfg.expansion, phase=phase)
-        ground_local, _ = expand(
+        ground_local = expand(
             grid, index, seed, cfg.geometry, expansion, log=log, route_counts=stats.routes
         )
         stats.stages_ms["index"] = (t1 - t) * 1000.0
@@ -408,23 +404,14 @@ def run_phase(
     stats.cells_routed_ground = int(routed_ground.sum())
     cell_local = grid.order[np.repeat(routed_ground, grid.counts)]
 
-    # id sets as boolean masks over the global ids: sorted and disjoint by construction
-    ground = id_mask(ids[ground_local], len(all_points))
-    rest = id_mask(ids, len(all_points)) & ~ground
-    fwd = id_mask(ids[cell_local], len(all_points))
+    # global ids, sorted by way of boolean masks over them
+    ground = np.flatnonzero(id_mask(ids[ground_local], len(all_points)))
+    fwd = np.flatnonzero(id_mask(ids[cell_local], len(all_points)))
 
-    stats.points_ground = int(ground.sum())
-    stats.points_non_ground = int(rest.sum())
+    stats.points_ground = len(ground)
+    stats.points_non_ground = len(ids) - len(ground)
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return PhaseResult(
-        np.flatnonzero(ground),
-        np.flatnonzero(rest),
-        np.flatnonzero(fwd),
-        stats,
-        grid,
-        ids,
-        cfg.geometry,
-    )
+    return PhaseResult(ground, fwd, stats, grid, ids, cfg.geometry)
 
 
 def segment(
@@ -436,9 +423,10 @@ def segment(
     """Segment a cloud into ground / non-ground points.
 
     Deterministic for a fixed configuration (including the global seed), and
-    equivariant under permutations of the input point order.  Rows with a
-    non-finite coordinate are left out, as ``read_kitti_bin`` does, and
-    get False in the mask.
+    equivariant under permutations of the input point order.  The mask has
+    one entry per input row.  Rows with a NaN or infinite coordinate are
+    left out of both phases, get False in the mask and are counted in
+    ``stats.n_nonfinite``; this is the one place such rows are handled.
     """
     if cfg is None:
         cfg = make_default_config()

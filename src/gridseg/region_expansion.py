@@ -6,7 +6,7 @@ keys turns into a CSR graph), and a breadth-first search over that graph
 expands the ground region from the seed cell under the robot.  Radius links
 (rather than grid adjacency) let the region bridge scan-line gaps at fine
 grid resolutions.  Each dequeued cell then runs a five-step refinement that
-routes its points to the ground or non-ground output:
+decides whether it is ground; the output is the inliers of the ground cells:
 
 1. split the cell's points into plane inliers and outliers (stored fit);
 2. reject when there are no inliers;
@@ -69,14 +69,13 @@ class ExpansionParams:
 
 
 class CentroidIndex:
-    """Exact fixed-radius neighbor queries over cell centroids.
+    """Exact fixed-radius pairs over the centroids of some grid rows.
 
-    A centroid is numbered by its position in ``cell_ids``.  Expansion
-    expects the ids to be grid rows in ascending order; ``query`` takes
-    any ids.
+    ``cell_ids`` are the grid rows, in ascending order, and ``centroids``
+    their centroids; a centroid is numbered by its position in ``cell_ids``.
     """
 
-    def __init__(self, cell_ids, centroids: np.ndarray):
+    def __init__(self, cell_ids: np.ndarray, centroids: np.ndarray):
         self.cell_ids = cell_ids
         self.centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
         # unbalanced and uncompacted, the tree builds in half the time and
@@ -86,16 +85,6 @@ class CentroidIndex:
             if len(self.cell_ids)
             else None
         )
-
-    def __len__(self) -> int:
-        return len(self.cell_ids)
-
-    def query(self, center, radius: float) -> list:
-        """Cell ids within Euclidean distance radius (inclusive), sorted."""
-        if self._tree is None:
-            return []
-        hits = self._tree.query_ball_point(np.asarray(center, dtype=np.float64), radius)
-        return sorted(self.cell_ids[k] for k in hits)
 
     def pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Positions (i, j), i < j, of every two centroids within radius (inclusive)."""
@@ -292,7 +281,7 @@ def expand(
     expansion: ExpansionParams,
     log: ExpansionLog | None = None,
     route_counts: dict[str, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Breadth-first ground expansion from the seed cell.
 
     The index must hold the grid rows of tentative cells in ascending order;
@@ -300,21 +289,20 @@ def expand(
     from only the pairs within the height gate, which is applied to the
     pairs before they are sorted into rows.  A breadth-first search over
     that graph with each row's neighbors ascending admits each cell's
-    neighbors in ascending cell-index order (reproducible runs).  Admitted cells are GROUND until they are dequeued
-    and refined.  Every refinement step but the ambiguous-cell checks is
-    independent of that order and runs on all dequeued cells at once;
-    ambiguous cells are refined one at a time in dequeue order, seeing each
-    neighbor as ground when it was admitted by then and is either still
-    queued or was routed ground.  They read every radius neighbor, so in
-    phase 2 the rows of all pairs are built too, but only when some
-    reached cell is ambiguous.  Final states land in ``grid.state``:
+    neighbors in ascending cell-index order (reproducible runs).  Admitted
+    cells are GROUND until they are dequeued and refined.  Every refinement
+    step but the ambiguous-cell checks is independent of that order and
+    runs on all dequeued cells at once; ambiguous cells are refined one at
+    a time in dequeue order, seeing each neighbor as ground when it was
+    admitted by then and is either still queued or was routed ground.
+    They read every radius neighbor, so in phase 2 the rows of all pairs
+    are built too, but only when some reached cell is ambiguous.  Final states land in ``grid.state``:
     GROUND or NON_GROUND for dequeued cells, unreached ones stay TENTATIVE.
 
-    Returns sorted id arrays (ground, non-ground) of positions in the cloud
-    the grid was built from, covering exactly the cells that were dequeued;
-    points of unreached cells belong to neither.  A given ``log`` receives
-    the admission edges and routes in dequeue order, a given
-    ``route_counts`` the number of cells per reason in ``REASONS``.
+    Returns the sorted ground ids, as positions in the cloud the grid was
+    built from: the inliers of the cells whose final state is GROUND.  A
+    given ``log`` receives the admission edges and routes in dequeue order,
+    a given ``route_counts`` the number of cells per reason in ``REASONS``.
     """
     seed_row = grid.find(seed)
     if seed_row < 0 or grid.state[seed_row] != GroundState.TENTATIVE:
@@ -422,13 +410,8 @@ def expand(
     if route_counts is not None:
         route_counts.update(zip(REASONS, np.bincount(reasons, minlength=len(REASONS)).tolist()))
 
-    to_ground = np.zeros(k, dtype=bool)
-    to_ground[cells] = ground
-    to_ground = np.repeat(to_ground, counts) & inliers
-    rest = np.repeat(reached, counts) & ~to_ground
-    n_ids = len(grid.order)
-    ground_ids = np.flatnonzero(id_mask(np.compress(to_ground, grid.order), n_ids))
-    return ground_ids, np.flatnonzero(id_mask(np.compress(rest, grid.order), n_ids))
+    to_ground = np.repeat(grid.state == GroundState.GROUND, counts) & inliers
+    return np.flatnonzero(id_mask(np.compress(to_ground, grid.order), len(grid.order)))
 
 
 def _cell_indices(grid: VoxelGrid, rows: np.ndarray) -> list[CellIndex]:

@@ -36,6 +36,13 @@ class BoxSpec:
     sz: float
     base: float = 0.0
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"box {name} must be finite, got {value}")
+            if name in ("sx", "sy", "sz") and value <= 0:
+                raise ConfigError(f"box {name} must be positive, got {value}")
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -57,6 +64,10 @@ class SceneSpec:
             raise ConfigError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if not 0 <= self.box_density < math.inf:
             raise ConfigError(f"box_density must be >= 0 and finite, got {self.box_density}")
+        if not math.isfinite(self.ground_z):
+            raise ConfigError(f"ground_z must be finite, got {self.ground_z}")
+        if not abs(self.slope_deg) < 90:
+            raise ConfigError(f"slope_deg must be within (-90, 90), got {self.slope_deg}")
 
 
 @dataclass

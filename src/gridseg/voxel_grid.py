@@ -64,8 +64,9 @@ class VoxelGrid:
     ``order[i]``).  ``centroids`` holds each cell's mean point, summed in
     that order; covariances and plane fits are centred on it.
 
-    A cell without a plane fit has NaN in ``normals``, ``plane_offsets``
-    and ``slopes``.  ``sampled`` flags the cells whose plane fit drew
+    ``slopes`` holds each cell's plane slope in degrees, NaN for a cell
+    without a plane fit (``fitted``); the plane's normal and offset are not
+    kept, as no stage reads them after the inlier split.  ``sampled`` flags the cells whose plane fit drew
     sampled RANSAC candidates, i.e. did not finish on the eigenplane (a
     failed fit always did).  ``inliers`` runs parallel to ``order`` and
     flags the points within the inlier threshold of their cell's plane.
@@ -79,8 +80,6 @@ class VoxelGrid:
     centroids: np.ndarray
     kind: np.ndarray
     state: np.ndarray
-    normals: np.ndarray
-    plane_offsets: np.ndarray
     slopes: np.ndarray
     sampled: np.ndarray
     inliers: np.ndarray
@@ -185,8 +184,6 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
         centroids=centroids,
         kind=np.full(k, CellKind.UNCLASSIFIED, dtype=np.int8),
         state=np.full(k, GroundState.NONE, dtype=np.int8),
-        normals=np.full((k, 3), np.nan),
-        plane_offsets=np.full(k, np.nan),
         slopes=np.full(k, np.nan),
         sampled=np.zeros(k, dtype=bool),
         inliers=np.zeros(len(pts), dtype=bool),
@@ -200,7 +197,7 @@ def merge_grids(cellsize: CellSize, parts) -> VoxelGrid:
     their cell indices in the merged grid, and parallel to ``grid.order``
     each point's id in the merged grid.  The cell indices must be distinct
     across parts.  The merged cells are sorted by index; each keeps its
-    points in their order, its centroid, kind, state, plane, ``sampled``
+    points in their order, its centroid, kind, state, slope, ``sampled``
     flag and inlier flags.  Every per-point array comes by one ``np.take``
     from the parts' arrays back to back.
     """
@@ -228,8 +225,6 @@ def merge_grids(cellsize: CellSize, parts) -> VoxelGrid:
         centroids=per_cell("centroids"),
         kind=per_cell("kind"),
         state=per_cell("state"),
-        normals=per_cell("normals"),
-        plane_offsets=per_cell("plane_offsets"),
         slopes=per_cell("slopes"),
         sampled=per_cell("sampled"),
         inliers=per_point([g.inliers for g, _, _, _ in parts]),

@@ -18,7 +18,8 @@ class BruteForceIndex:
         self.cell_ids = list(cell_ids)
         self.centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
 
-    def query(self, center, radius):
+    def within(self, center, radius):
+        """Ids of the centroids within radius of center (inclusive), sorted."""
         if not self.cell_ids:
             return []
         d2 = ((self.centroids - np.asarray(center, dtype=np.float64)) ** 2).sum(axis=1)

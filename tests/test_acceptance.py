@@ -156,17 +156,16 @@ def test_criterion_04_ransac():
     np.testing.assert_array_equal(a[2], b[2])
 
 
-@criterion(5, "radius queries equal brute force on 1000 points x 100 queries")
+@criterion(5, "radius pairs equal brute force on 1000 points x 100 radii")
 def test_criterion_05_spatial_index():
     centroids = RNG.uniform(-50, 50, size=(1000, 3))
-    ids = [(i, i, i) for i in range(1000)]
-    index = CentroidIndex(ids, centroids)
+    index = CentroidIndex(np.arange(1000), centroids)
+    d2 = ((centroids[:, None] - centroids[None]) ** 2).sum(axis=2)
     for _ in range(100):
-        center = RNG.uniform(-55, 55, size=3)
         radius = RNG.uniform(0.1, 25.0)
-        d2 = ((centroids - center) ** 2).sum(axis=1)
-        expected = sorted(ids[k] for k in np.flatnonzero(d2 <= radius * radius))
-        assert index.query(center, radius) == expected
+        expected = np.nonzero(np.triu(d2 <= radius * radius, k=1))
+        got = sorted(zip(*(a.tolist() for a in index.pairs(radius))))
+        assert got == list(zip(*(a.tolist() for a in expected)))
 
 
 def _classified_scene(points, cellsize, phase):
@@ -210,7 +209,7 @@ def test_criterion_06_expansion_oracle():
             index = (BruteIndex if brute else build_centroid_index)(grid, tentative)
             log = ExpansionLog()
             params = ExpansionParams(phase=phase)
-            ground, _ = expand(
+            ground = expand(
                 grid, index, select_seed(grid, info), GeometryParams(), params, log=log
             )
             per_index.append(ground)

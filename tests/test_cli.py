@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import gridseg as gs
@@ -72,6 +73,29 @@ class TestSegmentCommand:
         )
         assert code == 0
         assert (out / "000000.xyz").exists()
+
+    def test_nonfinite_records_get_one_mask_byte_each(self, tmp_path):
+        seq = _make_sequence(tmp_path, n_ground=1500)
+        scan = seq / "velodyne" / "000000.bin"
+        records = np.fromfile(scan, dtype="<f4").reshape(-1, 4)
+        records[5, 0] = np.nan
+        records[17, 2] = np.inf
+        records[30, 3] = np.nan  # intensity only: segmented like any point
+        records.tofile(scan)
+        out = tmp_path / "out"
+        assert main(["segment", str(scan), "--out", str(out)]) == 0
+        mask = gs.read_mask(out / "000000.mask")
+        assert len(mask) == len(records) == 1500
+        assert not mask[5] and not mask[17]
+        stats = json.loads((out / "stats.json").read_text())["000000.bin"]
+        assert stats["n_nonfinite"] == 2
+        assert stats["ground_points"] == int(mask.sum())
+        assert "dropped_nonfinite" not in stats
+        # the label file still lines up with the records
+        report = tmp_path / "report.json"
+        labels = ["--scans", str(seq / "velodyne"), "--labels", str(seq / "labels")]
+        assert main(["evaluate", *labels, "--report", str(report), "--format", "json"]) == 0
+        assert json.loads(report.read_text())["n_scans"] == 1
 
     def test_jobs_parallel_matches_serial(self, tmp_path):
         seq = _make_sequence(tmp_path, n_scans=3, n_ground=1200)
@@ -228,6 +252,11 @@ class TestSynthCommand:
             (["--box-density", "-2"], "box_density must be >= 0"),
             (["--num-scans", "-1"], "--num-scans must be at least 1"),
             (["--num-scans", "0"], "--num-scans must be at least 1"),
+            (["--box", "3,3,-2,1,1"], "bad --box: box sx must be positive"),
+            (["--box", "3,3,2,1,-1"], "bad --box: box sz must be positive"),
+            (["--box", "3,3,2,1,nan"], "bad --box: box sz must be finite"),
+            (["--slope-deg", "nan"], "slope_deg must be within (-90, 90)"),
+            (["--slope-deg", "90"], "slope_deg must be within (-90, 90)"),
         ],
     )
     def test_bad_scene_settings_fail_before_writing(self, tmp_path, capsys, flags, message):

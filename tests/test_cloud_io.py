@@ -34,22 +34,20 @@ class TestReadKittiBin:
         with pytest.raises(MalformedFileError):
             cloud_io.read_kitti_bin(p)
 
-    def test_nonfinite_rows_dropped_and_counted(self, tmp_path):
+    def test_nonfinite_rows_kept_in_file_order(self, tmp_path):
         p = tmp_path / "scan.bin"
-        _write_records(
-            p,
-            [
-                (1.0, 0.0, 0.0, 0.0),
-                (float("nan"), 0.0, 0.0, 0.0),
-                (2.0, 0.0, float("inf"), 0.0),
-                (3.0, 0.0, 0.0, 0.0),
-            ],
-        )
+        nan, inf = float("nan"), float("inf")
+        records = [
+            (1.0, 0.0, 0.0, 0.0),
+            (nan, 0.0, 0.0, 0.0),
+            (2.0, 0.0, inf, 0.0),
+            (3.0, 0.0, 0.0, nan),
+        ]
+        _write_records(p, records)
         cloud = cloud_io.read_kitti_bin(p)
-        assert len(cloud) == 2
-        assert cloud.dropped_nonfinite == 2
-        np.testing.assert_array_equal(cloud.valid_mask, [True, False, False, True])
-        np.testing.assert_array_equal(cloud.points[:, 0], [1.0, 3.0])
+        assert len(cloud) == 4
+        np.testing.assert_array_equal(cloud.points, [r[:3] for r in records])
+        np.testing.assert_array_equal(cloud.intensity, [r[3] for r in records])
 
     @given(st.binary(max_size=256))
     def test_parsing_is_total(self, tmp_path_factory, data):
@@ -60,7 +58,9 @@ class TestReadKittiBin:
                 cloud_io.read_kitti_bin(p)
         else:
             cloud = cloud_io.read_kitti_bin(p)
-            assert len(cloud) + cloud.dropped_nonfinite == len(data) // 16
+            assert len(cloud) == len(cloud.intensity) == len(data) // 16
+            want = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
+            np.testing.assert_array_equal(cloud.points, want[:, :3])
 
 
 class TestReadSemanticLabels:

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -19,7 +20,6 @@ from gridseg.evaluation import (
     harmonic_f1,
     precision,
     recall,
-    report_from_json,
 )
 
 POLICY = GroundTruthPolicy()
@@ -283,9 +283,31 @@ class TestEmitReport:
 
     def test_json_round_trip(self, tmp_path):
         report = self._report(tmp_path)
-        text = emit_report(report, "json")
-        back = report_from_json(text)
-        assert back == report
+        payload = json.loads(emit_report(report, "json"))
+        rows = [
+            {
+                "distance_m": r.distance_m,
+                "ntp": r.counts.ntp,
+                "nfp": r.counts.nfp,
+                "nfn": r.counts.nfn,
+                "ntn": r.counts.ntn,
+                "precision": r.precision,
+                "recall": r.recall,
+                "f1": r.f1,
+            }
+            for r in report.rows
+        ]
+        assert len(rows) > 0
+        assert payload == {
+            "rows": rows,
+            "mean": report.mean,
+            "std": report.std,
+            "undefined": report.undefined,
+            "runtime_mean_ms": report.runtime_mean_ms,
+            "runtime_std_ms": report.runtime_std_ms,
+            "n_scans": report.n_scans,
+            "skipped": report.skipped,
+        }
 
     def test_summary_line_format(self, tmp_path):
         report = self._report(tmp_path)

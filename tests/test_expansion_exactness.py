@@ -3,11 +3,10 @@
 ``_reference_expand`` and ``_reference_refine`` are the former ``expand`` and
 ``refine_cell`` bodies: a deque/set breadth-first search that queries each
 dequeued cell's neighbors and refines it on the spot against the live cell
-states.  (The former ``expand`` took neighbor lists from a batched query when
-the index offered one and fell back to ``index.query``; only the fallback is
-kept, as both return the same sorted lists.)  The new expansion must agree
-with it exactly: the same id arrays, admission edges, routes, and final cell
-states.  They run on per-cell records that ``_records`` builds from a grid's
+states.  It queries a brute-force index (``conftest.BruteForceIndex``), so it
+shares no neighbor search with ``expand``.  The new expansion must agree
+with it exactly: the same ground ids, admission edges, routes, and final
+cell states.  They run on per-cell records that ``_records`` builds from a grid's
 arrays, as the cell objects of the former grid held them.
 """
 
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from conftest import BruteForceIndex
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -28,7 +28,6 @@ from gridseg.errors import ContractViolationError
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
 from gridseg.region_expansion import (
     REASONS,
-    CentroidIndex,
     ExpansionLog,
     ExpansionParams,
     build_centroid_index,
@@ -44,7 +43,6 @@ CFG = make_default_config()
 @dataclass
 class _Cell:
     index: tuple
-    point_ids: np.ndarray
     centroid: np.ndarray
     ground_state: GroundState
     plane: object
@@ -53,9 +51,8 @@ class _Cell:
 
 
 def _records(grid):
-    """One record per cell, keyed by cell index: its ids (sorted), centroid
-    and state, and for a cell with a plane fit its inliers and outliers in
-    canonical order."""
+    """One record per cell, keyed by cell index: its centroid and state, and
+    for a cell with a plane fit its inliers and outliers in canonical order."""
     cells = {}
     for c, idx in enumerate(grid.cells.tolist()):
         span = grid.span(c)
@@ -63,7 +60,6 @@ def _records(grid):
         fitted = bool(grid.fitted[c])
         cells[tuple(idx)] = _Cell(
             index=tuple(idx),
-            point_ids=np.sort(ids),
             centroid=grid.centroids[c],
             ground_state=GroundState(grid.state[c]),
             plane=grid.slopes[c] if fitted else None,
@@ -75,7 +71,7 @@ def _records(grid):
 
 def _record_index(cells, keys):
     keys = list(keys)
-    return CentroidIndex(keys, [cells[k].centroid for k in keys])
+    return BruteForceIndex(keys, [cells[k].centroid for k in keys])
 
 
 def _cell_height(cell, points):
@@ -122,7 +118,6 @@ def _reference_expand(cells, points, index, seed, geometry, expansion, log=None)
     in_queue = {seed}
     expanded = set()
     ground_parts = []
-    nonground_parts = []
 
     while queue:
         i = queue.popleft()
@@ -130,7 +125,7 @@ def _reference_expand(cells, points, index, seed, geometry, expansion, log=None)
         expanded.add(i)
         ci = cells[i]
 
-        neighbors = index.query(ci.centroid, expansion.search_radius)
+        neighbors = index.within(ci.centroid, expansion.search_radius)
         for j in neighbors:
             if j == i or j in expanded or j in in_queue:
                 continue
@@ -154,20 +149,14 @@ def _reference_expand(cells, points, index, seed, geometry, expansion, log=None)
         )
         if is_ground:
             ground_parts.append(ci.inlier_ids)
-            nonground_parts.append(ci.outlier_ids)
         else:
             ci.ground_state = GroundState.NON_GROUND
-            nonground_parts.append(ci.point_ids)
         if log is not None:
             log.routes.append((i, "ground" if is_ground else "non_ground", reason))
 
-    def _collect(parts):
-        parts = [p for p in parts if p is not None and len(p)]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts)).astype(np.int64)
-
-    return _collect(ground_parts), _collect(nonground_parts)
+    if not ground_parts:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(np.concatenate(ground_parts)).astype(np.int64)
 
 
 def _expand_both(make_grid, points, seed, expansion):
@@ -180,17 +169,16 @@ def _expand_both(make_grid, points, seed, expansion):
         if reference:
             cells = _records(grid)
             index = _record_index(cells, map(tuple, grid.cells[tentative].tolist()))
-            ground, nonground = _reference_expand(cells, points, index, seed, GEO, expansion, log)
+            ground = _reference_expand(cells, points, index, seed, GEO, expansion, log)
             states = [(idx, c.ground_state) for idx, c in cells.items()]
         else:
             index = build_centroid_index(grid, tentative)
-            ground, nonground = expand(grid, index, seed, GEO, expansion, log=log)
+            ground = expand(grid, index, seed, GEO, expansion, log=log)
             states = [(tuple(k), GroundState(v)) for k, v in zip(grid.cells.tolist(), grid.state)]
-        outcomes.append((ground, nonground, log, states))
-    (g0, n0, log0, s0), (g1, n1, log1, s1) = outcomes
+        outcomes.append((ground, log, states))
+    (g0, log0, s0), (g1, log1, s1) = outcomes
     np.testing.assert_array_equal(g0, g1)
-    np.testing.assert_array_equal(n0, n1)
-    assert g1.dtype == n1.dtype == np.int64
+    assert g1.dtype == np.int64
     assert log0.edges == log1.edges
     assert log0.routes == log1.routes
     assert s0 == s1
@@ -331,10 +319,7 @@ def _hand_built(layout):
             span = grid.span(c)
             ids = np.sort(grid.order[span])
             if kind != "no_plane":
-                normals, offsets, slopes = make_planes([0, 0, 1.0], [-z])
-                grid.normals[c], grid.plane_offsets[c], grid.slopes[c] = (
-                    normals[0], offsets[0], slopes[0]
-                )
+                grid.slopes[c] = make_planes([0, 0, 1.0], [-z])[2][0]
                 split = len(ids) if kind == "ground" else 50
                 grid.inliers[span] = np.isin(grid.order[span], ids[:split])
         return grid

@@ -10,6 +10,7 @@ cells its points land in.
 """
 
 import copy
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -21,23 +22,11 @@ from gridseg import pipeline
 from gridseg.cell_geometry import GeometryParams
 from gridseg.cloud_io import inject_synthetic_seed
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
-from gridseg.voxel_grid import CellSize, GroundState, build_grid
+from gridseg.voxel_grid import CellSize, GroundState, VoxelGrid, build_grid
 
 CFG = make_default_config()
-ARRAYS = (
-    "cells",
-    "offsets",
-    "order",
-    "points",
-    "centroids",
-    "kind",
-    "state",
-    "normals",
-    "plane_offsets",
-    "slopes",
-    "sampled",
-    "inliers",
-)
+# every array of the grid, so none can drop out of the comparison
+ARRAYS = tuple(f.name for f in dataclasses.fields(VoxelGrid) if f.name != "cellsize")
 SCENES = {
     **SCENES,
     # ground at -1.52 m: its 0.2 m slab [-1.6, -1.4) straddles the 1.5 m

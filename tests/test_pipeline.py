@@ -44,7 +44,9 @@ class TestRunPhase:
         )
         ids = np.arange(len(seeded.points))
         result = run_phase(ids, seeded.points, cfg.phase1, 1, cfg.global_seed, info)
-        assert len(result.ground_ids) + len(result.nonground_ids) == len(ids)
+        assert result.stats.points_ground == len(result.ground_ids)
+        assert result.stats.points_ground + result.stats.points_non_ground == len(ids)
+        assert set(result.ground_ids.tolist()) <= set(ids.tolist())
         # every real plane point is recovered in the coarse phase
         real = set(range(len(cloud)))
         assert real <= set(result.ground_ids.tolist())
@@ -77,7 +79,7 @@ class TestRunPhase:
             np.empty(0, np.int64), seeded.points, cfg.phase1, 1, cfg.global_seed, info
         )
         assert len(result.ground_ids) == 0
-        assert len(result.nonground_ids) == 0
+        assert result.stats.points_ground == result.stats.points_non_ground == 0
 
 
 class TestSegment:

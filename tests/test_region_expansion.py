@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_expansion_exactness import SCENES
 
 from gridseg.cell_geometry import GeometryParams, PlaneModel
 from gridseg.cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed
@@ -53,29 +54,28 @@ def _flat_cloud_with_seed(rng, extent=16.0, n=4000):
 class TestCentroidIndex:
     def test_empty_index(self):
         index = build_centroid_index(build_grid(np.zeros((0, 3)), CellSize(1, 1, 1)), [])
-        assert index.query([0, 0, 0], 10.0) == []
+        assert [len(a) for a in index.pairs(10.0)] == [0, 0]
 
     def test_radius_zero_includes_exact_match(self):
-        grid = build_grid(np.array([[1.0, 2.0, 3.0], [9.0, 9.0, 9.0]]), CellSize(1, 1, 1))
-        index = build_centroid_index(grid, [0])
-        assert index.query([1.0, 2.0, 3.0], 0.0) == [0]
-        assert tuple(grid.cells[0].tolist()) == (1, 2, 3)
+        centroids = np.array([[1.0, 2.0, 3.0], [9.0, 9.0, 9.0], [1.0, 2.0, 3.0]])
+        i, j = CentroidIndex(np.arange(3), centroids).pairs(0.0)
+        assert (i.tolist(), j.tolist()) == ([0], [2])
 
     def test_matches_brute_force_scan(self, rng, brute_index_cls):
-        centroids = rng.uniform(-50, 50, size=(1000, 3))
-        ids = [(i, 0, 0) for i in range(1000)]
-        kd = CentroidIndex(ids, centroids)
-        brute = brute_index_cls(ids, centroids)
-        for _ in range(100):
-            center = rng.uniform(-55, 55, size=3)
-            radius = rng.uniform(0.1, 20.0)
-            assert kd.query(center, radius) == brute.query(center, radius)
+        # the tentative cells of a scan, at the expansion radius
+        pts, _ = _flat_cloud_with_seed(rng, extent=30.0, n=6000)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
+        tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
+        kd = _tentative_index(grid)
+        brute = brute_index_cls(tentative, grid.centroids[tentative])
+        got = sorted(zip(*(a.tolist() for a in kd.pairs(5.0))))
+        assert len(got) > len(tentative)
+        assert got == sorted(zip(*(a.tolist() for a in brute.pairs(5.0))))
 
     def test_pairs_match_brute_force(self, rng, brute_index_cls):
         centroids = rng.uniform(-20, 20, size=(400, 3))
-        ids = [(i, 0, 0) for i in range(400)]
-        kd = CentroidIndex(ids, centroids)
-        brute = brute_index_cls(ids, centroids)
+        kd = CentroidIndex(np.arange(400), centroids)
+        brute = brute_index_cls(range(400), centroids)
         for radius in (1.5, 3.0, 8.0):
             i, j = kd.pairs(radius)
             assert (i < j).all()
@@ -86,7 +86,7 @@ class TestCentroidIndex:
     def test_neighbor_graph_is_symmetric_with_sorted_rows(self, rng):
         n = 2000
         centroids = rng.uniform(0, 40 * n ** (1 / 3), size=(n, 3))
-        index = CentroidIndex([(k, 0, 0) for k in range(n)], centroids)
+        index = CentroidIndex(np.arange(n), centroids)
         indptr, indices = _neighbor_graph(n, *index.pairs(6.0))
         rows = np.repeat(np.arange(n), np.diff(indptr))
         i, j = index.pairs(6.0)
@@ -98,7 +98,7 @@ class TestCentroidIndex:
     def test_empty_and_single_cell_have_no_pairs(self):
         empty = CentroidIndex(np.empty(0, np.int64), np.empty((0, 3)))
         assert [len(a) for a in empty.pairs(5.0)] == [0, 0]
-        one = CentroidIndex([(0, 0, 0)], np.zeros((1, 3)))
+        one = CentroidIndex(np.arange(1), np.zeros((1, 3)))
         assert [len(a) for a in one.pairs(5.0)] == [0, 0]
 
 
@@ -257,7 +257,6 @@ class TestSelectSeed:
 def _fit_cell(grid, idx, plane, inlier_ids):
     """Give cell ``idx`` a plane fit whose inliers are the given point ids."""
     c = grid.find(idx)
-    grid.normals[c], grid.plane_offsets[c] = plane.normal, plane.offset
     grid.slopes[c] = plane.slope_deg
     span = grid.span(c)
     grid.inliers[span] = np.isin(grid.order[span], list(inlier_ids))
@@ -398,11 +397,8 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(10.0, 10.0, 10.0))
         index = _tentative_index(grid)
         seed = select_seed(grid, info)
-        ground, nonground = expand(
-            grid, index, seed, GEO, ExpansionParams(phase=1)
-        )
-        assert len(ground) + len(nonground) == len(pts)
-        assert len(nonground) == 0
+        ground = expand(grid, index, seed, GEO, ExpansionParams(phase=1))
+        np.testing.assert_array_equal(ground, np.arange(len(pts)))
 
     def test_out_of_radius_cell_never_expanded(self, rng):
         # two single-cell flat patches with centroids 6 m apart and r = 5:
@@ -419,7 +415,7 @@ class TestExpand:
         assert gap > 5.0
         index = build_centroid_index(grid, tentative)
         seed = cell_index((1.0, 1.0, 0.0), grid.cellsize)
-        ground, _ = expand(grid, index, seed, GEO, ExpansionParams(search_radius=5.0, phase=1))
+        ground = expand(grid, index, seed, GEO, ExpansionParams(search_radius=5.0, phase=1))
         far_ids = set(range(200, 400))
         assert far_ids.isdisjoint(ground.tolist())
 
@@ -459,7 +455,7 @@ class TestExpand:
         seed = select_seed(grid, info)
         log = ExpansionLog()
         params = ExpansionParams(search_radius=5.0, phase=1)
-        ground, _ = expand(grid, index, seed, GEO, params, log=log)
+        ground = expand(grid, index, seed, GEO, params, log=log)
 
         # connectivity oracle: flood fill over the brute-force r-neighborhood graph
         centroids = grid.centroids[tentative]
@@ -493,7 +489,7 @@ class TestExpand:
             else:
                 index = index_cls(tentative, grid.centroids[tentative])
             seed = select_seed(grid, info)
-            ground, _ = expand(grid, index, seed, GEO, ExpansionParams(phase=2))
+            ground = expand(grid, index, seed, GEO, ExpansionParams(phase=2))
             results.append(ground)
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -558,17 +554,37 @@ class TestExpand:
                 )
                 assert occupied_below(grid)[grid.find(idx)] == nearest
 
-    def test_outputs_disjoint_partition(self, rng):
-        pts, info = _flat_cloud_with_seed(rng, extent=10.0, n=2000)
-        grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
-        index = _tentative_index(grid)
-        ground, nonground = expand(
-            grid, index, select_seed(grid, info), GEO, ExpansionParams(phase=1)
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_ground_ids_are_the_inliers_of_ground_cells(self, rng, phase):
+        # a sloped scene, whose steepest cells route non-ground, and a flat
+        # patch 30 m out that no radius link reaches
+        import gridseg as gs
+
+        scene = gs.make_scene(SCENES["slope-12"])
+        far = np.column_stack([rng.uniform(40, 44, (500, 2)), rng.normal(-1.723, 0.01, 500)])
+        cloud = PointCloud(points=np.vstack([scene.points, far]))
+        seeded, info = inject_synthetic_seed(cloud, 2.7, 1.723, 0.3)
+        grid = _classified_grid(seeded.points, CellSize(1.5, 1.0, (1.5, 0.2)[phase - 1]), phase)
+        before = grid.state.copy()
+        log = ExpansionLog()
+        seed = select_seed(grid, info)
+        params = ExpansionParams(phase=phase)
+        ground = expand(grid, _tentative_index(grid), seed, GEO, params, log=log)
+
+        routes = {idx: route for idx, route, _ in log.routes}
+        dequeued = np.array([idx in routes for idx in map(tuple, grid.cells.tolist())])
+        is_ground = grid.state == GroundState.GROUND
+        # dequeued cells were tentative and end GROUND or NON_GROUND as routed;
+        # every other cell keeps its state, so unreached tentative cells stay TENTATIVE
+        assert (before[dequeued] == GroundState.TENTATIVE).all()
+        assert [routes[tuple(idx)] == "ground" for idx in grid.cells[dequeued].tolist()] == list(
+            is_ground[dequeued]
         )
-        g, n = set(ground.tolist()), set(nonground.tolist())
-        assert g.isdisjoint(n)
-        unreached = set(range(len(pts))) - g - n
-        # unreached points all belong to cells that were never dequeued
-        for c in range(len(grid.cells)):
-            cell_ids = set(grid.order[grid.span(c)].tolist())
-            assert cell_ids <= g | n or cell_ids <= unreached | n
+        assert (grid.state[dequeued & ~is_ground] == GroundState.NON_GROUND).all()
+        np.testing.assert_array_equal(grid.state[~dequeued], before[~dequeued])
+        unreached = ~dequeued & (before == GroundState.TENTATIVE)
+        assert unreached.any() and is_ground.any() and (dequeued & ~is_ground).any()
+        # the ground ids are exactly the inliers of the GROUND cells
+        want = np.sort(grid.order[np.repeat(is_ground, grid.counts) & grid.inliers])
+        assert ground.dtype == np.int64
+        np.testing.assert_array_equal(ground, want)

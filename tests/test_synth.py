@@ -82,6 +82,9 @@ def test_manifest(tmp_path):
     assert payload[0]["seed"] == 9
 
 
+BOX = {"cx": 3.0, "cy": 3.0, "sx": 2.0, "sy": 1.0, "sz": 1.0, "base": 0.0}
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -93,11 +96,28 @@ def test_manifest(tmp_path):
         ("noise_sigma", -0.01),
         ("noise_sigma", math.nan),
         ("box_density", -1.0),
+        ("ground_z", math.nan),
+        ("ground_z", -math.inf),
+        ("slope_deg", math.nan),
+        ("slope_deg", 90.0),
+        ("slope_deg", -90.0),
+        ("slope_deg", math.inf),
+        ("sx", -2.0),
+        ("sy", 0.0),
+        ("sz", -1.0),
+        ("sz", math.nan),
+        ("cx", math.inf),
+        ("cy", math.nan),
+        ("base", math.nan),
     ],
 )
 def test_scene_spec_rejects_bad_values(field, value):
+    # box fields go to a box of the scene, the others to the scene
     with pytest.raises(ConfigError, match=field):
-        gs.SceneSpec(**{field: value})
+        if field in BOX:
+            gs.BoxSpec(**{**BOX, field: value})
+        else:
+            gs.SceneSpec(**{field: value})
 
 
 def test_scene_spec_accepts_empty_and_noiseless_scenes():
