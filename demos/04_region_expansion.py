@@ -41,7 +41,7 @@ seed = select_seed(grid, info)
 print("seed cell (directly under the robot):", seed)
 
 log = ExpansionLog()
-ground = expand(grid, index, seed, geometry, ExpansionParams(search_radius=5.0, phase=1), log=log)
+ground = expand(grid, index, seed, geometry, ExpansionParams(search_radius=5.0), phase=1, log=log)
 print(f"expansion took {len(log.edges)} admission edges, {len(log.routes)} cell routings")
 print(f"ground points: {len(ground)} of {len(pts)}")
 

@@ -1,9 +1,9 @@
 """Reading and writing KITTI-style scans, label files, and segmentation masks.
 
 Scans are ``.bin`` files of consecutive little-endian float32 quadruples
-``(x, y, z, intensity)``.  Label files hold one little-endian uint32 per
-point; the semantic class id is the low 16 bits (the high 16 bits carry an
-instance id and are discarded).  Masks are written one byte per point,
+``(x, y, z, intensity)``, of which only ``x, y, z`` are kept.  Label files
+hold one little-endian uint32 per point; the semantic class id is the low
+16 bits (the high 16 bits carry an instance id and are discarded).  Masks are written one byte per point,
 1 = ground, in input order.
 """
 
@@ -23,10 +23,9 @@ LABEL_RECORD_BYTES = 4
 
 @dataclass
 class PointCloud:
-    """Sensor-frame points with optional per-point reflectance."""
+    """Sensor-frame points."""
 
     points: np.ndarray  # (N, 3) float64
-    intensity: np.ndarray | None = None  # (N,) float64
 
     def __len__(self) -> int:
         return len(self.points)
@@ -37,9 +36,7 @@ class SyntheticSeedInfo:
     """Bookkeeping for the lattice of seed points injected below the robot."""
 
     count: int
-    radius: float
     depth: float
-    spacing: float
 
 
 def read_kitti_bin(path: str | Path) -> PointCloud:
@@ -55,8 +52,8 @@ def read_kitti_bin(path: str | Path) -> PointCloud:
         raise MalformedFileError(
             f"{path}: {len(data)} bytes is not a multiple of {POINT_RECORD_BYTES}"
         )
-    records = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    return PointCloud(points=np.ascontiguousarray(records[:, :3]), intensity=records[:, 3].copy())
+    records = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
+    return PointCloud(points=np.ascontiguousarray(records[:, :3], dtype=np.float64))
 
 
 def read_semantic_labels(path: str | Path) -> np.ndarray:
@@ -90,13 +87,10 @@ def inject_synthetic_seed(
     xs = ii[keep].ravel() * spacing
     ys = jj[keep].ravel() * spacing
     lattice = np.column_stack([xs, ys, np.full(xs.shape, -depth)])
-    info = SyntheticSeedInfo(count=len(lattice), radius=radius, depth=depth, spacing=spacing)
+    info = SyntheticSeedInfo(count=len(lattice), depth=depth)
 
     points = np.vstack([cloud.points, lattice]) if len(cloud) else lattice
-    intensity = cloud.intensity
-    if intensity is not None:
-        intensity = np.concatenate([intensity, np.zeros(len(lattice))])
-    return PointCloud(points=points, intensity=intensity), info
+    return PointCloud(points=points), info
 
 
 def strip_synthetic(mask: np.ndarray, info: SyntheticSeedInfo) -> np.ndarray:

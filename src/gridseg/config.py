@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigError
@@ -19,39 +20,38 @@ from .pipeline import PipelineConfig, make_default_config
 
 ENV_CONFIG_PATH = "GRIDSEG_CONFIG"
 
-# key -> (section, field): a field of PipelineConfig itself (section "") or
-# of both phases' ``cellsize``, ``geometry`` or ``expansion``; key order
-# matches the published parameter block, spec-added keys after.  cellSizeZ
-# is the one key with a value per phase.
+# key -> the PipelineConfig fields it sets, ``section.field`` for a field
+# of its ``geometry`` or ``expansion``; key order matches the published
+# parameter block, spec-added keys after.  cellSizeZ is the one key with a
+# value per phase.
 KEYS = {
-    "distToGround": ("", "dist_to_ground"),
-    "robotRadius": ("", "robot_radius"),
-    "cellSizeX": ("cellsize", "sx"),
-    "cellSizeY": ("cellsize", "sy"),
-    "cellSizeZ": ("cellsize", "sz"),
-    "slopeThresholdDegrees": ("geometry", "slope_threshold_deg"),
-    "groundInlierThreshold": ("geometry", "inlier_threshold"),
-    "centroidSearchRadius": ("expansion", "search_radius"),
-    "lineRatioMin": ("geometry", "line_ratio_min"),
-    "lineCrossRatioMax": ("geometry", "line_cross_ratio_max"),
-    "planarFlatnessMax": ("geometry", "planar_flatness_max"),
-    "ransacIterations": ("geometry", "ransac_iterations"),
-    "ambiguityElevationThreshold": ("expansion", "ambiguity_elevation_threshold"),
-    "sparsityLowMax": ("geometry", "sparsity_low_max"),
-    "sparsityMediumMax": ("geometry", "sparsity_medium_max"),
-    "expansionHeightGate": ("expansion", "height_gate"),
-    "globalSeed": ("", "global_seed"),
-    "seedSpacing": ("", "seed_spacing"),
+    "distToGround": ("dist_to_ground",),
+    "robotRadius": ("robot_radius",),
+    "cellSizeX": ("cell_sx",),
+    "cellSizeY": ("cell_sy",),
+    "cellSizeZ": ("cell_sz1", "cell_sz2"),
+    "slopeThresholdDegrees": ("geometry.slope_threshold_deg",),
+    "groundInlierThreshold": ("geometry.inlier_threshold",),
+    "centroidSearchRadius": ("expansion.search_radius",),
+    "lineRatioMin": ("geometry.line_ratio_min",),
+    "lineCrossRatioMax": ("geometry.line_cross_ratio_max",),
+    "planarFlatnessMax": ("geometry.planar_flatness_max",),
+    "ransacIterations": ("geometry.ransac_iterations",),
+    "ambiguityElevationThreshold": ("expansion.ambiguity_elevation_threshold",),
+    "sparsityLowMax": ("geometry.sparsity_low_max",),
+    "sparsityMediumMax": ("geometry.sparsity_medium_max",),
+    "expansionHeightGate": ("expansion.height_gate",),
+    "globalSeed": ("global_seed",),
+    "seedSpacing": ("seed_spacing",),
 }
 
 
-def _read(cfg: PipelineConfig, key: str, phase: str = "phase1"):
-    section, name = KEYS[key]
-    return getattr(getattr(getattr(cfg, phase), section) if section else cfg, name)
+def _read(cfg: PipelineConfig, key: str) -> tuple:
+    return tuple(attrgetter(path)(cfg) for path in KEYS[key])
 
 
 # keys whose default is an int parse and print as ints, all others as floats
-_INT_KEYS = {key for key in KEYS if isinstance(_read(make_default_config(), key), int)}
+_INT_KEYS = {key for key in KEYS if isinstance(_read(make_default_config(), key)[0], int)}
 
 
 def _strip_annotations(value: str) -> str:
@@ -112,31 +112,23 @@ def parse_overrides(pairs: list[str]) -> dict:
 
 
 def apply_settings(cfg: PipelineConfig, settings: dict) -> PipelineConfig:
-    """Return a new config with the given flat settings applied to both phases.
+    """Return a new config with the given flat settings applied.
 
     All settings are applied before any section is rebuilt, and each
     section is built once, so its checks see the final values whatever the
     order of the keys.
     """
-    top = {}
-    sections = {"phase1": {}, "phase2": {}}
+    changes = {"": {}, "geometry": {}, "expansion": {}}
     for key, value in settings.items():
         if key not in KEYS:
             raise ConfigError(f"unknown configuration key: {key}")
-        section, name = KEYS[key]
-        if not section:
-            top[name] = value
-            continue
-        per_phase = value if key == "cellSizeZ" else (value, value)
-        for phase, v in zip(sections, per_phase):
-            sections[phase].setdefault(section, {})[name] = v
-    phases = {}
-    for phase, changes in sections.items():
-        pc = getattr(cfg, phase)
-        phases[phase] = replace(
-            pc, **{section: replace(getattr(pc, section), **f) for section, f in changes.items()}
-        )
-    return replace(cfg, **top, **phases)
+        values = value if key == "cellSizeZ" else (value,)
+        for path, v in zip(KEYS[key], values):
+            section, _, name = path.rpartition(".")
+            changes[section][name] = v
+    top = changes.pop("")
+    sections = {section: replace(getattr(cfg, section), **f) for section, f in changes.items()}
+    return replace(cfg, **top, **sections)
 
 
 def resolve_config(config_path: str | None, overrides: list[str] | None) -> PipelineConfig:
@@ -159,8 +151,8 @@ def dump_config(cfg: PipelineConfig) -> str:
     lines = []
     for key in KEYS:
         spec = "d" if key in _INT_KEYS else "g"
-        value = format(_read(cfg, key), spec)
+        values = [format(v, spec) for v in _read(cfg, key)]
         if key == "cellSizeZ":
-            value = f"{value} (Phase I), {_read(cfg, key, 'phase2'):g} (Phase II)"
-        lines.append(f"{key}: {value}\n")
+            values = [f"{values[0]} (Phase I)", f"{values[1]} (Phase II)"]
+        lines.append(f"{key}: {', '.join(values)}\n")
     return "".join(lines)

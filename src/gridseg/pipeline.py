@@ -18,8 +18,9 @@ parts merge into one canonical grid, equal to a grid built from scratch.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -63,37 +64,49 @@ class PhaseConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    phase1: PhaseConfig
-    phase2: PhaseConfig
+    """One rule set for both phases, which differ only in their cell height
+    and their number; ``phase1`` and ``phase2`` are read-only views of it,
+    as ``run_phase`` takes them."""
+
+    geometry: GeometryParams = field(default_factory=GeometryParams)
+    expansion: ExpansionParams = field(default_factory=ExpansionParams)
+    cell_sx: float = 1.5
+    cell_sy: float = 1.0
+    cell_sz1: float = 1.5  # Phase I cell height
+    cell_sz2: float = 0.2  # Phase II cell height
     dist_to_ground: float = 1.723
     robot_radius: float = 2.7
     seed_spacing: float = 0.3
     global_seed: int = 0
 
     def __post_init__(self):
-        if self.phase1.cellsize.sz <= self.phase2.cellsize.sz:
+        for section in (self, self.geometry, self.expansion):
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if not is_dataclass(value) and not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
+        if min(self.cell_sx, self.cell_sy, self.cell_sz2) <= 0:
+            raise ConfigError("cell sizes must be positive")
+        if self.cell_sz1 <= self.cell_sz2:
             raise ConfigError("Phase I cell height must exceed Phase II cell height")
         if self.dist_to_ground <= 0 or self.robot_radius < 0 or self.seed_spacing <= 0:
             raise ConfigError("invalid robot geometry parameters")
 
+    @property
+    def phase1(self) -> PhaseConfig:
+        return self._phase(self.cell_sz1)
+
+    @property
+    def phase2(self) -> PhaseConfig:
+        return self._phase(self.cell_sz2)
+
+    def _phase(self, sz: float) -> PhaseConfig:
+        return PhaseConfig(CellSize(self.cell_sx, self.cell_sy, sz), self.geometry, self.expansion)
+
 
 def make_default_config() -> PipelineConfig:
-    """Defaults: 1.5 x 1.0 m cell footprint, 1.5 / 0.2 m cell heights,
-    30 deg slope threshold, 0.125 m inlier threshold, 5.0 m search radius,
-    robot at 1.723 m above ground with a 2.7 m radius."""
-    geometry = GeometryParams()
-    return PipelineConfig(
-        phase1=PhaseConfig(
-            cellsize=CellSize(1.5, 1.0, 1.5),
-            geometry=geometry,
-            expansion=ExpansionParams(phase=1),
-        ),
-        phase2=PhaseConfig(
-            cellsize=CellSize(1.5, 1.0, 0.2),
-            geometry=geometry,
-            expansion=ExpansionParams(phase=2),
-        ),
-    )
+    """The built-in defaults, as listed in the README's Configuration."""
+    return PipelineConfig()
 
 
 STAGES = ("grid", "eigen", "plane_fit", "index", "expand")
@@ -393,9 +406,9 @@ def run_phase(
         t = time.perf_counter()
         index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
         t1 = time.perf_counter()
-        expansion = replace(cfg.expansion, phase=phase)
         ground_local = expand(
-            grid, index, seed, cfg.geometry, expansion, log=log, route_counts=stats.routes
+            grid, index, seed, cfg.geometry, cfg.expansion, phase,
+            log=log, route_counts=stats.routes,
         )
         stats.stages_ms["index"] = (t1 - t) * 1000.0
         stats.stages_ms["expand"] = (time.perf_counter() - t1) * 1000.0

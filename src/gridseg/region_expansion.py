@@ -57,15 +57,12 @@ class ExpansionParams:
     search_radius: float = 5.0
     height_gate: float = 0.25
     ambiguity_elevation_threshold: float = 0.3
-    phase: int = 1
 
     def __post_init__(self):
         if self.search_radius <= 0 or self.height_gate <= 0:
             raise ConfigError("search_radius and height_gate must be positive")
         if self.ambiguity_elevation_threshold <= 0:
             raise ConfigError("ambiguity_elevation_threshold must be positive")
-        if self.phase not in (1, 2):
-            raise ConfigError("phase must be 1 or 2")
 
 
 class CentroidIndex:
@@ -279,10 +276,11 @@ def expand(
     seed: CellIndex,
     geometry: GeometryParams,
     expansion: ExpansionParams,
+    phase: int,
     log: ExpansionLog | None = None,
     route_counts: dict[str, int] | None = None,
 ) -> np.ndarray:
-    """Breadth-first ground expansion from the seed cell.
+    """Breadth-first ground expansion from the seed cell, in phase 1 or 2.
 
     The index must hold the grid rows of tentative cells in ascending order;
     the neighbor graph is built from one pair query over it, in phase 2
@@ -304,6 +302,8 @@ def expand(
     given ``log`` receives the admission edges and routes in dequeue order,
     a given ``route_counts`` the number of cells per reason in ``REASONS``.
     """
+    if phase not in (1, 2):
+        raise ContractViolationError(f"phase must be 1 or 2, got {phase}")
     seed_row = grid.find(seed)
     if seed_row < 0 or grid.state[seed_row] != GroundState.TENTATIVE:
         raise ContractViolationError(f"seed cell {seed} is not tentative ground")
@@ -323,7 +323,7 @@ def expand(
 
     z = index.centroids[:, 2]
     i, j = index.pairs(expansion.search_radius)
-    if expansion.phase == 2:
+    if phase == 2:
         # the height gate drops pairs before they are sorted into rows
         keep = np.abs(z[i] - z[j]) <= expansion.height_gate
         admit_graph = _neighbor_graph(n, np.compress(keep, i), np.compress(keep, j))
@@ -366,7 +366,7 @@ def expand(
     ambiguous = np.flatnonzero(reasons >= _AMBIGUOUS)
     if len(ambiguous):
         # ambiguous cells see all their radius neighbors, over the gate too
-        indptr, indices = _neighbor_graph(n, i, j) if expansion.phase == 2 else admit_graph
+        indptr, indices = _neighbor_graph(n, i, j) if phase == 2 else admit_graph
         below = occupied_below(grid)[cells[ambiguous]]
         below_fixed = (below >= 0) & np.isin(grid.state[below], _NON_GROUND_STATES)
         row_rank = np.full(k + 1, m)  # row -1 (no cell below) is unreached

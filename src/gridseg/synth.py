@@ -171,7 +171,7 @@ def make_scene(spec: SceneSpec) -> Scene:
 
 
 def scene_cloud(scene: Scene) -> PointCloud:
-    return PointCloud(points=scene.points, intensity=np.zeros(len(scene.points)))
+    return PointCloud(points=scene.points)
 
 
 def write_scene(out_dir: str | Path, scene: Scene, name: str) -> tuple[Path, Path]:

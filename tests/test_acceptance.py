@@ -208,9 +208,9 @@ def test_criterion_06_expansion_oracle():
             tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
             index = (BruteIndex if brute else build_centroid_index)(grid, tentative)
             log = ExpansionLog()
-            params = ExpansionParams(phase=phase)
+            params = ExpansionParams()
             ground = expand(
-                grid, index, select_seed(grid, info), GeometryParams(), params, log=log
+                grid, index, select_seed(grid, info), GeometryParams(), params, phase=phase, log=log
             )
             per_index.append(ground)
             if phase == 2:

@@ -26,7 +26,6 @@ class TestReadKittiBin:
         cloud = cloud_io.read_kitti_bin(p)
         assert cloud.points.shape == (1, 3)
         np.testing.assert_array_equal(cloud.points[0], [1.0, 2.0, 3.0])
-        assert cloud.intensity[0] == 0.5
 
     def test_truncated_file_is_malformed(self, tmp_path):
         p = tmp_path / "scan.bin"
@@ -47,7 +46,6 @@ class TestReadKittiBin:
         cloud = cloud_io.read_kitti_bin(p)
         assert len(cloud) == 4
         np.testing.assert_array_equal(cloud.points, [r[:3] for r in records])
-        np.testing.assert_array_equal(cloud.intensity, [r[3] for r in records])
 
     @given(st.binary(max_size=256))
     def test_parsing_is_total(self, tmp_path_factory, data):
@@ -58,7 +56,7 @@ class TestReadKittiBin:
                 cloud_io.read_kitti_bin(p)
         else:
             cloud = cloud_io.read_kitti_bin(p)
-            assert len(cloud) == len(cloud.intensity) == len(data) // 16
+            assert len(cloud) == len(data) // 16
             want = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
             np.testing.assert_array_equal(cloud.points, want[:, :3])
 
@@ -109,11 +107,10 @@ class TestInjectSyntheticSeed:
 
     def test_depth_exact_and_originals_unchanged(self, rng):
         pts = rng.normal(size=(50, 3))
-        cloud = cloud_io.PointCloud(points=pts.copy(), intensity=np.ones(50))
+        cloud = cloud_io.PointCloud(points=pts.copy())
         out, info = cloud_io.inject_synthetic_seed(cloud, 2.7, 1.723, 0.3)
         np.testing.assert_array_equal(out.points[:50], pts)
         assert np.all(out.points[50:, 2] == -1.723)
-        assert len(out.intensity) == len(out.points)
         assert len(out) == 50 + info.count
 
     def test_preconditions(self):
@@ -129,18 +126,18 @@ class TestInjectSyntheticSeed:
 class TestStripSynthetic:
     def test_truncates_tail(self):
         mask = np.arange(100) % 2 == 0
-        info = cloud_io.SyntheticSeedInfo(count=10, radius=1, depth=1, spacing=0.3)
+        info = cloud_io.SyntheticSeedInfo(count=10, depth=1)
         out = cloud_io.strip_synthetic(mask, info)
         assert len(out) == 90
         np.testing.assert_array_equal(out, mask[:90])
 
     def test_zero_count_identity(self):
         mask = np.ones(5, dtype=bool)
-        info = cloud_io.SyntheticSeedInfo(count=0, radius=0, depth=1, spacing=0.3)
+        info = cloud_io.SyntheticSeedInfo(count=0, depth=1)
         np.testing.assert_array_equal(cloud_io.strip_synthetic(mask, info), mask)
 
     def test_count_exceeds_length(self):
-        info = cloud_io.SyntheticSeedInfo(count=6, radius=0, depth=1, spacing=0.3)
+        info = cloud_io.SyntheticSeedInfo(count=6, depth=1)
         with pytest.raises(ContractViolationError):
             cloud_io.strip_synthetic(np.ones(5, dtype=bool), info)
 

@@ -1,12 +1,18 @@
+import dataclasses
+
 import pytest
 
+import gridseg as gs
 from gridseg.config import (
+    _INT_KEYS,
     ENV_CONFIG_PATH,
+    KEYS,
     apply_settings,
     dump_config,
     load_config_file,
     parse_config_text,
     parse_overrides,
+    parse_value,
     resolve_config,
 )
 from gridseg.cli import main
@@ -193,3 +199,97 @@ def test_invalid_pair_still_exits_1(pairs, capsys, monkeypatch):
         resolve_config(None, pairs)
     assert main(["config-dump"] + [arg for p in pairs for arg in ("--set", p)]) == 1
     assert "sparsity_medium_max must be >= sparsity_low_max" in capsys.readouterr().err
+
+
+def _leaves(obj, prefix=""):
+    """Every leaf field of a config, nested sections flattened: name -> value."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_leaves(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
+def _one_value_settings():
+    """One setting per config key value, each moving only that value off its
+    default: cellSizeZ gives one per phase."""
+    for key, (raw, _) in NON_DEFAULTS.items():
+        if key == "cellSizeZ":
+            yield "cellSizeZ (Phase I)", {key: (2.0, 0.2)}
+            yield "cellSizeZ (Phase II)", {key: (1.5, 0.3)}
+        else:
+            yield key, {key: parse_value(key, raw)}
+
+
+def test_every_leaf_field_is_set_by_exactly_one_key_value():
+    default = _leaves(make_default_config())
+    setters = {name: [] for name in default}
+    for label, settings in _one_value_settings():
+        leaves = _leaves(apply_settings(make_default_config(), settings))
+        changed = [name for name in default if leaves[name] != default[name]]
+        assert len(changed) == 1, (label, changed)
+        setters[changed[0]].append(label)
+    assert {name: len(s) for name, s in setters.items()} == dict.fromkeys(default, 1), setters
+    assert len(default) == 19
+
+
+def test_dump_round_trips_a_config_with_every_key_off_its_default():
+    settings = {key: parse_value(key, raw) for key, (raw, _) in NON_DEFAULTS.items()}
+    assert set(settings) == set(KEYS)
+    cfg = apply_settings(make_default_config(), settings)
+    default = _leaves(make_default_config())
+    assert all(value != default[name] for name, value in _leaves(cfg).items())
+    assert apply_settings(make_default_config(), parse_config_text(dump_config(cfg))) == cfg
+
+
+def _nonfinite_cases():
+    """(key, value text, field the error names) for every float key value."""
+    for key, paths in KEYS.items():
+        if key in _INT_KEYS:
+            continue
+        for bad in ("nan", "inf", "-inf"):
+            if key == "cellSizeZ":
+                yield key, f"{bad}, 0.2", "cell_sz1"
+                yield key, f"1.5, {bad}", "cell_sz2"
+            else:
+                yield key, bad, paths[0].rpartition(".")[2]
+
+
+NONFINITE = list(_nonfinite_cases())
+
+
+@pytest.mark.parametrize("key, raw, name", NONFINITE)
+def test_nonfinite_value_is_a_config_error(key, raw, name):
+    settings = parse_config_text(f"{key}: {raw}\n")
+    with pytest.raises(ConfigError, match=name):
+        apply_settings(make_default_config(), settings)
+
+
+@pytest.fixture(scope="module")
+def scan(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scan")
+    return gs.write_scene(out, gs.make_scene(gs.SceneSpec(20.0, 3000)), "000000")[0]
+
+
+@pytest.mark.parametrize("key, raw, name", NONFINITE)
+def test_nonfinite_value_exits_1_before_any_scan(
+    key, raw, name, scan, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    out = tmp_path / "out"
+    assert main(["segment", str(scan), "--out", str(out), "--set", f"{key}={raw}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and name in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pair", ["cellSizeX=0", "cellSizeY=-1", "cellSizeZ=0.5, 0"])
+def test_non_positive_cell_size_is_a_config_error(pair, capsys, monkeypatch):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    with pytest.raises(ConfigError, match="cell sizes must be positive"):
+        resolve_config(None, [pair])
+    assert main(["config-dump", "--set", pair]) == 1
+    assert capsys.readouterr().err == "config error: cell sizes must be positive\n"

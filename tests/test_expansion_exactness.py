@@ -108,7 +108,7 @@ def _reference_refine(cell, cells, points, neighbor_ground_cells, geometry, expa
     return True, "ambiguous checks passed"
 
 
-def _reference_expand(cells, points, index, seed, geometry, expansion, log=None):
+def _reference_expand(cells, points, index, seed, geometry, expansion, phase, log=None):
     seed_cell = cells.get(seed)
     if seed_cell is None or seed_cell.ground_state is not GroundState.TENTATIVE:
         raise ContractViolationError(f"seed cell {seed} is not tentative ground")
@@ -133,7 +133,7 @@ def _reference_expand(cells, points, index, seed, geometry, expansion, log=None)
             if cj.ground_state is not GroundState.TENTATIVE:
                 continue
             dz = abs(float(ci.centroid[2]) - float(cj.centroid[2]))
-            if expansion.phase == 2 and dz > expansion.height_gate:
+            if phase == 2 and dz > expansion.height_gate:
                 continue
             cj.ground_state = GroundState.GROUND
             queue.append(j)
@@ -159,7 +159,7 @@ def _reference_expand(cells, points, index, seed, geometry, expansion, log=None)
     return np.sort(np.concatenate(ground_parts)).astype(np.int64)
 
 
-def _expand_both(make_grid, points, seed, expansion):
+def _expand_both(make_grid, points, seed, expansion, phase):
     """Run both expansions on fresh grids; assert they agree; return the log."""
     outcomes = []
     for reference in (True, False):
@@ -169,11 +169,11 @@ def _expand_both(make_grid, points, seed, expansion):
         if reference:
             cells = _records(grid)
             index = _record_index(cells, map(tuple, grid.cells[tentative].tolist()))
-            ground = _reference_expand(cells, points, index, seed, GEO, expansion, log)
+            ground = _reference_expand(cells, points, index, seed, GEO, expansion, phase, log)
             states = [(idx, c.ground_state) for idx, c in cells.items()]
         else:
             index = build_centroid_index(grid, tentative)
-            ground = expand(grid, index, seed, GEO, expansion, log=log)
+            ground = expand(grid, index, seed, GEO, expansion, phase=phase, log=log)
             states = [(tuple(k), GroundState(v)) for k, v in zip(grid.cells.tolist(), grid.state)]
         outcomes.append((ground, log, states))
     (g0, log0, s0), (g1, log1, s1) = outcomes
@@ -205,11 +205,11 @@ def _compare_scene(spec):
     seed = select_seed(grid, info)
     if grid.state[grid.find(seed)] != GroundState.TENTATIVE:
         with pytest.raises(ContractViolationError):
-            _reference_expand(_records(grid), pts, None, seed, GEO, CFG.phase1.expansion)
+            _reference_expand(_records(grid), pts, None, seed, GEO, CFG.expansion, 1)
         with pytest.raises(ContractViolationError):
-            expand(grid, build_centroid_index(grid, []), seed, GEO, CFG.phase1.expansion)
+            expand(grid, build_centroid_index(grid, []), seed, GEO, CFG.expansion, phase=1)
         return []
-    logs = [_expand_both(phase1, pts, seed, ExpansionParams(phase=1))]
+    logs = [_expand_both(phase1, pts, seed, ExpansionParams(), 1)]
 
     r1 = run_phase(np.arange(len(pts)), pts, CFG.phase1, 1, CFG.global_seed, info)
     p2_ids = np.union1d(r1.ground_cell_point_ids, np.arange(len(pts) - info.count, len(pts)))
@@ -218,7 +218,7 @@ def _compare_scene(spec):
     grid = phase2()
     seed = select_seed(grid, info)
     if grid.state[grid.find(seed)] == GroundState.TENTATIVE:
-        logs.append(_expand_both(phase2, p2, seed, ExpansionParams(phase=2)))
+        logs.append(_expand_both(phase2, p2, seed, ExpansionParams(), 2))
     return logs
 
 
@@ -262,14 +262,14 @@ def test_expand_matches_reference_on_both_phases(name):
 
 
 def _reference_segment(monkeypatch, cloud):
-    def reference(grid, index, seed, geometry, expansion, log=None, route_counts=None):
+    def reference(grid, index, seed, geometry, expansion, phase, log=None, route_counts=None):
         log = ExpansionLog() if log is None else log
         points = np.empty_like(grid.points)
         points[grid.order] = grid.points  # the cloud the grid was built from
         cells = _records(grid)
         keys = list(map(tuple, grid.cells[index.cell_ids].tolist()))
         out = _reference_expand(
-            cells, points, _record_index(cells, keys), seed, geometry, expansion, log=log
+            cells, points, _record_index(cells, keys), seed, geometry, expansion, phase, log=log
         )
         grid.state[:] = [c.ground_state for c in cells.values()]
         for _, _, reason in log.routes:
@@ -351,7 +351,7 @@ COLUMN = [(1, 1.05, "ground"), (2, 0.8, "no_plane"), (2, 1.05, "ambiguous")]
 )
 def test_ambiguous_cell_over_a_cell_rejected_earlier(radius, reason):
     points, make_grid, seed = _hand_built(COLUMN)
-    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=radius, phase=1))
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=radius), 1)
     assert _ambiguous_route(log, COLUMN) == reason
 
 
@@ -376,7 +376,7 @@ def test_ambiguous_cell_over_a_cell_rejected_earlier(radius, reason):
 )
 def test_ambiguous_cell_after_its_lowest_neighbor_was_rejected(layout, radius, reason):
     points, make_grid, seed = _hand_built(layout)
-    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=radius, phase=1))
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=radius), 1)
     assert _ambiguous_route(log, layout) == reason
 
 
@@ -386,7 +386,7 @@ def test_neighbor_admitted_only_later_does_not_count():
     # after the ambiguous cell has been refined
     layout = [(0, 0.5, "ground"), (1, 0.6, "ambiguous"), (2, 0.35, "ground"), (3, 0.15, "ground")]
     points, make_grid, seed = _hand_built(layout)
-    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0, phase=2))
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0), 2)
     assert _ambiguous_route(log, layout) == "ambiguous checks passed"
     assert len(log.routes) == 4
 
@@ -399,7 +399,7 @@ def test_lowest_neighbor_over_the_gate_counts_once_admitted_elsewhere():
     # ambiguous cell's lowest ground neighbor, found only in the ungated rows
     layout = [(0, 0.5, "ground"), (1, 0.3, "ground"), (2, 0.1, "ground"), (3, 0.5, "ambiguous")]
     points, make_grid, seed = _hand_built(layout)
-    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0, phase=2))
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0), 2)
     assert _ambiguous_route(log, layout) == "ambiguous and elevated above lowest neighbor"
     assert [(i[0], j[0]) for i, j, _ in log.edges] == [(0, 1), (0, 3), (1, 2)]
 

@@ -39,40 +39,40 @@ SCENES = {
 EXCLUDES = {"straddle": "shared", "noisy": "sampled"}
 
 
-def _segment_phase2_grid(monkeypatch, cloud, cfg):
-    """The Phase-II grid as ``segment`` hands it to expansion, and the stats."""
+def _phase2_grid(monkeypatch, run):
+    """The Phase-II grid as ``run()`` hands it to expansion, and run's result."""
     seen = {}
     expand = pipeline.expand
 
-    def spy(grid, index, seed, geometry, expansion, **kwargs):
-        seen[expansion.phase] = copy.deepcopy(grid)
-        return expand(grid, index, seed, geometry, expansion, **kwargs)
+    def spy(grid, index, seed, geometry, expansion, phase, **kwargs):
+        seen[phase] = copy.deepcopy(grid)
+        return expand(grid, index, seed, geometry, expansion, phase, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(pipeline, "expand", spy)
-        stats = segment(cloud, cfg).stats
+        out = run()
     assert 2 in seen, "Phase II did not expand"
-    return seen[2], stats
+    return seen[2], out
 
 
-def _phase1(cloud, cfg):
+def _phase1(cloud):
     """The seeded cloud's points and seed info, Phase I's result, and the
     Phase-II point ids, as ``segment`` makes them."""
     seeded, info = inject_synthetic_seed(
-        cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
+        cloud, CFG.robot_radius, CFG.dist_to_ground, CFG.seed_spacing
     )
     pts = seeded.points
-    r1 = run_phase(np.arange(len(pts)), pts, cfg.phase1, 1, cfg.global_seed, info)
+    r1 = run_phase(np.arange(len(pts)), pts, CFG.phase1, 1, CFG.global_seed, info)
     p2_ids = np.union1d(r1.ground_cell_point_ids, np.arange(len(pts) - info.count, len(pts)))
     return pts, info, r1, p2_ids
 
 
-def _fresh(cloud, cfg):
+def _fresh(cloud, phase2=CFG.phase2):
     """Phase I's expanded grid, the Phase-II point ids, and a Phase-II grid
     built and classified from scratch on those points."""
-    pts, _, r1, p2_ids = _phase1(cloud, cfg)
-    grid = build_grid(pts[p2_ids], cfg.phase2.cellsize)
-    classify_cells(grid, cfg.phase2.geometry, 2, cfg.global_seed)
+    pts, _, r1, p2_ids = _phase1(cloud)
+    grid = build_grid(pts[p2_ids], phase2.cellsize)
+    classify_cells(grid, phase2.geometry, 2, CFG.global_seed)
     return r1.grid, p2_ids, grid
 
 
@@ -109,8 +109,8 @@ def _oracle(grid1, p2_ids, grid2):
 @pytest.mark.parametrize("name", SCENES)
 def test_phase2_grid_equals_fresh_grid(monkeypatch, name):
     cloud = gs.scene_cloud(gs.make_scene(SCENES[name]))
-    got, stats = _segment_phase2_grid(monkeypatch, cloud, CFG)
-    grid1, p2_ids, want = _fresh(cloud, CFG)
+    got, stats = _phase2_grid(monkeypatch, lambda: segment(cloud, CFG).stats)
+    grid1, p2_ids, want = _fresh(cloud)
     _assert_same_grid(got, want)
     kinds = _oracle(grid1, p2_ids, want)
     assert stats.phase2.cells_inherited == kinds["inherit"] > 0
@@ -128,15 +128,18 @@ def test_phase2_grid_equals_fresh_grid(monkeypatch, name):
     ids=["footprint", "geometry"],
 )
 def test_phases_that_differ_inherit_nothing(monkeypatch, phase2):
-    cfg = replace(CFG, phase2=phase2)
+    # a hand-built Phase-II config, as run_phase may be given one
     cloud = gs.scene_cloud(gs.make_scene(SCENES["boxes"]))
-    got, stats = _segment_phase2_grid(monkeypatch, cloud, cfg)
-    assert stats.phase2.cells_inherited == 0
-    _assert_same_grid(got, _fresh(cloud, cfg)[2])
+    pts, info, r1, p2_ids = _phase1(cloud)
+    got, r2 = _phase2_grid(
+        monkeypatch, lambda: run_phase(p2_ids, pts, phase2, 2, CFG.global_seed, info, parent=r1)
+    )
+    assert r2.stats.cells_inherited == 0
+    _assert_same_grid(got, _fresh(cloud, phase2)[2])
 
 
 def test_phase2_drops_the_parent_grid():
-    pts, info, r1, p2_ids = _phase1(gs.scene_cloud(gs.make_scene(SCENES["boxes"])), CFG)
+    pts, info, r1, p2_ids = _phase1(gs.scene_cloud(gs.make_scene(SCENES["boxes"])))
     assert r1.grid is not None
     r2 = run_phase(p2_ids, pts, CFG.phase2, 2, CFG.global_seed, info, parent=r1)
     assert r1.grid is None

@@ -249,7 +249,7 @@ class TestSelectSeed:
         grid = build_grid(pts, CellSize(1.5, 1.0, 0.2))
         with pytest.raises(ConfigError):
             select_seed(grid, None)
-        empty = SyntheticSeedInfo(count=0, radius=0, depth=1.723, spacing=0.3)
+        empty = SyntheticSeedInfo(count=0, depth=1.723)
         with pytest.raises(ConfigError):
             select_seed(grid, empty)
 
@@ -315,7 +315,7 @@ class TestRefineCell:
     """Branch coverage for the five-step refinement on hand-built cells."""
 
     def setup_method(self):
-        self.exp = ExpansionParams(phase=1)
+        self.exp = ExpansionParams()
         # dense flat patch (ids 0..99) + sparse elevated blob (ids 100..104)
         rng = np.random.default_rng(7)
         self.dense = np.column_stack(
@@ -387,7 +387,7 @@ class TestRefineCell:
         cell = _fit_cell(grid, (0, 0, 1), self.plane, range(50))
         grid.state[cell] = GroundState.TENTATIVE
         nb = grid.find((5, 0, 1))
-        ok, reason = refine_cell(cell, grid, [nb], GEO, ExpansionParams(phase=1))
+        ok, reason = refine_cell(cell, grid, [nb], GEO, ExpansionParams())
         assert not ok and "below" in reason
 
 
@@ -397,7 +397,7 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(10.0, 10.0, 10.0))
         index = _tentative_index(grid)
         seed = select_seed(grid, info)
-        ground = expand(grid, index, seed, GEO, ExpansionParams(phase=1))
+        ground = expand(grid, index, seed, GEO, ExpansionParams(), phase=1)
         np.testing.assert_array_equal(ground, np.arange(len(pts)))
 
     def test_out_of_radius_cell_never_expanded(self, rng):
@@ -415,7 +415,7 @@ class TestExpand:
         assert gap > 5.0
         index = build_centroid_index(grid, tentative)
         seed = cell_index((1.0, 1.0, 0.0), grid.cellsize)
-        ground = expand(grid, index, seed, GEO, ExpansionParams(search_radius=5.0, phase=1))
+        ground = expand(grid, index, seed, GEO, ExpansionParams(search_radius=5.0), phase=1)
         far_ids = set(range(200, 400))
         assert far_ids.isdisjoint(ground.tolist())
 
@@ -426,7 +426,16 @@ class TestExpand:
         grid.state[grid.find(seed)] = GroundState.NON_GROUND
         index = build_centroid_index(grid, [])
         with pytest.raises(ContractViolationError):
-            expand(grid, index, seed, GEO, ExpansionParams(phase=1))
+            expand(grid, index, seed, GEO, ExpansionParams(), phase=1)
+
+    @pytest.mark.parametrize("phase", [0, 3])
+    def test_phase_other_than_1_or_2_rejected(self, rng, phase):
+        pts, info = _flat_cloud_with_seed(rng, extent=2.0, n=100)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
+        index, seed, state = _tentative_index(grid), select_seed(grid, info), grid.state.copy()
+        with pytest.raises(ContractViolationError, match="phase must be 1 or 2"):
+            expand(grid, index, seed, GEO, ExpansionParams(), phase=phase)
+        np.testing.assert_array_equal(grid.state, state)
 
     def test_index_out_of_cell_order_rejected(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=6.0, n=600)
@@ -434,7 +443,7 @@ class TestExpand:
         tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
         index = build_centroid_index(grid, tentative[::-1])
         with pytest.raises(ContractViolationError, match="ascending"):
-            expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(phase=1))
+            expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(), phase=1)
 
     def test_index_with_non_tentative_cell_rejected(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=6.0, n=600)
@@ -444,7 +453,7 @@ class TestExpand:
         grid.state[other] = GroundState.OBSTACLE
         index = build_centroid_index(grid, np.arange(len(grid.cells)))
         with pytest.raises(ContractViolationError, match="must be tentative"):
-            expand(grid, index, seed, GEO, ExpansionParams(phase=1))
+            expand(grid, index, seed, GEO, ExpansionParams(), phase=1)
         assert grid.state[other] == GroundState.OBSTACLE
 
     def test_flat_plane_fully_expanded_matches_flood_fill(self, rng, brute_index_cls):
@@ -454,8 +463,8 @@ class TestExpand:
         index = build_centroid_index(grid, tentative)
         seed = select_seed(grid, info)
         log = ExpansionLog()
-        params = ExpansionParams(search_radius=5.0, phase=1)
-        ground = expand(grid, index, seed, GEO, params, log=log)
+        params = ExpansionParams(search_radius=5.0)
+        ground = expand(grid, index, seed, GEO, params, phase=1, log=log)
 
         # connectivity oracle: flood fill over the brute-force r-neighborhood graph
         centroids = grid.centroids[tentative]
@@ -489,7 +498,7 @@ class TestExpand:
             else:
                 index = index_cls(tentative, grid.centroids[tentative])
             seed = select_seed(grid, info)
-            ground = expand(grid, index, seed, GEO, ExpansionParams(phase=2))
+            ground = expand(grid, index, seed, GEO, ExpansionParams(), phase=2)
             results.append(ground)
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -499,8 +508,8 @@ class TestExpand:
         index = _tentative_index(grid)
         seed = select_seed(grid, info)
         log = ExpansionLog()
-        params = ExpansionParams(phase=2)
-        expand(grid, index, seed, GEO, params, log=log)
+        params = ExpansionParams()
+        expand(grid, index, seed, GEO, params, phase=2, log=log)
         assert log.edges, "expansion should traverse at least one edge"
         for _, _, dz in log.edges:
             assert dz <= params.height_gate
@@ -512,7 +521,7 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         index = _tentative_index(grid)
         log = ExpansionLog()
-        expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(phase=1), log=log)
+        expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(), phase=1, log=log)
         routed = [idx for idx, _, _ in log.routes]
         assert len(routed) == len(set(routed))
         assert len(routed) <= len(grid.cells)
@@ -535,7 +544,7 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         index = _tentative_index(grid)
         log = ExpansionLog()
-        expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(phase=1), log=log)
+        expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(), phase=1, log=log)
 
         ambiguous_ground = {
             idx for idx, route, reason in log.routes
@@ -568,8 +577,8 @@ class TestExpand:
         before = grid.state.copy()
         log = ExpansionLog()
         seed = select_seed(grid, info)
-        params = ExpansionParams(phase=phase)
-        ground = expand(grid, _tentative_index(grid), seed, GEO, params, log=log)
+        params = ExpansionParams()
+        ground = expand(grid, _tentative_index(grid), seed, GEO, params, phase=phase, log=log)
 
         routes = {idx: route for idx, route, _ in log.routes}
         dequeued = np.array([idx in routes for idx in map(tuple, grid.cells.tolist())])
