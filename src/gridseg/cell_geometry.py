@@ -28,7 +28,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, FitFailureError
+from .errors import ConfigError, ContractViolationError, FitFailureError, check_fields
 from .voxel_grid import CellKind
 
 # Cells with fewer points are Non-Planar: two points would pass as a Line,
@@ -95,20 +95,13 @@ class GeometryParams:
     sparsity_medium_max: float = 0.1
 
     def __post_init__(self):
+        positive = ("planar_flatness_max", "slope_threshold_deg", "inlier_threshold")
+        positive += ("ransac_iterations", "sparsity_low_max", "sparsity_medium_max")
+        check_fields(self, positive)
         if self.line_ratio_min <= 2.0 / 3.0:
             raise ConfigError("line_ratio_min must exceed 2/3 so Line and Planar stay exclusive")
         if self.line_cross_ratio_max < 1.0:
             raise ConfigError("line_cross_ratio_max must be >= 1")
-        for name in (
-            "planar_flatness_max",
-            "slope_threshold_deg",
-            "inlier_threshold",
-            "ransac_iterations",
-            "sparsity_low_max",
-            "sparsity_medium_max",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
         if self.sparsity_medium_max < self.sparsity_low_max:
             raise ConfigError("sparsity_medium_max must be >= sparsity_low_max")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -104,6 +105,8 @@ def cmd_evaluate(args) -> int:
         labels = frozenset(int(v) for v in args.ground_labels.split(","))
         policy = GroundTruthPolicy(ground_label_ids=labels, range_3d=args.range_3d)
         thresholds = tuple(float(v) for v in args.max_dists.split(","))
+        if not all(0 < d < math.inf for d in thresholds):
+            raise ConfigError(f"--max-dists must be positive and finite, got {args.max_dists}")
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -18,9 +18,8 @@ parts merge into one canonical grid, equal to a grid built from scratch.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .cell_geometry import (
 # hook target to resolve.
 from .cell_geometry import ransac_plane  # noqa: F401
 from .cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed, strip_synthetic
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .region_expansion import (
     REASONS,
     ExpansionLog,
@@ -80,11 +79,7 @@ class PipelineConfig:
     global_seed: int = 0
 
     def __post_init__(self):
-        for section in (self, self.geometry, self.expansion):
-            for f in fields(section):
-                value = getattr(section, f.name)
-                if not is_dataclass(value) and not math.isfinite(value):
-                    raise ConfigError(f"{f.name} must be finite, got {value}")
+        check_fields(self)
         if min(self.cell_sx, self.cell_sy, self.cell_sz2) <= 0:
             raise ConfigError("cell sizes must be positive")
         if self.cell_sz1 <= self.cell_sz2:
@@ -157,7 +152,7 @@ class PhaseStats:
 @dataclass
 class SegmentationStats:
     n_points: int = 0
-    n_nonfinite: int = 0  # input rows with a NaN or infinite coordinate, left non-ground
+    n_nonfinite: int = 0  # input rows with a NaN, infinite or unbinnable coordinate
     n_synthetic: int = 0
     phase1: PhaseStats = field(default_factory=PhaseStats)
     phase2: PhaseStats = field(default_factory=PhaseStats)
@@ -437,8 +432,9 @@ def segment(
 
     Deterministic for a fixed configuration (including the global seed), and
     equivariant under permutations of the input point order.  The mask has
-    one entry per input row.  Rows with a NaN or infinite coordinate are
-    left out of both phases, get False in the mask and are counted in
+    one entry per input row.  Rows with a NaN or infinite coordinate, or
+    one too large to bin (2**62 cells of the smallest size away or more),
+    are left out of both phases, get False in the mask and are counted in
     ``stats.n_nonfinite``; this is the one place such rows are handled.
     """
     if cfg is None:
@@ -449,7 +445,8 @@ def segment(
     mask = np.zeros(n, dtype=bool)
     if n == 0:
         return SegmentationResult(mask=mask, stats=stats)
-    finite = np.isfinite(cloud.points).all(axis=1)
+    limit = 2.0**62 * min(cfg.cell_sx, cfg.cell_sy, cfg.cell_sz2)
+    finite = (np.abs(cloud.points) < limit).all(axis=1)  # False at NaN too
     stats.n_nonfinite = int(n - finite.sum())
     if stats.n_nonfinite == n:
         return SegmentationResult(mask=mask, stats=stats)

@@ -2,11 +2,12 @@
 
 Tentative-ground cells are linked when their centroids lie within the search
 radius (one KD-tree pair query, whose pairs one sort of packed row-column
-keys turns into a CSR graph), and a breadth-first search over that graph
-expands the ground region from the seed cell under the robot.  Radius links
-(rather than grid adjacency) let the region bridge scan-line gaps at fine
-grid resolutions.  Each dequeued cell then runs a five-step refinement that
-decides whether it is ground; the output is the inliers of the ground cells:
+keys turns into a CSR graph), and scipy's breadth-first search over that
+graph expands the ground region from the seed cell under the robot.  Radius
+links (rather than grid adjacency) let the region bridge scan-line gaps at
+fine grid resolutions.  Each dequeued cell then runs a five-step refinement
+that decides whether it is ground; the output is the inliers of the ground
+cells:
 
 1. split the cell's points into plane inliers and outliers (stored fit);
 2. reject when there are no inliers;
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cell_geometry import GeometryParams, Sparsity, segment_sparsity
+from .cell_geometry import GeometryParams, segment_sparsity
 from .cloud_io import SyntheticSeedInfo
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError, ContractViolationError, check_fields
 from .voxel_grid import CellIndex, GroundState, VoxelGrid, cell_index, occupied_below
 
 # Refinement outcomes in rule order; a cell's route reason is one of these.
@@ -59,10 +60,7 @@ class ExpansionParams:
     ambiguity_elevation_threshold: float = 0.3
 
     def __post_init__(self):
-        if self.search_radius <= 0 or self.height_gate <= 0:
-            raise ConfigError("search_radius and height_gate must be positive")
-        if self.ambiguity_elevation_threshold <= 0:
-            raise ConfigError("ambiguity_elevation_threshold must be positive")
+        check_fields(self, ("search_radius", "height_gate", "ambiguity_elevation_threshold"))
 
 
 class CentroidIndex:
@@ -191,27 +189,33 @@ def refine_cell(
     Returns (is_ground, reason); see ``refine_reasons``.  The cell below
     counts as non-ground by its current state.
     """
-    fitted = bool(grid.fitted[cell])
-    span = grid.span(cell)
-    pts, inl = grid.points[span], grid.inliers[span]
-    n_in = int(inl.sum()) if fitted else 0
-    n_out = len(pts) - n_in if fitted else 0
-    s_in = s_out = Sparsity.LOW
-    rise = math.nan
-    if n_in and n_out:
-        split = np.concatenate([pts[inl], pts[~inl]])
-        s_in, s_out = segment_sparsity(split, [n_in, n_out], geometry)
-        if len(neighbor_ground_cells):
-            heights = cell_heights(grid, np.array([cell, *neighbor_ground_cells]))
-            rise = heights[0] - heights[1:].min()
+    inputs = [x[cell] for x in _refine_inputs(grid, np.array([cell]), geometry)]
+    heights = cell_heights(grid, np.array([cell, *neighbor_ground_cells]))
+    rise = heights[0] - heights[1:].min() if len(neighbor_ground_cells) else math.nan
     below = occupied_below(grid)[cell]
     below_non_ground = below >= 0 and grid.state[below] in _NON_GROUND_STATES
-    reason = int(
-        refine_reasons(
-            np.array(fitted), n_in, n_out, s_in, s_out, rise, below_non_ground, expansion
-        )
-    )
+    reason = int(refine_reasons(*inputs, rise, below_non_ground, expansion))
     return bool(_ROUTES_GROUND[reason]), REASONS[reason]
+
+
+def _refine_inputs(grid: VoxelGrid, rows: np.ndarray, geometry: GeometryParams):
+    """Per grid row: whether it holds a plane fit, its inlier and outlier
+    counts (0 without a fit), and the sparsity classes of its inliers and
+    outliers, scored only at those of the grid rows ``rows`` that hold both
+    (0 elsewhere).  Points are read in the grid's canonical order.
+    """
+    counts, inliers, fitted = grid.counts, grid.inliers, grid.fitted
+    n_in = np.where(fitted, np.add.reduceat(inliers, grid.offsets[:-1], dtype=np.int64), 0)
+    n_out = np.where(fitted, counts - n_in, 0)
+    s_in, s_out = np.zeros((2, len(counts)), dtype=np.int64)
+    split = id_mask(rows, len(counts)) & (n_in > 0) & (n_out > 0)
+    if split.any():
+        in_split = np.repeat(split, counts)
+        pts_in = np.compress(in_split & inliers, grid.points, axis=0)
+        pts_out = np.compress(in_split & ~inliers, grid.points, axis=0)
+        s_in[split] = segment_sparsity(pts_in, n_in[split], geometry)
+        s_out[split] = segment_sparsity(pts_out, n_out[split], geometry)
+    return fitted, n_in, n_out, s_in, s_out
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -238,38 +242,6 @@ def _neighbor_graph(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, n
     return indptr, keys - np.repeat(starts[:-1], np.diff(indptr))
 
 
-def _breadth_first(indptr: np.ndarray, indices: np.ndarray, source: int):
-    """Breadth-first order from ``source`` over a CSR graph, and each
-    reached node's predecessor (-1 elsewhere).
-
-    The order is that of a FIFO queue to which each dequeued node appends
-    its unvisited neighbors in row order.  It is built one level at a time:
-    the next level is the current level's rows, concatenated in queue
-    order, with visited nodes dropped and each node kept at its first
-    occurrence, whose row's node is its predecessor.
-    """
-    n = len(indptr) - 1
-    pred = np.full(n, -1)
-    seen = np.zeros(n, dtype=bool)
-    seen[source] = True
-    first = np.empty(n, dtype=np.int64)
-    levels = [np.array([source])]
-    while True:
-        level = levels[-1]
-        lengths = indptr[level + 1] - indptr[level]
-        nb = indices[_ranges(indptr[level], lengths)]
-        new = np.flatnonzero(~seen[nb])
-        first[nb[new]] = len(nb)
-        np.minimum.at(first, nb[new], new)
-        at = new[first[nb[new]] == new]  # first occurrences, in queue order
-        if not len(at):
-            return np.concatenate(levels), pred
-        nb = nb[at]
-        seen[nb] = True
-        pred[nb] = level[np.searchsorted(np.cumsum(lengths), at, side="right")]
-        levels.append(nb)
-
-
 def expand(
     grid: VoxelGrid,
     index: CentroidIndex,
@@ -285,8 +257,8 @@ def expand(
     The index must hold the grid rows of tentative cells in ascending order;
     the neighbor graph is built from one pair query over it, in phase 2
     from only the pairs within the height gate, which is applied to the
-    pairs before they are sorted into rows.  A breadth-first search over
-    that graph with each row's neighbors ascending admits each cell's
+    pairs before they are sorted into rows.  scipy's breadth-first search
+    over that graph with each row's neighbors ascending admits each cell's
     neighbors in ascending cell-index order (reproducible runs).  Admitted
     cells are GROUND until they are dequeued and refined.  Every refinement
     step but the ambiguous-cell checks is independent of that order and
@@ -294,14 +266,19 @@ def expand(
     a time in dequeue order, seeing each neighbor as ground when it was
     admitted by then and is either still queued or was routed ground.
     They read every radius neighbor, so in phase 2 the rows of all pairs
-    are built too, but only when some reached cell is ambiguous.  Final states land in ``grid.state``:
-    GROUND or NON_GROUND for dequeued cells, unreached ones stay TENTATIVE.
+    are built too, but only when some reached cell is ambiguous.  Final
+    states land in ``grid.state``: GROUND or NON_GROUND for dequeued cells,
+    unreached ones stay TENTATIVE.
 
     Returns the sorted ground ids, as positions in the cloud the grid was
     built from: the inliers of the cells whose final state is GROUND.  A
     given ``log`` receives the admission edges and routes in dequeue order,
     a given ``route_counts`` the number of cells per reason in ``REASONS``.
     """
+    # imported here so that importing the package leaves csgraph unloaded
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
+
     if phase not in (1, 2):
         raise ContractViolationError(f"phase must be 1 or 2, got {phase}")
     seed_row = grid.find(seed)
@@ -326,10 +303,13 @@ def expand(
     if phase == 2:
         # the height gate drops pairs before they are sorted into rows
         keep = np.abs(z[i] - z[j]) <= expansion.height_gate
-        admit_graph = _neighbor_graph(n, np.compress(keep, i), np.compress(keep, j))
+        indptr, indices = _neighbor_graph(n, np.compress(keep, i), np.compress(keep, j))
     else:
-        admit_graph = _neighbor_graph(n, i, j)
-    order, pred = _breadth_first(*admit_graph, s)
+        indptr, indices = _neighbor_graph(n, i, j)
+    # index arrays of one dtype, so that scipy takes them as they are
+    indptr = indptr.astype(indices.dtype, copy=False)
+    graph = csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    order, pred = breadth_first_order(graph, s, directed=True, return_predecessors=True)
 
     # rank = dequeue position; unreached cells get m, past every position
     m = len(order)
@@ -340,22 +320,7 @@ def expand(
     admitted_at[s] = -1
     cells = ids[order]  # grid rows in dequeue order
 
-    # refinement inputs per grid row, read in the grid's canonical point order
-    k, counts, inliers = len(grid.cells), grid.counts, grid.inliers
-    reached = np.zeros(k, dtype=bool)
-    reached[cells] = True
-    fitted = grid.fitted
-    n_in = np.where(fitted, np.add.reduceat(inliers, grid.offsets[:-1], dtype=np.int64), 0)
-    n_out = np.where(fitted, counts - n_in, 0)
-    s_in, s_out = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
-    split = reached & (n_in > 0) & (n_out > 0)
-    if split.any():
-        in_split = np.repeat(split, counts)
-        pts_in = np.compress(in_split & inliers, grid.points, axis=0)
-        pts_out = np.compress(in_split & ~inliers, grid.points, axis=0)
-        s_in[split] = segment_sparsity(pts_in, n_in[split], geometry)
-        s_out[split] = segment_sparsity(pts_out, n_out[split], geometry)
-    inputs = [x[cells] for x in (fitted, n_in, n_out, s_in, s_out)]  # in dequeue order
+    inputs = [x[cells] for x in _refine_inputs(grid, cells, geometry)]  # in dequeue order
     reasons = refine_reasons(*inputs, np.full(m, np.nan), np.zeros(m, bool), expansion)
     ground = np.append(_ROUTES_GROUND[reasons], False)  # one slot for unreached cells
 
@@ -365,11 +330,11 @@ def expand(
     # when it was dequeued earlier and routed non-ground
     ambiguous = np.flatnonzero(reasons >= _AMBIGUOUS)
     if len(ambiguous):
-        # ambiguous cells see all their radius neighbors, over the gate too
-        indptr, indices = _neighbor_graph(n, i, j) if phase == 2 else admit_graph
+        if phase == 2:  # ambiguous cells see all their radius neighbors, over the gate too
+            indptr, indices = _neighbor_graph(n, i, j)
         below = occupied_below(grid)[cells[ambiguous]]
         below_fixed = (below >= 0) & np.isin(grid.state[below], _NON_GROUND_STATES)
-        row_rank = np.full(k + 1, m)  # row -1 (no cell below) is unreached
+        row_rank = np.full(len(grid.cells) + 1, m)  # row -1 (no cell below) is unreached
         row_rank[cells] = np.arange(m)
         below_rank = row_rank[below]
         # heights, by index position, of the ambiguous cells and their neighbors
@@ -410,7 +375,7 @@ def expand(
     if route_counts is not None:
         route_counts.update(zip(REASONS, np.bincount(reasons, minlength=len(REASONS)).tolist()))
 
-    to_ground = np.repeat(grid.state == GroundState.GROUND, counts) & inliers
+    to_ground = np.repeat(grid.state == GroundState.GROUND, grid.counts) & grid.inliers
     return np.flatnonzero(id_mask(np.compress(to_ground, grid.order), len(grid.order)))
 
 

@@ -169,6 +169,15 @@ class TestEvaluateCommand:
         assert code == 2
         assert "skipped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dists", ["-5", "0", "8,nan", "inf", "8,-inf"])
+    def test_bad_max_dists_exit_1(self, tmp_path, capsys, dists):
+        seq = _make_sequence(tmp_path)
+        scans, labels = str(seq / "velodyne"), str(seq / "labels")
+        argv = ["evaluate", "--scans", scans, "--labels", labels, f"--max-dists={dists}"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --max-dists") and captured.out == ""
+
     def test_missing_dirs_exit_1(self, tmp_path):
         code = main(
             ["evaluate", "--scans", str(tmp_path / "a"), "--labels", str(tmp_path / "b")]

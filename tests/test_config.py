@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import pytest
 
 import gridseg as gs
+from gridseg.cell_geometry import GeometryParams
 from gridseg.config import (
     _INT_KEYS,
     ENV_CONFIG_PATH,
@@ -18,6 +20,7 @@ from gridseg.config import (
 from gridseg.cli import main
 from gridseg.errors import ConfigError
 from gridseg.pipeline import make_default_config
+from gridseg.region_expansion import ExpansionParams
 
 PAPER_BLOCK = """\
 distToGround: 1.723
@@ -266,6 +269,14 @@ def test_nonfinite_value_is_a_config_error(key, raw, name):
     settings = parse_config_text(f"{key}: {raw}\n")
     with pytest.raises(ConfigError, match=name):
         apply_settings(make_default_config(), settings)
+
+
+@pytest.mark.parametrize("cls", [GeometryParams, ExpansionParams])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_built_directly_reject_a_nonfinite_field(cls, bad):
+    for f in dataclasses.fields(cls):
+        with pytest.raises(ConfigError, match=f"^{f.name} must be finite"):
+            cls(**{f.name: bad})
 
 
 @pytest.fixture(scope="module")

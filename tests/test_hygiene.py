@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never reads.
+"""Source hygiene: no module imports a name it never reads, and no private
+name of the package goes unread.
 
 No linter ships with the project, so this test parses ``src/``, ``tests/``
 and ``demos/`` with ``ast`` instead.  An import counts as read when its
@@ -6,6 +7,9 @@ name is loaded anywhere in the scope it was imported in (the module, or the
 function for a local import, nested functions included).  Two kinds of
 import are exempt: the module-level imports of an ``__init__.py``, which
 re-export the package API, and imports on a line marked ``# noqa: F401``.
+A module-level private name of ``src/gridseg`` (a function, class or
+assigned name starting with one underscore) counts as read when some
+module of the package loads it; reads from tests do not count.
 """
 
 import ast
@@ -73,3 +77,41 @@ def test_the_check_finds_module_and_local_imports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(), is_init=path.name == "__init__.py") == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each module-level private name of the given
+    sources (module name -> source) that none of them loads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                targets = [ast.Name(node.name)]
+            else:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+            for target in filter(None, targets):
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and _is_private(name.id):
+                        defined.append((module, name.id))
+        names = (n for n in ast.walk(tree) if isinstance(n, ast.Name))
+        read.update(n.id for n in names if isinstance(n.ctx, ast.Load))
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_the_check_finds_unread_private_names():
+    sources = {
+        "a": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\n",
+        "b": "from a import _C\n_x, y = 1, 2\ndef g():\n    _y = 3\n    return _C\n",
+    }
+    assert unread_private_names(sources) == ["a: _B", "a: _f", "b: _x"]
+
+
+def test_every_private_name_of_the_package_is_read():
+    package = ROOT / "src" / "gridseg"
+    sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -331,6 +331,28 @@ class TestSegment:
         clean = segment(PointCloud(points=pts[keep]))
         np.testing.assert_array_equal(result.mask[keep], clean.mask)
 
+    def test_rows_too_large_to_bin_are_non_ground_without_a_warning(self):
+        # floor(1e30 / cell size) does not fit in int64; the suite turns the
+        # cast's RuntimeWarning into an error, so none may be raised
+        cloud = gs.scene_cloud(gs.make_scene(gs.SceneSpec(extent=20.0, seed=3)))
+        pts = cloud.points.copy()
+        pts[77, 0] = 1e30
+        result = segment(PointCloud(points=pts))
+        assert result.stats.n_nonfinite == 1 and not result.mask[77]
+        clean = segment(PointCloud(points=np.delete(pts, 77, axis=0)))
+        np.testing.assert_array_equal(np.delete(result.mask, 77), clean.mask)
+
+    def test_rows_just_inside_the_binning_bound_are_binned(self):
+        cfg = make_default_config()
+        limit = 2.0**62 * min(cfg.cell_sx, cfg.cell_sy, cfg.cell_sz2)
+        cloud = gs.scene_cloud(gs.make_scene(gs.SceneSpec(extent=20.0, seed=3)))
+        pts = cloud.points.copy()
+        pts[77] = np.nextafter(limit, 0)
+        pts[78] = -np.nextafter(limit, 0)
+        assert segment(PointCloud(points=pts), cfg).stats.n_nonfinite == 0
+        pts[78, 2] = -limit
+        assert segment(PointCloud(points=pts), cfg).stats.n_nonfinite == 1
+
     def test_seed_cell_not_tentative_gives_non_ground_not_an_error(self):
         # ground 0.48 m below the configured mount height shares the seed
         # cell with the synthetic lattice, which is then not planar

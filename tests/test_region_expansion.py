@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from gridseg.region_expansion import (
     refine_cell,
     select_seed,
 )
-from gridseg.region_expansion import _breadth_first, _neighbor_graph
+from gridseg.region_expansion import _neighbor_graph
 from gridseg.voxel_grid import (
     CellSize,
     GroundState,
@@ -201,25 +202,40 @@ class TestNeighborGraph:
 
 
 class TestBreadthFirst:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_scipy_breadth_first_order(self, seed):
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import breadth_first_order
+    def test_int64_graph_dequeue_order_matches_deque_bfs(self, rng):
+        # a chain of 46.5k one-point cells, so n * n >= 2**31 and the graph
+        # has int64 keys; each cell reaches one to three cells either side,
+        # and a detached tail of 50 cells is never reached
+        n, tail = 46_500, 50
+        x = np.arange(n) + rng.uniform(0, 1, n)
+        x[-tail:] += 10.0
+        pts = np.column_stack([x, np.zeros(n), rng.uniform(0, 0.5, n)])
+        grid = build_grid(pts, CellSize(1.0, 1.0, 1.0))
+        grid.state[:] = GroundState.TENTATIVE
+        index = _tentative_index(grid)
+        radius, source = 2.5, n // 2
+        indptr, indices = _neighbor_graph(n, *index.pairs(radius))
+        assert indices.dtype == np.int64
 
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 400))
-        # directed, with self loops and, at low degree, unreached nodes
-        adjacency = rng.random((n, n)) < rng.uniform(0.2, 6.0) / n
-        if seed % 2:
-            adjacency |= adjacency.T
-        graph = csr_matrix(adjacency.astype(float))
-        source = int(rng.integers(n))
-        want_order, want_pred = breadth_first_order(
-            graph, source, directed=True, return_predecessors=True
-        )
-        order, pred = _breadth_first(graph.indptr, graph.indices, source)
-        np.testing.assert_array_equal(order, want_order)
-        np.testing.assert_array_equal(pred, np.where(want_pred < 0, -1, want_pred))
+        pred = {source: source}
+        queue, order = deque([source]), []
+        while queue:
+            node = queue.popleft()
+            order.append(node)
+            for nb in indices[indptr[node] : indptr[node + 1]].tolist():
+                if nb not in pred:
+                    pred[nb] = node
+                    queue.append(nb)
+        assert len(order) == n - tail
+
+        log = ExpansionLog()
+        seed = tuple(grid.cells[source].tolist())
+        expand(grid, index, seed, GEO, ExpansionParams(search_radius=radius), phase=1, log=log)
+        cells = [tuple(c) for c in grid.cells.tolist()]
+        assert [idx for idx, _, _ in log.routes] == [cells[c] for c in order]
+        z = grid.centroids[:, 2]
+        want = [(cells[pred[c]], cells[c], abs(z[pred[c]] - z[c])) for c in order[1:]]
+        assert log.edges == want
 
     def test_import_leaves_csgraph_out(self):
         import gridseg
