@@ -12,7 +12,8 @@ best inlier share w so far, with p = ``CONFIDENCE`` (0.99); the configured
 iteration count only caps them.
 
 Covariances are summed one product column at a time over the points
-centred on the cell means, and eigen decompositions use a closed-form 3x3
+centred on the cell means (centred once per phase, and the plane fits read
+the same centred points), and eigen decompositions use a closed-form 3x3
 solver (``sorted_eigen``) instead of LAPACK: both are elementwise over
 cells, so a cell's result never depends on which other cells share the call.
 Classification, line gating, plane fitting and sparsity run on all cells of a
@@ -113,16 +114,24 @@ def segment_covariance(
 
     ``points`` holds the segments back to back, ``counts[i]`` points for
     segment i; the result is one 3x3 matrix per segment.  Two passes
-    (center on the segment means, then average the six distinct products),
-    with every sum taken in the given point order.  ``means`` may pass in
-    the segment means when the caller already summed them that way (as
+    (center on the segment means, then ``centred_covariance``), with every
+    sum taken in the given point order.  ``means`` may pass in the segment
+    means when the caller already summed them that way (as
     ``VoxelGrid.centroids``); the result is the same to the bit.
     """
     counts = np.asarray(counts)
-    starts = np.cumsum(counts) - counts
     if means is None:
-        means = np.add.reduceat(points, starts, axis=0) / counts[:, None]
-    x, y, z = (points[:, j] - np.repeat(means[:, j], counts) for j in range(3))
+        means = np.add.reduceat(points, np.cumsum(counts) - counts, axis=0) / counts[:, None]
+    return centred_covariance(points - np.repeat(means, counts, axis=0), counts)
+
+
+def centred_covariance(q: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Population covariance of consecutive segments of points ``q`` that
+    are already centred on their segment means (see ``segment_covariance``):
+    the mean of each of the six distinct products, summed in point order."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    x, y, z = q[:, 0], q[:, 1], q[:, 2]
     C = np.empty((len(counts), 3, 3))
     for (i, j), (a, b) in zip(_UPPER, ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))):
         C[:, i, j] = C[:, j, i] = np.add.reduceat(a * b, starts) / counts
@@ -373,7 +382,7 @@ def eigenplane_normals(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.
 
 
 def ransac_cells(
-    points: np.ndarray,
+    centred: np.ndarray,
     counts: np.ndarray,
     keys: np.ndarray,
     centroids: np.ndarray,
@@ -383,9 +392,11 @@ def ransac_cells(
 ) -> CellPlanes:
     """Seeded RANSAC plane fit of every cell, cell by cell as ``ransac_plane``.
 
-    ``points`` holds the cells back to back, ``counts[i]`` points for cell
-    i, whose mean point is ``centroids[i]`` and whose eigenplane normal
-    (see ``eigenplane_normals``) is ``eigen_normals[i]``.
+    ``centred`` holds the cells' points back to back, ``counts[i]`` points
+    for cell i, each less its cell's mean point ``centroids[i]`` (as
+    ``segment_covariance`` centres them); cell i's eigenplane normal (see
+    ``eigenplane_normals``) is ``eigen_normals[i]``.  Planes are fitted in
+    that centred frame and shifted back by the centroids.
 
     Candidate 0 of a cell is its eigenplane, the plane through the centroid
     normal to the smallest covariance eigenvector: the least-squares plane
@@ -416,18 +427,17 @@ def ransac_cells(
     """
     if inlier_threshold <= 0 or iterations <= 0:
         raise ContractViolationError("inlier_threshold and iterations must be positive")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    q = np.asarray(centred, dtype=np.float64).reshape(-1, 3)
     counts = np.asarray(counts, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.uint64)
     centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
     eigen_normals = np.asarray(eigen_normals, dtype=np.float64).reshape(-1, 3)
     ends = np.cumsum(counts)
-    if len(counts) and (counts.min() < 1 or ends[-1] != len(pts)):
+    if len(counts) and (counts.min() < 1 or ends[-1] != len(q)):
         raise ContractViolationError("cell counts must be positive and cover the points")
     if not len(keys) == len(centroids) == len(eigen_normals) == len(counts):
         raise ContractViolationError("one stream key, centroid and eigenplane normal per cell")
     k = len(counts)
-    q = pts - np.repeat(centroids, counts, axis=0)
     inliers = _plane_distance(q, np.repeat(eigen_normals, counts, axis=0), 0.0) <= inlier_threshold
     score0 = np.add.reduceat(inliers, ends - counts, dtype=np.int64)
     score0[(counts < 3) | ~eigen_normals.any(axis=1)] = -1
@@ -638,8 +648,9 @@ def ransac_plane(
     counts = np.array([n])
     key = np.array([seed & _KEY_MASK], dtype=np.uint64)
     centroid = np.add.reduceat(pts, [0], axis=0) / n
-    normal = eigenplane_normals(*sorted_eigen(segment_covariance(pts, counts, centroid)))
-    fit = ransac_cells(pts, counts, key, centroid, normal, inlier_threshold, iterations)
+    q = pts - centroid
+    normal = eigenplane_normals(*sorted_eigen(centred_covariance(q, counts)))
+    fit = ransac_cells(q, counts, key, centroid, normal, inlier_threshold, iterations)
     if not fit.fitted[0]:
         raise FitFailureError("no candidate plane: the points or every sampled triple collinear")
     plane = PlaneModel(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -20,6 +19,7 @@ from .errors import ConfigError
 from .evaluation import (
     DEFAULT_THRESHOLDS,
     GroundTruthPolicy,
+    check_thresholds,
     emit_report,
     evaluate_sequence,
     fan_out,
@@ -104,9 +104,7 @@ def cmd_evaluate(args) -> int:
         cfg = resolve_config(args.config, args.overrides)
         labels = frozenset(int(v) for v in args.ground_labels.split(","))
         policy = GroundTruthPolicy(ground_label_ids=labels, range_3d=args.range_3d)
-        thresholds = tuple(float(v) for v in args.max_dists.split(","))
-        if not all(0 < d < math.inf for d in thresholds):
-            raise ConfigError(f"--max-dists must be positive and finite, got {args.max_dists}")
+        thresholds = check_thresholds(args.max_dists.split(","), "--max-dists")
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ the exclusion counts are reported.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloud_io import PointCloud, read_kitti_bin, read_semantic_labels
-from .errors import ContractViolationError
+from .errors import ConfigError, ContractViolationError
 from .pipeline import PipelineConfig, make_default_config, segment
 
 DEFAULT_THRESHOLDS = tuple(float(d) for d in range(10, 101, 10))
@@ -162,6 +163,18 @@ def _aggregate(report: SequenceReport) -> None:
             report.std[name] = None
 
 
+def check_thresholds(thresholds, name: str = "thresholds") -> tuple[float, ...]:
+    """The range thresholds as floats.  ``ConfigError`` (naming them
+    ``name``) unless each is positive and finite and none repeats: a
+    repeated threshold would weight its range twice in the aggregate."""
+    values = tuple(float(d) for d in thresholds)
+    if not all(0 < d < math.inf for d in values):
+        raise ConfigError(f"{name} must be positive and finite, got {values}")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name} must not repeat a threshold, got {values}")
+    return values
+
+
 def evaluate_sequence(
     scan_dir: str | Path,
     label_dir: str | Path,
@@ -174,10 +187,12 @@ def evaluate_sequence(
 
     Scans without a matching label (or with malformed/odd-length labels) are
     skipped and reported.  Confusion counts are summed across scans per
-    threshold before metrics are computed.  With ``jobs`` > 1 the scans run
+    threshold before metrics are computed; ``thresholds`` must pass
+    ``check_thresholds``.  With ``jobs`` > 1 the scans run
     in spawned processes (see ``fan_out``), so a script calling this does so
     under ``if __name__ == "__main__"``.
     """
+    thresholds = check_thresholds(thresholds)
     cfg = cfg or make_default_config()
     policy = policy or GroundTruthPolicy()
     scan_dir = Path(scan_dir)

@@ -27,12 +27,12 @@ from .cell_geometry import (
     MIN_POINTS_FOR_EIGEN,
     GeometryParams,
     cell_keys,
+    centred_covariance,
     eigen_kinds,
     eigenplane_normals,
     line_tentative,
     plane_tentative,
     ransac_cells,
-    segment_covariance,
     sorted_eigen,
 )
 
@@ -41,7 +41,7 @@ from .cell_geometry import (
 # hook target to resolve.
 from .cell_geometry import ransac_plane  # noqa: F401
 from .cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed, strip_synthetic
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, ContractViolationError, check_fields
 from .region_expansion import (
     REASONS,
     ExpansionLog,
@@ -217,15 +217,16 @@ def classify_cells(
     k = len(grid.cells)
     t0 = time.perf_counter()
     counts = grid.counts
-    pts = grid.points
 
     eligible = counts >= MIN_POINTS_FOR_EIGEN
     lam = np.zeros((k, 3))
     vec = np.zeros((k, 3, 3))
+    # every point less its cell's centroid, for the covariances and the plane fits
+    centred = grid.points - np.repeat(grid.centroids, counts, axis=0)
     if eligible.any():
         # every cell's covariance costs less than gathering the points of
         # the eligible ones, which hold nearly all points
-        C = segment_covariance(pts, counts, grid.centroids)
+        C = centred_covariance(centred, counts)
         lam[eligible], vec[eligible] = sorted_eigen(np.compress(eligible, C, axis=0))
     kinds = eigen_kinds(lam, geometry)
     t1 = time.perf_counter()
@@ -234,7 +235,7 @@ def classify_cells(
     planar = np.flatnonzero(is_planar)
     in_planar = np.repeat(is_planar, counts)
     fit = ransac_cells(
-        np.compress(in_planar, pts, axis=0),
+        np.compress(in_planar, centred, axis=0),
         counts[planar],
         cell_keys(global_seed, phase, np.take(grid.cells, planar, axis=0)),
         np.take(grid.centroids, planar, axis=0),
@@ -350,16 +351,16 @@ def run_phase(
 ) -> PhaseResult:
     """Run grid build, classification, and expansion on a subset of points.
 
-    ``ids`` index into ``all_points`` and hold no id twice.  The result's
-    id arrays are global and sorted: ``ground_ids``, the points expansion
-    routed to ground, and ``ground_cell_point_ids``, every point of the
-    cells it routed ground (inliers and outliers), for the next phase.
-    Every other point of the subset is non-ground.
+    ``ids`` index into ``all_points`` in strictly ascending order, as
+    ``segment`` passes them (``ContractViolationError`` otherwise).  The
+    result's id arrays are global and sorted: ``ground_ids``, the points
+    expansion routed to ground, and ``ground_cell_point_ids``, every point
+    of the cells it routed ground (inliers and outliers), for the next
+    phase.  Every other point of the subset is non-ground.
 
-    ``parent`` is the previous phase's result; both phases take ascending
-    ids, as ``segment`` passes them.  The phase then takes over the parent
-    cells it would rebuild unchanged (``_inheritable``), with their state
-    reset to tentative.  It grids and classifies only its other points,
+    ``parent`` is the previous phase's result.  The phase takes over the
+    parent cells it would rebuild unchanged (``_inheritable``), with their
+    state reset to tentative.  It grids and classifies only its other points,
     in ascending id order so exact duplicates tie as in a fresh grid, and
     merges both parts into one canonical grid (``merge_grids``).  That
     grid equals ``build_grid`` plus ``classify_cells`` on all the phase's
@@ -368,6 +369,8 @@ def run_phase(
     t0 = time.perf_counter()
     stats = PhaseStats(n_points=len(ids))
     ids = np.asarray(ids, dtype=np.int64)
+    if np.any(ids[1:] <= ids[:-1]):
+        raise ContractViolationError("phase point ids must be strictly ascending")
     if len(ids) == 0:
         return PhaseResult(np.empty(0, np.int64), np.empty(0, np.int64), stats)
 
@@ -412,9 +415,9 @@ def run_phase(
     stats.cells_routed_ground = int(routed_ground.sum())
     cell_local = grid.order[np.repeat(routed_ground, grid.counts)]
 
-    # global ids, sorted by way of boolean masks over them
-    ground = np.flatnonzero(id_mask(ids[ground_local], len(all_points)))
-    fwd = np.flatnonzero(id_mask(ids[cell_local], len(all_points)))
+    # global ids, sorted: ids ascend, so positions in them sorted are too
+    ground = ids[ground_local]
+    fwd = ids[np.flatnonzero(id_mask(cell_local, len(ids)))]
 
     stats.points_ground = len(ground)
     stats.points_non_ground = len(ids) - len(ground)
@@ -446,7 +449,9 @@ def segment(
     if n == 0:
         return SegmentationResult(mask=mask, stats=stats)
     limit = 2.0**62 * min(cfg.cell_sx, cfg.cell_sy, cfg.cell_sz2)
-    finite = (np.abs(cloud.points) < limit).all(axis=1)  # False at NaN too
+    # False at NaN too; and-ing the three columns is far cheaper than all(axis=1)
+    binnable = np.abs(cloud.points) < limit
+    finite = binnable[:, 0] & binnable[:, 1] & binnable[:, 2]
     stats.n_nonfinite = int(n - finite.sum())
     if stats.n_nonfinite == n:
         return SegmentationResult(mask=mask, stats=stats)

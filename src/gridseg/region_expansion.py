@@ -21,6 +21,14 @@ centroid height difference to stay within the height gate.  The gate drops
 pairs before the sort, so the search reads a graph of admissible links
 only; step 4 sees every radius neighbor, over the gate too, from a second
 graph of all pairs that is built only when the phase has ambiguous cells.
+
+Steps 1-3 and 5 do not depend on the dequeue order and run on all dequeued
+cells at once.  Step 4 does: an ambiguous cell sees a neighbor as ground
+only when it was admitted by then and has not been routed non-ground, and
+the cell below counts when it was routed non-ground earlier.  So a decision
+reads only decisions taken before it, and the ambiguous cells' routes are
+the one fixed point of that triangular system, found by evaluating all of
+them at once in rounds until no route changes.
 """
 
 from __future__ import annotations
@@ -242,6 +250,70 @@ def _neighbor_graph(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, n
     return indptr, keys - np.repeat(starts[:-1], np.diff(indptr))
 
 
+def _refine_ambiguous(
+    grid, ids, order, rank, admitted_at, indptr, indices, ambiguous, ground, inputs, expansion
+) -> np.ndarray:
+    """Reasons of the ambiguous cells at dequeue positions ``ambiguous``, as
+    refining them one at a time in dequeue order gives them; their routes
+    are written into ``ground``.
+
+    At dequeue step t a radius neighbor (rows ``indptr``/``indices`` over
+    index positions) counts as ground when it was admitted by then and is
+    either still queued (rank > t) or was routed ground (rank < t); the
+    occupied cell below is non-ground when classified so, or when it was
+    dequeued earlier and routed non-ground.  ``ground`` holds the routes by
+    dequeue position (final for the unambiguous cells, False in its last
+    slot, that of unreached cells), ``inputs`` the ambiguous cells' other
+    refinement inputs.
+
+    A decision at step t reads only decisions taken before t, so the
+    ambiguous routes are the one solution of a triangular system.  Rounds
+    evaluate every ambiguous cell at once from the routes of the round
+    before, starting from all passed, and stop when no route changes: a
+    cell whose decision reads a chain of d earlier ambiguous decisions
+    holds its final route from round d + 1 on, so a phase whose longest
+    such chain is D takes at most D + 2 rounds.
+    """
+    m = len(order)
+    amb = order[ambiguous]
+    # (ambiguous cell, radius neighbor admitted by its step) pairs, flat
+    degree = indptr[amb + 1] - indptr[amb]
+    nb = indices[_ranges(indptr[amb], degree)]
+    owner = np.repeat(np.arange(len(amb)), degree)
+    admitted = admitted_at[nb] <= ambiguous[owner]
+    nb, owner = nb[admitted], owner[admitted]
+    r = rank[nb]
+    queued = r > ambiguous[owner]
+    height = np.zeros(len(ids))
+    need = np.union1d(amb, nb)
+    height[need] = cell_heights(grid, ids[need])
+    nb_height = height[nb]
+    # the cells without such a neighbor are empty segments, which reduceat
+    # would give the next segment's first value: they keep inf (no rise)
+    has = np.bincount(owner, minlength=len(amb)) > 0
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+
+    below = occupied_below(grid)[ids[amb]]
+    below_fixed = (below >= 0) & np.isin(grid.state[below], _NON_GROUND_STATES)
+    row_rank = np.full(len(grid.cells) + 1, m)  # row -1 (no cell below) is unreached
+    row_rank[ids[order]] = np.arange(m)
+    below_rank = row_rank[below]
+    below_earlier = below_rank < ambiguous
+
+    ground[ambiguous] = True
+    while True:
+        low = np.full(len(amb), np.inf)
+        seen = queued | ground[r]
+        low[has] = np.minimum.reduceat(np.where(seen, nb_height, np.inf), starts)
+        rise = np.where(low < np.inf, height[amb] - low, np.nan)
+        below_non_ground = below_fixed | (below_earlier & ~ground[below_rank])
+        reasons = refine_reasons(*inputs, rise, below_non_ground, expansion)
+        routes = _ROUTES_GROUND[reasons]
+        if np.array_equal(routes, ground[ambiguous]):
+            return reasons
+        ground[ambiguous] = routes
+
+
 def expand(
     grid: VoxelGrid,
     index: CentroidIndex,
@@ -262,13 +334,16 @@ def expand(
     neighbors in ascending cell-index order (reproducible runs).  Admitted
     cells are GROUND until they are dequeued and refined.  Every refinement
     step but the ambiguous-cell checks is independent of that order and
-    runs on all dequeued cells at once; ambiguous cells are refined one at
-    a time in dequeue order, seeing each neighbor as ground when it was
-    admitted by then and is either still queued or was routed ground.
-    They read every radius neighbor, so in phase 2 the rows of all pairs
-    are built too, but only when some reached cell is ambiguous.  Final
-    states land in ``grid.state``: GROUND or NON_GROUND for dequeued cells,
-    unreached ones stay TENTATIVE.
+    runs on all dequeued cells at once.  An ambiguous cell sees each
+    neighbor as ground when it was admitted by its dequeue step and is
+    either still queued or was routed ground, so its decision reads the
+    decisions of ambiguous cells dequeued before it; all of them are
+    found at once, as the fixed point of array rounds that gives the
+    sequential result (``_refine_ambiguous``).  They read every radius
+    neighbor, so in phase 2 the rows of all pairs are built too, but only
+    when some reached cell is ambiguous.  Final states land in
+    ``grid.state``: GROUND or NON_GROUND for dequeued cells, unreached ones
+    stay TENTATIVE.
 
     Returns the sorted ground ids, as positions in the cloud the grid was
     built from: the inliers of the cells whose final state is GROUND.  A
@@ -323,35 +398,14 @@ def expand(
     inputs = [x[cells] for x in _refine_inputs(grid, cells, geometry)]  # in dequeue order
     reasons = refine_reasons(*inputs, np.full(m, np.nan), np.zeros(m, bool), expansion)
     ground = np.append(_ROUTES_GROUND[reasons], False)  # one slot for unreached cells
-
-    # ambiguous cells, one at a time in dequeue order: a neighbor is ground
-    # at step t when it was admitted by then and is either still queued or
-    # was routed ground; the cell below is non-ground when classified so or
-    # when it was dequeued earlier and routed non-ground
     ambiguous = np.flatnonzero(reasons >= _AMBIGUOUS)
     if len(ambiguous):
         if phase == 2:  # ambiguous cells see all their radius neighbors, over the gate too
             indptr, indices = _neighbor_graph(n, i, j)
-        below = occupied_below(grid)[cells[ambiguous]]
-        below_fixed = (below >= 0) & np.isin(grid.state[below], _NON_GROUND_STATES)
-        row_rank = np.full(len(grid.cells) + 1, m)  # row -1 (no cell below) is unreached
-        row_rank[cells] = np.arange(m)
-        below_rank = row_rank[below]
-        # heights, by index position, of the ambiguous cells and their neighbors
-        amb = order[ambiguous]
-        need = np.union1d(amb, indices[_ranges(indptr[amb], indptr[amb + 1] - indptr[amb])])
-        height = np.zeros(n)
-        height[need] = cell_heights(grid, ids[need])
-    for a, t in enumerate(ambiguous.tolist()):
-        i = order[t]
-        nb = indices[indptr[i] : indptr[i + 1]]
-        r = rank[nb]
-        seen = nb[(admitted_at[nb] <= t) & ((r > t) | ground[r])]
-        rise = height[i] - height[seen].min() if len(seen) else math.nan
-        b = below_rank[a]
-        below_non_ground = below_fixed[a] or (b < t and not ground[b])
-        reasons[t] = refine_reasons(*(x[t] for x in inputs), rise, below_non_ground, expansion)
-        ground[t] = _ROUTES_GROUND[reasons[t]]
+        reasons[ambiguous] = _refine_ambiguous(
+            grid, ids, order, rank, admitted_at, indptr, indices, ambiguous, ground,
+            [x[ambiguous] for x in inputs], expansion,
+        )
     ground = ground[:m]
 
     grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)

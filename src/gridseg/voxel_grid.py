@@ -125,9 +125,12 @@ def _canonical_order(pts: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.
 
     The cell index packs into one code, lexicographic in (ix, iy, iz), and
     the code times n plus the point's rank in an x argsort is a unique
-    int64 key; one argsort of it orders points by (cell, x).  Points tied
-    on (cell, x) sit in runs, which are then sorted by (y, z, input
-    position).
+    int64 key.  Built in that argsort's order, where the rank of position
+    p is p, the keys need only a value sort, not a second argsort: a
+    sorted key's remainder mod n is the x-sorted position of its point and
+    its quotient the cell code, so they order the points by (cell, x).
+    Points tied on (cell, x) sit in runs, which are then sorted by (y, z,
+    input position).
     """
     n = len(pts)
     first = np.ones(n, dtype=bool)
@@ -142,18 +145,22 @@ def _canonical_order(pts: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.
         first[1:] = np.any(skeys[1:] != skeys[:-1], axis=1)
         return order, first
     code = ((ix - low[0]) * span[1] + (iy - low[1])) * span[2] + (iz - low[2])
-    x_rank = np.empty(n, dtype=np.int64)
-    x_rank[np.argsort(pts[:, 0])] = np.arange(n)
-    order = np.argsort(code * n + x_rank)
-    scode = code[order]
+    by_x = np.argsort(pts[:, 0])
+    key = np.take(code, by_x) * n + np.arange(n)
+    key.sort()
+    scode = key // n
+    order = np.take(by_x, key - scode * n)
     first[1:] = scode[1:] != scode[:-1]
     sx = np.take(pts[:, 0], order)
     tie = ~first[1:] & (sx[1:] == sx[:-1])
     if tie.any():
-        run = np.cumsum(np.concatenate(([True], ~tie)))
-        at = np.flatnonzero(np.concatenate((tie, [False])) | np.concatenate(([False], tie)))
+        # the positions in a tie run, each run labelled by a count of the
+        # run starts among them
+        after = np.concatenate(([False], tie))  # ties with the position before
+        at = np.flatnonzero(after | np.concatenate((tie, [False])))
+        run = np.cumsum(~after[at])
         ids = order[at]
-        order[at] = ids[np.lexsort((ids, pts[ids, 2], pts[ids, 1], run[at]))]
+        order[at] = ids[np.lexsort((ids, pts[ids, 2], pts[ids, 1], run))]
     return order, first
 
 

@@ -11,6 +11,7 @@ from gridseg.cell_geometry import (
     CONFIDENCE,
     GeometryParams,
     Sparsity,
+    centred_covariance,
     eigen_kinds,
     eigenplane_normals,
     line_tentative,
@@ -406,13 +407,15 @@ def _oracle_ransac_plane(points, inlier_threshold, iterations, key, stops=None):
 
 
 def _fit_cells(cells, keys, inlier_threshold, iterations):
-    """``ransac_cells`` on a list of point sets, with each set's centroid and
-    eigenplane normal computed as the pipeline computes them."""
+    """``ransac_cells`` on a list of point sets, with each set's centroid,
+    centred points and eigenplane normal computed as the pipeline computes
+    them."""
     counts = np.array([len(c) for c in cells])
     pts = np.vstack(cells)
     centroids = np.add.reduceat(pts, np.cumsum(counts) - counts, axis=0) / counts[:, None]
-    normals = eigenplane_normals(*sorted_eigen(segment_covariance(pts, counts)))
-    return ransac_cells(pts, counts, keys, centroids, normals, inlier_threshold, iterations)
+    centred = pts - np.repeat(centroids, counts, axis=0)
+    normals = eigenplane_normals(*sorted_eigen(centred_covariance(centred, counts)))
+    return ransac_cells(centred, counts, keys, centroids, normals, inlier_threshold, iterations)
 
 
 def _random_cell(rng, n, outlier_share):

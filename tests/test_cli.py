@@ -178,6 +178,16 @@ class TestEvaluateCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: --max-dists") and captured.out == ""
 
+    def test_repeated_max_dist_exit_1(self, tmp_path, capsys):
+        # a repeated threshold would weight its range twice in the aggregate
+        seq = _make_sequence(tmp_path)
+        scans, labels = str(seq / "velodyne"), str(seq / "labels")
+        argv = ["evaluate", "--scans", scans, "--labels", labels, "--max-dists", "8,8,8,30"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --max-dists must not repeat")
+        assert captured.out == ""
+
     def test_missing_dirs_exit_1(self, tmp_path):
         code = main(
             ["evaluate", "--scans", str(tmp_path / "a"), "--labels", str(tmp_path / "b")]

@@ -6,7 +6,7 @@ import pytest
 
 import gridseg as gs
 from gridseg.cloud_io import PointCloud
-from gridseg.errors import ContractViolationError
+from gridseg.errors import ConfigError, ContractViolationError
 from gridseg.evaluation import (
     ConfusionCounts,
     GroundTruthPolicy,
@@ -201,6 +201,12 @@ class TestEvaluateSequence:
         assert r_two.rows[0].precision == r_one.rows[0].precision
         assert r_two.rows[0].recall == r_one.rows[0].recall
         assert r_two.rows[0].counts.ntp == 2 * r_one.rows[0].counts.ntp
+
+    @pytest.mark.parametrize("thresholds", [(8.0, 8.0, 30.0), (10, 20.0, 10.0)])
+    def test_repeated_threshold_is_a_config_error(self, tmp_path, thresholds):
+        scans, labels = self._sequence(tmp_path, n_scans=1)
+        with pytest.raises(ConfigError, match="must not repeat"):
+            evaluate_sequence(scans, labels, thresholds=thresholds)
 
     def test_matches_independent_reference_computation(self, tmp_path):
         # oracle: recompute the micro-averaged report from the raw files

@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gridseg as gs
-from gridseg import pipeline
+from gridseg import pipeline, region_expansion
 from gridseg.cell_geometry import GeometryParams, make_planes, segment_sparsity
 from gridseg.cloud_io import inject_synthetic_seed
 from gridseg.errors import ContractViolationError
@@ -247,8 +247,9 @@ SCENES = {
     "slope-12": gs.SceneSpec(extent=24.0, n_ground=8000, slope_deg=12.0, seed=22),
     "boxes-12": _boxed_spec(extent=30.0, n_ground=20000, n_boxes=12, seed=3),
 }
-# fewest Phase-I cells a scene must refine as ambiguous, one at a time in
-# dequeue order, so that it keeps covering that loop
+# fewest Phase-I cells a scene must refine as ambiguous, whose decisions
+# read each other's and are found as a fixed point, so that it keeps
+# covering those rounds
 AMBIGUOUS_FLOOR = {"boxes-12": 20}
 
 
@@ -402,6 +403,56 @@ def test_lowest_neighbor_over_the_gate_counts_once_admitted_elsewhere():
     log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0), 2)
     assert _ambiguous_route(log, layout) == "ambiguous and elevated above lowest neighbor"
     assert [(i[0], j[0]) for i, j, _ in log.edges] == [(0, 1), (0, 3), (1, 2)]
+
+
+def _count_rounds(monkeypatch):
+    """Count ``refine_reasons`` calls in ``expand``: one for every dequeued
+    cell, then one per round over the ambiguous cells."""
+    calls = []
+    refine_reasons = region_expansion.refine_reasons
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return refine_reasons(*args)
+
+    monkeypatch.setattr(region_expansion, "refine_reasons", counted)
+    return calls
+
+
+# A chain of ambiguous cells along x, the first 0.2 m above the seed and
+# each next one 0.4 m above the one before, so the cell after a
+# ground-routed one is elevated above it and the cell after a rejected one
+# sees only the higher cell it admits.  Routes
+# alternate; starting from "all passed", each round settles one more cell.
+CHAIN = [(0, 0.0, "ground")] + [(x, 0.2 + 0.4 * (x - 1), "ambiguous") for x in range(1, 6)]
+
+
+def test_ambiguous_chain_settles_one_cell_per_round(monkeypatch):
+    points, make_grid, seed = _hand_built(CHAIN)
+    rounds = _count_rounds(monkeypatch)
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=1.2), 1)
+    passed, elevated = "ambiguous checks passed", "ambiguous and elevated above lowest neighbor"
+    alone = "ambiguous with no ground neighbors"  # the last cell, after a rejected one
+    assert [r for _, _, r in log.routes] == ["no outliers", passed, elevated, passed, elevated, alone]
+    assert rounds[0] == len(CHAIN)  # every dequeued cell, then the ambiguous rounds
+    assert len(rounds) - 1 >= 3 and set(rounds[1:]) == {len(CHAIN) - 1}
+
+
+@pytest.mark.parametrize(
+    "layout, phase",
+    [
+        # the only other cell lies beyond the search radius
+        ([(0, 0.5, "ambiguous"), (9, 0.5, "ground")], 1),
+        ([(0, 0.5, "ambiguous"), (9, 0.5, "ground")], 2),
+        # a radius neighbor over the height gate, never admitted
+        ([(0, 0.5, "ambiguous"), (1, 0.1, "ground")], 2),
+    ],
+)
+def test_ambiguous_seed_without_ground_neighbors(layout, phase):
+    points, make_grid, seed = _hand_built(layout)
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0), phase)
+    assert log.routes == [(seed, "non_ground", "ambiguous with no ground neighbors")]
+
 
 boxes = st.lists(
     st.builds(

@@ -6,7 +6,7 @@ import pytest
 import gridseg as gs
 from gridseg.cloud_io import PointCloud, inject_synthetic_seed
 from gridseg.config import apply_settings
-from gridseg.errors import ConfigError
+from gridseg.errors import ConfigError, ContractViolationError
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
 from gridseg.voxel_grid import CellKind, GroundState, build_grid
 
@@ -80,6 +80,34 @@ class TestRunPhase:
         )
         assert len(result.ground_ids) == 0
         assert result.stats.points_ground == result.stats.points_non_ground == 0
+
+    @pytest.mark.parametrize("order", ["descending", "repeated"])
+    def test_ids_not_strictly_ascending_raise(self, rng, order):
+        cloud = _flat_cloud(rng, n=500)
+        cfg = make_default_config()
+        seeded, info = inject_synthetic_seed(
+            cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
+        )
+        ids = np.arange(len(seeded.points))
+        ids = ids[::-1] if order == "descending" else np.sort(np.r_[ids, 7])
+        with pytest.raises(ContractViolationError, match="strictly ascending"):
+            run_phase(ids, seeded.points, cfg.phase1, 1, cfg.global_seed, info)
+
+    def test_result_ids_are_sorted_global_ids(self, rng):
+        boxes = (gs.BoxSpec(4.0, 3.0, 1.0, 1.0, 1.0),)
+        scene = gs.make_scene(gs.SceneSpec(extent=18.0, n_ground=4000, boxes=boxes, seed=2))
+        cfg = make_default_config()
+        seeded, info = inject_synthetic_seed(
+            gs.scene_cloud(scene), cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
+        )
+        # every other point, so positions in the subset differ from global ids
+        ids = np.arange(0, len(seeded.points), 2)
+        ids = np.union1d(ids, np.arange(len(seeded.points) - info.count, len(seeded.points)))
+        result = run_phase(ids, seeded.points, cfg.phase1, 1, cfg.global_seed, info)
+        for out in (result.ground_ids, result.ground_cell_point_ids):
+            assert len(out) and np.all(np.diff(out) > 0)
+            assert np.isin(out, ids).all()
+        assert np.isin(result.ground_ids, result.ground_cell_point_ids).all()
 
 
 class TestSegment:

@@ -182,6 +182,24 @@ class TestCanonicalOrder:
         assert not _packs(pts, cs)
         self._check(pts, cs)
 
+    @pytest.mark.parametrize("shift", [0.0, -(2.0**27)])
+    def test_key_range_just_below_the_packed_key_limit(self, shift):
+        # 64 points on unit cells: ix spans 2**28 - 1 cells, iy 2**28 + 1
+        # and iz one, so span product * n is 2**62 - 64 and the largest
+        # packed key lies within 2 * 64 of the limit; the points near the
+        # origin tie on (cell, x) and repeat rows
+        rng = np.random.default_rng(5)
+        pts = rng.integers(0, 4, size=(64, 3)) * 0.5
+        pts[:, 2] *= 0.25
+        pts[-2:] = [[0.5, 0.5, 0.5], [2.0**28 - 1.5, 2.0**28 + 0.5, 0.75]]
+        pts[:, :2] += shift
+        cs = CellSize(1.0, 1.0, 1.0)
+        assert _packs(pts, cs)
+        keys = np.floor(pts / cs.as_array()).astype(np.int64)
+        span = keys.max(axis=0) - keys.min(axis=0) + 1
+        assert _KEY_LIMIT - len(pts) <= math.prod(span.tolist()) * len(pts) < _KEY_LIMIT
+        self._check(pts, cs)
+
 
 class TestOccupiedBelow:
     def _grid(self):
