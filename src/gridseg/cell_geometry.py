@@ -438,7 +438,7 @@ def ransac_cells(
     if not len(keys) == len(centroids) == len(eigen_normals) == len(counts):
         raise ContractViolationError("one stream key, centroid and eigenplane normal per cell")
     k = len(counts)
-    inliers = _plane_distance(q, np.repeat(eigen_normals, counts, axis=0), 0.0) <= inlier_threshold
+    inliers = _plane_distance(q, eigen_normals, counts) <= inlier_threshold
     score0 = np.add.reduceat(inliers, ends - counts, dtype=np.int64)
     score0[(counts < 3) | ~eigen_normals.any(axis=1)] = -1
     whole = score0 == counts
@@ -485,8 +485,22 @@ def ransac_cells(
     return CellPlanes(normals, offsets, slopes, fitted, sampled, candidates, inliers)
 
 
-def _plane_distance(q: np.ndarray, normals: np.ndarray, offsets) -> np.ndarray:
-    return np.abs(np.einsum("ij,ij->i", q, normals) + offsets)
+def _plane_distance(q: np.ndarray, normals: np.ndarray, counts: np.ndarray, offsets=None):
+    """|n . p + o| for each point p of ``q``, whose rows run in segments of
+    ``counts[i]`` points on plane i: normal ``normals[i]`` and offset
+    ``offsets[i]`` (0 when ``offsets`` is None).
+
+    Each coordinate's products come from a repeat of one normal column, so
+    no per-point normal array is built.  They are summed as (x + z) + y, the
+    order in which ``np.einsum("ij,ij->i")`` sums three products, so the
+    distances equal that dot product's to the bit.
+    """
+    d = np.repeat(normals[:, 0], counts) * q[:, 0]
+    d += np.repeat(normals[:, 2], counts) * q[:, 2]
+    d += np.repeat(normals[:, 1], counts) * q[:, 1]
+    if offsets is not None:
+        d += np.repeat(offsets, counts)
+    return np.abs(d, out=d)
 
 
 def _three_smallest(keys: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -568,9 +582,8 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         np.divide(normals, norms[:, None], out=normals, where=valid[:, None])
         offsets = -np.einsum("ij,ij->i", normals, a)
 
-        row = np.repeat(np.arange(len(lengths)), lengths)
         at = np.arange(len(draws)) - np.repeat(row_start - row_base, lengths)
-        dist = _plane_distance(np.take(q, at, axis=0), np.take(normals, row, axis=0), offsets[row])
+        dist = _plane_distance(np.take(q, at, axis=0), normals, lengths, offsets)
         near = dist <= threshold
         row_score = np.add.reduceat(near, row_start, dtype=np.int64)
         row_score[~valid] = -1
@@ -603,7 +616,7 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         active = active[~stop & (done + cut < iterations)]
 
     fitted = best_count >= 0
-    near = _plane_distance(q, np.take(best_n, cell, axis=0), best_off[cell]) <= threshold
+    near = _plane_distance(q, best_n, counts, best_off) <= threshold
     inliers = fitted[cell] & near
     counts_in = np.add.reduceat(inliers, starts, dtype=np.int64)
     refit = counts_in >= 3
@@ -617,7 +630,7 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         refit_off = np.zeros(k)
         refit_n[refit] = smallest
         refit_off[refit] = -np.einsum("ij,ij->i", smallest, mean)
-        refit_in = _plane_distance(q, np.take(refit_n, cell, axis=0), refit_off[cell]) <= threshold
+        refit_in = _plane_distance(q, refit_n, counts, refit_off) <= threshold
         keep = refit & (np.bincount(cell, weights=refit_in, minlength=k) >= best_count)
         np.copyto(best_n, refit_n, where=keep[:, None])
         best_off[keep] = refit_off[keep]

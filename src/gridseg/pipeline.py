@@ -382,7 +382,9 @@ def run_phase(
         taken = id_mask(np.compress(inherited, pos), len(ids))
         others = np.flatnonzero(~taken)  # positions in ids of the points not inherited
         fresh_ids = np.take(ids, others)
-    grid = build_grid(np.take(all_points, fresh_ids, axis=0), cfg.cellsize)
+    # fresh ids 0 to n - 1 (Phase I) are the whole cloud: no gather
+    whole = len(fresh_ids) == len(all_points) and fresh_ids[-1] == len(all_points) - 1
+    grid = build_grid(all_points if whole else np.take(all_points, fresh_ids, axis=0), cfg.cellsize)
     grid_ms = (time.perf_counter() - t) * 1000.0
     classify_cells(grid, cfg.geometry, phase, global_seed, stats)
     t = time.perf_counter()

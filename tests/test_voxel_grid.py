@@ -116,13 +116,17 @@ def _reference_grid(pts, cs):
     return order, cells.reshape(-1, 3), np.concatenate(([0], np.cumsum(counts)))
 
 
-def _packs(pts, cs):
-    """Whether build_grid sorts this cloud by the packed key, not the fallback."""
+def _key_bits(pts, cs):
+    """Bits the packed key needs for the input position and the cell code."""
     keys = np.floor(pts / cs.as_array()).astype(np.int64)
-    if len(pts) == 0:
-        return True
     span = [int(h) - int(lo) + 1 for h, lo in zip(keys.max(axis=0), keys.min(axis=0))]
-    return math.prod(span) * len(pts) < _KEY_LIMIT
+    return (len(pts) - 1).bit_length() + (math.prod(span) - 1).bit_length()
+
+
+def _packs(pts, cs):
+    """Whether build_grid sorts this cloud by the packed key, not the
+    fallback: position and cell code fit below the limit together."""
+    return len(pts) == 0 or 1 << _key_bits(pts, cs) <= _KEY_LIMIT
 
 
 @st.composite
@@ -185,20 +189,103 @@ class TestCanonicalOrder:
     @pytest.mark.parametrize("shift", [0.0, -(2.0**27)])
     def test_key_range_just_below_the_packed_key_limit(self, shift):
         # 64 points on unit cells: ix spans 2**28 - 1 cells, iy 2**28 + 1
-        # and iz one, so span product * n is 2**62 - 64 and the largest
-        # packed key lies within 2 * 64 of the limit; the points near the
-        # origin tie on (cell, x) and repeat rows
+        # and iz one, so the cell code needs 56 bits and the position 6:
+        # the key has no x bits left and its largest value lies within
+        # 2 * 64 of the limit; every point of a cell ties on (cell, x
+        # offset), and the points near the origin repeat rows
         rng = np.random.default_rng(5)
         pts = rng.integers(0, 4, size=(64, 3)) * 0.5
         pts[:, 2] *= 0.25
         pts[-2:] = [[0.5, 0.5, 0.5], [2.0**28 - 1.5, 2.0**28 + 0.5, 0.75]]
         pts[:, :2] += shift
         cs = CellSize(1.0, 1.0, 1.0)
-        assert _packs(pts, cs)
-        keys = np.floor(pts / cs.as_array()).astype(np.int64)
-        span = keys.max(axis=0) - keys.min(axis=0) + 1
-        assert _KEY_LIMIT - len(pts) <= math.prod(span.tolist()) * len(pts) < _KEY_LIMIT
+        assert 1 << _key_bits(pts, cs) == _KEY_LIMIT
         self._check(pts, cs)
+
+    # The x offset within a cell is floor((x / sx - ix) 2^bx), at most
+    # 2^bx - 1; the clouds below reach that field's edges, which quantised
+    # clouds never do.
+
+    def test_offset_rounding_up_to_the_cell_width_stays_in_its_cell(self):
+        # -5e-324 / 1.5 + 1 rounds to 1.0, a full cell width above ix = -1;
+        # with 2 position bits the x field is 52 bits wide
+        pts = np.array([[-5e-324, 0.5, 0.5], [-1.4, 0.5, 0.5], [0.5, 0.5, 0.5], [0.7, 0.5, 0.5]])
+        cs = CellSize(1.5, 1.0, 1.0)
+        assert _packs(pts, cs)
+        grid = build_grid(pts, cs)
+        assert grid.cells.tolist() == [[-1, 0, 0], [0, 0, 0]]
+        assert grid.offsets.tolist() == [0, 2, 4]
+        self._check(pts, cs)
+
+    @pytest.mark.parametrize("sx", [1.5, 0.3, 1.0, 0.1])
+    def test_x_at_the_edges_of_cells(self, sx):
+        # each cell edge k * sx with its neighbouring doubles, the smallest
+        # subnormals and both zeros, in several (y, z) rows so that equal x
+        # values tie
+        edges = np.array([k * sx for k in range(-3, 4)])
+        xs = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                edges - 1e-12,
+                [-5e-324, 5e-324, -0.0, 0.0, -1e-300],
+            ]
+        )
+        yz = np.array([[0.5, 0.5], [0.5, -0.5], [-0.25, 0.5], [0.5, 0.5]])
+        pts = np.column_stack([np.tile(xs, len(yz)), np.repeat(yz, len(xs), axis=0)])
+        pts = pts[np.random.default_rng(int(sx * 10)).permutation(len(pts))]
+        cs = CellSize(sx, 1.0, 1.0)
+        assert _packs(pts, cs)
+        self._check(pts, cs)
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.just(3)),
+            elements=st.one_of(
+                st.floats(-10.0, 10.0, allow_subnormal=True),
+                st.sampled_from([-5e-324, 5e-324, -0.0, 0.0, 1.5, np.nextafter(1.5, 0.0)]),
+            ),
+        ),
+        _CELLSIZES,
+    )
+    def test_one_to_four_points_with_the_widest_x_field(self, pts, cs):
+        self._check(pts, cs)
+
+    @pytest.mark.parametrize("shift", [1e6, -1e6])
+    def test_coordinates_offset_by_a_million(self, rng, shift):
+        # at 1e6 a double's step is 1.2e-10, so unquantised neighbours sit
+        # a few steps apart and many tie on the fixed-point offset
+        base = np.round(rng.uniform(-3, 3, size=(600, 3)), 1)
+        base[:200] += rng.integers(-3, 4, size=(200, 3)) * 2.0**-30
+        pts = base + shift
+        for cs in (CellSize(1.5, 1.0, 0.2), CellSize(0.3, 0.7, 0.1)):
+            assert _packs(pts, cs)
+            self._check(pts, cs)
+
+    def test_negative_zero_ties_with_zero(self):
+        # -0.0 and 0.0 are equal coordinates: only y, z and input position
+        # order them, in x and y alike
+        pts = np.array(
+            [
+                [0.0, 0.5, 0.5],
+                [-0.0, 0.5, 0.5],
+                [0.0, -0.0, 0.5],
+                [-0.0, 0.0, 0.5],
+                [-0.0, 0.25, 0.5],
+                [0.0, 0.25, 0.0],
+                [-5e-324, 0.5, 0.5],
+                [5e-324, 0.5, 0.5],
+            ]
+        )
+        self._check(pts, CellSize(1.5, 1.0, 1.0))
+        self._check(pts[::-1], CellSize(1.5, 1.0, 1.0))
+
+    def test_tiny_cells(self):
+        # 2^bx / sx would overflow at sx = 1e-300; x / sx does not
+        pts = np.array([[0.0, 0.0, 0.0], [3e-300, 0.0, 0.0], [2.5e-300, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        self._check(pts, CellSize(1e-300, 1.0, 1.0))
 
 
 class TestOccupiedBelow:
