@@ -1,19 +1,21 @@
 """Dual-phase segmentation pipeline.
 
 Phase I bins the full scan into tall cells so vertical structures are caught
-early; Phase II re-grids the points of cells Phase I routed to ground
+early; Phase II re-bins the points of cells Phase I routed to ground
 (inliers and outliers alike) at a much finer cell height and repeats the
 classification and expansion with the additional per-neighbor height gate.
 The final ground set is Phase II's output, mapped back to the original point
 order with the synthetic seed points stripped.
 
-Phase II inherits what Phase I already computed.  A Phase-I ground cell
-whose points all fall in one fine slab, shared with no other Phase-I cell
-of its column, and whose plane fit finished on the eigenplane, is the
-Phase-II cell of that slab: the same points in the same canonical order,
-so the same centroid, kind, plane and inliers to the bit.  Phase II takes
-those cells over and grids and classifies only the other points; the two
-parts merge into one canonical grid, equal to a grid built from scratch.
+Phase II inherits what Phase I already computed.  Both phases share the
+cell footprint, so Phase II re-bins Phase I's grid (``voxel_grid.rebin``)
+rather than building its own: most Phase-I cells become one fine cell
+each, with the same points in the same canonical order, and only the
+points of cells spread over several fine slabs or sharing one are
+re-sorted.  A fine cell equal to a Phase-I ground cell whose plane fit
+finished on the eigenplane has the same centroid, kind, plane and inliers
+to the bit, so Phase II copies them and classifies only the other cells.
+The grid equals one built and classified from scratch.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .region_expansion import (
     id_mask,
     select_seed,
 )
-from .voxel_grid import CellKind, CellSize, GroundState, VoxelGrid, build_grid, merge_grids
+from .voxel_grid import CellKind, CellSize, GroundState, VoxelGrid, build_grid, rebin
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,10 @@ class PhaseStats:
     # sampled RANSAC candidates scored in the phase, summed over the cells
     # it fitted, each up to its stop (see ``ransac_cells``)
     ransac_candidates: int = 0
-    # wall milliseconds per stage of the phase: grid build (with the
-    # inherited cells and the merge), eigen classification and plane fits
-    # (with the tentative gating) of the cells not inherited, centroid
-    # index, expansion; they add up to at most runtime_ms
+    # wall milliseconds per stage of the phase: grid build (in Phase II
+    # the re-bin and the copy of the inherited cells), eigen classification
+    # and plane fits (with the tentative gating) of the cells not
+    # inherited, centroid index, expansion; they add up to at most runtime_ms
     stages_ms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     runtime_ms: float = 0.0
 
@@ -183,8 +185,8 @@ class PhaseResult:
     ground_cell_point_ids: np.ndarray
     stats: PhaseStats
     # the phase's grid after expansion, its point ids as positions in
-    # ``ids`` and its geometry, for the next phase to inherit cells from;
-    # the next phase drops ``grid`` once merged
+    # ``ids`` and its geometry, for the next phase to re-bin and inherit
+    # cells from; the next phase drops ``grid`` once re-binned
     grid: VoxelGrid | None = None
     ids: np.ndarray | None = None
     geometry: GeometryParams | None = None
@@ -196,8 +198,9 @@ def classify_cells(
     phase: int,
     global_seed: int,
     stats: PhaseStats | None = None,
+    rows: np.ndarray | None = None,
 ) -> None:
-    """Eigen-classify every cell and gate it into a tentative ground state.
+    """Eigen-classify every cell or ``rows`` and gate it into a tentative ground state.
 
     Covariances, eigen decompositions and RANSAC plane fits are batched
     across cells, with every per-cell sum taken in canonical within-cell
@@ -209,20 +212,29 @@ def classify_cells(
     cells exist.  Cells too small for a covariance rank test are
     non-planar, hence non-ground candidates; so are planar cells whose fit
     fails.  ``grid.sampled`` records which plane fits drew sampled
-    candidates.  With ``stats``, the time of the eigen step (covariance,
-    eigen decomposition, kinds) and of the plane-fit step lands in its
-    ``stages_ms``, and the count of sampled candidates scored in its
-    ``ransac_candidates``.
+    candidates.  Given ``rows`` (ascending), only those cells are
+    classified, from one compress of their points.  With ``stats``, the
+    time of the eigen step (gather, covariance, eigen decomposition, kinds)
+    and of the plane-fit step lands in its ``stages_ms``, and the count of
+    sampled candidates scored in its ``ransac_candidates``.
     """
     k = len(grid.cells)
     t0 = time.perf_counter()
-    counts = grid.counts
+    counts, points, centroids, cells = grid.counts, grid.points, grid.centroids, grid.cells
+    at = slice(None)  # the classified cells' points
+    if rows is None or len(rows) == k:
+        rows = slice(None)
+    else:
+        at = np.repeat(id_mask(rows, k), counts)
+        points = np.compress(at, points, axis=0)
+        counts, centroids, cells = (np.take(a, rows, axis=0) for a in (counts, centroids, cells))
+    m = len(counts)
 
     eligible = counts >= MIN_POINTS_FOR_EIGEN
-    lam = np.zeros((k, 3))
-    vec = np.zeros((k, 3, 3))
+    lam = np.zeros((m, 3))
+    vec = np.zeros((m, 3, 3))
     # every point less its cell's centroid, for the covariances and the plane fits
-    centred = grid.points - np.repeat(grid.centroids, counts, axis=0)
+    centred = points - np.repeat(centroids, counts, axis=0)
     if eligible.any():
         # every cell's covariance costs less than gathering the points of
         # the eligible ones, which hold nearly all points
@@ -237,30 +249,33 @@ def classify_cells(
     fit = ransac_cells(
         np.compress(in_planar, centred, axis=0),
         counts[planar],
-        cell_keys(global_seed, phase, np.take(grid.cells, planar, axis=0)),
-        np.take(grid.centroids, planar, axis=0),
+        cell_keys(global_seed, phase, np.take(cells, planar, axis=0)),
+        np.take(centroids, planar, axis=0),
         eigenplane_normals(np.take(lam, planar, axis=0), np.take(vec, planar, axis=0)),
         geometry.inlier_threshold,
         geometry.ransac_iterations,
     )
     kinds[planar[~fit.fitted]] = CellKind.NON_PLANAR
 
-    tentative = np.zeros(k, dtype=bool)
+    tentative = np.zeros(m, dtype=bool)
     tentative[line] = line_tentative(
         np.compress(line, vec[:, :, 0], axis=0), geometry.slope_threshold_deg
     )
     tentative[planar] = fit.fitted & plane_tentative(fit.slopes, geometry.slope_threshold_deg)
     obstacle = line & ~tentative
-    grid.kind[:] = kinds
-    grid.state[:] = np.select(
+    slopes = np.full(m, np.nan)
+    slopes[planar] = fit.slopes
+    sampled = np.zeros(m, dtype=bool)
+    sampled[planar] = fit.sampled
+    inliers = np.zeros(len(points), dtype=bool)
+    inliers[in_planar] = fit.inliers
+    grid.kind[rows] = kinds
+    grid.state[rows] = np.select(
         [tentative, obstacle], [GroundState.TENTATIVE, GroundState.OBSTACLE], GroundState.NON_GROUND
     )
-    grid.slopes[:] = np.nan
-    grid.slopes[planar] = fit.slopes
-    grid.sampled[:] = False
-    grid.sampled[planar] = fit.sampled
-    grid.inliers[:] = False
-    grid.inliers[in_planar] = fit.inliers
+    grid.slopes[rows] = slopes
+    grid.sampled[rows] = sampled
+    grid.inliers[at] = inliers
 
     if stats is not None:
         stats.ransac_candidates = int(fit.candidates.sum())
@@ -285,58 +300,39 @@ def _count_cells(grid: VoxelGrid, stats: PhaseStats) -> None:
     }
 
 
-def _inheritable(
-    parent: PhaseResult | None, cfg: PhaseConfig, ids: np.ndarray, n_all: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells of the previous phase's grid that this phase's grid holds unchanged.
-
-    A parent cell qualifies when the parent routed it ground (it was a
-    fitted, tentative cell), all its points are in ``ids``, they fall in
-    one slab of this phase's cell height that no other parent cell of the
-    column reaches with a point in ``ids``, and its plane fit finished on
-    the eigenplane (sampled candidates are keyed by phase).  Its points
-    then form exactly one cell here, in the same canonical order, since
-    both id arrays ascend.  Only grids of the same footprint and geometry
-    qualify.  Returns the parent rows, their cell indices in this phase,
-    and parallel to the parent's ``order`` each point's position in ``ids``
-    (-1 when absent).
-    """
-    none = np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64), np.empty(0, np.int64)
-    grid = None if parent is None else parent.grid
-    if (
-        grid is None
-        or parent.geometry != cfg.geometry
-        or (grid.cellsize.sx, grid.cellsize.sy) != (cfg.cellsize.sx, cfg.cellsize.sy)
-        or not (grid.state == GroundState.GROUND).any()
-    ):
-        return none
-    local = np.full(n_all, -1, dtype=np.int64)
-    local[ids] = np.arange(len(ids))
-    pos = np.take(local, np.take(parent.ids, grid.order))
-    here = pos >= 0
-    # the slab of every parent point, as build_grid bins it; per cell the
-    # lowest and highest slab of its points in this phase
-    slab = np.floor(grid.points[:, 2] / cfg.cellsize.sz)
-    starts = grid.offsets[:-1]
-    lo = np.minimum.reduceat(np.where(here, slab, np.inf), starts)
-    hi = np.maximum.reduceat(np.where(here, slab, -np.inf), starts)
-    # up a column both cell and slab ascend with z, so a cell can share a
-    # slab only with the nearest cells below and above that have points here
-    held = np.flatnonzero(lo <= hi)
-    column = np.take(grid.cells[:, :2], held, axis=0)
-    touch = (column[1:] == column[:-1]).all(axis=1) & (hi[held[:-1]] >= lo[held[1:]])
-    shared = np.zeros(len(grid.cells), dtype=bool)
-    shared[held[:-1][touch]] = shared[held[1:][touch]] = True
-    rows = np.flatnonzero(
-        (grid.state == GroundState.GROUND)
-        & ~grid.sampled
-        & (lo == hi)
-        & ~shared
-        & (np.add.reduceat(here, starts, dtype=np.int64) == grid.counts)
-    )
-    cells = np.take(grid.cells, rows, axis=0)
-    cells[:, 2] = np.take(lo, rows)
-    return rows, cells, pos
+def _phase_grid(
+    ids: np.ndarray, all_points: np.ndarray, cfg: PhaseConfig, parent: PhaseResult | None
+) -> tuple[VoxelGrid, np.ndarray]:
+    """``run_phase``'s grid, and which of its cells it inherited classified
+    from the parent's grid, which it drops."""
+    pgrid = None if parent is None else parent.grid
+    if parent is not None:
+        parent.grid = None
+    footprint = (cfg.cellsize.sx, cfg.cellsize.sy)
+    if pgrid is None or (pgrid.cellsize.sx, pgrid.cellsize.sy) != footprint:
+        # ids 0 to n - 1 (Phase I) are the whole cloud: no gather
+        whole = len(ids) == len(all_points) and ids[-1] == len(all_points) - 1
+        grid = build_grid(all_points if whole else np.take(all_points, ids, axis=0), cfg.cellsize)
+        return grid, np.zeros(len(grid.cells), dtype=bool)
+    local = ids  # positions in the parent's ids, which are 0 to n - 1 in Phase II
+    if len(parent.ids) < len(all_points):
+        local = np.searchsorted(parent.ids, ids)
+        if not np.array_equal(np.take(parent.ids, local, mode="clip"), ids):
+            raise ContractViolationError("a phase's points must be its parent's")
+    grid, rows = rebin(pgrid, local, cfg.cellsize)
+    # a cell equal to a parent ground cell classifies the same when the
+    # geometry is the same and its plane fit finished on the eigenplane, as
+    # only sampled candidates are keyed by phase
+    inherited = (rows >= 0) & (parent.geometry == cfg.geometry) & ~np.take(pgrid.sampled, rows)
+    inherited &= np.take(pgrid.state, rows) == GroundState.GROUND
+    taken = np.compress(inherited, rows)
+    grid.kind[inherited] = np.take(pgrid.kind, taken)
+    grid.state[inherited] = GroundState.TENTATIVE  # routed ground there, not yet here
+    grid.slopes[inherited] = np.take(pgrid.slopes, taken)
+    # their sampled flags are False, as grid.sampled is already
+    in_taken = np.repeat(id_mask(taken, len(pgrid.cells)), pgrid.counts)
+    grid.inliers[np.repeat(inherited, grid.counts)] = np.compress(in_taken, pgrid.inliers)
+    return grid, inherited
 
 
 def run_phase(
@@ -358,13 +354,13 @@ def run_phase(
     of the cells it routed ground (inliers and outliers), for the next
     phase.  Every other point of the subset is non-ground.
 
-    ``parent`` is the previous phase's result.  The phase takes over the
-    parent cells it would rebuild unchanged (``_inheritable``), with their
-    state reset to tentative.  It grids and classifies only its other points,
-    in ascending id order so exact duplicates tie as in a fresh grid, and
-    merges both parts into one canonical grid (``merge_grids``).  That
-    grid equals ``build_grid`` plus ``classify_cells`` on all the phase's
-    points, to the bit.  The parent's grid is dropped once merged.
+    ``parent`` is the previous phase's result, whose ids must hold this
+    phase's.  A parent grid of this phase's footprint is re-binned
+    (``rebin``), not rebuilt, and dropped.  Under the same geometry, each
+    cell equal to a parent ground cell whose plane fit finished on the
+    eigenplane takes over its kind, slope and inliers, in state tentative;
+    ``classify_cells`` classifies the other cells.  The grid equals
+    ``build_grid`` plus ``classify_cells`` on the phase's points, to the bit.
     """
     t0 = time.perf_counter()
     stats = PhaseStats(n_points=len(ids))
@@ -375,28 +371,10 @@ def run_phase(
         return PhaseResult(np.empty(0, np.int64), np.empty(0, np.int64), stats)
 
     t = time.perf_counter()
-    rows, cells, pos = _inheritable(parent, cfg, ids, len(all_points))
-    fresh_ids = ids
-    if len(rows):
-        inherited = np.repeat(id_mask(rows, len(parent.grid.cells)), parent.grid.counts)
-        taken = id_mask(np.compress(inherited, pos), len(ids))
-        others = np.flatnonzero(~taken)  # positions in ids of the points not inherited
-        fresh_ids = np.take(ids, others)
-    # fresh ids 0 to n - 1 (Phase I) are the whole cloud: no gather
-    whole = len(fresh_ids) == len(all_points) and fresh_ids[-1] == len(all_points) - 1
-    grid = build_grid(all_points if whole else np.take(all_points, fresh_ids, axis=0), cfg.cellsize)
-    grid_ms = (time.perf_counter() - t) * 1000.0
-    classify_cells(grid, cfg.geometry, phase, global_seed, stats)
-    t = time.perf_counter()
-    if len(rows):
-        fresh = (grid, np.arange(len(grid.cells)), grid.cells, np.take(others, grid.order))
-        grid = merge_grids(cfg.cellsize, [(parent.grid, rows, cells, pos), fresh])
-        # inherited cells were routed ground, fresh ones are not yet
-        grid.state[grid.state == GroundState.GROUND] = GroundState.TENTATIVE
-    if parent is not None:
-        parent.grid = None
-    stats.stages_ms["grid"] = grid_ms + (time.perf_counter() - t) * 1000.0
-    stats.cells_inherited = len(rows)
+    grid, inherited = _phase_grid(ids, all_points, cfg, parent)
+    stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
+    stats.cells_inherited = int(inherited.sum())
+    classify_cells(grid, cfg.geometry, phase, global_seed, stats, np.flatnonzero(~inherited))
     _count_cells(grid, stats)
 
     seed = select_seed(grid, seed_info)
@@ -415,11 +393,11 @@ def run_phase(
         stats.cells_expanded = sum(stats.routes.values())
     routed_ground = grid.state == GroundState.GROUND
     stats.cells_routed_ground = int(routed_ground.sum())
-    cell_local = grid.order[np.repeat(routed_ground, grid.counts)]
+    cell_local = np.compress(np.repeat(routed_ground, grid.counts), grid.order)
 
     # global ids, sorted: ids ascend, so positions in them sorted are too
-    ground = ids[ground_local]
-    fwd = ids[np.flatnonzero(id_mask(cell_local, len(ids)))]
+    ground = np.take(ids, ground_local)
+    fwd = np.compress(id_mask(cell_local, len(ids)), ids)
 
     stats.points_ground = len(ground)
     stats.points_non_ground = len(ids) - len(ground)

@@ -5,7 +5,9 @@ size (floor toward -inf, so negative coordinates land in the right cell).
 Only occupied cells exist.  The grid is a compressed sparse row layout: the
 occupied cell indices in ascending order, and per cell a run of one
 canonical point order.  Per-cell classification state sits in arrays beside
-them, one row per cell.
+them, one row per cell.  ``build_grid`` bins a point cloud; ``rebin`` bins
+some of a grid's points at another cell height, keeping the grid's point
+order wherever a cell carries over whole.
 """
 
 from __future__ import annotations
@@ -203,69 +205,88 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
     keys = np.empty(pts.shape, dtype=np.int64)
     np.floor(scaled, out=keys, casting="unsafe")
     order, first = _canonical_order(pts, keys, scaled[:, 0])
-    starts = np.flatnonzero(first)
-    offsets = np.append(starts, len(pts))
-    k = len(starts)
+    offsets = np.append(np.flatnonzero(first), len(pts))
     # the quotients are spent, so the canonical points take their buffer
     # (mode "clip" writes it directly; the ids are all in range)
     ordered = np.take(pts, order, axis=0, out=scaled, mode="clip")
-    centroids = np.zeros((k, 3))
-    if k:
-        centroids = np.add.reduceat(ordered, starts, axis=0) / np.diff(offsets)[:, None]
+    cells = np.take(keys, order[offsets[:-1]], axis=0)
+    return _unclassified(cellsize, cells, offsets, order, ordered)
+
+
+def _unclassified(
+    cellsize: CellSize, cells: np.ndarray, offsets: np.ndarray, order: np.ndarray, points: np.ndarray
+) -> VoxelGrid:
+    """The grid of these cells and canonically ordered points: centroids
+    summed in that order, every cell unclassified."""
+    k = len(cells)
     return VoxelGrid(
         cellsize=cellsize,
-        cells=np.take(keys, order[starts], axis=0),
+        cells=cells,
         offsets=offsets,
         order=order,
-        points=ordered,
-        centroids=centroids,
+        points=points,
+        centroids=np.add.reduceat(points, offsets[:-1], axis=0) / np.diff(offsets)[:, None],
         kind=np.full(k, CellKind.UNCLASSIFIED, dtype=np.int8),
         state=np.full(k, GroundState.NONE, dtype=np.int8),
         slopes=np.full(k, np.nan),
         sampled=np.zeros(k, dtype=bool),
-        inliers=np.zeros(len(pts), dtype=bool),
+        inliers=np.zeros(len(points), dtype=bool),
     )
 
 
-def merge_grids(cellsize: CellSize, parts) -> VoxelGrid:
-    """One grid from the cells of several classified grids.
+def rebin(parent: VoxelGrid, ids: np.ndarray, cellsize: CellSize) -> tuple[VoxelGrid, np.ndarray]:
+    """The grid ``build_grid`` makes of the parent's points ``ids`` (strictly
+    ascending values of ``parent.order``; ``order`` holds positions in
+    them) at a cell size of the parent's footprint, and per cell the parent
+    row holding exactly its points, or -1.
 
-    Each part is ``(grid, rows, cells, ids)``: the rows of ``grid`` to take,
-    their cell indices in the merged grid, and parallel to ``grid.order``
-    each point's id in the merged grid.  The cell indices must be distinct
-    across parts.  The merged cells are sorted by index; each keeps its
-    points in their order, its centroid, kind, state, slope, ``sampled``
-    flag and inlier flags.  Every per-point array comes by one ``np.take``
-    from the parts' arrays back to back.
+    Up a column, cells and slabs both ascend with z, so a parent cell whose
+    kept points lie in one slab that no other parent cell of its column
+    reaches is one cell here, in the parent's order.  The points of the
+    other parent cells, spread over several slabs or sharing one, form
+    contiguous runs of that order, and one ``_canonical_order`` sorts every
+    run onto itself.  Cells start unclassified.
     """
-    cells = np.concatenate([c for _, _, c, _ in parts])
-    perm = np.lexsort(cells.T[::-1])
-    base = np.cumsum([0] + [len(g.order) for g, _, _, _ in parts])
-    counts = np.take(np.concatenate([g.counts[r] for g, r, _, _ in parts]), perm)
-    starts = np.concatenate([b + g.offsets[r] for b, (g, r, _, _) in zip(base, parts)])
-    offsets = np.append(0, np.cumsum(counts))
-    at = np.arange(offsets[-1]) + np.repeat(np.take(starts, perm) - offsets[:-1], counts)
-
-    def per_cell(name):
-        rows = np.concatenate([np.take(getattr(g, name), r, axis=0) for g, r, _, _ in parts])
-        return np.take(rows, perm, axis=0)
-
-    def per_point(arrays):
-        return np.take(np.concatenate(arrays), at, axis=0)
-
-    return VoxelGrid(
-        cellsize=cellsize,
-        cells=np.take(cells, perm, axis=0),
-        offsets=offsets,
-        order=per_point([ids for _, _, _, ids in parts]),
-        points=per_point([g.points for g, _, _, _ in parts]),
-        centroids=per_cell("centroids"),
-        kind=per_cell("kind"),
-        state=per_cell("state"),
-        slopes=per_cell("slopes"),
-        sampled=per_cell("sampled"),
-        inliers=per_point([g.inliers for g, _, _, _ in parts]),
-    )
+    if (parent.cellsize.sx, parent.cellsize.sy) != (cellsize.sx, cellsize.sy):
+        raise ContractViolationError("re-binning keeps the cell footprint")
+    # per parent position, its point's position in ids, or -1
+    pos = np.full(len(parent.order), -1, dtype=np.int64)
+    pos[ids] = np.arange(len(ids))
+    pos = np.take(pos, parent.order)
+    kept = pos >= 0
+    src = np.flatnonzero(kept)  # per point here, its position in the parent's order
+    # per parent row its kept points, a run of src; rows keeping none drop out
+    kc = np.add.reduceat(kept, parent.offsets[:-1], dtype=np.int64)
+    held = np.flatnonzero(kc)
+    hc = np.take(kc, held)
+    kstart = np.cumsum(hc) - hc
+    slab = np.floor(np.take(parent.points[:, 2], src) / cellsize.sz).astype(np.int64)
+    lo = np.minimum.reduceat(slab, kstart)
+    hi = np.maximum.reduceat(slab, kstart)
+    column = np.take(parent.cells[:, :2], held, axis=0)
+    shared = np.append((column[1:] == column[:-1]).all(axis=1) & (hi[:-1] == lo[1:]), False)
+    moved = (lo != hi) | shared | np.roll(shared, 1)
+    # a cell starts at the kept run of each parent cell not moved, and
+    # wherever the re-sort of the moved ones starts one
+    first = np.zeros(len(src), dtype=bool)
+    first[np.compress(~moved, kstart)] = True
+    at = np.flatnonzero(np.repeat(moved, hc))  # the points to re-sort
+    mpts = np.take(parent.points, np.take(src, at), axis=0)
+    mcol = np.repeat(np.compress(moved, column, axis=0), np.compress(moved, hc), axis=0)
+    keys = np.column_stack([mcol, np.take(slab, at)])
+    sub, begins = _canonical_order(mpts, keys, mpts[:, 0] / cellsize.sx)
+    src[at] = np.take(src, np.take(at, sub))
+    slab[at] = np.take(keys[:, 2], sub)
+    first[np.compress(begins, at)] = True
+    starts = np.flatnonzero(first)
+    row = np.searchsorted(kstart, starts, side="right") - 1  # index into held
+    cells = np.column_stack([np.take(column, row, axis=0), np.take(slab, starts)])
+    ordered = np.take(parent.points, src, axis=0)
+    # the slabs are spent, so the point ids take their buffer
+    order = np.take(pos, src, out=slab, mode="clip")
+    grid = _unclassified(cellsize, cells, np.append(starts, len(src)), order, ordered)
+    whole = ~moved & (hc == np.take(parent.counts, held))
+    return grid, np.where(np.take(whole, row), np.take(held, row), -1)
 
 
 def occupied_below(grid: VoxelGrid) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Phase II's inherited grid against a Phase-II grid built from scratch.
 
-Phase II takes over every Phase-I cell it would rebuild unchanged and grids
-and classifies only the other points (``pipeline._inheritable``,
-``voxel_grid.merge_grids``).  The grid that ``segment`` hands to Phase II's
+Phase II re-bins Phase I's grid (``voxel_grid.rebin``), takes over every
+Phase-I cell it holds unchanged and classifies only the other cells
+(``pipeline.run_phase``).  The grid that ``segment`` hands to Phase II's
 expansion must equal ``build_grid`` plus ``classify_cells`` on the Phase-II
 points, array for array and byte for byte.  The count of inherited cells is
 checked against an oracle that sorts every Phase-I ground cell by the fine
@@ -22,6 +22,7 @@ from gridseg import pipeline
 from gridseg.cell_geometry import GeometryParams
 from gridseg.cloud_io import inject_synthetic_seed
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
+from gridseg.errors import ContractViolationError
 from gridseg.voxel_grid import CellSize, GroundState, VoxelGrid, build_grid
 
 CFG = make_default_config()
@@ -144,3 +145,23 @@ def test_phase2_drops_the_parent_grid():
     r2 = run_phase(p2_ids, pts, CFG.phase2, 2, CFG.global_seed, info, parent=r1)
     assert r1.grid is None
     assert r2.stats.cells_inherited > 0
+
+
+def test_a_parent_holding_a_subset_of_the_cloud(monkeypatch):
+    # a further phase at 0.1 m on Phase II's ground cells: its parent's ids
+    # are not the whole cloud, so they are looked up
+    pts, info, r1, p2_ids = _phase1(gs.scene_cloud(gs.make_scene(SCENES["boxes"])))
+    r2 = run_phase(p2_ids, pts, CFG.phase2, 2, CFG.global_seed, info, parent=r1)
+    p3_ids = np.union1d(r2.ground_cell_point_ids, np.arange(len(pts) - info.count, len(pts)))
+    phase3 = replace(CFG.phase2, cellsize=CellSize(1.5, 1.0, 0.1))
+    got, r3 = _phase2_grid(
+        monkeypatch,
+        lambda: run_phase(p3_ids, pts, phase3, 2, CFG.global_seed, info, parent=copy.copy(r2)),
+    )
+    want = build_grid(pts[p3_ids], phase3.cellsize)
+    classify_cells(want, phase3.geometry, 2, CFG.global_seed)
+    _assert_same_grid(got, want)
+    assert r3.stats.cells_inherited > 0
+    outside = np.setdiff1d(np.arange(len(pts)), r2.ids)[:1]
+    with pytest.raises(ContractViolationError):
+        run_phase(np.union1d(p3_ids, outside), pts, phase3, 2, CFG.global_seed, info, parent=r2)

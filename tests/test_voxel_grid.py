@@ -15,8 +15,8 @@ from gridseg.voxel_grid import (
     VoxelGrid,
     build_grid,
     cell_index,
-    merge_grids,
     occupied_below,
+    rebin,
 )
 from gridseg.errors import ContractViolationError
 
@@ -325,41 +325,122 @@ class TestOccupiedBelow:
                 assert cells[below[c]] == max(same_col, key=lambda t: t[2])
 
 
-class TestMergeGrids:
+class TestRebin:
+    """rebin against build_grid on the kept points, array for array."""
+
     # every array of the grid, so none can drop out of the comparison
     FIELDS = tuple(f.name for f in dataclasses.fields(VoxelGrid) if f.name != "cellsize")
+    COARSE = CellSize(1.5, 1.0, 1.5)
+    FINE = CellSize(1.5, 1.0, 0.2)
 
-    def _classified(self, rng):
-        from gridseg.cell_geometry import GeometryParams
-        from gridseg.pipeline import classify_cells
-
-        pts = rng.uniform(-5, 5, (3000, 3)) * np.array([1.0, 1.0, 0.1])
-        grid = build_grid(pts, CellSize(1.5, 1.0, 0.2))
-        classify_cells(grid, GeometryParams(), 1, 0)
-        return grid
-
-    def test_split_grid_merges_back(self, rng):
-        grid = self._classified(rng)
-        assert grid.fitted.any() and grid.inliers.any()
-        first = rng.random(len(grid.cells)) < 0.5
-        parts = [
-            (grid, rows, grid.cells[rows], grid.order)
-            for rows in (np.flatnonzero(~first), np.flatnonzero(first))
-        ]
-        merged = merge_grids(grid.cellsize, parts)
+    def _check(self, pts, keep, coarse=COARSE, fine=FINE):
+        """The re-binned grid equals a fresh one, and each cell's parent row
+        is the parent cell holding exactly its points, or -1; returns both
+        grids and the rows."""
+        keep = np.asarray(keep, dtype=np.int64)
+        parent = build_grid(pts, coarse)
+        grid, rows = rebin(parent, keep, fine)
+        want = build_grid(pts[keep], fine)
+        assert grid.cellsize == want.cellsize
         for name in self.FIELDS:
-            a, b = getattr(merged, name), getattr(grid, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            a, b = getattr(grid, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        held = {frozenset(parent.order[parent.span(r)]): r for r in range(len(parent.cells))}
+        oracle = [
+            held.get(frozenset(keep[grid.order[grid.span(c)]]), -1)
+            for c in range(len(grid.cells))
+        ]
+        assert rows.dtype == np.int64 and rows.tolist() == oracle
+        return parent, grid, rows
 
-    def test_cells_are_rekeyed_and_ids_mapped(self, rng):
-        grid = self._classified(rng)
-        rows = np.array([3, 0])
-        cells = grid.cells[rows] + np.array([0, 0, 100])
-        merged = merge_grids(CellSize(1.5, 1.0, 0.1), [(grid, rows, cells, grid.order + 7)])
-        np.testing.assert_array_equal(merged.cells, cells[::-1])
-        np.testing.assert_array_equal(merged.counts, grid.counts[[0, 3]])
-        for c, row in enumerate((0, 3)):
-            got, want = merged.span(c), grid.span(row)
-            np.testing.assert_array_equal(merged.order[got], grid.order[want] + 7)
-            np.testing.assert_array_equal(merged.points[got], grid.points[want])
-            assert merged.kind[c] == grid.kind[row]
+    @staticmethod
+    def _sources(parent, grid, keep):
+        """Per cell of ``grid``, the parent rows its points come from."""
+        row = np.repeat(np.arange(len(parent.cells)), parent.counts)[np.argsort(parent.order)]
+        return [set(row[keep[grid.order[grid.span(c)]]].tolist()) for c in range(len(grid.cells))]
+
+    def test_a_slab_straddling_a_cell_boundary_is_shared(self, rng):
+        # the slab [-1.6, -1.4) straddles the Phase-I boundary at -1.5, so
+        # the cells below and above it in each column share it; a flat
+        # patch elsewhere keeps cells of its own
+        n = 600
+        pts = np.column_stack(
+            [rng.uniform(-4, 4, n), rng.uniform(-3, 3, n), rng.uniform(-1.58, -1.42, n)]
+        )
+        pts[:100, 2] = rng.uniform(0.41, 0.59, 100)
+        keep = np.flatnonzero(rng.random(n) < 0.9)
+        parent, grid, rows = self._check(pts, keep)
+        sources = self._sources(parent, grid, keep)
+        assert any(len(s) == 2 for s in sources)
+        assert (rows >= 0).any() and (rows < 0).any()
+
+    def test_a_cell_spread_over_many_slabs(self, rng):
+        pts = rng.uniform(0, 1, (300, 3)) * [1.5, 1.0, 1.5]
+        parent, grid, rows = self._check(pts, np.arange(300))
+        assert len(parent.cells) == 1 and len(grid.cells) >= 3
+        assert (rows == -1).all()
+
+    def test_exact_duplicates_on_both_sides_of_a_slab_edge(self, rng):
+        # one (x, y) column: copies of the last double below the edge at
+        # 0.4 and of 0.4 itself, interleaved with other points, so the
+        # re-sort must keep the copies in input order
+        edge = 2 * 0.2
+        below = [0.3, 0.5, np.nextafter(edge, -np.inf)]
+        above = [0.3, 0.5, edge]
+        pts = np.array([below, above, [0.3, 0.5, 0.1], above, below, [0.2, 0.5, 0.5], below, above])
+        pts = np.vstack([pts, rng.uniform(0, 1, (20, 3))])
+        fine = build_grid(pts, self.FINE)
+        assert fine.find((0, 0, 1)) >= 0 and fine.find((0, 0, 2)) >= 0
+        for keep in (np.arange(len(pts)), np.arange(1, len(pts), 2), np.array([0, 3, 4, 7])):
+            self._check(pts, keep)
+
+    def test_z_on_cell_and_slab_edges(self):
+        # z exactly at k * 0.2 and k * 1.5, their neighbouring doubles,
+        # negative z and both zeros, in two columns
+        zs = np.concatenate([np.arange(-12, 13) * 0.2, np.arange(-3, 4) * 1.5, [-0.0, 0.0]])
+        zs = np.concatenate([zs, np.nextafter(zs, -np.inf), np.nextafter(zs, np.inf)])
+        pts = np.column_stack(
+            [np.tile([0.7, 2.0], len(zs)), np.tile([0.5, -0.5], len(zs)), np.repeat(zs, 2)]
+        )
+        self._check(pts, np.arange(len(pts)))
+        self._check(pts, np.arange(0, len(pts), 3))
+
+    def test_keeping_only_a_cells_synthetic_points(self, rng):
+        # Phase II keeps the synthetic seed lattice even from Phase-I cells
+        # it keeps no other point of
+        from gridseg.cloud_io import PointCloud, inject_synthetic_seed
+
+        cloud = PointCloud(points=rng.uniform(-4, 4, (400, 3)) * [1, 1, 0.5] - [0, 0, 1.7])
+        seeded, info = inject_synthetic_seed(cloud, 2.7, 1.723, 0.3)
+        synthetic = np.arange(len(cloud), len(seeded.points))
+        parent, grid, rows = self._check(seeded.points, synthetic)
+        assert (rows == -1).any()
+        self._check(seeded.points, np.union1d(np.arange(0, len(cloud), 2), synthetic))
+
+    def test_keeping_nothing(self, rng):
+        _, grid, rows = self._check(rng.uniform(-3, 3, (50, 3)), [])
+        assert len(grid.cells) == 0 and len(rows) == 0
+
+    def test_columns_too_far_apart_for_the_packed_key(self, rng):
+        # split cells at opposite corners: their cell codes span more than
+        # the packed key holds, so the re-sort takes the lexsort
+        pts = rng.uniform(0, 1.4, (80, 3))
+        pts[40:] += 4e6
+        assert not _packs(pts, self.FINE)
+        self._check(pts, np.arange(80))
+
+    def test_another_footprint_is_refused(self):
+        parent = build_grid(np.zeros((3, 3)), self.COARSE)
+        with pytest.raises(ContractViolationError):
+            rebin(parent, np.arange(3), CellSize(1.0, 1.0, 0.2))
+
+    @given(
+        _tied_clouds(),
+        st.sampled_from([(1.5, 0.2), (1.5, 0.25), (0.2, 1.5), (0.3, 0.1)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_small_clouds(self, pts, heights, seed):
+        keep = np.flatnonzero(np.random.default_rng(seed).random(len(pts)) < 0.7)
+        coarse, fine = (CellSize(1.5, 1.0, sz) for sz in heights)
+        self._check(pts, keep, coarse, fine)
