@@ -19,10 +19,10 @@ from .errors import ConfigError
 from .evaluation import (
     DEFAULT_THRESHOLDS,
     GroundTruthPolicy,
+    _outcome,
     check_thresholds,
     emit_report,
     evaluate_sequence,
-    fan_out,
     format_summary,
 )
 from .pipeline import segment
@@ -43,14 +43,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _segment_one(scan_path: str, cfg, out_dir: str, fmt: str):
-    """Worker for one scan; returns its stats dict or raises (see ``fan_out``)."""
-    scan = Path(scan_path)
+def _segment_one(scan: Path, cfg, out: Path, fmt: str):
+    """Segment one scan and write its outputs; returns its stats dict or
+    raises (see ``evaluation._outcome``)."""
     cloud = cloud_io.read_kitti_bin(scan)
     t0 = time.perf_counter()
     result = segment(cloud, cfg)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    out = Path(out_dir)
     cloud_io.write_mask(out / (scan.stem + ".mask"), result.mask)
     if fmt == "xyz":
         cloud_io.write_xyz(out / (scan.stem + ".xyz"), cloud, result.mask)
@@ -85,8 +84,8 @@ def cmd_segment(args) -> int:
 
     all_stats: dict[str, dict] = {}
     failures = []
-    tasks = [(str(s), cfg, str(out_dir), args.format) for s in scans]
-    for scan, outcome in zip(scans, fan_out(_segment_one, tasks, args.jobs)):
+    for scan in scans:
+        outcome = _outcome(_segment_one, scan, cfg, out_dir, args.format)
         if isinstance(outcome, str):
             failures.append(scan.name)
             print(f"{scan.name}: {outcome}", file=sys.stderr)
@@ -113,9 +112,7 @@ def cmd_evaluate(args) -> int:
         print("scan and label directories must exist", file=sys.stderr)
         return 1
 
-    report = evaluate_sequence(
-        args.scans, args.labels, cfg, policy, thresholds=thresholds, jobs=args.jobs
-    )
+    report = evaluate_sequence(args.scans, args.labels, cfg, policy, thresholds=thresholds)
     for entry in report.skipped:
         print(f"skipped {entry}", file=sys.stderr)
 
@@ -194,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("input", help=".bin scan file or directory of scans")
     p_seg.add_argument("--out", required=True, help="output directory for masks + stats.json")
     p_seg.add_argument("--format", choices=("binary", "xyz"), default="binary")
-    p_seg.add_argument("--jobs", type=int, default=1)
     _add_config_flags(p_seg)
     p_seg.set_defaults(func=cmd_segment)
 
@@ -203,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--labels", required=True, help="directory of .label files")
     p_eval.add_argument("--report", help="report output path (stdout when omitted)")
     p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.add_argument(
         "--ground-labels",
         default="40,44,48,49,60,72",

@@ -23,9 +23,15 @@ LABEL_RECORD_BYTES = 4
 
 @dataclass
 class PointCloud:
-    """Sensor-frame points."""
+    """Sensor-frame points, an (N, 3) array (``ContractViolationError``
+    naming the shape otherwise)."""
 
     points: np.ndarray  # (N, 3) float64
+
+    def __post_init__(self):
+        shape = np.shape(self.points)
+        if len(shape) != 2 or shape[1] != 3:
+            raise ContractViolationError(f"points must be an (N, 3) array, got shape {shape}")
 
     def __len__(self) -> int:
         return len(self.points)

@@ -181,16 +181,13 @@ def evaluate_sequence(
     cfg: PipelineConfig | None = None,
     policy: GroundTruthPolicy | None = None,
     thresholds=DEFAULT_THRESHOLDS,
-    jobs: int = 1,
 ) -> SequenceReport:
     """Segment and score every scan in a directory against its label file.
 
     Scans without a matching label (or with malformed/odd-length labels) are
     skipped and reported.  Confusion counts are summed across scans per
     threshold before metrics are computed; ``thresholds`` must pass
-    ``check_thresholds``.  With ``jobs`` > 1 the scans run
-    in spawned processes (see ``fan_out``), so a script calling this does so
-    under ``if __name__ == "__main__"``.
+    ``check_thresholds``.
     """
     thresholds = check_thresholds(thresholds)
     cfg = cfg or make_default_config()
@@ -211,12 +208,8 @@ def evaluate_sequence(
             continue
         tasks.append((scan_path, label_path))
 
-    outcomes = fan_out(
-        _evaluate_one,
-        [(str(scan), str(label), cfg, policy, tuple(thresholds)) for scan, label in tasks],
-        jobs,
-    )
-    for (scan_path, _), outcome in zip(tasks, outcomes):
+    for scan_path, label_path in tasks:
+        outcome = _outcome(_evaluate_one, scan_path, label_path, cfg, policy, thresholds)
         if isinstance(outcome, str):
             report.skipped.append(f"{scan_path.name}: {outcome}")
             continue
@@ -234,26 +227,6 @@ def evaluate_sequence(
     return report
 
 
-def fan_out(worker, tasks: list[tuple], jobs: int) -> list:
-    """``worker(*task)`` for every task, in input order, on up to ``jobs``
-    processes (serially for one job or one task).
-
-    An exception becomes that task's outcome as the error string
-    ``"Type: message"``: one raised by ``worker`` (caught where it runs) and
-    one raised by the pool (a crashed worker process) alike.
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_outcome(worker, *task) for task in tasks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # spawned, not forked: forking a process that runs threads is unsafe
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-        futures = [pool.submit(_outcome, worker, *task) for task in tasks]
-        return [_outcome(future.result) for future in futures]
-
-
 def _outcome(call, *args):
     """``call(*args)``, or its exception as the error string ``"Type: message"``."""
     try:
@@ -262,9 +235,9 @@ def _outcome(call, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _evaluate_one(scan_path: str, label_path: str, cfg, policy, thresholds):
-    """Worker: segment one scan and return per-threshold counts, or an error
-    string (raises on other failures; see ``fan_out``)."""
+def _evaluate_one(scan_path: Path, label_path: Path, cfg, policy, thresholds):
+    """Segment one scan and return per-threshold counts and its runtime, or
+    an error string (raises on other failures; see ``_outcome``)."""
     cloud = read_kitti_bin(scan_path)
     truth = read_semantic_labels(label_path)
     if len(truth) != len(cloud):

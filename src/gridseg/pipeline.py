@@ -4,17 +4,19 @@ Phase I bins the full scan into tall cells so vertical structures are caught
 early; Phase II re-bins the points of cells Phase I routed to ground
 (inliers and outliers alike) at a much finer cell height and repeats the
 classification and expansion with the additional per-neighbor height gate.
-The final ground set is Phase II's output, mapped back to the original point
-order with the synthetic seed points stripped.
+Both phases name a point by its row in the seeded cloud (the scan with the
+synthetic seed lattice appended), so the final ground set is Phase II's
+ground ids with the lattice stripped.
 
 Phase II inherits what Phase I already computed.  Both phases share the
 cell footprint, so Phase II re-bins Phase I's grid (``voxel_grid.rebin``)
-rather than building its own: most Phase-I cells become one fine cell
-each, with the same points in the same canonical order, and only the
-points of cells spread over several fine slabs or sharing one are
-re-sorted.  A fine cell equal to a Phase-I ground cell whose plane fit
-finished on the eigenplane has the same centroid, kind, plane and inliers
-to the bit, so Phase II copies them and classifies only the other cells.
+by one flag per Phase-I point rather than building its own: most Phase-I
+cells become one fine cell each, with the same points in the same
+canonical order, and only the points of cells spread over several fine
+slabs or sharing one are re-sorted.  A fine cell equal to a Phase-I ground
+cell whose plane fit finished on the eigenplane has the same centroid,
+kind, plane and inliers to the bit, so Phase II copies them and classifies
+only the other cells.
 The grid equals one built and classified from scratch.
 """
 
@@ -43,7 +45,7 @@ from .cell_geometry import (
 # hook target to resolve.
 from .cell_geometry import ransac_plane  # noqa: F401
 from .cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed, strip_synthetic
-from .errors import ConfigError, ContractViolationError, check_fields
+from .errors import ConfigError, check_fields
 from .region_expansion import (
     REASONS,
     ExpansionLog,
@@ -67,7 +69,7 @@ class PhaseConfig:
 class PipelineConfig:
     """One rule set for both phases, which differ only in their cell height
     and their number; ``phase1`` and ``phase2`` are read-only views of it,
-    as ``run_phase`` takes them."""
+    one per phase."""
 
     geometry: GeometryParams = field(default_factory=GeometryParams)
     expansion: ExpansionParams = field(default_factory=ExpansionParams)
@@ -181,15 +183,13 @@ class SegmentationResult:
 
 @dataclass
 class PhaseResult:
+    """The phase's ground ids (rows of the seeded cloud, sorted), its stats,
+    and its grid after expansion, for Phase II to re-bin and inherit cells
+    from; Phase II drops ``grid`` once re-binned."""
+
     ground_ids: np.ndarray
-    ground_cell_point_ids: np.ndarray
     stats: PhaseStats
-    # the phase's grid after expansion, its point ids as positions in
-    # ``ids`` and its geometry, for the next phase to re-bin and inherit
-    # cells from; the next phase drops ``grid`` once re-binned
     grid: VoxelGrid | None = None
-    ids: np.ndarray | None = None
-    geometry: GeometryParams | None = None
 
 
 def classify_cells(
@@ -301,29 +301,25 @@ def _count_cells(grid: VoxelGrid, stats: PhaseStats) -> None:
 
 
 def _phase_grid(
-    ids: np.ndarray, all_points: np.ndarray, cfg: PhaseConfig, parent: PhaseResult | None
+    points: np.ndarray,
+    cellsize: CellSize,
+    seed_info: SyntheticSeedInfo,
+    parent: PhaseResult | None,
 ) -> tuple[VoxelGrid, np.ndarray]:
     """``run_phase``'s grid, and which of its cells it inherited classified
     from the parent's grid, which it drops."""
-    pgrid = None if parent is None else parent.grid
-    if parent is not None:
-        parent.grid = None
-    footprint = (cfg.cellsize.sx, cfg.cellsize.sy)
-    if pgrid is None or (pgrid.cellsize.sx, pgrid.cellsize.sy) != footprint:
-        # ids 0 to n - 1 (Phase I) are the whole cloud: no gather
-        whole = len(ids) == len(all_points) and ids[-1] == len(all_points) - 1
-        grid = build_grid(all_points if whole else np.take(all_points, ids, axis=0), cfg.cellsize)
+    if parent is None:
+        grid = build_grid(points, cellsize)
         return grid, np.zeros(len(grid.cells), dtype=bool)
-    local = ids  # positions in the parent's ids, which are 0 to n - 1 in Phase II
-    if len(parent.ids) < len(all_points):
-        local = np.searchsorted(parent.ids, ids)
-        if not np.array_equal(np.take(parent.ids, local, mode="clip"), ids):
-            raise ContractViolationError("a phase's points must be its parent's")
-    grid, rows = rebin(pgrid, local, cfg.cellsize)
-    # a cell equal to a parent ground cell classifies the same when the
-    # geometry is the same and its plane fit finished on the eigenplane, as
-    # only sampled candidates are keyed by phase
-    inherited = (rows >= 0) & (parent.geometry == cfg.geometry) & ~np.take(pgrid.sampled, rows)
+    pgrid, parent.grid = parent.grid, None
+    # every point of a Phase-I ground cell, and the synthetic lattice
+    kept = np.repeat(pgrid.state == GroundState.GROUND, pgrid.counts)
+    kept |= pgrid.order >= len(points) - seed_info.count
+    grid, rows = rebin(pgrid, kept, cellsize)
+    # a cell equal to a parent ground cell classifies the same when its
+    # plane fit finished on the eigenplane, as only sampled candidates are
+    # keyed by phase
+    inherited = (rows >= 0) & ~np.take(pgrid.sampled, rows)
     inherited &= np.take(pgrid.state, rows) == GroundState.GROUND
     taken = np.compress(inherited, rows)
     grid.kind[inherited] = np.take(pgrid.kind, taken)
@@ -336,73 +332,62 @@ def _phase_grid(
 
 
 def run_phase(
-    ids: np.ndarray,
-    all_points: np.ndarray,
-    cfg: PhaseConfig,
-    phase: int,
-    global_seed: int,
+    points: np.ndarray,
+    cfg: PipelineConfig,
     seed_info: SyntheticSeedInfo,
     log: ExpansionLog | None = None,
     parent: PhaseResult | None = None,
 ) -> PhaseResult:
-    """Run grid build, classification, and expansion on a subset of points.
+    """Run grid build, classification and expansion of one phase on the
+    seeded cloud ``points``, whose last ``seed_info.count`` rows are the
+    synthetic seed lattice.
 
-    ``ids`` index into ``all_points`` in strictly ascending order, as
-    ``segment`` passes them (``ContractViolationError`` otherwise).  The
-    result's id arrays are global and sorted: ``ground_ids``, the points
-    expansion routed to ground, and ``ground_cell_point_ids``, every point
-    of the cells it routed ground (inliers and outliers), for the next
-    phase.  Every other point of the subset is non-ground.
+    Without ``parent`` this is Phase I, on every point.  With ``parent``,
+    Phase I's result on the same points and configuration, it is Phase II,
+    on every point of Phase I's ground cells (inliers and outliers) and
+    the lattice: Phase I's grid is re-binned (``rebin``), not rebuilt, and
+    dropped.  Each cell equal to a Phase-I ground cell whose plane fit
+    finished on the eigenplane takes over its kind, slope and inliers, in
+    state tentative; ``classify_cells`` classifies the other cells.  The
+    grid equals ``build_grid`` plus ``classify_cells`` on the phase's
+    points, to the bit.
 
-    ``parent`` is the previous phase's result, whose ids must hold this
-    phase's.  A parent grid of this phase's footprint is re-binned
-    (``rebin``), not rebuilt, and dropped.  Under the same geometry, each
-    cell equal to a parent ground cell whose plane fit finished on the
-    eigenplane takes over its kind, slope and inliers, in state tentative;
-    ``classify_cells`` classifies the other cells.  The grid equals
-    ``build_grid`` plus ``classify_cells`` on the phase's points, to the bit.
+    The result's ``ground_ids`` are the rows of ``points`` that expansion
+    routed to ground, sorted; every other point of the phase is non-ground.
     """
     t0 = time.perf_counter()
-    stats = PhaseStats(n_points=len(ids))
-    ids = np.asarray(ids, dtype=np.int64)
-    if np.any(ids[1:] <= ids[:-1]):
-        raise ContractViolationError("phase point ids must be strictly ascending")
-    if len(ids) == 0:
-        return PhaseResult(np.empty(0, np.int64), np.empty(0, np.int64), stats)
+    phase, pcfg = (1, cfg.phase1) if parent is None else (2, cfg.phase2)
+    stats = PhaseStats()
+    if len(points) == 0:
+        return PhaseResult(np.empty(0, np.int64), stats)
 
     t = time.perf_counter()
-    grid, inherited = _phase_grid(ids, all_points, cfg, parent)
+    grid, inherited = _phase_grid(points, pcfg.cellsize, seed_info, parent)
     stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
+    stats.n_points = len(grid.order)
     stats.cells_inherited = int(inherited.sum())
-    classify_cells(grid, cfg.geometry, phase, global_seed, stats, np.flatnonzero(~inherited))
+    classify_cells(grid, cfg.geometry, phase, cfg.global_seed, stats, np.flatnonzero(~inherited))
     _count_cells(grid, stats)
 
     seed = select_seed(grid, seed_info)
     stats.seed_ok = bool(grid.state[grid.find(seed)] == GroundState.TENTATIVE)
-    ground_local = np.empty(0, dtype=np.int64)
+    ground = np.empty(0, dtype=np.int64)
     if stats.seed_ok:
         t = time.perf_counter()
         index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
         t1 = time.perf_counter()
-        ground_local = expand(
+        ground = expand(
             grid, index, seed, cfg.geometry, cfg.expansion, phase,
             log=log, route_counts=stats.routes,
         )
         stats.stages_ms["index"] = (t1 - t) * 1000.0
         stats.stages_ms["expand"] = (time.perf_counter() - t1) * 1000.0
         stats.cells_expanded = sum(stats.routes.values())
-    routed_ground = grid.state == GroundState.GROUND
-    stats.cells_routed_ground = int(routed_ground.sum())
-    cell_local = np.compress(np.repeat(routed_ground, grid.counts), grid.order)
-
-    # global ids, sorted: ids ascend, so positions in them sorted are too
-    ground = np.take(ids, ground_local)
-    fwd = np.compress(id_mask(cell_local, len(ids)), ids)
-
+    stats.cells_routed_ground = int(np.count_nonzero(grid.state == GroundState.GROUND))
     stats.points_ground = len(ground)
-    stats.points_non_ground = len(ids) - len(ground)
+    stats.points_non_ground = stats.n_points - len(ground)
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return PhaseResult(ground, fwd, stats, grid, ids, cfg.geometry)
+    return PhaseResult(ground, stats, grid)
 
 
 def segment(
@@ -442,23 +427,9 @@ def segment(
         cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
     )
     stats.n_synthetic = seed_info.count
-    pts = seeded.points
-    all_ids = np.arange(len(pts), dtype=np.int64)
-
-    r1 = run_phase(all_ids, pts, cfg.phase1, 1, cfg.global_seed, seed_info, log=log1)
-    stats.phase1 = r1.stats
-
-    # Phase II sees every point of a Phase-I ground cell (inliers and
-    # outliers) so over-segmentation can be corrected; the synthetic lattice
-    # is always carried along so the fine grid keeps its seed cell.
-    p2 = id_mask(r1.ground_cell_point_ids, len(pts))
-    p2[len(cloud) :] = True
-    p2_ids = np.flatnonzero(p2)
-    r2 = run_phase(p2_ids, pts, cfg.phase2, 2, cfg.global_seed, seed_info, log=log2, parent=r1)
-    stats.phase2 = r2.stats
-
-    mask_full = np.zeros(len(pts), dtype=bool)
-    mask_full[r2.ground_ids] = True
-    mask[finite] = strip_synthetic(mask_full, seed_info)
+    r1 = run_phase(seeded.points, cfg, seed_info, log=log1)
+    r2 = run_phase(seeded.points, cfg, seed_info, log=log2, parent=r1)
+    stats.phase1, stats.phase2 = r1.stats, r2.stats
+    mask[finite] = strip_synthetic(id_mask(r2.ground_ids, len(seeded.points)), seed_info)
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return SegmentationResult(mask=mask, stats=stats)

@@ -345,10 +345,11 @@ def expand(
     ``grid.state``: GROUND or NON_GROUND for dequeued cells, unreached ones
     stay TENTATIVE.
 
-    Returns the sorted ground ids, as positions in the cloud the grid was
-    built from: the inliers of the cells whose final state is GROUND.  A
-    given ``log`` receives the admission edges and routes in dequeue order,
-    a given ``route_counts`` the number of cells per reason in ``REASONS``.
+    Returns the sorted ground ids, as values of ``grid.order``: the
+    inliers of the cells whose final state is GROUND, sorted by a mask over
+    the ids.  A given ``log`` receives the admission edges and routes in
+    dequeue order, a given ``route_counts`` the number of cells per reason
+    in ``REASONS``.
     """
     # imported here so that importing the package leaves csgraph unloaded
     from scipy.sparse import csr_array
@@ -430,7 +431,7 @@ def expand(
         route_counts.update(zip(REASONS, np.bincount(reasons, minlength=len(REASONS)).tolist()))
 
     to_ground = np.repeat(grid.state == GroundState.GROUND, grid.counts) & grid.inliers
-    return np.flatnonzero(id_mask(np.compress(to_ground, grid.order), len(grid.order)))
+    return np.flatnonzero(id_mask(np.compress(to_ground, grid.order), grid.order.max() + 1))
 
 
 def _cell_indices(grid: VoxelGrid, rows: np.ndarray) -> list[CellIndex]:

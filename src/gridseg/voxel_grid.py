@@ -7,7 +7,7 @@ occupied cell indices in ascending order, and per cell a run of one
 canonical point order.  Per-cell classification state sits in arrays beside
 them, one row per cell.  ``build_grid`` bins a point cloud; ``rebin`` bins
 some of a grid's points at another cell height, keeping the grid's point
-order wherever a cell carries over whole.
+ids, and its point order wherever a cell carries over whole.
 """
 
 from __future__ import annotations
@@ -234,11 +234,11 @@ def _unclassified(
     )
 
 
-def rebin(parent: VoxelGrid, ids: np.ndarray, cellsize: CellSize) -> tuple[VoxelGrid, np.ndarray]:
-    """The grid ``build_grid`` makes of the parent's points ``ids`` (strictly
-    ascending values of ``parent.order``; ``order`` holds positions in
-    them) at a cell size of the parent's footprint, and per cell the parent
-    row holding exactly its points, or -1.
+def rebin(parent: VoxelGrid, kept: np.ndarray, cellsize: CellSize) -> tuple[VoxelGrid, np.ndarray]:
+    """The grid ``build_grid`` makes of the parent's points flagged ``kept``
+    (one flag per position of ``parent.order``) at a cell size of the
+    parent's footprint, its ``order`` holding the parent's point ids, and
+    per cell the parent row holding exactly its points, or -1.
 
     Up a column, cells and slabs both ascend with z, so a parent cell whose
     kept points lie in one slab that no other parent cell of its column
@@ -249,11 +249,6 @@ def rebin(parent: VoxelGrid, ids: np.ndarray, cellsize: CellSize) -> tuple[Voxel
     """
     if (parent.cellsize.sx, parent.cellsize.sy) != (cellsize.sx, cellsize.sy):
         raise ContractViolationError("re-binning keeps the cell footprint")
-    # per parent position, its point's position in ids, or -1
-    pos = np.full(len(parent.order), -1, dtype=np.int64)
-    pos[ids] = np.arange(len(ids))
-    pos = np.take(pos, parent.order)
-    kept = pos >= 0
     src = np.flatnonzero(kept)  # per point here, its position in the parent's order
     # per parent row its kept points, a run of src; rows keeping none drop out
     kc = np.add.reduceat(kept, parent.offsets[:-1], dtype=np.int64)
@@ -283,7 +278,7 @@ def rebin(parent: VoxelGrid, ids: np.ndarray, cellsize: CellSize) -> tuple[Voxel
     cells = np.column_stack([np.take(column, row, axis=0), np.take(slab, starts)])
     ordered = np.take(parent.points, src, axis=0)
     # the slabs are spent, so the point ids take their buffer
-    order = np.take(pos, src, out=slab, mode="clip")
+    order = np.take(parent.order, src, out=slab, mode="clip")
     grid = _unclassified(cellsize, cells, np.append(starts, len(src)), order, ordered)
     whole = ~moved & (hc == np.take(parent.counts, held))
     return grid, np.where(np.take(whole, row), np.take(held, row), -1)

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -10,12 +9,12 @@ from gridseg.errors import ConfigError, ContractViolationError
 from gridseg.evaluation import (
     ConfusionCounts,
     GroundTruthPolicy,
+    _outcome,
     confusion_counts,
     emit_report,
     evaluate_scan,
     evaluate_sequence,
     f1,
-    fan_out,
     format_summary,
     harmonic_f1,
     precision,
@@ -241,7 +240,7 @@ class TestEvaluateSequence:
         assert report.n_scans == 1
         assert len(report.skipped) == 1
 
-    def test_jobs_2_matches_jobs_1(self, tmp_path):
+    def test_malformed_scans_and_labels_are_skipped_and_reported(self, tmp_path):
         # one good scan with boxes, one without a label, one with a
         # mismatched label count and one malformed scan
         scans, labels = self._sequence(tmp_path, n_scans=4, n_ground=1500)
@@ -252,13 +251,13 @@ class TestEvaluateSequence:
         (labels / "000001.label").unlink()
         (labels / "000002.label").write_bytes(b"\x00" * 8)
         (scans / "000003.bin").write_bytes(b"\x00" * 10)
-        one = evaluate_sequence(scans, labels, thresholds=(5.0, 10.0, 15.0), jobs=1)
-        two = evaluate_sequence(scans, labels, thresholds=(5.0, 10.0, 15.0), jobs=2)
-        assert one.n_scans == two.n_scans == 2
-        assert len(one.skipped) == 3
-        assert two.skipped == one.skipped
-        assert two.rows == one.rows
-        assert (two.mean, two.std, two.undefined) == (one.mean, one.std, one.undefined)
+        report = evaluate_sequence(scans, labels, thresholds=(5.0, 10.0, 15.0))
+        assert report.n_scans == 2
+        assert [entry.split(": ")[:2] for entry in report.skipped] == [
+            ["000001.bin", "no matching label file"],
+            ["000002.bin", "label count does not match scan record count"],
+            ["000003.bin", "MalformedFileError"],
+        ]
 
     def test_aggregate_mean_std(self, tmp_path):
         scans, labels = self._sequence(tmp_path, n_scans=1)
@@ -321,16 +320,7 @@ class TestEmitReport:
         assert line.startswith("Pr ") and "/ Rc " in line and "/ F1 " in line
 
 
-def _exit_worker(code):
-    os._exit(code)
-
-
-class TestFanOut:
-    def test_an_exception_is_an_error_string_serially_and_in_parallel(self):
+class TestOutcome:
+    def test_an_exception_is_an_error_string(self):
         want = [1, "ValueError: invalid literal for int() with base 10: 'x'"]
-        for jobs in (1, 2):
-            assert fan_out(int, [("1",), ("x",)], jobs) == want
-
-    def test_a_crashed_worker_process_is_an_error_string(self):
-        outcomes = fan_out(_exit_worker, [(3,), (4,)], 2)
-        assert all(o.startswith("BrokenProcessPool: ") for o in outcomes)
+        assert [_outcome(int, "1"), _outcome(int, "x")] == want

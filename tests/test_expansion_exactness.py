@@ -211,8 +211,10 @@ def _compare_scene(spec):
         return []
     logs = [_expand_both(phase1, pts, seed, ExpansionParams(), 1)]
 
-    r1 = run_phase(np.arange(len(pts)), pts, CFG.phase1, 1, CFG.global_seed, info)
-    p2_ids = np.union1d(r1.ground_cell_point_ids, np.arange(len(pts) - info.count, len(pts)))
+    grid1 = run_phase(pts, CFG, info).grid
+    in_ground = np.repeat(grid1.state == GroundState.GROUND, grid1.counts)
+    lattice = np.arange(len(pts) - info.count, len(pts))
+    p2_ids = np.union1d(np.compress(in_ground, grid1.order), lattice)
     p2 = pts[p2_ids]
     phase2 = _classified(p2, CFG.phase2.cellsize, 2)
     grid = phase2()
@@ -265,8 +267,10 @@ def test_expand_matches_reference_on_both_phases(name):
 def _reference_segment(monkeypatch, cloud):
     def reference(grid, index, seed, geometry, expansion, phase, log=None, route_counts=None):
         log = ExpansionLog() if log is None else log
-        points = np.empty_like(grid.points)
-        points[grid.order] = grid.points  # the cloud the grid was built from
+        # the rows of the cloud that the grid's point ids index (in Phase
+        # II a subset of it: the other rows are never read)
+        points = np.empty((grid.order.max() + 1, 3))
+        points[grid.order] = grid.points
         cells = _records(grid)
         keys = list(map(tuple, grid.cells[index.cell_ids].tolist()))
         out = _reference_expand(

@@ -42,11 +42,11 @@ class TestRunPhase:
         seeded, info = inject_synthetic_seed(
             cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
-        ids = np.arange(len(seeded.points))
-        result = run_phase(ids, seeded.points, cfg.phase1, 1, cfg.global_seed, info)
+        n = len(seeded.points)
+        result = run_phase(seeded.points, cfg, info)
         assert result.stats.points_ground == len(result.ground_ids)
-        assert result.stats.points_ground + result.stats.points_non_ground == len(ids)
-        assert set(result.ground_ids.tolist()) <= set(ids.tolist())
+        assert result.stats.points_ground + result.stats.points_non_ground == n
+        assert set(result.ground_ids.tolist()) <= set(range(n))
         # every real plane point is recovered in the coarse phase
         real = set(range(len(cloud)))
         assert real <= set(result.ground_ids.tolist())
@@ -64,8 +64,7 @@ class TestRunPhase:
         seeded, info = inject_synthetic_seed(
             cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
-        ids = np.arange(len(seeded.points))
-        result = run_phase(ids, seeded.points, cfg.phase1, 1, cfg.global_seed, info)
+        result = run_phase(seeded.points, cfg, info)
         wall_ids = set(range(800))
         assert wall_ids.isdisjoint(result.ground_ids.tolist())
 
@@ -75,23 +74,9 @@ class TestRunPhase:
         seeded, info = inject_synthetic_seed(
             cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
-        result = run_phase(
-            np.empty(0, np.int64), seeded.points, cfg.phase1, 1, cfg.global_seed, info
-        )
+        result = run_phase(seeded.points[:0], cfg, info)
         assert len(result.ground_ids) == 0
         assert result.stats.points_ground == result.stats.points_non_ground == 0
-
-    @pytest.mark.parametrize("order", ["descending", "repeated"])
-    def test_ids_not_strictly_ascending_raise(self, rng, order):
-        cloud = _flat_cloud(rng, n=500)
-        cfg = make_default_config()
-        seeded, info = inject_synthetic_seed(
-            cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
-        )
-        ids = np.arange(len(seeded.points))
-        ids = ids[::-1] if order == "descending" else np.sort(np.r_[ids, 7])
-        with pytest.raises(ContractViolationError, match="strictly ascending"):
-            run_phase(ids, seeded.points, cfg.phase1, 1, cfg.global_seed, info)
 
     def test_result_ids_are_sorted_global_ids(self, rng):
         boxes = (gs.BoxSpec(4.0, 3.0, 1.0, 1.0, 1.0),)
@@ -100,14 +85,21 @@ class TestRunPhase:
         seeded, info = inject_synthetic_seed(
             gs.scene_cloud(scene), cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
-        # every other point, so positions in the subset differ from global ids
+        # every other point and the lattice, so ids are rows of the subset
         ids = np.arange(0, len(seeded.points), 2)
         ids = np.union1d(ids, np.arange(len(seeded.points) - info.count, len(seeded.points)))
-        result = run_phase(ids, seeded.points, cfg.phase1, 1, cfg.global_seed, info)
-        for out in (result.ground_ids, result.ground_cell_point_ids):
+        pts = seeded.points[ids]
+        r1 = run_phase(pts, cfg, info)
+        in_ground = np.repeat(r1.grid.state == GroundState.GROUND, r1.grid.counts)
+        cell_points = np.compress(in_ground, r1.grid.order)
+        r2 = run_phase(pts, cfg, info, parent=r1)
+        for out in (r1.ground_ids, r2.ground_ids):
             assert len(out) and np.all(np.diff(out) > 0)
-            assert np.isin(out, ids).all()
-        assert np.isin(result.ground_ids, result.ground_cell_point_ids).all()
+            assert out[0] >= 0 and out[-1] < len(pts)
+        assert np.isin(r1.ground_ids, cell_points).all()
+        lattice = np.arange(len(pts) - info.count, len(pts))
+        assert np.isin(r2.ground_ids, np.union1d(cell_points, lattice)).all()
+        assert r2.stats.n_points == len(np.union1d(cell_points, lattice))
 
 
 class TestSegment:
@@ -116,6 +108,15 @@ class TestSegment:
         assert len(result.mask) == 0
         assert result.stats.phase1.n_cells == 0
         assert result.stats.phase2.n_cells == 0
+
+    @pytest.mark.parametrize("shape", [(50, 4), (150,)])
+    def test_points_not_n_by_3_are_a_contract_violation(self, rng, shape):
+        with pytest.raises(ContractViolationError, match=rf"got shape \({shape[0]},"):
+            segment(PointCloud(points=rng.uniform(-5, 5, shape)))
+
+    def test_an_empty_n_by_3_cloud_is_valid(self):
+        result = segment(PointCloud(points=np.empty((0, 3))))
+        assert result.mask.shape == (0,) and result.stats.n_points == 0
 
     def test_mask_partitions_cloud(self, rng):
         cloud = _flat_cloud(rng)
@@ -148,11 +149,11 @@ class TestSegment:
         seeded, info = inject_synthetic_seed(
             cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
-        ids = np.arange(len(seeded.points))
-        r1 = run_phase(ids, seeded.points, cfg.phase1, 1, cfg.global_seed, info)
+        grid1 = run_phase(seeded.points, cfg, info).grid
         result = segment(cloud, cfg)
         ground_ids = set(np.flatnonzero(result.mask).tolist())
-        phase1_cell_points = set(r1.ground_cell_point_ids.tolist())
+        in_ground = np.repeat(grid1.state == GroundState.GROUND, grid1.counts)
+        phase1_cell_points = set(np.compress(in_ground, grid1.order).tolist())
         assert ground_ids <= phase1_cell_points
 
     def test_box_points_rejected_flat_ground_recalled(self, rng):

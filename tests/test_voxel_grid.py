@@ -19,6 +19,7 @@ from gridseg.voxel_grid import (
     rebin,
 )
 from gridseg.errors import ContractViolationError
+from gridseg.region_expansion import id_mask
 
 
 class TestCellIndex:
@@ -334,31 +335,34 @@ class TestRebin:
     FINE = CellSize(1.5, 1.0, 0.2)
 
     def _check(self, pts, keep, coarse=COARSE, fine=FINE):
-        """The re-binned grid equals a fresh one, and each cell's parent row
-        is the parent cell holding exactly its points, or -1; returns both
+        """The grid re-binned by the flags of the ``keep`` ids in the
+        parent's order equals a fresh one of those points, its ``order``
+        through the map ``keep[want.order]``, and each cell's parent row is
+        the parent cell holding exactly its points, or -1; returns both
         grids and the rows."""
         keep = np.asarray(keep, dtype=np.int64)
         parent = build_grid(pts, coarse)
-        grid, rows = rebin(parent, keep, fine)
+        grid, rows = rebin(parent, id_mask(keep, len(pts))[parent.order], fine)
         want = build_grid(pts[keep], fine)
         assert grid.cellsize == want.cellsize
         for name in self.FIELDS:
             a, b = getattr(grid, name), getattr(want, name)
+            if name == "order":
+                b = keep[b]
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
         held = {frozenset(parent.order[parent.span(r)]): r for r in range(len(parent.cells))}
         oracle = [
-            held.get(frozenset(keep[grid.order[grid.span(c)]]), -1)
-            for c in range(len(grid.cells))
+            held.get(frozenset(grid.order[grid.span(c)]), -1) for c in range(len(grid.cells))
         ]
         assert rows.dtype == np.int64 and rows.tolist() == oracle
         return parent, grid, rows
 
     @staticmethod
-    def _sources(parent, grid, keep):
+    def _sources(parent, grid):
         """Per cell of ``grid``, the parent rows its points come from."""
         row = np.repeat(np.arange(len(parent.cells)), parent.counts)[np.argsort(parent.order)]
-        return [set(row[keep[grid.order[grid.span(c)]]].tolist()) for c in range(len(grid.cells))]
+        return [set(row[grid.order[grid.span(c)]].tolist()) for c in range(len(grid.cells))]
 
     def test_a_slab_straddling_a_cell_boundary_is_shared(self, rng):
         # the slab [-1.6, -1.4) straddles the Phase-I boundary at -1.5, so
@@ -371,7 +375,7 @@ class TestRebin:
         pts[:100, 2] = rng.uniform(0.41, 0.59, 100)
         keep = np.flatnonzero(rng.random(n) < 0.9)
         parent, grid, rows = self._check(pts, keep)
-        sources = self._sources(parent, grid, keep)
+        sources = self._sources(parent, grid)
         assert any(len(s) == 2 for s in sources)
         assert (rows >= 0).any() and (rows < 0).any()
 
@@ -433,7 +437,7 @@ class TestRebin:
     def test_another_footprint_is_refused(self):
         parent = build_grid(np.zeros((3, 3)), self.COARSE)
         with pytest.raises(ContractViolationError):
-            rebin(parent, np.arange(3), CellSize(1.0, 1.0, 0.2))
+            rebin(parent, np.ones(3, dtype=bool), CellSize(1.0, 1.0, 0.2))
 
     @given(
         _tied_clouds(),
