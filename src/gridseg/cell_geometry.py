@@ -107,21 +107,18 @@ class GeometryParams:
             raise ConfigError("sparsity_medium_max must be >= sparsity_low_max")
 
 
-def segment_covariance(
-    points: np.ndarray, counts: np.ndarray, means: np.ndarray | None = None
-) -> np.ndarray:
+def segment_covariance(points: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Population covariance (divisor N) of consecutive point segments.
 
     ``points`` holds the segments back to back, ``counts[i]`` points for
     segment i; the result is one 3x3 matrix per segment.  Two passes
     (center on the segment means, then ``centred_covariance``), with every
-    sum taken in the given point order.  ``means`` may pass in the segment
-    means when the caller already summed them that way (as
-    ``VoxelGrid.centroids``); the result is the same to the bit.
+    sum taken in the given point order.  A caller holding means summed that
+    way (as ``VoxelGrid.centroids``) centres the points on them and calls
+    ``centred_covariance``, which gives the same bits.
     """
     counts = np.asarray(counts)
-    if means is None:
-        means = np.add.reduceat(points, np.cumsum(counts) - counts, axis=0) / counts[:, None]
+    means = np.add.reduceat(points, np.cumsum(counts) - counts, axis=0) / counts[:, None]
     return centred_covariance(points - np.repeat(means, counts, axis=0), counts)
 
 
@@ -433,7 +430,7 @@ def ransac_cells(
     centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
     eigen_normals = np.asarray(eigen_normals, dtype=np.float64).reshape(-1, 3)
     ends = np.cumsum(counts)
-    if len(counts) and (counts.min() < 1 or ends[-1] != len(q)):
+    if (counts < 1).any() or counts.sum() != len(q):
         raise ContractViolationError("cell counts must be positive and cover the points")
     if not len(keys) == len(centroids) == len(eigen_normals) == len(counts):
         raise ContractViolationError("one stream key, centroid and eigenplane normal per cell")
@@ -474,14 +471,11 @@ def ransac_cells(
 
     fitted = ~np.isnan(offsets)
     slopes = np.full(k, np.nan)
-    if fitted.any():
-        # shift offsets out of the centred frame: n.(p - centroid) + o = 0
-        normals_fit = np.compress(fitted, normals, axis=0)
-        centroids_fit = np.compress(fitted, centroids, axis=0)
-        offsets[fitted] -= np.einsum("ij,ij->i", normals_fit, centroids_fit)
-        normals[fitted], offsets[fitted], slopes[fitted] = make_planes(
-            normals_fit, offsets[fitted]
-        )
+    # shift offsets out of the centred frame: n.(p - centroid) + o = 0
+    normals_fit = np.compress(fitted, normals, axis=0)
+    centroids_fit = np.compress(fitted, centroids, axis=0)
+    offsets[fitted] -= np.einsum("ij,ij->i", normals_fit, centroids_fit)
+    normals[fitted], offsets[fitted], slopes[fitted] = make_planes(normals_fit, offsets[fitted])
     return CellPlanes(normals, offsets, slopes, fitted, sampled, candidates, inliers)
 
 
@@ -625,7 +619,8 @@ def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
         q_in = np.compress(inliers & refit[cell], q, axis=0)
         starts_in = np.cumsum(counts_in) - counts_in
         mean = np.add.reduceat(q_in, starts_in, axis=0) / counts_in[:, None]
-        smallest = sorted_eigen(segment_covariance(q_in, counts_in, mean))[1][:, :, 2]
+        q_in -= np.repeat(mean, counts_in, axis=0)
+        smallest = sorted_eigen(centred_covariance(q_in, counts_in))[1][:, :, 2]
         refit_n = np.zeros((k, 3))
         refit_off = np.zeros(k)
         refit_n[refit] = smallest

@@ -94,9 +94,7 @@ def inject_synthetic_seed(
     ys = jj[keep].ravel() * spacing
     lattice = np.column_stack([xs, ys, np.full(xs.shape, -depth)])
     info = SyntheticSeedInfo(count=len(lattice), depth=depth)
-
-    points = np.vstack([cloud.points, lattice]) if len(cloud) else lattice
-    return PointCloud(points=points), info
+    return PointCloud(points=np.vstack([cloud.points, lattice])), info
 
 
 def strip_synthetic(mask: np.ndarray, info: SyntheticSeedInfo) -> np.ndarray:

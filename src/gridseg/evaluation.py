@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -192,23 +191,17 @@ def evaluate_sequence(
     thresholds = check_thresholds(thresholds)
     cfg = cfg or make_default_config()
     policy = policy or GroundTruthPolicy()
-    scan_dir = Path(scan_dir)
     label_dir = Path(label_dir)
-    scans = sorted(scan_dir.glob("*.bin"))
 
     report = SequenceReport()
     totals = {d: ConfusionCounts() for d in thresholds}
     runtimes: list[float] = []
 
-    tasks = []
-    for scan_path in scans:
+    for scan_path in sorted(Path(scan_dir).glob("*.bin")):
         label_path = label_dir / (scan_path.stem + ".label")
         if not label_path.exists():
             report.skipped.append(f"{scan_path.name}: no matching label file")
             continue
-        tasks.append((scan_path, label_path))
-
-    for scan_path, label_path in tasks:
         outcome = _outcome(_evaluate_one, scan_path, label_path, cfg, policy, thresholds)
         if isinstance(outcome, str):
             report.skipped.append(f"{scan_path.name}: {outcome}")
@@ -242,11 +235,9 @@ def _evaluate_one(scan_path: Path, label_path: Path, cfg, policy, thresholds):
     truth = read_semantic_labels(label_path)
     if len(truth) != len(cloud):
         return "label count does not match scan record count"
-    t0 = time.perf_counter()
     result = segment(cloud, cfg)
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
     counts = {d: confusion_counts(result.mask, truth, policy, d, cloud) for d in thresholds}
-    return counts, runtime_ms
+    return counts, result.stats.runtime_ms
 
 
 def format_summary(report: SequenceReport) -> str:

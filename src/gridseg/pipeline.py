@@ -23,7 +23,7 @@ The grid equals one built and classified from scratch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class PhaseStats:
     runtime_ms: float = 0.0
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 @dataclass
@@ -163,14 +163,7 @@ class SegmentationStats:
     runtime_ms: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "n_nonfinite": self.n_nonfinite,
-            "n_synthetic": self.n_synthetic,
-            "phase1": self.phase1.as_dict(),
-            "phase2": self.phase2.as_dict(),
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -198,9 +191,8 @@ def classify_cells(
     phase: int,
     global_seed: int,
     stats: PhaseStats | None = None,
-    rows: np.ndarray | None = None,
 ) -> None:
-    """Eigen-classify every cell or ``rows`` and gate it into a tentative ground state.
+    """Eigen-classify every ``UNCLASSIFIED`` cell and gate it into a tentative ground state.
 
     Covariances, eigen decompositions and RANSAC plane fits are batched
     across cells, with every per-cell sum taken in canonical within-cell
@@ -212,20 +204,20 @@ def classify_cells(
     cells exist.  Cells too small for a covariance rank test are
     non-planar, hence non-ground candidates; so are planar cells whose fit
     fails.  ``grid.sampled`` records which plane fits drew sampled
-    candidates.  Given ``rows`` (ascending), only those cells are
-    classified, from one compress of their points.  With ``stats``, the
-    time of the eigen step (gather, covariance, eigen decomposition, kinds)
-    and of the plane-fit step lands in its ``stages_ms``, and the count of
-    sampled candidates scored in its ``ransac_candidates``.
+    candidates.  Cells of another kind (Phase II's inherited ones) are left
+    as they are, and the others classified from one compress of their
+    points.  With ``stats``, the time of the eigen step (gather,
+    covariance, eigen decomposition, kinds) and of the plane-fit step lands
+    in its ``stages_ms``, and the count of sampled candidates scored in its
+    ``ransac_candidates``.
     """
-    k = len(grid.cells)
     t0 = time.perf_counter()
     counts, points, centroids, cells = grid.counts, grid.points, grid.centroids, grid.cells
-    at = slice(None)  # the classified cells' points
-    if rows is None or len(rows) == k:
-        rows = slice(None)
-    else:
-        at = np.repeat(id_mask(rows, k), counts)
+    todo = grid.kind == CellKind.UNCLASSIFIED
+    rows = at = slice(None)  # the classified cells and their points
+    if not todo.all():
+        rows = np.flatnonzero(todo)
+        at = np.repeat(todo, counts)
         points = np.compress(at, points, axis=0)
         counts, centroids, cells = (np.take(a, rows, axis=0) for a in (counts, centroids, cells))
     m = len(counts)
@@ -235,11 +227,10 @@ def classify_cells(
     vec = np.zeros((m, 3, 3))
     # every point less its cell's centroid, for the covariances and the plane fits
     centred = points - np.repeat(centroids, counts, axis=0)
-    if eligible.any():
-        # every cell's covariance costs less than gathering the points of
-        # the eligible ones, which hold nearly all points
-        C = centred_covariance(centred, counts)
-        lam[eligible], vec[eligible] = sorted_eigen(np.compress(eligible, C, axis=0))
+    # every cell's covariance costs less than gathering the points of the
+    # eligible ones, which hold nearly all points
+    C = centred_covariance(centred, counts)
+    lam[eligible], vec[eligible] = sorted_eigen(np.compress(eligible, C, axis=0))
     kinds = eigen_kinds(lam, geometry)
     t1 = time.perf_counter()
     line = kinds == CellKind.LINE
@@ -305,12 +296,11 @@ def _phase_grid(
     cellsize: CellSize,
     seed_info: SyntheticSeedInfo,
     parent: PhaseResult | None,
-) -> tuple[VoxelGrid, np.ndarray]:
-    """``run_phase``'s grid, and which of its cells it inherited classified
-    from the parent's grid, which it drops."""
+) -> VoxelGrid:
+    """``run_phase``'s grid; with a parent, the cells it inherits from the
+    parent's grid, which it drops, are classified and the others not."""
     if parent is None:
-        grid = build_grid(points, cellsize)
-        return grid, np.zeros(len(grid.cells), dtype=bool)
+        return build_grid(points, cellsize)
     pgrid, parent.grid = parent.grid, None
     # every point of a Phase-I ground cell, and the synthetic lattice
     kept = np.repeat(pgrid.state == GroundState.GROUND, pgrid.counts)
@@ -328,7 +318,7 @@ def _phase_grid(
     # their sampled flags are False, as grid.sampled is already
     in_taken = np.repeat(id_mask(taken, len(pgrid.cells)), pgrid.counts)
     grid.inliers[np.repeat(inherited, grid.counts)] = np.compress(in_taken, pgrid.inliers)
-    return grid, inherited
+    return grid
 
 
 def run_phase(
@@ -362,11 +352,11 @@ def run_phase(
         return PhaseResult(np.empty(0, np.int64), stats)
 
     t = time.perf_counter()
-    grid, inherited = _phase_grid(points, pcfg.cellsize, seed_info, parent)
+    grid = _phase_grid(points, pcfg.cellsize, seed_info, parent)
     stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
     stats.n_points = len(grid.order)
-    stats.cells_inherited = int(inherited.sum())
-    classify_cells(grid, cfg.geometry, phase, cfg.global_seed, stats, np.flatnonzero(~inherited))
+    stats.cells_inherited = int(np.count_nonzero(grid.kind != CellKind.UNCLASSIFIED))
+    classify_cells(grid, cfg.geometry, phase, cfg.global_seed, stats)
     _count_cells(grid, stats)
 
     seed = select_seed(grid, seed_info)
@@ -405,14 +395,11 @@ def segment(
     are left out of both phases, get False in the mask and are counted in
     ``stats.n_nonfinite``; this is the one place such rows are handled.
     """
-    if cfg is None:
-        cfg = make_default_config()
+    cfg = cfg or make_default_config()
     t0 = time.perf_counter()
     n = len(cloud)
     stats = SegmentationStats(n_points=n)
     mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return SegmentationResult(mask=mask, stats=stats)
     limit = 2.0**62 * min(cfg.cell_sx, cfg.cell_sy, cfg.cell_sz2)
     # False at NaN too; and-ing the three columns is far cheaper than all(axis=1)
     binnable = np.abs(cloud.points) < limit

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cell_geometry import GeometryParams, segment_sparsity
 from .cloud_io import SyntheticSeedInfo
@@ -76,23 +75,21 @@ class CentroidIndex:
 
     ``cell_ids`` are the grid rows, in ascending order, and ``centroids``
     their centroids; a centroid is numbered by its position in ``cell_ids``.
+    The pairs come from a ``cKDTree``, which finds none over no centroids.
     """
 
     def __init__(self, cell_ids: np.ndarray, centroids: np.ndarray):
+        # imported here so that importing the package loads no scipy module
+        from scipy.spatial import cKDTree
+
         self.cell_ids = cell_ids
         self.centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
         # unbalanced and uncompacted, the tree builds in half the time and
         # answers the pair query sooner; its answers are the same
-        self._tree = (
-            cKDTree(self.centroids, balanced_tree=False, compact_nodes=False)
-            if len(self.cell_ids)
-            else None
-        )
+        self._tree = cKDTree(self.centroids, balanced_tree=False, compact_nodes=False)
 
     def pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Positions (i, j), i < j, of every two centroids within radius (inclusive)."""
-        if self._tree is None:
-            return np.empty(0, np.intp), np.empty(0, np.intp)
         ij = self._tree.query_pairs(radius, output_type="ndarray")
         return ij[:, 0], ij[:, 1]
 
@@ -229,7 +226,7 @@ def _refine_inputs(grid: VoxelGrid, rows: np.ndarray, geometry: GeometryParams):
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The runs ``starts[r]:starts[r] + lengths[r]``, concatenated."""
     ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
 
 
 def _neighbor_graph(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +348,7 @@ def expand(
     dequeue order, a given ``route_counts`` the number of cells per reason
     in ``REASONS``.
     """
-    # imported here so that importing the package leaves csgraph unloaded
+    # imported here so that importing the package loads no scipy module
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import breadth_first_order
 

@@ -101,7 +101,7 @@ def _sample_ground(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
         need = spec.n_ground - len(out)
         xy = rng.uniform(-half, half, size=(max(need * 2, 64), 2))
         xy = xy[~_inside_any_footprint(spec, xy)][:need]
-        out = np.vstack([out, xy]) if len(out) else xy
+        out = np.vstack([out, xy])
     if len(out) < spec.n_ground:
         raise ConfigError("box footprints cover too much of the scene extent")
     z = _ground_height(spec, out[:, 0]) + rng.normal(0.0, spec.noise_sigma, len(out))

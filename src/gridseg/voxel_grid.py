@@ -186,6 +186,17 @@ def _canonical_order(
     return order, first
 
 
+def _cell_floor(q: np.ndarray) -> np.ndarray:
+    """``floor(q)`` as int64.  A NaN, an infinity or a value of 2**63 or
+    more in magnitude has no cell index: its cast raises the invalid flag,
+    made a ``ContractViolationError`` here rather than a cell at -2**63."""
+    try:
+        with np.errstate(invalid="raise"):
+            return np.floor(q, out=np.empty(q.shape, np.int64), casting="unsafe")
+    except FloatingPointError:
+        raise ContractViolationError("a coordinate is non-finite or 2**63 cells out") from None
+
+
 def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
     """Partition points into cells; every point lands in exactly one cell.
 
@@ -193,7 +204,8 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
     geometric indices and each cell's points, hence its centroid sum, run in
     canonical (x, y, z, input position) order, built by one value sort of
     packed keys and an exact sort of the few runs they tie (see
-    ``_canonical_order``).  Cells start unclassified.
+    ``_canonical_order``).  Cells start unclassified.  A point without a
+    cell index (see ``_cell_floor``) raises ``ContractViolationError``.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     # coordinates over cell sizes a column at a time, about 2x faster than
@@ -202,8 +214,7 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
     scaled = np.empty(pts.shape)
     for c, size in enumerate((cellsize.sx, cellsize.sy, cellsize.sz)):
         np.divide(pts[:, c], size, out=scaled[:, c])
-    keys = np.empty(pts.shape, dtype=np.int64)
-    np.floor(scaled, out=keys, casting="unsafe")
+    keys = _cell_floor(scaled)
     order, first = _canonical_order(pts, keys, scaled[:, 0])
     offsets = np.append(np.flatnonzero(first), len(pts))
     # the quotients are spent, so the canonical points take their buffer
@@ -245,7 +256,8 @@ def rebin(parent: VoxelGrid, kept: np.ndarray, cellsize: CellSize) -> tuple[Voxe
     reaches is one cell here, in the parent's order.  The points of the
     other parent cells, spread over several slabs or sharing one, form
     contiguous runs of that order, and one ``_canonical_order`` sorts every
-    run onto itself.  Cells start unclassified.
+    run onto itself.  Cells start unclassified.  A point without a slab
+    index at the new height raises ``ContractViolationError``.
     """
     if (parent.cellsize.sx, parent.cellsize.sy) != (cellsize.sx, cellsize.sy):
         raise ContractViolationError("re-binning keeps the cell footprint")
@@ -255,7 +267,7 @@ def rebin(parent: VoxelGrid, kept: np.ndarray, cellsize: CellSize) -> tuple[Voxe
     held = np.flatnonzero(kc)
     hc = np.take(kc, held)
     kstart = np.cumsum(hc) - hc
-    slab = np.floor(np.take(parent.points[:, 2], src) / cellsize.sz).astype(np.int64)
+    slab = _cell_floor(np.take(parent.points[:, 2], src) / cellsize.sz)
     lo = np.minimum.reduceat(slab, kstart)
     hi = np.maximum.reduceat(slab, kstart)
     column = np.take(parent.cells[:, :2], held, axis=0)

@@ -25,7 +25,7 @@ from gridseg.cell_geometry import (
     splitmix_uniforms,
 )
 from gridseg.cell_geometry import _CHUNK_POINTS, _three_smallest
-from gridseg.errors import FitFailureError
+from gridseg.errors import ContractViolationError, FitFailureError
 from gridseg.voxel_grid import CellKind
 
 PARAMS = GeometryParams()
@@ -107,7 +107,9 @@ class TestSegmentCovariance:
         grid = build_grid(pts, CellSize(1.5, 1.0, 0.2))
         assert np.array_equal(grid.points, pts[grid.order])
         want = _two_pass_covariance(grid.points, grid.counts)
-        assert np.array_equal(segment_covariance(grid.points, grid.counts, grid.centroids), want)
+        # the pipeline's path: the points centred on the grid's centroids
+        centred = grid.points - np.repeat(grid.centroids, grid.counts, axis=0)
+        assert np.array_equal(centred_covariance(centred, grid.counts), want)
         assert np.array_equal(segment_covariance(grid.points, grid.counts), want)
 
 
@@ -602,6 +604,15 @@ class TestRansacCells:
         assert fit.fitted.tolist() == [False, True]
         assert fit.inliers.tolist() == [False, False, True, True, True]
         assert np.isnan(fit.slopes[0]) and fit.slopes[1] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("counts", [[], [2, 2], [0, 5], [6]])
+    def test_counts_not_covering_the_points_are_a_contract_violation(self, counts):
+        k = len(counts)
+        with pytest.raises(ContractViolationError):
+            ransac_cells(
+                np.zeros((5, 3)), np.array(counts, dtype=np.int64), np.zeros(k, np.uint64),
+                np.zeros((k, 3)), np.zeros((k, 3)), 0.1, 10,
+            )
 
 
 class TestClassifyPlanarCell:

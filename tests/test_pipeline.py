@@ -7,8 +7,14 @@ import gridseg as gs
 from gridseg.cloud_io import PointCloud, inject_synthetic_seed
 from gridseg.config import apply_settings
 from gridseg.errors import ConfigError, ContractViolationError
-from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
-from gridseg.voxel_grid import CellKind, GroundState, build_grid
+from gridseg.pipeline import (
+    PhaseStats,
+    classify_cells,
+    make_default_config,
+    run_phase,
+    segment,
+)
+from gridseg.voxel_grid import CellKind, CellSize, GroundState, build_grid
 
 
 class TestDefaultConfig:
@@ -100,6 +106,58 @@ class TestRunPhase:
         lattice = np.arange(len(pts) - info.count, len(pts))
         assert np.isin(r2.ground_ids, np.union1d(cell_points, lattice)).all()
         assert r2.stats.n_points == len(np.union1d(cell_points, lattice))
+
+
+class TestClassifyCells:
+    """``classify_cells`` classifies the cells still ``UNCLASSIFIED``, also
+    on grids where no cell reaches a covariance or a plane fit."""
+
+    GEO = make_default_config().geometry
+
+    def test_cells_of_one_or_two_points_are_non_planar(self):
+        corners = np.array([[ix * 1.5, iy * 1.0, 0.0] for ix in range(6) for iy in range(5)])
+        pts = np.vstack([corners + 0.3, corners[::2] + 0.7])  # 1 or 2 points per cell
+        grid = build_grid(pts, CellSize(1.5, 1.0, 1.5))
+        assert set(grid.counts.tolist()) == {1, 2}
+        stats = PhaseStats()
+        classify_cells(grid, self.GEO, 1, 0, stats)
+        assert (grid.kind == CellKind.NON_PLANAR).all()
+        assert (grid.state == GroundState.NON_GROUND).all()
+        assert not grid.fitted.any() and not grid.sampled.any() and not grid.inliers.any()
+        assert stats.ransac_candidates == 0
+
+    def test_an_empty_grid(self):
+        grid = build_grid(np.empty((0, 3)), CellSize(1.5, 1.0, 1.5))
+        stats = PhaseStats()
+        classify_cells(grid, self.GEO, 2, 0, stats)
+        assert len(grid.kind) == len(grid.state) == len(grid.inliers) == 0
+        assert stats.ransac_candidates == 0
+
+    def test_only_unclassified_cells_change(self, rng):
+        pts = _flat_cloud(rng, n=4000).points
+        pts[:300, 2] += rng.uniform(0.0, 1.0, 300)  # some non-planar cells too
+        cellsize = make_default_config().phase1.cellsize
+        want = build_grid(pts, cellsize)
+        classify_cells(want, self.GEO, 1, 0)
+        grid = build_grid(pts, cellsize)
+        preset = np.zeros(len(grid.cells), dtype=bool)
+        preset[::3] = True
+        in_preset = np.repeat(preset, grid.counts)
+        grid.kind[preset] = CellKind.LINE
+        grid.state[preset] = GroundState.OBSTACLE
+        grid.slopes[preset] = 7.0
+        grid.sampled[preset] = True
+        grid.inliers[in_preset] = True
+        classify_cells(grid, self.GEO, 1, 0)
+        assert (grid.kind[preset] == CellKind.LINE).all()
+        assert (grid.state[preset] == GroundState.OBSTACLE).all()
+        assert (grid.slopes[preset] == 7.0).all() and grid.sampled[preset].all()
+        assert grid.inliers[in_preset].all()
+        for name in ("kind", "state", "slopes", "sampled"):
+            a, b = getattr(grid, name)[~preset], getattr(want, name)[~preset]
+            assert a.tobytes() == b.tobytes(), name
+        assert np.array_equal(grid.inliers[~in_preset], want.inliers[~in_preset])
+        assert (want.kind[~preset] != CellKind.UNCLASSIFIED).all()
 
 
 class TestSegment:

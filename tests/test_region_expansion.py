@@ -241,12 +241,15 @@ class TestBreadthFirst:
         import gridseg
 
         env = dict(os.environ, PYTHONPATH=str(Path(gridseg.__file__).parents[1]))
-        code = "import sys, gridseg; print('scipy.sparse.csgraph' in sys.modules)"
+        code = (
+            "import sys, gridseg; gridseg.make_default_config(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr[-2000:]
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
 
 class TestSelectSeed:

@@ -44,6 +44,15 @@ class TestBuildGrid:
         assert grid.offsets.tolist() == [0]
         assert len(occupied_below(grid)) == 0
 
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_rows_without_a_cell_index_are_a_contract_violation(self, bad, column):
+        # binned, they would share one cell at -2**63 after a cast warning
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        pts[1, column] = bad
+        with pytest.raises(ContractViolationError):
+            build_grid(pts, CellSize(1.5, 1.0, 1.5))
+
     def test_two_points_one_cell(self):
         pts = np.array([[0.1, 0.1, 0.1], [0.3, 0.3, 0.3]])
         grid = build_grid(pts, CellSize(1, 1, 1))
@@ -425,6 +434,15 @@ class TestRebin:
     def test_keeping_nothing(self, rng):
         _, grid, rows = self._check(rng.uniform(-3, 3, (50, 3)), [])
         assert len(grid.cells) == 0 and len(rows) == 0
+
+    def test_a_finer_height_without_a_slab_index_is_a_contract_violation(self):
+        # 1e18 m lies 6.7e17 coarse cells up, but 1e21 fine slabs
+        parent = build_grid(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e18]]), self.COARSE)
+        fine = CellSize(1.5, 1.0, 1e-3)
+        with pytest.raises(ContractViolationError):
+            rebin(parent, np.ones(2, dtype=bool), fine)
+        grid, _ = rebin(parent, np.array([True, False]), fine)
+        assert grid.cells.tolist() == [[0, 0, 0]]
 
     def test_columns_too_far_apart_for_the_packed_key(self, rng):
         # split cells at opposite corners: their cell codes span more than
