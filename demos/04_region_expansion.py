@@ -1,4 +1,4 @@
-# Ground region expansion: seed injection, KD-tree neighbor admission, and
+# Ground region expansion: seed injection, radius neighbor admission, and
 # the per-cell refinement trace.
 
 import numpy as np

@@ -1,9 +1,10 @@
 """Ground region expansion over tentative-ground cell centroids.
 
 Tentative-ground cells are linked when their centroids lie within the search
-radius (one KD-tree pair query, whose pairs one sort of packed row-column
-keys turns into a CSR graph), and scipy's breadth-first search over that
-graph expands the ground region from the seed cell under the robot.  Radius
+radius (one exact pair search over 2-D columns of centroids, whose pairs one
+sort of packed row-column keys turns into a CSR graph), and a level-at-a-time
+FIFO breadth-first search over that graph expands the ground region from the
+seed cell under the robot.  Both run on numpy alone.  Radius
 links (rather than grid adjacency) let the region bridge scan-line gaps at
 fine grid resolutions.  Each dequeued cell then runs a five-step refinement
 that decides whether it is ground; the output is the inliers of the ground
@@ -58,6 +59,9 @@ _AMBIGUOUS = 4  # reasons from this position on are those of ambiguous cells
 _ROUTES_GROUND = np.array([False, False, True, True, False, False, False, True])
 # states that make the occupied cell below an ambiguous cell reject it
 _NON_GROUND_STATES = (GroundState.NON_GROUND, GroundState.OBSTACLE)
+# rounding margin of the pair search, in column widths: below 2**30, a
+# centroid's column position is rounded by at most 2**-23 of a width
+_MARGIN = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -75,23 +79,69 @@ class CentroidIndex:
 
     ``cell_ids`` are the grid rows, in ascending order, and ``centroids``
     their centroids; a centroid is numbered by its position in ``cell_ids``.
-    The pairs come from a ``cKDTree``, which finds none over no centroids.
+
+    ``pairs`` runs on numpy alone.  It buckets the centroids by 2-D column,
+    half a radius wide, and sorts them by a packed (x column, y column)
+    code, so that the centroids of one x column and a span of y columns
+    lie in one run of the sorted order.  Each centroid is compared with a
+    half window of columns: those after it in that order within its own x
+    column, and in each of the next x columns in reach the span of y
+    columns that its least distance to that x column leaves in reach,
+    widened by a rounding margin.  So every two centroids within the radius
+    meet once, and a pair is kept under the rule of a brute-force scan.
     """
 
     def __init__(self, cell_ids: np.ndarray, centroids: np.ndarray):
-        # imported here so that importing the package loads no scipy module
-        from scipy.spatial import cKDTree
-
         self.cell_ids = cell_ids
         self.centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
-        # unbalanced and uncompacted, the tree builds in half the time and
-        # answers the pair query sooner; its answers are the same
-        self._tree = cKDTree(self.centroids, balanced_tree=False, compact_nodes=False)
 
     def pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Positions (i, j), i < j, of every two centroids within radius (inclusive)."""
-        ij = self._tree.query_pairs(radius, output_type="ndarray")
-        return ij[:, 0], ij[:, 1]
+        """Positions (i, j), i < j, of every two centroids within radius
+        (inclusive): those whose ``(dx**2 + dy**2) + dz**2`` is at most
+        ``radius**2``."""
+        c = self.centroids
+        # columns half a radius wide, but wide enough that no column number
+        # passes 2**30: the margin covers their rounding, and a packed code
+        # of two column numbers stays below 2**63 however far apart they are
+        width = max(radius / 2, np.abs(c[:, :2]).max(initial=0.0) * 2.0**-30) or 1.0
+        uv = c[:, :2] / width
+        col = np.floor(uv)
+        reach = math.ceil(radius / width) + 1  # column offsets a pair can span, at most 3
+        # column numbers moved into [0, 2**31] and packed in one code, in
+        # which y columns up to reach columns out stay in their x column
+        cx, cy = (col + 2.0**30).astype(np.int64).T
+        stride = 2**31 + 2 * reach + 1
+        code = cx * stride + cy + reach
+        order = np.argsort(code)
+        code = np.take(code, order)
+        base = np.take(cx, order) * stride + (2**30 + reach)  # code less the y column
+        fx = np.take(uv[:, 0] - col[:, 0], order)  # place within the own x column
+        v = np.take(uv[:, 1], order)
+        coords = [np.take(c[:, a], order) for a in range(3)]
+        rho2 = (radius / width) ** 2
+        found_i, found_j = [], []
+        for dx in range(reach + 1):
+            # the y span left in reach at the least distance to the x column
+            # dx on from the own one; centroids with none left skip it
+            gx = np.maximum(dx - fx - _MARGIN, 0.0)
+            rest = rho2 - gx * gx
+            p = np.flatnonzero(rest >= 0)
+            h, vp = np.sqrt(np.take(rest, p)) + _MARGIN, np.take(v, p)
+            row = np.take(base, p) + dx * stride
+            hi = np.searchsorted(code, row + np.floor(vp + h).astype(np.int64), "right")
+            lo = np.searchsorted(code, row + np.floor(vp - h).astype(np.int64)) if dx else p + 1
+            lengths = np.maximum(hi - lo, 0)
+            other = _ranges(lo, lengths)
+            d2 = np.zeros(len(other))
+            for a in coords:
+                d = np.take(a, other) - np.repeat(np.take(a, p), lengths)
+                d2 += d * d
+            near = d2 <= radius * radius
+            found_i.append(np.compress(near, np.repeat(p, lengths)))
+            found_j.append(np.compress(near, other))
+        i = np.take(order, np.concatenate(found_i))
+        j = np.take(order, np.concatenate(found_j))
+        return np.minimum(i, j), np.maximum(i, j)
 
 
 @dataclass
@@ -247,6 +297,40 @@ def _neighbor_graph(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, n
     return indptr, keys - np.repeat(starts[:-1], np.diff(indptr))
 
 
+def _breadth_first(
+    indptr: np.ndarray, indices: np.ndarray, source: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first order from ``source`` over a CSR graph, and the
+    predecessor of each node (-1 for the source and unreached nodes): the
+    order in which a FIFO queue dequeues the nodes when each dequeued node
+    appends its unseen neighbors in row order.
+
+    The queue holds one level after the other, so the search runs a level
+    at a time: the next level is the unseen nodes of the frontier's rows,
+    concatenated in queue order, in the order of their first occurrence
+    there, which one sort of packed (node, position) keys finds; the
+    frontier row holding that occurrence is the node's predecessor.
+    """
+    n = len(indptr) - 1
+    pred = np.full(n, -1)
+    unseen = ~id_mask(source, n)
+    degrees = np.diff(indptr)
+    levels = [np.array([source])]
+    while len(frontier := levels[-1]):
+        degree = np.take(degrees, frontier)
+        nb = np.take(indices, _ranges(np.take(indptr, frontier), degree))
+        at = np.flatnonzero(np.take(unseen, nb))  # positions of unseen entries
+        keys = np.take(nb, at).astype(np.int64) * len(nb) + at
+        keys.sort()
+        node, position = np.divmod(keys, len(nb))
+        first = np.sort(np.compress(np.diff(node, prepend=-1) > 0, position))  # first per node
+        level = np.take(nb, first)
+        unseen[level] = False
+        pred[level] = np.take(frontier, np.searchsorted(np.cumsum(degree), first, "right"))
+        levels.append(level)
+    return np.concatenate(levels), pred
+
+
 def _refine_ambiguous(
     grid, ids, order, rank, admitted_at, indptr, indices, ambiguous, ground, inputs, expansion
 ) -> np.ndarray:
@@ -326,7 +410,7 @@ def expand(
     The index must hold the grid rows of tentative cells in ascending order;
     the neighbor graph is built from one pair query over it, in phase 2
     from only the pairs within the height gate, which is applied to the
-    pairs before they are sorted into rows.  scipy's breadth-first search
+    pairs before they are sorted into rows.  The breadth-first search
     over that graph with each row's neighbors ascending admits each cell's
     neighbors in ascending cell-index order (reproducible runs).  Admitted
     cells are GROUND until they are dequeued and refined.  Every refinement
@@ -348,10 +432,6 @@ def expand(
     dequeue order, a given ``route_counts`` the number of cells per reason
     in ``REASONS``.
     """
-    # imported here so that importing the package loads no scipy module
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import breadth_first_order
-
     if phase not in (1, 2):
         raise ContractViolationError(f"phase must be 1 or 2, got {phase}")
     seed_row = grid.find(seed)
@@ -379,10 +459,7 @@ def expand(
         indptr, indices = _neighbor_graph(n, np.compress(keep, i), np.compress(keep, j))
     else:
         indptr, indices = _neighbor_graph(n, i, j)
-    # index arrays of one dtype, so that scipy takes them as they are
-    indptr = indptr.astype(indices.dtype, copy=False)
-    graph = csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    order, pred = breadth_first_order(graph, s, directed=True, return_predecessors=True)
+    order, pred = _breadth_first(indptr, indices, s)
 
     # rank = dequeue position; unreached cells get m, past every position
     m = len(order)

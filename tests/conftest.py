@@ -12,7 +12,7 @@ settings.load_profile("suite")
 
 
 class BruteForceIndex:
-    """Linear-scan stand-in for the KD-tree centroid index (test oracle)."""
+    """Linear-scan stand-in for the centroid index (test oracle)."""
 
     def __init__(self, cell_ids, centroids):
         self.cell_ids = list(cell_ids)

@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never reads, and no private
-name of the package goes unread.
+"""Source hygiene: no module imports a name it never reads, no private name
+of the package goes unread, and the package imports no scipy module.
 
 No linter ships with the project, so this test parses ``src/``, ``tests/``
 and ``demos/`` with ``ast`` instead.  An import counts as read when its
@@ -9,7 +9,10 @@ import are exempt: the module-level imports of an ``__init__.py``, which
 re-export the package API, and imports on a line marked ``# noqa: F401``.
 A module-level private name of ``src/gridseg`` (a function, class or
 assigned name starting with one underscore) counts as read when some
-module of the package loads it; reads from tests do not count.
+module of the package loads it; reads from tests do not count.  The
+segmenter runs on numpy alone, so any ``import scipy...`` or ``from
+scipy... import`` in ``src/gridseg``, at any depth, fails; the benchmark and
+the tests may import scipy.
 """
 
 import ast
@@ -115,3 +118,39 @@ def test_every_private_name_of_the_package_is_read():
     package = ROOT / "src" / "gridseg"
     sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """``line: module`` for each import of a scipy module, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"]
+    return found
+
+
+def test_the_check_finds_scipy_imports():
+    source = (
+        "import numpy, scipy\n"
+        "from scipy.spatial import cKDTree\n"
+        "import scipyx\n"
+        "from .scipy import a\n"
+        "def f():\n"
+        "    import scipy.sparse.csgraph as cg\n"
+        "    return cg\n"
+    )
+    assert scipy_imports(source) == ["1: scipy", "2: scipy.spatial", "6: scipy.sparse.csgraph"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "gridseg").rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_package_imports_no_scipy(path):
+    assert scipy_imports(path.read_text()) == []

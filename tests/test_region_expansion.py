@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import BruteForceIndex
+from hypothesis import given
+from hypothesis import strategies as st
 from test_expansion_exactness import SCENES
 
 from gridseg.cell_geometry import GeometryParams, PlaneModel
@@ -22,7 +25,7 @@ from gridseg.region_expansion import (
     refine_cell,
     select_seed,
 )
-from gridseg.region_expansion import _neighbor_graph
+from gridseg.region_expansion import _breadth_first, _neighbor_graph
 from gridseg.voxel_grid import (
     CellSize,
     GroundState,
@@ -101,6 +104,183 @@ class TestCentroidIndex:
         assert [len(a) for a in empty.pairs(5.0)] == [0, 0]
         one = CentroidIndex(np.arange(1), np.zeros((1, 3)))
         assert [len(a) for a in one.pairs(5.0)] == [0, 0]
+
+
+def _assert_pairs_match_brute_force(centroids, radius):
+    """``pairs`` finds exactly the pairs of a brute-force scan, once each, i < j."""
+    centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
+    n = len(centroids)
+    i, j = CentroidIndex(np.arange(n), centroids).pairs(radius)
+    assert (i < j).all()
+    got = sorted(zip(i.tolist(), j.tolist()))
+    want = sorted(zip(*(a.tolist() for a in BruteForceIndex(range(n), centroids).pairs(radius))))
+    assert got == want
+    return got
+
+
+RADII = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, 5.0, 7.3])
+
+
+class TestPairSearch:
+    """The numpy pair search against a brute-force scan of all distances."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-4, 4)),
+            max_size=120,
+            unique=True,
+        ),
+        st.integers(0, 2**32 - 1),
+        RADII,
+    )
+    def test_grid_like_centroids(self, cells, seed, radius):
+        # one centroid per 1.5 x 1.0 x 0.2 m cell, several cells per column
+        rng = np.random.default_rng(seed)
+        cells = np.array(cells, dtype=np.float64).reshape(-1, 3)
+        centroids = (cells + rng.uniform(0, 1, cells.shape)) * [1.5, 1.0, 0.2]
+        _assert_pairs_match_brute_force(centroids, radius)
+
+    @given(
+        st.integers(0, 300),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 100.0),
+        st.floats(0.0, 20.0),
+    )
+    def test_random_clouds(self, n, seed, extent, radius):
+        centroids = np.random.default_rng(seed).uniform(-extent, extent, (n, 3))
+        _assert_pairs_match_brute_force(centroids, radius)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-2, 2)), max_size=80
+        ),
+        st.integers(0, 6),
+        st.sampled_from([0.25, 1.0, 3.0]),
+        st.booleans(),
+    )
+    def test_pairs_at_exactly_the_radius(self, cells, radius, scale, offset):
+        # lattice points, whose squared distances are exact: many pairs lie
+        # exactly at the radius, duplicates at distance 0, and with the
+        # 1e5 m offset the coordinates are still exact
+        centroids = np.array(cells, dtype=np.float64).reshape(-1, 3) * scale
+        if offset:
+            centroids += [1e5, -1e5, 0.0]
+        _assert_pairs_match_brute_force(centroids, radius * scale)
+
+    @given(st.integers(1, 60), st.integers(1, 5), st.integers(0, 2**32 - 1), RADII)
+    def test_duplicate_centroids(self, n, copies, seed, radius):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-4, 4, (n, 3))
+        centroids = rng.permutation(np.repeat(points, rng.integers(1, copies + 1, n), axis=0))
+        got = _assert_pairs_match_brute_force(centroids, radius)
+        if len(centroids) > n:
+            assert got  # a repeated point pairs with its copy, at any radius
+
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_or_one_centroid(self, n, radius):
+        assert _assert_pairs_match_brute_force(np.full((n, 3), 1e5), radius) == []
+
+    def test_radius_zero_pairs_only_equal_centroids(self, rng):
+        points = rng.uniform(-3, 3, (40, 3))
+        centroids = np.vstack([points, points[:7], points[:2], [[0.0, 0.0, 1e-300]], [[0.0] * 3]])
+        got = _assert_pairs_match_brute_force(centroids, 0.0)
+        # three pairs among each of the first two points' three copies, one
+        # for each of the next five, and the last two, whose squared
+        # distance 1e-600 rounds to 0
+        assert len(got) == 3 * 2 + 5 + 1
+
+    def test_pair_across_a_rounded_column_boundary(self):
+        # two centroids 0.3 m apart in x, at radius 0.3: in columns 0.15 m
+        # wide, 4.65 / 0.15 rounds to just under 31 and 4.95 / 0.15 to 33,
+        # so they lie three x columns apart, one more than the radius spans;
+        # only that extra column and the rounding margin find the pair
+        centroids = np.array([[4.6499999999999995, 0, 0], [4.949999999999999, 0, 0]])
+        assert _assert_pairs_match_brute_force(centroids, 0.3) == [(0, 1)]
+
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e5, 1e9, 1e12, 1e15]),
+        st.sampled_from([0.0, 1e-6, 1e-3, 5.0]),
+    )
+    def test_far_apart_columns(self, n, seed, spread, radius):
+        # clusters of nearby centroids scattered over +-spread: with the
+        # wider spreads and smaller radii, columns half a radius wide span
+        # so many x and y columns that their product passes 2**63, so a code
+        # packing those column numbers as they are would overflow
+        rng = np.random.default_rng(seed)
+        base = np.repeat(rng.uniform(-spread, spread, (n, 3)), 3, axis=0)
+        centroids = base + rng.normal(0, radius, base.shape)
+        centroids[::4] = base[::4]
+        _assert_pairs_match_brute_force(centroids, radius)
+
+
+def _fifo_bfs(indptr, indices, source):
+    """Order and predecessors of a plain FIFO queue search (test oracle)."""
+    pred = {source: -1}
+    queue, order = deque([source]), []
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        for nb in indices[indptr[node] : indptr[node + 1]].tolist():
+            if nb not in pred:
+                pred[nb] = node
+                queue.append(nb)
+    return order, pred
+
+
+def _symmetric_csr(n, edges, rng, dtype):
+    """CSR of an undirected graph with each row's neighbors in random order."""
+    rows = [[] for _ in range(n)]
+    for a, b in {(min(e), max(e)) for e in edges if e[0] != e[1]}:
+        rows[a].append(b)
+        rows[b].append(a)
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([v for r in rows for v in rng.permutation(r).tolist()], dtype=dtype)
+    return indptr, indices
+
+
+class TestBreadthFirstOracle:
+    """``_breadth_first`` against a deque search over the same CSR."""
+
+    @staticmethod
+    def _assert_matches_oracle(indptr, indices, source):
+        order, pred = _breadth_first(indptr, indices, source)
+        want_order, want_pred = _fifo_bfs(indptr, indices, source)
+        assert order.tolist() == want_order
+        want = np.full(len(indptr) - 1, -1)
+        want[list(want_pred)] = list(want_pred.values())
+        np.testing.assert_array_equal(pred, want)
+        return order
+
+    @given(
+        st.integers(1, 60),
+        st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=150),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([np.int32, np.int64]),
+    )
+    def test_random_symmetric_graphs(self, n, edges, seed, dtype):
+        rng = np.random.default_rng(seed)
+        edges = [(a % n, b % n) for a, b in edges]
+        indptr, indices = _symmetric_csr(n, edges, rng, dtype)
+        self._assert_matches_oracle(indptr, indices, int(rng.integers(n)))
+
+    def test_disconnected_parts_and_rows_of_one_node(self, rng):
+        # a path 0-1-2-3 (end rows of one node), a star on 4, a triangle
+        # apart, and node 12 with no edges
+        edges = [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7), (4, 1), (8, 9), (9, 10), (10, 8)]
+        indptr, indices = _symmetric_csr(13, edges, rng, np.int64)
+        order = self._assert_matches_oracle(indptr, indices, 0)
+        assert sorted(order.tolist()) == [0, 1, 2, 3, 4, 5, 6, 7]
+        order = self._assert_matches_oracle(indptr, indices, 9)
+        assert sorted(order.tolist()) == [8, 9, 10]
+
+    def test_isolated_seed(self, rng):
+        indptr, indices = _symmetric_csr(5, [(0, 1), (3, 4)], rng, np.int32)
+        assert self._assert_matches_oracle(indptr, indices, 2).tolist() == [2]
+        order, pred = _breadth_first(np.zeros(4, np.int64), np.empty(0, np.int32), 1)
+        assert order.tolist() == [1] and pred.tolist() == [-1, -1, -1]
 
 
 def _csr_of_pairs(n, i, j):
@@ -243,6 +423,23 @@ class TestBreadthFirst:
         env = dict(os.environ, PYTHONPATH=str(Path(gridseg.__file__).parents[1]))
         code = (
             "import sys, gridseg; gridseg.make_default_config(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "[]"
+
+    def test_segment_loads_no_scipy(self):
+        import gridseg
+
+        env = dict(os.environ, PYTHONPATH=str(Path(gridseg.__file__).parents[1]))
+        code = (
+            "import sys, gridseg as gs; "
+            "cloud = gs.scene_cloud(gs.make_scene(gs.SceneSpec(20.0, 3000))); "
+            "result = gs.pipeline.segment(cloud, gs.make_default_config()); "
+            "assert result.mask.any(); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         done = subprocess.run(
