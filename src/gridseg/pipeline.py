@@ -18,6 +18,13 @@ cell whose plane fit finished on the eigenplane has the same centroid,
 kind, plane and inliers to the bit, so Phase II copies them and classifies
 only the other cells.
 The grid equals one built and classified from scratch.
+
+Phase II inherits Phase I's neighbor pairs too.  A cell it takes over
+from a Phase-I ground cell was a tentative cell of Phase I's centroid
+index with the same centroid to the bit, so Phase I's radius test already
+decided each pair of two such cells; Phase II's index remaps those pairs
+and searches only the pairs with a cell of its own
+(``build_centroid_index``).  The pairs equal a search of every cell.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed, stri
 from .errors import ConfigError, check_fields
 from .region_expansion import (
     REASONS,
+    CentroidIndex,
     ExpansionLog,
     ExpansionParams,
     build_centroid_index,
@@ -118,6 +126,10 @@ class PhaseStats:
     # cells taken over unchanged from the previous phase's grid (always 0
     # in Phase I); they are counted in n_cells and the counts below
     cells_inherited: int = 0
+    # pairs of tentative cells within the search radius, and how many of
+    # them were taken from the previous phase's pairs (always 0 in Phase I)
+    pairs: int = 0
+    pairs_inherited: int = 0
     cells_line: int = 0
     cells_planar: int = 0
     cells_non_planar: int = 0
@@ -145,7 +157,8 @@ class PhaseStats:
     # wall milliseconds per stage of the phase: grid build (in Phase II
     # the re-bin and the copy of the inherited cells), eigen classification
     # and plane fits (with the tentative gating) of the cells not
-    # inherited, centroid index, expansion; they add up to at most runtime_ms
+    # inherited, centroid index and pair search, expansion; they add up to
+    # at most runtime_ms
     stages_ms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     runtime_ms: float = 0.0
 
@@ -177,12 +190,15 @@ class SegmentationResult:
 @dataclass
 class PhaseResult:
     """The phase's ground ids (rows of the seeded cloud, sorted), its stats,
-    and its grid after expansion, for Phase II to re-bin and inherit cells
-    from; Phase II drops ``grid`` once re-binned."""
+    and its grid after expansion and centroid index with its pairs (None
+    when the seed cell was not tentative), for Phase II to re-bin and
+    inherit cells and pairs from; Phase II drops ``grid`` once re-binned
+    and ``index`` once its own index is built."""
 
     ground_ids: np.ndarray
     stats: PhaseStats
     grid: VoxelGrid | None = None
+    index: CentroidIndex | None = None
 
 
 def classify_cells(
@@ -296,11 +312,13 @@ def _phase_grid(
     cellsize: CellSize,
     seed_info: SyntheticSeedInfo,
     parent: PhaseResult | None,
-) -> VoxelGrid:
-    """``run_phase``'s grid; with a parent, the cells it inherits from the
-    parent's grid, which it drops, are classified and the others not."""
+) -> tuple[VoxelGrid, np.ndarray | None]:
+    """``run_phase``'s grid, and with a parent, per cell the parent's row
+    holding exactly its points, or -1 (``rebin``); the cells it inherits
+    from the parent's grid, which it drops, are classified and the others
+    not."""
     if parent is None:
-        return build_grid(points, cellsize)
+        return build_grid(points, cellsize), None
     pgrid, parent.grid = parent.grid, None
     # every point of a Phase-I ground cell, and the synthetic lattice
     kept = np.repeat(pgrid.state == GroundState.GROUND, pgrid.counts)
@@ -318,7 +336,7 @@ def _phase_grid(
     # their sampled flags are False, as grid.sampled is already
     in_taken = np.repeat(id_mask(taken, len(pgrid.cells)), pgrid.counts)
     grid.inliers[np.repeat(inherited, grid.counts)] = np.compress(in_taken, pgrid.inliers)
-    return grid
+    return grid, rows
 
 
 def run_phase(
@@ -340,7 +358,10 @@ def run_phase(
     finished on the eigenplane takes over its kind, slope and inliers, in
     state tentative; ``classify_cells`` classifies the other cells.  The
     grid equals ``build_grid`` plus ``classify_cells`` on the phase's
-    points, to the bit.
+    points, to the bit.  The centroid index of the tentative cells finds
+    their pairs within the search radius (timed as ``index``), in Phase II
+    from Phase I's pairs between cells it holds unchanged plus a search of
+    the others, and drops Phase I's index.
 
     The result's ``ground_ids`` are the rows of ``points`` that expansion
     routed to ground, sorted; every other point of the phase is non-ground.
@@ -352,7 +373,7 @@ def run_phase(
         return PhaseResult(np.empty(0, np.int64), stats)
 
     t = time.perf_counter()
-    grid = _phase_grid(points, pcfg.cellsize, seed_info, parent)
+    grid, parent_rows = _phase_grid(points, pcfg.cellsize, seed_info, parent)
     stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
     stats.n_points = len(grid.order)
     stats.cells_inherited = int(np.count_nonzero(grid.kind != CellKind.UNCLASSIFIED))
@@ -362,9 +383,19 @@ def run_phase(
     seed = select_seed(grid, seed_info)
     stats.seed_ok = bool(grid.state[grid.find(seed)] == GroundState.TENTATIVE)
     ground = np.empty(0, dtype=np.int64)
+    index = None
     if stats.seed_ok:
         t = time.perf_counter()
-        index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
+        index = build_centroid_index(
+            grid,
+            np.flatnonzero(grid.state == GroundState.TENTATIVE),
+            cfg.expansion.search_radius,
+            parent and parent.index,
+            parent_rows,
+        )
+        if parent is not None:
+            parent.index = None  # its pairs are spent
+        stats.pairs, stats.pairs_inherited = len(index.found[1]), index.inherited
         t1 = time.perf_counter()
         ground = expand(
             grid, index, seed, cfg.geometry, cfg.expansion, phase,
@@ -377,7 +408,7 @@ def run_phase(
     stats.points_ground = len(ground)
     stats.points_non_ground = stats.n_points - len(ground)
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return PhaseResult(ground, stats, grid)
+    return PhaseResult(ground, stats, grid, index)
 
 
 def segment(

@@ -1,14 +1,17 @@
 """Ground region expansion over tentative-ground cell centroids.
 
 Tentative-ground cells are linked when their centroids lie within the search
-radius (one exact pair search over 2-D columns of centroids, whose pairs one
-sort of packed row-column keys turns into a CSR graph), and a level-at-a-time
-FIFO breadth-first search over that graph expands the ground region from the
-seed cell under the robot.  Both run on numpy alone.  Radius
-links (rather than grid adjacency) let the region bridge scan-line gaps at
-fine grid resolutions.  Each dequeued cell then runs a five-step refinement
-that decides whether it is ground; the output is the inliers of the ground
-cells:
+radius (one exact pair search over 2-D columns of centroids, run when the
+centroid index is built, whose pairs one sort of packed row-column keys turns
+into a CSR graph), and a level-at-a-time FIFO breadth-first search over that
+graph expands the ground region from the seed cell under the robot.  Both run
+on numpy alone.  An index built over cells that a parent index holds with the
+same centroids takes their pairs from it and searches only the pairs with
+one of its other cells; so Phase II searches only around the cells it does
+not take over from Phase I.  Radius links (rather than grid adjacency) let
+the region bridge scan-line gaps at fine grid resolutions.  Each dequeued
+cell then runs a five-step refinement that decides whether it is ground; the
+output is the inliers of the ground cells:
 
 1. split the cell's points into plane inliers and outliers (stored fit);
 2. reject when there are no inliers;
@@ -62,6 +65,8 @@ _NON_GROUND_STATES = (GroundState.NON_GROUND, GroundState.OBSTACLE)
 # rounding margin of the pair search, in column widths: below 2**30, a
 # centroid's column position is rounded by at most 2**-23 of a width
 _MARGIN = 2.0**-20
+# candidate pairs whose distances the pair search takes at once
+_CANDIDATES = 2**16
 
 
 @dataclass(frozen=True)
@@ -89,17 +94,34 @@ class CentroidIndex:
     columns that its least distance to that x column leaves in reach,
     widened by a rounding margin.  So every two centroids within the radius
     meet once, and a pair is kept under the rule of a brute-force scan.
+    Asked only for the pairs with an end in a set of fresh centroids, only
+    the fresh centroids search: that half window over all centroids, and
+    its mirror image, the columns before their own, over the others.  So
+    a pair of two fresh centroids is met once, by the first, and a pair of
+    a fresh and another centroid once, by the fresh one.
+
+    ``found`` holds the pairs that ``build_centroid_index`` found, as
+    (radius, i, j), and ``inherited`` how many of them it took from a
+    parent index; ``pairs`` returns them again at that radius.
     """
 
     def __init__(self, cell_ids: np.ndarray, centroids: np.ndarray):
         self.cell_ids = cell_ids
         self.centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
+        self.found: tuple[float, np.ndarray, np.ndarray] | None = None
+        self.inherited = 0
 
-    def pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    def pairs(
+        self, radius: float, fresh: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Positions (i, j), i < j, of every two centroids within radius
         (inclusive): those whose ``(dx**2 + dy**2) + dz**2`` is at most
-        ``radius**2``."""
+        ``radius**2``; with ``fresh``, one flag per centroid, only those of
+        which at least one is flagged.  Positions are int32 while they fit."""
+        if fresh is None and self.found is not None and self.found[0] == radius:
+            return self.found[1:]
         c = self.centroids
+        n = len(c)
         # columns half a radius wide, but wide enough that no column number
         # passes 2**30: the margin covers their rounding, and a packed code
         # of two column numbers stays below 2**63 however far apart they are
@@ -112,33 +134,64 @@ class CentroidIndex:
         cx, cy = (col + 2.0**30).astype(np.int64).T
         stride = 2**31 + 2 * reach + 1
         code = cx * stride + cy + reach
-        order = np.argsort(code)
+        order = np.argsort(code).astype(np.int32 if n < 2**31 else np.int64)
         code = np.take(code, order)
         base = np.take(cx, order) * stride + (2**30 + reach)  # code less the y column
         fx = np.take(uv[:, 0] - col[:, 0], order)  # place within the own x column
         v = np.take(uv[:, 1], order)
         coords = [np.take(c[:, a], order) for a in range(3)]
         rho2 = (radius / width) ** 2
+        # the queries, the targets (None: all) and the direction of the
+        # half window, by sorted position: the fresh centroids search ahead
+        # over all centroids, and back over the others
+        queries = np.arange(n)
+        searches = [(None, 1)]
+        if fresh is not None:
+            flag = np.take(np.asarray(fresh, dtype=bool), order)
+            queries = np.flatnonzero(flag)
+            searches.append((np.flatnonzero(~flag), -1))
+        m = len(queries)
+        fq, vq, bq = (np.take(a, queries) for a in (fx, v, base))
         found_i, found_j = [], []
-        for dx in range(reach + 1):
-            # the y span left in reach at the least distance to the x column
-            # dx on from the own one; centroids with none left skip it
-            gx = np.maximum(dx - fx - _MARGIN, 0.0)
+        for targets, step in searches:
+            tcode = code if targets is None else np.take(code, targets)
+            # the least x distance from each query to the x column dx on
+            # from its own (dx - f ahead, f - dx - 1 behind), one row per
+            # offset, and the y span it leaves in reach; offsets with none
+            # left drop out, and the own column (dx = 0, at distance 0)
+            # stays first, as all m queries
+            dx = np.arange(0, step * (reach + 1), step)
+            ahead = np.subtract.outer(dx, fq)
+            gx = np.maximum((ahead if step > 0 else -ahead - 1) - _MARGIN, 0.0).ravel()
             rest = rho2 - gx * gx
-            p = np.flatnonzero(rest >= 0)
-            h, vp = np.sqrt(np.take(rest, p)) + _MARGIN, np.take(v, p)
-            row = np.take(base, p) + dx * stride
-            hi = np.searchsorted(code, row + np.floor(vp + h).astype(np.int64), "right")
-            lo = np.searchsorted(code, row + np.floor(vp - h).astype(np.int64)) if dx else p + 1
+            k = np.flatnonzero(rest >= 0)
+            offset, q = np.divmod(k, m)
+            p = np.take(queries, q)
+            h, vp = np.sqrt(np.take(rest, k)) + _MARGIN, np.take(vq, q)
+            row = np.take(bq, q) + np.take(dx * stride, offset)
+            lo = np.searchsorted(tcode, row + np.floor(vp - h).astype(np.int64))
+            hi = np.searchsorted(tcode, row + np.floor(vp + h).astype(np.int64), "right")
+            # in the own x column, only the targets after the query, or before it
+            own = p[:m] + 1 if targets is None else np.searchsorted(targets, p[:m], "right")
+            (lo if step > 0 else hi)[:m] = own
             lengths = np.maximum(hi - lo, 0)
-            other = _ranges(lo, lengths)
-            d2 = np.zeros(len(other))
-            for a in coords:
-                d = np.take(a, other) - np.repeat(np.take(a, p), lengths)
-                d2 += d * d
-            near = d2 <= radius * radius
-            found_i.append(np.compress(near, np.repeat(p, lengths)))
-            found_j.append(np.compress(near, other))
+            # the candidates' distances in runs of about _CANDIDATES, which
+            # bounds the memory they take
+            cut = np.searchsorted(
+                np.cumsum(lengths), np.arange(_CANDIDATES, lengths.sum(), _CANDIDATES)
+            ).tolist()
+            for s, e in zip([0, *cut], [*cut, len(p)]):
+                ps, ls = p[s:e], lengths[s:e]
+                other = _ranges(lo[s:e], ls)
+                if targets is not None:
+                    other = np.take(targets, other)
+                d2 = np.zeros(len(other))
+                for a in coords:
+                    d = np.take(a, other) - np.repeat(np.take(a, ps), ls)
+                    d2 += d * d
+                near = d2 <= radius * radius
+                found_i.append(np.compress(near, np.repeat(ps, ls)))
+                found_j.append(np.compress(near, other))
         i = np.take(order, np.concatenate(found_i))
         j = np.take(order, np.concatenate(found_j))
         return np.minimum(i, j), np.maximum(i, j)
@@ -160,11 +213,49 @@ class ExpansionLog:
         return "\n".join(lines)
 
 
-def build_centroid_index(grid: VoxelGrid, cells: np.ndarray) -> CentroidIndex:
+def build_centroid_index(
+    grid: VoxelGrid,
+    cells: np.ndarray,
+    radius: float | None = None,
+    parent: CentroidIndex | None = None,
+    parent_rows: np.ndarray | None = None,
+) -> CentroidIndex:
     """Index the centroids of the given grid rows (the tentative ground
-    cells, ascending, for expansion)."""
+    cells, ascending, for expansion).
+
+    With a ``radius``, the pairs within it are found now and kept in the
+    index's ``found``.  A ``parent`` index over another grid's rows, whose
+    pairs were found at the same radius, lends its pairs between cells
+    that it holds too: ``parent_rows`` gives per grid row the parent grid
+    row holding exactly its points, or -1, and a cell whose parent row is
+    in ``parent`` with the same centroid to the bit had each of its pairs
+    with another such cell decided there by the same test.  Only the pairs
+    with an end in one of the other cells are searched.  Parent rows
+    ascend with the rows, so each lent pair keeps i < j.
+    """
     cells = np.asarray(cells, dtype=np.int64)
-    return CentroidIndex(cells, np.take(grid.centroids, cells, axis=0))
+    index = CentroidIndex(cells, np.take(grid.centroids, cells, axis=0))
+    if radius is None:
+        return index
+    if parent is None or not len(parent.cell_ids):
+        index.found = (radius, *index.pairs(radius))
+        return index
+    if parent.found is None or parent.found[0] != radius:
+        raise ContractViolationError("a parent index lends only pairs found at the same radius")
+    pids = parent.cell_ids
+    prow = np.take(parent_rows, cells)
+    at = np.minimum(np.searchsorted(pids, prow), len(pids) - 1)
+    same = np.take(pids, at) == prow
+    same &= (np.take(parent.centroids, at, axis=0) == index.centroids).all(axis=1)
+    fi, fj = index.pairs(radius, ~same)
+    to = np.full(len(pids), -1, dtype=fi.dtype)  # parent position -> position
+    to[np.compress(same, at)] = np.flatnonzero(same)
+    i, j = (np.take(to, a) for a in parent.found[1:])
+    both = (i >= 0) & (j >= 0)
+    i, j = np.compress(both, i), np.compress(both, j)
+    index.found = (radius, np.concatenate([i, fi]), np.concatenate([j, fj]))
+    index.inherited = len(i)
+    return index
 
 
 def select_seed(grid: VoxelGrid, seed_info: SyntheticSeedInfo | None) -> CellIndex:
@@ -308,22 +399,26 @@ def _breadth_first(
     The queue holds one level after the other, so the search runs a level
     at a time: the next level is the unseen nodes of the frontier's rows,
     concatenated in queue order, in the order of their first occurrence
-    there, which one sort of packed (node, position) keys finds; the
-    frontier row holding that occurrence is the node's predecessor.
+    there: ``np.minimum.at`` takes each unseen node's least position, and
+    the positions that are their node's least are the level, already in
+    order.  The frontier row holding that occurrence is the node's
+    predecessor.
     """
     n = len(indptr) - 1
     pred = np.full(n, -1)
     unseen = ~id_mask(source, n)
     degrees = np.diff(indptr)
+    # per node, the position of its first entry in the level that sees it;
+    # past every position until then, as a node is seen in one level only
+    first_at = np.full(n, len(indices))
     levels = [np.array([source])]
     while len(frontier := levels[-1]):
         degree = np.take(degrees, frontier)
         nb = np.take(indices, _ranges(np.take(indptr, frontier), degree))
-        at = np.flatnonzero(np.take(unseen, nb))  # positions of unseen entries
-        keys = np.take(nb, at).astype(np.int64) * len(nb) + at
-        keys.sort()
-        node, position = np.divmod(keys, len(nb))
-        first = np.sort(np.compress(np.diff(node, prepend=-1) > 0, position))  # first per node
+        at = np.flatnonzero(np.take(unseen, nb))  # positions of unseen entries, ascending
+        node = np.take(nb, at)
+        np.minimum.at(first_at, node, at)
+        first = np.compress(np.take(first_at, node) == at, at)  # first per node, ascending
         level = np.take(nb, first)
         unseen[level] = False
         pred[level] = np.take(frontier, np.searchsorted(np.cumsum(degree), first, "right"))
@@ -408,7 +503,8 @@ def expand(
     """Breadth-first ground expansion from the seed cell, in phase 1 or 2.
 
     The index must hold the grid rows of tentative cells in ascending order;
-    the neighbor graph is built from one pair query over it, in phase 2
+    the neighbor graph is built from its pairs within the search radius
+    (those ``build_centroid_index`` found, or one search), in phase 2
     from only the pairs within the height gate, which is applied to the
     pairs before they are sorted into rows.  The breadth-first search
     over that graph with each row's neighbors ascending admits each cell's
@@ -455,7 +551,7 @@ def expand(
     i, j = index.pairs(expansion.search_radius)
     if phase == 2:
         # the height gate drops pairs before they are sorted into rows
-        keep = np.abs(z[i] - z[j]) <= expansion.height_gate
+        keep = np.abs(np.take(z, i) - np.take(z, j)) <= expansion.height_gate
         indptr, indices = _neighbor_graph(n, np.compress(keep, i), np.compress(keep, j))
     else:
         indptr, indices = _neighbor_graph(n, i, j)

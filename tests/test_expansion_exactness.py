@@ -28,6 +28,7 @@ from gridseg.errors import ContractViolationError
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
 from gridseg.region_expansion import (
     REASONS,
+    CentroidIndex,
     ExpansionLog,
     ExpansionParams,
     build_centroid_index,
@@ -493,3 +494,47 @@ def test_route_counts_add_up_to_cells_expanded():
         assert list(phase.routes) == list(REASONS)
         assert sum(phase.routes.values()) == phase.cells_expanded > 0
     assert stats.as_dict()["phase1"]["routes"] == stats.phase1.routes
+
+
+# Phase II's pairs: Phase I's, remapped, and a search of those with a cell
+# not taken from Phase I.  "seed-below" fails Phase I's seed, so Phase I
+# lends nothing and Phase II searches all; on "noisy" most cells change.
+PAIR_SCENES = {
+    **SCENES,
+    "seed-below": gs.SceneSpec(ground_z=-2.2),
+    "noisy": gs.SceneSpec(extent=24.0, n_ground=8000, noise_sigma=0.06, seed=11),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_SCENES)
+def test_phase2_pairs_equal_a_fresh_search(name):
+    seeded, info = inject_synthetic_seed(
+        gs.scene_cloud(gs.make_scene(PAIR_SCENES[name])),
+        CFG.robot_radius,
+        CFG.dist_to_ground,
+        CFG.seed_spacing,
+    )
+    r1 = run_phase(seeded.points, CFG, info)
+    lent = r1.index
+    r2 = run_phase(seeded.points, CFG, info, parent=r1)
+    assert r1.index is None  # dropped once Phase II's index was built
+    radius, i, j = r2.index.found
+    assert radius == CFG.expansion.search_radius
+    got = list(zip(i.tolist(), j.tolist()))
+    assert (i < j).all() and len(set(got)) == len(got)
+    fresh = CentroidIndex(r2.index.cell_ids, r2.index.centroids).pairs(radius)
+    assert set(got) == set(zip(*(a.tolist() for a in fresh)))
+    assert (r2.stats.pairs, r2.stats.pairs_inherited) == (len(got), r2.index.inherited)
+    assert r1.stats.pairs_inherited == 0
+    if name == "seed-below":
+        assert lent is None and not r1.stats.seed_ok and r1.stats.pairs == 0
+        assert r2.stats.pairs_inherited == 0 < r2.stats.pairs
+    else:
+        assert r1.stats.pairs == len(lent.found[1]) > 0 and r2.stats.pairs_inherited > 0
+
+
+def test_phase2_takes_most_pairs_from_phase1():
+    # guards against the reuse silently switching off: on open ground
+    # nearly every Phase-II cell is a Phase-I cell unchanged
+    stats = segment(gs.scene_cloud(gs.make_scene(gs.SceneSpec()))).stats
+    assert stats.phase2.pairs_inherited / stats.phase2.pairs > 0.9

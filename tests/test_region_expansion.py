@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -119,6 +120,38 @@ def _assert_pairs_match_brute_force(centroids, radius):
 
 
 RADII = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, 5.0, 7.3])
+FRESH_SETS = st.sampled_from(["none", "all", "random", "column edges"])
+
+
+def _fresh_set(which, centroids, radius, rng):
+    """Flags over the centroids: none, all, a random share, or those on an
+    x or y column edge of the search (its column width)."""
+    n = len(centroids)
+    if which == "random":
+        return rng.random(n) < rng.random()
+    if which == "column edges":
+        width = max(radius / 2, np.abs(centroids[:, :2]).max(initial=0.0) * 2.0**-30) or 1.0
+        uv = centroids[:, :2] / width
+        return (uv == np.floor(uv)).any(axis=1)
+    return np.full(n, which == "all")
+
+
+def _assert_fresh_pairs_match_brute_force(centroids, radius, fresh):
+    """``pairs`` with fresh flags finds exactly the brute-force pairs with
+    a flagged end, once each, i < j; with every centroid flagged, the very
+    arrays of ``pairs`` without flags."""
+    centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
+    n = len(centroids)
+    index = CentroidIndex(np.arange(n), centroids)
+    i, j = index.pairs(radius, fresh)
+    assert (i < j).all()
+    got = sorted(zip(i.tolist(), j.tolist()))
+    brute = zip(*(a.tolist() for a in BruteForceIndex(range(n), centroids).pairs(radius)))
+    assert got == sorted((a, b) for a, b in brute if fresh[a] or fresh[b])
+    if fresh.all():
+        for a, b in zip((i, j), index.pairs(radius)):
+            np.testing.assert_array_equal(a, b)
+    return got
 
 
 class TestPairSearch:
@@ -215,6 +248,106 @@ class TestPairSearch:
         centroids[::4] = base[::4]
         _assert_pairs_match_brute_force(centroids, radius)
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-2, 2)), max_size=80
+        ),
+        st.integers(0, 6),
+        st.sampled_from([0.25, 1.0, 3.0]),
+        st.booleans(),
+        st.integers(1, 3),
+        FRESH_SETS,
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pairs_with_a_fresh_end_on_lattices(
+        self, cells, radius, scale, offset, copies, which, seed
+    ):
+        # lattice points with up to three copies each: pairs exactly at the
+        # radius, duplicates at distance 0, and many points on column edges
+        rng = np.random.default_rng(seed)
+        lattice = np.array(cells, dtype=np.float64).reshape(-1, 3) * scale
+        centroids = rng.permutation(
+            np.repeat(lattice, rng.integers(1, copies + 1, len(lattice)), axis=0)
+        )
+        if offset:
+            centroids += [1e5, -1e5, 0.0]
+        radius *= scale
+        _assert_fresh_pairs_match_brute_force(
+            centroids, radius, _fresh_set(which, centroids, radius, rng)
+        )
+
+    @given(
+        st.integers(0, 200),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 50.0),
+        st.floats(0.0, 10.0),
+        FRESH_SETS,
+        st.booleans(),
+    )
+    def test_pairs_with_a_fresh_end_on_random_clouds(self, n, seed, extent, radius, which, apart):
+        # with apart, the cloud is split into clusters up to 2e5 m apart
+        rng = np.random.default_rng(seed)
+        centroids = rng.uniform(-extent, extent, (n, 3))
+        if apart:
+            centroids[:, :2] += rng.choice([-1e5, 0.0, 1e5], (n, 2))
+        _assert_fresh_pairs_match_brute_force(
+            centroids, radius, _fresh_set(which, centroids, radius, rng)
+        )
+
+    def test_fresh_sets_of_a_scan(self, rng):
+        # the tentative cells of a scan at the expansion radius, with a
+        # few hundred of them fresh, as Phase II's cells not inherited
+        pts, _ = _flat_cloud_with_seed(rng, extent=30.0, n=6000)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
+        centroids = grid.centroids[grid.state == GroundState.TENTATIVE]
+        fresh = rng.random(len(centroids)) < 0.05
+        got = _assert_fresh_pairs_match_brute_force(centroids, 5.0, fresh)
+        assert 0 < len(got) < len(_assert_pairs_match_brute_force(centroids, 5.0))
+
+
+class TestBuildCentroidIndex:
+    def test_pairs_found_at_the_radius_are_kept(self, rng):
+        pts, _ = _flat_cloud_with_seed(rng, extent=20.0, n=3000)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
+        tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
+        index = build_centroid_index(grid, tentative, 5.0)
+        radius, i, j = index.found
+        assert radius == 5.0 and index.inherited == 0
+        assert index.pairs(5.0)[0] is i and index.pairs(5.0)[1] is j
+        fresh = CentroidIndex(tentative, grid.centroids[tentative])
+        for a, b in zip(index.pairs(5.0), fresh.pairs(5.0)):
+            np.testing.assert_array_equal(a, b)
+        # another radius is searched anew
+        for a, b in zip(index.pairs(3.0), fresh.pairs(3.0)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_parent_lends_the_pairs_of_cells_it_holds_unchanged(self, rng):
+        # the parent indexes the same grid's rows but every third cell, with
+        # one shared cell's centroid 10 m higher, out of reach of the others:
+        # only the pairs between shared, unmoved cells are lent, and the
+        # result is the index's full pair set
+        pts, _ = _flat_cloud_with_seed(rng, extent=20.0, n=3000)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
+        rows = np.flatnonzero(grid.state == GroundState.TENTATIVE)
+        moved = grid.centroids.copy()
+        moved[rows[1], 2] += 10.0
+        parent = build_centroid_index(
+            dataclasses.replace(grid, centroids=moved), np.delete(rows, np.s_[::3]), 5.0
+        )
+        index = build_centroid_index(grid, rows, 5.0, parent, np.arange(len(grid.cells)))
+        radius, i, j = index.found
+        got = list(zip(i.tolist(), j.tolist()))
+        assert (i < j).all() and len(set(got)) == len(got)
+        want = CentroidIndex(rows, grid.centroids[rows]).pairs(5.0)
+        assert set(got) == set(zip(*(a.tolist() for a in want)))
+        assert 0 < index.inherited < len(got)
+        # pairs found at another radius, or none, are not lent
+        with pytest.raises(ContractViolationError, match="same radius"):
+            build_centroid_index(grid, rows, 4.0, parent, np.arange(len(grid.cells)))
+        unsearched = CentroidIndex(rows, grid.centroids[rows])
+        with pytest.raises(ContractViolationError, match="same radius"):
+            build_centroid_index(grid, rows, 5.0, unsearched, np.arange(len(grid.cells)))
+
 
 def _fifo_bfs(indptr, indices, source):
     """Order and predecessors of a plain FIFO queue search (test oracle)."""
@@ -275,6 +408,33 @@ class TestBreadthFirstOracle:
         assert sorted(order.tolist()) == [0, 1, 2, 3, 4, 5, 6, 7]
         order = self._assert_matches_oracle(indptr, indices, 9)
         assert sorted(order.tolist()) == [8, 9, 10]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_complete_bipartite_levels(self, rng, dtype):
+        # K(6, 40) and one isolated node: from a node of the first part, the
+        # second level's 5 nodes appear unseen in each of the 40 rows of
+        # the first level, and from the second part it is the other way round
+        a, b = 6, 40
+        edges = [(x, a + y) for x in range(a) for y in range(b)]
+        indptr, indices = _symmetric_csr(a + b + 1, edges, rng, dtype)
+        assert len(self._assert_matches_oracle(indptr, indices, 0)) == a + b
+        assert len(self._assert_matches_oracle(indptr, indices, a + 7)) == a + b
+        assert self._assert_matches_oracle(indptr, indices, a + b).tolist() == [a + b]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_star_of_stars(self, rng, dtype):
+        # a center, 8 hubs around it, and 60 leaves each linked to 3 hubs
+        # and to a few other leaves: every leaf appears unseen up to three
+        # times among the hubs' rows
+        hubs, leaves = 8, 60
+        n = 1 + hubs + leaves
+        edges = [(0, h) for h in range(1, hubs + 1)]
+        for leaf in range(hubs + 1, n):
+            edges += [(int(h), leaf) for h in rng.choice(hubs, 3, replace=False) + 1]
+        edges += [tuple(e) for e in rng.integers(hubs + 1, n, (40, 2)).tolist()]
+        indptr, indices = _symmetric_csr(n, edges, rng, dtype)
+        assert len(self._assert_matches_oracle(indptr, indices, 0)) == n
+        assert len(self._assert_matches_oracle(indptr, indices, n - 1)) == n
 
     def test_isolated_seed(self, rng):
         indptr, indices = _symmetric_csr(5, [(0, 1), (3, 4)], rng, np.int32)
