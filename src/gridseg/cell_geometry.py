@@ -4,12 +4,9 @@ Each occupied cell is classified from the eigen structure of its point
 covariance (line / planar / non-planar), planar cells get a plane fit whose
 slope against the horizontal gates them as tentative ground, and point
 subsets get a bounding-box sparsity class used later to flag ambiguous cells.
-The plane fit is RANSAC whose first candidate is the cell's eigenplane (its
-least-squares plane), which alone finishes nearly every planar cell.  The
-other cells draw sampled candidates until one holds 99% of their points or
-their count reaches the standard bound log(1 - p) / log(1 - w^3) at their
-best inlier share w so far, with p = ``CONFIDENCE`` (0.99); the configured
-iteration count only caps them.
+The plane fit is the cell's eigenplane (its least-squares plane), refit by
+least squares on the eigenplane's inliers when that loses none of them; no
+candidate is sampled, so a fit depends only on the cell's points.
 
 Covariances are summed one product column at a time over the points
 centred on the cell means (centred once per phase, and the plane fits read
@@ -18,8 +15,8 @@ solver (``sorted_eigen``) instead of LAPACK: both are elementwise over
 cells, so a cell's result never depends on which other cells share the call.
 Classification, line gating, plane fitting and sparsity run on all cells of a
 phase at once, so each rule is written once.  The one remaining one-cell
-wrapper, ``ransac_plane``, stays for the acceptance suite's RANSAC criterion
-and for the benchmark's layer tracer, which hooks it by name.
+wrapper, ``ransac_plane``, stays for the acceptance suite's plane-fit
+criterion and for the benchmark's layer tracer, which hooks it by name.
 """
 
 from __future__ import annotations
@@ -91,13 +88,12 @@ class GeometryParams:
     planar_flatness_max: float = 0.05
     slope_threshold_deg: float = 30.0
     inlier_threshold: float = 0.125
-    ransac_iterations: int = 50
     sparsity_low_max: float = 0.01
     sparsity_medium_max: float = 0.1
 
     def __post_init__(self):
         positive = ("planar_flatness_max", "slope_threshold_deg", "inlier_threshold")
-        positive += ("ransac_iterations", "sparsity_low_max", "sparsity_medium_max")
+        positive += ("sparsity_low_max", "sparsity_medium_max")
         check_fields(self, positive)
         if self.line_ratio_min <= 2.0 / 3.0:
             raise ConfigError("line_ratio_min must exceed 2/3 so Line and Planar stay exclusive")
@@ -286,86 +282,21 @@ def line_tentative(e1: np.ndarray, slope_threshold_deg: float) -> np.ndarray:
     return angle >= 90.0 - slope_threshold_deg
 
 
-# A cell stops drawing sampled RANSAC candidates once an all-inlier triple
-# has been drawn with this probability at its best inlier share so far
-# (``ransac_bound``; Fischler & Bolles, CACM 1981; Hartley & Zisserman 2004,
-# section 4.7.1); ``ransac_iterations`` caps the count.
-CONFIDENCE = 0.99
-# Sampled candidates are drawn and scored per cell in blocks of up to this
-# many, each reaching at most the cell's bound at its best count so far, so
-# the early stops save work without a round per candidate.
-_BLOCK = 8
-# Cells are fitted in runs of consecutive cells holding about this many
-# points, which bounds the per-block scoring arrays (_BLOCK values per point)
-# to a few MB.  A larger cell forms a run of its own.
-_CHUNK_POINTS = 1 << 14
-
-
-# Each cell's RANSAC draws come from the SplitMix64 stream (Steele, Lea &
-# Flood, OOPSLA 2014) seeded with the cell's 64-bit key: draw p (0-based) is
-# _mix64(key + (p + 1) * _GAMMA), a pure function of (key, p), so a round of
-# draws for every cell is one array expression.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-_KEY_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer, elementwise over a uint64 array (in place)."""
-    z ^= z >> np.uint64(30)
-    z *= _MIX[0]
-    z ^= z >> np.uint64(27)
-    z *= _MIX[1]
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def splitmix_uniforms(keys: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Draw ``positions[i]`` of the SplitMix64 stream seeded with ``keys[i]``,
-    as a double in [0, 1) from its top 53 bits (1-D arrays, broadcast)."""
-    z = np.asarray(positions, dtype=np.uint64) + np.uint64(1)
-    z *= _GAMMA
-    z += np.asarray(keys, dtype=np.uint64)
-    return (_mix64(z) >> np.uint64(11)) * 2.0**-53
-
-
-def cell_keys(global_seed: int, phase: int, indices: np.ndarray) -> np.ndarray:
-    """64-bit RANSAC stream keys from (global seed, phase, cell index), one
-    per row of ``indices``.
-
-    Each input is folded into the key with ``_mix64``: the key depends only
-    on these values, never on scheduling or on which other cells exist, so
-    per-cell fits are reproducible across runs, subsets, and point orders.
-    """
-    h = np.full(len(indices), _GAMMA)
-    columns = [np.uint64(global_seed & _KEY_MASK), np.uint64(phase)]
-    columns += [indices[:, k].astype(np.int64).view(np.uint64) for k in range(3)]
-    for value in columns:
-        h = _mix64(h ^ value)
-    return h
-
-
 @dataclass(frozen=True)
 class CellPlanes:
-    """RANSAC plane fits of consecutive point segments (cells).
+    """Plane fits of consecutive point segments (cells).
 
     Row i of ``normals``, ``offsets`` and ``slopes`` is cell i's plane,
     normalized and oriented as by ``make_planes``; NaN where ``fitted[i]`` is
-    False (fewer than 3 points, or no candidate plane: a degenerate
-    eigenplane and every sampled triple collinear).  ``sampled[i]`` is True
-    when cell i drew sampled candidates, i.e. its eigenplane held under 99%
-    of its points, and ``candidates[i]`` counts the sampled candidates it
-    scored up to its stop (0 when it drew none).  ``inliers`` flags, per
-    point in input order, whether it lies within the inlier threshold of its
-    cell's plane.
+    False (fewer than 3 points, or a degenerate eigenplane: the points lie
+    on a line or a point).  ``inliers`` flags, per point in input order,
+    whether it lies within the inlier threshold of its cell's plane.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
     slopes: np.ndarray
     fitted: np.ndarray
-    sampled: np.ndarray
-    candidates: np.ndarray
     inliers: np.ndarray
 
 
@@ -373,7 +304,7 @@ def eigenplane_normals(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.
     """Per cell, the normal of its eigenplane: the eigenvector of the
     smallest eigenvalue (sorted as by ``sorted_eigen``).  Zero where the
     middle eigenvalue vanishes, i.e. the points lie on a line or a point
-    and no plane is determined, just as a collinear triple gives none."""
+    and no plane is determined."""
     spans = eigenvalues[:, 1] > _DEGENERATE_CROSS
     return np.where(spans[:, None], eigenvectors[:, :, 2], 0.0)
 
@@ -381,13 +312,11 @@ def eigenplane_normals(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.
 def ransac_cells(
     centred: np.ndarray,
     counts: np.ndarray,
-    keys: np.ndarray,
     centroids: np.ndarray,
     eigen_normals: np.ndarray,
     inlier_threshold: float,
-    iterations: int,
 ) -> CellPlanes:
-    """Seeded RANSAC plane fit of every cell, cell by cell as ``ransac_plane``.
+    """Plane fit of every cell, cell by cell as ``ransac_plane``.
 
     ``centred`` holds the cells' points back to back, ``counts[i]`` points
     for cell i, each less its cell's mean point ``centroids[i]`` (as
@@ -395,88 +324,61 @@ def ransac_cells(
     ``eigenplane_normals``) is ``eigen_normals[i]``.  Planes are fitted in
     that centred frame and shifted back by the centroids.
 
-    Candidate 0 of a cell is its eigenplane, the plane through the centroid
+    A cell's first plane is its eigenplane, the plane through the centroid
     normal to the smallest covariance eigenvector: the least-squares plane
-    of all its points.  Sampled candidates follow, with cell i reading its
-    own uniform stream in order: the SplitMix64 stream seeded with
-    ``keys[i]`` (see ``splitmix_uniforms``).  Sampled candidate j = 0, 1,
-    ... takes one uniform key per point from stream positions j * n on and
-    the points of the 3 smallest keys as its triple; blocks of up to 8
-    candidates are drawn and scored at once.
-
-    A candidate scores the count of points within ``inlier_threshold``; a
-    degenerate eigenplane (zero normal) and collinear triples score nothing.
-    A cell finishes at the first candidate reaching 99% inliers.  Otherwise
-    it stops as soon as the number of its sampled candidates reaches
-    ``ransac_bound``: ceil(log(1 - p) / log(1 - w^3)), with w the best count
-    so far (the eigenplane included, nothing counting as 0) over n and p =
-    ``CONFIDENCE``, i.e. once an all-inlier triple has been drawn with
-    probability p at that share.  ``iterations`` caps the sampled
-    candidates, and ``candidates`` counts them per cell up to its stop.  The
-    best candidate seen up to the stop (the first of equal counts, so the
-    eigenplane wins ties) wins; a cell with no candidate plane at all is
-    not fitted.  The winner is refit by least squares on its
-    inliers (smallest eigenvector of their covariance), and the refit is
-    kept only when it does not lose inliers, so a cell's final count never
-    falls below any examined candidate's.  A cell whose eigenplane holds
-    every point is final at once: its refit would be the eigenplane itself.
-    Deterministic for fixed inputs.
+    of all its points.  Its inliers are the points within
+    ``inlier_threshold``.  The eigenplane is refit by least squares on
+    those inliers (smallest eigenvector of their covariance), and the refit
+    is kept only when it does not lose inliers, so a cell's final count
+    never falls below the eigenplane's.  A cell whose eigenplane holds
+    every point is final at once, as its refit would be the eigenplane
+    itself; so is one with fewer than 3 inliers.  A cell of fewer than 3
+    points, or with a degenerate eigenplane (zero normal), is not fitted.
+    Deterministic, and a cell's fit depends on its own points only: the
+    same bits batched or alone.
     """
-    if inlier_threshold <= 0 or iterations <= 0:
-        raise ContractViolationError("inlier_threshold and iterations must be positive")
+    if inlier_threshold <= 0:
+        raise ContractViolationError("inlier_threshold must be positive")
     q = np.asarray(centred, dtype=np.float64).reshape(-1, 3)
     counts = np.asarray(counts, dtype=np.int64)
-    keys = np.asarray(keys, dtype=np.uint64)
     centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
     eigen_normals = np.asarray(eigen_normals, dtype=np.float64).reshape(-1, 3)
-    ends = np.cumsum(counts)
     if (counts < 1).any() or counts.sum() != len(q):
         raise ContractViolationError("cell counts must be positive and cover the points")
-    if not len(keys) == len(centroids) == len(eigen_normals) == len(counts):
-        raise ContractViolationError("one stream key, centroid and eigenplane normal per cell")
-    k = len(counts)
+    if not len(centroids) == len(eigen_normals) == len(counts):
+        raise ContractViolationError("one centroid and eigenplane normal per cell")
+    fitted = (counts >= 3) & eigen_normals.any(axis=1)
+    normals = np.where(fitted[:, None], eigen_normals, np.nan)
+    offsets = np.where(fitted, 0.0, np.nan)
     inliers = _plane_distance(q, eigen_normals, counts) <= inlier_threshold
-    score0 = np.add.reduceat(inliers, ends - counts, dtype=np.int64)
-    score0[(counts < 3) | ~eigen_normals.any(axis=1)] = -1
-    whole = score0 == counts
-    sampled = (counts >= 3) & (score0 < 0.99 * counts)
-    normals = np.where(whole[:, None], eigen_normals, np.nan)
-    offsets = np.where(whole, 0.0, np.nan)
-    inliers &= np.repeat(whole, counts)
+    inliers &= np.repeat(fitted, counts)
+    n_in = np.add.reduceat(inliers, np.cumsum(counts) - counts, dtype=np.int64)
 
-    # every other cell of 3 or more points: sampled candidates and a refit
-    is_rest = (counts >= 3) & ~whole
-    rest = np.flatnonzero(is_rest)
-    in_rest = np.repeat(is_rest, counts)
-    q_rest, counts_rest = np.compress(in_rest, q, axis=0), counts[rest]
-    ends_rest = np.cumsum(counts_rest)
-    fit_in = np.zeros(len(q_rest), dtype=bool)
-    candidates = np.zeros(k, dtype=np.int64)
-    first = 0
-    while first < len(rest):
-        lo = ends_rest[first] - counts_rest[first]
-        last = max(first + 1, int(np.searchsorted(ends_rest, lo + _CHUNK_POINTS, side="right")))
-        run, hi = rest[first:last], ends_rest[last - 1]
-        normals[run], offsets[run], candidates[run], fit_in[lo:hi] = _fit_run(
-            q_rest[lo:hi],
-            counts[run],
-            keys[run],
-            score0[run],
-            np.take(eigen_normals, run, axis=0),
-            inlier_threshold,
-            iterations,
-        )
-        first = last
-    inliers[in_rest] = fit_in
+    refit = fitted & (n_in >= 3) & (n_in < counts)
+    if refit.any():
+        in_refit = np.repeat(refit, counts)
+        q_refit, counts_refit = np.compress(in_refit, q, axis=0), counts[refit]
+        was_in, n_in = np.compress(in_refit, inliers), n_in[refit]
+        q_in = np.compress(was_in, q_refit, axis=0)
+        mean = np.add.reduceat(q_in, np.cumsum(n_in) - n_in, axis=0) / n_in[:, None]
+        q_in -= np.repeat(mean, n_in, axis=0)
+        refit_n = sorted_eigen(centred_covariance(q_in, n_in))[1][:, :, 2]
+        refit_off = -np.einsum("ij,ij->i", refit_n, mean)
+        near = _plane_distance(q_refit, refit_n, counts_refit, refit_off) <= inlier_threshold
+        starts = np.cumsum(counts_refit) - counts_refit
+        keep = np.add.reduceat(near, starts, dtype=np.int64) >= n_in
+        rows = np.flatnonzero(refit)[keep]
+        normals[rows] = np.compress(keep, refit_n, axis=0)
+        offsets[rows] = refit_off[keep]
+        inliers[in_refit] = np.where(np.repeat(keep, counts_refit), near, was_in)
 
-    fitted = ~np.isnan(offsets)
-    slopes = np.full(k, np.nan)
+    slopes = np.full(len(counts), np.nan)
     # shift offsets out of the centred frame: n.(p - centroid) + o = 0
     normals_fit = np.compress(fitted, normals, axis=0)
     centroids_fit = np.compress(fitted, centroids, axis=0)
     offsets[fitted] -= np.einsum("ij,ij->i", normals_fit, centroids_fit)
     normals[fitted], offsets[fitted], slopes[fitted] = make_planes(normals_fit, offsets[fitted])
-    return CellPlanes(normals, offsets, slopes, fitted, sampled, candidates, inliers)
+    return CellPlanes(normals, offsets, slopes, fitted, inliers)
 
 
 def _plane_distance(q: np.ndarray, normals: np.ndarray, counts: np.ndarray, offsets=None):
@@ -497,170 +399,27 @@ def _plane_distance(q: np.ndarray, normals: np.ndarray, counts: np.ndarray, offs
     return np.abs(d, out=d)
 
 
-def _three_smallest(keys: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Positions of each row's three smallest keys, ascending; rows are the
-    consecutive runs ``keys[starts[r]:starts[r] + lengths[r]]``.
-
-    Equal to ``np.argpartition(row, 2)[:3]``, which selects a kth below 3 by
-    repeated minimum search.  A tie within a row (a chance of about n^2 in
-    2^53) resolves to the lower position.  Overwrites ``keys``.
-    """
-    out = np.empty((len(lengths), 3), dtype=np.int64)
-    for t in range(3):
-        low = np.minimum.reduceat(keys, starts)
-        at = np.flatnonzero(keys == np.repeat(low, lengths))
-        if len(at) > len(lengths):
-            row = np.searchsorted(starts, at, side="right") - 1
-            at = at[np.r_[True, row[1:] != row[:-1]]]
-        out[:, t] = at - starts
-        keys[at] = np.inf
-    return out
-
-
-def ransac_bound(best: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Sampled candidates a cell needs at a best inlier count ``best`` of
-    its ``n`` points: ceil(log(1 - p) / log(1 - w^3)) with w = best / n (a
-    negative count reads as 0) and p = ``CONFIDENCE``; infinite at w = 0."""
-    w = np.maximum(best, 0) / n
-    with np.errstate(divide="ignore"):
-        return np.ceil(np.log1p(-CONFIDENCE) / np.log1p(-(w * w * w)))
-
-
-def _fit_run(q, counts, keys, score0, eigen_normals, threshold, iterations):
-    """``ransac_cells`` after candidate 0, on one run of cells of 3 or more
-    points whose eigenplane did not hold every point: sampled candidates
-    where it held under 99%, then the refit.
-
-    ``q`` holds the cells' points centred on their centroids and ``score0``
-    the eigenplane's inlier counts (-1 when degenerate).  Returns per cell
-    the plane in the centred frame (normal, offset; NaN when not fitted)
-    and the number of sampled candidates up to its stop, and per point the
-    inlier flags.
-    """
-    k = len(counts)
-    cell = np.repeat(np.arange(k), counts)
-    starts = np.cumsum(counts) - counts
-
-    best_count = score0.copy()
-    best_n = eigen_normals.copy()
-    best_off = np.zeros(k)
-    drawn = np.zeros(k, dtype=np.int64)
-    active = np.flatnonzero(score0 < 0.99 * counts)
-    while len(active):
-        n = counts[active]
-        done = drawn[active]
-        # a cell's block runs up to its bound at the best count so far (the
-        # bound only falls as that count grows), at most _BLOCK candidates
-        need = ransac_bound(best_count[active], n) - done
-        size = np.minimum(np.clip(need, 1, _BLOCK), iterations - done).astype(np.int64)
-        first_row = np.cumsum(size) - size
-        lengths = np.repeat(n, size)
-        row_start = np.cumsum(lengths) - lengths
-        row_base = np.repeat(starts[active], size)
-        # a cell's rows are its next sampled candidates, in order; each row's
-        # draws are the cell's next n uniforms, i.e. one row of the cell's
-        # (size, n) block at stream positions done * n on
-        block = size * n
-        shift = np.repeat(row_start[first_row] - done * n, block)
-        draws = splitmix_uniforms(np.repeat(keys[active], block), np.arange(len(shift)) - shift)
-        trip = _three_smallest(draws, lengths, row_start) + row_base[:, None]
-        a, b, c = (np.take(q, trip[:, t], axis=0) for t in range(3))
-        d1 = b - a
-        d2 = c - a
-        normals = np.empty_like(d1)
-        normals[:, 0] = d1[:, 1] * d2[:, 2] - d1[:, 2] * d2[:, 1]
-        normals[:, 1] = d1[:, 2] * d2[:, 0] - d1[:, 0] * d2[:, 2]
-        normals[:, 2] = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
-        valid = norms > _DEGENERATE_CROSS
-        np.divide(normals, norms[:, None], out=normals, where=valid[:, None])
-        offsets = -np.einsum("ij,ij->i", normals, a)
-
-        at = np.arange(len(draws)) - np.repeat(row_start - row_base, lengths)
-        dist = _plane_distance(np.take(q, at, axis=0), normals, lengths, offsets)
-        near = dist <= threshold
-        row_score = np.add.reduceat(near, row_start, dtype=np.int64)
-        row_score[~valid] = -1
-
-        # one row of candidates per cell, -2 past the cell's block, with j
-        # its count of sampled candidates through each; a cell stops at the
-        # first candidate that reaches 99% inliers or whose j reaches the
-        # bound at the best count up to it, and the best candidate up to
-        # that one (inclusive) is its winner of the round
-        col = np.arange(size.max())
-        in_block = col < size[:, None]
-        score = np.full(in_block.shape, -2, dtype=np.int64)
-        score[in_block] = row_score
-        j = done[:, None] + col + 1
-        best_so_far = np.maximum(np.maximum.accumulate(score, axis=1), best_count[active][:, None])
-        halt = (score >= 0.99 * n[:, None]) | (j >= ransac_bound(best_so_far, n[:, None]))
-        halt &= in_block
-        stop = halt.any(axis=1)
-        cut = np.where(stop, halt.argmax(axis=1) + 1, size)
-        score[col >= cut[:, None]] = -2
-        win = score.argmax(axis=1)
-        win_score = score[np.arange(len(active)), win]
-        better = win_score > best_count[active]
-        cells = active[better]
-        rows = first_row[better] + win[better]
-        best_count[cells] = win_score[better]
-        best_n[cells] = np.take(normals, rows, axis=0)
-        best_off[cells] = offsets[rows]
-        drawn[active] = done + cut
-        active = active[~stop & (done + cut < iterations)]
-
-    fitted = best_count >= 0
-    near = _plane_distance(q, best_n, counts, best_off) <= threshold
-    inliers = fitted[cell] & near
-    counts_in = np.add.reduceat(inliers, starts, dtype=np.int64)
-    refit = counts_in >= 3
-    if refit.any():
-        counts_in = counts_in[refit]
-        q_in = np.compress(inliers & refit[cell], q, axis=0)
-        starts_in = np.cumsum(counts_in) - counts_in
-        mean = np.add.reduceat(q_in, starts_in, axis=0) / counts_in[:, None]
-        q_in -= np.repeat(mean, counts_in, axis=0)
-        smallest = sorted_eigen(centred_covariance(q_in, counts_in))[1][:, :, 2]
-        refit_n = np.zeros((k, 3))
-        refit_off = np.zeros(k)
-        refit_n[refit] = smallest
-        refit_off[refit] = -np.einsum("ij,ij->i", smallest, mean)
-        refit_in = _plane_distance(q, refit_n, counts, refit_off) <= threshold
-        keep = refit & (np.bincount(cell, weights=refit_in, minlength=k) >= best_count)
-        np.copyto(best_n, refit_n, where=keep[:, None])
-        best_off[keep] = refit_off[keep]
-        inliers = np.where(keep[cell], refit_in, inliers)
-    best_n[~fitted] = np.nan
-    best_off[~fitted] = np.nan
-    return best_n, best_off, drawn, inliers
-
-
 def ransac_plane(
-    points: np.ndarray,
-    inlier_threshold: float,
-    iterations: int,
-    seed: int,
+    points: np.ndarray, inlier_threshold: float
 ) -> tuple[PlaneModel, np.ndarray, np.ndarray]:
-    """Seeded RANSAC plane fit of one point set (see ``ransac_cells``); the
-    cell's stream key is ``seed`` modulo 2^64, and its centroid and
-    eigenplane come from its covariance as in the pipeline.
+    """Plane fit of one point set (see ``ransac_cells``), its centroid and
+    eigenplane taken from its covariance as in the pipeline.
 
     Returns the plane and the inlier / outlier indices; raises
-    ``FitFailureError`` for fewer than 3 points or when no candidate plane
-    exists (the points are collinear or every sampled triple was).
+    ``FitFailureError`` for fewer than 3 points or when the points lie on
+    a line or a point, so that no plane is determined.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
     if n < 3:
         raise FitFailureError(f"plane fit needs at least 3 points, got {n}")
     counts = np.array([n])
-    key = np.array([seed & _KEY_MASK], dtype=np.uint64)
     centroid = np.add.reduceat(pts, [0], axis=0) / n
     q = pts - centroid
     normal = eigenplane_normals(*sorted_eigen(centred_covariance(q, counts)))
-    fit = ransac_cells(q, counts, key, centroid, normal, inlier_threshold, iterations)
+    fit = ransac_cells(q, counts, centroid, normal, inlier_threshold)
     if not fit.fitted[0]:
-        raise FitFailureError("no candidate plane: the points or every sampled triple collinear")
+        raise FitFailureError("no plane: the points are collinear")
     plane = PlaneModel(
         normal=fit.normals[0], offset=float(fit.offsets[0]), slope_deg=float(fit.slopes[0])
     )

@@ -36,22 +36,12 @@ KEYS = {
     "lineRatioMin": ("geometry.line_ratio_min",),
     "lineCrossRatioMax": ("geometry.line_cross_ratio_max",),
     "planarFlatnessMax": ("geometry.planar_flatness_max",),
-    "ransacIterations": ("geometry.ransac_iterations",),
     "ambiguityElevationThreshold": ("expansion.ambiguity_elevation_threshold",),
     "sparsityLowMax": ("geometry.sparsity_low_max",),
     "sparsityMediumMax": ("geometry.sparsity_medium_max",),
     "expansionHeightGate": ("expansion.height_gate",),
-    "globalSeed": ("global_seed",),
     "seedSpacing": ("seed_spacing",),
 }
-
-
-def _read(cfg: PipelineConfig, key: str) -> tuple:
-    return tuple(attrgetter(path)(cfg) for path in KEYS[key])
-
-
-# keys whose default is an int parse and print as ints, all others as floats
-_INT_KEYS = {key for key in KEYS if isinstance(_read(make_default_config(), key)[0], int)}
 
 
 def _strip_annotations(value: str) -> str:
@@ -77,7 +67,7 @@ def parse_value(key: str, raw: str):
         if len(parts) != 2:
             raise ConfigError("cellSizeZ needs two values: Phase I and Phase II heights")
     try:
-        values = tuple(int(p) if key in _INT_KEYS else float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw}") from exc
     return values if key == "cellSizeZ" else values[0]
@@ -150,8 +140,7 @@ def dump_config(cfg: PipelineConfig) -> str:
     """Render the effective configuration in the flat key format."""
     lines = []
     for key in KEYS:
-        spec = "d" if key in _INT_KEYS else "g"
-        values = [format(v, spec) for v in _read(cfg, key)]
+        values = [format(attrgetter(path)(cfg), "g") for path in KEYS[key]]
         if key == "cellSizeZ":
             values = [f"{values[0]} (Phase I)", f"{values[1]} (Phase II)"]
         lines.append(f"{key}: {', '.join(values)}\n")

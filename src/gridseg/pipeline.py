@@ -14,9 +14,9 @@ by one flag per Phase-I point rather than building its own: most Phase-I
 cells become one fine cell each, with the same points in the same
 canonical order, and only the points of cells spread over several fine
 slabs or sharing one are re-sorted.  A fine cell equal to a Phase-I ground
-cell whose plane fit finished on the eigenplane has the same centroid,
-kind, plane and inliers to the bit, so Phase II copies them and classifies
-only the other cells.
+cell has the same centroid, kind, plane and inliers to the bit, as a plane
+fit depends only on the cell's points, so Phase II copies them and
+classifies only the other cells.
 The grid equals one built and classified from scratch.
 
 Phase II inherits Phase I's neighbor pairs too.  A cell it takes over
@@ -37,7 +37,6 @@ import numpy as np
 from .cell_geometry import (
     MIN_POINTS_FOR_EIGEN,
     GeometryParams,
-    cell_keys,
     centred_covariance,
     eigen_kinds,
     eigenplane_normals,
@@ -88,7 +87,6 @@ class PipelineConfig:
     dist_to_ground: float = 1.723
     robot_radius: float = 2.7
     seed_spacing: float = 0.3
-    global_seed: int = 0
 
     def __post_init__(self):
         check_fields(self)
@@ -145,15 +143,10 @@ class PhaseStats:
     # cells per refinement reason (region_expansion.REASONS); they add up
     # to cells_expanded
     routes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REASONS, 0))
-    # eigen-planar cells by how their plane fit ended: finished by the
-    # eigenplane (candidate 0), by sampled RANSAC candidates, or without a
-    # plane (the cell is then non-planar); they add up to the eigen-planar cells
-    plane_fits: dict[str, int] = field(
-        default_factory=lambda: {"eigenplane": 0, "ransac": 0, "failed": 0}
-    )
-    # sampled RANSAC candidates scored in the phase, summed over the cells
-    # it fitted, each up to its stop (see ``ransac_cells``)
-    ransac_candidates: int = 0
+    # eigen-planar cells by how their plane fit ended: with the eigenplane
+    # or its refit, or without a plane (the cell is then non-planar); they
+    # add up to the eigen-planar cells
+    plane_fits: dict[str, int] = field(default_factory=lambda: {"eigenplane": 0, "failed": 0})
     # wall milliseconds per stage of the phase: grid build (in Phase II
     # the re-bin and the copy of the inherited cells), eigen classification
     # and plane fits (with the tentative gating) of the cells not
@@ -204,38 +197,34 @@ class PhaseResult:
 def classify_cells(
     grid: VoxelGrid,
     geometry: GeometryParams,
-    phase: int,
-    global_seed: int,
     stats: PhaseStats | None = None,
 ) -> None:
     """Eigen-classify every ``UNCLASSIFIED`` cell and gate it into a tentative ground state.
 
-    Covariances, eigen decompositions and RANSAC plane fits are batched
-    across cells, with every per-cell sum taken in canonical within-cell
-    order, so the result is independent of input point order.  A planar
-    cell's first plane candidate is its eigenplane (through
-    ``grid.centroids``, normal to the smallest eigenvector); its sampled
-    candidates come from a RANSAC stream keyed by the global seed, phase,
-    and cell index, so runs are reproducible and independent of which other
-    cells exist.  Cells too small for a covariance rank test are
-    non-planar, hence non-ground candidates; so are planar cells whose fit
-    fails.  ``grid.sampled`` records which plane fits drew sampled
-    candidates.  Cells of another kind (Phase II's inherited ones) are left
-    as they are, and the others classified from one compress of their
+    Covariances, eigen decompositions and plane fits are batched across
+    cells, with every per-cell sum taken in canonical within-cell order, so
+    the result is independent of input point order.  A planar cell's plane
+    is its eigenplane (through ``grid.centroids``, normal to the smallest
+    eigenvector) or that plane's refit on its inliers (``ransac_cells``), a
+    function of the cell's points alone, so it does not depend on the phase
+    or on which other cells exist.  Cells too small for a covariance rank
+    test are non-planar, hence non-ground candidates; so are planar cells
+    whose fit fails.  Cells of another kind (Phase II's inherited ones) are
+    left as they are, and the others classified from one compress of their
     points.  With ``stats``, the time of the eigen step (gather,
     covariance, eigen decomposition, kinds) and of the plane-fit step lands
-    in its ``stages_ms``, and the count of sampled candidates scored in its
-    ``ransac_candidates``.
+    in its ``stages_ms``, and the count of failed fits in its
+    ``plane_fits``.
     """
     t0 = time.perf_counter()
-    counts, points, centroids, cells = grid.counts, grid.points, grid.centroids, grid.cells
+    counts, points, centroids = grid.counts, grid.points, grid.centroids
     todo = grid.kind == CellKind.UNCLASSIFIED
     rows = at = slice(None)  # the classified cells and their points
     if not todo.all():
         rows = np.flatnonzero(todo)
         at = np.repeat(todo, counts)
         points = np.compress(at, points, axis=0)
-        counts, centroids, cells = (np.take(a, rows, axis=0) for a in (counts, centroids, cells))
+        counts, centroids = (np.take(a, rows, axis=0) for a in (counts, centroids))
     m = len(counts)
 
     eligible = counts >= MIN_POINTS_FOR_EIGEN
@@ -256,11 +245,9 @@ def classify_cells(
     fit = ransac_cells(
         np.compress(in_planar, centred, axis=0),
         counts[planar],
-        cell_keys(global_seed, phase, np.take(cells, planar, axis=0)),
         np.take(centroids, planar, axis=0),
         eigenplane_normals(np.take(lam, planar, axis=0), np.take(vec, planar, axis=0)),
         geometry.inlier_threshold,
-        geometry.ransac_iterations,
     )
     kinds[planar[~fit.fitted]] = CellKind.NON_PLANAR
 
@@ -272,8 +259,6 @@ def classify_cells(
     obstacle = line & ~tentative
     slopes = np.full(m, np.nan)
     slopes[planar] = fit.slopes
-    sampled = np.zeros(m, dtype=bool)
-    sampled[planar] = fit.sampled
     inliers = np.zeros(len(points), dtype=bool)
     inliers[in_planar] = fit.inliers
     grid.kind[rows] = kinds
@@ -281,30 +266,23 @@ def classify_cells(
         [tentative, obstacle], [GroundState.TENTATIVE, GroundState.OBSTACLE], GroundState.NON_GROUND
     )
     grid.slopes[rows] = slopes
-    grid.sampled[rows] = sampled
     grid.inliers[at] = inliers
 
     if stats is not None:
-        stats.ransac_candidates = int(fit.candidates.sum())
+        stats.plane_fits["failed"] = len(planar) - int(fit.fitted.sum())
         stats.stages_ms["eigen"] = (t1 - t0) * 1000.0
         stats.stages_ms["plane_fit"] = (time.perf_counter() - t1) * 1000.0
 
 
 def _count_cells(grid: VoxelGrid, stats: PhaseStats) -> None:
     """Cell counts of a classified grid, before expansion."""
-    fitted = grid.fitted
     stats.n_cells = len(grid.cells)
     stats.cells_line = int(np.count_nonzero(grid.kind == CellKind.LINE))
-    stats.cells_planar = int(fitted.sum())
+    stats.cells_planar = int(grid.fitted.sum())
     stats.cells_non_planar = stats.n_cells - stats.cells_line - stats.cells_planar
     stats.cells_tentative = int(np.count_nonzero(grid.state == GroundState.TENTATIVE))
     stats.cells_obstacle = int(np.count_nonzero(grid.state == GroundState.OBSTACLE))
-    # an eigen-planar cell holds 3 or more points, so a failed fit drew samples
-    stats.plane_fits = {
-        "eigenplane": int((fitted & ~grid.sampled).sum()),
-        "ransac": int((fitted & grid.sampled).sum()),
-        "failed": int((grid.sampled & ~fitted).sum()),
-    }
+    stats.plane_fits["eigenplane"] = stats.cells_planar
 
 
 def _phase_grid(
@@ -314,9 +292,10 @@ def _phase_grid(
     parent: PhaseResult | None,
 ) -> tuple[VoxelGrid, np.ndarray | None]:
     """``run_phase``'s grid, and with a parent, per cell the parent's row
-    holding exactly its points, or -1 (``rebin``); the cells it inherits
-    from the parent's grid, which it drops, are classified and the others
-    not."""
+    holding exactly its points, or -1 (``rebin``).  With a parent, whose
+    grid it drops, every cell holding exactly the points of a parent
+    ground cell inherits that cell's classification, and the others are
+    left unclassified."""
     if parent is None:
         return build_grid(points, cellsize), None
     pgrid, parent.grid = parent.grid, None
@@ -324,16 +303,13 @@ def _phase_grid(
     kept = np.repeat(pgrid.state == GroundState.GROUND, pgrid.counts)
     kept |= pgrid.order >= len(points) - seed_info.count
     grid, rows = rebin(pgrid, kept, cellsize)
-    # a cell equal to a parent ground cell classifies the same when its
-    # plane fit finished on the eigenplane, as only sampled candidates are
-    # keyed by phase
-    inherited = (rows >= 0) & ~np.take(pgrid.sampled, rows)
-    inherited &= np.take(pgrid.state, rows) == GroundState.GROUND
+    # a cell equal to a parent ground cell classifies the same, as a plane
+    # fit depends only on the cell's points
+    inherited = (rows >= 0) & (np.take(pgrid.state, rows) == GroundState.GROUND)
     taken = np.compress(inherited, rows)
     grid.kind[inherited] = np.take(pgrid.kind, taken)
     grid.state[inherited] = GroundState.TENTATIVE  # routed ground there, not yet here
     grid.slopes[inherited] = np.take(pgrid.slopes, taken)
-    # their sampled flags are False, as grid.sampled is already
     in_taken = np.repeat(id_mask(taken, len(pgrid.cells)), pgrid.counts)
     grid.inliers[np.repeat(inherited, grid.counts)] = np.compress(in_taken, pgrid.inliers)
     return grid, rows
@@ -354,9 +330,8 @@ def run_phase(
     Phase I's result on the same points and configuration, it is Phase II,
     on every point of Phase I's ground cells (inliers and outliers) and
     the lattice: Phase I's grid is re-binned (``rebin``), not rebuilt, and
-    dropped.  Each cell equal to a Phase-I ground cell whose plane fit
-    finished on the eigenplane takes over its kind, slope and inliers, in
-    state tentative; ``classify_cells`` classifies the other cells.  The
+    dropped.  Each cell equal to a Phase-I ground cell takes over its kind,
+    slope and inliers, in state tentative; ``classify_cells`` classifies the other cells.  The
     grid equals ``build_grid`` plus ``classify_cells`` on the phase's
     points, to the bit.  The centroid index of the tentative cells finds
     their pairs within the search radius (timed as ``index``), in Phase II
@@ -377,7 +352,7 @@ def run_phase(
     stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
     stats.n_points = len(grid.order)
     stats.cells_inherited = int(np.count_nonzero(grid.kind != CellKind.UNCLASSIFIED))
-    classify_cells(grid, cfg.geometry, phase, cfg.global_seed, stats)
+    classify_cells(grid, cfg.geometry, stats)
     _count_cells(grid, stats)
 
     seed = select_seed(grid, seed_info)
@@ -419,7 +394,7 @@ def segment(
 ) -> SegmentationResult:
     """Segment a cloud into ground / non-ground points.
 
-    Deterministic for a fixed configuration (including the global seed), and
+    Deterministic for a fixed configuration, which holds no random seed, and
     equivariant under permutations of the input point order.  The mask has
     one entry per input row.  Rows with a NaN or infinite coordinate, or
     one too large to bin (2**62 cells of the smallest size away or more),

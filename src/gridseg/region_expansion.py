@@ -169,11 +169,15 @@ class CentroidIndex:
             p = np.take(queries, q)
             h, vp = np.sqrt(np.take(rest, k)) + _MARGIN, np.take(vq, q)
             row = np.take(bq, q) + np.take(dx * stride, offset)
-            lo = np.searchsorted(tcode, row + np.floor(vp - h).astype(np.int64))
-            hi = np.searchsorted(tcode, row + np.floor(vp + h).astype(np.int64), "right")
-            # in the own x column, only the targets after the query, or before it
+            # the y span's ends: the far one in the window's direction, and
+            # the near one, which in the own x column (the first m rows) is
+            # the query itself: only the targets after it, or before it
+            sides = ("right", "left")[::step]
+            far = np.searchsorted(tcode, row + np.floor(vp + step * h).astype(np.int64), sides[0])
             own = p[:m] + 1 if targets is None else np.searchsorted(targets, p[:m], "right")
-            (lo if step > 0 else hi)[:m] = own
+            edge = row[m:] + np.floor(vp[m:] - step * h[m:]).astype(np.int64)
+            near = np.concatenate([own, np.searchsorted(tcode, edge, sides[1])])
+            lo, hi = (near, far)[::step]
             lengths = np.maximum(hi - lo, 0)
             # the candidates' distances in runs of about _CANDIDATES, which
             # bounds the memory they take

@@ -68,9 +68,7 @@ class VoxelGrid:
 
     ``slopes`` holds each cell's plane slope in degrees, NaN for a cell
     without a plane fit (``fitted``); the plane's normal and offset are not
-    kept, as no stage reads them after the inlier split.  ``sampled`` flags
-    the cells whose plane fit drew sampled RANSAC candidates, i.e. did not
-    finish on the eigenplane (a failed fit always did).  ``inliers`` runs
+    kept, as no stage reads them after the inlier split.  ``inliers`` runs
     parallel to ``order`` and flags the points within the inlier threshold
     of their cell's plane.
     """
@@ -84,7 +82,6 @@ class VoxelGrid:
     kind: np.ndarray
     state: np.ndarray
     slopes: np.ndarray
-    sampled: np.ndarray
     inliers: np.ndarray
 
     @property
@@ -240,7 +237,6 @@ def _unclassified(
         kind=np.full(k, CellKind.UNCLASSIFIED, dtype=np.int8),
         state=np.full(k, GroundState.NONE, dtype=np.int8),
         slopes=np.full(k, np.nan),
-        sampled=np.zeros(k, dtype=bool),
         inliers=np.zeros(len(points), dtype=bool),
     )
 

@@ -134,7 +134,7 @@ def test_criterion_03_covariance_eigen():
 @criterion(4, "RANSAC plane fit: fixed point, slope recovery, determinism")
 def test_criterion_04_ransac():
     pts = np.column_stack([RNG.uniform(-1, 1, (50, 2)), np.zeros(50)])
-    plane, inliers, outliers = ransac_plane(pts, 0.125, 50, seed=2)
+    plane, inliers, outliers = ransac_plane(pts, 0.125)
     assert len(inliers) == 50 and len(outliers) == 0
     assert plane.slope_deg <= 1e-6
 
@@ -146,12 +146,12 @@ def test_criterion_04_ransac():
     _, vecs = np.linalg.eigh((d.T @ d) / len(ramp))
     n = vecs[:, 0] if vecs[2, 0] >= 0 else -vecs[:, 0]
     oracle = math.degrees(math.acos(n[2]))
-    fit, _, _ = ransac_plane(ramp, 0.125, 50, seed=5)
+    fit, _, _ = ransac_plane(ramp, 0.125)
     assert abs(fit.slope_deg - oracle) <= 1.0
 
     noisy = RNG.normal(size=(120, 3)) * [1, 1, 0.05]
-    a = ransac_plane(noisy, 0.05, 40, seed=11)
-    b = ransac_plane(noisy, 0.05, 40, seed=11)
+    a = ransac_plane(noisy, 0.05)
+    b = ransac_plane(noisy, 0.05)
     np.testing.assert_array_equal(a[1], b[1])
     np.testing.assert_array_equal(a[2], b[2])
 
@@ -168,9 +168,9 @@ def test_criterion_05_spatial_index():
         assert got == list(zip(*(a.tolist() for a in expected)))
 
 
-def _classified_scene(points, cellsize, phase):
+def _classified_scene(points, cellsize):
     grid = build_grid(points, cellsize)
-    classify_cells(grid, GeometryParams(), phase, 0)
+    classify_cells(grid, GeometryParams())
     return grid
 
 
@@ -204,7 +204,7 @@ def test_criterion_06_expansion_oracle():
     for phase, cellsize in ((1, cfg.phase1.cellsize), (2, cfg.phase2.cellsize)):
         per_index = []
         for brute in (False, True):
-            grid = _classified_scene(pts, cellsize, phase)
+            grid = _classified_scene(pts, cellsize)
             tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
             index = (BruteIndex if brute else build_centroid_index)(grid, tentative)
             log = ExpansionLog()

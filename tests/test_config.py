@@ -6,7 +6,6 @@ import pytest
 import gridseg as gs
 from gridseg.cell_geometry import GeometryParams
 from gridseg.config import (
-    _INT_KEYS,
     ENV_CONFIG_PATH,
     KEYS,
     apply_settings,
@@ -46,6 +45,20 @@ def test_verbatim_parameter_block_parses():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="frobnicate"):
         parse_config_text("frobnicate: 1.0")
+
+
+@pytest.mark.parametrize("key", ["ransacIterations", "globalSeed"])
+def test_a_removed_key_is_unknown(key, tmp_path, capsys, monkeypatch):
+    # plane fits sample nothing, so neither an iteration cap nor a seed is a key
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    path = tmp_path / "old.cfg"
+    path.write_text(f"{key}: 50\n")
+    with pytest.raises(ConfigError, match=f"unknown configuration key: {key}"):
+        load_config_file(path)
+    assert main(["config-dump", "--config", str(path)]) == 1
+    assert main(["config-dump", "--set", f"{key}=50"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown configuration key: {key}\n" * 2
 
 
 def test_bad_value_rejected():
@@ -90,9 +103,9 @@ def test_dump_round_trips():
 
 
 def test_key_value_equals_form():
-    assert parse_overrides(["globalSeed=7"]) == {"globalSeed": 7}
+    assert parse_overrides(["seedSpacing=0.25"]) == {"seedSpacing": 0.25}
     with pytest.raises(ConfigError):
-        parse_overrides(["globalSeed"])
+        parse_overrides(["seedSpacing"])
 
 
 DEFAULT_DUMP = """\
@@ -107,12 +120,10 @@ centroidSearchRadius: 5
 lineRatioMin: 0.9
 lineCrossRatioMax: 8
 planarFlatnessMax: 0.05
-ransacIterations: 50
 ambiguityElevationThreshold: 0.3
 sparsityLowMax: 0.01
 sparsityMediumMax: 0.1
 expansionHeightGate: 0.25
-globalSeed: 0
 seedSpacing: 0.3
 """
 
@@ -129,12 +140,10 @@ NON_DEFAULTS = {
     "lineRatioMin": ("0.95", "0.95"),
     "lineCrossRatioMax": ("6", "6"),
     "planarFlatnessMax": ("0.04", "0.04"),
-    "ransacIterations": ("60", "60"),
     "ambiguityElevationThreshold": ("0.35", "0.35"),
     "sparsityLowMax": ("5e-3", "0.005"),
     "sparsityMediumMax": ("0.2", "0.2"),
     "expansionHeightGate": ("0.3", "0.3"),
-    "globalSeed": ("-42", "-42"),
     "seedSpacing": ("0.25", "0.25"),
 }
 
@@ -236,7 +245,7 @@ def test_every_leaf_field_is_set_by_exactly_one_key_value():
         assert len(changed) == 1, (label, changed)
         setters[changed[0]].append(label)
     assert {name: len(s) for name, s in setters.items()} == dict.fromkeys(default, 1), setters
-    assert len(default) == 19
+    assert len(default) == 17
 
 
 def test_dump_round_trips_a_config_with_every_key_off_its_default():
@@ -249,10 +258,8 @@ def test_dump_round_trips_a_config_with_every_key_off_its_default():
 
 
 def _nonfinite_cases():
-    """(key, value text, field the error names) for every float key value."""
+    """(key, value text, field the error names) for every key value."""
     for key, paths in KEYS.items():
-        if key in _INT_KEYS:
-            continue
         for bad in ("nan", "inf", "-inf"):
             if key == "cellSizeZ":
                 yield key, f"{bad}, 0.2", "cell_sz1"

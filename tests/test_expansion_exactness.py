@@ -186,10 +186,10 @@ def _expand_both(make_grid, points, seed, expansion, phase):
     return log1
 
 
-def _classified(points, cellsize, phase):
+def _classified(points, cellsize):
     def make_grid():
         grid = build_grid(points, cellsize)
-        classify_cells(grid, GEO, phase, CFG.global_seed)
+        classify_cells(grid, GEO)
         return grid
 
     return make_grid
@@ -201,7 +201,7 @@ def _compare_scene(spec):
         gs.scene_cloud(gs.make_scene(spec)), CFG.robot_radius, CFG.dist_to_ground, CFG.seed_spacing
     )
     pts = seeded.points
-    phase1 = _classified(pts, CFG.phase1.cellsize, 1)
+    phase1 = _classified(pts, CFG.phase1.cellsize)
     grid = phase1()
     seed = select_seed(grid, info)
     if grid.state[grid.find(seed)] != GroundState.TENTATIVE:
@@ -217,7 +217,7 @@ def _compare_scene(spec):
     lattice = np.arange(len(pts) - info.count, len(pts))
     p2_ids = np.union1d(np.compress(in_ground, grid1.order), lattice)
     p2 = pts[p2_ids]
-    phase2 = _classified(p2, CFG.phase2.cellsize, 2)
+    phase2 = _classified(p2, CFG.phase2.cellsize)
     grid = phase2()
     seed = select_seed(grid, info)
     if grid.state[grid.find(seed)] == GroundState.TENTATIVE:

@@ -12,13 +12,17 @@ assigned name starting with one underscore) counts as read when some
 module of the package loads it; reads from tests do not count.  The
 segmenter runs on numpy alone, so any ``import scipy...`` or ``from
 scipy... import`` in ``src/gridseg``, at any depth, fails; the benchmark and
-the tests may import scipy.
+the tests may import scipy.  Every config field a configuration key sets
+(``config.KEYS``) must be read as an attribute by some module of the
+package other than ``config.py``, so no key sets a field nothing reads.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from gridseg.config import KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
@@ -154,3 +158,34 @@ def test_the_check_finds_scipy_imports():
 )
 def test_package_imports_no_scipy(path):
     assert scipy_imports(path.read_text()) == []
+
+
+def unread_config_fields(keys: dict, sources: dict[str, str]) -> list[str]:
+    """``key: field`` for each field a key of ``keys`` (key -> field paths,
+    as ``config.KEYS``) sets that none of the sources (module name ->
+    source) loads as an attribute."""
+    read = set()
+    for source in sources.values():
+        nodes = (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute))
+        read.update(n.attr for n in nodes if isinstance(n.ctx, ast.Load))
+    return [
+        f"{key}: {name}"
+        for key, paths in keys.items()
+        for name in (path.rpartition(".")[2] for path in paths)
+        if name not in read
+    ]
+
+
+def test_the_check_finds_config_fields_nothing_reads():
+    keys = {"a": ("x",), "b": ("geometry.y", "geometry.w"), "c": ("z",)}
+    sources = {
+        "m": "def f(cfg):\n    return cfg.x + cfg.geometry.y\n",
+        "n": "cfg.z = 1\nw = 2\n",
+    }
+    assert unread_config_fields(keys, sources) == ["b: w", "c: z"]
+
+
+def test_every_config_key_sets_a_field_the_package_reads():
+    package = ROOT / "src" / "gridseg"
+    sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py")) if p.stem != "config"}
+    assert unread_config_fields(KEYS, sources) == []

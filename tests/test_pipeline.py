@@ -120,25 +120,25 @@ class TestClassifyCells:
         grid = build_grid(pts, CellSize(1.5, 1.0, 1.5))
         assert set(grid.counts.tolist()) == {1, 2}
         stats = PhaseStats()
-        classify_cells(grid, self.GEO, 1, 0, stats)
+        classify_cells(grid, self.GEO, stats)
         assert (grid.kind == CellKind.NON_PLANAR).all()
         assert (grid.state == GroundState.NON_GROUND).all()
-        assert not grid.fitted.any() and not grid.sampled.any() and not grid.inliers.any()
-        assert stats.ransac_candidates == 0
+        assert not grid.fitted.any() and not grid.inliers.any()
+        assert stats.plane_fits["failed"] == 0
 
     def test_an_empty_grid(self):
         grid = build_grid(np.empty((0, 3)), CellSize(1.5, 1.0, 1.5))
         stats = PhaseStats()
-        classify_cells(grid, self.GEO, 2, 0, stats)
+        classify_cells(grid, self.GEO, stats)
         assert len(grid.kind) == len(grid.state) == len(grid.inliers) == 0
-        assert stats.ransac_candidates == 0
+        assert stats.plane_fits["failed"] == 0
 
     def test_only_unclassified_cells_change(self, rng):
         pts = _flat_cloud(rng, n=4000).points
         pts[:300, 2] += rng.uniform(0.0, 1.0, 300)  # some non-planar cells too
         cellsize = make_default_config().phase1.cellsize
         want = build_grid(pts, cellsize)
-        classify_cells(want, self.GEO, 1, 0)
+        classify_cells(want, self.GEO)
         grid = build_grid(pts, cellsize)
         preset = np.zeros(len(grid.cells), dtype=bool)
         preset[::3] = True
@@ -146,14 +146,13 @@ class TestClassifyCells:
         grid.kind[preset] = CellKind.LINE
         grid.state[preset] = GroundState.OBSTACLE
         grid.slopes[preset] = 7.0
-        grid.sampled[preset] = True
         grid.inliers[in_preset] = True
-        classify_cells(grid, self.GEO, 1, 0)
+        classify_cells(grid, self.GEO)
         assert (grid.kind[preset] == CellKind.LINE).all()
         assert (grid.state[preset] == GroundState.OBSTACLE).all()
-        assert (grid.slopes[preset] == 7.0).all() and grid.sampled[preset].all()
+        assert (grid.slopes[preset] == 7.0).all()
         assert grid.inliers[in_preset].all()
-        for name in ("kind", "state", "slopes", "sampled"):
+        for name in ("kind", "state", "slopes"):
             a, b = getattr(grid, name)[~preset], getattr(want, name)[~preset]
             assert a.tobytes() == b.tobytes(), name
         assert np.array_equal(grid.inliers[~in_preset], want.inliers[~in_preset])
@@ -241,7 +240,7 @@ class TestSegment:
         for threshold in (0.5, 10.0, 20.0, 30.0, 45.0, 60.0, 75.0, 90.0):
             grid = build_grid(seeded.points, cfg.phase1.cellsize)
             geo = gs.GeometryParams(slope_threshold_deg=threshold)
-            classify_cells(grid, geo, 1, cfg.global_seed)
+            classify_cells(grid, geo)
             counts.append(int((grid.state == GroundState.TENTATIVE).sum()))
         assert counts == sorted(counts)
 
@@ -271,7 +270,7 @@ class TestSegment:
         pts = seeded.points
         grid = build_grid(pts, cfg.phase1.cellsize)
         geo = cfg.phase1.geometry
-        classify_cells(grid, geo, 1, cfg.global_seed)
+        classify_cells(grid, geo)
 
         C_batch = segment_covariance(pts[grid.order], grid.counts)
         for k in range(len(grid.cells)):
@@ -282,7 +281,7 @@ class TestSegment:
                 kind_ref = CellKind(eigen_kinds(sorted_eigen(C_ref)[0], geo)[0])
                 kind = CellKind(grid.kind[k])
                 assert kind is kind_ref or kind is CellKind.NON_PLANAR
-                # a planar-classified cell may only demote on RANSAC failure,
+                # a planar-classified cell may only demote on a failed plane fit,
                 # which cannot happen on cells this size
                 if kind_ref is not CellKind.NON_PLANAR:
                     assert kind is kind_ref
@@ -301,27 +300,25 @@ class TestSegment:
         assert d["phase1"]["n_cells"] == s.phase1.n_cells
         for phase in (s.phase1, s.phase2):
             fits = phase.plane_fits
-            assert set(fits) == {"eigenplane", "ransac", "failed"}
+            assert set(fits) == {"eigenplane", "failed"}
             # every eigen-planar cell ends in exactly one way; the fitted ones
             # stay planar and the failed ones turn non-planar
-            assert fits["eigenplane"] + fits["ransac"] == phase.cells_planar
+            assert fits["eigenplane"] == phase.cells_planar
             assert 0 <= fits["failed"] <= phase.cells_non_planar
             assert fits["eigenplane"] > 0
-            # each cell that drew sampled candidates scored 1 to 50 of them
-            drew = fits["ransac"] + fits["failed"]
-            assert drew <= phase.ransac_candidates <= 50 * drew
         assert d["phase2"]["plane_fits"] == s.phase2.plane_fits
-        assert d["phase1"]["ransac_candidates"] == s.phase1.ransac_candidates
 
-    def test_ransac_candidates_stop_well_before_the_cap_on_noisy_ground(self):
-        # noise of 0.06 m leaves a third of the Phase-I eigenplanes under 99%
-        # inliers; their cells still hold most points near one plane, so the
-        # adaptive bound stops them after a few candidates, far below 50
-        scene = gs.make_scene(gs.SceneSpec(n_ground=20000, noise_sigma=0.06, seed=5))
-        stats = segment(PointCloud(points=scene.points)).stats.phase1
-        drew = stats.plane_fits["ransac"] + stats.plane_fits["failed"]
-        assert drew > 100
-        assert 2 * drew <= stats.ransac_candidates <= 5 * drew
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("sigma, recall", [(0.06, 0.91), (0.10, 0.82)])
+    def test_noisy_ground_keeps_precision_and_a_recall_floor(self, sigma, recall, seed):
+        # ground noise of 0.06-0.10 m leaves most Phase-I eigenplanes under
+        # 99% inliers, so plane refits decide much of the mask here
+        scene = gs.make_scene(gs.SceneSpec(n_ground=20000, noise_sigma=sigma, seed=seed))
+        mask = segment(PointCloud(points=scene.points)).mask
+        truth = scene.labels == gs.synth.GROUND_LABEL
+        tp = np.count_nonzero(mask & truth)
+        assert tp / np.count_nonzero(mask) >= 0.999
+        assert tp / np.count_nonzero(truth) >= recall
 
     def test_stage_timings_add_up_to_at_most_the_phase_time(self, rng):
         stats = segment(_flat_cloud(rng, n=2000)).stats
@@ -358,7 +355,7 @@ class TestSegment:
         cfg = make_default_config()
         grid = build_grid(pts, cfg.phase1.cellsize)
         geo = cfg.phase1.geometry
-        classify_cells(grid, geo, 1, cfg.global_seed)
+        classify_cells(grid, geo)
         from gridseg.cell_geometry import MIN_POINTS_FOR_EIGEN, eigen_kinds, segment_covariance
 
         lapack = np.maximum(
@@ -377,7 +374,9 @@ class TestSegment:
 
     # sha256 of segment() masks on two seeded scenes; any change of output
     # shows here.  slope-12 was re-pinned when each planar cell's eigenplane
-    # became its RANSAC candidate 0
+    # became its RANSAC candidate 0, and again when plane fits became the
+    # eigenplane and its refit alone (9 of 8,000 points moved: recall
+    # 0.9410 -> 0.9399, precision 1.0)
     @pytest.mark.parametrize(
         "spec, digest",
         [
@@ -395,7 +394,7 @@ class TestSegment:
             ),
             (
                 gs.SceneSpec(extent=24.0, n_ground=8000, slope_deg=12.0, seed=22),
-                "e4438241e6e9558e6cf862195f7e74c068b91f3f4068933c9b2b7a0d426ad106",
+                "212b3709fcaa8c9672f1883beb77333752d7d311b97c428ea035dbe5ecacc410",
             ),
         ],
         ids=["boxes", "slope-12"],

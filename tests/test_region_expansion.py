@@ -38,9 +38,9 @@ from gridseg.voxel_grid import (
 GEO = GeometryParams()
 
 
-def _classified_grid(points, cellsize, phase=1, seed=0):
+def _classified_grid(points, cellsize):
     grid = build_grid(points, cellsize)
-    classify_cells(grid, GEO, phase, seed)
+    classify_cells(grid, GEO)
     return grid
 
 
@@ -69,7 +69,7 @@ class TestCentroidIndex:
     def test_matches_brute_force_scan(self, rng, brute_index_cls):
         # the tentative cells of a scan, at the expansion radius
         pts, _ = _flat_cloud_with_seed(rng, extent=30.0, n=6000)
-        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2))
         tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
         kd = _tentative_index(grid)
         brute = brute_index_cls(tentative, grid.centroids[tentative])
@@ -298,7 +298,7 @@ class TestPairSearch:
         # the tentative cells of a scan at the expansion radius, with a
         # few hundred of them fresh, as Phase II's cells not inherited
         pts, _ = _flat_cloud_with_seed(rng, extent=30.0, n=6000)
-        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2))
         centroids = grid.centroids[grid.state == GroundState.TENTATIVE]
         fresh = rng.random(len(centroids)) < 0.05
         got = _assert_fresh_pairs_match_brute_force(centroids, 5.0, fresh)
@@ -308,7 +308,7 @@ class TestPairSearch:
 class TestBuildCentroidIndex:
     def test_pairs_found_at_the_radius_are_kept(self, rng):
         pts, _ = _flat_cloud_with_seed(rng, extent=20.0, n=3000)
-        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2))
         tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
         index = build_centroid_index(grid, tentative, 5.0)
         radius, i, j = index.found
@@ -327,7 +327,7 @@ class TestBuildCentroidIndex:
         # only the pairs between shared, unmoved cells are lent, and the
         # result is the index's full pair set
         pts, _ = _flat_cloud_with_seed(rng, extent=20.0, n=3000)
-        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2))
         rows = np.flatnonzero(grid.state == GroundState.TENTATIVE)
         moved = grid.centroids.copy()
         moved[rows[1], 2] += 10.0
@@ -867,7 +867,7 @@ class TestExpand:
         pts, info = _flat_cloud_with_seed(rng, extent=12.0, n=3000)
         results = []
         for index_cls in (None, brute_index_cls):
-            grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
+            grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2))
             tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
             if index_cls is None:
                 index = build_centroid_index(grid, tentative)
@@ -880,7 +880,7 @@ class TestExpand:
 
     def test_phase2_height_gate_logged_edges(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=12.0, n=3000)
-        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2), phase=2)
+        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2))
         index = _tentative_index(grid)
         seed = select_seed(grid, info)
         log = ExpansionLog()
@@ -949,7 +949,7 @@ class TestExpand:
         far = np.column_stack([rng.uniform(40, 44, (500, 2)), rng.normal(-1.723, 0.01, 500)])
         cloud = PointCloud(points=np.vstack([scene.points, far]))
         seeded, info = inject_synthetic_seed(cloud, 2.7, 1.723, 0.3)
-        grid = _classified_grid(seeded.points, CellSize(1.5, 1.0, (1.5, 0.2)[phase - 1]), phase)
+        grid = _classified_grid(seeded.points, CellSize(1.5, 1.0, (1.5, 0.2)[phase - 1]))
         before = grid.state.copy()
         log = ExpansionLog()
         seed = select_seed(grid, info)
