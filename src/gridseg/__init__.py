@@ -35,7 +35,6 @@ from .evaluation import (
     GroundTruthPolicy,
     MetricRow,
     SequenceReport,
-    confusion_counts,
     emit_report,
     evaluate_scan,
     evaluate_sequence,

@@ -54,12 +54,6 @@ def _segment_one(scan: Path, cfg, out: Path, fmt: str):
 
 
 def cmd_segment(args) -> int:
-    try:
-        cfg = resolve_config(args.config, args.overrides)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
     input_path = Path(args.input)
     if input_path.is_dir():
         scans = sorted(input_path.glob("*.bin"))
@@ -78,7 +72,7 @@ def cmd_segment(args) -> int:
     all_stats: dict[str, dict] = {}
     failures = []
     for scan in scans:
-        outcome = _outcome(_segment_one, scan, cfg, out_dir, args.format)
+        outcome = _outcome(_segment_one, scan, args.cfg, out_dir, args.format)
         if isinstance(outcome, str):
             failures.append(scan.name)
             print(f"{scan.name}: {outcome}", file=sys.stderr)
@@ -93,11 +87,10 @@ def cmd_segment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     try:
-        cfg = resolve_config(args.config, args.overrides)
         labels = frozenset(int(v) for v in args.ground_labels.split(","))
         policy = GroundTruthPolicy(ground_label_ids=labels, range_3d=args.range_3d)
         thresholds = check_thresholds(args.max_dists.split(","), "--max-dists")
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -105,7 +98,7 @@ def cmd_evaluate(args) -> int:
         print("scan and label directories must exist", file=sys.stderr)
         return 1
 
-    report = evaluate_sequence(args.scans, args.labels, cfg, policy, thresholds=thresholds)
+    report = evaluate_sequence(args.scans, args.labels, args.cfg, policy, thresholds=thresholds)
     for entry in report.skipped:
         print(f"skipped {entry}", file=sys.stderr)
 
@@ -164,12 +157,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_config_dump(args) -> int:
-    try:
-        cfg = resolve_config(args.config, args.overrides)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    sys.stdout.write(dump_config(cfg))
+    sys.stdout.write(dump_config(args.cfg))
     return 0
 
 
@@ -232,7 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A command with config flags gets the resolved
+    configuration as ``args.cfg``; a config error is reported before it runs."""
     args = build_parser().parse_args(argv)
+    if hasattr(args, "overrides"):
+        try:
+            args.cfg = resolve_config(args.config, args.overrides)
+        except (ConfigError, ValueError, OSError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
     return args.func(args)
 
 

@@ -1,8 +1,8 @@
 """Distance-bucketed precision/recall/F1 evaluation against semantic labels.
 
-Scans are scored at a series of range thresholds (default 10..100 m in 10 m
-steps, measured in the horizontal plane from the sensor).  Confusion counts
-are accumulated over all scans of a sequence per threshold (micro-average),
+Scans are scored by ``evaluate_scan`` at range thresholds (default 10..100 m
+in 10 m steps, measured in the horizontal plane from the sensor).  Counts
+are summed over all scans of a sequence per threshold (micro-average),
 metrics are computed per threshold, and the sequence is summarized by the
 mean and population standard deviation of each metric across thresholds.
 Rows with a zero denominator are undefined and excluded from the aggregates;
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -78,35 +78,6 @@ class SequenceReport:
     skipped: list[str] = field(default_factory=list)
 
 
-def confusion_counts(
-    mask: np.ndarray,
-    truth: np.ndarray,
-    policy: GroundTruthPolicy,
-    max_dist: float,
-    cloud: PointCloud,
-) -> ConfusionCounts:
-    """Confusion counts over points within max_dist of the sensor (inclusive)."""
-    mask = np.asarray(mask, dtype=bool)
-    truth = np.asarray(truth)
-    if not (len(mask) == len(truth) == len(cloud)):
-        raise ContractViolationError("mask, truth, and cloud lengths differ")
-    pts = cloud.points
-    if policy.range_3d:
-        dist2 = (pts**2).sum(axis=1)
-    else:
-        dist2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    in_range = dist2 <= max_dist * max_dist
-    label_ground = np.isin(truth, list(policy.ground_label_ids))
-    p = mask[in_range]
-    t = label_ground[in_range]
-    return ConfusionCounts(
-        ntp=int(np.count_nonzero(p & t)),
-        nfp=int(np.count_nonzero(p & ~t)),
-        nfn=int(np.count_nonzero(~p & t)),
-        ntn=int(np.count_nonzero(~p & ~t)),
-    )
-
-
 def precision(c: ConfusionCounts) -> float | None:
     d = c.ntp + c.nfp
     return c.ntp / d if d else None
@@ -145,8 +116,31 @@ def evaluate_scan(
     policy: GroundTruthPolicy | None = None,
     thresholds=DEFAULT_THRESHOLDS,
 ) -> list[MetricRow]:
+    """One row per threshold, in the given order: the confusion counts of
+    the points within range ``d`` of the sensor, ``range**2 <= d * d``, so
+    a NaN threshold counts nothing.  The one scorer: sequences, the CLI and
+    the benchmark sum its rows.  Each point's range and ground label are
+    computed once.  ``ContractViolationError`` unless mask, truth and cloud
+    have one entry per point."""
     policy = policy or GroundTruthPolicy()
-    return [_row(d, confusion_counts(mask, truth, policy, d, cloud)) for d in thresholds]
+    mask = np.asarray(mask, dtype=bool)
+    truth = np.asarray(truth)
+    if not (len(mask) == len(truth) == len(cloud)):
+        raise ContractViolationError("mask, truth, and cloud lengths differ")
+    pts = cloud.points
+    if policy.range_3d:
+        dist2 = (pts**2).sum(axis=1)
+    else:
+        dist2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    label_ground = np.isin(truth, list(policy.ground_label_ids))
+    outcomes = (mask & label_ground, mask & ~label_ground, ~mask & label_ground)
+    rows = []
+    for d in thresholds:
+        in_range = dist2 <= d * d
+        ntp, nfp, nfn = (int(np.count_nonzero(in_range & o)) for o in outcomes)
+        ntn = int(np.count_nonzero(in_range)) - ntp - nfp - nfn
+        rows.append(_row(d, ConfusionCounts(ntp, nfp, nfn, ntn)))
+    return rows
 
 
 def _aggregate(report: SequenceReport) -> None:
@@ -184,9 +178,9 @@ def evaluate_sequence(
     """Segment and score every scan in a directory against its label file.
 
     Scans without a matching label (or with malformed/odd-length labels) are
-    skipped and reported.  Confusion counts are summed across scans per
-    threshold before metrics are computed; ``thresholds`` must pass
-    ``check_thresholds``.
+    skipped and reported.  The ``evaluate_scan`` rows' counts are summed
+    across scans per threshold before metrics are computed; ``thresholds``
+    must pass ``check_thresholds``.
     """
     thresholds = check_thresholds(thresholds)
     cfg = cfg or make_default_config()
@@ -194,7 +188,7 @@ def evaluate_sequence(
     label_dir = Path(label_dir)
 
     report = SequenceReport()
-    totals = {d: ConfusionCounts() for d in thresholds}
+    totals = [ConfusionCounts() for _ in thresholds]
     runtimes: list[float] = []
 
     for scan_path in sorted(Path(scan_dir).glob("*.bin")):
@@ -206,13 +200,12 @@ def evaluate_sequence(
         if isinstance(outcome, str):
             report.skipped.append(f"{scan_path.name}: {outcome}")
             continue
-        counts_by_d, runtime_ms = outcome
-        for d, c in counts_by_d.items():
-            totals[d] = totals[d] + c
+        rows, runtime_ms = outcome
+        totals = [t + row.counts for t, row in zip(totals, rows)]
         runtimes.append(runtime_ms)
         report.n_scans += 1
 
-    report.rows = [_row(d, totals[d]) for d in thresholds]
+    report.rows = [_row(d, c) for d, c in zip(thresholds, totals)]
     _aggregate(report)
     if runtimes:
         report.runtime_mean_ms = float(np.mean(runtimes))
@@ -229,15 +222,14 @@ def _outcome(call, *args):
 
 
 def _evaluate_one(scan_path: Path, label_path: Path, cfg, policy, thresholds):
-    """Segment one scan and return per-threshold counts and its runtime, or
+    """Segment one scan and return its ``evaluate_scan`` rows and runtime, or
     an error string (raises on other failures; see ``_outcome``)."""
     cloud = read_kitti_bin(scan_path)
     truth = read_semantic_labels(label_path)
     if len(truth) != len(cloud):
         return "label count does not match scan record count"
     result = segment(cloud, cfg)
-    counts = {d: confusion_counts(result.mask, truth, policy, d, cloud) for d in thresholds}
-    return counts, result.stats.runtime_ms
+    return evaluate_scan(cloud, result.mask, truth, policy, thresholds), result.stats.runtime_ms
 
 
 def format_summary(report: SequenceReport) -> str:
@@ -279,28 +271,11 @@ def emit_report(report: SequenceReport, fmt: str = "csv") -> str:
             )
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "rows": [
-                {
-                    "distance_m": r.distance_m,
-                    "ntp": r.counts.ntp,
-                    "nfp": r.counts.nfp,
-                    "nfn": r.counts.nfn,
-                    "ntn": r.counts.ntn,
-                    "precision": r.precision,
-                    "recall": r.recall,
-                    "f1": r.f1,
-                }
-                for r in report.rows
-            ],
-            "mean": report.mean,
-            "std": report.std,
-            "undefined": report.undefined,
-            "runtime_mean_ms": report.runtime_mean_ms,
-            "runtime_std_ms": report.runtime_std_ms,
-            "n_scans": report.n_scans,
-            "skipped": report.skipped,
-        }
+        payload = asdict(report)
+        # each row's counts go between its distance and its metrics
+        payload["rows"] = [
+            {"distance_m": r.pop("distance_m"), **r.pop("counts"), **r} for r in payload["rows"]
+        ]
         return json.dumps(payload, indent=2)
     raise ContractViolationError(f"unknown report format: {fmt}")
 

@@ -48,9 +48,6 @@ class CellSize:
         if self.sx <= 0 or self.sy <= 0 or self.sz <= 0:
             raise ContractViolationError("cell sizes must be strictly positive")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.sx, self.sy, self.sz])
-
 
 @dataclass(eq=False)
 class VoxelGrid:
@@ -105,13 +102,10 @@ class VoxelGrid:
 
 
 def cell_index(point, cellsize: CellSize) -> CellIndex:
-    """Grid index of a point: component-wise floor of coordinate / cell size."""
-    x, y, z = float(point[0]), float(point[1]), float(point[2])
-    return (
-        int(math.floor(x / cellsize.sx)),
-        int(math.floor(y / cellsize.sy)),
-        int(math.floor(z / cellsize.sz)),
-    )
+    """Grid index of a point: floor of coordinate / cell size by the rule of
+    ``build_grid``, so a coordinate without one raises ``ContractViolationError``."""
+    q = np.divide(point, (cellsize.sx, cellsize.sy, cellsize.sz))
+    return tuple(int(v) for v in _cell_floor(q))
 
 
 # The packed sort key holds, high to low, a point's cell code, its x offset

@@ -29,7 +29,7 @@ from gridseg.config import apply_settings
 from gridseg.evaluation import (
     ConfusionCounts,
     GroundTruthPolicy,
-    confusion_counts,
+    evaluate_scan,
     evaluate_sequence,
     f1,
     harmonic_f1,
@@ -82,7 +82,7 @@ def test_criterion_01_grid_partition():
             pts = np.column_stack([xy, z])
         grid = build_grid(pts, cs)
         total = 0
-        keys = np.floor(pts / cs.as_array()).astype(np.int64)
+        keys = np.floor(pts / np.array([cs.sx, cs.sy, cs.sz])).astype(np.int64)
         for c, idx in enumerate(grid.cells):
             total += len(grid.order[grid.span(c)])
             assert np.all(keys[grid.order[grid.span(c)]] == idx)
@@ -174,7 +174,7 @@ def _classified_scene(points, cellsize):
     return grid
 
 
-@criterion(6, "KD-tree expansion equals brute-force flood fill; phase-2 gate holds")
+@criterion(6, "pair-search expansion equals brute-force flood fill; phase-2 gate holds")
 def test_criterion_06_expansion_oracle():
     scene = gs.make_scene(
         gs.SceneSpec(
@@ -260,13 +260,14 @@ def test_criterion_08_metrics():
     mask = RNG.random(2000) < 0.5
     policy = GroundTruthPolicy()
     for dist in (10.0, 50.0, 100.0):
-        c = confusion_counts(mask, truth, policy, dist, cloud)
+        c = evaluate_scan(cloud, mask, truth, policy, (dist,))[0].counts
         in_range = np.hypot(pts[:, 0], pts[:, 1]) <= dist
         assert c.total() == int(in_range.sum())
 
-    half = confusion_counts(mask[:1000], truth[:1000], policy, 60.0, PointCloud(points=pts[:1000]))
-    rest = confusion_counts(mask[1000:], truth[1000:], policy, 60.0, PointCloud(points=pts[1000:]))
-    joint = confusion_counts(mask, truth, policy, 60.0, cloud)
+    half_cloud, rest_cloud = PointCloud(points=pts[:1000]), PointCloud(points=pts[1000:])
+    half = evaluate_scan(half_cloud, mask[:1000], truth[:1000], policy, (60.0,))[0].counts
+    rest = evaluate_scan(rest_cloud, mask[1000:], truth[1000:], policy, (60.0,))[0].counts
+    joint = evaluate_scan(cloud, mask, truth, policy, (60.0,))[0].counts
     assert half + rest == joint
 
     value = harmonic_f1(0.966, 0.894)

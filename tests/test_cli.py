@@ -189,7 +189,7 @@ class TestEvaluateCommand:
         mask = gs.read_mask(out / "000000.mask")
         cloud = gs.read_kitti_bin(seq / "velodyne" / "000000.bin")
         truth = gs.read_semantic_labels(seq / "labels" / "000000.label")
-        c = gs.confusion_counts(mask, truth, gs.GroundTruthPolicy(), 8.0, cloud)
+        c = gs.evaluate_scan(cloud, mask, truth, gs.GroundTruthPolicy(), (8.0,))[0].counts
 
         report = tmp_path / "r.json"
         main(
@@ -214,6 +214,39 @@ class TestEvaluateCommand:
             c.nfn,
             c.ntn,
         )
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command", ["segment", "evaluate", "config-dump"])
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_a_missing_config_file_fails_before_the_command_runs(
+        self, tmp_path, capsys, monkeypatch, command, via_env
+    ):
+        seq = _make_sequence(tmp_path)
+        out = tmp_path / "out"
+        argv = {
+            "segment": ["segment", str(seq / "velodyne"), "--out", str(out)],
+            "evaluate": [
+                "evaluate",
+                "--scans",
+                str(seq / "velodyne"),
+                "--labels",
+                str(seq / "labels"),
+                "--report",
+                str(out / "report.csv"),
+            ],
+            "config-dump": ["config-dump"],
+        }[command]
+        missing = str(tmp_path / "missing.cfg")
+        if via_env:
+            monkeypatch.setenv("GRIDSEG_CONFIG", missing)
+        else:
+            argv += ["--config", missing]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSynthCommand:

@@ -10,7 +10,6 @@ from gridseg.evaluation import (
     ConfusionCounts,
     GroundTruthPolicy,
     _outcome,
-    confusion_counts,
     emit_report,
     evaluate_scan,
     evaluate_sequence,
@@ -33,41 +32,41 @@ class TestConfusionCounts:
         cloud = _cloud([[1, 0, 0], [2, 0, 0], [3, 0, 0], [4, 0, 0]])
         truth = np.array([40, 40, 1, 1], dtype=np.uint16)
         mask = np.array([True, False, True, False])
-        c = confusion_counts(mask, truth, POLICY, 100.0, cloud)
+        c = evaluate_scan(cloud, mask, truth, POLICY, (100.0,))[0].counts
         assert (c.ntp, c.nfn, c.nfp, c.ntn) == (1, 1, 1, 1)
 
     def test_range_boundary_inclusive(self):
         cloud = _cloud([[80.0, 60.0, 0.0]])  # planar range exactly 100
-        c = confusion_counts(
-            np.array([True]), np.array([40], dtype=np.uint16), POLICY, 100.0, cloud
-        )
+        c = evaluate_scan(
+            cloud, np.array([True]), np.array([40], dtype=np.uint16), POLICY, (100.0,)
+        )[0].counts
         assert c.total() == 1 and c.ntp == 1
 
     def test_out_of_range_excluded(self):
         cloud = _cloud([[200.0, 0.0, 0.0], [0.0, 150.0, 0.0]])
-        c = confusion_counts(
+        c = evaluate_scan(
+            cloud,
             np.array([True, False]),
             np.array([40, 40], dtype=np.uint16),
             POLICY,
-            100.0,
-            cloud,
-        )
+            (100.0,),
+        )[0].counts
         assert c.total() == 0
 
     def test_planar_vs_3d_range(self):
         cloud = _cloud([[6.0, 0.0, 8.0]])  # planar 6, full 10
         truth = np.array([40], dtype=np.uint16)
-        planar = confusion_counts(np.array([True]), truth, POLICY, 7.0, cloud)
-        full = confusion_counts(
-            np.array([True]), truth, GroundTruthPolicy(range_3d=True), 7.0, cloud
-        )
+        planar = evaluate_scan(cloud, np.array([True]), truth, POLICY, (7.0,))[0].counts
+        full = evaluate_scan(
+            cloud, np.array([True]), truth, GroundTruthPolicy(range_3d=True), (7.0,)
+        )[0].counts
         assert planar.total() == 1
         assert full.total() == 0
 
     def test_length_mismatch(self):
         cloud = _cloud([[0, 0, 0]])
         with pytest.raises(ContractViolationError):
-            confusion_counts(np.array([True, False]), np.array([40, 40]), POLICY, 10, cloud)
+            evaluate_scan(cloud, np.array([True, False]), np.array([40, 40]), POLICY, (10,))
 
     def test_count_conservation(self, rng):
         pts = rng.uniform(-120, 120, size=(500, 3))
@@ -76,7 +75,7 @@ class TestConfusionCounts:
         mask = rng.random(500) < 0.5
         for d in (10.0, 50.0, 100.0):
             in_range = np.hypot(pts[:, 0], pts[:, 1]) <= d
-            c = confusion_counts(mask, truth, POLICY, d, cloud)
+            c = evaluate_scan(cloud, mask, truth, POLICY, (d,))[0].counts
             assert c.total() == int(in_range.sum())
 
 
@@ -133,6 +132,32 @@ class TestEvaluateScan:
         rows = evaluate_scan(cloud, np.ones(50, dtype=bool), truth, thresholds=(50.0,))
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("range_3d", [False, True])
+    def test_rows_match_a_per_threshold_reference(self, rng, range_3d):
+        # a NaN threshold counts nothing, repeated thresholds give equal
+        # rows, and the rows keep the thresholds' order
+        pts = np.vstack(
+            [rng.uniform(-70, 70, size=(400, 3)), [[0, 0, 0], [6, 8, 0], [6, 0, 8], [0, 0, 3]]]
+        )
+        cloud = _cloud(pts)
+        truth = rng.choice([1, 40, 44, 70], size=len(pts)).astype(np.uint16)
+        mask = rng.random(len(pts)) < 0.5
+        policy = GroundTruthPolicy(range_3d=range_3d)
+        thresholds = (55.0, np.nan, 10.0, 10.0, 0.0, -3.0, np.inf)
+        rows = evaluate_scan(cloud, mask, truth, policy, thresholds)
+
+        dist2 = (pts[:, : 3 if range_3d else 2] ** 2).sum(axis=1)
+        is_ground = np.isin(truth, [40, 44, 48, 49, 60, 72])
+        np.testing.assert_array_equal([r.distance_m for r in rows], thresholds)
+        for row, d in zip(rows, thresholds):
+            sel = dist2 <= d * d
+            p, t = mask[sel], is_ground[sel]
+            ref = ((p & t).sum(), (p & ~t).sum(), (~p & t).sum(), (~p & ~t).sum())
+            assert (row.counts.ntp, row.counts.nfp, row.counts.nfn, row.counts.ntn) == ref
+        assert rows[1].counts == ConfusionCounts()
+        assert rows[2] == rows[3]
+        assert rows[-1].counts.total() == len(pts)
+
     def test_micro_average_equivalence(self, rng):
         # summing counts over scans == evaluating the concatenated points
         pts1 = rng.uniform(-60, 60, size=(300, 3))
@@ -141,15 +166,15 @@ class TestEvaluateScan:
         truth2 = rng.choice([1, 40], size=400).astype(np.uint16)
         mask1 = rng.random(300) < 0.5
         mask2 = rng.random(400) < 0.5
-        c1 = confusion_counts(mask1, truth1, POLICY, 50.0, _cloud(pts1))
-        c2 = confusion_counts(mask2, truth2, POLICY, 50.0, _cloud(pts2))
-        both = confusion_counts(
+        c1 = evaluate_scan(_cloud(pts1), mask1, truth1, POLICY, (50.0,))[0].counts
+        c2 = evaluate_scan(_cloud(pts2), mask2, truth2, POLICY, (50.0,))[0].counts
+        both = evaluate_scan(
+            _cloud(np.vstack([pts1, pts2])),
             np.concatenate([mask1, mask2]),
             np.concatenate([truth1, truth2]),
             POLICY,
-            50.0,
-            _cloud(np.vstack([pts1, pts2])),
-        )
+            (50.0,),
+        )[0].counts
         assert c1 + c2 == both
 
 

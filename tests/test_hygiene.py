@@ -15,6 +15,12 @@ scipy... import`` in ``src/gridseg``, at any depth, fails; the benchmark and
 the tests may import scipy.  Every config field a configuration key sets
 (``config.KEYS``) must be read as an attribute by some module of the
 package other than ``config.py``, so no key sets a field nothing reads.
+A public top-level function of ``src/gridseg`` must be loaded, by name or
+as an attribute, in a module of the package other than ``__init__.py`` or
+in ``perfbench/*.py``, and a public method must be loaded as an attribute
+there; a string constant of ``perfbench`` counts as both, as the layer
+tracer hooks names as strings.  Reads from tests and demos do not count,
+and a name only they read is listed in ``TEST_ONLY_NAMES`` with its reason.
 """
 
 import ast
@@ -189,3 +195,86 @@ def test_every_config_key_sets_a_field_the_package_reads():
     package = ROOT / "src" / "gridseg"
     sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py")) if p.stem != "config"}
     assert unread_config_fields(KEYS, sources) == []
+
+
+# public names that no module of the package and no benchmark reads, and why
+# each stays
+TEST_ONLY_NAMES = {
+    "segment_covariance": "acceptance criterion 3 and demo 02",
+    "read_mask": "the reader of the CLI's mask format, kept on purpose",
+    "ConfusionCounts.total": "acceptance criterion 8",
+    "ExpansionLog.to_text": "goes with ROADMAP item 7's trace",
+    "VoxelGrid.span": "acceptance criterion 1",
+}
+
+
+def _loads(source: str, strings: bool) -> tuple[set[str], set[str]]:
+    """The names and the attributes a source loads; with ``strings``, its
+    string constants count as both."""
+    names, attrs = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+            attrs.add(node.value)
+    return names, attrs
+
+
+def unread_public_names(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``name`` or ``Class.method`` for each public top-level function and
+    public method of the package's sources (module name -> source) that
+    neither a package module other than ``__init__`` nor a reader (whose
+    string constants count) loads."""
+    names, attrs = set(), set()
+    for module, source in package.items():
+        if module != "__init__":
+            n, a = _loads(source, strings=False)
+            names |= n
+            attrs |= a
+    for source in readers.values():
+        n, a = _loads(source, strings=True)
+        names |= n
+        attrs |= a
+    read = names | attrs
+    found = []
+    for source in package.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
+                if node.name not in read:
+                    found.append(node.name)
+            elif isinstance(node, ast.ClassDef):
+                methods = (m.name for m in node.body if isinstance(m, FUNCTIONS))
+                found += [
+                    f"{node.name}.{m}" for m in methods if not m.startswith("_") and m not in attrs
+                ]
+    return found
+
+
+def test_the_check_finds_public_names_only_tests_read():
+    package = {
+        "__init__": "from .a import f, g, h, k\nf()\nC().m()\n",
+        "a": (
+            "def f():\n    return 1\n"
+            "def g():\n    return f() + h\n"
+            "def h():\n    pass\n"
+            "def k():\n    pass\n"
+            "def _p():\n    pass\n"
+            "class C:\n"
+            "    def m(self):\n        pass\n"
+            "    def n(self):\n        return self.m\n"
+            "    def o(self):\n        pass\n"
+            "    def _q(self):\n        pass\n"
+            "    def __len__(self):\n        return 0\n"
+        ),
+    }
+    readers = {"bench": "import gs\ngs.g()\nHOOK = 'o'\n"}
+    assert unread_public_names(package, readers) == ["k", "C.n"]
+
+
+def test_every_public_name_is_read_outside_the_tests_or_listed():
+    package = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "gridseg").glob("*.py"))}
+    readers = {p.stem: p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert sorted(unread_public_names(package, readers)) == sorted(TEST_ONLY_NAMES)

@@ -335,7 +335,8 @@ class TestSegment:
         # beside flat ground; warnings are errors in this suite, so any
         # division by zero in the eigen solver fails here
         rng = np.random.default_rng(4)
-        size = make_default_config().phase1.cellsize.as_array()
+        cs = make_default_config().phase1.cellsize
+        size = np.array([cs.sx, cs.sy, cs.sz])
         ground = _flat_cloud(rng, n=3000).points
         corners = [np.array([ix, iy, 2.0]) * size for ix in range(8, 18) for iy in range(-6, 6)]
         cells = []

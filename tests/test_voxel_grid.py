@@ -32,6 +32,17 @@ class TestCellIndex:
     def test_floor_not_truncation(self):
         assert cell_index((-0.1, -0.1, -0.1), CellSize(1.0, 1.0, 1.0)) == (-1, -1, -1)
 
+    @pytest.mark.parametrize(
+        "point",
+        [(math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0), (0.0, 0.0, 2.0**63)],
+        ids=["nan", "-inf", "2**63"],
+    )
+    def test_a_coordinate_without_a_cell_index_is_a_contract_violation(self, point):
+        # binned by build_grid's rule: NaN, an infinity and a coordinate
+        # 2**63 cells out have no int64 cell index
+        with pytest.raises(ContractViolationError):
+            cell_index(point, CellSize(1.0, 1.0, 1.0))
+
     def test_positive_cellsize_required(self):
         with pytest.raises(ContractViolationError):
             CellSize(0.0, 1.0, 1.0)
@@ -74,8 +85,8 @@ class TestBuildGrid:
         for c, idx in enumerate(grid.cells.tolist()):
             for pid in grid.order[grid.span(c)][:5]:
                 assert cell_index(pts[pid], cs) == tuple(idx)
-            lo = np.array(idx) * cs.as_array()
-            hi = lo + cs.as_array()
+            lo = np.array(idx) * np.array([cs.sx, cs.sy, cs.sz])
+            hi = lo + np.array([cs.sx, cs.sy, cs.sz])
             assert np.all(grid.centroids[c] >= lo - 1e-12)
             assert np.all(grid.centroids[c] <= hi + 1e-12)
 
@@ -83,7 +94,7 @@ class TestBuildGrid:
         cs = CellSize(1.5, 1.0, 0.2)
         pts = rng.uniform(-10, 10, size=(3000, 3))
         grid = build_grid(pts, cs)
-        keys = np.unique(np.floor(pts / cs.as_array()).astype(np.int64), axis=0)
+        keys = np.unique(np.floor(pts / np.array([cs.sx, cs.sy, cs.sz])).astype(np.int64), axis=0)
         assert len(grid.cells) == len(keys)
         np.testing.assert_array_equal(grid.cells, keys)
         assert grid.find((99, 99, 99)) == -1
@@ -96,7 +107,7 @@ class TestBuildGrid:
         pts[rng.integers(0, 4000, 500)] = pts[rng.integers(0, 4000, 500)]
         pts[::7, 0] = -0.0
         grid = build_grid(pts, cs)
-        keys = np.floor(pts / cs.as_array()).astype(np.int64)
+        keys = np.floor(pts / np.array([cs.sx, cs.sy, cs.sz])).astype(np.int64)
         rows = [(*keys[i], *pts[i], i) for i in grid.order.tolist()]
         assert rows == sorted(rows)
         assert sorted(grid.order.tolist()) == list(range(len(pts)))
@@ -120,7 +131,7 @@ class TestBuildGrid:
 def _reference_grid(pts, cs):
     """The canonical order as a six-key lexsort (cell index, x, y, z; input
     position breaks full ties), and the cells and offsets it implies."""
-    keys = np.floor(pts / cs.as_array()).astype(np.int64)
+    keys = np.floor(pts / np.array([cs.sx, cs.sy, cs.sz])).astype(np.int64)
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], keys[:, 2], keys[:, 1], keys[:, 0]))
     cells, counts = np.unique(keys, axis=0, return_counts=True)
     return order, cells.reshape(-1, 3), np.concatenate(([0], np.cumsum(counts)))
@@ -128,7 +139,7 @@ def _reference_grid(pts, cs):
 
 def _key_bits(pts, cs):
     """Bits the packed key needs for the input position and the cell code."""
-    keys = np.floor(pts / cs.as_array()).astype(np.int64)
+    keys = np.floor(pts / np.array([cs.sx, cs.sy, cs.sz])).astype(np.int64)
     span = [int(h) - int(lo) + 1 for h, lo in zip(keys.max(axis=0), keys.min(axis=0))]
     return (len(pts) - 1).bit_length() + (math.prod(span) - 1).bit_length()
 
