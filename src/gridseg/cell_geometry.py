@@ -115,7 +115,23 @@ def segment_covariance(points: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
     counts = np.asarray(counts)
     means = np.add.reduceat(points, np.cumsum(counts) - counts, axis=0) / counts[:, None]
-    return centred_covariance(points - np.repeat(means, counts, axis=0), counts)
+    return centred_covariance(centre_segments(points, means, counts), counts)
+
+
+def centre_segments(points: np.ndarray, means: np.ndarray, counts: np.ndarray, out=None):
+    """Each point less its segment's mean: ``means[i]`` off each of the
+    ``counts[i]`` points of segment i, which lie back to back in ``points``.
+
+    One column at a time, so no per-point copy of the means' rows is made;
+    the differences are those of ``points - np.repeat(means, counts,
+    axis=0)`` to the bit.  ``out`` (default a new (n, 3) array) may be
+    ``points`` itself.
+    """
+    points = np.asarray(points)
+    out = np.empty(points.shape) if out is None else out
+    for c in range(3):
+        np.subtract(points[:, c], np.repeat(means[:, c], counts), out=out[:, c])
+    return out
 
 
 def centred_covariance(q: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -361,7 +377,7 @@ def ransac_cells(
         was_in, n_in = np.compress(in_refit, inliers), n_in[refit]
         q_in = np.compress(was_in, q_refit, axis=0)
         mean = np.add.reduceat(q_in, np.cumsum(n_in) - n_in, axis=0) / n_in[:, None]
-        q_in -= np.repeat(mean, n_in, axis=0)
+        centre_segments(q_in, mean, n_in, out=q_in)
         refit_n = sorted_eigen(centred_covariance(q_in, n_in))[1][:, :, 2]
         refit_off = -np.einsum("ij,ij->i", refit_n, mean)
         near = _plane_distance(q_refit, refit_n, counts_refit, refit_off) <= inlier_threshold

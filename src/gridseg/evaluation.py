@@ -117,11 +117,12 @@ def evaluate_scan(
     thresholds=DEFAULT_THRESHOLDS,
 ) -> list[MetricRow]:
     """One row per threshold, in the given order: the confusion counts of
-    the points within range ``d`` of the sensor, ``range**2 <= d * d``, so
-    a NaN threshold counts nothing.  The one scorer: sequences, the CLI and
-    the benchmark sum its rows.  Each point's range and ground label are
-    computed once.  ``ContractViolationError`` unless mask, truth and cloud
-    have one entry per point."""
+    the points within range ``d`` of the sensor, ``range**2 <= d * d``.
+    The one scorer: sequences, the CLI and the benchmark sum its rows.
+    Each point's range and ground label are computed once.
+    ``ContractViolationError`` unless mask, truth and cloud have one entry
+    per point; ``thresholds`` must pass ``check_thresholds``."""
+    thresholds = check_thresholds(thresholds)
     policy = policy or GroundTruthPolicy()
     mask = np.asarray(mask, dtype=bool)
     truth = np.asarray(truth)

@@ -29,6 +29,8 @@ and searches only the pairs with a cell of its own
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -37,6 +39,7 @@ import numpy as np
 from .cell_geometry import (
     MIN_POINTS_FOR_EIGEN,
     GeometryParams,
+    centre_segments,
     centred_covariance,
     eigen_kinds,
     eigenplane_normals,
@@ -231,7 +234,7 @@ def classify_cells(
     lam = np.zeros((m, 3))
     vec = np.zeros((m, 3, 3))
     # every point less its cell's centroid, for the covariances and the plane fits
-    centred = points - np.repeat(centroids, counts, axis=0)
+    centred = centre_segments(points, centroids, counts)
     # every cell's covariance costs less than gathering the points of the
     # eligible ones, which hold nearly all points
     C = centred_covariance(centred, counts)
@@ -239,37 +242,27 @@ def classify_cells(
     kinds = eigen_kinds(lam, geometry)
     t1 = time.perf_counter()
     line = kinds == CellKind.LINE
-    is_planar = kinds == CellKind.PLANAR
-    planar = np.flatnonzero(is_planar)
-    in_planar = np.repeat(is_planar, counts)
-    fit = ransac_cells(
-        np.compress(in_planar, centred, axis=0),
-        counts[planar],
-        np.take(centroids, planar, axis=0),
-        eigenplane_normals(np.take(lam, planar, axis=0), np.take(vec, planar, axis=0)),
-        geometry.inlier_threshold,
-    )
-    kinds[planar[~fit.fitted]] = CellKind.NON_PLANAR
+    planar = kinds == CellKind.PLANAR
+    # every cell goes to the fit, as gathering the planar cells' points costs
+    # more than scoring the others; a zero normal leaves a cell unfitted
+    normals = np.where(planar[:, None], eigenplane_normals(lam, vec), 0.0)
+    fit = ransac_cells(centred, counts, centroids, normals, geometry.inlier_threshold)
+    kinds[planar & ~fit.fitted] = CellKind.NON_PLANAR
 
-    tentative = np.zeros(m, dtype=bool)
+    tentative = fit.fitted & plane_tentative(fit.slopes, geometry.slope_threshold_deg)
     tentative[line] = line_tentative(
         np.compress(line, vec[:, :, 0], axis=0), geometry.slope_threshold_deg
     )
-    tentative[planar] = fit.fitted & plane_tentative(fit.slopes, geometry.slope_threshold_deg)
     obstacle = line & ~tentative
-    slopes = np.full(m, np.nan)
-    slopes[planar] = fit.slopes
-    inliers = np.zeros(len(points), dtype=bool)
-    inliers[in_planar] = fit.inliers
     grid.kind[rows] = kinds
     grid.state[rows] = np.select(
         [tentative, obstacle], [GroundState.TENTATIVE, GroundState.OBSTACLE], GroundState.NON_GROUND
     )
-    grid.slopes[rows] = slopes
-    grid.inliers[at] = inliers
+    grid.slopes[rows] = fit.slopes
+    grid.inliers[at] = fit.inliers
 
     if stats is not None:
-        stats.plane_fits["failed"] = len(planar) - int(fit.fitted.sum())
+        stats.plane_fits["failed"] = int(np.count_nonzero(planar) - fit.fitted.sum())
         stats.stages_ms["eigen"] = (t1 - t0) * 1000.0
         stats.stages_ms["plane_fit"] = (time.perf_counter() - t1) * 1000.0
 
@@ -386,6 +379,36 @@ def run_phase(
     return PhaseResult(ground, stats, grid, index)
 
 
+# glibc's mallopt parameter codes (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Keep freed scan temporaries in the heap for the next scan.
+
+    glibc maps an allocation above its mmap threshold afresh and returns
+    the heap's free top to the system above its trim threshold.  Both start
+    low (128 KiB) and rise only when a mapped block is freed, so a scan's
+    arrays were mapped, page-faulted in and unmapped again scan after scan,
+    hundreds to thousands of faults per call depending on the process's
+    allocation history.  Fixed at 32 MiB and 64 MiB, where glibc's own rule
+    ends after freeing one 32 MiB mapping, the temporaries stay in the heap;
+    arrays above 32 MiB (clouds above about 1.4M points) are still mapped,
+    as under glibc's own cap.  Both are set, as setting either stops glibc's
+    adjustment of both.  Called on the first ``segment``, not at import, so
+    a process that never segments keeps glibc's defaults; nothing happens
+    where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def segment(
     cloud: PointCloud,
     cfg: PipelineConfig | None = None,
@@ -400,7 +423,10 @@ def segment(
     one too large to bin (2**62 cells of the smallest size away or more),
     are left out of both phases, get False in the mask and are counted in
     ``stats.n_nonfinite``; this is the one place such rows are handled.
+    The first call in a process sets the C library's heap thresholds (see
+    ``_keep_heap``).
     """
+    _keep_heap()
     cfg = cfg or make_default_config()
     t0 = time.perf_counter()
     n = len(cloud)

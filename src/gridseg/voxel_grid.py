@@ -12,6 +12,7 @@ ids, and its point order wherever a cell carries over whole.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -92,9 +93,11 @@ class VoxelGrid:
         return ~np.isnan(self.slopes)
 
     def find(self, index: CellIndex) -> int:
-        """Row of the cell with this index, -1 when it is not occupied."""
-        hit = np.flatnonzero((self.cells == np.asarray(index)).all(axis=1))
-        return int(hit[0]) if len(hit) else -1
+        """Row of the cell with this index, -1 when it is not occupied: a
+        binary search, as the rows ascend."""
+        key, cells = tuple(index), self.cells
+        c = bisect.bisect_left(range(len(cells)), key, key=lambda r: tuple(cells[r].tolist()))
+        return c if c < len(cells) and tuple(cells[c].tolist()) == key else -1
 
     def span(self, c: int) -> slice:
         """Positions of cell ``c``'s points in ``order`` and ``inliers``."""
@@ -269,8 +272,11 @@ def rebin(parent: VoxelGrid, kept: np.ndarray, cellsize: CellSize) -> tuple[Voxe
     first[np.compress(~moved, kstart)] = True
     at = np.flatnonzero(np.repeat(moved, hc))  # the points to re-sort
     mpts = np.take(parent.points, np.take(src, at), axis=0)
-    mcol = np.repeat(np.compress(moved, column, axis=0), np.compress(moved, hc), axis=0)
-    keys = np.column_stack([mcol, np.take(slab, at)])
+    # their cell indices, a column at a time
+    keys, mc = np.empty((len(at), 3), dtype=np.int64), np.compress(moved, hc)
+    for c in range(2):
+        keys[:, c] = np.repeat(np.compress(moved, column[:, c]), mc)
+    keys[:, 2] = np.take(slab, at)
     sub, begins = _canonical_order(mpts, keys, mpts[:, 0] / cellsize.sx)
     src[at] = np.take(src, np.take(at, sub))
     slab[at] = np.take(keys[:, 2], sub)

@@ -134,8 +134,8 @@ class TestEvaluateScan:
 
     @pytest.mark.parametrize("range_3d", [False, True])
     def test_rows_match_a_per_threshold_reference(self, rng, range_3d):
-        # a NaN threshold counts nothing, repeated thresholds give equal
-        # rows, and the rows keep the thresholds' order
+        # the rows keep the thresholds' order, a range equal to a threshold
+        # is in range, and a threshold beyond every point counts them all
         pts = np.vstack(
             [rng.uniform(-70, 70, size=(400, 3)), [[0, 0, 0], [6, 8, 0], [6, 0, 8], [0, 0, 3]]]
         )
@@ -143,7 +143,7 @@ class TestEvaluateScan:
         truth = rng.choice([1, 40, 44, 70], size=len(pts)).astype(np.uint16)
         mask = rng.random(len(pts)) < 0.5
         policy = GroundTruthPolicy(range_3d=range_3d)
-        thresholds = (55.0, np.nan, 10.0, 10.0, 0.0, -3.0, np.inf)
+        thresholds = (55.0, 0.5, 10.0, 1000.0, 3.0)
         rows = evaluate_scan(cloud, mask, truth, policy, thresholds)
 
         dist2 = (pts[:, : 3 if range_3d else 2] ** 2).sum(axis=1)
@@ -154,9 +154,18 @@ class TestEvaluateScan:
             p, t = mask[sel], is_ground[sel]
             ref = ((p & t).sum(), (p & ~t).sum(), (~p & t).sum(), (~p & ~t).sum())
             assert (row.counts.ntp, row.counts.nfp, row.counts.nfn, row.counts.ntn) == ref
-        assert rows[1].counts == ConfusionCounts()
-        assert rows[2] == rows[3]
-        assert rows[-1].counts.total() == len(pts)
+        assert rows[3].counts.total() == len(pts)
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [(10.0, -3.0), (0.0, 10.0), (10.0, np.nan), (np.inf,), (10.0, 20.0, 10.0)],
+        ids=["negative", "zero", "nan", "infinite", "repeated"],
+    )
+    def test_bad_threshold_is_a_config_error(self, thresholds):
+        cloud = _cloud([[1.0, 2.0, 0.0], [30.0, 0.0, 0.0]])
+        truth = np.array([40, 1], dtype=np.uint16)
+        with pytest.raises(ConfigError, match="thresholds must"):
+            evaluate_scan(cloud, np.array([True, False]), truth, thresholds=thresholds)
 
     def test_micro_average_equivalence(self, rng):
         # summing counts over scans == evaluating the concatenated points

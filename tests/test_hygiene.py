@@ -12,7 +12,9 @@ assigned name starting with one underscore) counts as read when some
 module of the package loads it; reads from tests do not count.  The
 segmenter runs on numpy alone, so any ``import scipy...`` or ``from
 scipy... import`` in ``src/gridseg``, at any depth, fails; the benchmark and
-the tests may import scipy.  Every config field a configuration key sets
+the tests may import scipy.  No call in ``src/gridseg`` repeats rows
+(``np.repeat(..., axis=0)``): per-cell values are repeated one column at a
+time.  Every config field a configuration key sets
 (``config.KEYS``) must be read as an attribute by some module of the
 package other than ``config.py``, so no key sets a field nothing reads.
 A public top-level function of ``src/gridseg`` must be loaded, by name or
@@ -164,6 +166,48 @@ def test_the_check_finds_scipy_imports():
 )
 def test_package_imports_no_scipy(path):
     assert scipy_imports(path.read_text()) == []
+
+
+def row_repeats(source: str) -> list[str]:
+    """``line`` of each ``repeat`` call along axis 0: ``np.repeat(a, r,
+    axis=0)`` or ``a.repeat(r, axis=0)``, the axis by keyword or position.
+    Such a call copies whole rows per point; repeating one column at a time
+    (``cell_geometry.centre_segments``) makes no per-point copy of the rows."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr != "repeat":
+            continue
+        receiver = node.func.value
+        at = 2 if isinstance(receiver, ast.Name) and receiver.id in ("np", "numpy") else 1
+        axes = [k.value for k in node.keywords if k.arg == "axis"] + node.args[at:at + 1]
+        if any(isinstance(a, ast.Constant) and a.value == 0 for a in axes):
+            found.append((node.lineno, node.col_offset))
+    return [str(line) for line, _ in sorted(found)]
+
+
+def test_the_check_finds_row_repeats():
+    # the four row repeats the package had, then the forms that pass
+    source = (
+        "centred = points - np.repeat(centroids, counts, axis=0)\n"
+        "return centred_covariance(points - np.repeat(means, counts, axis=0), counts)\n"
+        "q_in -= np.repeat(mean, n_in, axis=0)\n"
+        "mcol = np.repeat(np.compress(moved, column, axis=0), np.compress(moved, hc), axis=0)\n"
+        "a = numpy.repeat(x, r, 0) + x.repeat(r, 0) + x.repeat(r, axis=0)\n"
+        "b = np.repeat(x[:, 0], counts) + np.repeat(x, r, axis=1) + x.repeat(r, 1)\n"
+        "c = np.repeat(x, 0) + x.repeat(0) + np.compress(m, x, axis=0)\n"
+    )
+    assert row_repeats(source) == ["1", "2", "3", "4", "5", "5", "5"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "gridseg").rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_package_repeats_no_rows(path):
+    assert row_repeats(path.read_text()) == []
 
 
 def unread_config_fields(keys: dict, sources: dict[str, str]) -> list[str]:

@@ -99,6 +99,18 @@ class TestBuildGrid:
         np.testing.assert_array_equal(grid.cells, keys)
         assert grid.find((99, 99, 99)) == -1
 
+    def test_find_matches_a_scan_of_the_cells(self, rng):
+        # every occupied index, and absent ones below, between and above the rows
+        grid = build_grid(rng.uniform(-6, 6, size=(800, 3)), CellSize(1.5, 1.0, 0.2))
+        cells = [tuple(c) for c in grid.cells.tolist()]
+        for c, index in enumerate(cells):
+            assert grid.find(index) == c
+            assert grid.find(np.array(index)) == c
+        absent = {(a, b, z) for a, b, z in rng.integers(-8, 8, size=(400, 3)).tolist()}
+        absent |= {(-99, 0, 0), (99, 0, 0), (cells[0][0], cells[0][1], cells[0][2] - 1)}
+        for index in absent - set(cells):
+            assert grid.find(index) == -1
+
     def test_order_sorts_by_cell_then_xyz_then_position(self, rng):
         # rounded coordinates and repeated rows give ties on x, on (x, y)
         # and on every coordinate
