@@ -13,6 +13,7 @@ from gridseg import (
     build_centroid_index,
     build_grid,
     expand,
+    ground_mask,
     inject_synthetic_seed,
     select_seed,
 )
@@ -43,7 +44,9 @@ print("seed cell (directly under the robot):", seed)
 log = ExpansionLog()
 ground = expand(grid, index, seed, geometry, ExpansionParams(search_radius=5.0), phase=1, log=log)
 print(f"expansion took {len(log.edges)} admission edges, {len(log.routes)} cell routings")
-print(f"ground points: {len(ground)} of {len(pts)}")
+# expand returns the ground count; ground_mask flags the points themselves
+assert ground == ground_mask(grid, len(pts)).sum()
+print(f"ground points: {ground} of {len(pts)}")
 
 # The first few lines of the debug trace show admissions and routing reasons.
 print("\ntrace head:")

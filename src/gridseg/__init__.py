@@ -59,6 +59,7 @@ from .region_expansion import (
     ExpansionParams,
     build_centroid_index,
     expand,
+    ground_mask,
     refine_cell,
     select_seed,
 )

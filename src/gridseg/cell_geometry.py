@@ -366,8 +366,8 @@ def ransac_cells(
     fitted = (counts >= 3) & eigen_normals.any(axis=1)
     normals = np.where(fitted[:, None], eigen_normals, np.nan)
     offsets = np.where(fitted, 0.0, np.nan)
-    inliers = _plane_distance(q, eigen_normals, counts) <= inlier_threshold
-    inliers &= np.repeat(fitted, counts)
+    # an unfitted cell's NaN normal puts its points at NaN distance, no inliers
+    inliers = _plane_distance(q, normals, counts) <= inlier_threshold
     n_in = np.add.reduceat(inliers, np.cumsum(counts) - counts, dtype=np.int64)
 
     refit = fitted & (n_in >= 3) & (n_in < counts)

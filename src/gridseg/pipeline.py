@@ -5,8 +5,11 @@ early; Phase II re-bins the points of cells Phase I routed to ground
 (inliers and outliers alike) at a much finer cell height and repeats the
 classification and expansion with the additional per-neighbor height gate.
 Both phases name a point by its row in the seeded cloud (the scan with the
-synthetic seed lattice appended), so the final ground set is Phase II's
-ground ids with the lattice stripped.
+synthetic seed lattice appended), so the final mask is Phase II's ground
+mask (``ground_mask``) with the lattice stripped.  Neither phase builds a
+per-point ground array of its own: expansion counts its ground points
+per cell, and Phase II's ground cells are scattered into the output mask
+once.
 
 Phase II inherits what Phase I already computed.  Both phases share the
 cell footprint, so Phase II re-bins Phase I's grid (``voxel_grid.rebin``)
@@ -62,6 +65,7 @@ from .region_expansion import (
     ExpansionParams,
     build_centroid_index,
     expand,
+    ground_mask,
     id_mask,
     select_seed,
 )
@@ -185,13 +189,13 @@ class SegmentationResult:
 
 @dataclass
 class PhaseResult:
-    """The phase's ground ids (rows of the seeded cloud, sorted), its stats,
-    and its grid after expansion and centroid index with its pairs (None
-    when the seed cell was not tentative), for Phase II to re-bin and
-    inherit cells and pairs from; Phase II drops ``grid`` once re-binned
-    and ``index`` once its own index is built."""
+    """The phase's stats, its grid after expansion (None for a phase without
+    points), whose GROUND cells' inliers are the phase's ground points
+    (``ground_mask``), and its centroid index with its pairs (None when the
+    seed cell was not tentative), for Phase II to re-bin and inherit cells
+    and pairs from; Phase II drops ``grid`` once re-binned and ``index``
+    once its own index is built."""
 
-    ground_ids: np.ndarray
     stats: PhaseStats
     grid: VoxelGrid | None = None
     index: CentroidIndex | None = None
@@ -331,14 +335,16 @@ def run_phase(
     from Phase I's pairs between cells it holds unchanged plus a search of
     the others, and drops Phase I's index.
 
-    The result's ``ground_ids`` are the rows of ``points`` that expansion
-    routed to ground, sorted; every other point of the phase is non-ground.
+    The phase's ground points are the inliers of the result grid's GROUND
+    cells, rows of ``points`` that ``ground_mask`` flags; every other point
+    of the phase is non-ground.  Only their number is taken here, from
+    ``expand``, into ``stats.points_ground``.
     """
     t0 = time.perf_counter()
     phase, pcfg = (1, cfg.phase1) if parent is None else (2, cfg.phase2)
     stats = PhaseStats()
     if len(points) == 0:
-        return PhaseResult(np.empty(0, np.int64), stats)
+        return PhaseResult(stats)
 
     t = time.perf_counter()
     grid, parent_rows = _phase_grid(points, pcfg.cellsize, seed_info, parent)
@@ -350,7 +356,7 @@ def run_phase(
 
     seed = select_seed(grid, seed_info)
     stats.seed_ok = bool(grid.state[grid.find(seed)] == GroundState.TENTATIVE)
-    ground = np.empty(0, dtype=np.int64)
+    ground = 0
     index = None
     if stats.seed_ok:
         t = time.perf_counter()
@@ -373,10 +379,10 @@ def run_phase(
         stats.stages_ms["expand"] = (time.perf_counter() - t1) * 1000.0
         stats.cells_expanded = sum(stats.routes.values())
     stats.cells_routed_ground = int(np.count_nonzero(grid.state == GroundState.GROUND))
-    stats.points_ground = len(ground)
-    stats.points_non_ground = stats.n_points - len(ground)
+    stats.points_ground = ground
+    stats.points_non_ground = stats.n_points - ground
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return PhaseResult(ground, stats, grid, index)
+    return PhaseResult(stats, grid, index)
 
 
 # glibc's mallopt parameter codes (malloc.h)
@@ -424,23 +430,28 @@ def segment(
     are left out of both phases, get False in the mask and are counted in
     ``stats.n_nonfinite``; this is the one place such rows are handled.
     The first call in a process sets the C library's heap thresholds (see
-    ``_keep_heap``).
+    ``_keep_heap``).  The mask is Phase II's ground mask over the seeded
+    cloud, written once, with the lattice cut off; when every row was
+    binnable it is that mask's head.
     """
     _keep_heap()
     cfg = cfg or make_default_config()
     t0 = time.perf_counter()
     n = len(cloud)
     stats = SegmentationStats(n_points=n)
-    mask = np.zeros(n, dtype=bool)
     limit = 2.0**62 * min(cfg.cell_sx, cfg.cell_sy, cfg.cell_sz2)
-    # False at NaN too; and-ing the three columns is far cheaper than all(axis=1)
-    binnable = np.abs(cloud.points) < limit
-    finite = binnable[:, 0] & binnable[:, 1] & binnable[:, 2]
-    stats.n_nonfinite = int(n - finite.sum())
-    if stats.n_nonfinite == n:
-        return SegmentationResult(mask=mask, stats=stats)
-    if stats.n_nonfinite:
-        cloud = PointCloud(points=np.compress(finite, cloud.points, axis=0))
+    points = np.asarray(cloud.points)
+    finite = None  # per row whether it is binnable, built only when some row is not
+    # a row is binnable when every coordinate has |x| < limit; the cloud's
+    # extremes prove it for every row at once (NaN fails both compares)
+    if n == 0 or not (-limit < points.min() and points.max() < limit):
+        # False at NaN too; and-ing the three columns is far cheaper than all(axis=1)
+        binnable = np.abs(points) < limit
+        finite = binnable[:, 0] & binnable[:, 1] & binnable[:, 2]
+        stats.n_nonfinite = int(n - finite.sum())
+        if stats.n_nonfinite == n:
+            return SegmentationResult(mask=np.zeros(n, dtype=bool), stats=stats)
+        cloud = PointCloud(points=np.compress(finite, points, axis=0))
 
     seeded, seed_info = inject_synthetic_seed(
         cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
@@ -449,6 +460,11 @@ def segment(
     r1 = run_phase(seeded.points, cfg, seed_info, log=log1)
     r2 = run_phase(seeded.points, cfg, seed_info, log=log2, parent=r1)
     stats.phase1, stats.phase2 = r1.stats, r2.stats
-    mask[finite] = strip_synthetic(id_mask(r2.ground_ids, len(seeded.points)), seed_info)
+    ground = strip_synthetic(ground_mask(r2.grid, len(seeded.points)), seed_info)
+    if finite is None:
+        mask = ground
+    else:
+        mask = np.zeros(n, dtype=bool)
+        mask[finite] = ground
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return SegmentationResult(mask=mask, stats=stats)

@@ -60,8 +60,6 @@ REASONS = (
 )
 _AMBIGUOUS = 4  # reasons from this position on are those of ambiguous cells
 _ROUTES_GROUND = np.array([False, False, True, True, False, False, False, True])
-# states that make the occupied cell below an ambiguous cell reject it
-_NON_GROUND_STATES = (GroundState.NON_GROUND, GroundState.OBSTACLE)
 # rounding margin of the pair search, in column widths: below 2**30, a
 # centroid's column position is rounded by at most 2**-23 of a width
 _MARGIN = 2.0**-20
@@ -342,10 +340,16 @@ def refine_cell(
     inputs = [x[cell] for x in _refine_inputs(grid, np.array([cell]), geometry)]
     heights = cell_heights(grid, np.array([cell, *neighbor_ground_cells]))
     rise = heights[0] - heights[1:].min() if len(neighbor_ground_cells) else math.nan
-    below = occupied_below(grid)[cell]
-    below_non_ground = below >= 0 and grid.state[below] in _NON_GROUND_STATES
+    below = occupied_below(grid, [cell])[0]
+    below_non_ground = below >= 0 and bool(_rejects_above(grid.state[below]))
     reason = int(refine_reasons(*inputs, rise, below_non_ground, expansion))
     return bool(_ROUTES_GROUND[reason]), REASONS[reason]
+
+
+def _rejects_above(states):
+    """Whether an occupied cell in each of these states makes the
+    ambiguous cell above it non-ground: it is non-ground or an obstacle."""
+    return (states == GroundState.NON_GROUND) | (states == GroundState.OBSTACLE)
 
 
 def _refine_inputs(grid: VoxelGrid, rows: np.ndarray, geometry: GeometryParams):
@@ -360,11 +364,11 @@ def _refine_inputs(grid: VoxelGrid, rows: np.ndarray, geometry: GeometryParams):
     s_in, s_out = np.zeros((2, len(counts)), dtype=np.int64)
     split = id_mask(rows, len(counts)) & (n_in > 0) & (n_out > 0)
     if split.any():
-        in_split = np.repeat(split, counts)
-        pts_in = np.compress(in_split & inliers, grid.points, axis=0)
-        pts_out = np.compress(in_split & ~inliers, grid.points, axis=0)
-        s_in[split] = segment_sparsity(pts_in, n_in[split], geometry)
-        s_out[split] = segment_sparsity(pts_out, n_out[split], geometry)
+        # only the split cells' points, in canonical order
+        at = _ranges(grid.offsets[:-1][split], counts[split])
+        pts, inl = np.take(grid.points, at, axis=0), np.take(inliers, at)
+        s_in[split] = segment_sparsity(np.compress(inl, pts, axis=0), n_in[split], geometry)
+        s_out[split] = segment_sparsity(np.compress(~inl, pts, axis=0), n_out[split], geometry)
     return fitted, n_in, n_out, s_in, s_out
 
 
@@ -465,7 +469,7 @@ def _refine_ambiguous(
     r = rank[nb]
     queued = r > ambiguous[owner]
     height = np.zeros(len(ids))
-    need = np.union1d(amb, nb)
+    need = np.flatnonzero(id_mask(np.concatenate([amb, nb]), len(ids)))
     height[need] = cell_heights(grid, ids[need])
     nb_height = height[nb]
     # the cells without such a neighbor are empty segments, which reduceat
@@ -473,8 +477,8 @@ def _refine_ambiguous(
     has = np.bincount(owner, minlength=len(amb)) > 0
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
 
-    below = occupied_below(grid)[ids[amb]]
-    below_fixed = (below >= 0) & np.isin(grid.state[below], _NON_GROUND_STATES)
+    below = occupied_below(grid, ids[amb])
+    below_fixed = (below >= 0) & _rejects_above(grid.state[below])
     row_rank = np.full(len(grid.cells) + 1, m)  # row -1 (no cell below) is unreached
     row_rank[ids[order]] = np.arange(m)
     below_rank = row_rank[below]
@@ -503,7 +507,7 @@ def expand(
     phase: int,
     log: ExpansionLog | None = None,
     route_counts: dict[str, int] | None = None,
-) -> np.ndarray:
+) -> int:
     """Breadth-first ground expansion from the seed cell, in phase 1 or 2.
 
     The index must hold the grid rows of tentative cells in ascending order;
@@ -526,11 +530,11 @@ def expand(
     ``grid.state``: GROUND or NON_GROUND for dequeued cells, unreached ones
     stay TENTATIVE.
 
-    Returns the sorted ground ids, as values of ``grid.order``: the
-    inliers of the cells whose final state is GROUND, sorted by a mask over
-    the ids.  A given ``log`` receives the admission edges and routes in
-    dequeue order, a given ``route_counts`` the number of cells per reason
-    in ``REASONS``.
+    Returns the number of ground points: the inliers of the cells it
+    routed to GROUND, summed from their inlier counts, so no per-point
+    array is built; ``ground_mask`` flags those points.  A given ``log``
+    receives the admission edges and routes in dequeue order, a given
+    ``route_counts`` the number of cells per reason in ``REASONS``.
     """
     if phase not in (1, 2):
         raise ContractViolationError(f"phase must be 1 or 2, got {phase}")
@@ -603,9 +607,16 @@ def expand(
         )
     if route_counts is not None:
         route_counts.update(zip(REASONS, np.bincount(reasons, minlength=len(REASONS)).tolist()))
+    return int(np.compress(ground, inputs[1]).sum())
 
-    to_ground = np.repeat(grid.state == GroundState.GROUND, grid.counts) & grid.inliers
-    return np.flatnonzero(id_mask(np.compress(to_ground, grid.order), grid.order.max() + 1))
+
+def ground_mask(grid: VoxelGrid, n: int) -> np.ndarray:
+    """Boolean mask over ``n`` point ids (values of ``grid.order``), True at
+    the inliers of the GROUND cells: after ``expand``, the points it routed
+    to ground, as many as it returned."""
+    mask = np.zeros(n, dtype=bool)
+    mask[grid.order] = np.repeat(grid.state == GroundState.GROUND, grid.counts) & grid.inliers
+    return mask
 
 
 def _cell_indices(grid: VoxelGrid, rows: np.ndarray) -> list[CellIndex]:

@@ -292,12 +292,14 @@ def rebin(parent: VoxelGrid, kept: np.ndarray, cellsize: CellSize) -> tuple[Voxe
     return grid, np.where(np.take(whole, row), np.take(held, row), -1)
 
 
-def occupied_below(grid: VoxelGrid) -> np.ndarray:
-    """Per cell, the row of the occupied cell with the largest iz' < iz in
-    its (ix, iy) column, or -1.  Cells are sorted, so that is the previous
-    row when it shares the column."""
-    below = np.arange(-1, len(grid.cells) - 1)
-    same = np.zeros(len(grid.cells), dtype=bool)
-    same[1:] = (grid.cells[1:, :2] == grid.cells[:-1, :2]).all(axis=1)
-    below[~same] = -1
-    return below
+def occupied_below(grid: VoxelGrid, rows: np.ndarray | None = None) -> np.ndarray:
+    """Per cell (per grid row of ``rows``, default every row), the row of
+    the occupied cell with the largest iz' < iz in its (ix, iy) column, or
+    -1.  Cells are sorted, so that is the previous row when it shares the
+    column; only the given rows and the rows before them are read."""
+    rows = np.arange(len(grid.cells)) if rows is None else np.asarray(rows, dtype=np.int64)
+    below = rows - 1
+    prev = np.maximum(below, 0)
+    cells = grid.cells
+    same = (rows > 0) & (cells[prev, 0] == cells[rows, 0]) & (cells[prev, 1] == cells[rows, 1])
+    return np.where(same, below, -1)

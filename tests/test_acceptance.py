@@ -43,6 +43,7 @@ from gridseg.region_expansion import (
     ExpansionParams,
     build_centroid_index,
     expand,
+    ground_mask,
     select_seed,
 )
 from gridseg.voxel_grid import CellKind, CellSize, GroundState, build_grid, cell_index
@@ -209,9 +210,11 @@ def test_criterion_06_expansion_oracle():
             index = (BruteIndex if brute else build_centroid_index)(grid, tentative)
             log = ExpansionLog()
             params = ExpansionParams()
-            ground = expand(
+            count = expand(
                 grid, index, select_seed(grid, info), GeometryParams(), params, phase=phase, log=log
             )
+            ground = ground_mask(grid, len(pts))
+            assert count == ground.sum()
             per_index.append(ground)
             if phase == 2:
                 assert log.edges
@@ -219,7 +222,7 @@ def test_criterion_06_expansion_oracle():
                     assert dz <= params.height_gate
         np.testing.assert_array_equal(per_index[0], per_index[1])
         results.append(per_index[0])
-    assert all(len(r) for r in results)
+    assert all(r.any() for r in results)
 
 
 @criterion(7, "pipeline partition, determinism, permutation equivariance")

@@ -5,8 +5,8 @@
 dequeued cell's neighbors and refines it on the spot against the live cell
 states.  It queries a brute-force index (``conftest.BruteForceIndex``), so it
 shares no neighbor search with ``expand``.  The new expansion must agree
-with it exactly: the same ground ids, admission edges, routes, and final
-cell states.  They run on per-cell records that ``_records`` builds from a grid's
+with it exactly: the same ground ids (``expand``'s count, and the ids
+``ground_mask`` flags), admission edges, routes, and final cell states.  They run on per-cell records that ``_records`` builds from a grid's
 arrays, as the cell objects of the former grid held them.
 """
 
@@ -33,6 +33,7 @@ from gridseg.region_expansion import (
     ExpansionParams,
     build_centroid_index,
     expand,
+    ground_mask,
     select_seed,
 )
 from gridseg.voxel_grid import CellSize, GroundState, build_grid, cell_index
@@ -174,12 +175,13 @@ def _expand_both(make_grid, points, seed, expansion, phase):
             states = [(idx, c.ground_state) for idx, c in cells.items()]
         else:
             index = build_centroid_index(grid, tentative)
-            ground = expand(grid, index, seed, GEO, expansion, phase=phase, log=log)
+            count = expand(grid, index, seed, GEO, expansion, phase=phase, log=log)
+            ground = np.flatnonzero(ground_mask(grid, len(points)))
+            assert type(count) is int and count == len(ground)
             states = [(tuple(k), GroundState(v)) for k, v in zip(grid.cells.tolist(), grid.state)]
         outcomes.append((ground, log, states))
     (g0, log0, s0), (g1, log1, s1) = outcomes
     np.testing.assert_array_equal(g0, g1)
-    assert g1.dtype == np.int64
     assert log0.edges == log1.edges
     assert log0.routes == log1.routes
     assert s0 == s1
@@ -278,9 +280,11 @@ def _reference_segment(monkeypatch, cloud):
             cells, points, _record_index(cells, keys), seed, geometry, expansion, phase, log=log
         )
         grid.state[:] = [c.ground_state for c in cells.values()]
+        # segment reads the ground points from the grid's states
+        np.testing.assert_array_equal(np.flatnonzero(ground_mask(grid, len(points))), out)
         for _, _, reason in log.routes:
             route_counts[reason] += 1
-        return out
+        return len(out)
 
     with monkeypatch.context() as m:
         m.setattr(pipeline, "expand", reference)
@@ -504,6 +508,41 @@ PAIR_SCENES = {
     "seed-below": gs.SceneSpec(ground_z=-2.2),
     "noisy": gs.SceneSpec(extent=24.0, n_ground=8000, noise_sigma=0.06, seed=11),
 }
+
+
+@pytest.mark.parametrize("name", ["boxes", "slope-12", "seed-below"])
+def test_expand_counts_the_points_of_the_ground_mask(monkeypatch, name):
+    # "boxes" and "slope-12" are the scenes of the pinned mask digests;
+    # "seed-below" fails Phase I's seed, so Phase I expands nothing
+    seeded, info = inject_synthetic_seed(
+        gs.scene_cloud(gs.make_scene(PAIR_SCENES[name])),
+        CFG.robot_radius,
+        CFG.dist_to_ground,
+        CFG.seed_spacing,
+    )
+    pts, n = seeded.points, len(seeded.points)
+    returned = []
+
+    def spy(grid, *args, **kwargs):
+        count = expand(grid, *args, **kwargs)
+        returned.append((count, int(ground_mask(grid, n).sum())))
+        return count
+
+    monkeypatch.setattr(pipeline, "expand", spy)
+    r1 = run_phase(pts, CFG, info)
+    ground1 = ground_mask(r1.grid, n)  # Phase II drops Phase I's grid
+    r2 = run_phase(pts, CFG, info, parent=r1)
+    ground2 = ground_mask(r2.grid, n)
+    assert all(count == want for count, want in returned)
+    phases = [(r1.stats, ground1), (r2.stats, ground2)]
+    assert [count for count, _ in returned] == [s.points_ground for s, _ in phases if s.seed_ok]
+    for stats, ground in phases:
+        assert stats.points_ground == ground.sum()
+        assert stats.points_ground + stats.points_non_ground == stats.n_points
+    if name == "seed-below":
+        assert not r1.stats.seed_ok and r1.stats.points_ground == 0
+    else:
+        assert len(returned) == 2 and r2.stats.points_ground > 0
 
 
 @pytest.mark.parametrize("name", PAIR_SCENES)

@@ -14,7 +14,10 @@ segmenter runs on numpy alone, so any ``import scipy...`` or ``from
 scipy... import`` in ``src/gridseg``, at any depth, fails; the benchmark and
 the tests may import scipy.  No call in ``src/gridseg`` repeats rows
 (``np.repeat(..., axis=0)``): per-cell values are repeated one column at a
-time.  Every config field a configuration key sets
+time.  No module of ``src/gridseg`` but ``evaluation.py`` names a numpy
+set routine (``union1d``, ``unique``, ``isin``, ``in1d``, ``setdiff1d``,
+``intersect1d``), each of which sorts: id sets on the ``segment()`` path
+are boolean masks (``region_expansion.id_mask``).  Every config field a configuration key sets
 (``config.KEYS``) must be read as an attribute by some module of the
 package other than ``config.py``, so no key sets a field nothing reads.
 A public top-level function of ``src/gridseg`` must be loaded, by name or
@@ -208,6 +211,49 @@ def test_the_check_finds_row_repeats():
 )
 def test_package_repeats_no_rows(path):
     assert row_repeats(path.read_text()) == []
+
+
+SET_ROUTINES = ("union1d", "unique", "isin", "in1d", "setdiff1d", "intersect1d")
+
+
+def set_routines(source: str) -> list[str]:
+    """``line: name`` for each numpy set routine a source names: as an
+    attribute of ``np`` or ``numpy`` (called or not), or imported from
+    ``numpy``.  Each sorts its input; an id set held as a mask over the ids
+    (``region_expansion.id_mask``) costs one scatter instead."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in SET_ROUTINES:
+            receiver = node.value
+            if isinstance(receiver, ast.Name) and receiver.id in ("np", "numpy"):
+                found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, a.name) for a in node.names if a.name in SET_ROUTINES]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_check_finds_set_routines():
+    # the two the package had on the segment() path, then the other forms
+    source = (
+        "need = np.union1d(amb, nb)\n"
+        "fixed = (below >= 0) & np.isin(grid.state[below], _NON_GROUND_STATES)\n"
+        "u, c = numpy.unique(a, return_counts=True)\n"
+        "f = np.setdiff1d\n"
+        "from numpy import in1d, zeros, intersect1d as both\n"
+        "a = np.zeros(3) + np.flatnonzero(m) + x.unique() + isin(a, b) + np.char.isin\n"
+    )
+    assert set_routines(source) == [
+        "1: union1d", "2: isin", "3: unique", "4: setdiff1d", "5: in1d", "5: intersect1d"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (ROOT / "src" / "gridseg").rglob("*.py") if p.name != "evaluation.py"),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_package_uses_no_set_routines(path):
+    assert set_routines(path.read_text()) == []
 
 
 def unread_config_fields(keys: dict, sources: dict[str, str]) -> list[str]:

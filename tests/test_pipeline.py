@@ -14,6 +14,7 @@ from gridseg.pipeline import (
     run_phase,
     segment,
 )
+from gridseg.region_expansion import ground_mask
 from gridseg.voxel_grid import CellKind, CellSize, GroundState, build_grid
 
 
@@ -50,12 +51,11 @@ class TestRunPhase:
         )
         n = len(seeded.points)
         result = run_phase(seeded.points, cfg, info)
-        assert result.stats.points_ground == len(result.ground_ids)
+        ground = ground_mask(result.grid, n)
+        assert result.stats.points_ground == ground.sum()
         assert result.stats.points_ground + result.stats.points_non_ground == n
-        assert set(result.ground_ids.tolist()) <= set(range(n))
         # every real plane point is recovered in the coarse phase
-        real = set(range(len(cloud)))
-        assert real <= set(result.ground_ids.tolist())
+        assert ground[: len(cloud)].all()
 
     def test_vertical_wall_contributes_no_ground(self, rng):
         wall = np.column_stack(
@@ -71,8 +71,7 @@ class TestRunPhase:
             cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
         result = run_phase(seeded.points, cfg, info)
-        wall_ids = set(range(800))
-        assert wall_ids.isdisjoint(result.ground_ids.tolist())
+        assert not ground_mask(result.grid, len(seeded.points))[:800].any()
 
     def test_empty_subset(self, rng):
         cloud = _flat_cloud(rng, n=100)
@@ -81,7 +80,7 @@ class TestRunPhase:
             cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
         result = run_phase(seeded.points[:0], cfg, info)
-        assert len(result.ground_ids) == 0
+        assert result.grid is None  # no cell, so no ground point
         assert result.stats.points_ground == result.stats.points_non_ground == 0
 
     def test_result_ids_are_sorted_global_ids(self, rng):
@@ -98,13 +97,14 @@ class TestRunPhase:
         r1 = run_phase(pts, cfg, info)
         in_ground = np.repeat(r1.grid.state == GroundState.GROUND, r1.grid.counts)
         cell_points = np.compress(in_ground, r1.grid.order)
+        ground1 = np.flatnonzero(ground_mask(r1.grid, len(pts)))
         r2 = run_phase(pts, cfg, info, parent=r1)
-        for out in (r1.ground_ids, r2.ground_ids):
-            assert len(out) and np.all(np.diff(out) > 0)
-            assert out[0] >= 0 and out[-1] < len(pts)
-        assert np.isin(r1.ground_ids, cell_points).all()
+        ground2 = np.flatnonzero(ground_mask(r2.grid, len(pts)))
+        for out, r in ((ground1, r1), (ground2, r2)):
+            assert len(out) == r.stats.points_ground > 0
+        assert np.isin(ground1, cell_points).all()
         lattice = np.arange(len(pts) - info.count, len(pts))
-        assert np.isin(r2.ground_ids, np.union1d(cell_points, lattice)).all()
+        assert np.isin(ground2, np.union1d(cell_points, lattice)).all()
         assert r2.stats.n_points == len(np.union1d(cell_points, lattice))
 
 
@@ -157,6 +157,9 @@ class TestClassifyCells:
             assert a.tobytes() == b.tobytes(), name
         assert np.array_equal(grid.inliers[~in_preset], want.inliers[~in_preset])
         assert (want.kind[~preset] != CellKind.UNCLASSIFIED).all()
+
+
+_CFG = make_default_config()
 
 
 class TestSegment:
@@ -439,6 +442,52 @@ class TestSegment:
         assert segment(PointCloud(points=pts), cfg).stats.n_nonfinite == 0
         pts[78, 2] = -limit
         assert segment(PointCloud(points=pts), cfg).stats.n_nonfinite == 1
+
+    # clouds for the binnable check: one row at or just inside the bound, a
+    # non-finite coordinate in each column, a negative zero, no rows, or
+    # every row bad
+    _LIMIT = 2.0**62 * min(_CFG.cell_sx, _CFG.cell_sy, _CFG.cell_sz2)
+    _EDGE_ROWS = {
+        "at-limit": (0, _LIMIT),
+        "at-minus-limit": (2, -_LIMIT),
+        "below-limit": (1, np.nextafter(_LIMIT, 0)),
+        "above-minus-limit": (0, -np.nextafter(_LIMIT, 0)),
+        "minus-zero": (2, -0.0),
+        **{f"{v}-{c}": (c, float(v)) for v in ("nan", "inf", "-inf") for c in range(3)},
+    }
+
+    @staticmethod
+    def _edge_cloud(case, rng):
+        pts = gs.scene_cloud(gs.make_scene(gs.SceneSpec(extent=20.0, n_ground=3000, seed=3))).points
+        if case == "empty":
+            return np.empty((0, 3))
+        if case == "all-bad":
+            bad = [np.nan, np.inf, -np.inf, TestSegment._LIMIT]
+            pts = pts[:40].copy()
+            pts[np.arange(40), rng.integers(0, 3, 40)] = np.resize(bad, 40)
+            return pts
+        column, value = TestSegment._EDGE_ROWS[case]
+        pts = pts.copy()
+        pts[77, column] = value
+        pts[78] = value
+        return pts
+
+    @pytest.mark.parametrize("case", [*_EDGE_ROWS, "empty", "all-bad"])
+    def test_binnable_rows_follow_the_per_row_rule(self, case, rng):
+        # segment proves every row binnable from the cloud's extremes and
+        # builds the per-row check only when that fails; either way the
+        # mask and the count follow the rule |p| < limit on every coordinate
+        pts = self._edge_cloud(case, rng)
+        keep = (np.abs(pts) < self._LIMIT).all(axis=1)
+        result = segment(PointCloud(points=pts), _CFG)
+        assert result.stats.n_nonfinite == np.count_nonzero(~keep)
+        assert result.mask.dtype == bool and result.mask.shape == (len(pts),)
+        assert not result.mask[~keep].any()
+        if keep.any():
+            clean = segment(PointCloud(points=pts[keep]), _CFG)
+            np.testing.assert_array_equal(result.mask[keep], clean.mask)
+        if case == "minus-zero" or case.startswith("below") or case.startswith("above"):
+            assert keep.all()
 
     def test_seed_cell_not_tentative_gives_non_ground_not_an_error(self):
         # ground 0.48 m below the configured mount height shares the seed

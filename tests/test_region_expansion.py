@@ -23,6 +23,7 @@ from gridseg.region_expansion import (
     build_centroid_index,
     cell_heights,
     expand,
+    ground_mask,
     refine_cell,
     select_seed,
 )
@@ -773,8 +774,9 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(10.0, 10.0, 10.0))
         index = _tentative_index(grid)
         seed = select_seed(grid, info)
-        ground = expand(grid, index, seed, GEO, ExpansionParams(), phase=1)
-        np.testing.assert_array_equal(ground, np.arange(len(pts)))
+        count = expand(grid, index, seed, GEO, ExpansionParams(), phase=1)
+        assert count == len(pts)
+        assert ground_mask(grid, len(pts)).all()
 
     def test_out_of_radius_cell_never_expanded(self, rng):
         # two single-cell flat patches with centroids 6 m apart and r = 5:
@@ -791,9 +793,10 @@ class TestExpand:
         assert gap > 5.0
         index = build_centroid_index(grid, tentative)
         seed = cell_index((1.0, 1.0, 0.0), grid.cellsize)
-        ground = expand(grid, index, seed, GEO, ExpansionParams(search_radius=5.0), phase=1)
-        far_ids = set(range(200, 400))
-        assert far_ids.isdisjoint(ground.tolist())
+        count = expand(grid, index, seed, GEO, ExpansionParams(search_radius=5.0), phase=1)
+        ground = ground_mask(grid, len(pts))
+        assert count == ground.sum()
+        assert not ground[200:400].any()
 
     def test_seed_not_tentative_rejected(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=2.0, n=100)
@@ -840,7 +843,7 @@ class TestExpand:
         seed = select_seed(grid, info)
         log = ExpansionLog()
         params = ExpansionParams(search_radius=5.0)
-        ground = expand(grid, index, seed, GEO, params, phase=1, log=log)
+        count = expand(grid, index, seed, GEO, params, phase=1, log=log)
 
         # connectivity oracle: flood fill over the brute-force r-neighborhood graph
         centroids = grid.centroids[tentative]
@@ -861,7 +864,8 @@ class TestExpand:
         assert dequeued == reach
         # on this flat scene every tentative cell is reached and routed ground
         assert len(reach) == len(tentative)
-        assert len(ground) == len(pts)
+        assert count == len(pts)
+        assert ground_mask(grid, len(pts)).all()
 
     def test_kdtree_equals_brute_force_expansion(self, rng, brute_index_cls):
         pts, info = _flat_cloud_with_seed(rng, extent=12.0, n=3000)
@@ -874,7 +878,9 @@ class TestExpand:
             else:
                 index = index_cls(tentative, grid.centroids[tentative])
             seed = select_seed(grid, info)
-            ground = expand(grid, index, seed, GEO, ExpansionParams(), phase=2)
+            count = expand(grid, index, seed, GEO, ExpansionParams(), phase=2)
+            ground = ground_mask(grid, len(pts))
+            assert count == ground.sum()
             results.append(ground)
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -954,7 +960,7 @@ class TestExpand:
         log = ExpansionLog()
         seed = select_seed(grid, info)
         params = ExpansionParams()
-        ground = expand(grid, _tentative_index(grid), seed, GEO, params, phase=phase, log=log)
+        count = expand(grid, _tentative_index(grid), seed, GEO, params, phase=phase, log=log)
 
         routes = {idx: route for idx, route, _ in log.routes}
         dequeued = np.array([idx in routes for idx in map(tuple, grid.cells.tolist())])
@@ -969,7 +975,9 @@ class TestExpand:
         np.testing.assert_array_equal(grid.state[~dequeued], before[~dequeued])
         unreached = ~dequeued & (before == GroundState.TENTATIVE)
         assert unreached.any() and is_ground.any() and (dequeued & ~is_ground).any()
-        # the ground ids are exactly the inliers of the GROUND cells
+        # the ground ids are exactly the inliers of the GROUND cells, and
+        # expand counts them
         want = np.sort(grid.order[np.repeat(is_ground, grid.counts) & grid.inliers])
-        assert ground.dtype == np.int64
+        ground = np.flatnonzero(ground_mask(grid, len(seeded.points)))
         np.testing.assert_array_equal(ground, want)
+        assert type(count) is int and count == len(want)
