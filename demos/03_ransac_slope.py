@@ -1,5 +1,6 @@
-# Plane fitting inside a cell (the eigenplane, refit on its inliers):
-# inlier/outlier split and slope recovery.
+# Plane fitting inside a cell (the eigenplane, the least-squares plane of
+# all its points): inlier/outlier split and slope recovery.  The clutter
+# pulls the eigenplane, so the fitted slope reads a little above the true one.
 
 import math
 

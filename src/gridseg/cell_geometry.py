@@ -4,9 +4,9 @@ Each occupied cell is classified from the eigen structure of its point
 covariance (line / planar / non-planar), planar cells get a plane fit whose
 slope against the horizontal gates them as tentative ground, and point
 subsets get a bounding-box sparsity class used later to flag ambiguous cells.
-The plane fit is the cell's eigenplane (its least-squares plane), refit by
-least squares on the eigenplane's inliers when that loses none of them; no
-candidate is sampled, so a fit depends only on the cell's points.
+The plane fit is the cell's eigenplane (its least-squares plane) and its
+inliers the points near it; no candidate is sampled, so a fit depends only
+on the cell's points.
 
 Covariances are summed one product column at a time over the points
 centred on the cell means (centred once per phase, and the plane fits read
@@ -118,17 +118,16 @@ def segment_covariance(points: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return centred_covariance(centre_segments(points, means, counts), counts)
 
 
-def centre_segments(points: np.ndarray, means: np.ndarray, counts: np.ndarray, out=None):
+def centre_segments(points: np.ndarray, means: np.ndarray, counts: np.ndarray):
     """Each point less its segment's mean: ``means[i]`` off each of the
     ``counts[i]`` points of segment i, which lie back to back in ``points``.
 
     One column at a time, so no per-point copy of the means' rows is made;
     the differences are those of ``points - np.repeat(means, counts,
-    axis=0)`` to the bit.  ``out`` (default a new (n, 3) array) may be
-    ``points`` itself.
+    axis=0)`` to the bit.
     """
     points = np.asarray(points)
-    out = np.empty(points.shape) if out is None else out
+    out = np.empty(points.shape)
     for c in range(3):
         np.subtract(points[:, c], np.repeat(means[:, c], counts), out=out[:, c])
     return out
@@ -337,21 +336,14 @@ def ransac_cells(
     ``centred`` holds the cells' points back to back, ``counts[i]`` points
     for cell i, each less its cell's mean point ``centroids[i]`` (as
     ``segment_covariance`` centres them); cell i's eigenplane normal (see
-    ``eigenplane_normals``) is ``eigen_normals[i]``.  Planes are fitted in
-    that centred frame and shifted back by the centroids.
+    ``eigenplane_normals``) is ``eigen_normals[i]``.
 
-    A cell's first plane is its eigenplane, the plane through the centroid
-    normal to the smallest covariance eigenvector: the least-squares plane
-    of all its points.  Its inliers are the points within
-    ``inlier_threshold``.  The eigenplane is refit by least squares on
-    those inliers (smallest eigenvector of their covariance), and the refit
-    is kept only when it does not lose inliers, so a cell's final count
-    never falls below the eigenplane's.  A cell whose eigenplane holds
-    every point is final at once, as its refit would be the eigenplane
-    itself; so is one with fewer than 3 inliers.  A cell of fewer than 3
-    points, or with a degenerate eigenplane (zero normal), is not fitted.
-    Deterministic, and a cell's fit depends on its own points only: the
-    same bits batched or alone.
+    A cell's plane is its eigenplane, the plane through the centroid normal
+    to the smallest covariance eigenvector: the least-squares plane of all
+    its points.  Its inliers are the points within ``inlier_threshold``.  A
+    cell of fewer than 3 points, or with a degenerate eigenplane (zero
+    normal), is not fitted.  Deterministic, and a cell's fit depends on its
+    own points only: the same bits batched or alone.
     """
     if inlier_threshold <= 0:
         raise ContractViolationError("inlier_threshold must be positive")
@@ -365,42 +357,21 @@ def ransac_cells(
         raise ContractViolationError("one centroid and eigenplane normal per cell")
     fitted = (counts >= 3) & eigen_normals.any(axis=1)
     normals = np.where(fitted[:, None], eigen_normals, np.nan)
-    offsets = np.where(fitted, 0.0, np.nan)
     # an unfitted cell's NaN normal puts its points at NaN distance, no inliers
     inliers = _plane_distance(q, normals, counts) <= inlier_threshold
-    n_in = np.add.reduceat(inliers, np.cumsum(counts) - counts, dtype=np.int64)
-
-    refit = fitted & (n_in >= 3) & (n_in < counts)
-    if refit.any():
-        in_refit = np.repeat(refit, counts)
-        q_refit, counts_refit = np.compress(in_refit, q, axis=0), counts[refit]
-        was_in, n_in = np.compress(in_refit, inliers), n_in[refit]
-        q_in = np.compress(was_in, q_refit, axis=0)
-        mean = np.add.reduceat(q_in, np.cumsum(n_in) - n_in, axis=0) / n_in[:, None]
-        centre_segments(q_in, mean, n_in, out=q_in)
-        refit_n = sorted_eigen(centred_covariance(q_in, n_in))[1][:, :, 2]
-        refit_off = -np.einsum("ij,ij->i", refit_n, mean)
-        near = _plane_distance(q_refit, refit_n, counts_refit, refit_off) <= inlier_threshold
-        starts = np.cumsum(counts_refit) - counts_refit
-        keep = np.add.reduceat(near, starts, dtype=np.int64) >= n_in
-        rows = np.flatnonzero(refit)[keep]
-        normals[rows] = np.compress(keep, refit_n, axis=0)
-        offsets[rows] = refit_off[keep]
-        inliers[in_refit] = np.where(np.repeat(keep, counts_refit), near, was_in)
-
+    offsets = np.full(len(counts), np.nan)
     slopes = np.full(len(counts), np.nan)
-    # shift offsets out of the centred frame: n.(p - centroid) + o = 0
-    normals_fit = np.compress(fitted, normals, axis=0)
-    centroids_fit = np.compress(fitted, centroids, axis=0)
-    offsets[fitted] -= np.einsum("ij,ij->i", normals_fit, centroids_fit)
-    normals[fitted], offsets[fitted], slopes[fitted] = make_planes(normals_fit, offsets[fitted])
+    # the plane through the centroid: n.(p - centroid) = 0
+    normals_fit = np.compress(fitted, eigen_normals, axis=0)
+    offsets_fit = -np.einsum("ij,ij->i", normals_fit, np.compress(fitted, centroids, axis=0))
+    normals[fitted], offsets[fitted], slopes[fitted] = make_planes(normals_fit, offsets_fit)
     return CellPlanes(normals, offsets, slopes, fitted, inliers)
 
 
-def _plane_distance(q: np.ndarray, normals: np.ndarray, counts: np.ndarray, offsets=None):
-    """|n . p + o| for each point p of ``q``, whose rows run in segments of
-    ``counts[i]`` points on plane i: normal ``normals[i]`` and offset
-    ``offsets[i]`` (0 when ``offsets`` is None).
+def _plane_distance(q: np.ndarray, normals: np.ndarray, counts: np.ndarray):
+    """|n . p| for each point p of ``q``, whose rows run in segments of
+    ``counts[i]`` points on the plane through the origin normal to
+    ``normals[i]``.
 
     Each coordinate's products come from a repeat of one normal column, so
     no per-point normal array is built.  They are summed as (x + z) + y, the
@@ -410,8 +381,6 @@ def _plane_distance(q: np.ndarray, normals: np.ndarray, counts: np.ndarray, offs
     d = np.repeat(normals[:, 0], counts) * q[:, 0]
     d += np.repeat(normals[:, 2], counts) * q[:, 2]
     d += np.repeat(normals[:, 1], counts) * q[:, 1]
-    if offsets is not None:
-        d += np.repeat(offsets, counts)
     return np.abs(d, out=d)
 
 

@@ -16,6 +16,7 @@ from . import cloud_io, synth
 from .config import ENV_CONFIG_PATH, dump_config, resolve_config
 from .errors import ConfigError
 from .evaluation import (
+    DEFAULT_GROUND_LABELS,
     DEFAULT_THRESHOLDS,
     GroundTruthPolicy,
     _outcome,
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
     p_eval.add_argument(
         "--ground-labels",
-        default="40,44,48,49,60,72",
+        default=",".join(str(label) for label in sorted(DEFAULT_GROUND_LABELS)),
         help="comma-separated semantic ids counted as ground",
     )
     p_eval.add_argument(
@@ -194,13 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
+    scene = synth.SceneSpec()
     p_synth = sub.add_parser("synth", help="generate synthetic labeled scenes")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--extent", type=float, default=40.0)
-    p_synth.add_argument("--points", type=int, default=20000)
-    p_synth.add_argument("--slope-deg", type=float, default=0.0)
-    p_synth.add_argument("--noise-sigma", type=float, default=0.02)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--extent", type=float, default=scene.extent)
+    p_synth.add_argument("--points", type=int, default=scene.n_ground)
+    p_synth.add_argument("--slope-deg", type=float, default=scene.slope_deg)
+    p_synth.add_argument("--noise-sigma", type=float, default=scene.noise_sigma)
+    p_synth.add_argument("--seed", type=int, default=scene.seed)
     p_synth.add_argument("--num-scans", type=int, default=1)
     p_synth.add_argument(
         "--box",
@@ -209,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CX,CY,SX,SY,SZ[,BASE]",
         help="add an axis-aligned box obstacle; repeatable",
     )
-    p_synth.add_argument("--box-density", type=float, default=40.0)
+    p_synth.add_argument("--box-density", type=float, default=scene.box_density)
     p_synth.set_defaults(func=cmd_synth)
 
     p_dump = sub.add_parser("config-dump", help="print the effective configuration")

@@ -136,11 +136,19 @@ def resolve_config(config_path: str | None, overrides: list[str] | None) -> Pipe
     return apply_settings(make_default_config(), settings)
 
 
+def _format_value(value: float) -> str:
+    """``format(value, "g")`` when it reads back as the same float, else
+    ``repr(value)``, which always does."""
+    text = format(value, "g")
+    return text if float(text) == value else repr(value)
+
+
 def dump_config(cfg: PipelineConfig) -> str:
-    """Render the effective configuration in the flat key format."""
+    """Render the effective configuration in the flat key format; every
+    value reads back as the same float."""
     lines = []
     for key in KEYS:
-        values = [format(attrgetter(path)(cfg), "g") for path in KEYS[key]]
+        values = [_format_value(attrgetter(path)(cfg)) for path in KEYS[key]]
         if key == "cellSizeZ":
             values = [f"{values[0]} (Phase I)", f"{values[1]} (Phase II)"]
         lines.append(f"{key}: {', '.join(values)}\n")

@@ -150,9 +150,9 @@ class PhaseStats:
     # cells per refinement reason (region_expansion.REASONS); they add up
     # to cells_expanded
     routes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REASONS, 0))
-    # eigen-planar cells by how their plane fit ended: with the eigenplane
-    # or its refit, or without a plane (the cell is then non-planar); they
-    # add up to the eigen-planar cells
+    # eigen-planar cells by how their plane fit ended: with the eigenplane,
+    # or without a plane (the cell is then non-planar); they add up to the
+    # eigen-planar cells
     plane_fits: dict[str, int] = field(default_factory=lambda: {"eigenplane": 0, "failed": 0})
     # wall milliseconds per stage of the phase: grid build (in Phase II
     # the re-bin and the copy of the inherited cells), eigen classification
@@ -212,16 +212,15 @@ def classify_cells(
     cells, with every per-cell sum taken in canonical within-cell order, so
     the result is independent of input point order.  A planar cell's plane
     is its eigenplane (through ``grid.centroids``, normal to the smallest
-    eigenvector) or that plane's refit on its inliers (``ransac_cells``), a
-    function of the cell's points alone, so it does not depend on the phase
-    or on which other cells exist.  Cells too small for a covariance rank
-    test are non-planar, hence non-ground candidates; so are planar cells
-    whose fit fails.  Cells of another kind (Phase II's inherited ones) are
-    left as they are, and the others classified from one compress of their
-    points.  With ``stats``, the time of the eigen step (gather,
-    covariance, eigen decomposition, kinds) and of the plane-fit step lands
-    in its ``stages_ms``, and the count of failed fits in its
-    ``plane_fits``.
+    eigenvector; ``ransac_cells``), a function of the cell's points alone,
+    so it does not depend on the phase or on which other cells exist.
+    Cells too small for a covariance rank test are non-planar, hence
+    non-ground candidates; so are planar cells whose fit fails.  Cells of
+    another kind (Phase II's inherited ones) are left as they are, and the
+    others classified from one compress of their points.  With ``stats``,
+    the time of the eigen step (gather, covariance, eigen decomposition,
+    kinds) and of the plane-fit step lands in its ``stages_ms``, and the
+    count of failed fits in its ``plane_fits``.
     """
     t0 = time.perf_counter()
     counts, points, centroids = grid.counts, grid.points, grid.centroids

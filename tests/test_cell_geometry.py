@@ -265,17 +265,16 @@ class TestRansacPlane:
         np.testing.assert_array_equal(a[0].normal, b[0].normal)
 
     def test_final_count_not_below_any_candidate(self, rng):
-        # the eigenplane is the one candidate, and its refit is kept only
-        # when it loses no inliers
+        # the eigenplane is the one candidate, and its inliers are final
         pts = rng.normal(size=(60, 3)) * [1, 1, 0.2]
         pts[::3, 2] += rng.normal(0, 0.5, len(pts[::3]))
         threshold = 0.1
         _, inliers, _ = ransac_plane(pts, threshold)
         q = pts - pts.mean(axis=0)
         normal = np.linalg.eigh(q.T @ q / len(pts))[1][:, 0]
-        best = int((np.abs(q @ normal) <= threshold).sum())
-        assert 3 <= best < len(pts)  # the cell is refit
-        assert len(inliers) >= best
+        best = np.flatnonzero(np.abs(q @ normal) <= threshold)
+        assert 3 <= len(best) < len(pts)  # the eigenplane leaves some points out
+        np.testing.assert_array_equal(inliers, best)
 
     def test_too_few_points(self):
         with pytest.raises(FitFailureError):
@@ -306,14 +305,12 @@ class TestRansacPlane:
 
 def _oracle_ransac_plane(points, inlier_threshold, ends=None):
     """The one-cell plane fit that ``ransac_cells`` batches (reference): the
-    eigenplane, then its least-squares refit on its inliers, kept when it
-    loses none.
+    eigenplane and the points within ``inlier_threshold`` of it.
 
     Returns (unit normal with z >= 0, offset, inlier indices, outlier
     indices); raises FitFailureError like ``ransac_plane``.  A given
-    ``ends`` list receives which plane the cell ended with: "whole" when
-    the eigenplane holds every point, "refit" when the refit was kept, or
-    "eigenplane" otherwise.
+    ``ends`` list receives "whole" when the eigenplane holds every point,
+    or "eigenplane" otherwise.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -324,22 +321,11 @@ def _oracle_ransac_plane(points, inlier_threshold, ends=None):
     w, v = np.linalg.eigh(q.T @ q / n)
     if w[1] <= 1e-12:  # the points lie on a line: no plane is determined
         raise FitFailureError("the points are collinear")
-    normal, offset_c = v[:, 0], 0.0
+    normal = v[:, 0]
     best_mask = np.abs(q @ normal) <= inlier_threshold
-    best_count = int(best_mask.sum())
-    end = "whole" if best_count == n else "eigenplane"
-    inl = q[best_mask]
-    if len(inl) >= 3 and best_count < n:
-        d = inl - inl.mean(axis=0)
-        _, v = np.linalg.eigh((d.T @ d) / len(inl))
-        refit_n = v[:, 0]
-        refit_off = -float(refit_n @ inl.mean(axis=0))
-        refit_mask = np.abs(q @ refit_n + refit_off) <= inlier_threshold
-        if int(refit_mask.sum()) >= best_count:
-            normal, offset_c, best_mask, end = refit_n, refit_off, refit_mask, "refit"
     if ends is not None:
-        ends.append(end)
-    offset = offset_c - float(np.dot(normal, center))
+        ends.append("whole" if best_mask.all() else "eigenplane")
+    offset = -float(np.dot(normal, center))
     norm = float(np.linalg.norm(normal))
     normal, offset = normal / norm, offset / norm
     if normal[2] < 0:
@@ -413,9 +399,8 @@ class TestRansacCells:
             full_runs += len(inl) < 0.99 * len(pts)
         assert failures == 2  # the two collinear cells
         assert full_runs > 20
-        # cells end on a whole eigenplane, on a kept refit, and on an
-        # eigenplane whose refit lost inliers
-        assert set(ends) == {"whole", "refit", "eigenplane"}
+        # some eigenplanes hold every point of their cell, others not
+        assert set(ends) == {"whole", "eigenplane"}
 
     def test_batch_matches_each_cell_fitted_alone(self):
         cells = self._cells()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gridseg as gs
-from gridseg.cli import main
+from gridseg.cli import build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -18,6 +18,21 @@ def _make_sequence(tmp_path, n_scans=1, n_ground=2500, seed=0, name="seq"):
         scene = gs.make_scene(gs.SceneSpec(extent=16.0, n_ground=n_ground, seed=seed + k))
         gs.write_scene(out, scene, f"{k:06d}")
     return out
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["evaluate", "--scans", "s", "--labels", "l"])
+    labels = {int(label) for label in args.ground_labels.split(",")}
+    assert labels == gs.evaluation.DEFAULT_GROUND_LABELS
+    thresholds = tuple(float(d) for d in args.max_dists.split(","))
+    assert thresholds == gs.evaluation.DEFAULT_THRESHOLDS
+    args = parser.parse_args(["synth", "--out", "o"])
+    flags = ("extent", "points", "slope_deg", "noise_sigma", "box_density", "seed")
+    fields = ("extent", "n_ground", "slope_deg", "noise_sigma", "box_density", "seed")
+    scene = gs.SceneSpec()
+    assert [getattr(args, f) for f in flags] == [getattr(scene, f) for f in fields]
+    assert [type(getattr(args, f)) for f in flags] == [type(getattr(scene, f)) for f in fields]
 
 
 class TestSegmentCommand:

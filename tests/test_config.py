@@ -257,6 +257,61 @@ def test_dump_round_trips_a_config_with_every_key_off_its_default():
     assert apply_settings(make_default_config(), parse_config_text(dump_config(cfg))) == cfg
 
 
+# pi to 7-17 significant digits, and at very large and very small exponents
+FULL_DIGITS = [float(f"{math.pi:.{n}g}") for n in range(7, 18)]
+FULL_DIGITS += [math.pi * 1e250, math.pi * 1e-250, 2.5e-310, 1.7234567, 12345678.0]
+KEY_VALUES = [(key, at) for key, paths in KEYS.items() for at in range(len(paths))]
+
+
+def _settings_with(key, at, value):
+    """Settings moving value ``at`` of ``key`` to ``value``, and a value
+    bound to it along with it so the config stays valid; None when the
+    key's own lower bound (above 2/3 or at least 1) refuses ``value``."""
+    if key == "lineRatioMin" and value <= 2.0 / 3.0:
+        return None
+    if key == "lineCrossRatioMax" and value < 1.0:
+        return None
+    if key == "cellSizeZ":
+        heights = [1.5, 0.2]
+        heights[at] = value
+        if heights[0] <= heights[1]:  # Phase I cells must stay taller
+            heights[1 - at] = value * 2.0 if at else value / 2.0
+        return {key: tuple(heights)}
+    settings = {key: value}
+    if key == "sparsityLowMax" and value > 0.1:
+        settings["sparsityMediumMax"] = value
+    if key == "sparsityMediumMax" and value < 0.01:
+        settings["sparsityLowMax"] = value
+    return settings
+
+
+@pytest.mark.parametrize("key, at", KEY_VALUES)
+def test_dump_round_trips_every_value_in_full(key, at):
+    tried = 0
+    for value in FULL_DIGITS:
+        settings = _settings_with(key, at, value)
+        if settings is None:
+            continue
+        cfg = apply_settings(make_default_config(), settings)
+        text = dump_config(cfg)
+        assert apply_settings(make_default_config(), parse_config_text(text)) == cfg, text
+        tried += 1
+    assert tried >= len(FULL_DIGITS) - 2  # a lower bound refuses only the two tiny values
+
+
+@pytest.mark.parametrize(
+    "pair, line",
+    [
+        ("distToGround=1.7234567", "distToGround: 1.7234567\n"),
+        ("centroidSearchRadius=12345678", "centroidSearchRadius: 12345678.0\n"),
+    ],
+)
+def test_config_dump_prints_values_beyond_six_digits(pair, line, capsys, monkeypatch):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    assert main(["config-dump", "--set", pair]) == 0
+    assert line in capsys.readouterr().out
+
+
 def _nonfinite_cases():
     """(key, value text, field the error names) for every key value."""
     for key, paths in KEYS.items():

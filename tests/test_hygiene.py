@@ -26,14 +26,18 @@ in ``perfbench/*.py``, and a public method must be loaded as an attribute
 there; a string constant of ``perfbench`` counts as both, as the layer
 tracer hooks names as strings.  Reads from tests and demos do not count,
 and a name only they read is listed in ``TEST_ONLY_NAMES`` with its reason.
+Every field of the stats ``stats.json`` holds (``SegmentationStats`` and
+``PhaseStats``) is named in backticks in the README's ``## CLI`` section.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from gridseg.config import KEYS
+from gridseg.pipeline import PhaseStats, SegmentationStats
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
@@ -368,3 +372,38 @@ def test_every_public_name_is_read_outside_the_tests_or_listed():
     package = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "gridseg").glob("*.py"))}
     readers = {p.stem: p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))}
     assert sorted(unread_public_names(package, readers)) == sorted(TEST_ONLY_NAMES)
+
+
+def undocumented_fields(classes, text: str, section: str) -> list[str]:
+    """``Class.field`` for each field of the dataclasses ``classes`` that the
+    markdown ``text`` does not name in backticks within its ``section``
+    heading's section (up to the next heading of the same level)."""
+    body = text.split(f"\n{section}\n", 1)[1]
+    level = section.split(" ", 1)[0]
+    body = body.split(f"\n{level} ", 1)[0]
+    return [
+        f"{cls.__name__}.{f.name}"
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if f"`{f.name}`" not in body
+    ]
+
+
+def test_the_check_finds_fields_the_section_does_not_name():
+    @dataclasses.dataclass
+    class Stats:
+        kept: int = 0
+        bare: int = 0
+        elsewhere: int = 0
+        nested: dict = dataclasses.field(default_factory=dict)
+
+    text = (
+        "# Tool\n\n`elsewhere`\n\n## CLI\n\n- `kept`: one\n- bare, unquoted\n"
+        "### Stats\n\n`nested`\n\n## Config\n\n`elsewhere`\n"
+    )
+    assert undocumented_fields([Stats], text, "## CLI") == ["Stats.bare", "Stats.elsewhere"]
+
+
+def test_every_stats_field_is_named_in_the_readme_cli_section():
+    text = (ROOT / "README.md").read_text()
+    assert undocumented_fields([SegmentationStats, PhaseStats], text, "## CLI") == []
