@@ -6,7 +6,8 @@ slope against the horizontal gates them as tentative ground, and point
 subsets get a bounding-box sparsity class used later to flag ambiguous cells.
 The plane fit is the cell's eigenplane (its least-squares plane) and its
 inliers the points near it; no candidate is sampled, so a fit depends only
-on the cell's points.
+on the cell's points.  The batched fit (``eigenplane_fits``) returns only
+what the pipeline reads: each cell's slope and each point's inlier flag.
 
 Covariances are summed one product column at a time over the points
 centred on the cell means (centred once per phase, and the plane fits read
@@ -15,8 +16,10 @@ solver (``sorted_eigen``) instead of LAPACK: both are elementwise over
 cells, so a cell's result never depends on which other cells share the call.
 Classification, line gating, plane fitting and sparsity run on all cells of a
 phase at once, so each rule is written once.  The one remaining one-cell
-wrapper, ``ransac_plane``, stays for the acceptance suite's plane-fit
-criterion and for the benchmark's layer tracer, which hooks it by name.
+wrapper, ``ransac_plane``, is a one-cell ``eigenplane_fits`` call that also
+returns the plane's normal and offset; it stays for the acceptance suite's
+plane-fit criterion and for the benchmark's layer tracer, which hooks it by
+name.
 """
 
 from __future__ import annotations
@@ -297,75 +300,37 @@ def line_tentative(e1: np.ndarray, slope_threshold_deg: float) -> np.ndarray:
     return angle >= 90.0 - slope_threshold_deg
 
 
-@dataclass(frozen=True)
-class CellPlanes:
-    """Plane fits of consecutive point segments (cells).
-
-    Row i of ``normals``, ``offsets`` and ``slopes`` is cell i's plane,
-    normalized and oriented as by ``make_planes``; NaN where ``fitted[i]`` is
-    False (fewer than 3 points, or a degenerate eigenplane: the points lie
-    on a line or a point).  ``inliers`` flags, per point in input order,
-    whether it lies within the inlier threshold of its cell's plane.
-    """
-
-    normals: np.ndarray
-    offsets: np.ndarray
-    slopes: np.ndarray
-    fitted: np.ndarray
-    inliers: np.ndarray
-
-
-def eigenplane_normals(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
-    """Per cell, the normal of its eigenplane: the eigenvector of the
-    smallest eigenvalue (sorted as by ``sorted_eigen``).  Zero where the
-    middle eigenvalue vanishes, i.e. the points lie on a line or a point
-    and no plane is determined."""
-    spans = eigenvalues[:, 1] > _DEGENERATE_CROSS
-    return np.where(spans[:, None], eigenvectors[:, :, 2], 0.0)
-
-
-def ransac_cells(
+def eigenplane_fits(
     centred: np.ndarray,
     counts: np.ndarray,
-    centroids: np.ndarray,
-    eigen_normals: np.ndarray,
+    eigenvalues: np.ndarray,
+    eigenvectors: np.ndarray,
+    fit: np.ndarray,
     inlier_threshold: float,
-) -> CellPlanes:
-    """Plane fit of every cell, cell by cell as ``ransac_plane``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Plane slope and inliers of every cell flagged in ``fit``.
 
     ``centred`` holds the cells' points back to back, ``counts[i]`` points
-    for cell i, each less its cell's mean point ``centroids[i]`` (as
-    ``segment_covariance`` centres them); cell i's eigenplane normal (see
-    ``eigenplane_normals``) is ``eigen_normals[i]``.
+    for cell i, each less its cell's mean point (as ``centre_segments``
+    gives them); ``eigenvalues`` and ``eigenvectors`` are the cells'
+    covariance eigenpairs as ``sorted_eigen`` gives them.
 
     A cell's plane is its eigenplane, the plane through the centroid normal
     to the smallest covariance eigenvector: the least-squares plane of all
     its points.  Its inliers are the points within ``inlier_threshold``.  A
-    cell of fewer than 3 points, or with a degenerate eigenplane (zero
-    normal), is not fitted.  Deterministic, and a cell's fit depends on its
-    own points only: the same bits batched or alone.
+    cell is fitted when flagged in ``fit``, of at least
+    ``MIN_POINTS_FOR_EIGEN`` points and with a nonzero middle eigenvalue
+    (else the points lie on a line or a point and no plane is determined).
+    Returns per cell the slope in degrees (as ``make_planes`` gives it; NaN
+    where not fitted) and per point whether it is an inlier.  A cell's fit
+    depends on its own points only: the same bits batched or alone.
     """
-    if inlier_threshold <= 0:
-        raise ContractViolationError("inlier_threshold must be positive")
-    q = np.asarray(centred, dtype=np.float64).reshape(-1, 3)
-    counts = np.asarray(counts, dtype=np.int64)
-    centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
-    eigen_normals = np.asarray(eigen_normals, dtype=np.float64).reshape(-1, 3)
-    if (counts < 1).any() or counts.sum() != len(q):
-        raise ContractViolationError("cell counts must be positive and cover the points")
-    if not len(centroids) == len(eigen_normals) == len(counts):
-        raise ContractViolationError("one centroid and eigenplane normal per cell")
-    fitted = (counts >= 3) & eigen_normals.any(axis=1)
-    normals = np.where(fitted[:, None], eigen_normals, np.nan)
-    # an unfitted cell's NaN normal puts its points at NaN distance, no inliers
-    inliers = _plane_distance(q, normals, counts) <= inlier_threshold
-    offsets = np.full(len(counts), np.nan)
-    slopes = np.full(len(counts), np.nan)
-    # the plane through the centroid: n.(p - centroid) = 0
-    normals_fit = np.compress(fitted, eigen_normals, axis=0)
-    offsets_fit = -np.einsum("ij,ij->i", normals_fit, np.compress(fitted, centroids, axis=0))
-    normals[fitted], offsets[fitted], slopes[fitted] = make_planes(normals_fit, offsets_fit)
-    return CellPlanes(normals, offsets, slopes, fitted, inliers)
+    fitted = fit & (counts >= MIN_POINTS_FOR_EIGEN) & (eigenvalues[:, 1] > _DEGENERATE_CROSS)
+    # an unfitted cell's NaN normal gives it a NaN slope, and puts its
+    # points at NaN distance: no inliers
+    normals = np.where(fitted[:, None], eigenvectors[:, :, 2], np.nan)
+    inliers = _plane_distance(centred, normals, counts) <= inlier_threshold
+    return make_planes(normals, np.zeros(len(counts)))[2], inliers
 
 
 def _plane_distance(q: np.ndarray, normals: np.ndarray, counts: np.ndarray):
@@ -387,28 +352,32 @@ def _plane_distance(q: np.ndarray, normals: np.ndarray, counts: np.ndarray):
 def ransac_plane(
     points: np.ndarray, inlier_threshold: float
 ) -> tuple[PlaneModel, np.ndarray, np.ndarray]:
-    """Plane fit of one point set (see ``ransac_cells``), its centroid and
-    eigenplane taken from its covariance as in the pipeline.
+    """Plane fit of one point set as ``eigenplane_fits`` fits a cell, its
+    centroid and eigenplane taken from its covariance as in the pipeline.
 
     Returns the plane and the inlier / outlier indices; raises
     ``FitFailureError`` for fewer than 3 points or when the points lie on
     a line or a point, so that no plane is determined.
     """
+    if inlier_threshold <= 0:
+        raise ContractViolationError("inlier_threshold must be positive")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
-    if n < 3:
-        raise FitFailureError(f"plane fit needs at least 3 points, got {n}")
+    if n < MIN_POINTS_FOR_EIGEN:
+        raise FitFailureError(f"plane fit needs at least {MIN_POINTS_FOR_EIGEN} points, got {n}")
     counts = np.array([n])
     centroid = np.add.reduceat(pts, [0], axis=0) / n
     q = pts - centroid
-    normal = eigenplane_normals(*sorted_eigen(centred_covariance(q, counts)))
-    fit = ransac_cells(q, counts, centroid, normal, inlier_threshold)
-    if not fit.fitted[0]:
+    lam, vec = sorted_eigen(centred_covariance(q, counts))
+    slopes, inliers = eigenplane_fits(q, counts, lam, vec, np.ones(1, bool), inlier_threshold)
+    if np.isnan(slopes[0]):
         raise FitFailureError("no plane: the points are collinear")
-    plane = PlaneModel(
-        normal=fit.normals[0], offset=float(fit.offsets[0]), slope_deg=float(fit.slopes[0])
-    )
-    return plane, np.flatnonzero(fit.inliers), np.flatnonzero(~fit.inliers)
+    # the plane through the centroid: n.(p - centroid) = 0; a contiguous
+    # normal, as in the batch, so make_planes sums its norm in the same order
+    normal = np.ascontiguousarray(vec[:, :, 2])
+    normals, offsets, slopes = make_planes(normal, -np.einsum("ij,ij->i", normal, centroid))
+    plane = PlaneModel(normal=normals[0], offset=float(offsets[0]), slope_deg=float(slopes[0]))
+    return plane, np.flatnonzero(inliers), np.flatnonzero(~inliers)
 
 
 def plane_tentative(slopes: np.ndarray, slope_threshold_deg: float) -> np.ndarray:

@@ -45,10 +45,9 @@ from .cell_geometry import (
     centre_segments,
     centred_covariance,
     eigen_kinds,
-    eigenplane_normals,
+    eigenplane_fits,
     line_tentative,
     plane_tentative,
-    ransac_cells,
     sorted_eigen,
 )
 
@@ -212,7 +211,7 @@ def classify_cells(
     cells, with every per-cell sum taken in canonical within-cell order, so
     the result is independent of input point order.  A planar cell's plane
     is its eigenplane (through ``grid.centroids``, normal to the smallest
-    eigenvector; ``ransac_cells``), a function of the cell's points alone,
+    eigenvector; ``eigenplane_fits``), a function of the cell's points alone,
     so it does not depend on the phase or on which other cells exist.
     Cells too small for a covariance rank test are non-planar, hence
     non-ground candidates; so are planar cells whose fit fails.  Cells of
@@ -247,12 +246,13 @@ def classify_cells(
     line = kinds == CellKind.LINE
     planar = kinds == CellKind.PLANAR
     # every cell goes to the fit, as gathering the planar cells' points costs
-    # more than scoring the others; a zero normal leaves a cell unfitted
-    normals = np.where(planar[:, None], eigenplane_normals(lam, vec), 0.0)
-    fit = ransac_cells(centred, counts, centroids, normals, geometry.inlier_threshold)
-    kinds[planar & ~fit.fitted] = CellKind.NON_PLANAR
+    # more than scoring the others; only the planar ones are fitted
+    slopes, inliers = eigenplane_fits(centred, counts, lam, vec, planar, geometry.inlier_threshold)
+    fitted = ~np.isnan(slopes)
+    kinds[planar & ~fitted] = CellKind.NON_PLANAR
 
-    tentative = fit.fitted & plane_tentative(fit.slopes, geometry.slope_threshold_deg)
+    # a NaN slope (no fit) is not tentative
+    tentative = plane_tentative(slopes, geometry.slope_threshold_deg)
     tentative[line] = line_tentative(
         np.compress(line, vec[:, :, 0], axis=0), geometry.slope_threshold_deg
     )
@@ -261,11 +261,11 @@ def classify_cells(
     grid.state[rows] = np.select(
         [tentative, obstacle], [GroundState.TENTATIVE, GroundState.OBSTACLE], GroundState.NON_GROUND
     )
-    grid.slopes[rows] = fit.slopes
-    grid.inliers[at] = fit.inliers
+    grid.slopes[rows] = slopes
+    grid.inliers[at] = inliers
 
     if stats is not None:
-        stats.plane_fits["failed"] = int(np.count_nonzero(planar) - fit.fitted.sum())
+        stats.plane_fits["failed"] = int(np.count_nonzero(planar) - fitted.sum())
         stats.stages_ms["eigen"] = (t1 - t0) * 1000.0
         stats.stages_ms["plane_fit"] = (time.perf_counter() - t1) * 1000.0
 

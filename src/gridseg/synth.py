@@ -111,23 +111,21 @@ def _sample_ground(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
 def _sample_box(spec: SceneSpec, box: BoxSpec, rng: np.random.Generator) -> np.ndarray:
     z0 = _ground_height(spec, box.cx) + box.base
     z1 = z0 + box.sz
-    # faces: (area, sampler); the bottom face is only visible when elevated
-    faces = []
-    top_area = box.sx * box.sy
-    faces.append((top_area, lambda n: _face_xy(box, rng, n, z1)))
+    xs = (box.cx - box.sx / 2, box.cx + box.sx / 2)
+    ys = (box.cy - box.sy / 2, box.cy + box.sy / 2)
+    # faces: (area, x, y, z); the bottom face is only visible when elevated
+    faces = [(box.sx * box.sy, xs, ys, z1)]
     if box.base > 0:
-        faces.append((top_area, lambda n: _face_xy(box, rng, n, z0)))
-    side_x = box.sy * box.sz
-    side_y = box.sx * box.sz
-    for sign in (-1.0, 1.0):
-        faces.append((side_x, lambda n, s=sign: _face_yz(box, rng, n, z0, z1, s)))
-        faces.append((side_y, lambda n, s=sign: _face_xz(box, rng, n, z0, z1, s)))
+        faces.append((box.sx * box.sy, xs, ys, z0))
+    for x, y in zip(xs, ys):
+        faces.append((box.sy * box.sz, x, ys, (z0, z1)))
+        faces.append((box.sx * box.sz, xs, y, (z0, z1)))
 
     pts = []
-    for area, sampler in faces:
+    for area, *bounds in faces:
         n = int(round(area * spec.box_density))
         if n > 0:
-            pts.append(sampler(n))
+            pts.append(_face(rng, n, bounds))
     if not pts:
         return np.empty((0, 3))
     out = np.vstack(pts)
@@ -136,22 +134,12 @@ def _sample_box(spec: SceneSpec, box: BoxSpec, rng: np.random.Generator) -> np.n
     return out
 
 
-def _face_xy(box, rng, n, z):
-    x = rng.uniform(box.cx - box.sx / 2, box.cx + box.sx / 2, n)
-    y = rng.uniform(box.cy - box.sy / 2, box.cy + box.sy / 2, n)
-    return np.column_stack([x, y, np.full(n, z)])
-
-
-def _face_yz(box, rng, n, z0, z1, sign):
-    y = rng.uniform(box.cy - box.sy / 2, box.cy + box.sy / 2, n)
-    z = rng.uniform(z0, z1, n)
-    return np.column_stack([np.full(n, box.cx + sign * box.sx / 2), y, z])
-
-
-def _face_xz(box, rng, n, z0, z1, sign):
-    x = rng.uniform(box.cx - box.sx / 2, box.cx + box.sx / 2, n)
-    z = rng.uniform(z0, z1, n)
-    return np.column_stack([x, np.full(n, box.cy + sign * box.sy / 2), z])
+def _face(rng, n, bounds):
+    """n points on an axis-aligned face: each axis of ``bounds`` (x, y, z)
+    is a (low, high) range, drawn uniformly in axis order, or a fixed value."""
+    return np.column_stack(
+        [rng.uniform(*b, n) if isinstance(b, tuple) else np.full(n, b) for b in bounds]
+    )
 
 
 def make_scene(spec: SceneSpec) -> Scene:

@@ -11,11 +11,10 @@ from gridseg.cell_geometry import (
     Sparsity,
     centred_covariance,
     eigen_kinds,
-    eigenplane_normals,
+    eigenplane_fits,
     line_tentative,
     make_planes,
     plane_tentative,
-    ransac_cells,
     ransac_plane,
     segment_covariance,
     segment_sparsity,
@@ -304,7 +303,7 @@ class TestRansacPlane:
 
 
 def _oracle_ransac_plane(points, inlier_threshold, ends=None):
-    """The one-cell plane fit that ``ransac_cells`` batches (reference): the
+    """The one-cell plane fit that ``eigenplane_fits`` batches (reference): the
     eigenplane and the points within ``inlier_threshold`` of it.
 
     Returns (unit normal with z >= 0, offset, inlier indices, outlier
@@ -334,15 +333,16 @@ def _oracle_ransac_plane(points, inlier_threshold, ends=None):
 
 
 def _fit_cells(cells, inlier_threshold):
-    """``ransac_cells`` on a list of point sets, with each set's centroid,
-    centred points and eigenplane normal computed as the pipeline computes
-    them."""
+    """``eigenplane_fits`` of every cell of a list of point sets, with each
+    set's centred points and eigenpairs computed as the pipeline computes
+    them.  Returns (slopes, inliers)."""
     counts = np.array([len(c) for c in cells])
     pts = np.vstack(cells)
     centroids = np.add.reduceat(pts, np.cumsum(counts) - counts, axis=0) / counts[:, None]
     centred = pts - np.repeat(centroids, counts, axis=0)
-    normals = eigenplane_normals(*sorted_eigen(centred_covariance(centred, counts)))
-    return ransac_cells(centred, counts, centroids, normals, inlier_threshold)
+    lam, vec = sorted_eigen(centred_covariance(centred, counts))
+    fit = np.ones(len(counts), dtype=bool)
+    return eigenplane_fits(centred, counts, lam, vec, fit, inlier_threshold)
 
 
 def _random_cell(rng, n, outlier_share):
@@ -379,23 +379,27 @@ class TestRansacCells:
     def test_matches_per_cell_oracle(self):
         cells = self._cells()
         counts = np.array([len(c) for c in cells])
-        fit = _fit_cells(cells, 0.125)
+        slopes, inliers = _fit_cells(cells, 0.125)
         starts = np.cumsum(counts) - counts
         full_runs = failures = 0
         ends = []
         for i, pts in enumerate(cells):
-            seg = fit.inliers[starts[i] : starts[i] + counts[i]]
+            seg = inliers[starts[i] : starts[i] + counts[i]]
             try:
                 normal, offset, inl, out = _oracle_ransac_plane(pts, 0.125, ends)
             except FitFailureError:
                 failures += 1
-                assert not fit.fitted[i] and not seg.any()
+                assert np.isnan(slopes[i]) and not seg.any()
+                with pytest.raises(FitFailureError):
+                    ransac_plane(pts, 0.125)
                 continue
-            assert fit.fitted[i]
+            assert not np.isnan(slopes[i])
             np.testing.assert_array_equal(np.flatnonzero(seg), inl)
             np.testing.assert_array_equal(np.flatnonzero(~seg), out)
-            np.testing.assert_allclose(fit.normals[i], normal, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(fit.offsets[i], offset, rtol=0, atol=1e-9)
+            plane, _, _ = ransac_plane(pts, 0.125)
+            np.testing.assert_allclose(plane.normal, normal, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(plane.offset, offset, rtol=0, atol=1e-9)
+            assert plane.slope_deg == slopes[i]
             full_runs += len(inl) < 0.99 * len(pts)
         assert failures == 2  # the two collinear cells
         assert full_runs > 20
@@ -405,16 +409,12 @@ class TestRansacCells:
     def test_batch_matches_each_cell_fitted_alone(self):
         cells = self._cells()
         counts = np.array([len(c) for c in cells])
-        fit = _fit_cells(cells, 0.125)
+        slopes, inliers = _fit_cells(cells, 0.125)
         starts = np.cumsum(counts) - counts
         for i, pts in enumerate(cells):
-            alone = _fit_cells([pts], 0.125)
-            assert fit.fitted[i] == alone.fitted[0]
-            np.testing.assert_array_equal(
-                fit.inliers[starts[i] : starts[i] + counts[i]], alone.inliers
-            )
-            np.testing.assert_array_equal(fit.normals[i], alone.normals[0])
-            np.testing.assert_array_equal(fit.offsets[i], alone.offsets[0])
+            alone_slopes, alone_inliers = _fit_cells([pts], 0.125)
+            np.testing.assert_array_equal(slopes[i : i + 1], alone_slopes)
+            np.testing.assert_array_equal(inliers[starts[i] : starts[i] + counts[i]], alone_inliers)
 
     def test_one_cell_wrapper_matches_oracle(self, rng):
         pts = _random_cell(rng, 90, 0.3)
@@ -427,19 +427,15 @@ class TestRansacCells:
 
     def test_too_few_points_per_cell_are_not_fitted(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 0, 0]], dtype=float)
-        fit = _fit_cells([pts[:2], pts[2:]], 0.1)
-        assert fit.fitted.tolist() == [False, True]
-        assert fit.inliers.tolist() == [False, False, True, True, True]
-        assert np.isnan(fit.slopes[0]) and fit.slopes[1] == pytest.approx(0.0, abs=1e-9)
+        slopes, inliers = _fit_cells([pts[:2], pts[2:]], 0.1)
+        assert inliers.tolist() == [False, False, True, True, True]
+        assert np.isnan(slopes[0]) and slopes[1] == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("counts", [[], [2, 2], [0, 5], [6]])
-    def test_counts_not_covering_the_points_are_a_contract_violation(self, counts):
-        k = len(counts)
+    @pytest.mark.parametrize("threshold", [0.0, -0.1])
+    def test_non_positive_inlier_threshold_is_a_contract_violation(self, threshold):
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.01]])
         with pytest.raises(ContractViolationError):
-            ransac_cells(
-                np.zeros((5, 3)), np.array(counts, dtype=np.int64), np.zeros((k, 3)),
-                np.zeros((k, 3)), 0.1,
-            )
+            ransac_plane(pts, threshold)
 
 
 class TestClassifyPlanarCell:

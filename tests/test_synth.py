@@ -1,5 +1,5 @@
+import hashlib
 import json
-
 import math
 
 import numpy as np
@@ -123,3 +123,42 @@ def test_scene_spec_rejects_bad_values(field, value):
 def test_scene_spec_accepts_empty_and_noiseless_scenes():
     scene = gs.make_scene(gs.SceneSpec(n_ground=0, noise_sigma=0.0, box_density=0.0))
     assert scene.points.shape == (0, 3)
+
+
+# sha256 of the points' and labels' bytes; any change of generated scenes
+# shows here.  The first spec samples a sloped, noisy ground, a grounded box
+# (top and all four side faces) and an elevated slab (its underside too);
+# the second a noiseless scene.
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (
+            gs.SceneSpec(
+                extent=12.0,
+                n_ground=600,
+                slope_deg=6.0,
+                noise_sigma=0.03,
+                boxes=(
+                    gs.BoxSpec(2.0, 1.0, 1.0, 1.5, 1.2),
+                    gs.BoxSpec(-3.0, -2.0, 2.0, 1.0, 0.3, base=1.5),
+                ),
+                seed=41,
+            ),
+            "aab28a09b46895cb26ca323c2c823d77df39099a96c4f28ad9bf6bd4f30f49f7",
+        ),
+        (
+            gs.SceneSpec(
+                extent=10.0,
+                n_ground=200,
+                noise_sigma=0.0,
+                boxes=(gs.BoxSpec(0.0, 3.0, 0.5, 2.0, 2.0),),
+                seed=7,
+            ),
+            "4f96a80bd3ff2a3883adf42f3e35eb3037d4d758b8bfb56c9b562c8a522cd933",
+        ),
+    ],
+    ids=["slope-noise-slab", "noiseless"],
+)
+def test_scenes_match_pinned_digests(spec, digest):
+    scene = gs.make_scene(spec)
+    assert hashlib.sha256(scene.points.tobytes() + scene.labels.tobytes()).hexdigest() == digest
