@@ -5,14 +5,7 @@
 import numpy as np
 
 from gridseg import CellKind, GeometryParams, GroundState
-from gridseg.cell_geometry import (
-    eigen_kinds,
-    line_tentative,
-    make_planes,
-    plane_tentative,
-    segment_covariance,
-    sorted_eigen,
-)
+from gridseg.cell_geometry import eigen_kinds, segment_covariance, sorted_eigen, tilt_deg
 
 params = GeometryParams()
 rng = np.random.default_rng(1)
@@ -41,15 +34,17 @@ for name, lams, ratio, kind in zip(cells, eigenvalues, ratios, kinds):
         f" -> {CellKind(kind).name.lower()}"
     )
 
-# Line cells are gated by the angle of their direction to the vertical:
-# a horizontal line is a ground candidate, a pole is an obstacle.
-tentative = line_tentative(np.array([[1.0, 0, 0], [0.0, 0, 1.0]]), 30.0)
-states = np.where(tentative, GroundState.TENTATIVE, GroundState.OBSTACLE)
+# Both gates read tilt_deg, the angle of a vector to the vertical axis.
+# Line cells are gated by their direction: a line within the slope threshold
+# of horizontal is a ground candidate, a pole is an obstacle.
+tilts = tilt_deg(np.array([[1.0, 0, 0], [0.0, 0, 1.0]]))
+states = np.where(tilts >= 90.0 - 30.0, GroundState.TENTATIVE, GroundState.OBSTACLE)
 print("\nhorizontal line ->", GroundState(states[0]).name.lower())
 print("vertical pole   ->", GroundState(states[1]).name.lower())
 
-# Planar cells are gated by the slope of their fitted plane (inclusive bound).
-_, _, slopes = make_planes([[0, 0, 1.0], [1.0, 0, 1.0], [1.0, 0, 0.2]], np.zeros(3))
-states = np.where(plane_tentative(slopes, 30.0), GroundState.TENTATIVE, GroundState.NON_GROUND)
+# Planar cells are gated by the slope of their fitted plane, the tilt of its
+# normal (inclusive bound).
+slopes = tilt_deg(np.array([[0, 0, 1.0], [1.0, 0, 1.0], [1.0, 0, 0.2]]))
+states = np.where(slopes <= 30.0, GroundState.TENTATIVE, GroundState.NON_GROUND)
 for slope, state in zip(slopes, states):
     print(f"plane slope {slope:5.1f} deg -> {GroundState(state).name.lower()}")

@@ -8,15 +8,18 @@ The plane fit is the cell's eigenplane (its least-squares plane) and its
 inliers the points near it; no candidate is sampled, so a fit depends only
 on the cell's points.  The batched fit (``eigenplane_fits``) returns only
 what the pipeline reads: each cell's slope and each point's inlier flag.
+One function, ``tilt_deg``, measures every angle from the vertical: a
+plane's slope from its normal and a line's tilt from its direction, so
+both slope gates (``pipeline.classify_cells``) read the same rule.
 
 Covariances are summed one product column at a time over the points
 centred on the cell means (centred once per phase, and the plane fits read
 the same centred points), and eigen decompositions use a closed-form 3x3
-solver (``sorted_eigen``) instead of LAPACK: both are elementwise over
-cells, so a cell's result never depends on which other cells share the call.
-Classification, line gating, plane fitting and sparsity run on all cells of a
-phase at once, so each rule is written once.  The one remaining one-cell
-wrapper, ``ransac_plane``, is a one-cell ``eigenplane_fits`` call that also
+solver (``sorted_eigen``) instead of LAPACK.  Every step is elementwise
+over cells, with each sum written out in a fixed order, so a cell's result
+depends neither on which other cells share the call nor on the memory
+layout of the arrays.  The one remaining one-cell wrapper,
+``ransac_plane``, is a one-cell ``eigenplane_fits`` call that also
 returns the plane's normal and offset; it stays for the acceptance suite's
 plane-fit criterion and for the benchmark's layer tracer, which hooks it by
 name.
@@ -63,23 +66,20 @@ class PlaneModel:
     slope_deg: float
 
 
-def make_planes(normals: np.ndarray, offsets: np.ndarray):
-    """Normalize, orient (z >= 0), and annotate planes row by row.
+def tilt_deg(v: np.ndarray) -> np.ndarray:
+    """Angle in degrees, in [0, 90], between each row of ``v`` (k, 3) and
+    the vertical axis, the row's sign aside: the slope of a plane from its
+    normal, the tilt of a line from its direction.  A NaN row gives NaN.
 
-    Returns (unit normals, offsets, slopes in degrees) of the planes
-    ``normals[i] . p + offsets[i] = 0``.
+    Elementwise, with the squared norm summed as (x*x + z*z) + y*y, so a
+    row's angle is the same alone, batched or in any strided view.  That
+    is the order contiguous ``np.einsum("ij,ij->i")`` sums in, so plane
+    slopes keep the bits they had when they were computed that way.
     """
-    n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
-    norm = np.sqrt(np.einsum("ij,ij->i", n, n))
-    if np.any(norm < _DEGENERATE_CROSS):
-        raise ContractViolationError("degenerate plane normal")
-    n = n / norm[:, None]
-    offsets = np.asarray(offsets, dtype=np.float64) / norm
-    down = n[:, 2] < 0
-    n = np.where(down[:, None], -n, n)
-    offsets = np.where(down, -offsets, offsets)
-    slopes = np.degrees(np.arccos(np.clip(n[:, 2], -1.0, 1.0)))
-    return n, offsets, slopes
+    v = np.asarray(v, dtype=np.float64).reshape(-1, 3)
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    up = np.abs(z) / np.sqrt((x * x + z * z) + y * y)
+    return np.degrees(np.arccos(np.minimum(up, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -252,9 +252,7 @@ def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     lam = np.maximum(q + p * np.take_along_axis(values, perm, axis=0), 0.0)
     vec = np.take_along_axis(vectors, perm[:, None, :], axis=0)
-    # contiguous, so a column view such as vec[:, :, 2] has the same strides
-    # for one matrix as for many, and einsum over it sums in the same order
-    return np.ascontiguousarray(lam.T), np.ascontiguousarray(vec.transpose(2, 1, 0))
+    return lam.T, vec.transpose(2, 1, 0)
 
 
 def eigen_kinds(w: np.ndarray, params: GeometryParams) -> np.ndarray:
@@ -287,19 +285,6 @@ def eigen_kinds(w: np.ndarray, params: GeometryParams) -> np.ndarray:
     return np.select([line, planar], [CellKind.LINE, CellKind.PLANAR], CellKind.NON_PLANAR)
 
 
-def line_tentative(e1: np.ndarray, slope_threshold_deg: float) -> np.ndarray:
-    """Whether each line direction (one per row) is a ground candidate.
-
-    The angle is measured between the direction (sign-normalized to point
-    upward) and the vertical axis; a line within the slope threshold of
-    horizontal is tentative ground, anything steeper is an obstacle.
-    """
-    v = np.asarray(e1, dtype=np.float64).reshape(-1, 3)
-    up = np.abs(v[:, 2]) / np.linalg.norm(v, axis=1)
-    angle = np.degrees(np.arccos(np.minimum(up, 1.0)))
-    return angle >= 90.0 - slope_threshold_deg
-
-
 def eigenplane_fits(
     centred: np.ndarray,
     counts: np.ndarray,
@@ -321,7 +306,7 @@ def eigenplane_fits(
     cell is fitted when flagged in ``fit``, of at least
     ``MIN_POINTS_FOR_EIGEN`` points and with a nonzero middle eigenvalue
     (else the points lie on a line or a point and no plane is determined).
-    Returns per cell the slope in degrees (as ``make_planes`` gives it; NaN
+    Returns per cell the slope in degrees (``tilt_deg`` of the normal; NaN
     where not fitted) and per point whether it is an inlier.  A cell's fit
     depends on its own points only: the same bits batched or alone.
     """
@@ -330,7 +315,7 @@ def eigenplane_fits(
     # points at NaN distance: no inliers
     normals = np.where(fitted[:, None], eigenvectors[:, :, 2], np.nan)
     inliers = _plane_distance(centred, normals, counts) <= inlier_threshold
-    return make_planes(normals, np.zeros(len(counts)))[2], inliers
+    return tilt_deg(normals), inliers
 
 
 def _plane_distance(q: np.ndarray, normals: np.ndarray, counts: np.ndarray):
@@ -339,9 +324,8 @@ def _plane_distance(q: np.ndarray, normals: np.ndarray, counts: np.ndarray):
     ``normals[i]``.
 
     Each coordinate's products come from a repeat of one normal column, so
-    no per-point normal array is built.  They are summed as (x + z) + y, the
-    order in which ``np.einsum("ij,ij->i")`` sums three products, so the
-    distances equal that dot product's to the bit.
+    no per-point normal array is built.  They are summed as (x + z) + y,
+    the order ``tilt_deg`` sums a normal's squares in.
     """
     d = np.repeat(normals[:, 0], counts) * q[:, 0]
     d += np.repeat(normals[:, 2], counts) * q[:, 2]
@@ -372,17 +356,15 @@ def ransac_plane(
     slopes, inliers = eigenplane_fits(q, counts, lam, vec, np.ones(1, bool), inlier_threshold)
     if np.isnan(slopes[0]):
         raise FitFailureError("no plane: the points are collinear")
-    # the plane through the centroid: n.(p - centroid) = 0; a contiguous
-    # normal, as in the batch, so make_planes sums its norm in the same order
-    normal = np.ascontiguousarray(vec[:, :, 2])
-    normals, offsets, slopes = make_planes(normal, -np.einsum("ij,ij->i", normal, centroid))
-    plane = PlaneModel(normal=normals[0], offset=float(offsets[0]), slope_deg=float(slopes[0]))
+    # the plane through the centroid, n . (p - centroid) = 0, scaled to a
+    # unit normal with n[2] >= 0; sums in tilt_deg's order
+    (x, y, z), (cx, cy, cz) = vec[0, :, 2], centroid[0]
+    sign = -1.0 if z < 0 else 1.0
+    norm = np.sqrt((x * x + z * z) + y * y)
+    normal = sign * vec[0, :, 2] / norm
+    offset = -sign * ((x * cx + z * cz) + y * cy) / norm
+    plane = PlaneModel(normal=normal, offset=float(offset), slope_deg=float(slopes[0]))
     return plane, np.flatnonzero(inliers), np.flatnonzero(~inliers)
-
-
-def plane_tentative(slopes: np.ndarray, slope_threshold_deg: float) -> np.ndarray:
-    """Tentative ground iff the plane slope does not exceed the threshold (inclusive)."""
-    return np.asarray(slopes) <= slope_threshold_deg
 
 
 def segment_sparsity(points: np.ndarray, counts: np.ndarray, params: GeometryParams) -> np.ndarray:

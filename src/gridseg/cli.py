@@ -223,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  A command with config flags gets the resolved
-    configuration as ``args.cfg``; a config error is reported before it runs."""
+    configuration as ``args.cfg``; a config error is reported before it runs.
+    An ``OSError`` the command raises (an output path it cannot create or
+    write) is reported in one line and exits 1."""
     args = build_parser().parse_args(argv)
     if hasattr(args, "overrides"):
         try:
@@ -231,7 +233,11 @@ def main(argv=None) -> int:
         except (ConfigError, ValueError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -43,6 +43,8 @@ KEYS = {
     "seedSpacing": ("seed_spacing",),
 }
 
+_TWO_HEIGHTS = "cellSizeZ needs two values: Phase I and Phase II heights"
+
 
 def _strip_annotations(value: str) -> str:
     out = []
@@ -65,7 +67,7 @@ def parse_value(key: str, raw: str):
     if key == "cellSizeZ":
         parts = [p.strip() for p in _strip_annotations(raw).split(",") if p.strip()]
         if len(parts) != 2:
-            raise ConfigError("cellSizeZ needs two values: Phase I and Phase II heights")
+            raise ConfigError(_TWO_HEIGHTS)
     try:
         values = tuple(float(p) for p in parts)
     except ValueError as exc:
@@ -106,13 +108,16 @@ def apply_settings(cfg: PipelineConfig, settings: dict) -> PipelineConfig:
 
     All settings are applied before any section is rebuilt, and each
     section is built once, so its checks see the final values whatever the
-    order of the keys.
+    order of the keys.  ``cellSizeZ`` takes a tuple or list of exactly two
+    heights, Phase I's and Phase II's; every other key one value.
     """
     changes = {"": {}, "geometry": {}, "expansion": {}}
     for key, value in settings.items():
         if key not in KEYS:
             raise ConfigError(f"unknown configuration key: {key}")
         values = value if key == "cellSizeZ" else (value,)
+        if not isinstance(values, (tuple, list)) or len(values) != len(KEYS[key]):
+            raise ConfigError(f"{_TWO_HEIGHTS}, got {value!r}")
         for path, v in zip(KEYS[key], values):
             section, _, name = path.rpartition(".")
             changes[section][name] = v

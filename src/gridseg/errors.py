@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, is_dataclass
+from numbers import Real
 
 
 class MalformedFileError(ValueError):
@@ -13,7 +14,7 @@ class ContractViolationError(ValueError):
 
 
 class FitFailureError(RuntimeError):
-    """Robust model fitting could not produce a valid model."""
+    """No plane is determined: fewer than 3 points, or they lie on a line."""
 
 
 class ConfigError(ValueError):
@@ -21,11 +22,16 @@ class ConfigError(ValueError):
 
 
 def check_fields(params, positive=()) -> None:
-    """Raise a ConfigError naming the first number field of dataclass ``params``
-    that is not finite, or else the first of ``positive`` that is not positive."""
+    """Raise a ConfigError naming the first field of dataclass ``params``,
+    nested dataclasses aside, that is not a finite real number (a ``bool``
+    is not one), or else the first of ``positive`` that is not positive."""
     for f in fields(params):
         value = getattr(params, f.name)
-        if not is_dataclass(value) and not math.isfinite(value):
+        if is_dataclass(value):
+            continue
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ConfigError(f"{f.name} must be a number, got {value!r}")
+        if not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value}")
     for name in positive:
         if getattr(params, name) <= 0:

@@ -46,9 +46,8 @@ from .cell_geometry import (
     centred_covariance,
     eigen_kinds,
     eigenplane_fits,
-    line_tentative,
-    plane_tentative,
     sorted_eigen,
+    tilt_deg,
 )
 
 # Not called here any more; the benchmark's layer tracer (perfbench/layertrace.py)
@@ -251,11 +250,12 @@ def classify_cells(
     fitted = ~np.isnan(slopes)
     kinds[planar & ~fitted] = CellKind.NON_PLANAR
 
-    # a NaN slope (no fit) is not tentative
-    tentative = plane_tentative(slopes, geometry.slope_threshold_deg)
-    tentative[line] = line_tentative(
-        np.compress(line, vec[:, :, 0], axis=0), geometry.slope_threshold_deg
-    )
+    # the slope gates, both inclusive: a plane within the threshold of
+    # horizontal (a NaN slope, no fit, is not), a line direction at least
+    # 90 - threshold from the vertical
+    threshold = geometry.slope_threshold_deg
+    tentative = slopes <= threshold
+    tentative[line] = tilt_deg(np.compress(line, vec[:, :, 0], axis=0)) >= 90.0 - threshold
     obstacle = line & ~tentative
     grid.kind[rows] = kinds
     grid.state[rows] = np.select(

@@ -12,16 +12,15 @@ from gridseg.cell_geometry import (
     centred_covariance,
     eigen_kinds,
     eigenplane_fits,
-    line_tentative,
-    make_planes,
-    plane_tentative,
     ransac_plane,
     segment_covariance,
     segment_sparsity,
     sorted_eigen,
+    tilt_deg,
 )
 from gridseg.errors import ContractViolationError, FitFailureError
-from gridseg.voxel_grid import CellKind
+from gridseg.pipeline import classify_cells
+from gridseg.voxel_grid import CellKind, CellSize, GroundState, build_grid
 
 PARAMS = GeometryParams()
 
@@ -212,17 +211,41 @@ class TestEigenClassify:
         np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-6)
 
 
+def _classified_cell(points, slope_threshold_deg=30.0):
+    """``classify_cells`` on the one cell of a 1.5 m grid holding ``points``:
+    (kind, state, slope)."""
+    grid = build_grid(np.asarray(points, dtype=np.float64), CellSize(1.5, 1.5, 1.5))
+    assert len(grid.cells) == 1
+    classify_cells(grid, GeometryParams(slope_threshold_deg=slope_threshold_deg))
+    return CellKind(grid.kind[0]), GroundState(grid.state[0]), grid.slopes[0]
+
+
+def _line(direction, n=20):
+    """n points along ``direction`` from (0.2, 0.2, 0.2), inside one 1.5 m cell."""
+    return 0.2 + np.linspace(0.0, 1.0, n)[:, None] * np.asarray(direction, dtype=np.float64)
+
+
+def _plane(normal, n=200, seed=7):
+    """n points of the plane through (0.75, 0.75, 0.75) normal to ``normal``,
+    inside one 1.5 m cell."""
+    normal = np.asarray(normal, dtype=np.float64)
+    u = np.cross(normal, [0.0, 1.0, 0.0] if abs(normal[1]) < 0.9 else [1.0, 0.0, 0.0])
+    w = np.cross(normal, u)
+    uv = np.random.default_rng(seed).uniform(-0.4, 0.4, size=(n, 2))
+    return 0.75 + uv[:, :1] * u / np.linalg.norm(u) + uv[:, 1:] * w / np.linalg.norm(w)
+
+
 class TestClassifyLineCell:
-    # ``line_tentative`` True is GroundState.TENTATIVE, False is OBSTACLE
+    # a line cell is tentative within the threshold of horizontal, else an obstacle
     def test_horizontal_scan_line(self):
-        assert line_tentative(np.array([1.0, 0, 0]), 30.0)[0]
+        assert _classified_cell(_line([1.0, 0, 0]))[:2] == (CellKind.LINE, GroundState.TENTATIVE)
 
     def test_vertical_pole(self):
-        assert not line_tentative(np.array([0, 0, 1.0]), 30.0)[0]
+        assert _classified_cell(_line([0, 0, 1.0]))[:2] == (CellKind.LINE, GroundState.OBSTACLE)
 
     def test_45_degree_line_exceeds_30(self):
         e1 = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-        assert not line_tentative(e1, 30.0)[0]
+        assert _classified_cell(_line(e1))[:2] == (CellKind.LINE, GroundState.OBSTACLE)
 
 
 class TestRansacPlane:
@@ -439,29 +462,75 @@ class TestRansacCells:
 
 
 class TestClassifyPlanarCell:
-    # ``plane_tentative`` True is GroundState.TENTATIVE, False is NON_GROUND
+    # a planar cell is tentative when its slope is at most the threshold, else non-ground
     def test_flat(self):
-        _, _, slopes = make_planes([0, 0, 1.0], [0.0])
-        assert plane_tentative(slopes, 30.0)[0]
+        kind, state, slope = _classified_cell(_plane([0, 0, 1.0]))
+        assert (kind, state) == (CellKind.PLANAR, GroundState.TENTATIVE)
+        assert slope == pytest.approx(0.0, abs=1e-6)
 
     def test_45_degrees(self):
-        _, _, slopes = make_planes([1.0, 0, 1.0], [0.0])
-        assert slopes[0] == pytest.approx(45.0)
-        assert not plane_tentative(slopes, 30.0)[0]
+        kind, state, slope = _classified_cell(_plane([1.0, 0, 1.0]))
+        assert slope == pytest.approx(45.0)
+        assert (kind, state) == (CellKind.PLANAR, GroundState.NON_GROUND)
 
     def test_boundary_inclusive(self):
-        assert plane_tentative(30.0, 30.0)
+        pts = _plane([0.3, -0.2, 1.0])
+        slope = _classified_cell(pts)[2]
+        assert 10.0 < slope < 30.0
+        assert _classified_cell(pts, slope)[1:] == (GroundState.TENTATIVE, slope)
+        below = np.nextafter(slope, 0.0)
+        assert _classified_cell(pts, below)[1:] == (GroundState.NON_GROUND, slope)
 
     def test_matches_brute_force_comparison(self, rng):
         for _ in range(1000):
             v = rng.normal(size=3)
             while np.linalg.norm(v) < 1e-9:
                 v = rng.normal(size=3)
-            _, _, slopes = make_planes(v, [0.0])
+            x, y, z = (float(c) for c in v)
+            # the angle to the vertical axis of the row, or of its negation
+            oracle = math.degrees(math.atan2(math.hypot(x, y), abs(z)))
+            got = tilt_deg(v)[0]
+            assert got == pytest.approx(oracle, abs=1e-9)
+            assert tilt_deg(-v)[0] == got
             threshold = rng.uniform(0, 90)
-            expected = slopes[0] <= threshold
-            got = plane_tentative(slopes, threshold)[0]
-            assert got == expected
+            assert (got <= threshold) == (oracle <= threshold)
+
+
+class TestTiltDeg:
+    def test_column_view_of_one_matrix_stack_matches_its_contiguous_copy(self):
+        # the cell whose slope read 26.459536778780734 deg from this view and
+        # 26.459536778780716 deg from the copy while the norm was
+        # np.einsum("ij,ij->i", n, n), whose summation order follows the layout
+        pts = TestRansacCells()._cells()[4]
+        _, vec = sorted_eigen(segment_covariance(pts, [len(pts)]))
+        view = np.ascontiguousarray(vec)[:, :, 2]
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        assert tilt_deg(view).tobytes() == tilt_deg(copy).tobytes()
+        assert tilt_deg(vec[:, :, 2]).tobytes() == tilt_deg(copy).tobytes()
+        plane, _, _ = ransac_plane(pts, 0.125)
+        assert plane.slope_deg == _fit_cells([pts], 0.125)[0][0]
+
+    def test_rows_alone_batched_and_in_any_layout_agree(self, rng):
+        v = rng.normal(size=(500, 3))
+        v[::7] *= 1e-3
+        v[::11, 2] = 0.0
+        want = tilt_deg(v)
+        assert ((0.0 <= want) & (want <= 90.0)).all()
+        alone = np.concatenate([tilt_deg(row) for row in v])
+        assert alone.tobytes() == want.tobytes()
+        wide = np.zeros((500, 6))
+        wide[:, ::2] = v
+        tall = np.zeros((1000, 3))
+        tall[::2] = v
+        for view in (np.asfortranarray(v), wide[:, ::2], tall[::2]):
+            assert not view.flags.c_contiguous
+            assert tilt_deg(view).tobytes() == want.tobytes()
+        assert tilt_deg(v[::-1])[::-1].tobytes() == want.tobytes()
+
+    def test_a_nan_row_gives_nan(self):
+        got = tilt_deg([[np.nan, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        assert np.isnan(got[0]) and got[1] == 90.0
 
 
 def _sparsity_of(points):

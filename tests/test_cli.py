@@ -70,6 +70,14 @@ class TestSegmentCommand:
     def test_missing_input(self, tmp_path):
         assert main(["segment", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "o")]) == 1
 
+    def test_an_output_path_that_is_a_file_fails_with_one_line(self, tmp_path, capsys):
+        seq = _make_sequence(tmp_path, n_ground=1200)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["segment", str(seq / "velodyne"), "--out", str(taken)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
+
     def test_xyz_format(self, tmp_path):
         seq = _make_sequence(tmp_path, n_ground=800)
         out = tmp_path / "out"
@@ -131,6 +139,15 @@ class TestEvaluateCommand:
         assert report.exists()
         out = capsys.readouterr().out
         assert out.strip().startswith("Pr ")
+
+    def test_a_report_under_a_file_fails_with_one_line(self, tmp_path, capsys):
+        seq = _make_sequence(tmp_path, n_ground=1200)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        args = ["--scans", str(seq / "velodyne"), "--labels", str(seq / "labels")]
+        assert main(["evaluate", *args, "--report", str(taken / "r.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
 
     def test_json_report_parses(self, tmp_path, capsys):
         seq = _make_sequence(tmp_path)
@@ -293,6 +310,13 @@ class TestSynthCommand:
         assert (a / "velodyne" / "000000.bin").read_bytes() == (
             b / "velodyne" / "000000.bin"
         ).read_bytes()
+
+    def test_an_output_path_that_is_a_file_fails_with_one_line(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["synth", "--out", str(taken), "--points", "100"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
 
     def test_bad_box_spec(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--box", "1,2"]) == 1

@@ -341,6 +341,31 @@ def test_params_built_directly_reject_a_nonfinite_field(cls, bad):
             cls(**{f.name: bad})
 
 
+@pytest.mark.parametrize("heights", [(1.0,), (1.5, 0.2, 9.0), [], 0.2, "1.5, 0.2"])
+def test_apply_settings_takes_exactly_two_cell_heights(heights):
+    with pytest.raises(ConfigError, match="^cellSizeZ needs two values"):
+        apply_settings(make_default_config(), {"cellSizeZ": heights})
+    cfg = apply_settings(make_default_config(), {"cellSizeZ": [2.0, 0.3]})
+    assert (cfg.cell_sz1, cfg.cell_sz2) == (2.0, 0.3)
+
+
+@pytest.mark.parametrize("bad", [True, False, "1.7", None, (1.0,)])
+@pytest.mark.parametrize("key", [k for k in KEYS if k != "cellSizeZ"])
+def test_a_value_that_is_not_a_real_number_is_a_config_error(key, bad):
+    name = KEYS[key][0].rpartition(".")[2]
+    with pytest.raises(ConfigError, match=f"^{name} must be a number, got "):
+        apply_settings(make_default_config(), {key: bad})
+
+
+@pytest.mark.parametrize("cls", [GeometryParams, ExpansionParams, gs.PipelineConfig])
+def test_params_built_directly_reject_a_field_that_is_not_a_real_number(cls):
+    for f in dataclasses.fields(cls):
+        if not dataclasses.is_dataclass(f.default_factory):
+            for bad in (True, "1.7"):
+                with pytest.raises(ConfigError, match=f"^{f.name} must be a number"):
+                    cls(**{f.name: bad})
+
+
 @pytest.fixture(scope="module")
 def scan(tmp_path_factory):
     out = tmp_path_factory.mktemp("scan")

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import gridseg as gs
 from gridseg import pipeline, region_expansion
-from gridseg.cell_geometry import GeometryParams, make_planes, segment_sparsity
+from gridseg.cell_geometry import GeometryParams, segment_sparsity, tilt_deg
 from gridseg.cloud_io import inject_synthetic_seed
 from gridseg.errors import ContractViolationError
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
@@ -329,7 +329,7 @@ def _hand_built(layout):
             span = grid.span(c)
             ids = np.sort(grid.order[span])
             if kind != "no_plane":
-                grid.slopes[c] = make_planes([0, 0, 1.0], [-z])[2][0]
+                grid.slopes[c] = tilt_deg([0, 0, 1.0])[0]
                 split = len(ids) if kind == "ground" else 50
                 grid.inliers[span] = np.isin(grid.order[span], ids[:split])
         return grid

@@ -17,7 +17,12 @@ the tests may import scipy.  No call in ``src/gridseg`` repeats rows
 time.  No module of ``src/gridseg`` but ``evaluation.py`` names a numpy
 set routine (``union1d``, ``unique``, ``isin``, ``in1d``, ``setdiff1d``,
 ``intersect1d``), each of which sorts: id sets on the ``segment()`` path
-are boolean masks (``region_expansion.id_mask``).  Every config field a configuration key sets
+are boolean masks (``region_expansion.id_mask``).  No module of
+``src/gridseg`` calls ``np.einsum``, ``np.dot``, ``np.matmul`` or anything
+of ``np.linalg``, or uses the ``@`` operator: their sums follow the arrays'
+memory layout or a BLAS/LAPACK kernel, and a per-cell result must be the
+same bits whatever the layout (``cell_geometry.tilt_deg`` writes its sums
+out).  Every config field a configuration key sets
 (``config.KEYS``) must be read as an attribute by some module of the
 package other than ``config.py``, so no key sets a field nothing reads.
 A public top-level function of ``src/gridseg`` must be loaded, by name or
@@ -258,6 +263,60 @@ def test_the_check_finds_set_routines():
 )
 def test_package_uses_no_set_routines(path):
     assert set_routines(path.read_text()) == []
+
+
+PRODUCTS = ("einsum", "dot", "matmul")
+
+
+def layout_dependent_sums(source: str) -> list[str]:
+    """``line: name`` for each use of ``einsum``, ``dot`` or ``matmul`` (as
+    an attribute of anything, so ``a.dot(b)`` too, or imported from
+    ``numpy``), of ``np.linalg`` or ``numpy.linalg``, and of ``@`` or
+    ``@=``.  Each sums in an order that follows the memory layout of its
+    operands or a BLAS/LAPACK kernel; sums written out elementwise do not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            receiver = node.value
+            numpy = isinstance(receiver, ast.Name) and receiver.id in ("np", "numpy")
+            if node.attr in PRODUCTS or (numpy and node.attr == "linalg"):
+                found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if node.module.startswith("numpy.linalg"):
+                found.append((node.lineno, node.module))
+            found += [(node.lineno, a.name) for a in node.names if a.name in (*PRODUCTS, "linalg")]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.startswith("numpy.linalg")]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_check_finds_layout_dependent_sums():
+    # the two the package had in cell_geometry, then the other forms
+    source = (
+        "norm = np.sqrt(np.einsum('ij,ij->i', n, n))\n"
+        "up = np.abs(v[:, 2]) / np.linalg.norm(v, axis=1)\n"
+        "d = numpy.dot(a, b) + np.matmul(a, b) + a @ b + a.dot(b)\n"
+        "a @= b\n"
+        "from numpy import einsum, zeros, linalg as la\n"
+        "from numpy.linalg import eigh\n"
+        "import numpy.linalg\n"
+        "x = np.sum(a * b, axis=1) + a.linalg + np.hypot(a, b) + (a * b).sum(axis=1)\n"
+    )
+    assert layout_dependent_sums(source) == [
+        "1: einsum", "2: linalg", "3: @", "3: dot", "3: dot", "3: matmul", "4: @",
+        "5: einsum", "5: linalg", "6: numpy.linalg", "7: numpy.linalg",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "gridseg").rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_package_makes_no_layout_dependent_sums(path):
+    assert layout_dependent_sums(path.read_text()) == []
 
 
 def unread_config_fields(keys: dict, sources: dict[str, str]) -> list[str]:
