@@ -1,5 +1,5 @@
-# Ground region expansion: seed injection, radius neighbor admission, and
-# the per-cell refinement trace.
+# Ground region expansion: seed injection, the cells radius links connect to
+# the seed, and the per-cell refinement trace.
 
 import numpy as np
 
@@ -43,12 +43,12 @@ print("seed cell (directly under the robot):", seed)
 
 log = ExpansionLog()
 ground = expand(grid, index, seed, geometry, ExpansionParams(search_radius=5.0), phase=1, log=log)
-print(f"expansion took {len(log.edges)} admission edges, {len(log.routes)} cell routings")
+print(f"expansion reached {len(log.routes)} cells, with {len(log.edges)} links among reached cells")
 # expand returns the ground count; ground_mask flags the points themselves
 assert ground == ground_mask(grid, len(pts)).sum()
 print(f"ground points: {ground} of {len(pts)}")
 
-# The first few lines of the debug trace show admissions and routing reasons.
+# The first few lines of the debug trace show links and routing reasons.
 print("\ntrace head:")
 for line in log.to_text().splitlines()[:6]:
     print(" ", line)

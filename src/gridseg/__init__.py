@@ -3,10 +3,10 @@
 A scan is voxelized twice: first with tall cells to strip vertical
 structures, then the coarse ground output is re-examined with short cells.
 Within each phase, cells are classified from the eigen structure of their
-point covariance, planar cells are gated by the slope of their
-least-squares plane, and a breadth-first expansion over centroids within a
-search radius, from a synthetic seed under the robot, grows the ground
-region with a multi-step per-cell refinement.  A distance-bucketed
+point covariance, planar cells are gated by the slope of their eigenplane
+(normal to the least-variance eigenvector), and the ground region is the
+cells that centroid links within a search radius connect to a synthetic
+seed under the robot, each refined by a multi-step per-cell check.  A distance-bucketed
 precision/recall/F1 harness scores results against SemanticKITTI-style
 labels.
 """

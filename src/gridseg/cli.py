@@ -99,13 +99,14 @@ def cmd_evaluate(args) -> int:
         print("scan and label directories must exist", file=sys.stderr)
         return 1
 
+    if args.report:  # an unusable report path fails before any scan is scored
+        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
     report = evaluate_sequence(args.scans, args.labels, args.cfg, policy, thresholds=thresholds)
     for entry in report.skipped:
         print(f"skipped {entry}", file=sys.stderr)
 
     text = emit_report(report, args.format)
     if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
         Path(args.report).write_text(text)
     else:
         sys.stdout.write(text)

@@ -3,13 +3,13 @@
 Tentative-ground cells are linked when their centroids lie within the search
 radius (one exact pair search over 2-D columns of centroids, run when the
 centroid index is built, whose pairs one sort of packed row-column keys turns
-into a CSR graph), and a level-at-a-time FIFO breadth-first search over that
-graph expands the ground region from the seed cell under the robot.  Both run
-on numpy alone.  An index built over cells that a parent index holds with the
+into a CSR graph), and the ground region is the seed cell's connected
+component in that graph, found by a search a level at a time.  Both run on
+numpy alone.  An index built over cells that a parent index holds with the
 same centroids takes their pairs from it and searches only the pairs with
 one of its other cells; so Phase II searches only around the cells it does
 not take over from Phase I.  Radius links (rather than grid adjacency) let
-the region bridge scan-line gaps at fine grid resolutions.  Each dequeued
+the region bridge scan-line gaps at fine grid resolutions.  Each reached
 cell then runs a five-step refinement that decides whether it is ground; the
 output is the inliers of the ground cells:
 
@@ -20,19 +20,18 @@ output is the inliers of the ground cells:
    ground cell or when an occupied non-ground cell sits below in the column;
 5. otherwise route inliers to ground, outliers to non-ground.
 
-In the fine phase (phase 2) neighbor admission additionally requires the
-centroid height difference to stay within the height gate.  The gate drops
-pairs before the sort, so the search reads a graph of admissible links
-only; step 4 sees every radius neighbor, over the gate too, from a second
-graph of all pairs that is built only when the phase has ambiguous cells.
+In the fine phase (phase 2) a link additionally requires the centroid
+height difference to stay within the height gate.  The gate drops pairs
+before the sort, so the search reads a graph of admissible links only;
+step 4 sees every radius neighbor, over the gate too, from a second graph
+of all pairs that is built only when the phase has ambiguous cells.
 
-Steps 1-3 and 5 do not depend on the dequeue order and run on all dequeued
-cells at once.  Step 4 does: an ambiguous cell sees a neighbor as ground
-only when it was admitted by then and has not been routed non-ground, and
-the cell below counts when it was routed non-ground earlier.  So a decision
-reads only decisions taken before it, and the ambiguous cells' routes are
-the one fixed point of that triangular system, found by evaluating all of
-them at once in rounds until no route changes.
+Steps 1-3 and 5 read only the cell itself and run on all reached cells at
+once.  Step 4 runs after them, on the ambiguous cells at once, and reads
+only the decisions they settled: a neighbor is ground when it is reached,
+unambiguous and routed ground, and the cell below is non-ground when it was
+classified so or is reached, unambiguous and routed non-ground.  So no
+decision depends on the order in which cells are reached.
 """
 
 from __future__ import annotations
@@ -201,7 +200,8 @@ class CentroidIndex:
 
 @dataclass
 class ExpansionLog:
-    """Optional debug trace: admission edges and per-cell routing decisions."""
+    """Optional debug trace: the links among reached cells and per-cell
+    routing decisions."""
 
     edges: list[tuple[CellIndex, CellIndex, float]] = field(default_factory=list)
     routes: list[tuple[CellIndex, str, str]] = field(default_factory=list)
@@ -396,106 +396,50 @@ def _neighbor_graph(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, n
     return indptr, keys - np.repeat(starts[:-1], np.diff(indptr))
 
 
-def _breadth_first(
-    indptr: np.ndarray, indices: np.ndarray, source: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first order from ``source`` over a CSR graph, and the
-    predecessor of each node (-1 for the source and unreached nodes): the
-    order in which a FIFO queue dequeues the nodes when each dequeued node
-    appends its unseen neighbors in row order.
-
-    The queue holds one level after the other, so the search runs a level
-    at a time: the next level is the unseen nodes of the frontier's rows,
-    concatenated in queue order, in the order of their first occurrence
-    there: ``np.minimum.at`` takes each unseen node's least position, and
-    the positions that are their node's least are the level, already in
-    order.  The frontier row holding that occurrence is the node's
-    predecessor.
-    """
+def _reach(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:
+    """Mask of the nodes that ``source`` reaches over a CSR graph: its
+    connected component, found a level at a time.  The next level is the
+    unseen nodes of the frontier's rows, each kept once: the entry that
+    last wrote its position into ``slot``."""
     n = len(indptr) - 1
-    pred = np.full(n, -1)
-    unseen = ~id_mask(source, n)
-    degrees = np.diff(indptr)
-    # per node, the position of its first entry in the level that sees it;
-    # past every position until then, as a node is seen in one level only
-    first_at = np.full(n, len(indices))
-    levels = [np.array([source])]
-    while len(frontier := levels[-1]):
-        degree = np.take(degrees, frontier)
-        nb = np.take(indices, _ranges(np.take(indptr, frontier), degree))
-        at = np.flatnonzero(np.take(unseen, nb))  # positions of unseen entries, ascending
-        node = np.take(nb, at)
-        np.minimum.at(first_at, node, at)
-        first = np.compress(np.take(first_at, node) == at, at)  # first per node, ascending
-        level = np.take(nb, first)
-        unseen[level] = False
-        pred[level] = np.take(frontier, np.searchsorted(np.cumsum(degree), first, "right"))
-        levels.append(level)
-    return np.concatenate(levels), pred
+    seen = id_mask(source, n)
+    slot = np.zeros(n, dtype=np.intp)
+    frontier = np.array([source])
+    while len(frontier):
+        starts = np.take(indptr, frontier)
+        nb = np.take(indices, _ranges(starts, np.take(indptr, frontier + 1) - starts))
+        nb = np.compress(~np.take(seen, nb), nb)
+        at = np.arange(len(nb))
+        slot[nb] = at
+        frontier = np.compress(np.take(slot, nb) == at, nb)
+        seen[frontier] = True
+    return seen
 
 
-def _refine_ambiguous(
-    grid, ids, order, rank, admitted_at, indptr, indices, ambiguous, ground, inputs, expansion
-) -> np.ndarray:
-    """Reasons of the ambiguous cells at dequeue positions ``ambiguous``, as
-    refining them one at a time in dequeue order gives them; their routes
-    are written into ``ground``.
+def _ambiguous_reasons(grid, ids, amb, indptr, indices, inputs, expansion) -> np.ndarray:
+    """Reasons of the ambiguous cells at index positions ``amb``, whose
+    other refinement inputs are ``inputs``, once ``grid.state`` holds the
+    routes of the other reached cells.
 
-    At dequeue step t a radius neighbor (rows ``indptr``/``indices`` over
-    index positions) counts as ground when it was admitted by then and is
-    either still queued (rank > t) or was routed ground (rank < t); the
-    occupied cell below is non-ground when classified so, or when it was
-    dequeued earlier and routed non-ground.  ``ground`` holds the routes by
-    dequeue position (final for the unambiguous cells, False in its last
-    slot, that of unreached cells), ``inputs`` the ambiguous cells' other
-    refinement inputs.
-
-    A decision at step t reads only decisions taken before t, so the
-    ambiguous routes are the one solution of a triangular system.  Rounds
-    evaluate every ambiguous cell at once from the routes of the round
-    before, starting from all passed, and stop when no route changes: a
-    cell whose decision reads a chain of d earlier ambiguous decisions
-    holds its final route from round d + 1 on, so a phase whose longest
-    such chain is D takes at most D + 2 rounds.
+    A radius neighbor (rows ``indptr``/``indices`` over index positions)
+    counts as ground when its state is GROUND, and the occupied cell below
+    as non-ground when its state is NON_GROUND or OBSTACLE: ambiguous and
+    unreached cells are still TENTATIVE, so only settled decisions count.
     """
-    m = len(order)
-    amb = order[ambiguous]
-    # (ambiguous cell, radius neighbor admitted by its step) pairs, flat
     degree = indptr[amb + 1] - indptr[amb]
     nb = indices[_ranges(indptr[amb], degree)]
     owner = np.repeat(np.arange(len(amb)), degree)
-    admitted = admitted_at[nb] <= ambiguous[owner]
-    nb, owner = nb[admitted], owner[admitted]
-    r = rank[nb]
-    queued = r > ambiguous[owner]
+    ground = grid.state[ids[nb]] == GroundState.GROUND
+    nb, owner = nb[ground], owner[ground]
     height = np.zeros(len(ids))
     need = np.flatnonzero(id_mask(np.concatenate([amb, nb]), len(ids)))
     height[need] = cell_heights(grid, ids[need])
-    nb_height = height[nb]
-    # the cells without such a neighbor are empty segments, which reduceat
-    # would give the next segment's first value: they keep inf (no rise)
-    has = np.bincount(owner, minlength=len(amb)) > 0
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-
+    low = np.full(len(amb), np.inf)
+    np.minimum.at(low, owner, height[nb])
+    rise = np.where(low < np.inf, height[amb] - low, np.nan)
     below = occupied_below(grid, ids[amb])
-    below_fixed = (below >= 0) & _rejects_above(grid.state[below])
-    row_rank = np.full(len(grid.cells) + 1, m)  # row -1 (no cell below) is unreached
-    row_rank[ids[order]] = np.arange(m)
-    below_rank = row_rank[below]
-    below_earlier = below_rank < ambiguous
-
-    ground[ambiguous] = True
-    while True:
-        low = np.full(len(amb), np.inf)
-        seen = queued | ground[r]
-        low[has] = np.minimum.reduceat(np.where(seen, nb_height, np.inf), starts)
-        rise = np.where(low < np.inf, height[amb] - low, np.nan)
-        below_non_ground = below_fixed | (below_earlier & ~ground[below_rank])
-        reasons = refine_reasons(*inputs, rise, below_non_ground, expansion)
-        routes = _ROUTES_GROUND[reasons]
-        if np.array_equal(routes, ground[ambiguous]):
-            return reasons
-        ground[ambiguous] = routes
+    below_non_ground = (below >= 0) & _rejects_above(grid.state[below])
+    return refine_reasons(*inputs, rise, below_non_ground, expansion)
 
 
 def expand(
@@ -508,33 +452,28 @@ def expand(
     log: ExpansionLog | None = None,
     route_counts: dict[str, int] | None = None,
 ) -> int:
-    """Breadth-first ground expansion from the seed cell, in phase 1 or 2.
+    """Ground expansion from the seed cell, in phase 1 or 2.
 
     The index must hold the grid rows of tentative cells in ascending order;
     the neighbor graph is built from its pairs within the search radius
     (those ``build_centroid_index`` found, or one search), in phase 2
     from only the pairs within the height gate, which is applied to the
-    pairs before they are sorted into rows.  The breadth-first search
-    over that graph with each row's neighbors ascending admits each cell's
-    neighbors in ascending cell-index order (reproducible runs).  Admitted
-    cells are GROUND until they are dequeued and refined.  Every refinement
-    step but the ambiguous-cell checks is independent of that order and
-    runs on all dequeued cells at once.  An ambiguous cell sees each
-    neighbor as ground when it was admitted by its dequeue step and is
-    either still queued or was routed ground, so its decision reads the
-    decisions of ambiguous cells dequeued before it; all of them are
-    found at once, as the fixed point of array rounds that gives the
-    sequential result (``_refine_ambiguous``).  They read every radius
-    neighbor, so in phase 2 the rows of all pairs are built too, but only
-    when some reached cell is ambiguous.  Final states land in
-    ``grid.state``: GROUND or NON_GROUND for dequeued cells, unreached ones
-    stay TENTATIVE.
+    pairs before they are sorted into rows.  The reached cells are the
+    seed's connected component in that graph.  Every reached cell is
+    refined at once, in ascending grid-row order; the ambiguous ones are
+    then refined once more, at once, from the routes of the others
+    (``_ambiguous_reasons``).  They read every radius neighbor, so in phase
+    2 the rows of all pairs are built too, but only when some reached cell
+    is ambiguous.  Final states land in ``grid.state``: GROUND or
+    NON_GROUND for reached cells, unreached ones stay TENTATIVE.
 
     Returns the number of ground points: the inliers of the cells it
     routed to GROUND, summed from their inlier counts, so no per-point
     array is built; ``ground_mask`` flags those points.  A given ``log``
-    receives the admission edges and routes in dequeue order, a given
-    ``route_counts`` the number of cells per reason in ``REASONS``.
+    receives each link between two reached cells once, as (lower row,
+    higher row, |dz|) in ascending order, and the routes in ascending
+    grid-row order; a given ``route_counts`` the number of cells per reason
+    in ``REASONS``.
     """
     if phase not in (1, 2):
         raise ContractViolationError(f"phase must be 1 or 2, got {phase}")
@@ -560,51 +499,40 @@ def expand(
     if phase == 2:
         # the height gate drops pairs before they are sorted into rows
         keep = np.abs(np.take(z, i) - np.take(z, j)) <= expansion.height_gate
-        indptr, indices = _neighbor_graph(n, np.compress(keep, i), np.compress(keep, j))
+        links = _neighbor_graph(n, np.compress(keep, i), np.compress(keep, j))
     else:
-        indptr, indices = _neighbor_graph(n, i, j)
-    order, pred = _breadth_first(indptr, indices, s)
+        links = _neighbor_graph(n, i, j)
+    in_reach = _reach(*links, s)
+    reached = np.flatnonzero(in_reach)  # index positions, ascending
+    cells = ids[reached]
 
-    # rank = dequeue position; unreached cells get m, past every position
-    m = len(order)
-    rank = np.full(n, m)
-    rank[order] = np.arange(m)
-    admitted_at = np.full(n, m)  # dequeue position of the cell that admitted it
-    admitted_at[order[1:]] = rank[pred[order[1:]]]
-    admitted_at[s] = -1
-    cells = ids[order]  # grid rows in dequeue order
-
-    inputs = [x[cells] for x in _refine_inputs(grid, cells, geometry)]  # in dequeue order
+    inputs = [x[cells] for x in _refine_inputs(grid, cells, geometry)]
+    m = len(cells)
     reasons = refine_reasons(*inputs, np.full(m, np.nan), np.zeros(m, bool), expansion)
-    ground = np.append(_ROUTES_GROUND[reasons], False)  # one slot for unreached cells
+    ground = _ROUTES_GROUND[reasons]
     ambiguous = np.flatnonzero(reasons >= _AMBIGUOUS)
     if len(ambiguous):
-        if phase == 2:  # ambiguous cells see all their radius neighbors, over the gate too
-            indptr, indices = _neighbor_graph(n, i, j)
-        reasons[ambiguous] = _refine_ambiguous(
-            grid, ids, order, rank, admitted_at, indptr, indices, ambiguous, ground,
-            [x[ambiguous] for x in inputs], expansion,
+        # the other cells' routes first; the ambiguous ones stay TENTATIVE
+        grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
+        grid.state[cells[ambiguous]] = GroundState.TENTATIVE
+        # ambiguous cells see all their radius neighbors, over the gate too
+        graph = _neighbor_graph(n, i, j) if phase == 2 else links
+        reasons[ambiguous] = _ambiguous_reasons(
+            grid, ids, reached[ambiguous], *graph, [x[ambiguous] for x in inputs], expansion
         )
-    ground = ground[:m]
-
+        ground = _ROUTES_GROUND[reasons]
     grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
+
     if log is not None:
-        child, parent = order[1:], pred[order[1:]]
-        log.edges.extend(
-            zip(
-                _cell_indices(grid, ids[parent]),
-                _cell_indices(grid, ids[child]),
-                np.abs(z[parent] - z[child]).tolist(),
-            )
-        )
-        routes = ("non_ground", "ground")
-        log.routes.extend(
-            zip(
-                _cell_indices(grid, cells),
-                [routes[g] for g in ground.tolist()],
-                [REASONS[r] for r in reasons.tolist()],
-            )
-        )
+        indptr, indices = links
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        link = np.take(in_reach, rows) & (indices > rows)  # once each, lower row first
+        lo, hi = np.compress(link, rows), np.compress(link, indices)
+        dz = np.abs(z[lo] - z[hi]).tolist()
+        named = _cell_indices(grid, ids)  # one per cell, shared by its links
+        log.edges.extend((named[a], named[b], d) for a, b, d in zip(lo.tolist(), hi.tolist(), dz))
+        routes = [("non_ground", "ground")[g] for g in ground.tolist()]
+        log.routes.extend(zip(_cell_indices(grid, cells), routes, [REASONS[r] for r in reasons]))
     if route_counts is not None:
         route_counts.update(zip(REASONS, np.bincount(reasons, minlength=len(REASONS)).tolist()))
     return int(np.compress(ground, inputs[1]).sum())

@@ -140,14 +140,18 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert out.strip().startswith("Pr ")
 
-    def test_a_report_under_a_file_fails_with_one_line(self, tmp_path, capsys):
-        seq = _make_sequence(tmp_path, n_ground=1200)
+    def test_a_report_under_a_file_fails_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # before any scan is segmented
+        seq = _make_sequence(tmp_path, n_scans=3, n_ground=1200)
         taken = tmp_path / "taken"
         taken.write_text("")
+        calls = []
+        monkeypatch.setattr(gs.evaluation, "segment", lambda *a, **k: calls.append(a))
         args = ["--scans", str(seq / "velodyne"), "--labels", str(seq / "labels")]
         assert main(["evaluate", *args, "--report", str(taken / "r.csv")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
+        assert calls == []
 
     def test_json_report_parses(self, tmp_path, capsys):
         seq = _make_sequence(tmp_path)

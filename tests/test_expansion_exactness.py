@@ -1,13 +1,14 @@
-"""The graph-based ``expand`` against the queue-based expansion it replaced.
+"""The graph-based ``expand`` against a plain-Python expansion.
 
-``_reference_expand`` and ``_reference_refine`` are the former ``expand`` and
-``refine_cell`` bodies: a deque/set breadth-first search that queries each
-dequeued cell's neighbors and refines it on the spot against the live cell
-states.  It queries a brute-force index (``conftest.BruteForceIndex``), so it
-shares no neighbor search with ``expand``.  The new expansion must agree
-with it exactly: the same ground ids (``expand``'s count, and the ids
-``ground_mask`` flags), admission edges, routes, and final cell states.  They run on per-cell records that ``_records`` builds from a grid's
-arrays, as the cell objects of the former grid held them.
+``_reference_expand`` reaches the seed's component with a deque search that
+queries each cell's neighbors, then refines every reached cell against the
+settled routes of the others, one cell at a time.  It queries a brute-force
+index (``conftest.BruteForceIndex``), so it shares no neighbor search with
+``expand``.  The two must agree exactly: the same ground ids (``expand``'s
+count, and the ids ``ground_mask`` flags), links among reached cells,
+routes, and final cell states.  They run on per-cell records that
+``_records`` builds from a grid's arrays, as the cell objects of the former
+grid held them.
 """
 
 import math
@@ -87,7 +88,9 @@ def _occupied_below(cells, index):
     return cells[max(column)] if column else None
 
 
-def _reference_refine(cell, cells, points, neighbor_ground_cells, geometry, expansion):
+def _reference_settled(cell, points, geometry):
+    """(is_ground, reason) of a cell by the refinement steps that read only
+    the cell itself, or None when it is ambiguous."""
     if cell.plane is None or cell.inlier_ids is None or cell.outlier_ids is None:
         return False, "no plane fit"
     if len(cell.inlier_ids) == 0:
@@ -98,14 +101,17 @@ def _reference_refine(cell, cells, points, neighbor_ground_cells, geometry, expa
     s_out = segment_sparsity(points[cell.outlier_ids], [len(cell.outlier_ids)], geometry)[0]
     if s_in != s_out:
         return True, "sparsity unambiguous"
+    return None
+
+
+def _reference_ambiguous(cell, points, neighbor_ground_cells, below_non_ground, expansion):
     z_i = float(points[cell.inlier_ids, 2].mean())
     heights = [_cell_height(c, points) for c in neighbor_ground_cells]
     if not heights:
         return False, "ambiguous with no ground neighbors"
     if z_i - min(heights) > expansion.ambiguity_elevation_threshold:
         return False, "ambiguous and elevated above lowest neighbor"
-    below = _occupied_below(cells, cell.index)
-    if below is not None and below.ground_state in (GroundState.NON_GROUND, GroundState.OBSTACLE):
+    if below_non_ground:
         return False, "ambiguous with non-ground cell below"
     return True, "ambiguous checks passed"
 
@@ -114,46 +120,48 @@ def _reference_expand(cells, points, index, seed, geometry, expansion, phase, lo
     seed_cell = cells.get(seed)
     if seed_cell is None or seed_cell.ground_state is not GroundState.TENTATIVE:
         raise ContractViolationError(f"seed cell {seed} is not tentative ground")
+    row = {k: r for r, k in enumerate(cells)}  # records are in grid-row order
 
-    seed_cell.ground_state = GroundState.GROUND
+    def links(i):
+        """The cells linked to cell i, with their height differences."""
+        for j in index.within(cells[i].centroid, expansion.search_radius):
+            dz = abs(float(cells[i].centroid[2]) - float(cells[j].centroid[2]))
+            if j != i and (phase == 1 or dz <= expansion.height_gate):
+                yield j, dz
+
+    reached = {seed}
     queue = deque([seed])
-    in_queue = {seed}
-    expanded = set()
-    ground_parts = []
-
     while queue:
-        i = queue.popleft()
-        in_queue.discard(i)
-        expanded.add(i)
-        ci = cells[i]
+        for j, _ in links(queue.popleft()):
+            if j not in reached:
+                reached.add(j)
+                queue.append(j)
+    reached = sorted(reached, key=row.get)
 
-        neighbors = index.within(ci.centroid, expansion.search_radius)
-        for j in neighbors:
-            if j == i or j in expanded or j in in_queue:
-                continue
-            cj = cells[j]
-            if cj.ground_state is not GroundState.TENTATIVE:
-                continue
-            dz = abs(float(ci.centroid[2]) - float(cj.centroid[2]))
-            if phase == 2 and dz > expansion.height_gate:
-                continue
-            cj.ground_state = GroundState.GROUND
-            queue.append(j)
-            in_queue.add(j)
-            if log is not None:
-                log.edges.append((i, j, dz))
-
-        neighbor_ground = [
-            cells[j] for j in neighbors if j != i and cells[j].ground_state is GroundState.GROUND
-        ]
-        is_ground, reason = _reference_refine(
-            ci, cells, points, neighbor_ground, geometry, expansion
+    routes = {i: _reference_settled(cells[i], points, geometry) for i in reached}
+    settled = {i: route for i, route in routes.items() if route is not None}
+    for i in reached:
+        if routes[i] is not None:
+            continue
+        neighbors = index.within(cells[i].centroid, expansion.search_radius)
+        neighbor_ground = [cells[j] for j in neighbors if j != i and settled.get(j, (False,))[0]]
+        below = _occupied_below(cells, i)
+        below_non_ground = below is not None and (
+            below.ground_state in (GroundState.NON_GROUND, GroundState.OBSTACLE)
+            or settled.get(below.index, (True,))[0] is False
         )
+        routes[i] = _reference_ambiguous(
+            cells[i], points, neighbor_ground, below_non_ground, expansion
+        )
+
+    ground_parts = []
+    for i in reached:
+        is_ground, reason = routes[i]
+        cells[i].ground_state = GroundState.GROUND if is_ground else GroundState.NON_GROUND
         if is_ground:
-            ground_parts.append(ci.inlier_ids)
-        else:
-            ci.ground_state = GroundState.NON_GROUND
+            ground_parts.append(cells[i].inlier_ids)
         if log is not None:
+            log.edges.extend((i, j, dz) for j, dz in links(i) if row[j] > row[i])
             log.routes.append((i, "ground" if is_ground else "non_ground", reason))
 
     if not ground_parts:
@@ -252,9 +260,8 @@ SCENES = {
     "slope-12": gs.SceneSpec(extent=24.0, n_ground=8000, slope_deg=12.0, seed=22),
     "boxes-12": _boxed_spec(extent=30.0, n_ground=20000, n_boxes=12, seed=3),
 }
-# fewest Phase-I cells a scene must refine as ambiguous, whose decisions
-# read each other's and are found as a fixed point, so that it keeps
-# covering those rounds
+# fewest Phase-I cells a scene must refine as ambiguous, so that it keeps
+# covering the second refinement pass, which reads the others' routes
 AMBIGUOUS_FLOOR = {"boxes-12": 20}
 
 
@@ -352,11 +359,12 @@ COLUMN = [(1, 1.05, "ground"), (2, 0.8, "no_plane"), (2, 1.05, "ambiguous")]
 @pytest.mark.parametrize(
     "radius, reason",
     [
-        # the seed admits both; the lower cell is dequeued and rejected first
+        # the seed links both; the lower cell is routed non-ground in the
+        # first pass, which the ambiguous cell reads
         (5.0, "ambiguous with non-ground cell below"),
-        # only the ambiguous cell is within reach of the seed: it admits the
-        # cell below, which is still queued (GROUND) when it is refined
-        (1.01, "ambiguous checks passed"),
+        # only the ambiguous cell is within reach of the seed; the cell
+        # below is reached through it, and its route counts all the same
+        (1.01, "ambiguous with non-ground cell below"),
     ],
 )
 def test_ambiguous_cell_over_a_cell_rejected_earlier(radius, reason):
@@ -368,19 +376,19 @@ def test_ambiguous_cell_over_a_cell_rejected_earlier(radius, reason):
 @pytest.mark.parametrize(
     "layout, radius, reason",
     [
-        # the low no-plane neighbor is dequeued and rejected before the
-        # ambiguous cell, so only the seed's height counts
+        # the low no-plane neighbor is routed non-ground in the first pass,
+        # so only the seed's height counts
         (
             [(0, 0.5, "ground"), (1, 0.1, "no_plane"), (2, 0.6, "ambiguous")],
             5.0,
             "ambiguous checks passed",
         ),
-        # the ambiguous cell admits the low neighbor itself, which is then
-        # GROUND (queued) when it is refined
+        # the low no-plane neighbor is reached only through the ambiguous
+        # cell, and is routed non-ground all the same
         (
             [(0, 0.5, "ground"), (1, 0.6, "ambiguous"), (2, 0.1, "no_plane")],
             1.2,
-            "ambiguous and elevated above lowest neighbor",
+            "ambiguous checks passed",
         ),
     ],
 )
@@ -390,33 +398,31 @@ def test_ambiguous_cell_after_its_lowest_neighbor_was_rejected(layout, radius, r
     assert _ambiguous_route(log, layout) == reason
 
 
-def test_neighbor_admitted_only_later_does_not_count():
+def test_neighbor_over_the_gate_reached_through_another_cell_counts():
     # phase 2: the low cell at x = 3 is a radius neighbor of the ambiguous
-    # cell but outside its height gate; the cell at x = 2 admits it only
-    # after the ambiguous cell has been refined
+    # cell but outside its height gate; the cell at x = 2 links it to the
+    # seed, so it is reached and routed ground
     layout = [(0, 0.5, "ground"), (1, 0.6, "ambiguous"), (2, 0.35, "ground"), (3, 0.15, "ground")]
     points, make_grid, seed = _hand_built(layout)
     log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0), 2)
-    assert _ambiguous_route(log, layout) == "ambiguous checks passed"
+    assert _ambiguous_route(log, layout) == "ambiguous and elevated above lowest neighbor"
     assert len(log.routes) == 4
-
 
 
 def test_lowest_neighbor_over_the_gate_counts_once_admitted_elsewhere():
     # phase 2: the low cell at x = 2 is 0.4 m below the seed and the
     # ambiguous cell, over the height gate of both, but the cell at x = 1
-    # admits it before the ambiguous cell is refined; it is then the
-    # ambiguous cell's lowest ground neighbor, found only in the ungated rows
+    # links it to them; it is then the ambiguous cell's lowest ground
+    # neighbor, found only in the ungated rows
     layout = [(0, 0.5, "ground"), (1, 0.3, "ground"), (2, 0.1, "ground"), (3, 0.5, "ambiguous")]
     points, make_grid, seed = _hand_built(layout)
     log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0), 2)
     assert _ambiguous_route(log, layout) == "ambiguous and elevated above lowest neighbor"
-    assert [(i[0], j[0]) for i, j, _ in log.edges] == [(0, 1), (0, 3), (1, 2)]
+    assert [(i[0], j[0]) for i, j, _ in log.edges] == [(0, 1), (0, 3), (1, 2), (1, 3)]
 
 
-def _count_rounds(monkeypatch):
-    """Count ``refine_reasons`` calls in ``expand``: one for every dequeued
-    cell, then one per round over the ambiguous cells."""
+def _count_calls(monkeypatch):
+    """Count ``refine_reasons`` calls in ``expand``, by the cells of each."""
     calls = []
     refine_reasons = region_expansion.refine_reasons
 
@@ -429,22 +435,49 @@ def _count_rounds(monkeypatch):
 
 
 # A chain of ambiguous cells along x, the first 0.2 m above the seed and
-# each next one 0.4 m above the one before, so the cell after a
-# ground-routed one is elevated above it and the cell after a rejected one
-# sees only the higher cell it admits.  Routes
-# alternate; starting from "all passed", each round settles one more cell.
+# each next one 0.4 m above the one before.  Only the first has a ground
+# neighbor, the seed; the others' neighbors are all ambiguous.
 CHAIN = [(0, 0.0, "ground")] + [(x, 0.2 + 0.4 * (x - 1), "ambiguous") for x in range(1, 6)]
 
 
-def test_ambiguous_chain_settles_one_cell_per_round(monkeypatch):
+def _chain_start():
     points, make_grid, seed = _hand_built(CHAIN)
-    rounds = _count_rounds(monkeypatch)
     log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=1.2), 1)
-    passed, elevated = "ambiguous checks passed", "ambiguous and elevated above lowest neighbor"
-    alone = "ambiguous with no ground neighbors"  # the last cell, after a rejected one
-    assert [r for _, _, r in log.routes] == ["no outliers", passed, elevated, passed, elevated, alone]
-    assert rounds[0] == len(CHAIN)  # every dequeued cell, then the ambiguous rounds
-    assert len(rounds) - 1 >= 3 and set(rounds[1:]) == {len(CHAIN) - 1}
+    passed, alone = "ambiguous checks passed", "ambiguous with no ground neighbors"
+    assert [r for _, _, r in log.routes] == ["no outliers", passed] + [alone] * 4
+    return make_grid, ExpansionParams(search_radius=1.2), [idx for idx, _, _ in log.routes]
+
+
+def _boxes_start():
+    seeded, info = inject_synthetic_seed(
+        gs.scene_cloud(gs.make_scene(SCENES["boxes-12"])),
+        CFG.robot_radius,
+        CFG.dist_to_ground,
+        CFG.seed_spacing,
+    )
+    make_grid = _classified(seeded.points, CFG.phase1.cellsize)
+    grid, log = make_grid(), ExpansionLog()
+    index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
+    expand(grid, index, select_seed(grid, info), GEO, CFG.expansion, phase=1, log=log)
+    reached = [idx for idx, _, _ in log.routes]
+    spread = np.linspace(0, len(reached) - 1, 6).astype(int)  # six starts, the seed first
+    return make_grid, CFG.expansion, [reached[k] for k in spread]
+
+
+@pytest.mark.parametrize("start", [_chain_start, _boxes_start], ids=["chain", "boxes-12"])
+def test_same_routes_from_any_reached_cell(monkeypatch, start):
+    make_grid, params, seeds = start()
+    calls = _count_calls(monkeypatch)
+    outcomes = []
+    for seed in seeds:
+        grid, log = make_grid(), ExpansionLog()
+        index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
+        del calls[:]
+        expand(grid, index, seed, GEO, params, phase=1, log=log)
+        # every reached cell, then the ambiguous ones (both layouts have some) once more
+        assert len(calls) == 2 and calls[0] == len(log.routes) > calls[1]
+        outcomes.append((grid.state.tolist(), log.routes))
+    assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
 @pytest.mark.parametrize(
@@ -453,7 +486,7 @@ def test_ambiguous_chain_settles_one_cell_per_round(monkeypatch):
         # the only other cell lies beyond the search radius
         ([(0, 0.5, "ambiguous"), (9, 0.5, "ground")], 1),
         ([(0, 0.5, "ambiguous"), (9, 0.5, "ground")], 2),
-        # a radius neighbor over the height gate, never admitted
+        # a radius neighbor over the height gate, never reached
         ([(0, 0.5, "ambiguous"), (1, 0.1, "ground")], 2),
     ],
 )

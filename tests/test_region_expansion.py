@@ -2,7 +2,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from gridseg.region_expansion import (
     refine_cell,
     select_seed,
 )
-from gridseg.region_expansion import _breadth_first, _neighbor_graph
+from gridseg.region_expansion import _neighbor_graph, _reach
 from gridseg.voxel_grid import (
     CellSize,
     GroundState,
@@ -350,18 +349,16 @@ class TestBuildCentroidIndex:
             build_centroid_index(grid, rows, 5.0, unsearched, np.arange(len(grid.cells)))
 
 
-def _fifo_bfs(indptr, indices, source):
-    """Order and predecessors of a plain FIFO queue search (test oracle)."""
-    pred = {source: -1}
-    queue, order = deque([source]), []
-    while queue:
-        node = queue.popleft()
-        order.append(node)
+def _flood_fill(indptr, indices, source):
+    """The nodes a plain stack-based flood fill reaches (test oracle)."""
+    reached, stack = {source}, [source]
+    while stack:
+        node = stack.pop()
         for nb in indices[indptr[node] : indptr[node + 1]].tolist():
-            if nb not in pred:
-                pred[nb] = node
-                queue.append(nb)
-    return order, pred
+            if nb not in reached:
+                reached.add(nb)
+                stack.append(nb)
+    return sorted(reached)
 
 
 def _symmetric_csr(n, edges, rng, dtype):
@@ -376,16 +373,15 @@ def _symmetric_csr(n, edges, rng, dtype):
 
 
 class TestBreadthFirstOracle:
-    """``_breadth_first`` against a deque search over the same CSR."""
+    """``_reach``, a breadth-first search a level at a time, against a
+    flood fill over the same CSR."""
 
     @staticmethod
     def _assert_matches_oracle(indptr, indices, source):
-        order, pred = _breadth_first(indptr, indices, source)
-        want_order, want_pred = _fifo_bfs(indptr, indices, source)
-        assert order.tolist() == want_order
-        want = np.full(len(indptr) - 1, -1)
-        want[list(want_pred)] = list(want_pred.values())
-        np.testing.assert_array_equal(pred, want)
+        reached = _reach(indptr, indices, source)
+        assert reached.dtype == bool and len(reached) == len(indptr) - 1
+        order = np.flatnonzero(reached)
+        assert order.tolist() == _flood_fill(indptr, indices, source)
         return order
 
     @given(
@@ -414,7 +410,8 @@ class TestBreadthFirstOracle:
     def test_complete_bipartite_levels(self, rng, dtype):
         # K(6, 40) and one isolated node: from a node of the first part, the
         # second level's 5 nodes appear unseen in each of the 40 rows of
-        # the first level, and from the second part it is the other way round
+        # the first level, and from the second part it is the other way round;
+        # each must enter the next level once
         a, b = 6, 40
         edges = [(x, a + y) for x in range(a) for y in range(b)]
         indptr, indices = _symmetric_csr(a + b + 1, edges, rng, dtype)
@@ -440,8 +437,8 @@ class TestBreadthFirstOracle:
     def test_isolated_seed(self, rng):
         indptr, indices = _symmetric_csr(5, [(0, 1), (3, 4)], rng, np.int32)
         assert self._assert_matches_oracle(indptr, indices, 2).tolist() == [2]
-        order, pred = _breadth_first(np.zeros(4, np.int64), np.empty(0, np.int32), 1)
-        assert order.tolist() == [1] and pred.tolist() == [-1, -1, -1]
+        reached = _reach(np.zeros(4, np.int64), np.empty(0, np.int32), 1)
+        assert reached.tolist() == [False, True, False]
 
 
 def _csr_of_pairs(n, i, j):
@@ -543,7 +540,7 @@ class TestNeighborGraph:
 
 
 class TestBreadthFirst:
-    def test_int64_graph_dequeue_order_matches_deque_bfs(self, rng):
+    def test_int64_graph_reach_matches_flood_fill(self, rng):
         # a chain of 46.5k one-point cells, so n * n >= 2**31 and the graph
         # has int64 keys; each cell reaches one to three cells either side,
         # and a detached tail of 50 cells is never reached
@@ -557,25 +554,22 @@ class TestBreadthFirst:
         radius, source = 2.5, n // 2
         indptr, indices = _neighbor_graph(n, *index.pairs(radius))
         assert indices.dtype == np.int64
-
-        pred = {source: source}
-        queue, order = deque([source]), []
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for nb in indices[indptr[node] : indptr[node + 1]].tolist():
-                if nb not in pred:
-                    pred[nb] = node
-                    queue.append(nb)
-        assert len(order) == n - tail
+        reached = _flood_fill(indptr, indices, source)
+        assert reached == list(range(n - tail))
 
         log = ExpansionLog()
         seed = tuple(grid.cells[source].tolist())
         expand(grid, index, seed, GEO, ExpansionParams(search_radius=radius), phase=1, log=log)
         cells = [tuple(c) for c in grid.cells.tolist()]
-        assert [idx for idx, _, _ in log.routes] == [cells[c] for c in order]
+        assert [idx for idx, _, _ in log.routes] == [cells[c] for c in reached]
+        # each link among reached cells once, lower row first, in row order
         z = grid.centroids[:, 2]
-        want = [(cells[pred[c]], cells[c], abs(z[pred[c]] - z[c])) for c in order[1:]]
+        want = [
+            (cells[a], cells[b], abs(z[a] - z[b]))
+            for a in reached
+            for b in indices[indptr[a] : indptr[a + 1]].tolist()
+            if b > a
+        ]
         assert log.edges == want
 
     def test_import_leaves_csgraph_out(self):
@@ -860,8 +854,8 @@ class TestExpand:
                         reach.add(ids[k])
                         nxt.append(ids[k])
             frontier = nxt
-        dequeued = {idx for idx, _, _ in log.routes}
-        assert dequeued == reach
+        routed = {idx for idx, _, _ in log.routes}
+        assert routed == reach
         # on this flat scene every tentative cell is reached and routed ground
         assert len(reach) == len(tentative)
         assert count == len(pts)
@@ -963,18 +957,18 @@ class TestExpand:
         count = expand(grid, _tentative_index(grid), seed, GEO, params, phase=phase, log=log)
 
         routes = {idx: route for idx, route, _ in log.routes}
-        dequeued = np.array([idx in routes for idx in map(tuple, grid.cells.tolist())])
+        reached = np.array([idx in routes for idx in map(tuple, grid.cells.tolist())])
         is_ground = grid.state == GroundState.GROUND
-        # dequeued cells were tentative and end GROUND or NON_GROUND as routed;
+        # reached cells were tentative and end GROUND or NON_GROUND as routed;
         # every other cell keeps its state, so unreached tentative cells stay TENTATIVE
-        assert (before[dequeued] == GroundState.TENTATIVE).all()
-        assert [routes[tuple(idx)] == "ground" for idx in grid.cells[dequeued].tolist()] == list(
-            is_ground[dequeued]
+        assert (before[reached] == GroundState.TENTATIVE).all()
+        assert [routes[tuple(idx)] == "ground" for idx in grid.cells[reached].tolist()] == list(
+            is_ground[reached]
         )
-        assert (grid.state[dequeued & ~is_ground] == GroundState.NON_GROUND).all()
-        np.testing.assert_array_equal(grid.state[~dequeued], before[~dequeued])
-        unreached = ~dequeued & (before == GroundState.TENTATIVE)
-        assert unreached.any() and is_ground.any() and (dequeued & ~is_ground).any()
+        assert (grid.state[reached & ~is_ground] == GroundState.NON_GROUND).all()
+        np.testing.assert_array_equal(grid.state[~reached], before[~reached])
+        unreached = ~reached & (before == GroundState.TENTATIVE)
+        assert unreached.any() and is_ground.any() and (reached & ~is_ground).any()
         # the ground ids are exactly the inliers of the GROUND cells, and
         # expand counts them
         want = np.sort(grid.order[np.repeat(is_ground, grid.counts) & grid.inliers])
