@@ -2,16 +2,16 @@
 
 Tentative-ground cells are linked when their centroids lie within the search
 radius (one exact pair search over 2-D columns of centroids, run when the
-centroid index is built, whose pairs one sort of packed row-column keys turns
-into a CSR graph), and the ground region is the seed cell's connected
-component in that graph, found by a search a level at a time.  Both run on
-numpy alone.  An index built over cells that a parent index holds with the
-same centroids takes their pairs from it and searches only the pairs with
-one of its other cells; so Phase II searches only around the cells it does
-not take over from Phase I.  Radius links (rather than grid adjacency) let
-the region bridge scan-line gaps at fine grid resolutions.  Each reached
-cell then runs a five-step refinement that decides whether it is ground; the
-output is the inliers of the ground cells:
+centroid index is built), and the ground region is the seed cell's connected
+component over those links, found on the pair list itself by hooking roots
+and jumping pointers (``_component``), with no neighbor graph and no sort.
+Both run on numpy alone.  An index built over cells that a parent index
+holds with the same centroids takes their pairs from it and searches only
+the pairs with one of its other cells; so Phase II searches only around the
+cells it does not take over from Phase I.  Radius links (rather than grid
+adjacency) let the region bridge scan-line gaps at fine grid resolutions.
+Each reached cell then runs a five-step refinement that decides whether it
+is ground; the output is the inliers of the ground cells:
 
 1. split the cell's points into plane inliers and outliers (stored fit);
 2. reject when there are no inliers;
@@ -22,9 +22,9 @@ output is the inliers of the ground cells:
 
 In the fine phase (phase 2) a link additionally requires the centroid
 height difference to stay within the height gate.  The gate drops pairs
-before the sort, so the search reads a graph of admissible links only;
-step 4 sees every radius neighbor, over the gate too, from a second graph
-of all pairs that is built only when the phase has ambiguous cells.
+before the component search, which reads admissible links only; step 4
+sees every radius neighbor, over the gate too, from the pairs with an
+ambiguous end.
 
 Steps 1-3 and 5 read only the cell itself and run on all reached cells at
 once.  Step 4 runs after them, on the ambiguous cells at once, and reads
@@ -378,57 +378,46 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
 
 
-def _neighbor_graph(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric graph over ``n`` nodes with an edge per pair ``(i[k], j[k])``,
-    as CSR (indptr, indices) with each row's indices ascending.
+def _component(n: int, i: np.ndarray, j: np.ndarray, source: int) -> np.ndarray:
+    """Mask of the nodes that ``source`` reaches over ``n`` nodes linked by
+    the pairs ``(i[k], j[k])``, either way round: its connected component.
 
-    Both entries of each pair, keyed ``row * n + column``, are put in row
-    order by one sort, of int32 keys while ``n * n`` fits in them.  A
-    binary search for each row's first key gives ``indptr``, and each
-    key less its row's ``row * n`` is its column.
+    Every node points to a root, at first itself.  A round hooks the higher
+    root of each pair to the lowest root paired with it, so a root only
+    ever points to a smaller label and no cycle can form; jumps pointers
+    until every node points to a root; and keeps, as pairs of roots, the
+    pairs whose roots still differ (Shiloach and Vishkin, J. Algorithms
+    1982).  Hooking to the lowest root, not the last one written, keeps the
+    rounds few: a star whose centre holds the largest label takes two.
     """
-    dtype = np.int32 if n * n < 2**31 else np.int64
-    i, j = i.astype(dtype, copy=False), j.astype(dtype, copy=False)
-    keys = np.concatenate([i * n + j, j * n + i])
-    keys.sort()
-    starts = np.arange(n + 1, dtype=dtype) * n  # the key of (row, 0), and n * n
-    indptr = np.searchsorted(keys, starts)
-    return indptr, keys - np.repeat(starts[:-1], np.diff(indptr))
+    root = np.arange(n, dtype=i.dtype)
+    while len(i):
+        np.minimum.at(root, np.maximum(i, j), np.minimum(i, j))
+        jumped = np.take(root, root)
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, np.take(jumped, jumped)
+        i, j = np.take(root, i), np.take(root, j)
+        differ = i != j
+        i, j = np.compress(differ, i), np.compress(differ, j)
+    return root == root[source]
 
 
-def _reach(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:
-    """Mask of the nodes that ``source`` reaches over a CSR graph: its
-    connected component, found a level at a time.  The next level is the
-    unseen nodes of the frontier's rows, each kept once: the entry that
-    last wrote its position into ``slot``."""
-    n = len(indptr) - 1
-    seen = id_mask(source, n)
-    slot = np.zeros(n, dtype=np.intp)
-    frontier = np.array([source])
-    while len(frontier):
-        starts = np.take(indptr, frontier)
-        nb = np.take(indices, _ranges(starts, np.take(indptr, frontier + 1) - starts))
-        nb = np.compress(~np.take(seen, nb), nb)
-        at = np.arange(len(nb))
-        slot[nb] = at
-        frontier = np.compress(np.take(slot, nb) == at, nb)
-        seen[frontier] = True
-    return seen
-
-
-def _ambiguous_reasons(grid, ids, amb, indptr, indices, inputs, expansion) -> np.ndarray:
+def _ambiguous_reasons(grid, ids, amb, i, j, inputs, expansion) -> np.ndarray:
     """Reasons of the ambiguous cells at index positions ``amb``, whose
     other refinement inputs are ``inputs``, once ``grid.state`` holds the
     routes of the other reached cells.
 
-    A radius neighbor (rows ``indptr``/``indices`` over index positions)
-    counts as ground when its state is GROUND, and the occupied cell below
-    as non-ground when its state is NON_GROUND or OBSTACLE: ambiguous and
-    unreached cells are still TENTATIVE, so only settled decisions count.
+    A radius neighbor (the other end of a pair ``(i[k], j[k])`` of index
+    positions with an end in ``amb``) counts as ground when its state is
+    GROUND, and the occupied cell below as non-ground when its state is
+    NON_GROUND or OBSTACLE: ambiguous and unreached cells are still
+    TENTATIVE, so only settled decisions count.
     """
-    degree = indptr[amb + 1] - indptr[amb]
-    nb = indices[_ranges(indptr[amb], degree)]
-    owner = np.repeat(np.arange(len(amb)), degree)
+    slot = np.full(len(ids), -1)  # index position -> position in amb
+    slot[amb] = np.arange(len(amb))
+    owner, nb = np.concatenate([slot[i], slot[j]]), np.concatenate([j, i])
+    mine = owner >= 0
+    owner, nb = owner[mine], nb[mine]
     ground = grid.state[ids[nb]] == GroundState.GROUND
     nb, owner = nb[ground], owner[ground]
     height = np.zeros(len(ids))
@@ -454,18 +443,17 @@ def expand(
 ) -> int:
     """Ground expansion from the seed cell, in phase 1 or 2.
 
-    The index must hold the grid rows of tentative cells in ascending order;
-    the neighbor graph is built from its pairs within the search radius
-    (those ``build_centroid_index`` found, or one search), in phase 2
-    from only the pairs within the height gate, which is applied to the
-    pairs before they are sorted into rows.  The reached cells are the
-    seed's connected component in that graph.  Every reached cell is
-    refined at once, in ascending grid-row order; the ambiguous ones are
-    then refined once more, at once, from the routes of the others
-    (``_ambiguous_reasons``).  They read every radius neighbor, so in phase
-    2 the rows of all pairs are built too, but only when some reached cell
-    is ambiguous.  Final states land in ``grid.state``: GROUND or
-    NON_GROUND for reached cells, unreached ones stay TENTATIVE.
+    The index must hold the grid rows of tentative cells in ascending order.
+    Its pairs within the search radius (those ``build_centroid_index``
+    found, or one search) are the links, in phase 2 only those within the
+    height gate, and the reached cells are the seed's connected component
+    over them (``_component``, which reads the pair list as it is).  Every
+    reached cell is refined at once, in ascending grid-row order; the
+    ambiguous ones are then refined once more, at once, from the routes of
+    the others (``_ambiguous_reasons``), over every radius pair with an
+    ambiguous end, in phase 2 over the gate too.  Final states land in
+    ``grid.state``: GROUND or NON_GROUND for reached cells, unreached ones
+    stay TENTATIVE.  Without a ``log`` nothing is sorted.
 
     Returns the number of ground points: the inliers of the cells it
     routed to GROUND, summed from their inlier counts, so no per-point
@@ -496,13 +484,11 @@ def expand(
 
     z = index.centroids[:, 2]
     i, j = index.pairs(expansion.search_radius)
+    li, lj = i, j  # the links
     if phase == 2:
-        # the height gate drops pairs before they are sorted into rows
         keep = np.abs(np.take(z, i) - np.take(z, j)) <= expansion.height_gate
-        links = _neighbor_graph(n, np.compress(keep, i), np.compress(keep, j))
-    else:
-        links = _neighbor_graph(n, i, j)
-    in_reach = _reach(*links, s)
+        li, lj = np.compress(keep, i), np.compress(keep, j)
+    in_reach = _component(n, li, lj, s)
     reached = np.flatnonzero(in_reach)  # index positions, ascending
     cells = ids[reached]
 
@@ -516,18 +502,18 @@ def expand(
         grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
         grid.state[cells[ambiguous]] = GroundState.TENTATIVE
         # ambiguous cells see all their radius neighbors, over the gate too
-        graph = _neighbor_graph(n, i, j) if phase == 2 else links
         reasons[ambiguous] = _ambiguous_reasons(
-            grid, ids, reached[ambiguous], *graph, [x[ambiguous] for x in inputs], expansion
+            grid, ids, reached[ambiguous], i, j, [x[ambiguous] for x in inputs], expansion
         )
         ground = _ROUTES_GROUND[reasons]
     grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
 
     if log is not None:
-        indptr, indices = links
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        link = np.take(in_reach, rows) & (indices > rows)  # once each, lower row first
-        lo, hi = np.compress(link, rows), np.compress(link, indices)
+        # a link's ends are both reached or both not; pairs hold i < j, so
+        # one sort of packed keys puts them in (lower, higher) order
+        link = np.take(in_reach, li)
+        keys = np.compress(link, li).astype(np.int64) * n + np.compress(link, lj)
+        lo, hi = np.divmod(np.sort(keys), n)
         dz = np.abs(z[lo] - z[hi]).tolist()
         named = _cell_indices(grid, ids)  # one per cell, shared by its links
         log.edges.extend((named[a], named[b], d) for a, b, d in zip(lo.tolist(), hi.tolist(), dz))

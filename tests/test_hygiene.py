@@ -33,10 +33,16 @@ tracer hooks names as strings.  Reads from tests and demos do not count,
 and a name only they read is listed in ``TEST_ONLY_NAMES`` with its reason.
 Every field of the stats ``stats.json`` holds (``SegmentationStats`` and
 ``PhaseStats``) is named in backticks in the README's ``## CLI`` section.
+Every private name (``_x``), test name (``Test*``, ``test_*``) and
+``tests/``, ``demos/`` or ``perfbench/`` path that the README names in
+backticks still exists: the names as a function, class or assigned name of
+some module of ``src/``, ``tests/``, ``demos/`` or ``perfbench/``, the paths
+as files or directories.
 """
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -466,3 +472,50 @@ def test_the_check_finds_fields_the_section_does_not_name():
 def test_every_stats_field_is_named_in_the_readme_cli_section():
     text = (ROOT / "README.md").read_text()
     assert undocumented_fields([SegmentationStats, PhaseStats], text, "## CLI") == []
+
+
+PATH = re.compile(r"(?<![\w/.])(?:tests|demos|perfbench)/[\w./-]*")
+CODE_NAME = re.compile(r"(?<![\w/])(_[A-Za-z]\w*|Test[A-Z]\w*|test_\w+)")
+
+
+def stale_readme_names(text: str, defined: set[str], exists) -> list[str]:
+    """Each private name (``_x``, also as ``module._x``), ``Test*`` or
+    ``test_*`` name that an inline code span of the markdown ``text`` holds
+    and ``defined`` does not, and each ``tests/``, ``demos/`` or
+    ``perfbench/`` path in one for which ``exists(path)`` is false; once
+    each, in order.  Fenced code blocks are not read."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    found = []
+    for span in re.findall(r"`([^`]+)`", text):
+        paths = PATH.findall(span)
+        found += [p for p in paths if not exists(p)]
+        names = CODE_NAME.findall(PATH.sub(" ", span))
+        found += [n for n in names if n not in defined]
+    return list(dict.fromkeys(found))
+
+
+def test_the_check_finds_stale_readme_names():
+    text = (
+        "Run `_kept`, `mod._gone` and `TestKept`; see `tests/kept.py` and\n"
+        "`python3 perfbench/gone.py\n--seed 1`, `demos/` and `test_gone`.\n"
+        "```\n_fenced TestFenced tests/fenced.py\n```\n"
+        "Not in code: _loose, TestLoose. `__init__`, `my_test_x`, `Tests/x`, `x/tests/y`.\n"
+    )
+    defined = {"_kept", "TestKept", "test_kept"}
+    exists = {"tests/kept.py", "demos/"}.__contains__
+    assert stale_readme_names(text, defined, exists) == [
+        "_gone", "perfbench/gone.py", "test_gone"
+    ]
+
+
+def test_every_code_name_and_path_in_the_readme_exists():
+    defined = set()
+    for d in ("src", "tests", "demos", "perfbench"):
+        for path in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    defined.add(node.id)
+    text = (ROOT / "README.md").read_text()
+    assert stale_readme_names(text, defined, lambda p: (ROOT / p).exists()) == []

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from gridseg.region_expansion import (
     refine_cell,
     select_seed,
 )
-from gridseg.region_expansion import _neighbor_graph, _reach
+from gridseg.region_expansion import _component
 from gridseg.voxel_grid import (
     CellSize,
     GroundState,
@@ -87,18 +88,6 @@ class TestCentroidIndex:
             got = sorted(zip(i.tolist(), j.tolist()))
             assert got == sorted(zip(*(a.tolist() for a in brute.pairs(radius))))
             assert len(got) > 0
-
-    def test_neighbor_graph_is_symmetric_with_sorted_rows(self, rng):
-        n = 2000
-        centroids = rng.uniform(0, 40 * n ** (1 / 3), size=(n, 3))
-        index = CentroidIndex(np.arange(n), centroids)
-        indptr, indices = _neighbor_graph(n, *index.pairs(6.0))
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        i, j = index.pairs(6.0)
-        want = np.unique(np.concatenate([np.stack([i, j]), np.stack([j, i])], axis=1), axis=1)
-        assert len(rows) > 0
-        # np.unique sorts row-major, so this also checks the order within rows
-        np.testing.assert_array_equal(np.stack([rows, indices]), want)
 
     def test_empty_and_single_cell_have_no_pairs(self):
         empty = CentroidIndex(np.empty(0, np.int64), np.empty((0, 3)))
@@ -349,39 +338,41 @@ class TestBuildCentroidIndex:
             build_centroid_index(grid, rows, 5.0, unsearched, np.arange(len(grid.cells)))
 
 
-def _flood_fill(indptr, indices, source):
-    """The nodes a plain stack-based flood fill reaches (test oracle)."""
-    reached, stack = {source}, [source]
-    while stack:
-        node = stack.pop()
-        for nb in indices[indptr[node] : indptr[node + 1]].tolist():
+def _breadth_first(n, i, j, source):
+    """The nodes a plain breadth-first search from ``source`` reaches over
+    both directions of the pairs ``(i[k], j[k])`` (test oracle), ascending."""
+    rows = [[] for _ in range(n)]
+    for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist()):
+        rows[a].append(b)
+        rows[b].append(a)
+    reached, queue = {source}, deque([source])
+    while queue:
+        for nb in rows[queue.popleft()]:
             if nb not in reached:
                 reached.add(nb)
-                stack.append(nb)
+                queue.append(nb)
     return sorted(reached)
 
 
-def _symmetric_csr(n, edges, rng, dtype):
-    """CSR of an undirected graph with each row's neighbors in random order."""
-    rows = [[] for _ in range(n)]
-    for a, b in {(min(e), max(e)) for e in edges if e[0] != e[1]}:
-        rows[a].append(b)
-        rows[b].append(a)
-    indptr = np.cumsum([0] + [len(r) for r in rows])
-    indices = np.array([v for r in rows for v in rng.permutation(r).tolist()], dtype=dtype)
-    return indptr, indices
+def _pairs_of(edges, rng, dtype):
+    """Arrays (i, j) of the given edges, each once, in random order and
+    random direction."""
+    edges = rng.permutation(np.array(sorted(set(edges)), dtype=dtype).reshape(-1, 2))
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return edges[:, 0], edges[:, 1]
 
 
 class TestBreadthFirstOracle:
-    """``_reach``, a breadth-first search a level at a time, against a
-    flood fill over the same CSR."""
+    """``_component``, hooking roots and jumping pointers on the pair list,
+    against a breadth-first search over both directions of the same pairs."""
 
     @staticmethod
-    def _assert_matches_oracle(indptr, indices, source):
-        reached = _reach(indptr, indices, source)
-        assert reached.dtype == bool and len(reached) == len(indptr) - 1
+    def _assert_matches_oracle(n, i, j, source):
+        reached = _component(n, i, j, source)
+        assert reached.dtype == bool and len(reached) == n
         order = np.flatnonzero(reached)
-        assert order.tolist() == _flood_fill(indptr, indices, source)
+        assert order.tolist() == _breadth_first(n, i, j, source)
         return order
 
     @given(
@@ -391,71 +382,98 @@ class TestBreadthFirstOracle:
         st.sampled_from([np.int32, np.int64]),
     )
     def test_random_symmetric_graphs(self, n, edges, seed, dtype):
+        # pairs in either direction, self pairs and repeats among them
         rng = np.random.default_rng(seed)
         edges = [(a % n, b % n) for a, b in edges]
-        indptr, indices = _symmetric_csr(n, edges, rng, dtype)
-        self._assert_matches_oracle(indptr, indices, int(rng.integers(n)))
+        i, j = _pairs_of(edges, rng, dtype)
+        i, j = np.concatenate([i, i[: len(i) // 4]]), np.concatenate([j, j[: len(j) // 4]])
+        self._assert_matches_oracle(n, i, j, int(rng.integers(n)))
 
     def test_disconnected_parts_and_rows_of_one_node(self, rng):
         # a path 0-1-2-3 (end rows of one node), a star on 4, a triangle
         # apart, and node 12 with no edges
         edges = [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7), (4, 1), (8, 9), (9, 10), (10, 8)]
-        indptr, indices = _symmetric_csr(13, edges, rng, np.int64)
-        order = self._assert_matches_oracle(indptr, indices, 0)
-        assert sorted(order.tolist()) == [0, 1, 2, 3, 4, 5, 6, 7]
-        order = self._assert_matches_oracle(indptr, indices, 9)
-        assert sorted(order.tolist()) == [8, 9, 10]
+        i, j = _pairs_of(edges, rng, np.int64)
+        order = self._assert_matches_oracle(13, i, j, 0)
+        assert order.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+        order = self._assert_matches_oracle(13, i, j, 9)
+        assert order.tolist() == [8, 9, 10]
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_complete_bipartite_levels(self, rng, dtype):
-        # K(6, 40) and one isolated node: from a node of the first part, the
-        # second level's 5 nodes appear unseen in each of the 40 rows of
-        # the first level, and from the second part it is the other way round;
-        # each must enter the next level once
+        # K(6, 40) and one isolated node: every node of one part is paired
+        # with every node of the other, so each root is hooked from many
+        # pairs at once
         a, b = 6, 40
         edges = [(x, a + y) for x in range(a) for y in range(b)]
-        indptr, indices = _symmetric_csr(a + b + 1, edges, rng, dtype)
-        assert len(self._assert_matches_oracle(indptr, indices, 0)) == a + b
-        assert len(self._assert_matches_oracle(indptr, indices, a + 7)) == a + b
-        assert self._assert_matches_oracle(indptr, indices, a + b).tolist() == [a + b]
+        i, j = _pairs_of(edges, rng, dtype)
+        assert len(self._assert_matches_oracle(a + b + 1, i, j, 0)) == a + b
+        assert len(self._assert_matches_oracle(a + b + 1, i, j, a + 7)) == a + b
+        assert self._assert_matches_oracle(a + b + 1, i, j, a + b).tolist() == [a + b]
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_star_of_stars(self, rng, dtype):
         # a center, 8 hubs around it, and 60 leaves each linked to 3 hubs
-        # and to a few other leaves: every leaf appears unseen up to three
-        # times among the hubs' rows
+        # and to a few other leaves
         hubs, leaves = 8, 60
         n = 1 + hubs + leaves
         edges = [(0, h) for h in range(1, hubs + 1)]
         for leaf in range(hubs + 1, n):
             edges += [(int(h), leaf) for h in rng.choice(hubs, 3, replace=False) + 1]
         edges += [tuple(e) for e in rng.integers(hubs + 1, n, (40, 2)).tolist()]
-        indptr, indices = _symmetric_csr(n, edges, rng, dtype)
-        assert len(self._assert_matches_oracle(indptr, indices, 0)) == n
-        assert len(self._assert_matches_oracle(indptr, indices, n - 1)) == n
+        i, j = _pairs_of(edges, rng, dtype)
+        assert len(self._assert_matches_oracle(n, i, j, 0)) == n
+        assert len(self._assert_matches_oracle(n, i, j, n - 1)) == n
+
+    def test_star_whose_centre_holds_the_largest_label(self):
+        # the pairs in leaf order: every pair hooks the centre, which takes
+        # the lowest leaf, and the next round hooks every other leaf to that
+        # one (hooked by the last write instead, the centre would take the
+        # highest leaf, and each round would hook one more leaf)
+        leaves = 3000
+        leaf = np.arange(leaves, dtype=np.int32)
+        flip = leaf % 2 == 1  # either way round
+        i, j = np.where(flip, leaves, leaf), np.where(flip, leaf, leaves)
+        i, j = np.append(i, [leaves + 1]), np.append(j, [leaves + 2])  # a pair apart
+        order = self._assert_matches_oracle(leaves + 3, i, j, leaves)
+        assert order.tolist() == list(range(leaves + 1))
+        assert self._assert_matches_oracle(leaves + 3, i, j, leaves + 2).tolist() == [
+            leaves + 1, leaves + 2
+        ]
+
+    def test_path_in_random_label_order(self, rng):
+        # 10**5 nodes on one path whose labels are shuffled, so a root
+        # hooked in one round is often hooked again in the next
+        n = 100_000
+        path = rng.permutation(n)
+        i, j = _pairs_of(list(zip(path[:-1].tolist(), path[1:].tolist())), rng, np.int32)
+        source = int(rng.integers(n))
+        assert len(self._assert_matches_oracle(n, i, j, source)) == n
+        # cut in two after its first third
+        ends = {path[n // 3], path[n // 3 + 1]}
+        keep = ~(np.isin(i, list(ends)) & np.isin(j, list(ends)))
+        order = self._assert_matches_oracle(n, i[keep], j[keep], int(path[0]))
+        assert order.tolist() == sorted(path[: n // 3 + 1].tolist())
 
     def test_isolated_seed(self, rng):
-        indptr, indices = _symmetric_csr(5, [(0, 1), (3, 4)], rng, np.int32)
-        assert self._assert_matches_oracle(indptr, indices, 2).tolist() == [2]
-        reached = _reach(np.zeros(4, np.int64), np.empty(0, np.int32), 1)
-        assert reached.tolist() == [False, True, False]
+        i, j = _pairs_of([(0, 1), (3, 4)], rng, np.int32)
+        assert self._assert_matches_oracle(5, i, j, 2).tolist() == [2]
+        none = np.empty(0, np.int32)
+        assert _component(3, none, none, 1).tolist() == [False, True, False]
 
 
-def _csr_of_pairs(n, i, j):
-    """CSR of both directions of each pair, built with a lexsort (test oracle)."""
-    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
-    order = np.lexsort((cols, rows))
-    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
-    return indptr, cols[order]
+def _sorted_pairs(i, j):
+    """Pairs (i, j), i < j, in row-major order."""
+    order = np.lexsort((j, i))
+    return np.asarray(i)[order], np.asarray(j)[order]
 
 
-def _brute_graph(brute_index_cls, centroids, radius):
+def _brute_pairs(brute_index_cls, centroids, radius):
     """Every two centroids within radius (inclusive), from all distances."""
-    i, j = brute_index_cls(range(len(centroids)), centroids).pairs(radius)
-    return _csr_of_pairs(len(centroids), i, j)
+    return _sorted_pairs(*brute_index_cls(range(len(centroids)), centroids).pairs(radius))
 
 
-def _sweep_graph(centroids, radius):
+def _sweep_pairs(centroids, radius):
     """Every two centroids within radius (inclusive), by comparing each
     centroid, in x order, with the next ones until all their x gaps exceed
     the radius: no pair further apart in that order can be in reach."""
@@ -468,82 +486,56 @@ def _sweep_graph(centroids, radius):
         hit = np.flatnonzero(((c[shift:] - c[:-shift]) ** 2).sum(axis=1) <= radius * radius)
         i.append(order[hit])
         j.append(order[hit + shift])
-    return _csr_of_pairs(len(c), np.concatenate(i), np.concatenate(j))
+    i, j = np.concatenate(i), np.concatenate(j)
+    return _sorted_pairs(np.minimum(i, j), np.maximum(i, j))
 
 
-def _graph(centroids, radius):
+def _pairs(centroids, radius):
     n = len(centroids)
-    return _neighbor_graph(n, *CentroidIndex(np.arange(n), centroids).pairs(radius))
+    return _sorted_pairs(*CentroidIndex(np.arange(n), centroids).pairs(radius))
 
 
-def _assert_same_graph(got, want):
-    assert got[0].dtype == np.int64
+def _assert_same_pairs(got, want):
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
 
 class TestNeighborGraph:
+    """The links of the neighbor graph, ``CentroidIndex.pairs`` in row-major
+    order, against a brute-force scan and an x-order sweep."""
+
     @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0, 5.0])
     def test_exact_radius_ties_match_brute_force(self, rng, brute_index_cls, radius):
         # integer lattice: squared distances are exact, and 1, 2, 3 and 5
         # (3-4-5) are each reached exactly by some pairs
         lattice = np.stack(np.meshgrid(*[np.arange(7.0)] * 2, np.arange(3.0)), -1)
         centroids = rng.permutation(lattice.reshape(-1, 3))
-        got = _graph(centroids, radius)
-        want = _brute_graph(brute_index_cls, centroids, radius)
+        got = _pairs(centroids, radius)
+        want = _brute_pairs(brute_index_cls, centroids, radius)
         d2 = ((centroids[:, None] - centroids[None]) ** 2).sum(axis=2)
         assert (d2 == radius * radius).any()
-        _assert_same_graph(got, want)
+        _assert_same_pairs(got, want)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_empty_and_one_cell_graphs(self, n):
-        got = _graph(np.zeros((n, 3)), 5.0)
-        _assert_same_graph(got, (np.zeros(n + 1, np.int64), np.empty(0, np.int64)))
+        got = _pairs(np.zeros((n, 3)), 5.0)
+        assert [a.dtype for a in got] == [np.int32, np.int32]  # positions that fit
+        _assert_same_pairs(got, (np.empty(0), np.empty(0)))
 
-    def test_int32_keys_match_brute_force(self, rng, brute_index_cls):
-        centroids = rng.uniform(0, 30, size=(1500, 3))
-        got = _graph(centroids, 3.0)
-        assert got[1].dtype == np.int32  # n * n < 2**31: the narrow keys ran
-        _assert_same_graph(got, _brute_graph(brute_index_cls, centroids, 3.0))
-
-    def test_int64_keys_match_brute_force(self, rng):
-        # 46.5k centroids, n * n >= 2**31, sparse along a 23 km strip
+    def test_strip_of_46k_centroids_matches_sweep(self, rng):
+        # 46.5k centroids, sparse along a 23 km strip
         n = 46_500
         centroids = rng.uniform(0, 1, size=(n, 3)) * [n / 2, 2.0, 2.0]
-        got = _graph(centroids, 1.0)
-        assert got[1].dtype == np.int64  # the keys did not fit in int32
-        want = _sweep_graph(centroids, 1.0)
-        assert len(want[1]) > n
-        _assert_same_graph(got, want)
-
-    @pytest.mark.parametrize("n", [46_340, 46_341])  # n * n just under and over 2**31
-    def test_key_width_boundary(self, n):
-        # pairs that touch the largest keys of the graph
-        i = np.array([0, n - 3, n - 2, 1])
-        j = np.array([n - 1, n - 1, n - 1, n - 2])
-        _assert_same_graph(_neighbor_graph(n, i, j), _csr_of_pairs(n, i, j))
-
-    def test_height_gate_on_pairs_drops_only_over_gate_entries(self, rng):
-        n, gate = 1200, 0.25
-        centroids = rng.uniform(0, 25, size=(n, 3)) * [1, 1, 0.1]
-        z = centroids[:, 2]
-        i, j = CentroidIndex(np.arange(n), centroids).pairs(5.0)
-        keep = np.abs(z[i] - z[j]) <= gate
-        indptr, indices = _neighbor_graph(n, i, j)
-        gated = _neighbor_graph(n, i[keep], j[keep])
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        over = np.abs(z[rows] - z[indices]) > gate
-        assert 0 < over.sum() < len(over)
-        kept_rows = rows[~over]
-        want = (np.append(0, np.cumsum(np.bincount(kept_rows, minlength=n))), indices[~over])
-        _assert_same_graph(gated, want)
+        got = _pairs(centroids, 1.0)
+        want = _sweep_pairs(centroids, 1.0)
+        assert len(want[1]) > n / 2
+        _assert_same_pairs(got, want)
 
 
 class TestBreadthFirst:
-    def test_int64_graph_reach_matches_flood_fill(self, rng):
-        # a chain of 46.5k one-point cells, so n * n >= 2**31 and the graph
-        # has int64 keys; each cell reaches one to three cells either side,
-        # and a detached tail of 50 cells is never reached
+    def test_long_chain_reach_and_log_order(self, rng):
+        # a chain of 46.5k one-point cells; each cell reaches one to three
+        # cells either side, and a detached tail of 50 cells is never reached
         n, tail = 46_500, 50
         x = np.arange(n) + rng.uniform(0, 1, n)
         x[-tail:] += 10.0
@@ -552,9 +544,8 @@ class TestBreadthFirst:
         grid.state[:] = GroundState.TENTATIVE
         index = _tentative_index(grid)
         radius, source = 2.5, n // 2
-        indptr, indices = _neighbor_graph(n, *index.pairs(radius))
-        assert indices.dtype == np.int64
-        reached = _flood_fill(indptr, indices, source)
+        i, j = index.pairs(radius)
+        reached = _breadth_first(n, i, j, source)
         assert reached == list(range(n - tail))
 
         log = ExpansionLog()
@@ -564,11 +555,11 @@ class TestBreadthFirst:
         assert [idx for idx, _, _ in log.routes] == [cells[c] for c in reached]
         # each link among reached cells once, lower row first, in row order
         z = grid.centroids[:, 2]
+        rows = [[] for _ in range(n)]
+        for a, b in zip(i.tolist(), j.tolist()):
+            rows[a].append(b)
         want = [
-            (cells[a], cells[b], abs(z[a] - z[b]))
-            for a in reached
-            for b in indices[indptr[a] : indptr[a + 1]].tolist()
-            if b > a
+            (cells[a], cells[b], abs(z[a] - z[b])) for a in reached for b in sorted(rows[a])
         ]
         assert log.edges == want
 
