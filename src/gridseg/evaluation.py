@@ -6,7 +6,9 @@ are summed over all scans of a sequence per threshold (micro-average),
 metrics are computed per threshold, and the sequence is summarized by the
 mean and population standard deviation of each metric across thresholds.
 Rows with a zero denominator are undefined and excluded from the aggregates;
-the exclusion counts are reported.
+the exclusion counts are reported.  Precision and recall are also taken per
+scan at the largest threshold, and summarized by their worst value and their
+10th percentile over scans: a mean can hide a few bad scans.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ class SequenceReport:
     runtime_std_ms: float = 0.0
     n_scans: int = 0
     skipped: list[str] = field(default_factory=list)
+    # per-scan precision and recall at the largest threshold: the lowest
+    # over the scans, and the 10th percentile (None when no scan defines it)
+    worst: dict[str, float | None] = field(default_factory=dict)
+    p10: dict[str, float | None] = field(default_factory=dict)
 
 
 def precision(c: ConfusionCounts) -> float | None:
@@ -157,6 +163,16 @@ def _aggregate(report: SequenceReport) -> None:
             report.std[name] = None
 
 
+def _per_scan(report: SequenceReport, rows: list[MetricRow]) -> None:
+    """The worst value and the 10th percentile (numpy's linear rule) of
+    precision and recall over ``rows``, one per scan; scans on which a
+    metric is undefined are left out of its values."""
+    for name in ("precision", "recall"):
+        defined = [v for v in (getattr(r, name) for r in rows) if v is not None]
+        report.worst[name] = min(defined, default=None)
+        report.p10[name] = float(np.percentile(defined, 10)) if defined else None
+
+
 def check_thresholds(thresholds, name: str = "thresholds") -> tuple[float, ...]:
     """The range thresholds as floats.  ``ConfigError`` (naming them
     ``name``) unless each is positive and finite and none repeats: a
@@ -180,8 +196,9 @@ def evaluate_sequence(
 
     Scans without a matching label (or with malformed/odd-length labels) are
     skipped and reported.  The ``evaluate_scan`` rows' counts are summed
-    across scans per threshold before metrics are computed; ``thresholds``
-    must pass ``check_thresholds``.
+    across scans per threshold before metrics are computed; each scan's row
+    at the largest threshold also goes into the per-scan ``worst`` and
+    ``p10``.  ``thresholds`` must pass ``check_thresholds``.
     """
     thresholds = check_thresholds(thresholds)
     cfg = cfg or make_default_config()
@@ -190,6 +207,7 @@ def evaluate_sequence(
 
     report = SequenceReport()
     totals = [ConfusionCounts() for _ in thresholds]
+    largest: list[MetricRow] = []  # each scan's row at the largest threshold
     runtimes: list[float] = []
 
     for scan_path in sorted(Path(scan_dir).glob("*.bin")):
@@ -203,11 +221,13 @@ def evaluate_sequence(
             continue
         rows, runtime_ms = outcome
         totals = [t + row.counts for t, row in zip(totals, rows)]
+        largest += sorted(rows, key=lambda r: r.distance_m)[-1:]
         runtimes.append(runtime_ms)
         report.n_scans += 1
 
     report.rows = [_row(d, c) for d, c in zip(thresholds, totals)]
     _aggregate(report)
+    _per_scan(report, largest)
     if runtimes:
         report.runtime_mean_ms = float(np.mean(runtimes))
         report.runtime_std_ms = float(np.std(runtimes))
@@ -234,34 +254,42 @@ def _evaluate_one(scan_path: Path, label_path: Path, cfg, policy, thresholds):
 
 
 def format_summary(report: SequenceReport) -> str:
-    """One-line aggregate in percent: ``Pr 96.6±2.7 / Rc 89.4±5.1 / F1 92.8``."""
+    """One-line aggregate in percent, then the worst scan's precision and
+    recall: ``Pr 96.6±2.7 / Rc 89.4±5.1 / F1 92.8 / worst Pr 91.0 Rc 80.2``."""
 
     def pct(v):
         return "n/a" if v is None else f"{100.0 * v:.1f}"
 
-    pr, rc, f = report.mean.get("precision"), report.mean.get("recall"), report.mean.get("f1")
-    spr, src = report.std.get("precision"), report.std.get("recall")
-    return f"Pr {pct(pr)}±{pct(spr)} / Rc {pct(rc)}±{pct(src)} / F1 {pct(f)}"
+    m, sd, w = report.mean, report.std, report.worst
+    return (
+        f"Pr {pct(m.get('precision'))}±{pct(sd.get('precision'))}"
+        f" / Rc {pct(m.get('recall'))}±{pct(sd.get('recall'))} / F1 {pct(m.get('f1'))}"
+        f" / worst Pr {pct(w.get('precision'))} Rc {pct(w.get('recall'))}"
+    )
 
 
 _CSV_HEADER = "distance,ntp,nfp,nfn,ntn,precision,recall,f1"
 
 
 def emit_report(report: SequenceReport, fmt: str = "csv") -> str:
-    """Render a report as CSV (rows + one aggregate row) or JSON."""
+    """Render a report as CSV or JSON.  The CSV holds one row per threshold,
+    then the per-scan ``worst`` and ``p10`` rows (precision and recall),
+    then the aggregate row."""
+
+    def cell(v):
+        return "" if v is None else f"{v:.6f}"
+
     if fmt == "csv":
         lines = [_CSV_HEADER]
         for r in report.rows:
             c = r.counts
-
-            def cell(v):
-                return "" if v is None else f"{v:.6f}"
-
             lines.append(
                 f"{r.distance_m:g},{c.ntp},{c.nfp},{c.nfn},{c.ntn},"
                 f"{cell(r.precision)},{cell(r.recall)},{cell(r.f1)}"
             )
         if report.rows:
+            for name, v in (("worst", report.worst), ("p10", report.p10)):
+                lines.append(f"{name},,,,,{cell(v.get('precision'))},{cell(v.get('recall'))},")
 
             def agg(name):
                 m, s = report.mean.get(name), report.std.get(name)

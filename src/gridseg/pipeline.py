@@ -21,13 +21,6 @@ cell has the same centroid, kind, plane and inliers to the bit, as a plane
 fit depends only on the cell's points, so Phase II copies them and
 classifies only the other cells.
 The grid equals one built and classified from scratch.
-
-Phase II inherits Phase I's neighbor pairs too.  A cell it takes over
-from a Phase-I ground cell was a tentative cell of Phase I's centroid
-index with the same centroid to the bit, so Phase I's radius test already
-decided each pair of two such cells; Phase II's index remaps those pairs
-and searches only the pairs with a cell of its own
-(``build_centroid_index``).  The pairs equal a search of every cell.
 """
 
 from __future__ import annotations
@@ -58,7 +51,6 @@ from .cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed, stri
 from .errors import ConfigError, check_fields
 from .region_expansion import (
     REASONS,
-    CentroidIndex,
     ExpansionLog,
     ExpansionParams,
     build_centroid_index,
@@ -129,10 +121,6 @@ class PhaseStats:
     # cells taken over unchanged from the previous phase's grid (always 0
     # in Phase I); they are counted in n_cells and the counts below
     cells_inherited: int = 0
-    # pairs of tentative cells within the search radius, and how many of
-    # them were taken from the previous phase's pairs (always 0 in Phase I)
-    pairs: int = 0
-    pairs_inherited: int = 0
     cells_line: int = 0
     cells_planar: int = 0
     cells_non_planar: int = 0
@@ -155,8 +143,8 @@ class PhaseStats:
     # wall milliseconds per stage of the phase: grid build (in Phase II
     # the re-bin and the copy of the inherited cells), eigen classification
     # and plane fits (with the tentative gating) of the cells not
-    # inherited, centroid index and pair search, expansion; they add up to
-    # at most runtime_ms
+    # inherited, centroid index, expansion with its pair searches; they
+    # add up to at most runtime_ms
     stages_ms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     runtime_ms: float = 0.0
 
@@ -187,16 +175,13 @@ class SegmentationResult:
 
 @dataclass
 class PhaseResult:
-    """The phase's stats, its grid after expansion (None for a phase without
-    points), whose GROUND cells' inliers are the phase's ground points
-    (``ground_mask``), and its centroid index with its pairs (None when the
-    seed cell was not tentative), for Phase II to re-bin and inherit cells
-    and pairs from; Phase II drops ``grid`` once re-binned and ``index``
-    once its own index is built."""
+    """The phase's stats and its grid after expansion (None for a phase
+    without points), whose GROUND cells' inliers are the phase's ground
+    points (``ground_mask``), for Phase II to re-bin and inherit cells
+    from; Phase II drops ``grid`` once re-binned."""
 
     stats: PhaseStats
     grid: VoxelGrid | None = None
-    index: CentroidIndex | None = None
 
 
 def classify_cells(
@@ -286,14 +271,12 @@ def _phase_grid(
     cellsize: CellSize,
     seed_info: SyntheticSeedInfo,
     parent: PhaseResult | None,
-) -> tuple[VoxelGrid, np.ndarray | None]:
-    """``run_phase``'s grid, and with a parent, per cell the parent's row
-    holding exactly its points, or -1 (``rebin``).  With a parent, whose
-    grid it drops, every cell holding exactly the points of a parent
-    ground cell inherits that cell's classification, and the others are
-    left unclassified."""
+) -> VoxelGrid:
+    """``run_phase``'s grid.  With a parent, whose grid it drops, every cell
+    holding exactly the points of a parent ground cell (``rebin``) inherits
+    that cell's classification, and the others are left unclassified."""
     if parent is None:
-        return build_grid(points, cellsize), None
+        return build_grid(points, cellsize)
     pgrid, parent.grid = parent.grid, None
     # every point of a Phase-I ground cell, and the synthetic lattice
     kept = np.repeat(pgrid.state == GroundState.GROUND, pgrid.counts)
@@ -308,7 +291,7 @@ def _phase_grid(
     grid.slopes[inherited] = np.take(pgrid.slopes, taken)
     in_taken = np.repeat(id_mask(taken, len(pgrid.cells)), pgrid.counts)
     grid.inliers[np.repeat(inherited, grid.counts)] = np.compress(in_taken, pgrid.inliers)
-    return grid, rows
+    return grid
 
 
 def run_phase(
@@ -329,10 +312,8 @@ def run_phase(
     dropped.  Each cell equal to a Phase-I ground cell takes over its kind,
     slope and inliers, in state tentative; ``classify_cells`` classifies the other cells.  The
     grid equals ``build_grid`` plus ``classify_cells`` on the phase's
-    points, to the bit.  The centroid index of the tentative cells finds
-    their pairs within the search radius (timed as ``index``), in Phase II
-    from Phase I's pairs between cells it holds unchanged plus a search of
-    the others, and drops Phase I's index.
+    points, to the bit.  The centroid index of the tentative cells is timed
+    as ``index``, and expansion, which searches it, as ``expand``.
 
     The phase's ground points are the inliers of the result grid's GROUND
     cells, rows of ``points`` that ``ground_mask`` flags; every other point
@@ -346,7 +327,7 @@ def run_phase(
         return PhaseResult(stats)
 
     t = time.perf_counter()
-    grid, parent_rows = _phase_grid(points, pcfg.cellsize, seed_info, parent)
+    grid = _phase_grid(points, pcfg.cellsize, seed_info, parent)
     stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
     stats.n_points = len(grid.order)
     stats.cells_inherited = int(np.count_nonzero(grid.kind != CellKind.UNCLASSIFIED))
@@ -356,19 +337,9 @@ def run_phase(
     seed = select_seed(grid, seed_info)
     stats.seed_ok = bool(grid.state[grid.find(seed)] == GroundState.TENTATIVE)
     ground = 0
-    index = None
     if stats.seed_ok:
         t = time.perf_counter()
-        index = build_centroid_index(
-            grid,
-            np.flatnonzero(grid.state == GroundState.TENTATIVE),
-            cfg.expansion.search_radius,
-            parent and parent.index,
-            parent_rows,
-        )
-        if parent is not None:
-            parent.index = None  # its pairs are spent
-        stats.pairs, stats.pairs_inherited = len(index.found[1]), index.inherited
+        index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
         t1 = time.perf_counter()
         ground = expand(
             grid, index, seed, cfg.geometry, cfg.expansion, phase,
@@ -381,7 +352,7 @@ def run_phase(
     stats.points_ground = ground
     stats.points_non_ground = stats.n_points - ground
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return PhaseResult(stats, grid, index)
+    return PhaseResult(stats, grid)
 
 
 # glibc's mallopt parameter codes (malloc.h)

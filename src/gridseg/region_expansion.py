@@ -1,15 +1,18 @@
 """Ground region expansion over tentative-ground cell centroids.
 
 Tentative-ground cells are linked when their centroids lie within the search
-radius (one exact pair search over 2-D columns of centroids, run when the
-centroid index is built), and the ground region is the seed cell's connected
-component over those links, found on the pair list itself by hooking roots
-and jumping pointers (``_component``), with no neighbor graph and no sort.
-Both run on numpy alone.  An index built over cells that a parent index
-holds with the same centroids takes their pairs from it and searches only
-the pairs with one of its other cells; so Phase II searches only around the
-cells it does not take over from Phase I.  Radius links (rather than grid
-adjacency) let the region bridge scan-line gaps at fine grid resolutions.
+radius, and the ground region is the seed cell's connected component over
+those links, found on link lists by hooking roots and jumping pointers
+(``_component``), with no neighbor graph and no sort.  Expansion does not
+list every link.  Each cell tries two row links in grid order, to the next
+cell and to the first cell of the next x column at its y or beyond, and
+keeps those within the radius (``_row_links``).  Only the cells outside the
+seed's component over the row links search the full radius (one exact pair
+search over 2-D columns of centroids, ``CentroidIndex.pairs``).  A link
+that neither lists joins two cells of the seed's row-link component, which
+is connected already, so the seed's component over the listed links is
+its component over all links.  Radius links (rather than grid adjacency)
+let the region bridge scan-line gaps at fine grid resolutions.
 Each reached cell then runs a five-step refinement that decides whether it
 is ground; the output is the inliers of the ground cells:
 
@@ -21,10 +24,10 @@ is ground; the output is the inliers of the ground cells:
 5. otherwise route inliers to ground, outliers to non-ground.
 
 In the fine phase (phase 2) a link additionally requires the centroid
-height difference to stay within the height gate.  The gate drops pairs
-before the component search, which reads admissible links only; step 4
-sees every radius neighbor, over the gate too, from the pairs with an
-ambiguous end.
+height difference to stay within the height gate.  The gate drops row
+links and pairs before the component search, which reads admissible links
+only; step 4 sees every radius neighbor, over the gate too, from a search
+of the pairs with an ambiguous end.
 
 Steps 1-3 and 5 read only the cell itself and run on all reached cells at
 once.  Step 4 runs after them, on the ambiguous cells at once, and reads
@@ -96,27 +99,19 @@ class CentroidIndex:
     its mirror image, the columns before their own, over the others.  So
     a pair of two fresh centroids is met once, by the first, and a pair of
     a fresh and another centroid once, by the fresh one.
-
-    ``found`` holds the pairs that ``build_centroid_index`` found, as
-    (radius, i, j), and ``inherited`` how many of them it took from a
-    parent index; ``pairs`` returns them again at that radius.
     """
 
     def __init__(self, cell_ids: np.ndarray, centroids: np.ndarray):
         self.cell_ids = cell_ids
         self.centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
-        self.found: tuple[float, np.ndarray, np.ndarray] | None = None
-        self.inherited = 0
 
     def pairs(
         self, radius: float, fresh: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Positions (i, j), i < j, of every two centroids within radius
-        (inclusive): those whose ``(dx**2 + dy**2) + dz**2`` is at most
-        ``radius**2``; with ``fresh``, one flag per centroid, only those of
-        which at least one is flagged.  Positions are int32 while they fit."""
-        if fresh is None and self.found is not None and self.found[0] == radius:
-            return self.found[1:]
+        (inclusive) by ``_within``; with ``fresh``, one flag per centroid,
+        only those of which at least one is flagged.  Positions are int32
+        while they fit."""
         c = self.centroids
         n = len(c)
         # columns half a radius wide, but wide enough that no column number
@@ -182,16 +177,12 @@ class CentroidIndex:
                 np.cumsum(lengths), np.arange(_CANDIDATES, lengths.sum(), _CANDIDATES)
             ).tolist()
             for s, e in zip([0, *cut], [*cut, len(p)]):
-                ps, ls = p[s:e], lengths[s:e]
-                other = _ranges(lo[s:e], ls)
+                ps = np.repeat(p[s:e], lengths[s:e])
+                other = _ranges(lo[s:e], lengths[s:e])
                 if targets is not None:
                     other = np.take(targets, other)
-                d2 = np.zeros(len(other))
-                for a in coords:
-                    d = np.take(a, other) - np.repeat(np.take(a, ps), ls)
-                    d2 += d * d
-                near = d2 <= radius * radius
-                found_i.append(np.compress(near, np.repeat(ps, ls)))
+                near = _within(coords, ps, other, radius)
+                found_i.append(np.compress(near, ps))
                 found_j.append(np.compress(near, other))
         i = np.take(order, np.concatenate(found_i))
         j = np.take(order, np.concatenate(found_j))
@@ -215,49 +206,11 @@ class ExpansionLog:
         return "\n".join(lines)
 
 
-def build_centroid_index(
-    grid: VoxelGrid,
-    cells: np.ndarray,
-    radius: float | None = None,
-    parent: CentroidIndex | None = None,
-    parent_rows: np.ndarray | None = None,
-) -> CentroidIndex:
+def build_centroid_index(grid: VoxelGrid, cells: np.ndarray) -> CentroidIndex:
     """Index the centroids of the given grid rows (the tentative ground
-    cells, ascending, for expansion).
-
-    With a ``radius``, the pairs within it are found now and kept in the
-    index's ``found``.  A ``parent`` index over another grid's rows, whose
-    pairs were found at the same radius, lends its pairs between cells
-    that it holds too: ``parent_rows`` gives per grid row the parent grid
-    row holding exactly its points, or -1, and a cell whose parent row is
-    in ``parent`` with the same centroid to the bit had each of its pairs
-    with another such cell decided there by the same test.  Only the pairs
-    with an end in one of the other cells are searched.  Parent rows
-    ascend with the rows, so each lent pair keeps i < j.
-    """
+    cells, ascending, for expansion)."""
     cells = np.asarray(cells, dtype=np.int64)
-    index = CentroidIndex(cells, np.take(grid.centroids, cells, axis=0))
-    if radius is None:
-        return index
-    if parent is None or not len(parent.cell_ids):
-        index.found = (radius, *index.pairs(radius))
-        return index
-    if parent.found is None or parent.found[0] != radius:
-        raise ContractViolationError("a parent index lends only pairs found at the same radius")
-    pids = parent.cell_ids
-    prow = np.take(parent_rows, cells)
-    at = np.minimum(np.searchsorted(pids, prow), len(pids) - 1)
-    same = np.take(pids, at) == prow
-    same &= (np.take(parent.centroids, at, axis=0) == index.centroids).all(axis=1)
-    fi, fj = index.pairs(radius, ~same)
-    to = np.full(len(pids), -1, dtype=fi.dtype)  # parent position -> position
-    to[np.compress(same, at)] = np.flatnonzero(same)
-    i, j = (np.take(to, a) for a in parent.found[1:])
-    both = (i >= 0) & (j >= 0)
-    i, j = np.compress(both, i), np.compress(both, j)
-    index.found = (radius, np.concatenate([i, fi]), np.concatenate([j, fj]))
-    index.inherited = len(i)
-    return index
+    return CentroidIndex(cells, np.take(grid.centroids, cells, axis=0))
 
 
 def select_seed(grid: VoxelGrid, seed_info: SyntheticSeedInfo | None) -> CellIndex:
@@ -378,6 +331,48 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
 
 
+def _within(coords, i: np.ndarray, j: np.ndarray, radius: float) -> np.ndarray:
+    """Whether each two points ``i[k]`` and ``j[k]`` (positions in the x,
+    y and z arrays ``coords``) lie within ``radius``, inclusive: whether
+    ``(dx**2 + dy**2) + dz**2`` is at most ``radius**2``.  The one pair
+    test of the searches and the row links."""
+    d2 = np.zeros(len(i))
+    for a in coords:
+        d = np.take(a, j) - np.take(a, i)
+        d2 += d * d
+    return d2 <= radius * radius
+
+
+def _row_links(cells: np.ndarray, centroids: np.ndarray, radius: float):
+    """Positions (i, j), i < j, of the links within ``radius`` (``_within``)
+    that the grid cells ``cells``, ascending by (ix, iy, iz), form in grid
+    order: each cell's to the next cell, and to the first cell of the next
+    x column at its y or beyond.  The second is one binary search over a
+    code packed, below ``n**2``, from the first position of the cell's x
+    column and the rank of its y.  Positions are int32 while they fit, as
+    the pairs'."""
+    n = len(cells)
+    own = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    x, y = cells[:, 0], cells[:, 1]
+    first, after = (np.searchsorted(x, x, side) for side in ("left", "right"))
+    y_rank = np.searchsorted(np.sort(y), y)
+    ahead = np.searchsorted(first * n + y_rank, after * n + y_rank).astype(own.dtype)
+    far = (ahead > own + 1) & (ahead < n)  # not the next cell, nor past the last
+    i = np.concatenate([own[:-1], np.compress(far, own)])
+    j = np.concatenate([own[1:], np.compress(far, ahead)])
+    near = _within(centroids.T, i, j, radius)
+    return np.compress(near, i), np.compress(near, j)
+
+
+def _gated(z: np.ndarray, i: np.ndarray, j: np.ndarray, gate: float | None):
+    """The pairs ``(i[k], j[k])`` whose heights ``z`` differ by at most
+    ``gate``, or all of them without a gate: the pairs that are links."""
+    if gate is None:
+        return i, j
+    keep = np.abs(np.take(z, i) - np.take(z, j)) <= gate
+    return np.compress(keep, i), np.compress(keep, j)
+
+
 def _component(n: int, i: np.ndarray, j: np.ndarray, source: int) -> np.ndarray:
     """Mask of the nodes that ``source`` reaches over ``n`` nodes linked by
     the pairs ``(i[k], j[k])``, either way round: its connected component.
@@ -400,6 +395,29 @@ def _component(n: int, i: np.ndarray, j: np.ndarray, source: int) -> np.ndarray:
         differ = i != j
         i, j = np.compress(differ, i), np.compress(differ, j)
     return root == root[source]
+
+
+def _reach(
+    cells: np.ndarray, index: CentroidIndex, source: int, radius: float, gate: float | None
+) -> np.ndarray:
+    """Mask of the index positions in the connected component of position
+    ``source`` over the links: the pairs of the index within ``radius``
+    whose heights differ by at most ``gate`` (``_gated``).  ``cells`` are
+    the grid indices of the index's cells, ascending.
+
+    The component is found over the row links (``_row_links``) and, when
+    some cell lies outside the source's component over those, the links
+    with an end in such a cell (one ``index.pairs`` call with them
+    flagged).  That is exact: a link left out has both ends in the source's
+    component over the row links, which is connected already.
+    """
+    z = index.centroids[:, 2]
+    ri, rj = _gated(z, *_row_links(cells, index.centroids, radius), gate)
+    in_reach = _component(len(cells), ri, rj, source)
+    if in_reach.all():
+        return in_reach
+    fi, fj = _gated(z, *index.pairs(radius, ~in_reach), gate)
+    return _component(len(cells), np.concatenate([ri, fi]), np.concatenate([rj, fj]), source)
 
 
 def _ambiguous_reasons(grid, ids, amb, i, j, inputs, expansion) -> np.ndarray:
@@ -444,24 +462,24 @@ def expand(
     """Ground expansion from the seed cell, in phase 1 or 2.
 
     The index must hold the grid rows of tentative cells in ascending order.
-    Its pairs within the search radius (those ``build_centroid_index``
-    found, or one search) are the links, in phase 2 only those within the
-    height gate, and the reached cells are the seed's connected component
-    over them (``_component``, which reads the pair list as it is).  Every
-    reached cell is refined at once, in ascending grid-row order; the
-    ambiguous ones are then refined once more, at once, from the routes of
-    the others (``_ambiguous_reasons``), over every radius pair with an
-    ambiguous end, in phase 2 over the gate too.  Final states land in
-    ``grid.state``: GROUND or NON_GROUND for reached cells, unreached ones
-    stay TENTATIVE.  Without a ``log`` nothing is sorted.
+    Its pairs within the search radius are the links, in phase 2 only those
+    within the height gate, and the reached cells are the seed's connected
+    component over them (``_reach``).  Every reached cell is refined
+    at once, in ascending grid-row order; the ambiguous ones are then
+    refined once more, at once, from the routes of the others
+    (``_ambiguous_reasons``), over every radius pair with an ambiguous end
+    (one more ``index.pairs`` call), in phase 2 over the gate too.  Final
+    states land in ``grid.state``: GROUND or NON_GROUND for reached cells,
+    unreached ones stay TENTATIVE.  Only a ``log`` makes it search every
+    pair.
 
     Returns the number of ground points: the inliers of the cells it
     routed to GROUND, summed from their inlier counts, so no per-point
     array is built; ``ground_mask`` flags those points.  A given ``log``
     receives each link between two reached cells once, as (lower row,
-    higher row, |dz|) in ascending order, and the routes in ascending
-    grid-row order; a given ``route_counts`` the number of cells per reason
-    in ``REASONS``.
+    higher row, |dz|) in ascending order, from a search of every pair,
+    and the routes in ascending grid-row order; a given ``route_counts``
+    the number of cells per reason in ``REASONS``.
     """
     if phase not in (1, 2):
         raise ContractViolationError(f"phase must be 1 or 2, got {phase}")
@@ -483,12 +501,9 @@ def expand(
         raise ContractViolationError(f"seed cell {seed} is not in the centroid index")
 
     z = index.centroids[:, 2]
-    i, j = index.pairs(expansion.search_radius)
-    li, lj = i, j  # the links
-    if phase == 2:
-        keep = np.abs(np.take(z, i) - np.take(z, j)) <= expansion.height_gate
-        li, lj = np.compress(keep, i), np.compress(keep, j)
-    in_reach = _component(n, li, lj, s)
+    radius = expansion.search_radius
+    gate = expansion.height_gate if phase == 2 else None
+    in_reach = _reach(grid.cells[ids], index, s, radius, gate)
     reached = np.flatnonzero(in_reach)  # index positions, ascending
     cells = ids[reached]
 
@@ -502,15 +517,19 @@ def expand(
         grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
         grid.state[cells[ambiguous]] = GroundState.TENTATIVE
         # ambiguous cells see all their radius neighbors, over the gate too
+        amb = reached[ambiguous]
+        i, j = index.pairs(radius, id_mask(amb, n))
         reasons[ambiguous] = _ambiguous_reasons(
-            grid, ids, reached[ambiguous], i, j, [x[ambiguous] for x in inputs], expansion
+            grid, ids, amb, i, j, [x[ambiguous] for x in inputs], expansion
         )
         ground = _ROUTES_GROUND[reasons]
     grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
 
     if log is not None:
-        # a link's ends are both reached or both not; pairs hold i < j, so
-        # one sort of packed keys puts them in (lower, higher) order
+        # one more search, of every link; a link's ends are both reached or
+        # both not, and pairs hold i < j, so one sort of packed keys puts
+        # the reached ones in (lower, higher) order
+        li, lj = _gated(z, *index.pairs(radius), gate)
         link = np.take(in_reach, li)
         keys = np.compress(link, li).astype(np.int64) * n + np.compress(link, lj)
         lo, hi = np.divmod(np.sort(keys), n)

@@ -26,9 +26,15 @@ class BruteForceIndex:
         hits = np.flatnonzero(d2 <= radius * radius)
         return sorted(self.cell_ids[k] for k in hits)
 
-    def pairs(self, radius):
+    def pairs(self, radius, fresh=None):
+        """Every two positions within radius (inclusive), i < j; with
+        ``fresh``, one flag per centroid, those with a flagged end."""
         d2 = ((self.centroids[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.nonzero(np.triu(d2 <= radius * radius, k=1))
+        i, j = np.nonzero(np.triu(d2 <= radius * radius, k=1))
+        if fresh is None:
+            return i, j
+        flagged = np.asarray(fresh)[i] | np.asarray(fresh)[j]
+        return i[flagged], j[flagged]
 
 
 @pytest.fixture

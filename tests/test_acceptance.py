@@ -197,9 +197,13 @@ def test_criterion_06_expansion_oracle():
             self.cell_ids = cells
             self.centroids = grid.centroids[cells]
 
-        def pairs(self, radius):
+        def pairs(self, radius, fresh=None):
             d2 = ((self.centroids[:, None] - self.centroids[None]) ** 2).sum(axis=2)
-            return np.nonzero(np.triu(d2 <= radius * radius, k=1))
+            i, j = np.nonzero(np.triu(d2 <= radius * radius, k=1))
+            if fresh is None:
+                return i, j
+            flagged = fresh[i] | fresh[j]
+            return i[flagged], j[flagged]
 
     results = []
     for phase, cellsize in ((1, cfg.phase1.cellsize), (2, cfg.phase2.cellsize)):

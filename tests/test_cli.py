@@ -138,7 +138,10 @@ class TestEvaluateCommand:
         assert code == 0
         assert report.exists()
         out = capsys.readouterr().out
-        assert out.strip().startswith("Pr ")
+        assert out.strip().startswith("Pr ") and " / worst Pr " in out
+        assert [line.split(",")[0] for line in report.read_text().splitlines()[3:5]] == [
+            "worst", "p10"
+        ]
 
     def test_a_report_under_a_file_fails_with_one_line(self, tmp_path, capsys, monkeypatch):
         # before any scan is segmented

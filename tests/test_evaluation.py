@@ -301,6 +301,76 @@ class TestEvaluateSequence:
         assert report.std["recall"] == pytest.approx(np.std(vals))
 
 
+def _write_scan(directory, name, points, labels):
+    (directory / "velodyne").mkdir(parents=True, exist_ok=True)
+    (directory / "labels").mkdir(parents=True, exist_ok=True)
+    rows = np.column_stack([points, np.zeros(len(points))]).astype(np.float32)
+    rows.tofile(directory / "velodyne" / f"{name}.bin")
+    np.asarray(labels, dtype=np.uint32).tofile(directory / "labels" / f"{name}.label")
+
+
+class TestPerScanSpread:
+    """``worst`` and ``p10``: precision and recall per scan at the largest
+    threshold, on a hand-made two-scan sequence whose masks are set by hand
+    in place of segmentation."""
+
+    # ten points each at 1 m and 30 m; labels 40 (ground) and 50 (not)
+    POINTS = np.array([[1.0, 0.0, 0.0]] * 10 + [[30.0, 0.0, 0.0]] * 10)
+
+    def _report(self, monkeypatch, tmp_path, masks, labels, thresholds):
+        for k, lab in enumerate(labels):
+            _write_scan(tmp_path, f"{k:06d}", self.POINTS, lab)
+        given = iter(masks)
+
+        def fake_segment(cloud, cfg):
+            mask = np.asarray(next(given), dtype=bool)
+            return gs.pipeline.SegmentationResult(mask, gs.pipeline.SegmentationStats())
+
+        monkeypatch.setattr(gs.evaluation, "segment", fake_segment)
+        return evaluate_sequence(
+            tmp_path / "velodyne", tmp_path / "labels", thresholds=thresholds
+        )
+
+    def test_two_scans(self, monkeypatch, tmp_path):
+        ground = np.array([40] * 20)
+        # scan 0: all ground, half of it found, within 5 m all of it:
+        # precision 1, recall 0.5 at 50 m (the largest threshold, listed
+        # first); scan 1: half ground, all points called ground: precision
+        # 0.5, recall 1
+        half = np.array([40] * 5 + [50] * 5 + [40] * 5 + [50] * 5)
+        masks = [[True] * 10 + [False] * 10, [True] * 20]
+        report = self._report(monkeypatch, tmp_path, masks, [ground, half], (50.0, 5.0))
+        assert report.n_scans == 2
+        assert report.worst == {"precision": 0.5, "recall": 0.5}
+        # numpy's linear rule: 0.5 + 0.1 * (1.0 - 0.5)
+        assert report.p10 == {"precision": pytest.approx(0.55), "recall": pytest.approx(0.55)}
+        # the pooled counts are no worse than the worst scan
+        assert report.rows[0].precision > report.worst["precision"]
+        assert format_summary(report).endswith(" / worst Pr 50.0 Rc 50.0")
+        lines = emit_report(report, "csv").splitlines()
+        assert lines[3:5] == ["worst,,,,,0.500000,0.500000,", "p10,,,,,0.550000,0.550000,"]
+        payload = json.loads(emit_report(report, "json"))
+        assert payload["worst"] == report.worst and payload["p10"] == report.p10
+
+    def test_a_scan_without_ground_calls_leaves_precision_to_the_other(
+        self, monkeypatch, tmp_path
+    ):
+        # scan 1 calls nothing ground: its precision is undefined and left
+        # out, its recall is 0
+        ground = np.array([40] * 20)
+        masks = [[True] * 20, [False] * 20]
+        report = self._report(monkeypatch, tmp_path, masks, [ground, ground], (10.0, 40.0))
+        assert report.worst == {"precision": 1.0, "recall": 0.0}
+        assert report.p10 == {"precision": 1.0, "recall": pytest.approx(0.1)}
+
+    def test_no_scan_leaves_them_undefined(self, tmp_path):
+        (tmp_path / "velodyne").mkdir()
+        (tmp_path / "labels").mkdir()
+        report = evaluate_sequence(tmp_path / "velodyne", tmp_path / "labels")
+        assert report.worst == report.p10 == {"precision": None, "recall": None}
+        assert format_summary(report).endswith(" / worst Pr n/a Rc n/a")
+
+
 class TestEmitReport:
     def _report(self, tmp_path):
         out = tmp_path / "one"
@@ -317,7 +387,8 @@ class TestEmitReport:
         report = self._report(tmp_path)
         lines = emit_report(report, "csv").strip().splitlines()
         assert lines[0] == "distance,ntp,nfp,nfn,ntn,precision,recall,f1"
-        assert len(lines) == 1 + 2 + 1  # header + thresholds + aggregate
+        assert len(lines) == 1 + 2 + 2 + 1  # header + thresholds + worst, p10 + aggregate
+        assert [line.split(",")[0] for line in lines[3:5]] == ["worst", "p10"]
         assert lines[-1].startswith("aggregate,")
 
     def test_json_round_trip(self, tmp_path):
@@ -346,6 +417,8 @@ class TestEmitReport:
             "runtime_std_ms": report.runtime_std_ms,
             "n_scans": report.n_scans,
             "skipped": report.skipped,
+            "worst": report.worst,
+            "p10": report.p10,
         }
 
     def test_summary_line_format(self, tmp_path):

@@ -29,7 +29,6 @@ from gridseg.errors import ContractViolationError
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
 from gridseg.region_expansion import (
     REASONS,
-    CentroidIndex,
     ExpansionLog,
     ExpansionParams,
     build_centroid_index,
@@ -263,6 +262,8 @@ SCENES = {
 # fewest Phase-I cells a scene must refine as ambiguous, so that it keeps
 # covering the second refinement pass, which reads the others' routes
 AMBIGUOUS_FLOOR = {"boxes-12": 20}
+# the exactness scenes, and one that fails Phase I's seed
+PAIR_SCENES = {**SCENES, "seed-below": gs.SceneSpec(ground_z=-2.2)}
 
 
 @pytest.mark.parametrize("name", SCENES)
@@ -496,6 +497,33 @@ def test_ambiguous_seed_without_ground_neighbors(layout, phase):
     assert log.routes == [(seed, "non_ground", "ambiguous with no ground neighbors")]
 
 
+def test_cells_past_a_gated_step_reached_by_a_long_link():
+    # phase 2: the cell at x = 2 is 0.3 m above its row, over the gate of
+    # both its row links; the cells past it are reached over it, by the
+    # full search from the cells outside the seed's row-link component
+    layout = [(x, 0.8 if x == 2 else 0.5, "ground") for x in range(5)]
+    points, make_grid, seed = _hand_built(layout)
+    log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0), 2)
+    assert [idx[0] for idx, _, _ in log.routes] == [0, 1, 3, 4]
+
+
+@pytest.mark.parametrize("name", PAIR_SCENES)
+def test_logged_and_unlogged_segment_agree(name):
+    # the log's own search of every pair must not steer reach
+    cloud = gs.scene_cloud(gs.make_scene(PAIR_SCENES[name]))
+    plain = segment(cloud)
+    logs = ExpansionLog(), ExpansionLog()
+    logged = segment(cloud, log1=logs[0], log2=logs[1])
+    assert plain.mask.tobytes() == logged.mask.tobytes()
+    for phase, log in zip(("phase1", "phase2"), logs):
+        got, want = getattr(logged.stats, phase).as_dict(), getattr(plain.stats, phase).as_dict()
+        for timing in ("runtime_ms", "stages_ms"):
+            got.pop(timing), want.pop(timing)
+        assert got == want
+        reasons = [reason for _, _, reason in log.routes]
+        assert {r: reasons.count(r) for r in REASONS} == want["routes"]
+
+
 boxes = st.lists(
     st.builds(
         gs.BoxSpec,
@@ -533,16 +561,6 @@ def test_route_counts_add_up_to_cells_expanded():
     assert stats.as_dict()["phase1"]["routes"] == stats.phase1.routes
 
 
-# Phase II's pairs: Phase I's, remapped, and a search of those with a cell
-# not taken from Phase I.  "seed-below" fails Phase I's seed, so Phase I
-# lends nothing and Phase II searches all; on "noisy" most cells change.
-PAIR_SCENES = {
-    **SCENES,
-    "seed-below": gs.SceneSpec(ground_z=-2.2),
-    "noisy": gs.SceneSpec(extent=24.0, n_ground=8000, noise_sigma=0.06, seed=11),
-}
-
-
 @pytest.mark.parametrize("name", ["boxes", "slope-12", "seed-below"])
 def test_expand_counts_the_points_of_the_ground_mask(monkeypatch, name):
     # "boxes" and "slope-12" are the scenes of the pinned mask digests;
@@ -576,37 +594,3 @@ def test_expand_counts_the_points_of_the_ground_mask(monkeypatch, name):
         assert not r1.stats.seed_ok and r1.stats.points_ground == 0
     else:
         assert len(returned) == 2 and r2.stats.points_ground > 0
-
-
-@pytest.mark.parametrize("name", PAIR_SCENES)
-def test_phase2_pairs_equal_a_fresh_search(name):
-    seeded, info = inject_synthetic_seed(
-        gs.scene_cloud(gs.make_scene(PAIR_SCENES[name])),
-        CFG.robot_radius,
-        CFG.dist_to_ground,
-        CFG.seed_spacing,
-    )
-    r1 = run_phase(seeded.points, CFG, info)
-    lent = r1.index
-    r2 = run_phase(seeded.points, CFG, info, parent=r1)
-    assert r1.index is None  # dropped once Phase II's index was built
-    radius, i, j = r2.index.found
-    assert radius == CFG.expansion.search_radius
-    got = list(zip(i.tolist(), j.tolist()))
-    assert (i < j).all() and len(set(got)) == len(got)
-    fresh = CentroidIndex(r2.index.cell_ids, r2.index.centroids).pairs(radius)
-    assert set(got) == set(zip(*(a.tolist() for a in fresh)))
-    assert (r2.stats.pairs, r2.stats.pairs_inherited) == (len(got), r2.index.inherited)
-    assert r1.stats.pairs_inherited == 0
-    if name == "seed-below":
-        assert lent is None and not r1.stats.seed_ok and r1.stats.pairs == 0
-        assert r2.stats.pairs_inherited == 0 < r2.stats.pairs
-    else:
-        assert r1.stats.pairs == len(lent.found[1]) > 0 and r2.stats.pairs_inherited > 0
-
-
-def test_phase2_takes_most_pairs_from_phase1():
-    # guards against the reuse silently switching off: on open ground
-    # nearly every Phase-II cell is a Phase-I cell unchanged
-    stats = segment(gs.scene_cloud(gs.make_scene(gs.SceneSpec()))).stats
-    assert stats.phase2.pairs_inherited / stats.phase2.pairs > 0.9

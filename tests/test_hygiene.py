@@ -32,7 +32,9 @@ there; a string constant of ``perfbench`` counts as both, as the layer
 tracer hooks names as strings.  Reads from tests and demos do not count,
 and a name only they read is listed in ``TEST_ONLY_NAMES`` with its reason.
 Every field of the stats ``stats.json`` holds (``SegmentationStats`` and
-``PhaseStats``) is named in backticks in the README's ``## CLI`` section.
+``PhaseStats``) is named in backticks in the README's ``## CLI`` section,
+and every name a list item there defines (```name`:``) is a key of a real
+``stats.json`` record, which ``gridseg segment`` writes on a small scene.
 Every private name (``_x``), test name (``Test*``, ``test_*``) and
 ``tests/``, ``demos/`` or ``perfbench/`` path that the README names in
 backticks still exists: the names as a function, class or assigned name of
@@ -42,11 +44,14 @@ as files or directories.
 
 import ast
 import dataclasses
+import json
 import re
 from pathlib import Path
 
 import pytest
 
+import gridseg as gs
+from gridseg.cli import main
 from gridseg.config import KEYS
 from gridseg.pipeline import PhaseStats, SegmentationStats
 
@@ -439,13 +444,19 @@ def test_every_public_name_is_read_outside_the_tests_or_listed():
     assert sorted(unread_public_names(package, readers)) == sorted(TEST_ONLY_NAMES)
 
 
+def _section(text: str, section: str) -> str:
+    """The body of the markdown ``text``'s ``section`` heading, up to the
+    next heading of the same level."""
+    body = text.split(f"\n{section}\n", 1)[1]
+    level = section.split(" ", 1)[0]
+    return body.split(f"\n{level} ", 1)[0]
+
+
 def undocumented_fields(classes, text: str, section: str) -> list[str]:
     """``Class.field`` for each field of the dataclasses ``classes`` that the
     markdown ``text`` does not name in backticks within its ``section``
     heading's section (up to the next heading of the same level)."""
-    body = text.split(f"\n{section}\n", 1)[1]
-    level = section.split(" ", 1)[0]
-    body = body.split(f"\n{level} ", 1)[0]
+    body = _section(text, section)
     return [
         f"{cls.__name__}.{f.name}"
         for cls in classes
@@ -472,6 +483,53 @@ def test_the_check_finds_fields_the_section_does_not_name():
 def test_every_stats_field_is_named_in_the_readme_cli_section():
     text = (ROOT / "README.md").read_text()
     assert undocumented_fields([SegmentationStats, PhaseStats], text, "## CLI") == []
+
+
+# a field name a list item defines: one code span, or several joined by
+# commas and "and", then a colon (`a`, `b` and `c`: ...)
+DEFINED = re.compile(r"((?:`\w+`(?:,? and |, ))*`\w+`):")
+
+
+def stale_stats_names(text: str, section: str, record: dict) -> list[str]:
+    """Each name that a list item in the markdown ``text``'s ``section``
+    defines (``DEFINED``) and that no key of the JSON ``record`` holds, at
+    any depth; once each, in order.  A list item is a line starting with
+    ``- `` and the indented lines after it."""
+    keys, dicts = set(), [record]
+    while dicts:
+        d = dicts.pop()
+        keys.update(d)
+        dicts += [v for v in d.values() if isinstance(v, dict)]
+    items, inside = [], False
+    for line in _section(text, section).splitlines():
+        inside = line.startswith("- ") or (inside and line.startswith("  "))
+        if inside:
+            items.append(line)
+    groups = DEFINED.findall("\n".join(items))
+    names = [n for group in groups for n in re.findall(r"`(\w+)`", group)]
+    return list(dict.fromkeys(n for n in names if n not in keys))
+
+
+def test_the_check_finds_stale_stats_names():
+    text = (
+        "# Tool\n\n## CLI\n\nA `loose`: name outside a list.\n\n"
+        "- `kept`: one, and `gone`: two\n"
+        "  (`inner`: nested; `quoted`, `x` and `y` name no field)\n"
+        "- `a`, `old` and `deep`: three, the last two levels down\n\n"
+        "After the list, `after`: no.\n"
+        "### Stats\n\n- `sub`: in the section, `gone`: again\n\n## Config\n\n- `other`: no\n"
+    )
+    record = {"kept": 1, "a": 0, "phase": {"inner": 0, "more": {"deep": 2}}, "sub": 0}
+    assert stale_stats_names(text, "## CLI", record) == ["gone", "old"]
+
+
+def test_every_stats_name_in_the_readme_cli_section_is_written(tmp_path):
+    # the names the CLI adds itself (scan, ground_points) are in the record
+    gs.write_scene(tmp_path, gs.make_scene(gs.SceneSpec(extent=14.0, n_ground=2000)), "000000")
+    assert main(["segment", str(tmp_path / "velodyne"), "--out", str(tmp_path / "out")]) == 0
+    record = json.loads((tmp_path / "out" / "stats.json").read_text())["000000.bin"]
+    text = (ROOT / "README.md").read_text()
+    assert stale_stats_names(text, "## CLI", record) == []
 
 
 PATH = re.compile(r"(?<![\w/.])(?:tests|demos|perfbench)/[\w./-]*")

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -292,50 +291,6 @@ class TestPairSearch:
         fresh = rng.random(len(centroids)) < 0.05
         got = _assert_fresh_pairs_match_brute_force(centroids, 5.0, fresh)
         assert 0 < len(got) < len(_assert_pairs_match_brute_force(centroids, 5.0))
-
-
-class TestBuildCentroidIndex:
-    def test_pairs_found_at_the_radius_are_kept(self, rng):
-        pts, _ = _flat_cloud_with_seed(rng, extent=20.0, n=3000)
-        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2))
-        tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
-        index = build_centroid_index(grid, tentative, 5.0)
-        radius, i, j = index.found
-        assert radius == 5.0 and index.inherited == 0
-        assert index.pairs(5.0)[0] is i and index.pairs(5.0)[1] is j
-        fresh = CentroidIndex(tentative, grid.centroids[tentative])
-        for a, b in zip(index.pairs(5.0), fresh.pairs(5.0)):
-            np.testing.assert_array_equal(a, b)
-        # another radius is searched anew
-        for a, b in zip(index.pairs(3.0), fresh.pairs(3.0)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_parent_lends_the_pairs_of_cells_it_holds_unchanged(self, rng):
-        # the parent indexes the same grid's rows but every third cell, with
-        # one shared cell's centroid 10 m higher, out of reach of the others:
-        # only the pairs between shared, unmoved cells are lent, and the
-        # result is the index's full pair set
-        pts, _ = _flat_cloud_with_seed(rng, extent=20.0, n=3000)
-        grid = _classified_grid(pts, CellSize(1.5, 1.0, 0.2))
-        rows = np.flatnonzero(grid.state == GroundState.TENTATIVE)
-        moved = grid.centroids.copy()
-        moved[rows[1], 2] += 10.0
-        parent = build_centroid_index(
-            dataclasses.replace(grid, centroids=moved), np.delete(rows, np.s_[::3]), 5.0
-        )
-        index = build_centroid_index(grid, rows, 5.0, parent, np.arange(len(grid.cells)))
-        radius, i, j = index.found
-        got = list(zip(i.tolist(), j.tolist()))
-        assert (i < j).all() and len(set(got)) == len(got)
-        want = CentroidIndex(rows, grid.centroids[rows]).pairs(5.0)
-        assert set(got) == set(zip(*(a.tolist() for a in want)))
-        assert 0 < index.inherited < len(got)
-        # pairs found at another radius, or none, are not lent
-        with pytest.raises(ContractViolationError, match="same radius"):
-            build_centroid_index(grid, rows, 4.0, parent, np.arange(len(grid.cells)))
-        unsearched = CentroidIndex(rows, grid.centroids[rows])
-        with pytest.raises(ContractViolationError, match="same radius"):
-            build_centroid_index(grid, rows, 5.0, unsearched, np.arange(len(grid.cells)))
 
 
 def _breadth_first(n, i, j, source):
