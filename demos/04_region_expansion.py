@@ -1,5 +1,7 @@
 # Ground region expansion: seed injection, the cells radius links connect to
-# the seed, and the per-cell refinement trace.
+# the seed, and the per-cell routes log.
+
+from collections import Counter
 
 import numpy as np
 
@@ -43,12 +45,15 @@ print("seed cell (directly under the robot):", seed)
 
 log = ExpansionLog()
 ground = expand(grid, index, seed, geometry, ExpansionParams(search_radius=5.0), phase=1, log=log)
-print(f"expansion reached {len(log.routes)} cells, with {len(log.edges)} links among reached cells")
+print(f"expansion reached {len(log.routes)} of {len(tentative)} tentative cells")
 # expand returns the ground count; ground_mask flags the points themselves
 assert ground == ground_mask(grid, len(pts)).sum()
 print(f"ground points: {ground} of {len(pts)}")
 
-# The first few lines of the debug trace show links and routing reasons.
-print("\ntrace head:")
-for line in log.to_text().splitlines()[:6]:
+# The routes log holds one route and reason per reached cell.
+print("\nroutes per reason:")
+for (route, reason), count in sorted(Counter((r, why) for _, r, why in log.routes).items()):
+    print(f"  {count:4d}  {route:10s}  {reason}")
+print("\nroutes log head:")
+for line in log.to_text().splitlines()[:4]:
     print(" ", line)

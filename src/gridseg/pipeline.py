@@ -143,7 +143,7 @@ class PhaseStats:
     # wall milliseconds per stage of the phase: grid build (in Phase II
     # the re-bin and the copy of the inherited cells), eigen classification
     # and plane fits (with the tentative gating) of the cells not
-    # inherited, centroid index, expansion with its pair searches; they
+    # inherited, centroid index, expansion with its pair search; they
     # add up to at most runtime_ms
     stages_ms: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     runtime_ms: float = 0.0

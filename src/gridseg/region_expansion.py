@@ -7,14 +7,15 @@ those links, found on link lists by hooking roots and jumping pointers
 list every link.  Each cell tries two row links in grid order, to the next
 cell and to the first cell of the next x column at its y or beyond, and
 keeps those within the radius (``_row_links``).  Only the cells outside the
-seed's component over the row links search the full radius (one exact pair
-search over 2-D columns of centroids, ``CentroidIndex.pairs``).  A link
-that neither lists joins two cells of the seed's row-link component, which
-is connected already, so the seed's component over the listed links is
-its component over all links.  Radius links (rather than grid adjacency)
-let the region bridge scan-line gaps at fine grid resolutions.
-Each reached cell then runs a five-step refinement that decides whether it
-is ground; the output is the inliers of the ground cells:
+seed's component over the row links, and the ambiguous cells (step 3
+below), search the full radius, in one exact pair search over 2-D columns
+of centroids (``CentroidIndex.pairs``).  A link that neither lists joins
+two cells of the seed's row-link component, which is connected already,
+so the seed's component over the listed links is its component over all
+links.  Radius links (rather than grid adjacency) let the region bridge
+scan-line gaps at fine grid resolutions.  Each reached cell then runs a
+five-step refinement that decides whether it is ground; the output is the
+inliers of the ground cells:
 
 1. split the cell's points into plane inliers and outliers (stored fit);
 2. reject when there are no inliers;
@@ -26,12 +27,13 @@ is ground; the output is the inliers of the ground cells:
 In the fine phase (phase 2) a link additionally requires the centroid
 height difference to stay within the height gate.  The gate drops row
 links and pairs before the component search, which reads admissible links
-only; step 4 sees every radius neighbor, over the gate too, from a search
-of the pairs with an ambiguous end.
+only; step 4 sees every radius neighbor, over the gate too, from the same
+search, ungated.
 
-Steps 1-3 and 5 read only the cell itself and run on all reached cells at
-once.  Step 4 runs after them, on the ambiguous cells at once, and reads
-only the decisions they settled: a neighbor is ground when it is reached,
+Steps 1-3 read only the cell itself and run on every tentative cell at
+once, before reach, so reach knows the ambiguous cells.  Step 4 runs after
+reach, on the reached ambiguous cells at once, and reads only the
+decisions steps 1-3 settled: a neighbor is ground when it is reached,
 unambiguous and routed ground, and the cell below is non-ground when it was
 classified so or is reached, unambiguous and routed non-ground.  So no
 decision depends on the order in which cells are reached.
@@ -88,17 +90,13 @@ class CentroidIndex:
     ``pairs`` runs on numpy alone.  It buckets the centroids by 2-D column,
     half a radius wide, and sorts them by a packed (x column, y column)
     code, so that the centroids of one x column and a span of y columns
-    lie in one run of the sorted order.  Each centroid is compared with a
-    half window of columns: those after it in that order within its own x
-    column, and in each of the next x columns in reach the span of y
-    columns that its least distance to that x column leaves in reach,
-    widened by a rounding margin.  So every two centroids within the radius
-    meet once, and a pair is kept under the rule of a brute-force scan.
-    Asked only for the pairs with an end in a set of fresh centroids, only
-    the fresh centroids search: that half window over all centroids, and
-    its mirror image, the columns before their own, over the others.  So
-    a pair of two fresh centroids is met once, by the first, and a pair of
-    a fresh and another centroid once, by the fresh one.
+    lie in one run of the sorted order.  Each flagged centroid is compared
+    with the centroids of a window of columns: in each x column in reach,
+    its own among them, the span of y columns that its least distance to
+    that x column leaves in reach, widened by a rounding margin.  So every
+    centroid within the radius of a flagged one is met, and a pair is kept
+    under the rule of a brute-force scan.  A pair of two flagged centroids
+    is met by both and kept once, by its lower position.
     """
 
     def __init__(self, cell_ids: np.ndarray, centroids: np.ndarray):
@@ -109,8 +107,8 @@ class CentroidIndex:
         self, radius: float, fresh: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Positions (i, j), i < j, of every two centroids within radius
-        (inclusive) by ``_within``; with ``fresh``, one flag per centroid,
-        only those of which at least one is flagged.  Positions are int32
+        (inclusive) by ``_within`` of which at least one is flagged in
+        ``fresh``, one flag per centroid (None: all).  Positions are int32
         while they fit."""
         c = self.centroids
         n = len(c)
@@ -119,91 +117,62 @@ class CentroidIndex:
         # of two column numbers stays below 2**63 however far apart they are
         width = max(radius / 2, np.abs(c[:, :2]).max(initial=0.0) * 2.0**-30) or 1.0
         uv = c[:, :2] / width
-        col = np.floor(uv)
         reach = math.ceil(radius / width) + 1  # column offsets a pair can span, at most 3
         # column numbers moved into [0, 2**31] and packed in one code, in
         # which y columns up to reach columns out stay in their x column
-        cx, cy = (col + 2.0**30).astype(np.int64).T
+        cx, cy = (np.floor(uv) + 2.0**30).astype(np.int64).T
         stride = 2**31 + 2 * reach + 1
         code = cx * stride + cy + reach
         order = np.argsort(code).astype(np.int32 if n < 2**31 else np.int64)
         code = np.take(code, order)
-        base = np.take(cx, order) * stride + (2**30 + reach)  # code less the y column
-        fx = np.take(uv[:, 0] - col[:, 0], order)  # place within the own x column
-        v = np.take(uv[:, 1], order)
-        coords = [np.take(c[:, a], order) for a in range(3)]
-        rho2 = (radius / width) ** 2
-        # the queries, the targets (None: all) and the direction of the
-        # half window, by sorted position: the fresh centroids search ahead
-        # over all centroids, and back over the others
-        queries = np.arange(n)
-        searches = [(None, 1)]
-        if fresh is not None:
-            flag = np.take(np.asarray(fresh, dtype=bool), order)
-            queries = np.flatnonzero(flag)
-            searches.append((np.flatnonzero(~flag), -1))
+        flag = np.ones(n, bool) if fresh is None else np.asarray(fresh, dtype=bool)
+        queries = np.flatnonzero(flag).astype(order.dtype)
         m = len(queries)
-        fq, vq, bq = (np.take(a, queries) for a in (fx, v, base))
+        uq = np.take(uv, queries, axis=0)
+        fq = uq[:, 0] - np.floor(uq[:, 0])  # place within the own x column
+        base = np.take(cx, queries) * stride + (2**30 + reach)  # code less the y column
+        # the least x distance from each query to the x column dx on from
+        # its own, one row per offset, and the y span it leaves in reach;
+        # offsets with none left drop out
+        dx = np.arange(-reach, reach + 1)
+        gx = np.abs(np.subtract.outer(dx + 0.5, fq)) - 0.5
+        gx = np.maximum(gx - _MARGIN, 0.0).ravel()
+        rest = (radius / width) ** 2 - gx * gx
+        k = np.flatnonzero(rest >= 0)
+        offset, q = np.divmod(k, m)
+        p = np.take(queries, q)
+        h, vp = np.sqrt(np.take(rest, k)) + _MARGIN, np.take(uq[:, 1], q)
+        row = np.take(base, q) + np.take(dx * stride, offset)
+        lo = np.searchsorted(code, row + np.floor(vp - h).astype(np.int64), "left")
+        hi = np.searchsorted(code, row + np.floor(vp + h).astype(np.int64), "right")
+        lengths = hi - lo
+        # the candidates' distances in runs of about _CANDIDATES, which
+        # bounds the memory they take
+        cut = np.searchsorted(
+            np.cumsum(lengths), np.arange(_CANDIDATES, lengths.sum(), _CANDIDATES)
+        ).tolist()
         found_i, found_j = [], []
-        for targets, step in searches:
-            tcode = code if targets is None else np.take(code, targets)
-            # the least x distance from each query to the x column dx on
-            # from its own (dx - f ahead, f - dx - 1 behind), one row per
-            # offset, and the y span it leaves in reach; offsets with none
-            # left drop out, and the own column (dx = 0, at distance 0)
-            # stays first, as all m queries
-            dx = np.arange(0, step * (reach + 1), step)
-            ahead = np.subtract.outer(dx, fq)
-            gx = np.maximum((ahead if step > 0 else -ahead - 1) - _MARGIN, 0.0).ravel()
-            rest = rho2 - gx * gx
-            k = np.flatnonzero(rest >= 0)
-            offset, q = np.divmod(k, m)
-            p = np.take(queries, q)
-            h, vp = np.sqrt(np.take(rest, k)) + _MARGIN, np.take(vq, q)
-            row = np.take(bq, q) + np.take(dx * stride, offset)
-            # the y span's ends: the far one in the window's direction, and
-            # the near one, which in the own x column (the first m rows) is
-            # the query itself: only the targets after it, or before it
-            sides = ("right", "left")[::step]
-            far = np.searchsorted(tcode, row + np.floor(vp + step * h).astype(np.int64), sides[0])
-            own = p[:m] + 1 if targets is None else np.searchsorted(targets, p[:m], "right")
-            edge = row[m:] + np.floor(vp[m:] - step * h[m:]).astype(np.int64)
-            near = np.concatenate([own, np.searchsorted(tcode, edge, sides[1])])
-            lo, hi = (near, far)[::step]
-            lengths = np.maximum(hi - lo, 0)
-            # the candidates' distances in runs of about _CANDIDATES, which
-            # bounds the memory they take
-            cut = np.searchsorted(
-                np.cumsum(lengths), np.arange(_CANDIDATES, lengths.sum(), _CANDIDATES)
-            ).tolist()
-            for s, e in zip([0, *cut], [*cut, len(p)]):
-                ps = np.repeat(p[s:e], lengths[s:e])
-                other = _ranges(lo[s:e], lengths[s:e])
-                if targets is not None:
-                    other = np.take(targets, other)
-                near = _within(coords, ps, other, radius)
-                found_i.append(np.compress(near, ps))
-                found_j.append(np.compress(near, other))
-        i = np.take(order, np.concatenate(found_i))
-        j = np.take(order, np.concatenate(found_j))
+        for s, e in zip([0, *cut], [*cut, len(p)]):
+            ps = np.repeat(p[s:e], lengths[s:e])
+            other = np.take(order, _ranges(lo[s:e], lengths[s:e]))
+            keep = (ps < other) | ~np.take(flag, other)
+            keep &= _within(c.T, ps, other, radius)
+            found_i.append(np.compress(keep, ps))
+            found_j.append(np.compress(keep, other))
+        i, j = np.concatenate(found_i), np.concatenate(found_j)
         return np.minimum(i, j), np.maximum(i, j)
 
 
 @dataclass
 class ExpansionLog:
-    """Optional debug trace: the links among reached cells and per-cell
-    routing decisions."""
+    """Optional trace: the routing decision of every reached cell."""
 
-    edges: list[tuple[CellIndex, CellIndex, float]] = field(default_factory=list)
     routes: list[tuple[CellIndex, str, str]] = field(default_factory=list)
 
     def to_text(self) -> str:
-        lines = []
-        for i, j, dz in self.edges:
-            lines.append(f"EDGE {i[0]},{i[1]},{i[2]} -> {j[0]},{j[1]},{j[2]} dz={dz:.6f}")
-        for idx, route, reason in self.routes:
-            lines.append(f"ROUTE {idx[0]},{idx[1]},{idx[2]} {route} {reason}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"ROUTE {i[0]},{i[1]},{i[2]} {route} {reason}" for i, route, reason in self.routes
+        )
 
 
 def build_centroid_index(grid: VoxelGrid, cells: np.ndarray) -> CentroidIndex:
@@ -398,26 +367,37 @@ def _component(n: int, i: np.ndarray, j: np.ndarray, source: int) -> np.ndarray:
 
 
 def _reach(
-    cells: np.ndarray, index: CentroidIndex, source: int, radius: float, gate: float | None
-) -> np.ndarray:
+    cells: np.ndarray,
+    index: CentroidIndex,
+    source: int,
+    radius: float,
+    gate: float | None,
+    flags: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mask of the index positions in the connected component of position
     ``source`` over the links: the pairs of the index within ``radius``
     whose heights differ by at most ``gate`` (``_gated``).  ``cells`` are
-    the grid indices of the index's cells, ascending.
+    the grid indices of the index's cells, ascending.  Returns the mask and
+    the pairs ``(i, j)`` of its one neighbor search, ungated: every pair
+    with an end flagged in ``flags`` or outside the source's component over
+    the row links (none when no cell is either).
 
-    The component is found over the row links (``_row_links``) and, when
-    some cell lies outside the source's component over those, the links
-    with an end in such a cell (one ``index.pairs`` call with them
-    flagged).  That is exact: a link left out has both ends in the source's
-    component over the row links, which is connected already.
+    The component is found over the row links (``_row_links``) and the
+    links of that search.  That is exact: a link left out has both ends in
+    the source's component over the row links, which is connected already.
     """
     z = index.centroids[:, 2]
     ri, rj = _gated(z, *_row_links(cells, index.centroids, radius), gate)
     in_reach = _component(len(cells), ri, rj, source)
-    if in_reach.all():
-        return in_reach
-    fi, fj = _gated(z, *index.pairs(radius, ~in_reach), gate)
-    return _component(len(cells), np.concatenate([ri, fi]), np.concatenate([rj, fj]), source)
+    fresh = flags | ~in_reach
+    if not fresh.any():
+        return in_reach, ri[:0], rj[:0]
+    i, j = index.pairs(radius, fresh)
+    if not in_reach.all():
+        gi, gj = _gated(z, i, j, gate)
+        ri, rj = np.concatenate([ri, gi]), np.concatenate([rj, gj])
+        in_reach = _component(len(cells), ri, rj, source)
+    return in_reach, i, j
 
 
 def _ambiguous_reasons(grid, ids, amb, i, j, inputs, expansion) -> np.ndarray:
@@ -426,10 +406,11 @@ def _ambiguous_reasons(grid, ids, amb, i, j, inputs, expansion) -> np.ndarray:
     routes of the other reached cells.
 
     A radius neighbor (the other end of a pair ``(i[k], j[k])`` of index
-    positions with an end in ``amb``) counts as ground when its state is
-    GROUND, and the occupied cell below as non-ground when its state is
-    NON_GROUND or OBSTACLE: ambiguous and unreached cells are still
-    TENTATIVE, so only settled decisions count.
+    positions with an end in ``amb``; the pairs hold every such pair, and
+    may hold others) counts as ground when its state is GROUND, and the
+    occupied cell below as non-ground when its state is NON_GROUND or
+    OBSTACLE: ambiguous and unreached cells are still TENTATIVE, so only
+    settled decisions count.
     """
     slot = np.full(len(ids), -1)  # index position -> position in amb
     slot[amb] = np.arange(len(amb))
@@ -464,22 +445,21 @@ def expand(
     The index must hold the grid rows of tentative cells in ascending order.
     Its pairs within the search radius are the links, in phase 2 only those
     within the height gate, and the reached cells are the seed's connected
-    component over them (``_reach``).  Every reached cell is refined
-    at once, in ascending grid-row order; the ambiguous ones are then
-    refined once more, at once, from the routes of the others
-    (``_ambiguous_reasons``), over every radius pair with an ambiguous end
-    (one more ``index.pairs`` call), in phase 2 over the gate too.  Final
-    states land in ``grid.state``: GROUND or NON_GROUND for reached cells,
-    unreached ones stay TENTATIVE.  Only a ``log`` makes it search every
-    pair.
+    component over them (``_reach``).  Refinement steps 1-3 read only the
+    cell and run on every tentative cell at once, before reach, so that one
+    neighbor search (``index.pairs``, run only when some cell is ambiguous
+    or outside the seed's component over the row links) serves both reach
+    and the ambiguous cells.  The reached ambiguous ones are then refined
+    once more, at once, from the routes of the others
+    (``_ambiguous_reasons``), over every radius pair with an ambiguous end,
+    in phase 2 over the gate too.  Final states land in ``grid.state``:
+    GROUND or NON_GROUND for reached cells, unreached ones stay TENTATIVE.
 
     Returns the number of ground points: the inliers of the cells it
     routed to GROUND, summed from their inlier counts, so no per-point
     array is built; ``ground_mask`` flags those points.  A given ``log``
-    receives each link between two reached cells once, as (lower row,
-    higher row, |dz|) in ascending order, from a search of every pair,
-    and the routes in ascending grid-row order; a given ``route_counts``
-    the number of cells per reason in ``REASONS``.
+    receives the routes in ascending grid-row order; a given
+    ``route_counts`` the number of cells per reason in ``REASONS``.
     """
     if phase not in (1, 2):
         raise ContractViolationError(f"phase must be 1 or 2, got {phase}")
@@ -500,16 +480,17 @@ def expand(
     if s == n or ids[s] != seed_row:
         raise ContractViolationError(f"seed cell {seed} is not in the centroid index")
 
-    z = index.centroids[:, 2]
-    radius = expansion.search_radius
+    # steps 1-3 on every tentative cell, so reach's one search can serve the
+    # ambiguous ones too
+    inputs = [x[ids] for x in _refine_inputs(grid, ids, geometry)]
+    reasons = refine_reasons(*inputs, np.full(n, np.nan), np.zeros(n, bool), expansion)
     gate = expansion.height_gate if phase == 2 else None
-    in_reach = _reach(grid.cells[ids], index, s, radius, gate)
+    in_reach, i, j = _reach(
+        grid.cells[ids], index, s, expansion.search_radius, gate, reasons >= _AMBIGUOUS
+    )
     reached = np.flatnonzero(in_reach)  # index positions, ascending
-    cells = ids[reached]
-
-    inputs = [x[cells] for x in _refine_inputs(grid, cells, geometry)]
-    m = len(cells)
-    reasons = refine_reasons(*inputs, np.full(m, np.nan), np.zeros(m, bool), expansion)
+    cells, reasons = ids[reached], reasons[reached]
+    inputs = [x[reached] for x in inputs]
     ground = _ROUTES_GROUND[reasons]
     ambiguous = np.flatnonzero(reasons >= _AMBIGUOUS)
     if len(ambiguous):
@@ -517,25 +498,13 @@ def expand(
         grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
         grid.state[cells[ambiguous]] = GroundState.TENTATIVE
         # ambiguous cells see all their radius neighbors, over the gate too
-        amb = reached[ambiguous]
-        i, j = index.pairs(radius, id_mask(amb, n))
         reasons[ambiguous] = _ambiguous_reasons(
-            grid, ids, amb, i, j, [x[ambiguous] for x in inputs], expansion
+            grid, ids, reached[ambiguous], i, j, [x[ambiguous] for x in inputs], expansion
         )
         ground = _ROUTES_GROUND[reasons]
     grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
 
     if log is not None:
-        # one more search, of every link; a link's ends are both reached or
-        # both not, and pairs hold i < j, so one sort of packed keys puts
-        # the reached ones in (lower, higher) order
-        li, lj = _gated(z, *index.pairs(radius), gate)
-        link = np.take(in_reach, li)
-        keys = np.compress(link, li).astype(np.int64) * n + np.compress(link, lj)
-        lo, hi = np.divmod(np.sort(keys), n)
-        dz = np.abs(z[lo] - z[hi]).tolist()
-        named = _cell_indices(grid, ids)  # one per cell, shared by its links
-        log.edges.extend((named[a], named[b], d) for a, b, d in zip(lo.tolist(), hi.tolist(), dz))
         routes = [("non_ground", "ground")[g] for g in ground.tolist()]
         log.routes.extend(zip(_cell_indices(grid, cells), routes, [REASONS[r] for r in reasons]))
     if route_counts is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -68,6 +69,10 @@ class SceneSpec:
             raise ConfigError(f"ground_z must be finite, got {self.ground_z}")
         if not abs(self.slope_deg) < 90:
             raise ConfigError(f"slope_deg must be within (-90, 90), got {self.slope_deg}")
+        # numpy's generators take only non-negative integer seeds
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass

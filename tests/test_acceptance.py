@@ -82,12 +82,12 @@ def test_criterion_01_grid_partition():
             z = RNG.uniform(-2.0, 2.0, n)
             pts = np.column_stack([xy, z])
         grid = build_grid(pts, cs)
-        total = 0
         keys = np.floor(pts / np.array([cs.sx, cs.sy, cs.sz])).astype(np.int64)
-        for c, idx in enumerate(grid.cells):
-            total += len(grid.order[grid.span(c)])
-            assert np.all(keys[grid.order[grid.span(c)]] == idx)
-        assert total == n
+        # the spans cover all n points, and order is a permutation of them
+        assert grid.offsets[0] == 0 and grid.offsets[-1] == n and (grid.counts > 0).all()
+        np.testing.assert_array_equal(np.sort(grid.order), np.arange(n))
+        # every point lies in the cell whose span holds it
+        np.testing.assert_array_equal(keys[grid.order], np.repeat(grid.cells, grid.counts, axis=0))
 
 
 @criterion(2, "floor semantics of the cell index for negative coordinates")
@@ -221,9 +221,24 @@ def test_criterion_06_expansion_oracle():
             assert count == ground.sum()
             per_index.append(ground)
             if phase == 2:
-                assert log.edges
-                for _, _, dz in log.edges:
-                    assert dz <= params.height_gate
+                # the routed cells are those a breadth-first search from the
+                # seed reaches over the brute-force pairs within the gate
+                i, j = BruteIndex(grid, tentative).pairs(params.search_radius)
+                z = grid.centroids[tentative, 2]
+                gated = np.abs(z[i] - z[j]) <= params.height_gate
+                links = {k: [] for k in range(len(tentative))}
+                for a, b in zip(i[gated].tolist(), j[gated].tolist()):
+                    links[a].append(b)
+                    links[b].append(a)
+                seed_row = grid.find(select_seed(grid, info))
+                reach = {int(np.searchsorted(tentative, seed_row))}
+                frontier = list(reach)
+                while frontier:
+                    frontier = [b for a in frontier for b in links[a] if b not in reach]
+                    reach.update(frontier)
+                want = [tuple(c) for c in grid.cells[tentative[sorted(reach)]].tolist()]
+                assert len(want) > 1
+                assert [idx for idx, _, _ in log.routes] == want
         np.testing.assert_array_equal(per_index[0], per_index[1])
         results.append(per_index[0])
     assert all(r.any() for r in results)

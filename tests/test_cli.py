@@ -351,6 +351,18 @@ class TestSynthCommand:
         assert message in err and "\n" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--seed", "-2", "--num-scans", "3"]], ids=["-1", "-2x3"]
+    )
+    def test_negative_seed_fails_with_one_line(self, tmp_path, capsys, flags):
+        out = tmp_path / "scene"
+        assert main(["synth", "--out", str(out), "--points", "100", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: seed must be a non-negative integer, got -")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_boxes_covering_the_extent_fail_with_one_line(self, tmp_path, capsys):
         flags = ["--extent", "10", "--points", "100", "--box", "0,0,100,100,1"]
         assert main(["synth", "--out", str(tmp_path / "scene"), *flags]) == 1

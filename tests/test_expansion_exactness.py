@@ -5,10 +5,9 @@ queries each cell's neighbors, then refines every reached cell against the
 settled routes of the others, one cell at a time.  It queries a brute-force
 index (``conftest.BruteForceIndex``), so it shares no neighbor search with
 ``expand``.  The two must agree exactly: the same ground ids (``expand``'s
-count, and the ids ``ground_mask`` flags), links among reached cells,
-routes, and final cell states.  They run on per-cell records that
-``_records`` builds from a grid's arrays, as the cell objects of the former
-grid held them.
+count, and the ids ``ground_mask`` flags), routes, and final cell states.
+They run on per-cell records that ``_records`` builds from a grid's
+arrays, as the cell objects of the former grid held them.
 """
 
 import math
@@ -29,6 +28,7 @@ from gridseg.errors import ContractViolationError
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
 from gridseg.region_expansion import (
     REASONS,
+    CentroidIndex,
     ExpansionLog,
     ExpansionParams,
     build_centroid_index,
@@ -122,16 +122,16 @@ def _reference_expand(cells, points, index, seed, geometry, expansion, phase, lo
     row = {k: r for r, k in enumerate(cells)}  # records are in grid-row order
 
     def links(i):
-        """The cells linked to cell i, with their height differences."""
+        """The cells linked to cell i."""
         for j in index.within(cells[i].centroid, expansion.search_radius):
             dz = abs(float(cells[i].centroid[2]) - float(cells[j].centroid[2]))
             if j != i and (phase == 1 or dz <= expansion.height_gate):
-                yield j, dz
+                yield j
 
     reached = {seed}
     queue = deque([seed])
     while queue:
-        for j, _ in links(queue.popleft()):
+        for j in links(queue.popleft()):
             if j not in reached:
                 reached.add(j)
                 queue.append(j)
@@ -160,7 +160,6 @@ def _reference_expand(cells, points, index, seed, geometry, expansion, phase, lo
         if is_ground:
             ground_parts.append(cells[i].inlier_ids)
         if log is not None:
-            log.edges.extend((i, j, dz) for j, dz in links(i) if row[j] > row[i])
             log.routes.append((i, "ground" if is_ground else "non_ground", reason))
 
     if not ground_parts:
@@ -189,7 +188,6 @@ def _expand_both(make_grid, points, seed, expansion, phase):
         outcomes.append((ground, log, states))
     (g0, log0, s0), (g1, log1, s1) = outcomes
     np.testing.assert_array_equal(g0, g1)
-    assert log0.edges == log1.edges
     assert log0.routes == log1.routes
     assert s0 == s1
     return log1
@@ -308,7 +306,7 @@ def test_segment_matches_reference_masks_logs_and_stats(monkeypatch, name):
     new = segment(cloud, log1=logs[0], log2=logs[1])
     np.testing.assert_array_equal(new.mask, ref.mask)
     for a, b in zip(logs, ref_logs):
-        assert a.edges == b.edges and a.routes == b.routes
+        assert a.routes == b.routes
     for phase in ("phase1", "phase2"):
         got, want = getattr(new.stats, phase).as_dict(), getattr(ref.stats, phase).as_dict()
         for timing in ("runtime_ms", "stages_ms"):
@@ -419,7 +417,6 @@ def test_lowest_neighbor_over_the_gate_counts_once_admitted_elsewhere():
     points, make_grid, seed = _hand_built(layout)
     log = _expand_both(make_grid, points, seed, ExpansionParams(search_radius=5.0), 2)
     assert _ambiguous_route(log, layout) == "ambiguous and elevated above lowest neighbor"
-    assert [(i[0], j[0]) for i, j, _ in log.edges] == [(0, 1), (0, 3), (1, 2), (1, 3)]
 
 
 def _count_calls(monkeypatch):
@@ -475,8 +472,9 @@ def test_same_routes_from_any_reached_cell(monkeypatch, start):
         index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
         del calls[:]
         expand(grid, index, seed, GEO, params, phase=1, log=log)
-        # every reached cell, then the ambiguous ones (both layouts have some) once more
-        assert len(calls) == 2 and calls[0] == len(log.routes) > calls[1]
+        # every tentative cell (both layouts reach them all), then the
+        # reached ambiguous ones (both layouts have some) once more
+        assert len(calls) == 2 and calls[0] == len(index.cell_ids) == len(log.routes) > calls[1]
         outcomes.append((grid.state.tolist(), log.routes))
     assert all(outcome == outcomes[0] for outcome in outcomes)
 
@@ -507,9 +505,48 @@ def test_cells_past_a_gated_step_reached_by_a_long_link():
     assert [idx[0] for idx, _, _ in log.routes] == [0, 1, 3, 4]
 
 
+class _CountingIndex(CentroidIndex):
+    """A centroid index that counts its ``pairs`` calls."""
+
+    calls = 0
+
+    def pairs(self, radius, fresh=None):
+        assert fresh is not None, "expand searches only from flagged cells"
+        self.calls += 1
+        return super().pairs(radius, fresh)
+
+
+@pytest.mark.parametrize(
+    "layout, searches",
+    [
+        # the cell at x = 9 is outside the seed's row-link component, and
+        # the one at x = 1 is ambiguous: one search serves both
+        ([(0, 0.5, "ground"), (1, 0.6, "ambiguous"), (9, 0.5, "ground")], 1),
+        # only an ambiguous cell, or only a cell outside
+        ([(0, 0.5, "ground"), (1, 0.6, "ambiguous"), (2, 0.5, "ground")], 1),
+        ([(0, 0.5, "ground"), (1, 0.5, "ground"), (9, 0.5, "ground")], 1),
+        # neither: the row links reach every cell, and none is ambiguous
+        ([(0, 0.5, "ground"), (1, 0.5, "ground"), (2, 0.5, "ground")], 0),
+    ],
+)
+@pytest.mark.parametrize("phase", [1, 2])
+@pytest.mark.parametrize("logged", [False, True], ids=["unlogged", "logged"])
+def test_one_neighbor_search_per_expansion(layout, searches, phase, logged):
+    points, make_grid, seed = _hand_built(layout)
+    params = ExpansionParams(search_radius=5.0)
+    want = _expand_both(make_grid, points, seed, params, phase).routes
+    grid = make_grid()
+    tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
+    index = _CountingIndex(tentative, grid.centroids[tentative])
+    log = ExpansionLog() if logged else None
+    expand(grid, index, seed, GEO, params, phase=phase, log=log)
+    assert index.calls == searches
+    assert log is None or log.routes == want
+
+
 @pytest.mark.parametrize("name", PAIR_SCENES)
 def test_logged_and_unlogged_segment_agree(name):
-    # the log's own search of every pair must not steer reach
+    # a log must not steer reach or routes
     cloud = gs.scene_cloud(gs.make_scene(PAIR_SCENES[name]))
     plain = segment(cloud)
     logs = ExpansionLog(), ExpansionLog()

@@ -39,13 +39,16 @@ Every private name (``_x``), test name (``Test*``, ``test_*``) and
 ``tests/``, ``demos/`` or ``perfbench/`` path that the README names in
 backticks still exists: the names as a function, class or assigned name of
 some module of ``src/``, ``tests/``, ``demos/`` or ``perfbench/``, the paths
-as files or directories.
+as files or directories.  The README's ``**Size:**`` line states the code
+lines of ``src/gridseg`` as ``code_lines`` counts them.
 """
 
 import ast
 import dataclasses
+import io
 import json
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -368,7 +371,7 @@ TEST_ONLY_NAMES = {
     "read_mask": "the reader of the CLI's mask format, kept on purpose",
     "ConfusionCounts.total": "acceptance criterion 8",
     "ExpansionLog.to_text": "goes with ROADMAP item 7's trace",
-    "VoxelGrid.span": "acceptance criterion 1",
+    "VoxelGrid.span": "one cell's points in tests of the grid and of expansion",
 }
 
 
@@ -577,3 +580,53 @@ def test_every_code_name_and_path_in_the_readme_exists():
                     defined.add(node.id)
     text = (ROOT / "README.md").read_text()
     assert stale_readme_names(text, defined, lambda p: (ROOT / p).exists()) == []
+
+
+def code_lines(source: str) -> int:
+    """The lines of a Python source that hold a token other than a comment,
+    docstrings left out: the module's, each class's and each function's
+    leading string.  A token over several lines counts each of them."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTIONS)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                if isinstance(first.value.value, str):
+                    docs.update(range(first.lineno, first.end_lineno + 1))
+    layout = {
+        tokenize.COMMENT,
+        tokenize.NL,
+        tokenize.NEWLINE,
+        tokenize.INDENT,
+        tokenize.DEDENT,
+        tokenize.ENCODING,
+        tokenize.ENDMARKER,
+    }
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docs)
+
+
+def test_the_counter_leaves_out_docstrings_comments_and_blank_lines():
+    source = (
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # trailing\n"
+        "    '''Doc.'''\n"
+        "    s = '''two\n"
+        "    lines'''\n"
+        "    return (x,\n"
+        "\n"
+        "            s)\n"
+    )
+    assert code_lines(source) == 5
+
+
+def test_the_readme_states_the_package_size():
+    package = sorted((ROOT / "src" / "gridseg").glob("*.py"))
+    count = sum(code_lines(p.read_text()) for p in package)
+    stated = re.findall(r"\*\*Size:\*\* ([\d,]+) code lines", (ROOT / "README.md").read_text())
+    assert stated == [f"{count:,}"]

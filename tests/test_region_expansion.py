@@ -508,15 +508,6 @@ class TestBreadthFirst:
         expand(grid, index, seed, GEO, ExpansionParams(search_radius=radius), phase=1, log=log)
         cells = [tuple(c) for c in grid.cells.tolist()]
         assert [idx for idx, _, _ in log.routes] == [cells[c] for c in reached]
-        # each link among reached cells once, lower row first, in row order
-        z = grid.centroids[:, 2]
-        rows = [[] for _ in range(n)]
-        for a, b in zip(i.tolist(), j.tolist()):
-            rows[a].append(b)
-        want = [
-            (cells[a], cells[b], abs(z[a] - z[b])) for a in reached for b in sorted(rows[a])
-        ]
-        assert log.edges == want
 
     def test_import_leaves_csgraph_out(self):
         import gridseg
@@ -832,11 +823,9 @@ class TestExpand:
         log = ExpansionLog()
         params = ExpansionParams()
         expand(grid, index, seed, GEO, params, phase=2, log=log)
-        assert log.edges, "expansion should traverse at least one edge"
-        for _, _, dz in log.edges:
-            assert dz <= params.height_gate
-        text = log.to_text()
-        assert "EDGE" in text and "ROUTE" in text
+        assert len(log.routes) > 1, "expansion should reach past the seed"
+        lines = log.to_text().splitlines()
+        assert len(lines) == len(log.routes) and all(line.startswith("ROUTE ") for line in lines)
 
     def test_no_cell_processed_twice(self, rng):
         pts, info = _flat_cloud_with_seed(rng, extent=10.0, n=2000)

@@ -5,8 +5,10 @@ row links (``_row_links``) plus the links with an end outside the seed's
 component over those (``_reach``).  These tests hold it to a breadth-first
 search over every pair of ``conftest.BruteForceIndex``, in phase 1 and, with
 a height gate, in phase 2: every row link is a true link, the reach masks
-are equal, and the radius neighbors that ambiguous cells read (a flagged
-``CentroidIndex.pairs`` search) are the full search's.
+are equal, and the pairs of reach's one search (a flagged
+``CentroidIndex.pairs`` call) are the full search's pairs with an end
+flagged, for the ambiguous cells to read, or outside the seed's row-link
+component.
 """
 
 import numpy as np
@@ -37,15 +39,24 @@ def _full_links(centroids, radius, gate):
     return i, j
 
 
-def _assert_reach_exact(cells, centroids, radius, gate, source):
-    """Check the row links and the reach from ``source``; return the reach."""
+def _assert_reach_exact(cells, centroids, radius, gate, source, flags=None):
+    """Check the row links, the reach from ``source`` and the pairs of its
+    search, with the cells ``flags`` (default none) flagged; return the
+    reach."""
     n = len(cells)
+    flags = np.zeros(n, bool) if flags is None else flags
     ri, rj = _row_links(cells, centroids, radius)
     true = set(zip(*(a.tolist() for a in _full_links(centroids, radius, None))))
     assert (ri < rj).all() and set(zip(ri.tolist(), rj.tolist())) <= true
-    got = _reach(cells, CentroidIndex(np.arange(n), centroids), source, radius, gate)
+    index = CentroidIndex(np.arange(n), centroids)
+    got, i, j = _reach(cells, index, source, radius, gate, flags)
     want = _breadth_first(n, *_full_links(centroids, radius, gate), source)
     assert np.flatnonzero(got).tolist() == want
+    searched = flags | ~_component(n, *_gated_row_links(cells, centroids, radius, gate), source)
+    assert (i < j).all()
+    assert sorted(zip(i.tolist(), j.tolist())) == sorted(
+        (a, b) for a, b in true if searched[a] or searched[b]
+    )
     return got
 
 
@@ -89,8 +100,10 @@ def test_reach_and_neighbors_equal_the_full_search(
     drawn = rng.integers(0, span, (n, 3)) - np.array(span) // 3
     cells, centroids = _layout(drawn, size, None if centred else rng)
     gate = GATE if phase == 2 else None
-    _assert_reach_exact(cells, centroids, radius, gate, int(rng.integers(len(cells))))
-    _assert_neighbors_exact(centroids, radius, rng.random(len(cells)) < share)
+    source = int(rng.integers(len(cells)))
+    flags = rng.random(len(cells)) < share
+    _assert_reach_exact(cells, centroids, radius, gate, source, flags)
+    _assert_neighbors_exact(centroids, radius, flags)
 
 
 def test_seed_alone_in_its_row_component_joined_by_a_long_link():

@@ -120,6 +120,17 @@ def test_scene_spec_rejects_bad_values(field, value):
             gs.SceneSpec(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, True, "3", None])
+def test_scene_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        gs.SceneSpec(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**40, np.int64(7)])
+def test_scene_spec_accepts_non_negative_integer_seeds(seed):
+    assert gs.SceneSpec(seed=seed).seed == seed
+
+
 def test_scene_spec_accepts_empty_and_noiseless_scenes():
     scene = gs.make_scene(gs.SceneSpec(n_ground=0, noise_sigma=0.0, box_density=0.0))
     assert scene.points.shape == (0, 3)
