@@ -175,9 +175,12 @@ def _per_scan(report: SequenceReport, rows: list[MetricRow]) -> None:
 
 def check_thresholds(thresholds, name: str = "thresholds") -> tuple[float, ...]:
     """The range thresholds as floats.  ``ConfigError`` (naming them
-    ``name``) unless each is positive and finite and none repeats: a
-    repeated threshold would weight its range twice in the aggregate."""
+    ``name``) unless there is one at least, each is positive and finite and
+    none repeats: no threshold would score nothing, and a repeated one
+    would weight its range twice in the aggregate."""
     values = tuple(float(d) for d in thresholds)
+    if not values:
+        raise ConfigError(f"{name} must hold at least one threshold")
     if not all(0 < d < math.inf for d in values):
         raise ConfigError(f"{name} must be positive and finite, got {values}")
     if len(set(values)) != len(values):

@@ -12,14 +12,14 @@ per cell, and Phase II's ground cells are scattered into the output mask
 once.
 
 Phase II inherits what Phase I already computed.  Both phases share the
-cell footprint, so Phase II re-bins Phase I's grid (``voxel_grid.rebin``)
-by one flag per Phase-I point rather than building its own: most Phase-I
-cells become one fine cell each, with the same points in the same
-canonical order, and only the points of cells spread over several fine
-slabs or sharing one are re-sorted.  A fine cell equal to a Phase-I ground
-cell has the same centroid, kind, plane and inliers to the bit, as a plane
-fit depends only on the cell's points, so Phase II copies them and
-classifies only the other cells.
+cell footprint, and the canonical order rises in z up a column, so Phase
+II re-bins Phase I's grid (``voxel_grid.rebin``) by one flag per Phase-I
+point rather than building its own: its grid is a cut of Phase I's point
+order into slabs, with no sort.  A fine cell equal to a Phase-I ground
+cell has the same points in the same order, hence the same centroid,
+kind, plane and inliers to the bit, as a plane fit depends only on the
+cell's points, so Phase II copies them and classifies only the other
+cells.
 The grid equals one built and classified from scratch.
 """
 

@@ -4,10 +4,10 @@ Points are binned by true floor division of their coordinates by the cell
 size (floor toward -inf, so negative coordinates land in the right cell).
 Only occupied cells exist.  The grid is a compressed sparse row layout: the
 occupied cell indices in ascending order, and per cell a run of one
-canonical point order.  Per-cell classification state sits in arrays beside
-them, one row per cell.  ``build_grid`` bins a point cloud; ``rebin`` bins
-some of a grid's points at another cell height, keeping the grid's point
-ids, and its point order wherever a cell carries over whole.
+canonical point order, rising in z.  Per-cell classification state sits in
+arrays beside them, one row per cell.  ``build_grid`` bins a point cloud
+with one sort; ``rebin`` bins some of a grid's points at another cell
+height by cutting the grid's point order into slabs, keeping its point ids.
 """
 
 from __future__ import annotations
@@ -57,12 +57,13 @@ class VoxelGrid:
     Cell ``c`` is row ``c`` of every per-cell array.  Its index is
     ``cells[c]`` (rows ascending), and it holds the point ids
     ``order[offsets[c]:offsets[c + 1]]``.  Within a cell the ids are in
-    coordinate-lexicographic (x, y, z) order, exact duplicates by input
+    coordinate-lexicographic (z, x, y) order, exact duplicates by input
     position, which keeps every reduction over a cell (centroid,
     covariance, plane fit) byte-stable under permutations of the input
-    cloud.  ``points`` holds the coordinates in that order (row i is point
-    ``order[i]``).  ``centroids`` holds each cell's mean point, summed in
-    that order; covariances and plane fits are centred on it.
+    cloud; z first makes every z slab of a column a run of it.  ``points``
+    holds the coordinates in that order (row i is point ``order[i]``).
+    ``centroids`` holds each cell's mean point, summed in that order;
+    covariances and plane fits are centred on it.
 
     ``slopes`` holds each cell's plane slope in degrees, NaN for a cell
     without a plane fit (``fitted``); the plane's normal and offset are not
@@ -111,34 +112,34 @@ def cell_index(point, cellsize: CellSize) -> CellIndex:
     return tuple(int(v) for v in _cell_floor(q))
 
 
-# The packed sort key holds, high to low, a point's cell code, its x offset
-# within the cell in bx-bit fixed point and its input position in bn bits:
+# The packed sort key holds, high to low, a point's cell code, its z offset
+# within the cell in bz-bit fixed point and its input position in bn bits:
 # bn is the bit length of n - 1, bc that of the cell-code range less one,
-# and bx = min(52, 62 - bn - bc), so every key is below this limit.  A
+# and bz = min(52, 62 - bn - bc), so every key is below this limit.  A
 # cloud with bn + bc > 62 is sorted by the six-column lexsort instead.  The
-# offset x / sx - ix lies in [0, 1] and reaches 1 only by rounding (x / sx
-# = -5e-324 gives -5e-324 + 1 = 1.0), so it is capped at 2^bx - 1; bx stops
+# offset z / sz - iz lies in [0, 1] and reaches 1 only by rounding (z / sz
+# = -5e-324 gives -5e-324 + 1 = 1.0), so it is capped at 2^bz - 1; bz stops
 # at 52 so that this cap is exact in float64 and never carries into the
 # cell code.
 _KEY_LIMIT = 1 << 62
 
 
 def _canonical_order(
-    pts: np.ndarray, keys: np.ndarray, fx: np.ndarray
+    pts: np.ndarray, keys: np.ndarray, fz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Point ids sorted by (cell index, x, y, z, input position), and per
+    """Point ids sorted by (cell index, z, x, y, input position), and per
     sorted position whether it starts a new cell.  ``keys`` holds the cell
-    indices and ``fx`` each x / sx, which the sort overwrites.
+    indices and ``fz`` each z / sz, which the sort overwrites.
 
     The cell index packs into one code, lexicographic in (ix, iy, iz), and
     each point gets one int64 key (see ``_KEY_LIMIT``): the code, then
-    min(floor((x / sx - ix) 2^bx), 2^bx - 1), then the input position.
-    That fixed-point offset never falls as x grows within a cell, so one
-    value sort of the keys orders the points by (cell, x) except within
+    min(floor((z / sz - iz) 2^bz), 2^bz - 1), then the input position.
+    That fixed-point offset never falls as z grows within a cell, so one
+    value sort of the keys orders the points by (cell, z) except within
     runs tied on (cell, offset).  A sorted key's low bn bits are its
-    point's position and its bits above bn + bx its cell code.  The tied
+    point's position and its bits above bn + bz its cell code.  The tied
     runs, each in input position order, are then stably sorted exactly by
-    (x, y, z), so the order does not depend on bx.
+    (z, x, y), so the order does not depend on bz.
     """
     n = len(pts)
     first = np.ones(n, dtype=bool)
@@ -148,26 +149,26 @@ def _canonical_order(
     low = [int(c.min()) for c in (ix, iy, iz)]
     span = [int(c.max()) - lo + 1 for c, lo in zip((ix, iy, iz), low)]
     bn = (n - 1).bit_length()
-    bx = _KEY_LIMIT.bit_length() - 1 - bn - (math.prod(span) - 1).bit_length()
-    if bx < 0:
-        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], iz, iy, ix))
+    bz = _KEY_LIMIT.bit_length() - 1 - bn - (math.prod(span) - 1).bit_length()
+    if bz < 0:
+        order = np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2], iz, iy, ix))
         skeys = np.take(keys, order, axis=0)
         first[1:] = np.any(skeys[1:] != skeys[:-1], axis=1)
         return order, first
-    bx = min(bx, 52)
-    fx -= ix  # the offset within the cell
-    fx *= 2.0**bx
-    np.minimum(fx, 2.0**bx - 1, out=fx)
+    bz = min(bz, 52)
+    fz -= iz  # the offset within the cell
+    fz *= 2.0**bz
+    np.minimum(fz, 2.0**bz - 1, out=fz)
     key = ((ix - low[0]) * span[1] + (iy - low[1])) * span[2] + (iz - low[2])
-    key <<= bx
-    np.bitwise_or(key, fx, out=key, casting="unsafe", dtype=np.int64)  # truncates: floors
+    key <<= bz
+    np.bitwise_or(key, fz, out=key, casting="unsafe", dtype=np.int64)  # truncates: floors
     key <<= bn
     key |= np.arange(n)
     key.sort()
     order = key & ((1 << bn) - 1)
     key >>= bn  # (cell code, offset)
     tie = key[1:] == key[:-1]
-    key >>= bx  # cell code
+    key >>= bz  # cell code
     first[1:] = key[1:] != key[:-1]
     if tie.any():
         # the positions in a tie run, each run labelled by a count of the
@@ -176,7 +177,7 @@ def _canonical_order(
         at = np.flatnonzero(after | np.concatenate((tie, [False])))
         run = np.cumsum(~after[at])
         ids = order[at]
-        order[at] = ids[np.lexsort((pts[ids, 2], pts[ids, 1], pts[ids, 0], run))]
+        order[at] = ids[np.lexsort((pts[ids, 1], pts[ids, 0], pts[ids, 2], run))]
     return order, first
 
 
@@ -196,10 +197,12 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
 
     The grid content is independent of input point order: cells are keyed by
     geometric indices and each cell's points, hence its centroid sum, run in
-    canonical (x, y, z, input position) order, built by one value sort of
+    canonical (z, x, y, input position) order, built by one value sort of
     packed keys and an exact sort of the few runs they tie (see
-    ``_canonical_order``).  Cells start unclassified.  A point without a
-    cell index (see ``_cell_floor``) raises ``ContractViolationError``.
+    ``_canonical_order``).  Up an (ix, iy) column the points then rise in
+    z, so a slab of any other height is a run of this order (``rebin``).
+    Cells start unclassified.  A point without a cell index (see
+    ``_cell_floor``) raises ``ContractViolationError``.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     # coordinates over cell sizes a column at a time, about 2x faster than
@@ -209,7 +212,7 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
     for c, size in enumerate((cellsize.sx, cellsize.sy, cellsize.sz)):
         np.divide(pts[:, c], size, out=scaled[:, c])
     keys = _cell_floor(scaled)
-    order, first = _canonical_order(pts, keys, scaled[:, 0])
+    order, first = _canonical_order(pts, keys, scaled[:, 2])
     offsets = np.append(np.flatnonzero(first), len(pts))
     # the quotients are spent, so the canonical points take their buffer
     # (mode "clip" writes it directly; the ids are all in range)
@@ -244,52 +247,37 @@ def rebin(parent: VoxelGrid, kept: np.ndarray, cellsize: CellSize) -> tuple[Voxe
     parent's footprint, its ``order`` holding the parent's point ids, and
     per cell the parent row holding exactly its points, or -1.
 
-    Up a column, cells and slabs both ascend with z, so a parent cell whose
-    kept points lie in one slab that no other parent cell of its column
-    reaches is one cell here, in the parent's order.  The points of the
-    other parent cells, spread over several slabs or sharing one, form
-    contiguous runs of that order, and one ``_canonical_order`` sorts every
-    run onto itself.  Cells start unclassified.  A point without a slab
-    index at the new height raises ``ContractViolationError``.
+    Up a column the parent's order rises in z, and slabs ``floor(z / sz)``
+    ascend with z, so the kept positions are already in canonical order:
+    a cell starts wherever the column or the slab changes, with no sort,
+    at any height, finer or coarser.  Cells start unclassified.  A point
+    without a slab index at the new height raises ``ContractViolationError``.
     """
     if (parent.cellsize.sx, parent.cellsize.sy) != (cellsize.sx, cellsize.sy):
         raise ContractViolationError("re-binning keeps the cell footprint")
     src = np.flatnonzero(kept)  # per point here, its position in the parent's order
-    # per parent row its kept points, a run of src; rows keeping none drop out
-    kc = np.add.reduceat(kept, parent.offsets[:-1], dtype=np.int64)
-    held = np.flatnonzero(kc)
-    hc = np.take(kc, held)
-    kstart = np.cumsum(hc) - hc
     slab = _cell_floor(np.take(parent.points[:, 2], src) / cellsize.sz)
-    lo = np.minimum.reduceat(slab, kstart)
-    hi = np.maximum.reduceat(slab, kstart)
-    column = np.take(parent.cells[:, :2], held, axis=0)
-    shared = np.append((column[1:] == column[:-1]).all(axis=1) & (hi[:-1] == lo[1:]), False)
-    moved = (lo != hi) | shared | np.roll(shared, 1)
-    # a cell starts at the kept run of each parent cell not moved, and
-    # wherever the re-sort of the moved ones starts one
-    first = np.zeros(len(src), dtype=bool)
-    first[np.compress(~moved, kstart)] = True
-    at = np.flatnonzero(np.repeat(moved, hc))  # the points to re-sort
-    mpts = np.take(parent.points, np.take(src, at), axis=0)
-    # their cell indices, a column at a time
-    keys, mc = np.empty((len(at), 3), dtype=np.int64), np.compress(moved, hc)
-    for c in range(2):
-        keys[:, c] = np.repeat(np.compress(moved, column[:, c]), mc)
-    keys[:, 2] = np.take(slab, at)
-    sub, begins = _canonical_order(mpts, keys, mpts[:, 0] / cellsize.sx)
-    src[at] = np.take(src, np.take(at, sub))
-    slab[at] = np.take(keys[:, 2], sub)
-    first[np.compress(begins, at)] = True
+    # per point the number of its column: a row with no row below it in
+    # its column starts the next one
+    column = np.cumsum(occupied_below(parent) < 0)
+    column = np.take(np.repeat(column, parent.counts), src)
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (column[1:] != column[:-1]) | (slab[1:] != slab[:-1])
     starts = np.flatnonzero(first)
-    row = np.searchsorted(kstart, starts, side="right") - 1  # index into held
-    cells = np.column_stack([np.take(column, row, axis=0), np.take(slab, starts)])
+    offsets = np.append(starts, len(src))
+    row = np.searchsorted(parent.offsets, np.take(src, starts), side="right") - 1
+    cells = np.column_stack([np.take(parent.cells[:, :2], row, axis=0), np.take(slab, starts)])
     ordered = np.take(parent.points, src, axis=0)
     # the slabs are spent, so the point ids take their buffer
     order = np.take(parent.order, src, out=slab, mode="clip")
-    grid = _unclassified(cellsize, cells, np.append(starts, len(src)), order, ordered)
-    whole = ~moved & (hc == np.take(parent.counts, held))
-    return grid, np.where(np.take(whole, row), np.take(held, row), -1)
+    grid = _unclassified(cellsize, cells, offsets, order, ordered)
+    # a cell that ends at the last position of the parent row it starts in
+    # lies within that row, and holds all of it when it is as large
+    last = np.take(src, offsets[1:] - 1)
+    whole = (last + 1 == np.take(parent.offsets, row + 1)) & (
+        grid.counts == np.take(parent.counts, row)
+    )
+    return grid, np.where(whole, row, -1)
 
 
 def occupied_below(grid: VoxelGrid, rows: np.ndarray | None = None) -> np.ndarray:

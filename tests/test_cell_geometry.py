@@ -298,6 +298,22 @@ class TestRansacPlane:
         assert 3 <= len(best) < len(pts)  # the eigenplane leaves some points out
         np.testing.assert_array_equal(inliers, best)
 
+    @pytest.mark.parametrize(
+        "threshold, ground_kept, clutter_kept", [(0.05, 17, 0), (0.125, 300, 0), (0.5, 300, 5)]
+    )
+    def test_clutter_tilts_the_plane(self, threshold, ground_kept, clutter_kept):
+        # demo 03's scene: 300 points on a 5% grade with +-0.01 m noise and
+        # 30 clutter points 0.5-1.0 m up.  The eigenplane of all 330 leans
+        # towards the clutter, so a tight threshold drops most of the ground
+        rng = np.random.default_rng(2)
+        x, y = rng.uniform(-2, 2, 300), rng.uniform(-2, 2, 300)
+        ground = np.column_stack([x, y, 0.05 * x + rng.uniform(-0.01, 0.01, 300)])
+        clutter = np.column_stack([rng.uniform(-0.5, 0.5, (30, 2)), rng.uniform(0.5, 1.0, 30)])
+        plane, inliers, _ = ransac_plane(np.vstack([ground, clutter]), threshold)
+        assert plane.slope_deg > math.degrees(math.atan(0.05)) + 0.4
+        assert np.count_nonzero(inliers < 300) == ground_kept
+        assert np.count_nonzero(inliers >= 300) == clutter_kept
+
     def test_too_few_points(self):
         with pytest.raises(FitFailureError):
             ransac_plane(np.zeros((2, 3)), 0.1)

@@ -158,8 +158,8 @@ class TestEvaluateScan:
 
     @pytest.mark.parametrize(
         "thresholds",
-        [(10.0, -3.0), (0.0, 10.0), (10.0, np.nan), (np.inf,), (10.0, 20.0, 10.0)],
-        ids=["negative", "zero", "nan", "infinite", "repeated"],
+        [(10.0, -3.0), (0.0, 10.0), (10.0, np.nan), (np.inf,), (10.0, 20.0, 10.0), ()],
+        ids=["negative", "zero", "nan", "infinite", "repeated", "empty"],
     )
     def test_bad_threshold_is_a_config_error(self, thresholds):
         cloud = _cloud([[1.0, 2.0, 0.0], [30.0, 0.0, 0.0]])
@@ -240,6 +240,12 @@ class TestEvaluateSequence:
         scans, labels = self._sequence(tmp_path, n_scans=1)
         with pytest.raises(ConfigError, match="must not repeat"):
             evaluate_sequence(scans, labels, thresholds=thresholds)
+
+    def test_no_threshold_is_a_config_error(self, tmp_path):
+        # with no threshold the report would hold no row at all
+        scans, labels = self._sequence(tmp_path, n_scans=1)
+        with pytest.raises(ConfigError, match="at least one threshold"):
+            evaluate_sequence(scans, labels, thresholds=[])
 
     def test_matches_independent_reference_computation(self, tmp_path):
         # oracle: recompute the micro-averaged report from the raw files

@@ -111,16 +111,16 @@ class TestBuildGrid:
         for index in absent - set(cells):
             assert grid.find(index) == -1
 
-    def test_order_sorts_by_cell_then_xyz_then_position(self, rng):
-        # rounded coordinates and repeated rows give ties on x, on (x, y)
+    def test_order_sorts_by_cell_then_zxy_then_position(self, rng):
+        # rounded coordinates and repeated rows give ties on z, on (z, x)
         # and on every coordinate
         cs = CellSize(1.5, 1.0, 0.2)
         pts = np.round(rng.uniform(-5, 5, size=(4000, 3)), 1)
         pts[rng.integers(0, 4000, 500)] = pts[rng.integers(0, 4000, 500)]
-        pts[::7, 0] = -0.0
+        pts[::7, 2] = -0.0
         grid = build_grid(pts, cs)
         keys = np.floor(pts / np.array([cs.sx, cs.sy, cs.sz])).astype(np.int64)
-        rows = [(*keys[i], *pts[i], i) for i in grid.order.tolist()]
+        rows = [(*keys[i], *pts[i, [2, 0, 1]], i) for i in grid.order.tolist()]
         assert rows == sorted(rows)
         assert sorted(grid.order.tolist()) == list(range(len(pts)))
 
@@ -141,10 +141,10 @@ class TestBuildGrid:
 
 
 def _reference_grid(pts, cs):
-    """The canonical order as a six-key lexsort (cell index, x, y, z; input
+    """The canonical order as a six-key lexsort (cell index, z, x, y; input
     position breaks full ties), and the cells and offsets it implies."""
     keys = np.floor(pts / np.array([cs.sx, cs.sy, cs.sz])).astype(np.int64)
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], keys[:, 2], keys[:, 1], keys[:, 0]))
+    order = np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2], keys[:, 2], keys[:, 1], keys[:, 0]))
     cells, counts = np.unique(keys, axis=0, return_counts=True)
     return order, cells.reshape(-1, 3), np.concatenate(([0], np.cumsum(counts)))
 
@@ -165,7 +165,7 @@ def _packs(pts, cs):
 @st.composite
 def _tied_clouds(draw):
     """Quantised clouds, negative coordinates included, with many points
-    tied on (cell, x) and exact duplicate rows; 0 to 400 points."""
+    tied on (cell, z) and exact duplicate rows; 0 to 400 points."""
     n = draw(st.integers(0, 400))
     step = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5]))
     reach = draw(st.integers(1, 60))
@@ -173,7 +173,7 @@ def _tied_clouds(draw):
     pts = rng.integers(-reach, reach + 1, size=(n, 3)) * step
     if n:
         pts[rng.integers(0, n, n // 4)] = pts[rng.integers(0, n, n // 4)]
-        pts[rng.random(n) < 0.1, 0] = -0.0
+        pts[rng.random(n) < 0.1, 2] = -0.0
     return pts
 
 
@@ -223,8 +223,8 @@ class TestCanonicalOrder:
     def test_key_range_just_below_the_packed_key_limit(self, shift):
         # 64 points on unit cells: ix spans 2**28 - 1 cells, iy 2**28 + 1
         # and iz one, so the cell code needs 56 bits and the position 6:
-        # the key has no x bits left and its largest value lies within
-        # 2 * 64 of the limit; every point of a cell ties on (cell, x
+        # the key has no z bits left and its largest value lies within
+        # 2 * 64 of the limit; every point of a cell ties on (cell, z
         # offset), and the points near the origin repeat rows
         rng = np.random.default_rng(5)
         pts = rng.integers(0, 4, size=(64, 3)) * 0.5
@@ -235,28 +235,28 @@ class TestCanonicalOrder:
         assert 1 << _key_bits(pts, cs) == _KEY_LIMIT
         self._check(pts, cs)
 
-    # The x offset within a cell is floor((x / sx - ix) 2^bx), at most
-    # 2^bx - 1; the clouds below reach that field's edges, which quantised
+    # The z offset within a cell is floor((z / sz - iz) 2^bz), at most
+    # 2^bz - 1; the clouds below reach that field's edges, which quantised
     # clouds never do.
 
     def test_offset_rounding_up_to_the_cell_width_stays_in_its_cell(self):
-        # -5e-324 / 1.5 + 1 rounds to 1.0, a full cell width above ix = -1;
-        # with 2 position bits the x field is 52 bits wide
-        pts = np.array([[-5e-324, 0.5, 0.5], [-1.4, 0.5, 0.5], [0.5, 0.5, 0.5], [0.7, 0.5, 0.5]])
-        cs = CellSize(1.5, 1.0, 1.0)
+        # -5e-324 / 1.5 + 1 rounds to 1.0, a full cell height above iz = -1;
+        # with 2 position bits the z field is 52 bits wide
+        pts = np.array([[0.5, 0.5, -5e-324], [0.5, 0.5, -1.4], [0.5, 0.5, 0.5], [0.5, 0.5, 0.7]])
+        cs = CellSize(1.0, 1.0, 1.5)
         assert _packs(pts, cs)
         grid = build_grid(pts, cs)
-        assert grid.cells.tolist() == [[-1, 0, 0], [0, 0, 0]]
+        assert grid.cells.tolist() == [[0, 0, -1], [0, 0, 0]]
         assert grid.offsets.tolist() == [0, 2, 4]
         self._check(pts, cs)
 
-    @pytest.mark.parametrize("sx", [1.5, 0.3, 1.0, 0.1])
-    def test_x_at_the_edges_of_cells(self, sx):
-        # each cell edge k * sx with its neighbouring doubles, the smallest
-        # subnormals and both zeros, in several (y, z) rows so that equal x
-        # values tie
-        edges = np.array([k * sx for k in range(-3, 4)])
-        xs = np.concatenate(
+    @staticmethod
+    def _edge_cloud(axis, size):
+        """Each cell edge k * size on ``axis`` with its neighbouring
+        doubles, the smallest subnormals and both zeros, in several rows of
+        the other two coordinates so that equal values tie, shuffled."""
+        edges = np.array([k * size for k in range(-3, 4)])
+        vs = np.concatenate(
             [
                 edges,
                 np.nextafter(edges, -np.inf),
@@ -265,10 +265,22 @@ class TestCanonicalOrder:
                 [-5e-324, 5e-324, -0.0, 0.0, -1e-300],
             ]
         )
-        yz = np.array([[0.5, 0.5], [0.5, -0.5], [-0.25, 0.5], [0.5, 0.5]])
-        pts = np.column_stack([np.tile(xs, len(yz)), np.repeat(yz, len(xs), axis=0)])
-        pts = pts[np.random.default_rng(int(sx * 10)).permutation(len(pts))]
+        rest = np.array([[0.5, 0.5], [0.5, -0.5], [-0.25, 0.5], [0.5, 0.5]])
+        pts = np.insert(np.repeat(rest, len(vs), axis=0), axis, np.tile(vs, len(rest)), axis=1)
+        return pts[np.random.default_rng(int(size * 10)).permutation(len(pts))]
+
+    @pytest.mark.parametrize("sx", [1.5, 0.3, 1.0, 0.1])
+    def test_x_at_the_edges_of_cells(self, sx):
+        pts = self._edge_cloud(0, sx)
         cs = CellSize(sx, 1.0, 1.0)
+        assert _packs(pts, cs)
+        self._check(pts, cs)
+
+    @pytest.mark.parametrize("sz", [1.5, 0.2, 1.0, 0.1])
+    def test_z_at_the_edges_of_cells(self, sz):
+        # the offset field's own coordinate
+        pts = self._edge_cloud(2, sz)
+        cs = CellSize(1.0, 1.0, sz)
         assert _packs(pts, cs)
         self._check(pts, cs)
 
@@ -283,7 +295,7 @@ class TestCanonicalOrder:
         ),
         _CELLSIZES,
     )
-    def test_one_to_four_points_with_the_widest_x_field(self, pts, cs):
+    def test_one_to_four_points_with_the_widest_offset_field(self, pts, cs):
         self._check(pts, cs)
 
     @pytest.mark.parametrize("shift", [1e6, -1e6])
@@ -298,8 +310,8 @@ class TestCanonicalOrder:
             self._check(pts, cs)
 
     def test_negative_zero_ties_with_zero(self):
-        # -0.0 and 0.0 are equal coordinates: only y, z and input position
-        # order them, in x and y alike
+        # -0.0 and 0.0 are equal coordinates: only the later coordinates
+        # and input position order them, in z, x and y alike
         pts = np.array(
             [
                 [0.0, 0.5, 0.5],
@@ -310,15 +322,20 @@ class TestCanonicalOrder:
                 [0.0, 0.25, 0.0],
                 [-5e-324, 0.5, 0.5],
                 [5e-324, 0.5, 0.5],
+                [0.5, 0.5, 0.0],
+                [0.5, 0.5, -0.0],
+                [0.25, 0.5, -0.0],
+                [0.5, 0.5, -5e-324],
             ]
         )
         self._check(pts, CellSize(1.5, 1.0, 1.0))
         self._check(pts[::-1], CellSize(1.5, 1.0, 1.0))
 
     def test_tiny_cells(self):
-        # 2^bx / sx would overflow at sx = 1e-300; x / sx does not
-        pts = np.array([[0.0, 0.0, 0.0], [3e-300, 0.0, 0.0], [2.5e-300, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        self._check(pts, CellSize(1e-300, 1.0, 1.0))
+        # 2^bz / sz would overflow at sz = 1e-300; z / sz does not
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3e-300], [1.0, 0.0, 2.5e-300], [0.0, 0.0, 0.0]])
+        self._check(pts, CellSize(1.0, 1.0, 1e-300))
+        self._check(pts[:, [2, 1, 0]], CellSize(1e-300, 1.0, 1.0))
 
 
 class TestOccupiedBelow:
@@ -369,12 +386,16 @@ class TestRebin:
     def _check(self, pts, keep, coarse=COARSE, fine=FINE):
         """The grid re-binned by the flags of the ``keep`` ids in the
         parent's order equals a fresh one of those points, its ``order``
-        through the map ``keep[want.order]``, and each cell's parent row is
-        the parent cell holding exactly its points, or -1; returns both
-        grids and the rows."""
+        through the map ``keep[want.order]``, and is a cut of the parent:
+        its ``order`` and ``points`` are the parent's at the flagged
+        positions.  Each cell's parent row is the parent cell holding
+        exactly its points, or -1; returns both grids and the rows."""
         keep = np.asarray(keep, dtype=np.int64)
         parent = build_grid(pts, coarse)
-        grid, rows = rebin(parent, id_mask(keep, len(pts))[parent.order], fine)
+        flags = id_mask(keep, len(pts))[parent.order]
+        grid, rows = rebin(parent, flags, fine)
+        assert grid.order.tobytes() == parent.order[flags].tobytes()
+        assert grid.points.tobytes() == parent.points[flags].tobytes()
         want = build_grid(pts[keep], fine)
         assert grid.cellsize == want.cellsize
         for name in self.FIELDS:
@@ -420,7 +441,7 @@ class TestRebin:
     def test_exact_duplicates_on_both_sides_of_a_slab_edge(self, rng):
         # one (x, y) column: copies of the last double below the edge at
         # 0.4 and of 0.4 itself, interleaved with other points, so the
-        # re-sort must keep the copies in input order
+        # cut must keep the copies in input order
         edge = 2 * 0.2
         below = [0.3, 0.5, np.nextafter(edge, -np.inf)]
         above = [0.3, 0.5, edge]
@@ -469,7 +490,7 @@ class TestRebin:
 
     def test_columns_too_far_apart_for_the_packed_key(self, rng):
         # split cells at opposite corners: their cell codes span more than
-        # the packed key holds, so the re-sort takes the lexsort
+        # the packed key holds, so both grids are sorted by the lexsort
         pts = rng.uniform(0, 1.4, (80, 3))
         pts[40:] += 4e6
         assert not _packs(pts, self.FINE)
