@@ -56,7 +56,6 @@ from .region_expansion import (
     build_centroid_index,
     expand,
     ground_mask,
-    id_mask,
     select_seed,
 )
 from .voxel_grid import CellKind, CellSize, GroundState, VoxelGrid, build_grid, rebin
@@ -274,7 +273,10 @@ def _phase_grid(
 ) -> VoxelGrid:
     """``run_phase``'s grid.  With a parent, whose grid it drops, every cell
     holding exactly the points of a parent ground cell (``rebin``) inherits
-    that cell's classification, and the others are left unclassified."""
+    that cell's classification, and the others are left unclassified.
+    Every point takes its parent inlier flag, one compress for all: an
+    inherited cell's are its own, and ``classify_cells`` rewrites those of
+    every cell it classifies."""
     if parent is None:
         return build_grid(points, cellsize)
     pgrid, parent.grid = parent.grid, None
@@ -289,8 +291,7 @@ def _phase_grid(
     grid.kind[inherited] = np.take(pgrid.kind, taken)
     grid.state[inherited] = GroundState.TENTATIVE  # routed ground there, not yet here
     grid.slopes[inherited] = np.take(pgrid.slopes, taken)
-    in_taken = np.repeat(id_mask(taken, len(pgrid.cells)), pgrid.counts)
-    grid.inliers[np.repeat(inherited, grid.counts)] = np.compress(in_taken, pgrid.inliers)
+    grid.inliers = np.compress(kept, pgrid.inliers)
     return grid
 
 

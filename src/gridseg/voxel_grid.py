@@ -129,7 +129,8 @@ def _canonical_order(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Point ids sorted by (cell index, z, x, y, input position), and per
     sorted position whether it starts a new cell.  ``keys`` holds the cell
-    indices and ``fz`` each z / sz, which the sort overwrites.
+    indices as three rows (ix, iy, iz) and ``fz`` each z / sz, which the
+    sort overwrites.
 
     The cell index packs into one code, lexicographic in (ix, iy, iz), and
     each point gets one int64 key (see ``_KEY_LIMIT``): the code, then
@@ -139,27 +140,33 @@ def _canonical_order(
     runs tied on (cell, offset).  A sorted key's low bn bits are its
     point's position and its bits above bn + bz its cell code.  The tied
     runs, each in input position order, are then stably sorted exactly by
-    (z, x, y), so the order does not depend on bz.
+    (z, x, y), so the order does not depend on bz.  The index ranges come
+    from the index rows and the key is packed over them in place.
     """
     n = len(pts)
     first = np.ones(n, dtype=bool)
     if n == 0:
         return np.empty(0, dtype=np.int64), first
-    ix, iy, iz = keys.T
-    low = [int(c.min()) for c in (ix, iy, iz)]
-    span = [int(c.max()) - lo + 1 for c, lo in zip((ix, iy, iz), low)]
+    low = [int(c.min()) for c in keys]
+    span = [int(c.max()) - lo + 1 for c, lo in zip(keys, low)]
     bn = (n - 1).bit_length()
     bz = _KEY_LIMIT.bit_length() - 1 - bn - (math.prod(span) - 1).bit_length()
     if bz < 0:
-        order = np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2], iz, iy, ix))
-        skeys = np.take(keys, order, axis=0)
-        first[1:] = np.any(skeys[1:] != skeys[:-1], axis=1)
+        order = np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2], *keys[::-1]))
+        skeys = np.take(keys, order, axis=1)
+        first[1:] = np.any(skeys[:, 1:] != skeys[:, :-1], axis=0)
         return order, first
     bz = min(bz, 52)
-    fz -= iz  # the offset within the cell
+    fz -= keys[2]  # the offset within the cell
     fz *= 2.0**bz
     np.minimum(fz, 2.0**bz - 1, out=fz)
-    key = ((ix - low[0]) * span[1] + (iy - low[1])) * span[2] + (iz - low[2])
+    # the cell code, in place; a sum may wrap on the way, but the code
+    # itself is below 2^62, so it comes out exact
+    key = keys[0] - low[0]
+    for c, lo, s in zip(keys[1:], low[1:], span[1:]):
+        key *= s
+        key += c
+        key -= lo
     key <<= bz
     np.bitwise_or(key, fz, out=key, casting="unsafe", dtype=np.int64)  # truncates: floors
     key <<= bn
@@ -201,31 +208,40 @@ def build_grid(points: np.ndarray, cellsize: CellSize) -> VoxelGrid:
     packed keys and an exact sort of the few runs they tie (see
     ``_canonical_order``).  Up an (ix, iy) column the points then rise in
     z, so a slab of any other height is a run of this order (``rebin``).
-    Cells start unclassified.  A point without a cell index (see
-    ``_cell_floor``) raises ``ContractViolationError``.
+    The quotients and cell indices are held as (3, n) rows while the key
+    is built, so its passes read contiguous memory; the canonical points
+    then fill the quotients' buffer as (n, 3), and ``cells`` is taken
+    from the index rows at the cell starts.  Cells start unclassified.  A
+    point without a cell index (see ``_cell_floor``) raises
+    ``ContractViolationError``.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    # coordinates over cell sizes a column at a time, about 2x faster than
-    # broadcasting a row of 3 over the points; the floor casts straight
-    # into the integer cell indices, with no temporary
-    scaled = np.empty(pts.shape)
+    # the floor casts straight into the indices, with no temporary
+    scaled = np.empty((3, len(pts)))
     for c, size in enumerate((cellsize.sx, cellsize.sy, cellsize.sz)):
-        np.divide(pts[:, c], size, out=scaled[:, c])
+        np.divide(pts[:, c], size, out=scaled[c])
     keys = _cell_floor(scaled)
-    order, first = _canonical_order(pts, keys, scaled[:, 2])
+    order, first = _canonical_order(pts, keys, scaled[2])
     offsets = np.append(np.flatnonzero(first), len(pts))
     # the quotients are spent, so the canonical points take their buffer
     # (mode "clip" writes it directly; the ids are all in range)
-    ordered = np.take(pts, order, axis=0, out=scaled, mode="clip")
-    cells = np.take(keys, order[offsets[:-1]], axis=0)
-    return _unclassified(cellsize, cells, offsets, order, ordered)
+    ordered = np.take(pts, order, axis=0, out=scaled.reshape(pts.shape), mode="clip")
+    cells = np.column_stack(np.take(keys, order[offsets[:-1]], axis=1))
+    return _unclassified(cellsize, cells, offsets, order, ordered, _means(ordered, offsets))
+
+
+def _means(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The mean point of each run ``points[offsets[c]:offsets[c + 1]]``,
+    summed in that order."""
+    return np.add.reduceat(points, offsets[:-1], axis=0) / np.diff(offsets)[:, None]
 
 
 def _unclassified(
-    cellsize: CellSize, cells: np.ndarray, offsets: np.ndarray, order: np.ndarray, points: np.ndarray
+    cellsize: CellSize, cells: np.ndarray, offsets: np.ndarray, order: np.ndarray,
+    points: np.ndarray, centroids: np.ndarray,
 ) -> VoxelGrid:
-    """The grid of these cells and canonically ordered points: centroids
-    summed in that order, every cell unclassified."""
+    """The grid of these cells, canonically ordered points and centroids,
+    every cell unclassified."""
     k = len(cells)
     return VoxelGrid(
         cellsize=cellsize,
@@ -233,7 +249,7 @@ def _unclassified(
         offsets=offsets,
         order=order,
         points=points,
-        centroids=np.add.reduceat(points, offsets[:-1], axis=0) / np.diff(offsets)[:, None],
+        centroids=centroids,
         kind=np.full(k, CellKind.UNCLASSIFIED, dtype=np.int8),
         state=np.full(k, GroundState.NONE, dtype=np.int8),
         slopes=np.full(k, np.nan),
@@ -250,8 +266,11 @@ def rebin(parent: VoxelGrid, kept: np.ndarray, cellsize: CellSize) -> tuple[Voxe
     Up a column the parent's order rises in z, and slabs ``floor(z / sz)``
     ascend with z, so the kept positions are already in canonical order:
     a cell starts wherever the column or the slab changes, with no sort,
-    at any height, finer or coarser.  Cells start unclassified.  A point
-    without a slab index at the new height raises ``ContractViolationError``.
+    at any height, finer or coarser.  A cell holding a whole parent row
+    has that row's points in its order, hence its centroid to the bit, so
+    it is copied; only the other cells' points are summed.  Cells start
+    unclassified.  A point without a slab index at the new height raises
+    ``ContractViolationError``.
     """
     if (parent.cellsize.sx, parent.cellsize.sy) != (cellsize.sx, cellsize.sy):
         raise ContractViolationError("re-binning keeps the cell footprint")
@@ -267,16 +286,22 @@ def rebin(parent: VoxelGrid, kept: np.ndarray, cellsize: CellSize) -> tuple[Voxe
     offsets = np.append(starts, len(src))
     row = np.searchsorted(parent.offsets, np.take(src, starts), side="right") - 1
     cells = np.column_stack([np.take(parent.cells[:, :2], row, axis=0), np.take(slab, starts)])
+    # a cell that ends at the last position of the parent row it starts in
+    # lies within that row, and holds all of it when it is as large
+    counts = np.diff(offsets)
+    last = np.take(src, offsets[1:] - 1)
+    whole = (last + 1 == np.take(parent.offsets, row + 1)) & (counts == np.take(parent.counts, row))
+    # a whole cell's centroid is its parent row's, to the bit; only the
+    # other cells' points are summed, gathered before the kept points are,
+    # so that they add nothing to the peak memory
+    centroids = np.take(parent.centroids, row, axis=0)
+    summed = np.take(parent.points, np.compress(np.repeat(~whole, counts), src), axis=0)
+    centroids[~whole] = _means(summed, np.append(0, np.cumsum(counts[~whole])))
+    del summed
     ordered = np.take(parent.points, src, axis=0)
     # the slabs are spent, so the point ids take their buffer
     order = np.take(parent.order, src, out=slab, mode="clip")
-    grid = _unclassified(cellsize, cells, offsets, order, ordered)
-    # a cell that ends at the last position of the parent row it starts in
-    # lies within that row, and holds all of it when it is as large
-    last = np.take(src, offsets[1:] - 1)
-    whole = (last + 1 == np.take(parent.offsets, row + 1)) & (
-        grid.counts == np.take(parent.counts, row)
-    )
+    grid = _unclassified(cellsize, cells, offsets, order, ordered, centroids)
     return grid, np.where(whole, row, -1)
 
 

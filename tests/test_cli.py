@@ -195,7 +195,7 @@ class TestEvaluateCommand:
         assert code == 2
         assert "skipped" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dists", ["-5", "0", "8,nan", "inf", "8,-inf"])
+    @pytest.mark.parametrize("dists", ["-5", "0", "8,nan", "inf", "8,-inf", "", "10,x"])
     def test_bad_max_dists_exit_1(self, tmp_path, capsys, dists):
         seq = _make_sequence(tmp_path)
         scans, labels = str(seq / "velodyne"), str(seq / "labels")

@@ -115,3 +115,16 @@ def test_precision_is_zero_when_nothing_is_ground():
     assert precision_recall(np.zeros(2, bool), truth) == (0.0, 0.0)
     assert precision_recall(np.array([True, True]), truth) == (0.5, 1.0)
     assert f1_score(0.0, 0.0) == 0.0 and f1_score(0.5, 1.0) == pytest.approx(2 / 3)
+
+
+def test_the_phase2_height_gate_keeps_precision_on_slope_4():
+    # acceptance criterion 6 passes without the gate (ROADMAP item 16); on
+    # this row switching it off moves points and routes and costs precision
+    scene = gs.make_scene(_slope(4))
+    cloud, truth = gs.scene_cloud(scene), scene.labels == gs.synth.GROUND_LABEL
+    cfg = make_default_config()
+    ungated = dataclasses.replace(cfg.expansion, height_gate=1e9)
+    on, off = (segment(cloud, c) for c in (cfg, dataclasses.replace(cfg, expansion=ungated)))
+    assert not np.array_equal(on.mask, off.mask)
+    assert on.stats.phase2.routes != off.stats.phase2.routes
+    assert precision_recall(on.mask, truth)[0] > precision_recall(off.mask, truth)[0]

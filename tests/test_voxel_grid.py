@@ -20,6 +20,7 @@ from gridseg.voxel_grid import (
 )
 from gridseg.errors import ContractViolationError
 from gridseg.region_expansion import id_mask
+from gridseg.synth import BoxSpec, SceneSpec, make_scene
 
 
 class TestCellIndex:
@@ -330,6 +331,16 @@ class TestCanonicalOrder:
         )
         self._check(pts, CellSize(1.5, 1.0, 1.0))
         self._check(pts[::-1], CellSize(1.5, 1.0, 1.0))
+
+    @pytest.mark.parametrize("decimals", [3, 2])
+    def test_scene_rounded_to_a_millimetre_and_a_centimetre(self, decimals):
+        # coordinates stored to the mm or the cm: 12% and 60% of the points
+        # tie with another on (cell, z), and the tie sort orders them
+        spec = SceneSpec(extent=40, n_ground=20000, boxes=(BoxSpec(6, 4, 2, 2, 1.5),), seed=5)
+        pts = np.round(make_scene(spec).points, decimals)
+        for cs in (CellSize(1.5, 1.0, 1.5), CellSize(1.5, 1.0, 0.2)):
+            assert _packs(pts, cs)
+            self._check(pts, cs)
 
     def test_tiny_cells(self):
         # 2^bz / sz would overflow at sz = 1e-300; z / sz does not
