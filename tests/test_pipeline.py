@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -160,6 +161,18 @@ class TestClassifyCells:
 
 
 _CFG = make_default_config()
+# the scenes of the pinned digests
+DIGEST_SCENES = {
+    "boxes": gs.SceneSpec(
+        extent=24.0,
+        n_ground=8000,
+        boxes=(gs.BoxSpec(5.0, 2.0, 1.5, 1.0, 1.2), gs.BoxSpec(-4.0, -5.0, 2.0, 2.0, 0.8)),
+        seed=21,
+    ),
+    "slope-12": gs.SceneSpec(extent=24.0, n_ground=8000, slope_deg=12.0, seed=22),
+    # the seed-below scene of test_expansion_exactness.PAIR_SCENES
+    "seed-below": gs.SceneSpec(ground_z=-2.2),
+}
 
 
 class TestSegment:
@@ -384,30 +397,36 @@ class TestSegment:
     # eigenplane alone (30 points moved, 12 fewer ground: recall
     # 0.9399 -> 0.9384, precision 1.0)
     @pytest.mark.parametrize(
-        "spec, digest",
+        "name, digest",
         [
-            (
-                gs.SceneSpec(
-                    extent=24.0,
-                    n_ground=8000,
-                    boxes=(
-                        gs.BoxSpec(5.0, 2.0, 1.5, 1.0, 1.2),
-                        gs.BoxSpec(-4.0, -5.0, 2.0, 2.0, 0.8),
-                    ),
-                    seed=21,
-                ),
-                "8e8e93a536a511309b122be639cbe1cb58271bd46371dc9e2b5d278af94fc665",
-            ),
-            (
-                gs.SceneSpec(extent=24.0, n_ground=8000, slope_deg=12.0, seed=22),
-                "b188fdf544bcca96ad953b2189d1d6417ee6b0ad6767d2c23c3c78ba0357f58d",
-            ),
+            ("boxes", "8e8e93a536a511309b122be639cbe1cb58271bd46371dc9e2b5d278af94fc665"),
+            ("slope-12", "b188fdf544bcca96ad953b2189d1d6417ee6b0ad6767d2c23c3c78ba0357f58d"),
         ],
         ids=["boxes", "slope-12"],
     )
-    def test_masks_match_pinned_digests(self, spec, digest):
-        mask = segment(gs.scene_cloud(gs.make_scene(spec))).mask
+    def test_masks_match_pinned_digests(self, name, digest):
+        mask = segment(gs.scene_cloud(gs.make_scene(DIGEST_SCENES[name]))).mask
         assert hashlib.sha256(mask.tobytes()).hexdigest() == digest
+
+    # sha256 of segment()'s stats, timings aside, as sorted JSON; any change
+    # of a count, route or seed flag shows here.  seed-below's Phase-I seed
+    # is not tentative, so none of its tentative cells is reached.
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("boxes", "aafc6a2cfeb66516727f5cee32a4372128626f0e894268029e414ac0d3139bf7"),
+            ("slope-12", "ccdc3e90f632e776b24ec39196a505f2828994b627bd9cc94e18396134363e30"),
+            ("seed-below", "4fcfcbc339bc0a261e1947244be5548c398281b578ba76244b176e31d851d17c"),
+        ],
+        ids=["boxes", "slope-12", "seed-below"],
+    )
+    def test_stats_match_pinned_digests(self, name, digest):
+        stats = segment(gs.scene_cloud(gs.make_scene(DIGEST_SCENES[name]))).stats.as_dict()
+        stats.pop("runtime_ms")
+        for phase in ("phase1", "phase2"):
+            stats[phase].pop("runtime_ms"), stats[phase].pop("stages_ms")
+        text = json.dumps(stats, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_nonfinite_rows_are_non_ground_not_an_error(self):
         cloud = gs.scene_cloud(gs.make_scene(gs.SceneSpec(extent=20.0, seed=3)))
