@@ -86,12 +86,21 @@ def cmd_segment(args) -> int:
     return 2 if failures else 0
 
 
+def _ground_labels(raw: str) -> frozenset[int]:
+    """The ``--ground-labels`` ids; ``ConfigError`` naming the option
+    unless each is an integer."""
+    try:
+        return frozenset(int(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--ground-labels must be integers: {exc}") from None
+
+
 def cmd_evaluate(args) -> int:
     try:
-        labels = frozenset(int(v) for v in args.ground_labels.split(","))
+        labels = _ground_labels(args.ground_labels)
         policy = GroundTruthPolicy(ground_label_ids=labels, range_3d=args.range_3d)
         thresholds = check_thresholds(args.max_dists.split(","), "--max-dists")
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

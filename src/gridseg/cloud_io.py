@@ -45,6 +45,15 @@ class SyntheticSeedInfo:
     depth: float
 
 
+def _read_records(path: str | Path, size: int, dtype: str) -> np.ndarray:
+    """A file's bytes as ``dtype`` values; ``MalformedFileError`` unless
+    they are whole records of ``size`` bytes."""
+    data = Path(path).read_bytes()
+    if len(data) % size != 0:
+        raise MalformedFileError(f"{path}: {len(data)} bytes is not a multiple of {size}")
+    return np.frombuffer(data, dtype=dtype)
+
+
 def read_kitti_bin(path: str | Path) -> PointCloud:
     """Parse a KITTI ``.bin`` scan, one point per record, in file order.
 
@@ -53,24 +62,13 @@ def read_kitti_bin(path: str | Path) -> PointCloud:
     record; ``segment`` leaves rows with a non-finite coordinate
     non-ground and counts them.
     """
-    data = Path(path).read_bytes()
-    if len(data) % POINT_RECORD_BYTES != 0:
-        raise MalformedFileError(
-            f"{path}: {len(data)} bytes is not a multiple of {POINT_RECORD_BYTES}"
-        )
-    records = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
+    records = _read_records(path, POINT_RECORD_BYTES, "<f4").reshape(-1, 4)
     return PointCloud(points=np.ascontiguousarray(records[:, :3], dtype=np.float64))
 
 
 def read_semantic_labels(path: str | Path) -> np.ndarray:
     """Parse a SemanticKITTI ``.label`` file into uint16 class ids."""
-    data = Path(path).read_bytes()
-    if len(data) % LABEL_RECORD_BYTES != 0:
-        raise MalformedFileError(
-            f"{path}: {len(data)} bytes is not a multiple of {LABEL_RECORD_BYTES}"
-        )
-    words = np.frombuffer(data, dtype="<u4")
-    return (words & 0xFFFF).astype(np.uint16)
+    return (_read_records(path, LABEL_RECORD_BYTES, "<u4") & 0xFFFF).astype(np.uint16)
 
 
 def inject_synthetic_seed(

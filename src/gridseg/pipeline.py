@@ -18,8 +18,8 @@ point rather than building its own: its grid is a cut of Phase I's point
 order into slabs, with no sort.  A fine cell equal to a Phase-I ground
 cell has the same points in the same order, hence the same centroid,
 kind, plane and inliers to the bit, as a plane fit depends only on the
-cell's points, so Phase II copies them and classifies only the other
-cells.
+cell's points, so Phase II copies them, gives the cell the outcome
+``PLANAR_TENTATIVE``, and classifies only the other cells.
 The grid equals one built and classified from scratch.
 """
 
@@ -58,6 +58,7 @@ from .region_expansion import (
     ground_mask,
     select_seed,
 )
+from .voxel_grid import KINDS, STATES, Outcome
 from .voxel_grid import CellKind, CellSize, GroundState, VoxelGrid, build_grid, rebin
 
 
@@ -188,7 +189,7 @@ def classify_cells(
     geometry: GeometryParams,
     stats: PhaseStats | None = None,
 ) -> None:
-    """Eigen-classify every ``UNCLASSIFIED`` cell and gate it into a tentative ground state.
+    """Eigen-classify every ``UNCLASSIFIED`` cell and write its ``Outcome`` code.
 
     Covariances, eigen decompositions and plane fits are batched across
     cells, with every per-cell sum taken in canonical within-cell order, so
@@ -197,16 +198,20 @@ def classify_cells(
     eigenvector; ``eigenplane_fits``), a function of the cell's points alone,
     so it does not depend on the phase or on which other cells exist.
     Cells too small for a covariance rank test are non-planar, hence
-    non-ground candidates; so are planar cells whose fit fails.  Cells of
-    another kind (Phase II's inherited ones) are left as they are, and the
-    others classified from one compress of their points.  With ``stats``,
-    the time of the eigen step (gather, covariance, eigen decomposition,
-    kinds) and of the plane-fit step lands in its ``stages_ms``, and the
-    count of failed fits in its ``plane_fits``.
+    non-ground candidates; so are planar cells whose fit fails.  Each
+    classified cell's ``Outcome`` code is written here, with one
+    ``np.select``: a line is ``LINE_TENTATIVE`` or ``LINE_OBSTACLE`` by its
+    tilt, a plane ``PLANAR_TENTATIVE`` or ``TOO_STEEP`` by its slope, a
+    planar cell without a fit ``FIT_FAILED``, any other ``NON_PLANAR``.
+    Cells with another outcome (Phase II's inherited ones) are left as they
+    are, and the others classified from one compress of their points.  With
+    ``stats``, the time of the eigen step (gather, covariance, eigen
+    decomposition, kinds) and of the plane-fit step lands in its
+    ``stages_ms``.
     """
     t0 = time.perf_counter()
     counts, points, centroids = grid.counts, grid.points, grid.centroids
-    todo = grid.kind == CellKind.UNCLASSIFIED
+    todo = grid.outcome == Outcome.UNCLASSIFIED
     rows = at = slice(None)  # the classified cells and their points
     if not todo.all():
         rows = np.flatnonzero(todo)
@@ -231,8 +236,6 @@ def classify_cells(
     # every cell goes to the fit, as gathering the planar cells' points costs
     # more than scoring the others; only the planar ones are fitted
     slopes, inliers = eigenplane_fits(centred, counts, lam, vec, planar, geometry.inlier_threshold)
-    fitted = ~np.isnan(slopes)
-    kinds[planar & ~fitted] = CellKind.NON_PLANAR
 
     # the slope gates, both inclusive: a plane within the threshold of
     # horizontal (a NaN slope, no fit, is not), a line direction at least
@@ -240,29 +243,20 @@ def classify_cells(
     threshold = geometry.slope_threshold_deg
     tentative = slopes <= threshold
     tentative[line] = tilt_deg(np.compress(line, vec[:, :, 0], axis=0)) >= 90.0 - threshold
-    obstacle = line & ~tentative
-    grid.kind[rows] = kinds
-    grid.state[rows] = np.select(
-        [tentative, obstacle], [GroundState.TENTATIVE, GroundState.OBSTACLE], GroundState.NON_GROUND
+    # lines by their tilt; planes by their slope (a tentative cell that is no
+    # line is a fitted plane, a fitted cell a plane); planar cells without a fit
+    grid.outcome[rows] = np.select(
+        [line & tentative, line, tentative, ~np.isnan(slopes), planar],
+        [Outcome.LINE_TENTATIVE, Outcome.LINE_OBSTACLE, Outcome.PLANAR_TENTATIVE,
+         Outcome.TOO_STEEP, Outcome.FIT_FAILED],
+        Outcome.NON_PLANAR,
     )
     grid.slopes[rows] = slopes
     grid.inliers[at] = inliers
 
     if stats is not None:
-        stats.plane_fits["failed"] = int(np.count_nonzero(planar) - fitted.sum())
         stats.stages_ms["eigen"] = (t1 - t0) * 1000.0
         stats.stages_ms["plane_fit"] = (time.perf_counter() - t1) * 1000.0
-
-
-def _count_cells(grid: VoxelGrid, stats: PhaseStats) -> None:
-    """Cell counts of a classified grid, before expansion."""
-    stats.n_cells = len(grid.cells)
-    stats.cells_line = int(np.count_nonzero(grid.kind == CellKind.LINE))
-    stats.cells_planar = int(grid.fitted.sum())
-    stats.cells_non_planar = stats.n_cells - stats.cells_line - stats.cells_planar
-    stats.cells_tentative = int(np.count_nonzero(grid.state == GroundState.TENTATIVE))
-    stats.cells_obstacle = int(np.count_nonzero(grid.state == GroundState.OBSTACLE))
-    stats.plane_fits["eigenplane"] = stats.cells_planar
 
 
 def _phase_grid(
@@ -273,7 +267,8 @@ def _phase_grid(
 ) -> VoxelGrid:
     """``run_phase``'s grid.  With a parent, whose grid it drops, every cell
     holding exactly the points of a parent ground cell (``rebin``) inherits
-    that cell's classification, and the others are left unclassified.
+    that cell's slope, as ``PLANAR_TENTATIVE``, and the others are left
+    unclassified.
     Every point takes its parent inlier flag, one compress for all: an
     inherited cell's are its own, and ``classify_cells`` rewrites those of
     every cell it classifies."""
@@ -287,10 +282,9 @@ def _phase_grid(
     # a cell equal to a parent ground cell classifies the same, as a plane
     # fit depends only on the cell's points
     inherited = (rows >= 0) & (np.take(pgrid.state, rows) == GroundState.GROUND)
-    taken = np.compress(inherited, rows)
-    grid.kind[inherited] = np.take(pgrid.kind, taken)
-    grid.state[inherited] = GroundState.TENTATIVE  # routed ground there, not yet here
-    grid.slopes[inherited] = np.take(pgrid.slopes, taken)
+    # routed ground there, which takes a plane fit, and not yet reached here
+    grid.outcome[inherited] = Outcome.PLANAR_TENTATIVE
+    grid.slopes[inherited] = np.take(pgrid.slopes, np.compress(inherited, rows))
     grid.inliers = np.compress(kept, pgrid.inliers)
     return grid
 
@@ -310,11 +304,14 @@ def run_phase(
     Phase I's result on the same points and configuration, it is Phase II,
     on every point of Phase I's ground cells (inliers and outliers) and
     the lattice: Phase I's grid is re-binned (``rebin``), not rebuilt, and
-    dropped.  Each cell equal to a Phase-I ground cell takes over its kind,
-    slope and inliers, in state tentative; ``classify_cells`` classifies the other cells.  The
-    grid equals ``build_grid`` plus ``classify_cells`` on the phase's
-    points, to the bit.  The centroid index of the tentative cells is timed
-    as ``index``, and expansion, which searches it, as ``expand``.
+    dropped.  Each cell equal to a Phase-I ground cell takes over its slope
+    and inliers, as ``PLANAR_TENTATIVE`` (``_phase_grid``);
+    ``classify_cells`` writes the other cells' outcomes, and ``expand``
+    those of the cells it reaches.  The grid equals ``build_grid`` plus
+    ``classify_cells`` on the phase's points, to the bit.  The centroid
+    index of the tentative cells is timed as ``index``, and expansion,
+    which searches it, as ``expand``.  Every cell count of ``stats`` is
+    read from one ``np.bincount`` of the final outcomes.
 
     The phase's ground points are the inliers of the result grid's GROUND
     cells, rows of ``points`` that ``ground_mask`` flags; every other point
@@ -331,9 +328,8 @@ def run_phase(
     grid = _phase_grid(points, pcfg.cellsize, seed_info, parent)
     stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
     stats.n_points = len(grid.order)
-    stats.cells_inherited = int(np.count_nonzero(grid.kind != CellKind.UNCLASSIFIED))
+    stats.cells_inherited = int(np.count_nonzero(grid.outcome))  # not UNCLASSIFIED
     classify_cells(grid, cfg.geometry, stats)
-    _count_cells(grid, stats)
 
     seed = select_seed(grid, seed_info)
     stats.seed_ok = bool(grid.state[grid.find(seed)] == GroundState.TENTATIVE)
@@ -342,14 +338,20 @@ def run_phase(
         t = time.perf_counter()
         index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
         t1 = time.perf_counter()
-        ground = expand(
-            grid, index, seed, cfg.geometry, cfg.expansion, phase,
-            log=log, route_counts=stats.routes,
-        )
+        ground = expand(grid, index, seed, cfg.geometry, cfg.expansion, phase, log=log)
         stats.stages_ms["index"] = (t1 - t) * 1000.0
         stats.stages_ms["expand"] = (time.perf_counter() - t1) * 1000.0
-        stats.cells_expanded = sum(stats.routes.values())
-    stats.cells_routed_ground = int(np.count_nonzero(grid.state == GroundState.GROUND))
+    # the cells per outcome, and from them per kind
+    n = np.bincount(grid.outcome, minlength=len(STATES))
+    kinds = np.bincount(KINDS, n, len(CellKind)).astype(np.int64).tolist()
+    stats.n_cells = len(grid.cells)
+    stats.cells_line, stats.cells_planar, stats.cells_non_planar = kinds[CellKind.LINE:]
+    stats.cells_obstacle = int(n[Outcome.LINE_OBSTACLE])
+    stats.cells_routed_ground = int(n[STATES == GroundState.GROUND].sum())
+    stats.cells_tentative = int(n[Outcome.LINE_TENTATIVE:].sum())
+    stats.routes = dict(zip(REASONS, n[Outcome.ROUTED:].tolist()))
+    stats.cells_expanded = sum(stats.routes.values())
+    stats.plane_fits = {"eigenplane": stats.cells_planar, "failed": int(n[Outcome.FIT_FAILED])}
     stats.points_ground = ground
     stats.points_non_ground = stats.n_points - ground
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0

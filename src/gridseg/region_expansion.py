@@ -49,21 +49,13 @@ import numpy as np
 from .cell_geometry import GeometryParams, segment_sparsity
 from .cloud_io import SyntheticSeedInfo
 from .errors import ConfigError, ContractViolationError, check_fields
+from .voxel_grid import REASONS, STATES, Outcome
 from .voxel_grid import CellIndex, GroundState, VoxelGrid, cell_index, occupied_below
 
-# Refinement outcomes in rule order; a cell's route reason is one of these.
-REASONS = (
-    "no plane fit",
-    "no ground inliers",
-    "no outliers",
-    "sparsity unambiguous",
-    "ambiguous with no ground neighbors",
-    "ambiguous and elevated above lowest neighbor",
-    "ambiguous with non-ground cell below",
-    "ambiguous checks passed",
-)
 _AMBIGUOUS = 4  # reasons from this position on are those of ambiguous cells
-_ROUTES_GROUND = np.array([False, False, True, True, False, False, False, True])
+# per outcome code, whether a cell is settled non-ground: an obstacle, or
+# classified or routed non-ground; such a cell below an ambiguous one rejects it
+_SETTLED_NON_GROUND = (STATES == GroundState.NON_GROUND) | (STATES == GroundState.OBSTACLE)
 # rounding margin of the pair search, in column widths: below 2**30, a
 # centroid's column position is rounded by at most 2**-23 of a width
 _MARGIN = 2.0**-20
@@ -257,21 +249,15 @@ def refine_cell(
 
     ``neighbor_ground_cells`` are the grid rows of its ground neighbors.
     Returns (is_ground, reason); see ``refine_reasons``.  The cell below
-    counts as non-ground by its current state.
+    counts as non-ground by its current outcome.
     """
     inputs = [x[cell] for x in _refine_inputs(grid, np.array([cell]), geometry)]
     heights = cell_heights(grid, np.array([cell, *neighbor_ground_cells]))
     rise = heights[0] - heights[1:].min() if len(neighbor_ground_cells) else math.nan
     below = occupied_below(grid, [cell])[0]
-    below_non_ground = below >= 0 and bool(_rejects_above(grid.state[below]))
+    below_non_ground = below >= 0 and bool(_SETTLED_NON_GROUND[grid.outcome[below]])
     reason = int(refine_reasons(*inputs, rise, below_non_ground, expansion))
-    return bool(_ROUTES_GROUND[reason]), REASONS[reason]
-
-
-def _rejects_above(states):
-    """Whether an occupied cell in each of these states makes the
-    ambiguous cell above it non-ground: it is non-ground or an obstacle."""
-    return (states == GroundState.NON_GROUND) | (states == GroundState.OBSTACLE)
+    return bool(STATES[Outcome.ROUTED + reason] == GroundState.GROUND), REASONS[reason]
 
 
 def _refine_inputs(grid: VoxelGrid, rows: np.ndarray, geometry: GeometryParams):
@@ -402,15 +388,15 @@ def _reach(
 
 def _ambiguous_reasons(grid, ids, amb, i, j, inputs, expansion) -> np.ndarray:
     """Reasons of the ambiguous cells at index positions ``amb``, whose
-    other refinement inputs are ``inputs``, once ``grid.state`` holds the
+    other refinement inputs are ``inputs``, once ``grid.outcome`` holds the
     routes of the other reached cells.
 
     A radius neighbor (the other end of a pair ``(i[k], j[k])`` of index
     positions with an end in ``amb``; the pairs hold every such pair, and
     may hold others) counts as ground when its state is GROUND, and the
-    occupied cell below as non-ground when its state is NON_GROUND or
-    OBSTACLE: ambiguous and unreached cells are still TENTATIVE, so only
-    settled decisions count.
+    occupied cell below as non-ground when it is settled so
+    (``_SETTLED_NON_GROUND``): ambiguous and unreached cells are still
+    TENTATIVE, so only settled decisions count.
     """
     slot = np.full(len(ids), -1)  # index position -> position in amb
     slot[amb] = np.arange(len(amb))
@@ -426,7 +412,7 @@ def _ambiguous_reasons(grid, ids, amb, i, j, inputs, expansion) -> np.ndarray:
     np.minimum.at(low, owner, height[nb])
     rise = np.where(low < np.inf, height[amb] - low, np.nan)
     below = occupied_below(grid, ids[amb])
-    below_non_ground = (below >= 0) & _rejects_above(grid.state[below])
+    below_non_ground = (below >= 0) & _SETTLED_NON_GROUND[grid.outcome[below]]
     return refine_reasons(*inputs, rise, below_non_ground, expansion)
 
 
@@ -438,7 +424,6 @@ def expand(
     expansion: ExpansionParams,
     phase: int,
     log: ExpansionLog | None = None,
-    route_counts: dict[str, int] | None = None,
 ) -> int:
     """Ground expansion from the seed cell, in phase 1 or 2.
 
@@ -452,14 +437,16 @@ def expand(
     and the ambiguous cells.  The reached ambiguous ones are then refined
     once more, at once, from the routes of the others
     (``_ambiguous_reasons``), over every radius pair with an ambiguous end,
-    in phase 2 over the gate too.  Final states land in ``grid.state``:
-    GROUND or NON_GROUND for reached cells, unreached ones stay TENTATIVE.
+    in phase 2 over the gate too.  Each reached cell's outcome becomes
+    ``Outcome.ROUTED`` plus its reason, which makes its state GROUND or
+    NON_GROUND (``STATES``); unreached ones stay tentative.  While the
+    ambiguous ones are refined, they hold ``PLANAR_TENTATIVE``, as they
+    all have a plane fit.
 
     Returns the number of ground points: the inliers of the cells it
     routed to GROUND, summed from their inlier counts, so no per-point
     array is built; ``ground_mask`` flags those points.  A given ``log``
-    receives the routes in ascending grid-row order; a given
-    ``route_counts`` the number of cells per reason in ``REASONS``.
+    receives the routes in ascending grid-row order.
     """
     if phase not in (1, 2):
         raise ContractViolationError(f"phase must be 1 or 2, got {phase}")
@@ -470,11 +457,8 @@ def expand(
     n = len(ids)
     if np.any(ids[1:] <= ids[:-1]):
         raise ContractViolationError("centroid index cells must be in ascending index order")
-    if n and (
-        ids[0] < 0
-        or ids[-1] >= len(grid.cells)
-        or np.any(grid.state[ids] != GroundState.TENTATIVE)
-    ):
+    outside = n > 0 and (ids[0] < 0 or ids[-1] >= len(grid.cells))
+    if outside or np.any(grid.state[ids] != GroundState.TENTATIVE):
         raise ContractViolationError("centroid index cells must be tentative ground cells")
     s = int(np.searchsorted(ids, seed_row))
     if s == n or ids[s] != seed_row:
@@ -491,24 +475,20 @@ def expand(
     reached = np.flatnonzero(in_reach)  # index positions, ascending
     cells, reasons = ids[reached], reasons[reached]
     inputs = [x[reached] for x in inputs]
-    ground = _ROUTES_GROUND[reasons]
-    ambiguous = np.flatnonzero(reasons >= _AMBIGUOUS)
-    if len(ambiguous):
-        # the other cells' routes first; the ambiguous ones stay TENTATIVE
-        grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
-        grid.state[cells[ambiguous]] = GroundState.TENTATIVE
+    ambiguous = reasons >= _AMBIGUOUS
+    if ambiguous.any():
+        # the other cells' routes first; the ambiguous ones stay tentative
+        grid.outcome[cells] = np.where(ambiguous, Outcome.PLANAR_TENTATIVE, Outcome.ROUTED + reasons)
         # ambiguous cells see all their radius neighbors, over the gate too
         reasons[ambiguous] = _ambiguous_reasons(
             grid, ids, reached[ambiguous], i, j, [x[ambiguous] for x in inputs], expansion
         )
-        ground = _ROUTES_GROUND[reasons]
-    grid.state[cells] = np.where(ground, GroundState.GROUND, GroundState.NON_GROUND)
+    grid.outcome[cells] = Outcome.ROUTED + reasons
+    ground = STATES[grid.outcome[cells]] == GroundState.GROUND
 
     if log is not None:
         routes = [("non_ground", "ground")[g] for g in ground.tolist()]
         log.routes.extend(zip(_cell_indices(grid, cells), routes, [REASONS[r] for r in reasons]))
-    if route_counts is not None:
-        route_counts.update(zip(REASONS, np.bincount(reasons, minlength=len(REASONS)).tolist()))
     return int(np.compress(ground, inputs[1]).sum())
 
 

@@ -4,10 +4,12 @@ Points are binned by true floor division of their coordinates by the cell
 size (floor toward -inf, so negative coordinates land in the right cell).
 Only occupied cells exist.  The grid is a compressed sparse row layout: the
 occupied cell indices in ascending order, and per cell a run of one
-canonical point order, rising in z.  Per-cell classification state sits in
-arrays beside them, one row per cell.  ``build_grid`` bins a point cloud
-with one sort; ``rebin`` bins some of a grid's points at another cell
-height by cutting the grid's point order into slabs, keeping its point ids.
+canonical point order, rising in z.  Per-cell arrays sit beside them, one
+row per cell; a cell's classification is one ``Outcome`` code, from which
+its ``CellKind`` and ``GroundState`` are read (``KINDS``, ``STATES``).
+``build_grid`` bins a point cloud with one sort; ``rebin`` bins some of a
+grid's points at another cell height by cutting the grid's point order
+into slabs, keeping its point ids.
 """
 
 from __future__ import annotations
@@ -39,6 +41,46 @@ class GroundState(IntEnum):
     NON_GROUND = 4
 
 
+# Refinement outcomes in rule order; a reached cell's route reason is one of these.
+REASONS = (
+    "no plane fit",
+    "no ground inliers",
+    "no outliers",
+    "sparsity unambiguous",
+    "ambiguous with no ground neighbors",
+    "ambiguous and elevated above lowest neighbor",
+    "ambiguous with non-ground cell below",
+    "ambiguous checks passed",
+)
+
+
+class Outcome(IntEnum):
+    """What became of a cell: unclassified; rejected by classification; or
+    tentative ground, by kind, and then, once expansion reaches it,
+    ``ROUTED + i`` for ``REASONS[i]``.  The codes from ``LINE_TENTATIVE``
+    on are the cells that classification gated tentative."""
+
+    UNCLASSIFIED = 0
+    LINE_OBSTACLE = 1  # a line steeper than the slope threshold
+    NON_PLANAR = 2
+    FIT_FAILED = 3  # planar, but its points determine no plane
+    TOO_STEEP = 4  # a plane steeper than the slope threshold
+    LINE_TENTATIVE = 5
+    PLANAR_TENTATIVE = 6
+    ROUTED = 7
+
+
+_L, _P, _X = CellKind.LINE, CellKind.PLANAR, CellKind.NON_PLANAR
+_T, _G, _N = GroundState.TENTATIVE, GroundState.GROUND, GroundState.NON_GROUND
+# Each code's CellKind and GroundState, in Outcome's order up to ROUTED, then
+# per reason: a routed cell is a line exactly when it holds no plane fit (all
+# other tentative cells are fitted planes), and it is ground after "no
+# outliers", "sparsity unambiguous" and "ambiguous checks passed".
+_ROUTED = [_N, _N, _G, _G, _N, _N, _N, _G]  # the state of each reason's cells
+KINDS = np.array([CellKind.UNCLASSIFIED, _L, _X, _X, _P, _L, _P, _L] + [_P] * 7, np.int8)
+STATES = np.array([GroundState.NONE, GroundState.OBSTACLE, _N, _N, _N, _T, _T] + _ROUTED, np.int8)
+
+
 @dataclass(frozen=True)
 class CellSize:
     sx: float
@@ -52,7 +94,7 @@ class CellSize:
 
 @dataclass(eq=False)
 class VoxelGrid:
-    """Occupied cells of a point cloud and their classification state.
+    """Occupied cells of a point cloud and their classification.
 
     Cell ``c`` is row ``c`` of every per-cell array.  Its index is
     ``cells[c]`` (rows ascending), and it holds the point ids
@@ -65,9 +107,11 @@ class VoxelGrid:
     ``centroids`` holds each cell's mean point, summed in that order;
     covariances and plane fits are centred on it.
 
-    ``slopes`` holds each cell's plane slope in degrees, NaN for a cell
-    without a plane fit (``fitted``); the plane's normal and offset are not
-    kept, as no stage reads them after the inlier split.  ``inliers`` runs
+    ``outcome`` holds each cell's ``Outcome`` code, the one record of its
+    classification and route; ``state`` is read from it.  ``slopes`` holds
+    each cell's plane slope in degrees, NaN for a cell without a plane fit
+    (``fitted``); the plane's normal and offset are not kept, as no stage
+    reads them after the inlier split.  ``inliers`` runs
     parallel to ``order`` and flags the points within the inlier threshold
     of their cell's plane.
     """
@@ -78,10 +122,17 @@ class VoxelGrid:
     order: np.ndarray
     points: np.ndarray
     centroids: np.ndarray
-    kind: np.ndarray
-    state: np.ndarray
+    outcome: np.ndarray
     slopes: np.ndarray
     inliers: np.ndarray
+
+    @property
+    def state(self) -> np.ndarray:
+        """Each cell's ``GroundState`` by its outcome (``STATES``), read-only:
+        a write raises rather than go unseen."""
+        state = np.take(STATES, self.outcome)
+        state.flags.writeable = False
+        return state
 
     @property
     def counts(self) -> np.ndarray:
@@ -250,8 +301,7 @@ def _unclassified(
         order=order,
         points=points,
         centroids=centroids,
-        kind=np.full(k, CellKind.UNCLASSIFIED, dtype=np.int8),
-        state=np.full(k, GroundState.NONE, dtype=np.int8),
+        outcome=np.full(k, Outcome.UNCLASSIFIED, dtype=np.int8),
         slopes=np.full(k, np.nan),
         inliers=np.zeros(len(points), dtype=bool),
     )

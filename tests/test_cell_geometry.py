@@ -20,7 +20,7 @@ from gridseg.cell_geometry import (
 )
 from gridseg.errors import ContractViolationError, FitFailureError
 from gridseg.pipeline import classify_cells
-from gridseg.voxel_grid import CellKind, CellSize, GroundState, build_grid
+from gridseg.voxel_grid import KINDS, CellKind, CellSize, GroundState, build_grid
 
 PARAMS = GeometryParams()
 
@@ -217,7 +217,7 @@ def _classified_cell(points, slope_threshold_deg=30.0):
     grid = build_grid(np.asarray(points, dtype=np.float64), CellSize(1.5, 1.5, 1.5))
     assert len(grid.cells) == 1
     classify_cells(grid, GeometryParams(slope_threshold_deg=slope_threshold_deg))
-    return CellKind(grid.kind[0]), GroundState(grid.state[0]), grid.slopes[0]
+    return CellKind(KINDS[grid.outcome[0]]), GroundState(grid.state[0]), grid.slopes[0]
 
 
 def _line(direction, n=20):

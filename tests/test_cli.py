@@ -204,6 +204,15 @@ class TestEvaluateCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: --max-dists") and captured.out == ""
 
+    @pytest.mark.parametrize("labels", ["x", "", "1,x", "40,,44"])
+    def test_bad_ground_labels_exit_1(self, tmp_path, capsys, labels):
+        seq = _make_sequence(tmp_path)
+        scans, labels_dir = str(seq / "velodyne"), str(seq / "labels")
+        argv = ["evaluate", "--scans", scans, "--labels", labels_dir, f"--ground-labels={labels}"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --ground-labels") and captured.out == ""
+
     def test_repeated_max_dist_exit_1(self, tmp_path, capsys):
         # a repeated threshold would weight its range twice in the aggregate
         seq = _make_sequence(tmp_path)

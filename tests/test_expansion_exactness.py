@@ -36,7 +36,7 @@ from gridseg.region_expansion import (
     ground_mask,
     select_seed,
 )
-from gridseg.voxel_grid import CellSize, GroundState, build_grid, cell_index
+from gridseg.voxel_grid import CellSize, GroundState, Outcome, build_grid, cell_index
 
 GEO = GeometryParams()
 CFG = make_default_config()
@@ -274,7 +274,7 @@ def test_expand_matches_reference_on_both_phases(name):
 
 
 def _reference_segment(monkeypatch, cloud):
-    def reference(grid, index, seed, geometry, expansion, phase, log=None, route_counts=None):
+    def reference(grid, index, seed, geometry, expansion, phase, log=None):
         log = ExpansionLog() if log is None else log
         # the rows of the cloud that the grid's point ids index (in Phase
         # II a subset of it: the other rows are never read)
@@ -285,11 +285,12 @@ def _reference_segment(monkeypatch, cloud):
         out = _reference_expand(
             cells, points, _record_index(cells, keys), seed, geometry, expansion, phase, log=log
         )
-        grid.state[:] = [c.ground_state for c in cells.values()]
-        # segment reads the ground points from the grid's states
+        # the routed cells' outcomes, from which segment reads the ground
+        # points and counts the routes
+        for i, _, reason in log.routes:
+            grid.outcome[grid.find(i)] = Outcome.ROUTED + REASONS.index(reason)
+        np.testing.assert_array_equal(grid.state, [c.ground_state for c in cells.values()])
         np.testing.assert_array_equal(np.flatnonzero(ground_mask(grid, len(points))), out)
-        for _, _, reason in log.routes:
-            route_counts[reason] += 1
         return len(out)
 
     with monkeypatch.context() as m:
@@ -329,12 +330,13 @@ def _hand_built(layout):
 
     def make_grid():
         grid = build_grid(points, CellSize(1.0, 1.0, 1.0))
-        grid.state[:] = GroundState.TENTATIVE
         for x0, z, kind in layout:
             c = grid.find(cell_index((x0 + 0.5, 0.5, z), grid.cellsize))
+            no_plane = kind == "no_plane"
+            grid.outcome[c] = Outcome.LINE_TENTATIVE if no_plane else Outcome.PLANAR_TENTATIVE
             span = grid.span(c)
             ids = np.sort(grid.order[span])
-            if kind != "no_plane":
+            if not no_plane:
                 grid.slopes[c] = tilt_deg([0, 0, 1.0])[0]
                 split = len(ids) if kind == "ground" else 50
                 grid.inliers[span] = np.isin(grid.order[span], ids[:split])

@@ -16,7 +16,15 @@ from gridseg.pipeline import (
     segment,
 )
 from gridseg.region_expansion import ground_mask
-from gridseg.voxel_grid import CellKind, CellSize, GroundState, build_grid
+from gridseg.voxel_grid import (
+    KINDS,
+    STATES,
+    CellKind,
+    CellSize,
+    GroundState,
+    Outcome,
+    build_grid,
+)
 
 
 class TestDefaultConfig:
@@ -122,7 +130,7 @@ class TestClassifyCells:
         assert set(grid.counts.tolist()) == {1, 2}
         stats = PhaseStats()
         classify_cells(grid, self.GEO, stats)
-        assert (grid.kind == CellKind.NON_PLANAR).all()
+        assert (KINDS[grid.outcome] == CellKind.NON_PLANAR).all()
         assert (grid.state == GroundState.NON_GROUND).all()
         assert not grid.fitted.any() and not grid.inliers.any()
         assert stats.plane_fits["failed"] == 0
@@ -131,7 +139,7 @@ class TestClassifyCells:
         grid = build_grid(np.empty((0, 3)), CellSize(1.5, 1.0, 1.5))
         stats = PhaseStats()
         classify_cells(grid, self.GEO, stats)
-        assert len(grid.kind) == len(grid.state) == len(grid.inliers) == 0
+        assert len(grid.outcome) == len(grid.state) == len(grid.inliers) == 0
         assert stats.plane_fits["failed"] == 0
 
     def test_only_unclassified_cells_change(self, rng):
@@ -144,20 +152,19 @@ class TestClassifyCells:
         preset = np.zeros(len(grid.cells), dtype=bool)
         preset[::3] = True
         in_preset = np.repeat(preset, grid.counts)
-        grid.kind[preset] = CellKind.LINE
-        grid.state[preset] = GroundState.OBSTACLE
+        grid.outcome[preset] = Outcome.LINE_OBSTACLE
         grid.slopes[preset] = 7.0
         grid.inliers[in_preset] = True
         classify_cells(grid, self.GEO)
-        assert (grid.kind[preset] == CellKind.LINE).all()
+        assert (KINDS[grid.outcome[preset]] == CellKind.LINE).all()
         assert (grid.state[preset] == GroundState.OBSTACLE).all()
         assert (grid.slopes[preset] == 7.0).all()
         assert grid.inliers[in_preset].all()
-        for name in ("kind", "state", "slopes"):
+        for name in ("outcome", "state", "slopes"):
             a, b = getattr(grid, name)[~preset], getattr(want, name)[~preset]
             assert a.tobytes() == b.tobytes(), name
         assert np.array_equal(grid.inliers[~in_preset], want.inliers[~in_preset])
-        assert (want.kind[~preset] != CellKind.UNCLASSIFIED).all()
+        assert (KINDS[want.outcome[~preset]] != CellKind.UNCLASSIFIED).all()
 
 
 _CFG = make_default_config()
@@ -295,7 +302,7 @@ class TestSegment:
             np.testing.assert_allclose(C_batch[k], C_ref[0], rtol=1e-9, atol=1e-12)
             if len(pts_c) >= MIN_POINTS_FOR_EIGEN:
                 kind_ref = CellKind(eigen_kinds(sorted_eigen(C_ref)[0], geo)[0])
-                kind = CellKind(grid.kind[k])
+                kind = CellKind(KINDS[grid.outcome[k]])
                 assert kind is kind_ref or kind is CellKind.NON_PLANAR
                 # a planar-classified cell may only demote on a failed plane fit,
                 # which cannot happen on cells this size
@@ -381,9 +388,9 @@ class TestSegment:
         want = eigen_kinds(lapack, geo)
         want[grid.counts < MIN_POINTS_FOR_EIGEN] = CellKind.NON_PLANAR
         want[(want == CellKind.PLANAR) & ~grid.fitted] = CellKind.NON_PLANAR
-        np.testing.assert_array_equal(grid.kind, want)
+        np.testing.assert_array_equal(KINDS[grid.outcome], want)
         rows = [grid.find(tuple(np.floor(c[0] / size).astype(int))) for c in cells]
-        kinds = grid.kind[rows]
+        kinds = KINDS[grid.outcome[rows]]
         assert (kinds[:10] != CellKind.PLANAR).all()
         assert (kinds[10:90] == CellKind.LINE).all()
         assert (kinds[90:] == CellKind.NON_PLANAR).all()
@@ -427,6 +434,25 @@ class TestSegment:
             stats[phase].pop("runtime_ms"), stats[phase].pop("stages_ms")
         text = json.dumps(stats, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_state_is_a_read_only_view_of_the_outcomes(self):
+        # both phases of segment() on the boxes scene; a cell is a plane
+        # exactly when it holds a plane fit, routed or not
+        cloud = gs.scene_cloud(gs.make_scene(DIGEST_SCENES["boxes"]))
+        seeded, info = inject_synthetic_seed(
+            cloud, _CFG.robot_radius, _CFG.dist_to_ground, _CFG.seed_spacing
+        )
+        r1 = run_phase(seeded.points, _CFG, info)
+        grids = [r1.grid]
+        grids.append(run_phase(seeded.points, _CFG, info, parent=r1).grid)
+        for grid in grids:
+            assert (grid.outcome >= Outcome.ROUTED).any()
+            np.testing.assert_array_equal(grid.state, STATES[grid.outcome])
+            np.testing.assert_array_equal(KINDS[grid.outcome] == CellKind.PLANAR, grid.fitted)
+            with pytest.raises(ValueError):
+                grid.state[0] = GroundState.GROUND
+            with pytest.raises(ValueError):
+                grid.state[:] = GroundState.TENTATIVE
 
     def test_nonfinite_rows_are_non_ground_not_an_error(self):
         cloud = gs.scene_cloud(gs.make_scene(gs.SceneSpec(extent=20.0, seed=3)))

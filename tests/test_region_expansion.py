@@ -30,6 +30,7 @@ from gridseg.region_expansion import _component
 from gridseg.voxel_grid import (
     CellSize,
     GroundState,
+    Outcome,
     build_grid,
     cell_index,
     occupied_below,
@@ -496,7 +497,7 @@ class TestBreadthFirst:
         x[-tail:] += 10.0
         pts = np.column_stack([x, np.zeros(n), rng.uniform(0, 0.5, n)])
         grid = build_grid(pts, CellSize(1.0, 1.0, 1.0))
-        grid.state[:] = GroundState.TENTATIVE
+        grid.outcome[:] = Outcome.LINE_TENTATIVE  # no plane fit
         index = _tentative_index(grid)
         radius, source = 2.5, n // 2
         i, j = index.pairs(radius)
@@ -691,9 +692,9 @@ class TestRefineCell:
             ]
         )
         grid = build_grid(pts, CellSize(10, 10, 10))
-        grid.state[grid.find((0, 0, 0))] = GroundState.NON_GROUND
+        grid.outcome[grid.find((0, 0, 0))] = Outcome.NON_PLANAR
         cell = _fit_cell(grid, (0, 0, 1), self.plane, range(50))
-        grid.state[cell] = GroundState.TENTATIVE
+        grid.outcome[cell] = Outcome.PLANAR_TENTATIVE
         nb = grid.find((5, 0, 1))
         ok, reason = refine_cell(cell, grid, [nb], GEO, ExpansionParams())
         assert not ok and "below" in reason
@@ -733,7 +734,7 @@ class TestExpand:
         pts, info = _flat_cloud_with_seed(rng, extent=2.0, n=100)
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         seed = select_seed(grid, info)
-        grid.state[grid.find(seed)] = GroundState.NON_GROUND
+        grid.outcome[grid.find(seed)] = Outcome.NON_PLANAR
         index = build_centroid_index(grid, [])
         with pytest.raises(ContractViolationError):
             expand(grid, index, seed, GEO, ExpansionParams(), phase=1)
@@ -760,7 +761,7 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         seed = select_seed(grid, info)
         other = 0 if grid.find(seed) != 0 else 1
-        grid.state[other] = GroundState.OBSTACLE
+        grid.outcome[other] = Outcome.LINE_OBSTACLE
         index = build_centroid_index(grid, np.arange(len(grid.cells)))
         with pytest.raises(ContractViolationError, match="must be tentative"):
             expand(grid, index, seed, GEO, ExpansionParams(), phase=1)

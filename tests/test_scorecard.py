@@ -128,3 +128,17 @@ def test_the_phase2_height_gate_keeps_precision_on_slope_4():
     assert not np.array_equal(on.mask, off.mask)
     assert on.stats.phase2.routes != off.stats.phase2.routes
     assert precision_recall(on.mask, truth)[0] > precision_recall(off.mask, truth)[0]
+
+
+def test_the_elevation_check_keeps_precision_on_slope_8():
+    # the ambiguity elevation check (ROADMAP item 16) fires on Phase-I cells
+    # of this row; switching it off routes them to ground and costs precision
+    scene = gs.make_scene(_slope(8))
+    cloud, truth = gs.scene_cloud(scene), scene.labels == gs.synth.GROUND_LABEL
+    cfg = make_default_config()
+    unchecked = dataclasses.replace(cfg.expansion, ambiguity_elevation_threshold=1e9)
+    on, off = (segment(cloud, c) for c in (cfg, dataclasses.replace(cfg, expansion=unchecked)))
+    assert not np.array_equal(on.mask, off.mask)
+    elevated = "ambiguous and elevated above lowest neighbor"
+    assert on.stats.phase1.routes[elevated] > 0 == off.stats.phase1.routes[elevated]
+    assert precision_recall(on.mask, truth)[0] > precision_recall(off.mask, truth)[0]

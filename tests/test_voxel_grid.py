@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from gridseg.voxel_grid import (
     _KEY_LIMIT,
+    KINDS,
     CellKind,
     CellSize,
     GroundState,
@@ -72,7 +73,7 @@ class TestBuildGrid:
         assert grid.find((0, 0, 0)) == 0
         assert sorted(grid.order[grid.span(0)].tolist()) == [0, 1]
         np.testing.assert_allclose(grid.centroids[0], [0.2, 0.2, 0.2])
-        assert grid.kind[0] == CellKind.UNCLASSIFIED
+        assert KINDS[grid.outcome[0]] == CellKind.UNCLASSIFIED
         assert grid.state[0] == GroundState.NONE
         assert not grid.fitted[0] and not grid.inliers.any()
 
