@@ -13,12 +13,14 @@ plane's slope from its normal and a line's tilt from its direction, so
 both slope gates (``pipeline.classify_cells``) read the same rule.
 
 Covariances are summed one product column at a time over the points
-centred on the cell means (centred once per phase, and the plane fits read
-the same centred points), and eigen decompositions use a closed-form 3x3
-solver (``sorted_eigen``) instead of LAPACK.  Every step is elementwise
-over cells, with each sum written out in a fixed order, so a cell's result
-depends neither on which other cells share the call nor on the memory
-layout of the arrays.  The one remaining one-cell wrapper,
+centred on the cell means, and eigen decompositions use a closed-form 3x3
+solver (``sorted_eigen``) instead of LAPACK.  The points are centred once
+per phase into three contiguous coordinate rows (``centre_segments``), so
+every covariance product and every plane distance reads unit-stride
+memory, and the plane fits read the same centred points.  Every step is
+elementwise over cells, with each sum written out in a fixed order, so a
+cell's result depends neither on which other cells share the call nor on
+the memory layout of the arrays.  The one remaining one-cell wrapper,
 ``ransac_plane``, is a one-cell ``eigenplane_fits`` call that also
 returns the plane's normal and offset; it stays for the acceptance suite's
 plane-fit criterion and for the benchmark's layer tracer, which hooks it by
@@ -127,19 +129,24 @@ def centre_segments(points: np.ndarray, means: np.ndarray, counts: np.ndarray):
 
     One column at a time, so no per-point copy of the means' rows is made;
     the differences are those of ``points - np.repeat(means, counts,
-    axis=0)`` to the bit.
+    axis=0)`` to the bit.  They are written into three contiguous rows, one
+    per coordinate, and returned as the (n, 3) transpose of those rows, so
+    that each coordinate column of the result is unit-stride.
     """
     points = np.asarray(points)
-    out = np.empty(points.shape)
+    out = np.empty((3, len(points)))
     for c in range(3):
-        np.subtract(points[:, c], np.repeat(means[:, c], counts), out=out[:, c])
-    return out
+        np.subtract(points[:, c], np.repeat(means[:, c], counts), out=out[c])
+    return out.T
 
 
 def centred_covariance(q: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Population covariance of consecutive segments of points ``q`` that
     are already centred on their segment means (see ``segment_covariance``):
-    the mean of each of the six distinct products, summed in point order."""
+    the mean of each of the six distinct products, summed in point order.
+    The products read ``q`` a column at a time, so the transposed rows that
+    ``centre_segments`` returns read fastest; any layout gives the same
+    bits."""
     counts = np.asarray(counts)
     starts = np.cumsum(counts) - counts
     x, y, z = q[:, 0], q[:, 1], q[:, 2]
@@ -297,8 +304,9 @@ def eigenplane_fits(
 
     ``centred`` holds the cells' points back to back, ``counts[i]`` points
     for cell i, each less its cell's mean point (as ``centre_segments``
-    gives them); ``eigenvalues`` and ``eigenvectors`` are the cells'
-    covariance eigenpairs as ``sorted_eigen`` gives them.
+    gives them, whose unit-stride columns the distances read fastest; any
+    layout gives the same bits); ``eigenvalues`` and ``eigenvectors`` are
+    the cells' covariance eigenpairs as ``sorted_eigen`` gives them.
 
     A cell's plane is its eigenplane, the plane through the centroid normal
     to the smallest covariance eigenvector: the least-squares plane of all

@@ -3,7 +3,7 @@
 Tentative-ground cells are linked when their centroids lie within the search
 radius, and the ground region is the seed cell's connected component over
 those links, found on link lists by hooking roots and jumping pointers
-(``_component``), with no neighbor graph and no sort.  Expansion does not
+(``_roots``), with no neighbor graph and no sort.  Expansion does not
 list every link.  Each cell tries two row links in grid order, to the next
 cell and to the first cell of the next x column at its y or beyond, and
 keeps those within the radius (``_row_links``).  Only the cells outside the
@@ -115,7 +115,9 @@ class CentroidIndex:
         cx, cy = (np.floor(uv) + 2.0**30).astype(np.int64).T
         stride = 2**31 + 2 * reach + 1
         code = cx * stride + cy + reach
-        order = np.argsort(code).astype(np.int32 if n < 2**31 else np.int64)
+        # the codes come in grid order, in few ascending runs, which the
+        # stable (run-adaptive) sort takes in about linear time
+        order = np.argsort(code, kind="stable").astype(np.int32 if n < 2**31 else np.int64)
         code = np.take(code, order)
         flag = np.ones(n, bool) if fresh is None else np.asarray(fresh, dtype=bool)
         queries = np.flatnonzero(flag).astype(order.dtype)
@@ -309,7 +311,10 @@ def _row_links(cells: np.ndarray, centroids: np.ndarray, radius: float):
     n = len(cells)
     own = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
     x, y = cells[:, 0], cells[:, 1]
-    first, after = (np.searchsorted(x, x, side) for side in ("left", "right"))
+    # each cell's x run, from where x changes in one pass
+    starts = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+    lengths = np.diff(np.append(starts, n))
+    first, after = np.repeat(starts, lengths), np.repeat(starts + lengths, lengths)
     y_rank = np.searchsorted(np.sort(y), y)
     ahead = np.searchsorted(first * n + y_rank, after * n + y_rank).astype(own.dtype)
     far = (ahead > own + 1) & (ahead < n)  # not the next cell, nor past the last
@@ -328,19 +333,23 @@ def _gated(z: np.ndarray, i: np.ndarray, j: np.ndarray, gate: float | None):
     return np.compress(keep, i), np.compress(keep, j)
 
 
-def _component(n: int, i: np.ndarray, j: np.ndarray, source: int) -> np.ndarray:
-    """Mask of the nodes that ``source`` reaches over ``n`` nodes linked by
-    the pairs ``(i[k], j[k])``, either way round: its connected component.
+def _roots(root: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The root of every node once the pairs ``(i[k], j[k])``, either way
+    round, link the nodes that ``root`` points to roots: nodes of one
+    connected component share a root.  ``root`` must point every node to a
+    root no larger than it, as ``np.arange(n)`` (no links yet) or an earlier
+    result does, so a search resumes from the roots it left; it is written
+    over.
 
-    Every node points to a root, at first itself.  A round hooks the higher
-    root of each pair to the lowest root paired with it, so a root only
-    ever points to a smaller label and no cycle can form; jumps pointers
-    until every node points to a root; and keeps, as pairs of roots, the
-    pairs whose roots still differ (Shiloach and Vishkin, J. Algorithms
-    1982).  Hooking to the lowest root, not the last one written, keeps the
-    rounds few: a star whose centre holds the largest label takes two.
+    A round hooks the higher root of each pair to the lowest root paired
+    with it, so a root only ever points to a smaller label and no cycle can
+    form; jumps pointers until every node points to a root; and keeps, as
+    pairs of roots, the pairs whose roots still differ (Shiloach and
+    Vishkin, J. Algorithms 1982).  Hooking to the lowest root, not the last
+    one written, keeps the rounds few: a star whose centre holds the
+    largest label takes two.
     """
-    root = np.arange(n, dtype=i.dtype)
+    i, j = np.take(root, i), np.take(root, j)
     while len(i):
         np.minimum.at(root, np.maximum(i, j), np.minimum(i, j))
         jumped = np.take(root, root)
@@ -349,7 +358,7 @@ def _component(n: int, i: np.ndarray, j: np.ndarray, source: int) -> np.ndarray:
         i, j = np.take(root, i), np.take(root, j)
         differ = i != j
         i, j = np.compress(differ, i), np.compress(differ, j)
-    return root == root[source]
+    return root
 
 
 def _reach(
@@ -369,20 +378,21 @@ def _reach(
     the row links (none when no cell is either).
 
     The component is found over the row links (``_row_links``) and the
-    links of that search.  That is exact: a link left out has both ends in
-    the source's component over the row links, which is connected already.
+    links of that search, resumed from the row links' roots (``_roots``).
+    That is exact: a link left out has both ends in the source's component
+    over the row links, which is connected already.
     """
     z = index.centroids[:, 2]
     ri, rj = _gated(z, *_row_links(cells, index.centroids, radius), gate)
-    in_reach = _component(len(cells), ri, rj, source)
+    root = _roots(np.arange(len(cells), dtype=ri.dtype), ri, rj)
+    in_reach = root == root[source]
     fresh = flags | ~in_reach
     if not fresh.any():
         return in_reach, ri[:0], rj[:0]
     i, j = index.pairs(radius, fresh)
     if not in_reach.all():
-        gi, gj = _gated(z, i, j, gate)
-        ri, rj = np.concatenate([ri, gi]), np.concatenate([rj, gj])
-        in_reach = _component(len(cells), ri, rj, source)
+        root = _roots(root, *_gated(z, i, j, gate))
+        in_reach = root == root[source]
     return in_reach, i, j
 
 

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from gridseg.cell_geometry import (
     GeometryParams,
     Sparsity,
+    centre_segments,
     centred_covariance,
     eigen_kinds,
     eigenplane_fits,
@@ -105,6 +106,28 @@ class TestSegmentCovariance:
         centred = grid.points - np.repeat(grid.centroids, grid.counts, axis=0)
         assert np.array_equal(centred_covariance(centred, grid.counts), want)
         assert np.array_equal(segment_covariance(grid.points, grid.counts), want)
+
+    def test_centred_points_lie_in_contiguous_coordinate_rows(self, rng):
+        # centre_segments writes one contiguous row per coordinate and
+        # returns its (n, 3) transpose, with the bits of the row-repeat
+        # formula; the covariances and plane fits read it as they read a
+        # C-ordered copy, to the bit
+        counts = np.concatenate([np.arange(1, 301), rng.integers(1, 301, 100)])
+        pts = _cells_like_a_scan(rng, counts)
+        means = np.add.reduceat(pts, np.cumsum(counts) - counts, axis=0) / counts[:, None]
+        centred = centre_segments(pts, means, counts)
+        assert centred.shape == pts.shape and centred.T.flags.c_contiguous
+        copy = np.ascontiguousarray(centred)
+        assert copy.flags.c_contiguous
+        assert copy.tobytes() == (pts - np.repeat(means, counts, axis=0)).tobytes()
+        C = centred_covariance(centred, counts)
+        assert C.tobytes() == centred_covariance(copy, counts).tobytes()
+        lam, vec = sorted_eigen(C)
+        fit = rng.random(len(counts)) < 0.8
+        got = eigenplane_fits(centred, counts, lam, vec, fit, 0.05)
+        want = eigenplane_fits(copy, counts, lam, vec, fit, 0.05)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes() and 0 < got[1].sum() < len(pts)
 
 
 def _rotation(rng):

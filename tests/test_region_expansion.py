@@ -26,7 +26,7 @@ from gridseg.region_expansion import (
     refine_cell,
     select_seed,
 )
-from gridseg.region_expansion import _component
+from gridseg.region_expansion import _roots
 from gridseg.voxel_grid import (
     CellSize,
     GroundState,
@@ -310,6 +310,13 @@ def _breadth_first(n, i, j, source):
     return sorted(reached)
 
 
+def _component(n, i, j, source):
+    """Mask of the nodes in the connected component of ``source`` over the
+    pairs ``(i[k], j[k])``: one ``_roots`` search from no links."""
+    root = _roots(np.arange(n, dtype=i.dtype), i, j)
+    return root == root[source]
+
+
 def _pairs_of(edges, rng, dtype):
     """Arrays (i, j) of the given edges, each once, in random order and
     random direction."""
@@ -320,7 +327,7 @@ def _pairs_of(edges, rng, dtype):
 
 
 class TestBreadthFirstOracle:
-    """``_component``, hooking roots and jumping pointers on the pair list,
+    """``_roots``, hooking roots and jumping pointers on the pair list,
     against a breadth-first search over both directions of the same pairs."""
 
     @staticmethod
@@ -410,6 +417,51 @@ class TestBreadthFirstOracle:
         keep = ~(np.isin(i, list(ends)) & np.isin(j, list(ends)))
         order = self._assert_matches_oracle(n, i[keep], j[keep], int(path[0]))
         assert order.tolist() == sorted(path[: n // 3 + 1].tolist())
+
+    @given(
+        st.integers(1, 60),
+        st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=150),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([np.int32, np.int64]),
+    )
+    def test_resumed_roots_equal_one_pass(self, n, edges, seed, dtype):
+        # the pairs split in two: the roots of the first part, resumed over
+        # the second, are the roots of one pass over all of them
+        rng = np.random.default_rng(seed)
+        i, j = _pairs_of([(a % n, b % n) for a, b in edges], rng, dtype)
+        cut = int(rng.integers(len(i) + 1))
+        once = _roots(np.arange(n, dtype=dtype), i, j)
+        first = _roots(np.arange(n, dtype=dtype), i[:cut], j[:cut])
+        resumed = _roots(first.copy(), i[cut:], j[cut:])
+        assert resumed.tolist() == once.tolist()
+        for source in range(n):
+            assert np.flatnonzero(resumed == resumed[source]).tolist() == _breadth_first(
+                n, i, j, source
+            )
+
+    def test_resumed_star_whose_centre_holds_the_largest_label(self):
+        # the even leaves' pairs first, then the odd leaves' pairs and one
+        # pair joining a part apart: the resumed search hooks the centre's
+        # root (leaf 0) under no leaf, and every odd leaf and the far part
+        # under it
+        leaves = 3000
+        leaf = np.arange(leaves, dtype=np.int32)
+        centre = np.full(leaves, leaves, dtype=np.int32)
+        even, odd = leaf % 2 == 0, leaf % 2 == 1
+        far = np.array([leaves + 1], dtype=np.int32), np.array([leaves + 2], dtype=np.int32)
+        first = _roots(np.arange(leaves + 3, dtype=np.int32), *(
+            np.concatenate([a, f]) for a, f in zip((leaf[even], centre[even]), far)
+        ))
+        assert first[leaves] == 0 and first[1] == 1 and first[leaves + 2] == leaves + 1
+        i = np.append(centre[odd], leaves + 2)
+        j = np.append(leaf[odd], 7)
+        resumed = _roots(first, i, j)
+        once = _roots(
+            np.arange(leaves + 3, dtype=np.int32),
+            np.concatenate([leaf, far[0], i]),
+            np.concatenate([centre, far[1], j]),
+        )
+        assert resumed.tolist() == once.tolist() == [0] * (leaves + 3)
 
     def test_isolated_seed(self, rng):
         i, j = _pairs_of([(0, 1), (3, 4)], rng, np.int32)

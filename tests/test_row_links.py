@@ -15,9 +15,9 @@ import numpy as np
 from conftest import BruteForceIndex
 from hypothesis import given
 from hypothesis import strategies as st
-from test_region_expansion import _breadth_first
+from test_region_expansion import _breadth_first, _component
 
-from gridseg.region_expansion import CentroidIndex, _component, _gated, _reach, _row_links
+from gridseg.region_expansion import CentroidIndex, _gated, _reach, _row_links
 
 GATE = 0.25
 

@@ -142,3 +142,20 @@ def test_the_elevation_check_keeps_precision_on_slope_8():
     elevated = "ambiguous and elevated above lowest neighbor"
     assert on.stats.phase1.routes[elevated] > 0 == off.stats.phase1.routes[elevated]
     assert precision_recall(on.mask, truth)[0] > precision_recall(off.mask, truth)[0]
+
+
+def test_the_cell_below_check_fires_on_noisy_slope_2(monkeypatch):
+    # the cell-below check (ROADMAP item 16) fires on Phase-I and Phase-II
+    # cells of this noisy B5 scene; with no outcome counted settled
+    # non-ground it never fires and points move.  Nothing is asserted about
+    # precision: on this scene the check costs recall and gains no precision
+    spec = gs.SceneSpec(extent=40, n_ground=20000, noise_sigma=0.1, slope_deg=2, boxes=B5, seed=5)
+    cloud = gs.scene_cloud(gs.make_scene(spec))
+    on = segment(cloud)
+    settled = gs.region_expansion._SETTLED_NON_GROUND
+    monkeypatch.setattr(gs.region_expansion, "_SETTLED_NON_GROUND", np.zeros_like(settled))
+    off = segment(cloud)
+    assert not np.array_equal(on.mask, off.mask)
+    below = "ambiguous with non-ground cell below"
+    assert on.stats.phase1.routes[below] > 0 == off.stats.phase1.routes[below]
+    assert off.stats.phase2.routes[below] == 0
