@@ -14,7 +14,10 @@ both slope gates (``pipeline.classify_cells``) read the same rule.
 
 Covariances are summed one product column at a time over the points
 centred on the cell means, and eigen decompositions use a closed-form 3x3
-solver (``sorted_eigen``) instead of LAPACK.  The points are centred once
+solver (``sorted_eigen``) instead of LAPACK, which picks between per-row
+cases with ``np.where`` and gathers or stacks nothing across rows.  Any
+batch of cells can go to it, those too small to classify included: each
+row's result is its own.  The points are centred once
 per phase into three contiguous coordinate rows (``centre_segments``), so
 every covariance product and every plane distance reads unit-stride
 memory, and the plane fits read the same centred points.  Every step is
@@ -146,7 +149,10 @@ def centred_covariance(q: np.ndarray, counts: np.ndarray) -> np.ndarray:
     the mean of each of the six distinct products, summed in point order.
     The products read ``q`` a column at a time, so the transposed rows that
     ``centre_segments`` returns read fastest; any layout gives the same
-    bits."""
+    bits.  Each product is summed by its own ``np.add.reduceat`` as soon
+    as it is made, while it is still in cache: writing all six into one
+    (6, n) array for one two-dimensional ``reduceat`` gives the same bits
+    but streams six times the memory and is slower."""
     counts = np.asarray(counts)
     starts = np.cumsum(counts) - counts
     x, y, z = q[:, 0], q[:, 1], q[:, 2]
@@ -160,14 +166,23 @@ def _cross(r, s):
     return (r[1] * s[2] - r[2] * s[1], r[2] * s[0] - r[0] * s[2], r[0] * s[1] - r[1] * s[0])
 
 
-def _bilinear(b, x, y):
-    """x^T B y per row, for B given by its six distinct entries ``b``."""
+def _times(b, y):
+    """B y per row, for B given by its six distinct entries ``b``."""
     b00, b01, b02, b11, b12, b22 = b
     return (
-        x[0] * (b00 * y[0] + b01 * y[1] + b02 * y[2])
-        + x[1] * (b01 * y[0] + b11 * y[1] + b12 * y[2])
-        + x[2] * (b02 * y[0] + b12 * y[1] + b22 * y[2])
+        b00 * y[0] + b01 * y[1] + b02 * y[2],
+        b01 * y[0] + b11 * y[1] + b12 * y[2],
+        b02 * y[0] + b12 * y[1] + b22 * y[2],
     )
+
+
+def _dot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _select(pick, x, y):
+    """Per row, the components of ``x`` where ``pick`` holds, else of ``y``."""
+    return [np.where(pick, i, j) for i, j in zip(x, y)]
 
 
 def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +211,12 @@ def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     treated as scalar (B = 0).
 
     Every step is elementwise arithmetic on one row, so a matrix gets the
-    same bits batched or alone.
+    same bits batched or alone.  Where a row takes one of several cases
+    (which cross product is longest, the first of them on a tie; which
+    eigenpair lands in which output slot), ``np.where`` selects it; no
+    index array gathers across rows.  The outputs are written slot by slot
+    into (3, k) and (3, 3, k) buffers and returned as their transposed
+    views.
     """
     C = np.asarray(C, dtype=np.float64).reshape(-1, 3, 3)
     a = [C[:, i, j] for i, j in _UPPER]
@@ -218,21 +238,23 @@ def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top = beta1 - beta2 >= beta2 - beta3
     beta = np.where(top, beta1, beta3)
 
-    # the end eigenvector: the longest cross product of two rows of B - beta I
+    # the end eigenvector: the longest cross product of two rows of B - beta I,
+    # the first of them on a tie
     r0, r1, r2 = (b00 - beta, b01, b02), (b01, b11 - beta, b12), (b02, b12, b22 - beta)
-    cross = np.array([_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)])
-    norm2 = cross[:, 0] ** 2 + cross[:, 1] ** 2 + cross[:, 2] ** 2
-    pick = norm2.argmax(axis=0)
-    at = np.arange(len(q))
-    v = cross[pick, :, at].T / np.sqrt(norm2[pick, at])
+    cross = (_cross(r0, r1), _cross(r0, r2), _cross(r1, r2))
+    n01, n02, n12 = (c[0] ** 2 + c[1] ** 2 + c[2] ** 2 for c in cross)
+    first, second = (n01 >= n02) & (n01 >= n12), n02 >= n12
+    norm = np.sqrt(np.where(first, n01, np.where(second, n02, n12)))
+    v = [c / norm for c in _select(first, cross[0], _select(second, cross[1], cross[2]))]
 
     # an orthonormal basis (u, w) of its complement, and B's 2x2 block there
     sign = np.copysign(1.0, v[2])
     h = -1.0 / (sign + v[2])
     m = v[0] * v[1] * h
-    u = np.array([1.0 + sign * v[0] * v[0] * h, sign * m, -sign * v[0]])
-    w = np.array([m, sign + v[1] * v[1] * h, -v[1]])
-    g_uu, g_ww, g_uw = _bilinear(b, u, u), _bilinear(b, w, w), _bilinear(b, u, w)
+    u = (1.0 + sign * v[0] * v[0] * h, sign * m, -sign * v[0])
+    w = (m, sign + v[1] * v[1] * h, -v[1])
+    bw = _times(b, w)
+    g_uu, g_ww, g_uw = _dot(u, _times(b, u)), _dot(w, bw), _dot(u, bw)
     half_diff = 0.5 * (g_uu - g_ww)
     mean = 0.5 * (g_uu + g_ww)
     radius = np.hypot(half_diff, g_uw)
@@ -242,23 +264,27 @@ def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 = np.where(right, g_uw, radius - half_diff)
     length = np.hypot(e0, e1)
     flat = length == 0.0  # the block is scalar: any basis diagonalises it
-    length[flat] = 1.0
-    e0, e1 = e0 / length, e1 / length
-    e0[flat] = 1.0
+    length = np.where(flat, 1.0, length)
+    e0, e1 = np.where(flat, 1.0, e0 / length), e1 / length
 
-    values = np.array([_bilinear(b, v, v), mean + radius, mean - radius])
-    vectors = np.array([v, e0 * u + e1 * w, e0 * w - e1 * u])
-    # top: (end, block high, block low), else (block high, block low, end)
-    swap = np.where(top, values[1] > values[0], values[0] > values[2])
-    perm = np.array(
-        [
-            np.where(top & ~swap, 0, 1),
-            np.where(swap, 0, np.where(top, 1, 2)),
-            np.where(top | swap, 2, 0),
-        ]
+    # each eigenpair as (value, x, y, z): the end one, the block's high and low
+    end = (_dot(v, _times(b, v)), *v)
+    high = (mean + radius, *(e0 * i + e1 * j for i, j in zip(u, w)))
+    low = (mean - radius, *(e0 * j - e1 * i for i, j in zip(u, w)))
+    # top: (end, high, low), else (high, low, end); a swap puts the end
+    # value between the other two where round-off takes it past one
+    swap = np.where(top, high[0] > end[0], end[0] > low[0])
+    slots = (
+        _select(top & ~swap, end, high),
+        _select(swap, end, _select(top, high, low)),
+        _select(top | swap, low, end),
     )
-    lam = np.maximum(q + p * np.take_along_axis(values, perm, axis=0), 0.0)
-    vec = np.take_along_axis(vectors, perm[:, None, :], axis=0)
+    # slot-major buffers, returned transposed: (k, 3) and (k, 3, 3)
+    lam, vec = np.empty((3, len(q))), np.empty((3, 3, len(q)))
+    for slot, (value, *vector) in enumerate(slots):
+        lam[slot] = value
+        vec[slot] = vector
+    np.maximum(q + p * lam, 0.0, out=lam)
     return lam.T, vec.transpose(2, 1, 0)
 
 

@@ -53,6 +53,7 @@ from .region_expansion import (
     REASONS,
     ExpansionLog,
     ExpansionParams,
+    _ranges,
     build_centroid_index,
     expand,
     ground_mask,
@@ -204,10 +205,13 @@ def classify_cells(
     tilt, a plane ``PLANAR_TENTATIVE`` or ``TOO_STEEP`` by its slope, a
     planar cell without a fit ``FIT_FAILED``, any other ``NON_PLANAR``.
     Cells with another outcome (Phase II's inherited ones) are left as they
-    are, and the others classified from one compress of their points.  With
-    ``stats``, the time of the eigen step (gather, covariance, eigen
-    decomposition, kinds) and of the plane-fit step lands in its
-    ``stages_ms``.
+    are, and the others classified from the points at their positions
+    alone, whose inliers are written back there.  Every classified cell
+    goes through the eigen solver, and the eigenvalues of those under
+    ``MIN_POINTS_FOR_EIGEN`` points are then zeroed: a cell's eigenpairs
+    do not depend on the other cells of the batch.  With ``stats``, the
+    time of the eigen step (gather, covariance, eigen decomposition,
+    kinds) and of the plane-fit step lands in its ``stages_ms``.
     """
     t0 = time.perf_counter()
     counts, points, centroids = grid.counts, grid.points, grid.centroids
@@ -215,20 +219,14 @@ def classify_cells(
     rows = at = slice(None)  # the classified cells and their points
     if not todo.all():
         rows = np.flatnonzero(todo)
-        at = np.repeat(todo, counts)
-        points = np.compress(at, points, axis=0)
         counts, centroids = (np.take(a, rows, axis=0) for a in (counts, centroids))
-    m = len(counts)
+        at = _ranges(np.take(grid.offsets, rows), counts)
+        points = np.take(points, at, axis=0)
 
-    eligible = counts >= MIN_POINTS_FOR_EIGEN
-    lam = np.zeros((m, 3))
-    vec = np.zeros((m, 3, 3))
     # every point less its cell's centroid, for the covariances and the plane fits
     centred = centre_segments(points, centroids, counts)
-    # every cell's covariance costs less than gathering the points of the
-    # eligible ones, which hold nearly all points
-    C = centred_covariance(centred, counts)
-    lam[eligible], vec[eligible] = sorted_eigen(np.compress(eligible, C, axis=0))
+    lam, vec = sorted_eigen(centred_covariance(centred, counts))
+    np.copyto(lam, 0.0, where=(counts < MIN_POINTS_FOR_EIGEN)[:, None])
     kinds = eigen_kinds(lam, geometry)
     t1 = time.perf_counter()
     line = kinds == CellKind.LINE

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gridseg as gs
 from gridseg.cell_geometry import (
     GeometryParams,
     Sparsity,
@@ -176,6 +178,45 @@ class TestSortedEigen:
         for i in range(len(C)):
             alone_w, alone_v = sorted_eigen(C[i : i + 1])
             assert np.array_equal(alone_w[0], w[i]) and np.array_equal(alone_v[0], v[i])
+
+    def test_bits_match_pinned_digest(self):
+        # sha256 of the eigenvalues' and eigenvectors' bytes on a seeded
+        # batch: hard matrices, the covariances of a scene grid's cells and
+        # edge cases (zero, rank 1 from two points, isotropic, a repeated
+        # diagonal entry, entries near the smallest normal double); any
+        # change of the solver's arithmetic shows here
+        rng = np.random.default_rng(39)
+        boxes = (gs.BoxSpec(3.0, 2.0, 1.5, 1.0, 1.2), gs.BoxSpec(-4.0, -3.0, 2.0, 2.0, 0.8))
+        scene = gs.make_scene(gs.SceneSpec(extent=16.0, n_ground=3000, boxes=boxes, seed=39))
+        grid = build_grid(scene.points, CellSize(1.5, 1.5, 0.2))
+        centred = centre_segments(grid.points, grid.centroids, grid.counts)
+        tiny = np.finfo(np.float64).tiny
+        M = np.array([[4.0, 1.0, -2.0], [1.0, 3.0, 0.5], [-2.0, 0.5, 1.0]])
+        C = np.concatenate(
+            [
+                _hard_matrices(rng, 1.0),
+                _hard_matrices(rng, 1e-3),
+                centred_covariance(centred, grid.counts),
+                [np.zeros((3, 3))],
+                [_covariance_of([[0.3, -1.2, 0.7], [1.1, 0.4, 0.2]])],
+                [np.eye(3) * 0.25],
+                [np.diag([0.5, 2.0, 0.5])],
+                [M * 8 * tiny, M * 1e-154],
+            ]
+        )
+        # the batch itself: its hard matrices go through LAPACK's qr and a
+        # BLAS product, so another numpy build can change them; this tells
+        # that apart from a change of the solver
+        batch = hashlib.sha256(C.tobytes()).hexdigest()
+        assert batch == "889d351f8ead7b3d852703e7a791c14eb7e3cbce209af5f0b441b8f55546f6e7"
+        w, v = sorted_eigen(C)
+        assert w.shape == (len(C), 3) and v.shape == (len(C), 3, 3)
+        digest = hashlib.sha256(w.tobytes() + v.tobytes()).hexdigest()
+        assert digest == "acbf033faf6f4696a70c7a5e3e5ed0478d6d0932a3abe9b5daf7451e0712c412"
+        # each matrix solved alone gives its batched row, byte for byte
+        for i in range(len(C)):
+            alone_w, alone_v = sorted_eigen(C[i])
+            assert alone_w.tobytes() == w[i].tobytes() and alone_v.tobytes() == v[i].tobytes()
 
 
 def _eigen_of(C):

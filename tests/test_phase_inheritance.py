@@ -33,9 +33,14 @@ SCENES = {
     # noisy ground: many single-slab Phase-I ground cells hold outliers of
     # their plane, and are inherited all the same
     "noisy": gs.SceneSpec(extent=24.0, n_ground=8000, noise_sigma=0.05, seed=11),
+    # flat ground without noise: every Phase-II cell is a Phase-I ground
+    # cell, so Phase II inherits them all and classifies none
+    "flat": gs.SceneSpec(extent=24.0, n_ground=8000, noise_sigma=0.0, seed=5),
 }
 # the exclusion each scene must exercise at least once
 EXCLUDES = {"straddle": "shared"}
+# the scenes whose Phase II inherits every cell
+ALL_INHERITED = {"flat"}
 
 
 def _phase2_grid(monkeypatch, run):
@@ -121,6 +126,8 @@ def test_phase2_grid_equals_fresh_grid(monkeypatch, name):
     assert stats.phase1.cells_inherited == 0
     if name in EXCLUDES:
         assert kinds[EXCLUDES[name]] >= 1
+    if name in ALL_INHERITED:
+        assert stats.phase2.cells_inherited == stats.phase2.n_cells
 
 
 def test_phase2_drops_the_parent_grid():
