@@ -44,7 +44,8 @@ seed = select_seed(grid, info)
 print("seed cell (directly under the robot):", seed)
 
 log = ExpansionLog()
-ground = expand(grid, index, seed, geometry, ExpansionParams(search_radius=5.0), phase=1, log=log)
+ground = expand(grid, index, seed, geometry, ExpansionParams(search_radius=5.0), phase=1)
+log.record(grid)
 print(f"expansion reached {len(log.routes)} of {len(tentative)} tentative cells")
 # expand returns the ground count; ground_mask flags the points themselves
 assert ground == ground_mask(grid, len(pts)).sum()

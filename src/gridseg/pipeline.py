@@ -203,10 +203,11 @@ def classify_cells(
     classified cell's ``Outcome`` code is written here, with one
     ``np.select``: a line is ``LINE_TENTATIVE`` or ``LINE_OBSTACLE`` by its
     tilt, a plane ``PLANAR_TENTATIVE`` or ``TOO_STEEP`` by its slope, a
-    planar cell without a fit ``FIT_FAILED``, any other ``NON_PLANAR``.
-    Cells with another outcome (Phase II's inherited ones) are left as they
-    are, and the others classified from the points at their positions
-    alone, whose inliers are written back there.  Every classified cell
+    planar cell without a fit ``FIT_FAILED``, any other ``NON_PLANAR``; the
+    slopes serve the gates only, and none is stored.  Cells with another
+    outcome (Phase II's inherited ones) are left as they are, and the
+    others classified from the points at their positions alone, whose
+    inliers are written back there.  Every classified cell
     goes through the eigen solver, and the eigenvalues of those under
     ``MIN_POINTS_FOR_EIGEN`` points are then zeroed: a cell's eigenpairs
     do not depend on the other cells of the batch.  With ``stats``, the
@@ -249,7 +250,6 @@ def classify_cells(
          Outcome.TOO_STEEP, Outcome.FIT_FAILED],
         Outcome.NON_PLANAR,
     )
-    grid.slopes[rows] = slopes
     grid.inliers[at] = inliers
 
     if stats is not None:
@@ -264,9 +264,9 @@ def _phase_grid(
     parent: PhaseResult | None,
 ) -> VoxelGrid:
     """``run_phase``'s grid.  With a parent, whose grid it drops, every cell
-    holding exactly the points of a parent ground cell (``rebin``) inherits
-    that cell's slope, as ``PLANAR_TENTATIVE``, and the others are left
-    unclassified.
+    holding exactly the points of a parent ground cell (``rebin``) becomes
+    ``PLANAR_TENTATIVE``, as that cell's plane fit is its own, and the
+    others are left unclassified.
     Every point takes its parent inlier flag, one compress for all: an
     inherited cell's are its own, and ``classify_cells`` rewrites those of
     every cell it classifies."""
@@ -282,7 +282,6 @@ def _phase_grid(
     inherited = (rows >= 0) & (np.take(pgrid.state, rows) == GroundState.GROUND)
     # routed ground there, which takes a plane fit, and not yet reached here
     grid.outcome[inherited] = Outcome.PLANAR_TENTATIVE
-    grid.slopes[inherited] = np.take(pgrid.slopes, np.compress(inherited, rows))
     grid.inliers = np.compress(kept, pgrid.inliers)
     return grid
 
@@ -302,8 +301,8 @@ def run_phase(
     Phase I's result on the same points and configuration, it is Phase II,
     on every point of Phase I's ground cells (inliers and outliers) and
     the lattice: Phase I's grid is re-binned (``rebin``), not rebuilt, and
-    dropped.  Each cell equal to a Phase-I ground cell takes over its slope
-    and inliers, as ``PLANAR_TENTATIVE`` (``_phase_grid``);
+    dropped.  Each cell equal to a Phase-I ground cell takes over its
+    inliers, as ``PLANAR_TENTATIVE`` (``_phase_grid``);
     ``classify_cells`` writes the other cells' outcomes, and ``expand``
     those of the cells it reaches.  The grid equals ``build_grid`` plus
     ``classify_cells`` on the phase's points, to the bit.  The centroid
@@ -314,7 +313,8 @@ def run_phase(
     The phase's ground points are the inliers of the result grid's GROUND
     cells, rows of ``points`` that ``ground_mask`` flags; every other point
     of the phase is non-ground.  Only their number is taken here, from
-    ``expand``, into ``stats.points_ground``.
+    ``expand``, into ``stats.points_ground``.  A given ``log`` records the
+    routes from the outcomes after ``expand`` (``ExpansionLog.record``).
     """
     t0 = time.perf_counter()
     phase, pcfg = (1, cfg.phase1) if parent is None else (2, cfg.phase2)
@@ -336,9 +336,11 @@ def run_phase(
         t = time.perf_counter()
         index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
         t1 = time.perf_counter()
-        ground = expand(grid, index, seed, cfg.geometry, cfg.expansion, phase, log=log)
+        ground = expand(grid, index, seed, cfg.geometry, cfg.expansion, phase)
         stats.stages_ms["index"] = (t1 - t) * 1000.0
         stats.stages_ms["expand"] = (time.perf_counter() - t1) * 1000.0
+        if log is not None:
+            log.record(grid)
     # the cells per outcome, and from them per kind
     n = np.bincount(grid.outcome, minlength=len(STATES))
     kinds = np.bincount(KINDS, n, len(CellKind)).astype(np.int64).tolist()

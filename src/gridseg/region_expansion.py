@@ -159,9 +159,20 @@ class CentroidIndex:
 
 @dataclass
 class ExpansionLog:
-    """Optional trace: the routing decision of every reached cell."""
+    """Optional trace: the routing decision of every reached cell, read
+    from the outcomes (``record``)."""
 
     routes: list[tuple[CellIndex, str, str]] = field(default_factory=list)
+
+    def record(self, grid: VoxelGrid) -> None:
+        """Append the route and reason of every cell ``expand`` reached in
+        ``grid`` (outcome ``Outcome.ROUTED`` or more), in ascending row order."""
+        rows = np.flatnonzero(grid.outcome >= Outcome.ROUTED)
+        codes = np.take(grid.outcome, rows)
+        cells = zip(*np.take(grid.cells, rows, axis=0).T.tolist())
+        ground = (np.take(STATES, codes) == GroundState.GROUND).tolist()
+        reasons = [REASONS[r] for r in (codes - Outcome.ROUTED).tolist()]
+        self.routes.extend(zip(cells, [("non_ground", "ground")[g] for g in ground], reasons))
 
     def to_text(self) -> str:
         return "\n".join(
@@ -433,7 +444,6 @@ def expand(
     geometry: GeometryParams,
     expansion: ExpansionParams,
     phase: int,
-    log: ExpansionLog | None = None,
 ) -> int:
     """Ground expansion from the seed cell, in phase 1 or 2.
 
@@ -455,8 +465,8 @@ def expand(
 
     Returns the number of ground points: the inliers of the cells it
     routed to GROUND, summed from their inlier counts, so no per-point
-    array is built; ``ground_mask`` flags those points.  A given ``log``
-    receives the routes in ascending grid-row order.
+    array is built; ``ground_mask`` flags those points, and
+    ``ExpansionLog.record`` lists the routes.
     """
     if phase not in (1, 2):
         raise ContractViolationError(f"phase must be 1 or 2, got {phase}")
@@ -495,10 +505,6 @@ def expand(
         )
     grid.outcome[cells] = Outcome.ROUTED + reasons
     ground = STATES[grid.outcome[cells]] == GroundState.GROUND
-
-    if log is not None:
-        routes = [("non_ground", "ground")[g] for g in ground.tolist()]
-        log.routes.extend(zip(_cell_indices(grid, cells), routes, [REASONS[r] for r in reasons]))
     return int(np.compress(ground, inputs[1]).sum())
 
 
@@ -509,10 +515,6 @@ def ground_mask(grid: VoxelGrid, n: int) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[grid.order] = np.repeat(grid.state == GroundState.GROUND, grid.counts) & grid.inliers
     return mask
-
-
-def _cell_indices(grid: VoxelGrid, rows: np.ndarray) -> list[CellIndex]:
-    return list(zip(*np.take(grid.cells, rows, axis=0).T.tolist()))
 
 
 def id_mask(ids: np.ndarray, n: int) -> np.ndarray:

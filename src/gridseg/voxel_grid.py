@@ -108,12 +108,10 @@ class VoxelGrid:
     covariances and plane fits are centred on it.
 
     ``outcome`` holds each cell's ``Outcome`` code, the one record of its
-    classification and route; ``state`` is read from it.  ``slopes`` holds
-    each cell's plane slope in degrees, NaN for a cell without a plane fit
-    (``fitted``); the plane's normal and offset are not kept, as no stage
-    reads them after the inlier split.  ``inliers`` runs
-    parallel to ``order`` and flags the points within the inlier threshold
-    of their cell's plane.
+    classification and route; ``state`` and ``fitted`` are read from it.
+    No plane is kept, as no stage reads one after the inlier split.
+    ``inliers`` runs parallel to ``order`` and flags the points within the
+    inlier threshold of their cell's plane.
     """
 
     cellsize: CellSize
@@ -123,7 +121,6 @@ class VoxelGrid:
     points: np.ndarray
     centroids: np.ndarray
     outcome: np.ndarray
-    slopes: np.ndarray
     inliers: np.ndarray
 
     @property
@@ -141,8 +138,9 @@ class VoxelGrid:
 
     @property
     def fitted(self) -> np.ndarray:
-        """Whether each cell holds a plane fit, hence an inlier/outlier split."""
-        return ~np.isnan(self.slopes)
+        """Whether each cell holds a plane fit, hence an inlier/outlier split:
+        whether its outcome is of a plane (``KINDS``)."""
+        return np.take(KINDS, self.outcome) == CellKind.PLANAR
 
     def find(self, index: CellIndex) -> int:
         """Row of the cell with this index, -1 when it is not occupied: a
@@ -293,7 +291,6 @@ def _unclassified(
 ) -> VoxelGrid:
     """The grid of these cells, canonically ordered points and centroids,
     every cell unclassified."""
-    k = len(cells)
     return VoxelGrid(
         cellsize=cellsize,
         cells=cells,
@@ -301,8 +298,7 @@ def _unclassified(
         order=order,
         points=points,
         centroids=centroids,
-        outcome=np.full(k, Outcome.UNCLASSIFIED, dtype=np.int8),
-        slopes=np.full(k, np.nan),
+        outcome=np.full(len(cells), Outcome.UNCLASSIFIED, dtype=np.int8),
         inliers=np.zeros(len(points), dtype=bool),
     )
 

@@ -215,8 +215,9 @@ def test_criterion_06_expansion_oracle():
             log = ExpansionLog()
             params = ExpansionParams()
             count = expand(
-                grid, index, select_seed(grid, info), GeometryParams(), params, phase=phase, log=log
+                grid, index, select_seed(grid, info), GeometryParams(), params, phase=phase
             )
+            log.record(grid)
             ground = ground_mask(grid, len(pts))
             assert count == ground.sum()
             per_index.append(ground)

@@ -277,11 +277,14 @@ class TestEigenClassify:
 
 def _classified_cell(points, slope_threshold_deg=30.0):
     """``classify_cells`` on the one cell of a 1.5 m grid holding ``points``:
-    (kind, state, slope)."""
+    (kind, state, slope), the slope NaN without a plane fit.  The grid keeps
+    no slope, so it is the slope of ``ransac_plane`` on the cell's points in
+    grid order, which fits the cell as ``classify_cells`` does."""
     grid = build_grid(np.asarray(points, dtype=np.float64), CellSize(1.5, 1.5, 1.5))
     assert len(grid.cells) == 1
     classify_cells(grid, GeometryParams(slope_threshold_deg=slope_threshold_deg))
-    return CellKind(KINDS[grid.outcome[0]]), GroundState(grid.state[0]), grid.slopes[0]
+    slope = ransac_plane(grid.points, 0.125)[0].slope_deg if grid.fitted[0] else math.nan
+    return CellKind(KINDS[grid.outcome[0]]), GroundState(grid.state[0]), slope
 
 
 def _line(direction, n=20):

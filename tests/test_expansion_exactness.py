@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import gridseg as gs
 from gridseg import pipeline, region_expansion
-from gridseg.cell_geometry import GeometryParams, segment_sparsity, tilt_deg
+from gridseg.cell_geometry import GeometryParams, segment_sparsity
 from gridseg.cloud_io import inject_synthetic_seed
 from gridseg.errors import ContractViolationError
 from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
@@ -47,14 +47,15 @@ class _Cell:
     index: tuple
     centroid: np.ndarray
     ground_state: GroundState
-    plane: object
+    fitted: bool
     inlier_ids: np.ndarray | None
     outlier_ids: np.ndarray | None
 
 
 def _records(grid):
-    """One record per cell, keyed by cell index: its centroid and state, and
-    for a cell with a plane fit its inliers and outliers in canonical order."""
+    """One record per cell, keyed by cell index: its centroid and state,
+    whether it holds a plane fit, and for a cell that does its inliers and
+    outliers in canonical order."""
     cells = {}
     for c, idx in enumerate(grid.cells.tolist()):
         span = grid.span(c)
@@ -64,7 +65,7 @@ def _records(grid):
             index=tuple(idx),
             centroid=grid.centroids[c],
             ground_state=GroundState(grid.state[c]),
-            plane=grid.slopes[c] if fitted else None,
+            fitted=fitted,
             inlier_ids=ids[inl] if fitted else None,
             outlier_ids=ids[~inl] if fitted else None,
         )
@@ -90,7 +91,7 @@ def _occupied_below(cells, index):
 def _reference_settled(cell, points, geometry):
     """(is_ground, reason) of a cell by the refinement steps that read only
     the cell itself, or None when it is ambiguous."""
-    if cell.plane is None or cell.inlier_ids is None or cell.outlier_ids is None:
+    if not cell.fitted or cell.inlier_ids is None or cell.outlier_ids is None:
         return False, "no plane fit"
     if len(cell.inlier_ids) == 0:
         return False, "no ground inliers"
@@ -181,7 +182,8 @@ def _expand_both(make_grid, points, seed, expansion, phase):
             states = [(idx, c.ground_state) for idx, c in cells.items()]
         else:
             index = build_centroid_index(grid, tentative)
-            count = expand(grid, index, seed, GEO, expansion, phase=phase, log=log)
+            count = expand(grid, index, seed, GEO, expansion, phase=phase)
+            log.record(grid)
             ground = np.flatnonzero(ground_mask(grid, len(points)))
             assert type(count) is int and count == len(ground)
             states = [(tuple(k), GroundState(v)) for k, v in zip(grid.cells.tolist(), grid.state)]
@@ -274,8 +276,8 @@ def test_expand_matches_reference_on_both_phases(name):
 
 
 def _reference_segment(monkeypatch, cloud):
-    def reference(grid, index, seed, geometry, expansion, phase, log=None):
-        log = ExpansionLog() if log is None else log
+    def reference(grid, index, seed, geometry, expansion, phase):
+        log = ExpansionLog()  # the reference's own, by which it writes the outcomes
         # the rows of the cloud that the grid's point ids index (in Phase
         # II a subset of it: the other rows are never read)
         points = np.empty((grid.order.max() + 1, 3))
@@ -283,7 +285,7 @@ def _reference_segment(monkeypatch, cloud):
         cells = _records(grid)
         keys = list(map(tuple, grid.cells[index.cell_ids].tolist()))
         out = _reference_expand(
-            cells, points, _record_index(cells, keys), seed, geometry, expansion, phase, log=log
+            cells, points, _record_index(cells, keys), seed, geometry, expansion, phase, log
         )
         # the routed cells' outcomes, from which segment reads the ground
         # points and counts the routes
@@ -291,6 +293,10 @@ def _reference_segment(monkeypatch, cloud):
             grid.outcome[grid.find(i)] = Outcome.ROUTED + REASONS.index(reason)
         np.testing.assert_array_equal(grid.state, [c.ground_state for c in cells.values()])
         np.testing.assert_array_equal(np.flatnonzero(ground_mask(grid, len(points))), out)
+        # the log segment records from those outcomes is the reference's own
+        recorded = ExpansionLog()
+        recorded.record(grid)
+        assert recorded.routes == log.routes
         return len(out)
 
     with monkeypatch.context() as m:
@@ -337,7 +343,6 @@ def _hand_built(layout):
             span = grid.span(c)
             ids = np.sort(grid.order[span])
             if not no_plane:
-                grid.slopes[c] = tilt_deg([0, 0, 1.0])[0]
                 split = len(ids) if kind == "ground" else 50
                 grid.inliers[span] = np.isin(grid.order[span], ids[:split])
         return grid
@@ -458,7 +463,8 @@ def _boxes_start():
     make_grid = _classified(seeded.points, CFG.phase1.cellsize)
     grid, log = make_grid(), ExpansionLog()
     index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
-    expand(grid, index, select_seed(grid, info), GEO, CFG.expansion, phase=1, log=log)
+    expand(grid, index, select_seed(grid, info), GEO, CFG.expansion, phase=1)
+    log.record(grid)
     reached = [idx for idx, _, _ in log.routes]
     spread = np.linspace(0, len(reached) - 1, 6).astype(int)  # six starts, the seed first
     return make_grid, CFG.expansion, [reached[k] for k in spread]
@@ -473,7 +479,8 @@ def test_same_routes_from_any_reached_cell(monkeypatch, start):
         grid, log = make_grid(), ExpansionLog()
         index = build_centroid_index(grid, np.flatnonzero(grid.state == GroundState.TENTATIVE))
         del calls[:]
-        expand(grid, index, seed, GEO, params, phase=1, log=log)
+        expand(grid, index, seed, GEO, params, phase=1)
+        log.record(grid)
         # every tentative cell (both layouts reach them all), then the
         # reached ambiguous ones (both layouts have some) once more
         assert len(calls) == 2 and calls[0] == len(index.cell_ids) == len(log.routes) > calls[1]
@@ -540,10 +547,12 @@ def test_one_neighbor_search_per_expansion(layout, searches, phase, logged):
     grid = make_grid()
     tentative = np.flatnonzero(grid.state == GroundState.TENTATIVE)
     index = _CountingIndex(tentative, grid.centroids[tentative])
-    log = ExpansionLog() if logged else None
-    expand(grid, index, seed, GEO, params, phase=phase, log=log)
+    expand(grid, index, seed, GEO, params, phase=phase)
     assert index.calls == searches
-    assert log is None or log.routes == want
+    if logged:
+        log = ExpansionLog()
+        log.record(grid)
+        assert log.routes == want
 
 
 @pytest.mark.parametrize("name", PAIR_SCENES)

@@ -153,14 +153,12 @@ class TestClassifyCells:
         preset[::3] = True
         in_preset = np.repeat(preset, grid.counts)
         grid.outcome[preset] = Outcome.LINE_OBSTACLE
-        grid.slopes[preset] = 7.0
         grid.inliers[in_preset] = True
         classify_cells(grid, self.GEO)
         assert (KINDS[grid.outcome[preset]] == CellKind.LINE).all()
         assert (grid.state[preset] == GroundState.OBSTACLE).all()
-        assert (grid.slopes[preset] == 7.0).all()
         assert grid.inliers[in_preset].all()
-        for name in ("outcome", "state", "slopes"):
+        for name in ("outcome", "state"):
             a, b = getattr(grid, name)[~preset], getattr(want, name)[~preset]
             assert a.tobytes() == b.tobytes(), name
         assert np.array_equal(grid.inliers[~in_preset], want.inliers[~in_preset])
@@ -435,17 +433,22 @@ class TestSegment:
         text = json.dumps(stats, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_state_is_a_read_only_view_of_the_outcomes(self):
-        # both phases of segment() on the boxes scene; a cell is a plane
-        # exactly when it holds a plane fit, routed or not
-        cloud = gs.scene_cloud(gs.make_scene(DIGEST_SCENES["boxes"]))
+    @staticmethod
+    def _phase_grids(name):
+        """Both phases' grids of segment() on a scene of ``DIGEST_SCENES``."""
+        cloud = gs.scene_cloud(gs.make_scene(DIGEST_SCENES[name]))
         seeded, info = inject_synthetic_seed(
             cloud, _CFG.robot_radius, _CFG.dist_to_ground, _CFG.seed_spacing
         )
         r1 = run_phase(seeded.points, _CFG, info)
         grids = [r1.grid]
         grids.append(run_phase(seeded.points, _CFG, info, parent=r1).grid)
-        for grid in grids:
+        return grids
+
+    def test_state_is_a_read_only_view_of_the_outcomes(self):
+        # both phases of segment() on the boxes scene; a cell is a plane
+        # exactly when it holds a plane fit, routed or not
+        for grid in self._phase_grids("boxes"):
             assert (grid.outcome >= Outcome.ROUTED).any()
             np.testing.assert_array_equal(grid.state, STATES[grid.outcome])
             np.testing.assert_array_equal(KINDS[grid.outcome] == CellKind.PLANAR, grid.fitted)
@@ -453,6 +456,15 @@ class TestSegment:
                 grid.state[0] = GroundState.GROUND
             with pytest.raises(ValueError):
                 grid.state[:] = GroundState.TENTATIVE
+
+    @pytest.mark.parametrize("name", DIGEST_SCENES)
+    def test_no_inlier_lies_in_a_cell_without_a_plane_fit(self, name):
+        # cell_heights and the refinement's inlier counts read the inliers
+        # of fitted cells alone; a fitted cell is one whose outcome is of a
+        # plane (KINDS), tentative, too steep or routed
+        for grid in self._phase_grids(name):
+            assert grid.inliers.any()
+            assert not (np.repeat(~grid.fitted, grid.counts) & grid.inliers).any()
 
     def test_nonfinite_rows_are_non_ground_not_an_error(self):
         cloud = gs.scene_cloud(gs.make_scene(gs.SceneSpec(extent=20.0, seed=3)))

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_expansion_exactness import SCENES
 
-from gridseg.cell_geometry import GeometryParams, PlaneModel
+from gridseg.cell_geometry import GeometryParams
 from gridseg.cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed
 from gridseg.errors import ConfigError, ContractViolationError
 from gridseg.pipeline import classify_cells
@@ -558,7 +558,8 @@ class TestBreadthFirst:
 
         log = ExpansionLog()
         seed = tuple(grid.cells[source].tolist())
-        expand(grid, index, seed, GEO, ExpansionParams(search_radius=radius), phase=1, log=log)
+        expand(grid, index, seed, GEO, ExpansionParams(search_radius=radius), phase=1)
+        log.record(grid)
         cells = [tuple(c) for c in grid.cells.tolist()]
         assert [idx for idx, _, _ in log.routes] == [cells[c] for c in reached]
 
@@ -615,10 +616,11 @@ class TestSelectSeed:
             select_seed(grid, empty)
 
 
-def _fit_cell(grid, idx, plane, inlier_ids):
-    """Give cell ``idx`` a plane fit whose inliers are the given point ids."""
+def _fit_cell(grid, idx, inlier_ids):
+    """Give cell ``idx`` a plane fit whose inliers are the given point ids,
+    as a tentative plane."""
     c = grid.find(idx)
-    grid.slopes[c] = plane.slope_deg
+    grid.outcome[c] = Outcome.PLANAR_TENTATIVE
     span = grid.span(c)
     grid.inliers[span] = np.isin(grid.order[span], list(inlier_ids))
     return c
@@ -640,7 +642,7 @@ class TestCellHeights:
             ]
         )
         grid = build_grid(points, CellSize(1.0, 1.0, 10.0))
-        grid.slopes[:] = 0.0
+        grid.outcome[:] = Outcome.PLANAR_TENTATIVE
         for c, k in enumerate(inlier_counts):
             span = grid.span(c)
             grid.inliers[span] = rng.permutation(2 * k) < k
@@ -686,13 +688,12 @@ class TestRefineCell:
             [[0, 0, 2.0], [2, 0, 2.1], [0, 2, 2.2], [2, 2, 2.3], [1, 1, 2.4]]
         )
         self.points = np.vstack([self.dense, sparse])
-        self.plane = PlaneModel(normal=np.array([0, 0, 1.0]), offset=0.0, slope_deg=0.0)
         self.grid = build_grid(self.points, CellSize(10, 10, 10))
 
     def _refine(self, inlier_ids=None, neighbors=()):
         c = self.grid.find((0, 0, 0))
         if inlier_ids is not None:
-            _fit_cell(self.grid, (0, 0, 0), self.plane, inlier_ids)
+            _fit_cell(self.grid, (0, 0, 0), inlier_ids)
         return refine_cell(c, self.grid, neighbors, GEO, self.exp)
 
     def test_unambiguous_routes_ground(self):
@@ -745,8 +746,7 @@ class TestRefineCell:
         )
         grid = build_grid(pts, CellSize(10, 10, 10))
         grid.outcome[grid.find((0, 0, 0))] = Outcome.NON_PLANAR
-        cell = _fit_cell(grid, (0, 0, 1), self.plane, range(50))
-        grid.outcome[cell] = Outcome.PLANAR_TENTATIVE
+        cell = _fit_cell(grid, (0, 0, 1), range(50))
         nb = grid.find((5, 0, 1))
         ok, reason = refine_cell(cell, grid, [nb], GEO, ExpansionParams())
         assert not ok and "below" in reason
@@ -827,7 +827,8 @@ class TestExpand:
         seed = select_seed(grid, info)
         log = ExpansionLog()
         params = ExpansionParams(search_radius=5.0)
-        count = expand(grid, index, seed, GEO, params, phase=1, log=log)
+        count = expand(grid, index, seed, GEO, params, phase=1)
+        log.record(grid)
 
         # connectivity oracle: flood fill over the brute-force r-neighborhood graph
         centroids = grid.centroids[tentative]
@@ -875,7 +876,8 @@ class TestExpand:
         seed = select_seed(grid, info)
         log = ExpansionLog()
         params = ExpansionParams()
-        expand(grid, index, seed, GEO, params, phase=2, log=log)
+        expand(grid, index, seed, GEO, params, phase=2)
+        log.record(grid)
         assert len(log.routes) > 1, "expansion should reach past the seed"
         lines = log.to_text().splitlines()
         assert len(lines) == len(log.routes) and all(line.startswith("ROUTE ") for line in lines)
@@ -885,7 +887,8 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         index = _tentative_index(grid)
         log = ExpansionLog()
-        expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(), phase=1, log=log)
+        expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(), phase=1)
+        log.record(grid)
         routed = [idx for idx, _, _ in log.routes]
         assert len(routed) == len(set(routed))
         assert len(routed) <= len(grid.cells)
@@ -908,7 +911,8 @@ class TestExpand:
         grid = _classified_grid(pts, CellSize(1.5, 1.0, 1.5))
         index = _tentative_index(grid)
         log = ExpansionLog()
-        expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(), phase=1, log=log)
+        expand(grid, index, select_seed(grid, info), GEO, ExpansionParams(), phase=1)
+        log.record(grid)
 
         ambiguous_ground = {
             idx for idx, route, reason in log.routes
@@ -942,7 +946,8 @@ class TestExpand:
         log = ExpansionLog()
         seed = select_seed(grid, info)
         params = ExpansionParams()
-        count = expand(grid, _tentative_index(grid), seed, GEO, params, phase=phase, log=log)
+        count = expand(grid, _tentative_index(grid), seed, GEO, params, phase=phase)
+        log.record(grid)
 
         routes = {idx: route for idx, route, _ in log.routes}
         reached = np.array([idx in routes for idx in map(tuple, grid.cells.tolist())])
