@@ -47,6 +47,7 @@ from .evaluation import (
 from .pipeline import (
     PhaseConfig,
     PipelineConfig,
+    SeededCloud,
     SegmentationResult,
     SegmentationStats,
     make_default_config,

@@ -50,6 +50,11 @@ _DEGENERATE_CROSS = 1e-12
 _ROUNDOFF = 2.0**-40
 # the six distinct entries of a symmetric 3x3 matrix, row by row
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+# Rows per block of ``sorted_eigen``, whose temporaries are a few dozen
+# arrays of one block's length: large enough that a benchmark scan's
+# Phase-I cells (about 6.9k on wide-130k) are one block, as shorter blocks
+# pay numpy's per-call overhead about 150 times per block.
+EIGEN_BLOCK = 8192
 
 
 class Sparsity(IntEnum):
@@ -214,11 +219,46 @@ def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     same bits batched or alone.  Where a row takes one of several cases
     (which cross product is longest, the first of them on a tie; which
     eigenpair lands in which output slot), ``np.where`` selects it; no
-    index array gathers across rows.  The outputs are written slot by slot
-    into (3, k) and (3, 3, k) buffers and returned as their transposed
-    views.
+    index array gathers across rows.  The outputs are slot-major (3, k)
+    and (3, 3, k) buffers, returned as their transposed views.  The rows
+    are solved in blocks of ``EIGEN_BLOCK``, each written straight into
+    its columns of those buffers, and each stage of a block is a helper
+    whose temporaries die when it returns; so the solver's working memory
+    is a few dozen arrays of one block's length, whatever k is.
     """
     C = np.asarray(C, dtype=np.float64).reshape(-1, 3, 3)
+    lam, vec = np.empty((3, len(C))), np.empty((3, 3, len(C)))
+    for start in range(0, len(C), EIGEN_BLOCK):
+        rows = slice(start, start + EIGEN_BLOCK)
+        _eigen_block(C[rows], lam[:, rows], vec[:, :, rows])
+    return lam.T, vec.transpose(2, 1, 0)
+
+
+def _eigen_block(C, lam, vec):
+    """``sorted_eigen`` of the matrices ``C``, written slot by slot into
+    ``lam`` (3, k) and ``vec`` (3, 3, k)."""
+    q, p, b = _shifted(C)
+    v, top = _end_vector(b)
+    # each eigenpair as (value, x, y, z): the end one, the block's high and low
+    end = (_dot(v, _times(b, v)), *v)
+    high, low = _block_pairs(b, v)
+    # top: (end, high, low), else (high, low, end); a swap puts the end
+    # value between the other two where round-off takes it past one
+    swap = np.where(top, high[0] > end[0], end[0] > low[0])
+    slots = (
+        _select(top & ~swap, end, high),
+        _select(swap, end, _select(top, high, low)),
+        _select(top | swap, low, end),
+    )
+    for slot, (value, *vector) in enumerate(slots):
+        lam[slot] = value
+        vec[slot] = vector
+    np.maximum(q + p * lam, 0.0, out=lam)
+
+
+def _shifted(C):
+    """Per matrix the mean eigenvalue q, the scale p, and the six distinct
+    entries of B = (A - q I) / p."""
     a = [C[:, i, j] for i, j in _UPPER]
     q = (a[0] + a[3] + a[5]) / 3.0
     for i in (0, 3, 5):
@@ -227,7 +267,12 @@ def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.sqrt((a[0] ** 2 + a[3] ** 2 + a[5] ** 2 + 2.0 * off_diagonal) / 6.0)
     tiny = np.finfo(np.float64).tiny
     inv = np.where(p >= tiny, 1.0 / np.maximum(p, tiny), 0.0)
-    b = [x * inv for x in a]
+    return q, p, [x * inv for x in a]
+
+
+def _end_vector(b):
+    """B's unit eigenvector at its better-separated end, and whether that
+    end is the top."""
     b00, b01, b02, b11, b12, b22 = b
     det = b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
     det += b02 * (b01 * b12 - b11 * b02)
@@ -238,54 +283,47 @@ def sorted_eigen(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top = beta1 - beta2 >= beta2 - beta3
     beta = np.where(top, beta1, beta3)
 
-    # the end eigenvector: the longest cross product of two rows of B - beta I,
-    # the first of them on a tie
+    # the longest cross product of two rows of B - beta I, the first of
+    # them on a tie
     r0, r1, r2 = (b00 - beta, b01, b02), (b01, b11 - beta, b12), (b02, b12, b22 - beta)
     cross = (_cross(r0, r1), _cross(r0, r2), _cross(r1, r2))
     n01, n02, n12 = (c[0] ** 2 + c[1] ** 2 + c[2] ** 2 for c in cross)
     first, second = (n01 >= n02) & (n01 >= n12), n02 >= n12
     norm = np.sqrt(np.where(first, n01, np.where(second, n02, n12)))
-    v = [c / norm for c in _select(first, cross[0], _select(second, cross[1], cross[2]))]
+    return [c / norm for c in _select(first, cross[0], _select(second, cross[1], cross[2]))], top
 
-    # an orthonormal basis (u, w) of its complement, and B's 2x2 block there
+
+def _block_pairs(b, v):
+    """The eigenpairs (value, x, y, z) of B's 2x2 block on the orthogonal
+    complement of the unit vector ``v``, high and low."""
+    # an orthonormal basis (u, w) of that complement
     sign = np.copysign(1.0, v[2])
     h = -1.0 / (sign + v[2])
     m = v[0] * v[1] * h
     u = (1.0 + sign * v[0] * v[0] * h, sign * m, -sign * v[0])
     w = (m, sign + v[1] * v[1] * h, -v[1])
+    mean, radius, e0, e1 = _block_eigen(b, u, w)
+    high = (mean + radius, *(e0 * i + e1 * j for i, j in zip(u, w)))
+    low = (mean - radius, *(e0 * j - e1 * i for i, j in zip(u, w)))
+    return high, low
+
+
+def _block_eigen(b, u, w):
+    """The mean and half-spread of the eigenvalues of B's 2x2 block in the
+    basis (u, w), and (e0, e1), its leading eigenvector there."""
     bw = _times(b, w)
     g_uu, g_ww, g_uw = _dot(u, _times(b, u)), _dot(w, bw), _dot(u, bw)
     half_diff = 0.5 * (g_uu - g_ww)
     mean = 0.5 * (g_uu + g_ww)
     radius = np.hypot(half_diff, g_uw)
-    # (e0, e1): the block's leading eigenvector, summed without cancellation
+    # (e0, e1), summed without cancellation
     right = half_diff >= 0.0
     e0 = np.where(right, half_diff + radius, g_uw)
     e1 = np.where(right, g_uw, radius - half_diff)
     length = np.hypot(e0, e1)
     flat = length == 0.0  # the block is scalar: any basis diagonalises it
     length = np.where(flat, 1.0, length)
-    e0, e1 = np.where(flat, 1.0, e0 / length), e1 / length
-
-    # each eigenpair as (value, x, y, z): the end one, the block's high and low
-    end = (_dot(v, _times(b, v)), *v)
-    high = (mean + radius, *(e0 * i + e1 * j for i, j in zip(u, w)))
-    low = (mean - radius, *(e0 * j - e1 * i for i, j in zip(u, w)))
-    # top: (end, high, low), else (high, low, end); a swap puts the end
-    # value between the other two where round-off takes it past one
-    swap = np.where(top, high[0] > end[0], end[0] > low[0])
-    slots = (
-        _select(top & ~swap, end, high),
-        _select(swap, end, _select(top, high, low)),
-        _select(top | swap, low, end),
-    )
-    # slot-major buffers, returned transposed: (k, 3) and (k, 3, 3)
-    lam, vec = np.empty((3, len(q))), np.empty((3, 3, len(q)))
-    for slot, (value, *vector) in enumerate(slots):
-        lam[slot] = value
-        vec[slot] = vector
-    np.maximum(q + p * lam, 0.0, out=lam)
-    return lam.T, vec.transpose(2, 1, 0)
+    return mean, radius, np.where(flat, 1.0, e0 / length), e1 / length
 
 
 def eigen_kinds(w: np.ndarray, params: GeometryParams) -> np.ndarray:

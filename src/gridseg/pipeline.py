@@ -48,7 +48,7 @@ from .cell_geometry import (
 # hook target to resolve.
 from .cell_geometry import ransac_plane  # noqa: F401
 from .cloud_io import PointCloud, SyntheticSeedInfo, inject_synthetic_seed, strip_synthetic
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, ContractViolationError, check_fields
 from .region_expansion import (
     REASONS,
     ExpansionLog,
@@ -185,6 +185,26 @@ class PhaseResult:
     grid: VoxelGrid | None = None
 
 
+@dataclass
+class SeededCloud:
+    """The points both phases segment: a scan with the synthetic seed
+    lattice appended (``inject_synthetic_seed``), whose last
+    ``info.count`` of ``n`` rows are the lattice, and which both phases
+    name by row.  ``cloud`` holds them only until Phase I's grid is built:
+    ``run_phase`` takes it and sets the field to None, as Phase II drops
+    its parent's grid, so no reference to the seeded copy outlives that
+    build; Phase II and ``ground_mask`` read only ``n``.  Phase I runs
+    once per ``SeededCloud``: a second run raises
+    ``ContractViolationError``."""
+
+    cloud: PointCloud | None
+    info: SyntheticSeedInfo
+    n: int = field(init=False)
+
+    def __post_init__(self):
+        self.n = len(self.cloud)
+
+
 def classify_cells(
     grid: VoxelGrid,
     geometry: GeometryParams,
@@ -258,24 +278,27 @@ def classify_cells(
 
 
 def _phase_grid(
-    points: np.ndarray,
+    seeded: SeededCloud,
     cellsize: CellSize,
-    seed_info: SyntheticSeedInfo,
     parent: PhaseResult | None,
 ) -> VoxelGrid:
-    """``run_phase``'s grid.  With a parent, whose grid it drops, every cell
-    holding exactly the points of a parent ground cell (``rebin``) becomes
-    ``PLANAR_TENTATIVE``, as that cell's plane fit is its own, and the
-    others are left unclassified.
+    """``run_phase``'s grid.  Without a parent, the grid of the seeded
+    cloud, which it takes from ``seeded``.  With a parent, whose grid it
+    drops, every cell holding exactly the points of a parent ground cell
+    (``rebin``) becomes ``PLANAR_TENTATIVE``, as that cell's plane fit is
+    its own, and the others are left unclassified.
     Every point takes its parent inlier flag, one compress for all: an
     inherited cell's are its own, and ``classify_cells`` rewrites those of
     every cell it classifies."""
     if parent is None:
-        return build_grid(points, cellsize)
+        cloud, seeded.cloud = seeded.cloud, None
+        if cloud is None:
+            raise ContractViolationError("Phase I has already binned this seeded cloud")
+        return build_grid(cloud.points, cellsize)
     pgrid, parent.grid = parent.grid, None
     # every point of a Phase-I ground cell, and the synthetic lattice
     kept = np.repeat(pgrid.state == GroundState.GROUND, pgrid.counts)
-    kept |= pgrid.order >= len(points) - seed_info.count
+    kept |= pgrid.order >= seeded.n - seeded.info.count
     grid, rows = rebin(pgrid, kept, cellsize)
     # a cell equal to a parent ground cell classifies the same, as a plane
     # fit depends only on the cell's points
@@ -287,22 +310,24 @@ def _phase_grid(
 
 
 def run_phase(
-    points: np.ndarray,
+    seeded: SeededCloud,
     cfg: PipelineConfig,
-    seed_info: SyntheticSeedInfo,
     log: ExpansionLog | None = None,
     parent: PhaseResult | None = None,
 ) -> PhaseResult:
     """Run grid build, classification and expansion of one phase on the
-    seeded cloud ``points``, whose last ``seed_info.count`` rows are the
-    synthetic seed lattice.
+    seeded cloud, whose rows name the points.
 
-    Without ``parent`` this is Phase I, on every point.  With ``parent``,
-    Phase I's result on the same points and configuration, it is Phase II,
+    Without ``parent`` this is Phase I, on every point: it bins
+    ``seeded.cloud`` and drops it from ``seeded`` (``_phase_grid``), so
+    that once ``build_grid`` returns the grid's canonically ordered copy
+    is the only copy of the points the phase keeps.  With ``parent``,
+    Phase I's result on the same cloud and configuration, it is Phase II,
     on every point of Phase I's ground cells (inliers and outliers) and
-    the lattice: Phase I's grid is re-binned (``rebin``), not rebuilt, and
-    dropped.  Each cell equal to a Phase-I ground cell takes over its
-    inliers, as ``PLANAR_TENTATIVE`` (``_phase_grid``);
+    the lattice, and reads only ``seeded.n`` and ``seeded.info``: Phase
+    I's grid is re-binned (``rebin``), not rebuilt, and dropped.  Each
+    cell equal to a Phase-I ground cell takes over its inliers, as
+    ``PLANAR_TENTATIVE``;
     ``classify_cells`` writes the other cells' outcomes, and ``expand``
     those of the cells it reaches.  The grid equals ``build_grid`` plus
     ``classify_cells`` on the phase's points, to the bit.  The centroid
@@ -311,25 +336,26 @@ def run_phase(
     read from one ``np.bincount`` of the final outcomes.
 
     The phase's ground points are the inliers of the result grid's GROUND
-    cells, rows of ``points`` that ``ground_mask`` flags; every other point
-    of the phase is non-ground.  Only their number is taken here, from
-    ``expand``, into ``stats.points_ground``.  A given ``log`` records the
-    routes from the outcomes after ``expand`` (``ExpansionLog.record``).
+    cells, rows of the seeded cloud that ``ground_mask`` flags; every
+    other point of the phase is non-ground.  Only their number is taken
+    here, from ``expand``, into ``stats.points_ground``.  A given ``log``
+    records the routes from the outcomes after ``expand``
+    (``ExpansionLog.record``).
     """
     t0 = time.perf_counter()
     phase, pcfg = (1, cfg.phase1) if parent is None else (2, cfg.phase2)
     stats = PhaseStats()
-    if len(points) == 0:
+    if seeded.n == 0:
         return PhaseResult(stats)
 
     t = time.perf_counter()
-    grid = _phase_grid(points, pcfg.cellsize, seed_info, parent)
+    grid = _phase_grid(seeded, pcfg.cellsize, parent)
     stats.stages_ms["grid"] = (time.perf_counter() - t) * 1000.0
     stats.n_points = len(grid.order)
     stats.cells_inherited = int(np.count_nonzero(grid.outcome))  # not UNCLASSIFIED
     classify_cells(grid, cfg.geometry, stats)
 
-    seed = select_seed(grid, seed_info)
+    seed = select_seed(grid, seeded.info)
     stats.seed_ok = bool(grid.state[grid.find(seed)] == GroundState.TENTATIVE)
     ground = 0
     if stats.seed_ok:
@@ -406,6 +432,13 @@ def segment(
     ``_keep_heap``).  The mask is Phase II's ground mask over the seeded
     cloud, written once, with the lattice cut off; when every row was
     binnable it is that mask's head.
+
+    Of the per-point arrays, the caller's cloud lives throughout.  The
+    seeded copy (and the filtered cloud it is made from, when some row is
+    not binnable) lives until Phase I's ``build_grid`` returns, as only a
+    ``SeededCloud`` holds it; from then on only its length ``n`` is read.
+    Phase I's grid lives until Phase II has re-binned it, and Phase II's
+    until ``segment`` returns.
     """
     _keep_heap()
     cfg = cfg or make_default_config()
@@ -424,16 +457,17 @@ def segment(
         stats.n_nonfinite = int(n - finite.sum())
         if stats.n_nonfinite == n:
             return SegmentationResult(mask=np.zeros(n, dtype=bool), stats=stats)
-        cloud = PointCloud(points=np.compress(finite, points, axis=0))
-
-    seeded, seed_info = inject_synthetic_seed(
-        cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
-    )
-    stats.n_synthetic = seed_info.count
-    r1 = run_phase(seeded.points, cfg, seed_info, log=log1)
-    r2 = run_phase(seeded.points, cfg, seed_info, log=log2, parent=r1)
+    # the seeded copy is referenced from ``seeded`` alone, and the filtered
+    # cloud from nothing once it is seeded
+    seeded = SeededCloud(*inject_synthetic_seed(
+        cloud if finite is None else PointCloud(np.compress(finite, points, axis=0)),
+        cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing,
+    ))
+    stats.n_synthetic = seeded.info.count
+    r1 = run_phase(seeded, cfg, log=log1)
+    r2 = run_phase(seeded, cfg, log=log2, parent=r1)
     stats.phase1, stats.phase2 = r1.stats, r2.stats
-    ground = strip_synthetic(ground_mask(r2.grid, len(seeded.points)), seed_info)
+    ground = strip_synthetic(ground_mask(r2.grid, seeded.n), seeded.info)
     if finite is None:
         mask = ground
     else:

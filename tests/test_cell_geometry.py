@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gridseg as gs
+from gridseg import cell_geometry
 from gridseg.cell_geometry import (
     GeometryParams,
     Sparsity,
@@ -217,6 +218,41 @@ class TestSortedEigen:
         for i in range(len(C)):
             alone_w, alone_v = sorted_eigen(C[i])
             assert alone_w.tobytes() == w[i].tobytes() and alone_v.tobytes() == v[i].tobytes()
+
+    def test_rows_across_a_block_seam_keep_their_bits_and_slots(self, monkeypatch):
+        # one block of the solver and three rows more: each row is the
+        # matrix solved alone, to the bit, with every value and vector in
+        # its own slot
+        rng = np.random.default_rng(42)
+        k = cell_geometry.EIGEN_BLOCK + 3
+        X = rng.normal(size=(k, 3, 4)) * rng.uniform(0.01, 10.0, (k, 3, 1))
+        C = np.einsum("kil,kjl->kij", X, X) / 4
+        C = (C + C.transpose(0, 2, 1)) / 2  # symmetric to the bit
+        w, v = sorted_eigen(C)
+        assert w.shape == (k, 3) and v.shape == (k, 3, 3)
+        # slot-major buffers, returned as their transposed views
+        assert w.T.flags.c_contiguous and v.transpose(2, 1, 0).flags.c_contiguous
+        for i in (0, k - 4, k - 3, k - 1):  # both sides of the seam
+            alone_w, alone_v = sorted_eigen(C[i])
+            assert alone_w.tobytes() == w[i].tobytes() and alone_v.tobytes() == v[i].tobytes()
+        # every row: the same bits as the batch solved as one block ...
+        monkeypatch.setattr(cell_geometry, "EIGEN_BLOCK", k)
+        one_w, one_v = sorted_eigen(C)
+        assert one_w.tobytes() == w.tobytes() and one_v.tobytes() == v.tobytes()
+        # ... and as blocks of 4, where every row is also solved alone
+        monkeypatch.setattr(cell_geometry, "EIGEN_BLOCK", 4)
+        small_w, small_v = sorted_eigen(C[:11])
+        assert small_w.tobytes() == w[:11].tobytes() and small_v.tobytes() == v[:11].tobytes()
+        for i in range(11):
+            alone_w, alone_v = sorted_eigen(C[i])
+            assert alone_w.tobytes() == w[i].tobytes() and alone_v.tobytes() == v[i].tobytes()
+        # each value with its own vector, in descending order
+        eps = np.finfo(np.float64).eps
+        norm = np.sqrt((C * C).sum(axis=(1, 2)))[:, None]
+        residual = np.linalg.norm(np.einsum("kij,kjl->kil", C, v) - v * w[:, None, :], axis=1)
+        assert (residual <= 16 * eps * norm).all() and (np.diff(w, axis=1) <= 0).all()
+        lapack = np.linalg.eigvalsh(C)[:, ::-1]
+        assert (np.abs(w - lapack) <= 16 * eps * norm).all()
 
 
 def _eigen_of(C):

@@ -25,7 +25,7 @@ from gridseg import pipeline, region_expansion
 from gridseg.cell_geometry import GeometryParams, segment_sparsity
 from gridseg.cloud_io import inject_synthetic_seed
 from gridseg.errors import ContractViolationError
-from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
+from gridseg.pipeline import SeededCloud, classify_cells, make_default_config, run_phase, segment
 from gridseg.region_expansion import (
     REASONS,
     CentroidIndex,
@@ -221,7 +221,7 @@ def _compare_scene(spec):
         return []
     logs = [_expand_both(phase1, pts, seed, ExpansionParams(), 1)]
 
-    grid1 = run_phase(pts, CFG, info).grid
+    grid1 = run_phase(SeededCloud(seeded, info), CFG).grid
     in_ground = np.repeat(grid1.state == GroundState.GROUND, grid1.counts)
     lattice = np.arange(len(pts) - info.count, len(pts))
     p2_ids = np.union1d(np.compress(in_ground, grid1.order), lattice)
@@ -628,9 +628,10 @@ def test_expand_counts_the_points_of_the_ground_mask(monkeypatch, name):
         return count
 
     monkeypatch.setattr(pipeline, "expand", spy)
-    r1 = run_phase(pts, CFG, info)
+    seeded = SeededCloud(seeded, info)
+    r1 = run_phase(seeded, CFG)
     ground1 = ground_mask(r1.grid, n)  # Phase II drops Phase I's grid
-    r2 = run_phase(pts, CFG, info, parent=r1)
+    r2 = run_phase(seeded, CFG, parent=r1)
     ground2 = ground_mask(r2.grid, n)
     assert all(count == want for count, want in returned)
     phases = [(r1.stats, ground1), (r2.stats, ground2)]

@@ -19,7 +19,7 @@ from test_expansion_exactness import SCENES
 import gridseg as gs
 from gridseg import pipeline
 from gridseg.cloud_io import inject_synthetic_seed
-from gridseg.pipeline import classify_cells, make_default_config, run_phase, segment
+from gridseg.pipeline import SeededCloud, classify_cells, make_default_config, run_phase, segment
 from gridseg.voxel_grid import GroundState, VoxelGrid, build_grid
 
 CFG = make_default_config()
@@ -60,18 +60,18 @@ def _phase2_grid(monkeypatch, run):
 
 
 def _phase1(cloud):
-    """The seeded cloud's points and seed info, Phase I's result, and the
-    Phase-II point ids: every point of a Phase-I ground cell, and the
+    """The seeded cloud's points and ``SeededCloud``, Phase I's result, and
+    the Phase-II point ids: every point of a Phase-I ground cell, and the
     synthetic lattice."""
-    seeded, info = inject_synthetic_seed(
+    cloud, info = inject_synthetic_seed(
         cloud, CFG.robot_radius, CFG.dist_to_ground, CFG.seed_spacing
     )
-    pts = seeded.points
-    r1 = run_phase(pts, CFG, info)
+    pts, seeded = cloud.points, SeededCloud(cloud, info)
+    r1 = run_phase(seeded, CFG)
     in_ground = np.repeat(r1.grid.state == GroundState.GROUND, r1.grid.counts)
     lattice = np.arange(len(pts) - info.count, len(pts))
     p2_ids = np.union1d(np.compress(in_ground, r1.grid.order), lattice)
-    return pts, info, r1, p2_ids
+    return pts, seeded, r1, p2_ids
 
 
 def _fresh(cloud):
@@ -131,9 +131,9 @@ def test_phase2_grid_equals_fresh_grid(monkeypatch, name):
 
 
 def test_phase2_drops_the_parent_grid():
-    pts, info, r1, p2_ids = _phase1(gs.scene_cloud(gs.make_scene(SCENES["boxes"])))
+    _, seeded, r1, p2_ids = _phase1(gs.scene_cloud(gs.make_scene(SCENES["boxes"])))
     assert r1.grid is not None
-    r2 = run_phase(pts, CFG, info, parent=r1)
+    r2 = run_phase(seeded, CFG, parent=r1)
     assert r1.grid is None
     assert r2.stats.cells_inherited > 0
     assert r2.stats.n_points == len(p2_ids)

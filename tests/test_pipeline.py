@@ -10,6 +10,7 @@ from gridseg.config import apply_settings
 from gridseg.errors import ConfigError, ContractViolationError
 from gridseg.pipeline import (
     PhaseStats,
+    SeededCloud,
     classify_cells,
     make_default_config,
     run_phase,
@@ -59,7 +60,7 @@ class TestRunPhase:
             cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
         n = len(seeded.points)
-        result = run_phase(seeded.points, cfg, info)
+        result = run_phase(SeededCloud(seeded, info), cfg)
         ground = ground_mask(result.grid, n)
         assert result.stats.points_ground == ground.sum()
         assert result.stats.points_ground + result.stats.points_non_ground == n
@@ -79,7 +80,7 @@ class TestRunPhase:
         seeded, info = inject_synthetic_seed(
             cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
-        result = run_phase(seeded.points, cfg, info)
+        result = run_phase(SeededCloud(seeded, info), cfg)
         assert not ground_mask(result.grid, len(seeded.points))[:800].any()
 
     def test_empty_subset(self, rng):
@@ -88,7 +89,7 @@ class TestRunPhase:
         seeded, info = inject_synthetic_seed(
             cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
-        result = run_phase(seeded.points[:0], cfg, info)
+        result = run_phase(SeededCloud(PointCloud(seeded.points[:0]), info), cfg)
         assert result.grid is None  # no cell, so no ground point
         assert result.stats.points_ground == result.stats.points_non_ground == 0
 
@@ -103,11 +104,15 @@ class TestRunPhase:
         ids = np.arange(0, len(seeded.points), 2)
         ids = np.union1d(ids, np.arange(len(seeded.points) - info.count, len(seeded.points)))
         pts = seeded.points[ids]
-        r1 = run_phase(pts, cfg, info)
+        subset = SeededCloud(PointCloud(pts), info)
+        r1 = run_phase(subset, cfg)
+        assert subset.cloud is None and subset.n == len(pts)  # Phase I took the points
+        with pytest.raises(ContractViolationError):
+            run_phase(subset, cfg)
         in_ground = np.repeat(r1.grid.state == GroundState.GROUND, r1.grid.counts)
         cell_points = np.compress(in_ground, r1.grid.order)
         ground1 = np.flatnonzero(ground_mask(r1.grid, len(pts)))
-        r2 = run_phase(pts, cfg, info, parent=r1)
+        r2 = run_phase(subset, cfg, parent=r1)
         ground2 = np.flatnonzero(ground_mask(r2.grid, len(pts)))
         for out, r in ((ground1, r1), (ground2, r2)):
             assert len(out) == r.stats.points_ground > 0
@@ -227,7 +232,7 @@ class TestSegment:
         seeded, info = inject_synthetic_seed(
             cloud, cfg.robot_radius, cfg.dist_to_ground, cfg.seed_spacing
         )
-        grid1 = run_phase(seeded.points, cfg, info).grid
+        grid1 = run_phase(SeededCloud(seeded, info), cfg).grid
         result = segment(cloud, cfg)
         ground_ids = set(np.flatnonzero(result.mask).tolist())
         in_ground = np.repeat(grid1.state == GroundState.GROUND, grid1.counts)
@@ -440,9 +445,10 @@ class TestSegment:
         seeded, info = inject_synthetic_seed(
             cloud, _CFG.robot_radius, _CFG.dist_to_ground, _CFG.seed_spacing
         )
-        r1 = run_phase(seeded.points, _CFG, info)
+        seeded = SeededCloud(seeded, info)
+        r1 = run_phase(seeded, _CFG)
         grids = [r1.grid]
-        grids.append(run_phase(seeded.points, _CFG, info, parent=r1).grid)
+        grids.append(run_phase(seeded, _CFG, parent=r1).grid)
         return grids
 
     def test_state_is_a_read_only_view_of_the_outcomes(self):

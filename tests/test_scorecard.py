@@ -159,3 +159,19 @@ def test_the_cell_below_check_fires_on_noisy_slope_2(monkeypatch):
     below = "ambiguous with non-ground cell below"
     assert on.stats.phase1.routes[below] > 0 == off.stats.phase1.routes[below]
     assert off.stats.phase2.routes[below] == 0
+
+
+def test_the_slope_gate_keeps_precision_on_slope_12():
+    # the slope gate (ROADMAP item 16) makes box walls and steep lines
+    # non-tentative; at a 90 degree threshold every fitted plane and every
+    # line passes it, so more cells are tentative, points move and
+    # precision falls
+    scene = gs.make_scene(_slope(12))
+    cloud, truth = gs.scene_cloud(scene), scene.labels == gs.synth.GROUND_LABEL
+    cfg = make_default_config()
+    ungated = dataclasses.replace(cfg.geometry, slope_threshold_deg=90.0)
+    on, off = (segment(cloud, c) for c in (cfg, dataclasses.replace(cfg, geometry=ungated)))
+    assert not np.array_equal(on.mask, off.mask)
+    for phase in ("phase1", "phase2"):
+        assert getattr(on.stats, phase).cells_tentative < getattr(off.stats, phase).cells_tentative
+    assert precision_recall(on.mask, truth)[0] > precision_recall(off.mask, truth)[0]
